@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,11 @@ EXIT_NONCONVERGENCE = 4
 EXIT_SINGULARITY = 5
 
 
+# comma-list flags whose value may start with a minus sign
+_LIST_FLAGS = ("--pose", "--from", "--dir", "--rho")
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
 class _UsageError(Exception):
     pass
 
@@ -48,6 +54,21 @@ def _floats(text: str, label: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as err:
         raise _UsageError(f"cannot parse {label} {text!r}: {err}") from None
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--pose -0.1,0.2`` as ``--pose=-0.1,0.2``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    negative number for an option, so such comma lists never reach the flag.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LEAD.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_model(path: str):
@@ -287,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:

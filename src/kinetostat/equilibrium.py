@@ -263,7 +263,6 @@ class ForceDeflectionCurve:
     force_along: np.ndarray
     direction: np.ndarray
     truncated: bool = False
-    critical: tuple[float, float] | None = None
 
 
 def force_deflection(

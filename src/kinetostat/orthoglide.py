@@ -8,7 +8,7 @@ preloaded angle is zero when its bar points back along its drive axis,
 i.e. at the workspace centre, and grows toward the (+p, +p) corner.
 
 The benchmark reproduces the published stiffness table for this mechanism
-(actuator compensation, directional stiffness, critical sweep forces), the
+(actuator compensation, directional stiffness, critical forces), the
 force-deflection sweeps, and the workspace compliance maps.
 """
 
@@ -22,10 +22,10 @@ import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .control import solve_inverse_kinetostatic
-from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection
-from .errors import KinetostatError, ModelError
+from .equilibrium import ForceDeflectionCurve, SolverOptions, split_rho, total_wrench
+from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
-from .stiffness import directional_stiffness, manipulator_stiffness
+from .stiffness import chain_stiffness, directional_stiffness, manipulator_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -49,9 +49,12 @@ REFERENCE_TABLE = {
     },
 }
 
-# 0.3 L reaches past the weakest preload's stationary point (~0.21 L)
-SWEEP_STEP_FACTOR = 0.001
+# 0.3 L reaches past the weakest preload's stationary point (~0.21 L); the
+# critical-point search crosses it in steps of 0.01 L and refines the
+# bracket to 1e-7 L, i.e. 1e-5 of one step
 SWEEP_MAX_FACTOR = 0.3
+CONTINUATION_STEP_FACTOR = 0.01
+_REFINE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,64 @@ def critical_force(curve: ForceDeflectionCurve):
             f_cr = a * delta_cr * delta_cr + b * delta_cr + c
             return float(delta_cr), float(f_cr)
     return None
+
+
+def _critical_point(model, start, u, max_delta, opts, rho_all):
+    """First maximum of the force along unit u at fixed actuators, or None.
+
+    Since d(F.u)/d(delta) = u^T K_sigma u at fixed actuators, the maximum
+    is the first zero of the directional stiffness s(delta) along
+    start + delta * u. A warm-started continuation over [0, max_delta] in
+    SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps brackets the first
+    change of s from > 0 to <= 0 (Allgower & Georg, turning-point
+    detection); Illinois regula falsi narrows the bracket, warm-starting
+    every solve from the state at its rising end. Returns (delta, F.u) at
+    the zero, or None when no sample past a positive one has s <= 0. A
+    solver failure is re-raised with the delta it was reached at, so a
+    lost branch is never mistaken for a monotone curve.
+    """
+    start = model.pose_array(start)
+    rhos = split_rho(model, rho_all)
+
+    def solve(delta, warm):
+        try:
+            F, eqs = total_wrench(model, start + delta * u, rhos, opts, starts=warm)
+            K = sum(chain_stiffness(chain, eq) for chain, eq in zip(model.chains, eqs))
+        except (NonConvergenceError, SingularityError) as err:
+            err.args = (f"{err} (critical-point search lost the branch at delta = {delta:.6g})",)
+            raise
+        return float(u @ K @ u), float(F @ u), [eq.state for eq in eqs]
+
+    n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
+    step = max_delta / n_steps
+    lo = 0.0
+    s_lo, _, warm = solve(lo, None)
+    for i in range(1, n_steps + 1):
+        hi = i * step
+        s_hi, _, states = solve(hi, warm)
+        if s_lo > 0.0 >= s_hi:
+            break
+        lo, s_lo, warm = hi, s_hi, states
+    else:
+        return None
+
+    side = 0
+    while hi - lo > _REFINE_TOL * step and s_hi < 0.0:
+        mid = lo + s_lo * (hi - lo) / (s_lo - s_hi)
+        s_mid, _, states = solve(mid, warm)
+        if s_mid > 0.0:
+            lo, s_lo, warm = mid, s_mid, states
+            if side > 0:
+                s_hi *= 0.5
+            side = 1
+        else:
+            hi, s_hi = mid, s_mid
+            if side < 0:
+                s_lo *= 0.5
+            side = -1
+    delta = hi if s_hi == 0.0 else lo + s_lo * (hi - lo) / (s_lo - s_hi)
+    _, force, _ = solve(delta, warm)
+    return delta, force
 
 
 @dataclass
@@ -275,7 +336,7 @@ class Table1Cell:
 @dataclass
 class Table1Report:
     """Benchmark regression: compensated actuators, directional stiffness,
-    and critical sweep forces per preload factor, with reference deviations."""
+    and critical forces per preload factor, with reference deviations."""
 
     p_factor: float
     kv_factors: tuple[float, ...]
@@ -345,11 +406,8 @@ class Table1Report:
         return "\n".join(lines) + "\n"
 
 
-def _bench_cell(spec, point_name, pose, direction, kv, opts, eps_f):
-    sol = solve_inverse_kinetostatic(
-        build_planar_orthoglide(spec), pose, eps_f, opts
-    )
-    model = build_planar_orthoglide(spec)
+def _bench_cell(model, point_name, pose, direction, kv, opts, eps_f):
+    sol = solve_inverse_kinetostatic(model, pose, eps_f, opts)
     res = manipulator_stiffness(model, pose, sol.rho, opts)
     k = directional_stiffness(res.K_sigma, direction)
     rho_values = tuple(float(r[0]) for r in sol.rho)
@@ -375,8 +433,9 @@ def reproduce_table1(
     """Run the full benchmark grid: points Q0/Q1/Q2 x preload factors.
 
     Per cell: kinetostatic compensation, then directional stiffness along
-    the matching workspace diagonal; per preload factor additionally a
-    displacement sweep from Q2 outward with critical-force detection.
+    the matching workspace diagonal; per preload factor additionally the
+    critical force outward from Q2, where the directional stiffness along
+    the diagonal first vanishes at the compensated actuators.
     """
     opts = opts or spec_base.options()
     eps_f = 1e-8 * spec_base.K_theta * spec_base.L
@@ -391,24 +450,17 @@ def reproduce_table1(
 
     def run_kv(kv):
         spring = SpringLaw(kv * spec_base.K_theta * spec_base.L**2, 0.0, "linear")
-        spec = replace(spec_base, spring=spring)
+        model = build_planar_orthoglide(replace(spec_base, spring=spring))
         cells = {}
         q2_sol = None
         for point in ("Q0", "Q1", "Q2"):
-            cell, sol = _bench_cell(spec, point, poses[point], directions[point], kv, opts, eps_f)
+            cell, sol = _bench_cell(model, point, poses[point], directions[point], kv, opts, eps_f)
             cells[(point, kv)] = cell
             if point == "Q2":
                 q2_sol = sol
-        curve = force_deflection(
-            build_planar_orthoglide(spec),
-            poses["Q2"],
-            directions["Q2"],
-            SWEEP_MAX_FACTOR * spec_base.L,
-            SWEEP_STEP_FACTOR * spec_base.L,
-            opts,
-            rho_all=q2_sol.rho,
+        crit = _critical_point(
+            model, poses["Q2"], directions["Q2"], SWEEP_MAX_FACTOR * spec_base.L, opts, q2_sol.rho
         )
-        crit = critical_force(curve)
         return cells, crit
 
     if threads > 1:

@@ -154,6 +154,27 @@ def test_outputs_byte_identical_across_runs(model_path, tmp_path):
     assert ja.read_bytes() == jb.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--from", "-0.1,0.2", "--dir", "-0.7,0.7", "--max-delta", "0.01", "--step", "0.005"],
+        ["equilibrium", "--pose", "-0.1,-0.2", "--rho", "-0.1,0.2"],
+    ],
+)
+def test_negative_comma_lists_accepted(model_path, tmp_path, command):
+    attached = []
+    for arg in command:
+        if attached and attached[-1] in ("--from", "--dir", "--pose", "--rho"):
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    a = tmp_path / "separate.out"
+    b = tmp_path / "attached.out"
+    assert main(command + ["--model", model_path, "--out", str(a)]) == 0
+    assert main(attached + ["--model", model_path, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_out_file_written(model_path, tmp_path):
     out = tmp_path / "k.json"
     assert main(["stiffness", "--model", model_path, "--pose", "0,0", "--json", "--out", str(out)]) == 0

@@ -5,16 +5,22 @@ import pytest
 
 from kinetostat import (
     ForceDeflectionCurve,
+    KinetostatError,
     ModelError,
     OrthoglideSpec,
+    SolverOptions,
     SpringLaw,
     compliance_map,
     critical_force,
+    force_deflection,
     inverse_kinematics_unloaded,
     reproduce_table1,
+    solve_inverse_kinetostatic,
     workspace_points,
 )
+from kinetostat.orthoglide import _critical_point
 
+from conftest import DIAG, linear_preload_model
 
 
 def test_spec_validation():
@@ -74,6 +80,32 @@ def test_critical_force_needs_three_samples():
         direction=np.array([1.0, 0.0]),
     )
     assert critical_force(curve) is None
+
+
+@pytest.mark.parametrize("kv", [0.0, 0.05])
+def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
+    # the 301-sample sweep with its quadratic peak fit is the reference
+    model = linear_preload_model(kv)
+    q2 = workspace_points(ortho_spec)[2]
+    opts = ortho_spec.options()
+    rho = solve_inverse_kinetostatic(model, q2, 1e-8, opts).rho
+    curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=rho)
+    expected = critical_force(curve)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, rho)
+    assert (found is None) == (expected is None)
+    assert (expected is None) == (kv > 0.0)
+    if expected is not None:
+        assert found[0] == pytest.approx(expected[0], abs=1e-4)
+        assert found[1] == pytest.approx(expected[1], rel=1e-6)
+
+
+def test_critical_point_lost_branch_raises(ortho_spec):
+    model = linear_preload_model(0.0)
+    q2 = workspace_points(ortho_spec)[2]
+    rho = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options()).rho
+    starved = SolverOptions(max_iterations=1, max_restarts=0)
+    with pytest.raises(KinetostatError, match="delta = "):
+        _critical_point(model, q2, DIAG, 0.3, starved, rho)
 
 
 @pytest.fixture(scope="module")
