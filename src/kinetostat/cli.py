@@ -51,9 +51,12 @@ def _fmt(x) -> str:
 
 def _floats(text: str, label: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as err:
         raise _UsageError(f"cannot parse {label} {text!r}: {err}") from None
+    if not np.all(np.isfinite(values)):
+        raise _UsageError(f"{label} {text!r} is not finite")
+    return values
 
 
 def _attach_negative_lists(argv: list[str]) -> list[str]:

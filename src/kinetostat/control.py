@@ -12,16 +12,21 @@ to hold the target vanishes (or matches a prescribed external wrench):
     4. S   <- dF/drho by central differences around rho
     5. rho <- rho - S^-1 (F - F_target), halving the step while the
        residual grows, then back to 2.
+
+The pose t never changes, so the rigid IK of step 1 is solved once and its
+chain states start every equilibrium solve of the loop, in place of the cold
+start that would re-solve the same IK each time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ManipulatorModel, inverse_kinematics_unloaded
-from .equilibrium import SolverOptions, split_rho, total_wrench
+from .chain import ChainState, ManipulatorModel, chain_ik_best_effort, inverse_kinematics_unloaded
+from .equilibrium import EquilibriumResult, SolverOptions, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
 
 _DEFAULT_H_RHO = 1e-5
@@ -30,7 +35,11 @@ _MAX_HALVINGS = 8
 
 @dataclass
 class KinetostaticSolution:
-    """Compensated actuator coordinates and the loop diagnostics."""
+    """Compensated actuator coordinates and the loop diagnostics.
+
+    ``equilibria`` are the chain equilibria of the last accepted wrench
+    evaluation, i.e. at the returned rho.
+    """
 
     rho: list[np.ndarray]
     residual_wrench: float
@@ -38,6 +47,7 @@ class KinetostaticSolution:
     S_F_rho: np.ndarray | None
     full_rank: bool = True
     history: list[float] = field(default_factory=list)
+    equilibria: list[EquilibriumResult] = field(default_factory=list)
 
     @property
     def rho_flat(self) -> np.ndarray:
@@ -50,11 +60,20 @@ def sensitivity_matrix(
     rho_all,
     h_rho: float = _DEFAULT_H_RHO,
     opts: SolverOptions | None = None,
+    *,
+    starts: list[ChainState] | None = None,
 ) -> np.ndarray:
-    """dF_total/drho by central differences, one column per actuator."""
-    if h_rho <= 0:
-        raise ModelError("sensitivity step must be positive")
+    """dF_total/drho by central differences, one column per actuator.
+
+    ``starts`` seeds every wrench evaluation as in ``total_wrench``; by
+    default each chain starts from its best-effort rigid IK at t, solved
+    once here rather than once per evaluation.
+    """
+    if not 0.0 < h_rho < math.inf:
+        raise ModelError("sensitivity step must be positive and finite")
     target = manipulator.pose_array(t)
+    if starts is None:
+        starts = [chain_ik_best_effort(chain, target)[0] for chain in manipulator.chains]
     flat = np.concatenate(split_rho(manipulator, rho_all))
     S = np.zeros((manipulator.task_dim, flat.size))
     for j in range(flat.size):
@@ -62,8 +81,8 @@ def sensitivity_matrix(
         rm = flat.copy()
         rp[j] += h_rho
         rm[j] -= h_rho
-        Fp, _ = total_wrench(manipulator, target, rp, opts)
-        Fm, _ = total_wrench(manipulator, target, rm, opts)
+        Fp, _ = total_wrench(manipulator, target, rp, opts, starts=starts)
+        Fm, _ = total_wrench(manipulator, target, rm, opts, starts=starts)
         S[:, j] = (Fp - Fm) / (2.0 * h_rho)
     return S
 
@@ -84,35 +103,27 @@ def solve_inverse_kinetostatic(
     least-squares pseudo-solution and flag the solution; a square matrix
     that is numerically singular raises ControlSingularityError.
     """
-    if eps_f <= 0:
-        raise ModelError("wrench tolerance eps_f must be positive")
+    if not 0.0 < eps_f < math.inf:
+        raise ModelError("wrench tolerance eps_f must be positive and finite")
     target = manipulator.pose_array(t)
     d = manipulator.task_dim
     F_target = np.zeros(d) if f_ext is None else np.asarray(f_ext, dtype=float).ravel()
     if F_target.size != d:
         raise ModelError("prescribed wrench does not match the task dimension")
 
-    rho = np.concatenate([s.rho for s in inverse_kinematics_unloaded(manipulator, target)])
-    F, _ = total_wrench(manipulator, target, rho, opts)
+    seeds = inverse_kinematics_unloaded(manipulator, target)
+    rho = np.concatenate([s.rho for s in seeds])
+    F, equilibria = total_wrench(manipulator, target, rho, opts, starts=seeds)
     err = F - F_target
     err_norm = float(np.linalg.norm(err))
     history = [err_norm]
-    best_rho = rho.copy()
-    best_norm = err_norm
     S = None
     full_rank = True
 
-    for outer in range(max_outer):
+    for _ in range(max_outer):
         if err_norm < eps_f:
-            return KinetostaticSolution(
-                rho=split_rho(manipulator, rho),
-                residual_wrench=err_norm,
-                outer_iterations=outer,
-                S_F_rho=S,
-                full_rank=full_rank,
-                history=history,
-            )
-        S = sensitivity_matrix(manipulator, target, rho, h_rho, opts)
+            break
+        S = sensitivity_matrix(manipulator, target, rho, h_rho, opts, starts=seeds)
         if S.shape[0] == S.shape[1]:
             cond = np.linalg.cond(S)
             if not np.isfinite(cond) or cond > 1e12:
@@ -129,20 +140,17 @@ def solve_inverse_kinetostatic(
         accepted = False
         for _ in range(_MAX_HALVINGS):
             rho_try = rho - lam * step
-            F_try, _ = total_wrench(manipulator, target, rho_try, opts)
+            F_try, eqs_try = total_wrench(manipulator, target, rho_try, opts, starts=seeds)
             err_try = F_try - F_target
             try_norm = float(np.linalg.norm(err_try))
             if try_norm < err_norm:
-                rho, err, err_norm = rho_try, err_try, try_norm
+                rho, err, err_norm, equilibria = rho_try, err_try, try_norm, eqs_try
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             break
         history.append(err_norm)
-        if err_norm < best_norm:
-            best_norm = err_norm
-            best_rho = rho.copy()
 
     if err_norm < eps_f:
         return KinetostaticSolution(
@@ -152,10 +160,12 @@ def solve_inverse_kinetostatic(
             S_F_rho=S,
             full_rank=full_rank,
             history=history,
+            equilibria=equilibria,
         )
+    # a step is accepted only when it lowers the residual, so err_norm is the best seen
     raise NonConvergenceError(
-        f"kinetostatic compensation stalled at |F| = {best_norm:.3e} (eps_f = {eps_f:.3e})",
-        residual=best_norm,
+        f"kinetostatic compensation stalled at |F| = {err_norm:.3e} (eps_f = {eps_f:.3e})",
+        residual=err_norm,
         iterations=len(history) - 1,
     )
 

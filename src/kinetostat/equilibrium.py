@@ -16,6 +16,7 @@ slightly perturbed configuration drawn from a seeded generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.pose_tol <= 0 or self.perturbation_scale <= 0:
-            raise ModelError("solver tolerances must be positive")
+        if not (0.0 < self.pose_tol < math.inf and 0.0 < self.perturbation_scale < math.inf):
+            raise ModelError("solver tolerances must be positive and finite")
         if self.max_iterations < 1 or self.max_restarts < 0:
             raise ModelError("solver iteration budgets must be positive")
 
@@ -277,12 +278,13 @@ def force_deflection(
     """Sweep the platform from ``start`` along ``direction`` at fixed actuators.
 
     Actuator coordinates default to the rigid inverse kinematics at the
-    start pose; each sample is warm-started from the previous one. The
-    first non-convergent sample truncates the curve instead of raising,
-    which is how loss of solvability past buckling shows up.
+    start pose, whose chain states then seed the first sample; each later
+    sample is warm-started from the previous one. The first non-convergent
+    sample truncates the curve instead of raising, which is how loss of
+    solvability past buckling shows up.
     """
-    if step <= 0 or max_delta < 0:
-        raise ModelError("sweep needs step > 0 and max_delta >= 0")
+    if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
+        raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
     start_vec = manipulator.pose_array(start)
     u = np.asarray(direction, dtype=float).ravel()
     if u.size != manipulator.task_dim:
@@ -292,8 +294,11 @@ def force_deflection(
         raise ModelError("sweep direction must be nonzero")
     u = u / norm
 
+    warm: list[ChainState] | None = None
     if rho_all is None:
-        rhos = [s.rho for s in inverse_kinematics_unloaded(manipulator, start_vec)]
+        # the rigid IK states at the start pose are what a cold first sample would solve
+        warm = inverse_kinematics_unloaded(manipulator, start_vec)
+        rhos = [s.rho for s in warm]
     else:
         rhos = split_rho(manipulator, rho_all)
 
@@ -301,7 +306,6 @@ def force_deflection(
     magnitudes = []
     along = []
     truncated = False
-    warm: list[ChainState] | None = None
     n_steps = int(round(max_delta / step))
     for i in range(n_steps + 1):
         delta = i * step

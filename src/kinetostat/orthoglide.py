@@ -25,7 +25,7 @@ from .control import solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, split_rho, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
-from .stiffness import chain_stiffness, directional_stiffness, manipulator_stiffness
+from .stiffness import _aggregate_stiffness, chain_stiffness, directional_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -244,11 +244,15 @@ def compliance_grid(
 
     Each cell is evaluated in the compensated state: actuators are solved
     kinetostatically so the cell pose is an unloaded equilibrium, then the
-    aggregate stiffness is computed there. Failed cells are flagged, never
-    dropped.
+    aggregate stiffness is computed at the equilibria that solve ends on.
+    Cells whose solve fails or whose stiffness is not positive definite are
+    flagged failed, never dropped.
     """
     if grid_n < 2:
         raise ModelError("compliance grid needs at least 2 points per side")
+    # checked here too: inside a cell the error would only mark the cell failed
+    if not 0.0 < eps_f < math.inf:
+        raise ModelError("wrench tolerance eps_f must be positive and finite")
     if manipulator.workspace is None:
         raise ModelError("model declares no workspace box")
     lo, hi = manipulator.workspace
@@ -267,10 +271,11 @@ def compliance_grid(
         t[1] = ys[iy]
         try:
             sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
-            res = manipulator_stiffness(manipulator, t, sol.rho, opts)
+            res = _aggregate_stiffness(manipulator, sol.equilibria)
         except KinetostatError:
             return ix, iy, None
-        return ix, iy, res.K_sigma
+        # a zero or negative eigenvalue has no meaningful compliance
+        return ix, iy, None if res.indefinite else res.K_sigma
 
     indices = [(ix, iy) for ix in range(grid_n) for iy in range(grid_n)]
     if threads > 1:
@@ -282,10 +287,7 @@ def compliance_grid(
     for ix, iy, K in results:
         if K is None:
             continue
-        w = np.linalg.eigvalsh(K)
-        if np.any(w == 0.0):
-            continue
-        c = 1.0 / w
+        c = 1.0 / np.linalg.eigvalsh(K)
         K_all[ix, iy] = K
         c_max[ix, iy] = float(c.max())
         c_min[ix, iy] = float(c.min())
@@ -408,7 +410,7 @@ class Table1Report:
 
 def _bench_cell(model, point_name, pose, direction, kv, opts, eps_f):
     sol = solve_inverse_kinetostatic(model, pose, eps_f, opts)
-    res = manipulator_stiffness(model, pose, sol.rho, opts)
+    res = _aggregate_stiffness(model, sol.equilibria)
     k = directional_stiffness(res.K_sigma, direction)
     rho_values = tuple(float(r[0]) for r in sol.rho)
     refs = REFERENCE_TABLE[point_name]

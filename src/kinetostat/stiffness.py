@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainModel, ManipulatorModel, jacobians, loaded_hessians
-from .equilibrium import (
-    COND_LIMIT,
-    EquilibriumResult,
-    SolverOptions,
-    solve_chain_equilibrium,
-    split_rho,
-    total_wrench,
-)
-from .errors import ModelError, NonConvergenceError, SingularityError, SpringSofteningError
+from .equilibrium import COND_LIMIT, EquilibriumResult, SolverOptions, total_wrench
+from .errors import ModelError, SingularityError, SpringSofteningError
 
 _RANK_TOL = 1e-9
 
@@ -96,18 +89,22 @@ def manipulator_stiffness(
     opts: SolverOptions | None = None,
 ) -> StiffnessResult:
     """Solve every chain at (t, rho) and aggregate the chain stiffnesses."""
-    target = manipulator.pose_array(t)
-    rhos = split_rho(manipulator, rho_all)
+    _, equilibria = total_wrench(manipulator, t, rho_all, opts)
+    return _aggregate_stiffness(manipulator, equilibria)
+
+
+def _aggregate_stiffness(
+    manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]
+) -> StiffnessResult:
+    """Chain stiffnesses at already solved chain equilibria, and their sum."""
     K_c = []
     ranks = []
     conditions = []
     asymmetries = []
-    equilibria = []
-    for i, chain in enumerate(manipulator.chains):
+    for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
         try:
-            eq = solve_chain_equilibrium(chain, target, rhos[i], opts)
             K, cond, asym = _chain_stiffness_diag(chain, eq)
-        except (NonConvergenceError, SingularityError) as err:
+        except SingularityError as err:
             err.chain_index = i
             raise
         K_c.append(K)
@@ -115,7 +112,6 @@ def manipulator_stiffness(
         ranks.append(int(np.linalg.matrix_rank(K, tol=_RANK_TOL * max(smax, 1e-300))))
         conditions.append(cond)
         asymmetries.append(asym)
-        equilibria.append(eq)
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(

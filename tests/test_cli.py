@@ -121,6 +121,23 @@ def test_model_errors_exit_3(model_path, tmp_path, capsys):
     assert "closest distance" in err
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["equilibrium", "--pose", "nan,0"], 2),
+        (["stiffness", "--pose", "0,0", "--rho", "1,inf"], 2),
+        (["sweep", "--from", "0,0", "--dir", "nan,1", "--max-delta", "0.01", "--step", "0.005"], 2),
+        (["sweep", "--from", "0,0", "--dir", "0,1", "--max-delta", "inf", "--step", "0.005"], 3),
+        (["equilibrium", "--pose", "0,0", "--tol", "nan"], 3),
+        (["invkin", "--pose", "0.1,0.2", "--eps-f", "inf"], 3),
+        (["map", "--grid", "2", "--eps-f", "nan"], 3),
+    ],
+)
+def test_non_finite_numbers_named(model_path, capsys, command, code):
+    assert main(command + ["--model", model_path]) == code
+    assert "finite" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_4(model_path, capsys):
     # reachable pose, but the budget is starved via --max-iter
     code = main(

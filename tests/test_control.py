@@ -8,7 +8,9 @@ from kinetostat import (
     ControlSingularityError,
     JointModel,
     ManipulatorModel,
+    ModelError,
     OrthoglideSpec,
+    SolverOptions,
     SpringLaw,
     Transform,
     build_planar_orthoglide,
@@ -152,3 +154,77 @@ def test_coincident_legs_raise_control_singularity():
     twin = ManipulatorModel(task_dim=2, chains=[leg(), leg()], name="coincident")
     with pytest.raises(ControlSingularityError):
         solve_inverse_kinetostatic(twin, [0.1, 0.2], 1e-10)
+
+
+@pytest.mark.parametrize("pose", [[0.2, 0.3], [0.45, 0.45]])
+def test_sensitivity_seeded_by_ik_states_is_identical(pose):
+    # a cold start is the best-effort IK state with rho substituted, so
+    # handing that state in changes no bit
+    model = linear_preload_model(0.1)
+    seeds = inverse_kinematics_unloaded(model, pose)
+    rho = [s.rho + 0.01 for s in seeds]
+    S_cold = sensitivity_matrix(model, pose, rho)
+    S_seeded = sensitivity_matrix(model, pose, rho, starts=seeds)
+    assert np.array_equal(S_cold, S_seeded)
+
+
+def _count_ik_calls(monkeypatch):
+    import kinetostat.chain
+    import kinetostat.control
+    import kinetostat.equilibrium
+
+    real = kinetostat.chain.chain_ik_best_effort
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    for module in (kinetostat.chain, kinetostat.control, kinetostat.equilibrium):
+        monkeypatch.setattr(module, "chain_ik_best_effort", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kv, pose, outer", [(0.1, [0.0, 0.0], 0), (0.1, [0.45, 0.45], 1), (1.0, [0.45, 0.45], 2)])
+def test_compensation_solves_rigid_ik_once_per_chain(monkeypatch, kv, pose, outer):
+    model = linear_preload_model(kv)
+    calls = _count_ik_calls(monkeypatch)
+    sol = solve_inverse_kinetostatic(model, pose, 1e-12)
+    assert sol.outer_iterations == outer
+    assert sorted(calls) == sorted(chain.name for chain in model.chains)
+
+
+def test_solution_carries_equilibria_at_returned_rho(ortho_spec):
+    model = linear_preload_model(0.1)
+    q2 = workspace_points(ortho_spec)[2]
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8)
+    assert sol.outer_iterations > 0
+    F, eqs = total_wrench(model, q2, sol.rho)
+    for mine, fresh in zip(sol.equilibria, eqs):
+        assert np.array_equal(mine.F, fresh.F)
+        assert np.array_equal(mine.state.q, fresh.state.q)
+        assert np.array_equal(mine.state.vartheta, fresh.state.vartheta)
+        assert np.array_equal(mine.state.theta, fresh.state.theta)
+    assert sol.residual_wrench == float(np.linalg.norm(F))
+
+
+def test_force_deflection_solves_rigid_ik_once_per_chain(monkeypatch):
+    from kinetostat import force_deflection
+
+    model = linear_preload_model(0.1)
+    calls = _count_ik_calls(monkeypatch)
+    curve = force_deflection(model, [0.1, 0.2], [0.6, 0.8], 0.05, 0.01)
+    assert len(curve.deltas) == 6
+    assert sorted(calls) == sorted(chain.name for chain in model.chains)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_knobs_rejected(ortho_nopreload, value):
+    with pytest.raises(ModelError, match="finite"):
+        solve_inverse_kinetostatic(ortho_nopreload, [0.1, 0.2], value)
+    with pytest.raises(ModelError, match="finite"):
+        sensitivity_matrix(ortho_nopreload, [0.1, 0.2], [[1.0], [1.0]], h_rho=value)
+    with pytest.raises(ModelError, match="finite"):
+        SolverOptions(pose_tol=value)
+    with pytest.raises(ModelError, match="finite"):
+        SolverOptions(perturbation_scale=value)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kinetostat import (
     OrthoglideSpec,
     SolverOptions,
     SpringLaw,
+    compliance_grid,
     compliance_map,
     critical_force,
     force_deflection,
@@ -136,6 +138,34 @@ def test_stop_limit_map_only_changes_engaged_corner(maps):
     assert stop.c_max[2, 2] <= plain.c_max[2, 2] / 2.0
     assert stop.c_max[0, 0] == pytest.approx(plain.c_max[0, 0], rel=1e-2)
     assert stop.c_max[1, 1] == pytest.approx(plain.c_max[1, 1], rel=1e-2)
+
+
+def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
+    # a cell whose stiffness has a negative eigenvalue has no compliance
+    import kinetostat.orthoglide as orthoglide
+
+    real = orthoglide._aggregate_stiffness
+    calls = []
+
+    def first_cell_indefinite(model, equilibria):
+        res = real(model, equilibria)
+        calls.append(res)
+        if len(calls) == 1:
+            res = replace(res, K_sigma=np.diag([1.0, -1.0]), indefinite=True)
+        return res
+
+    monkeypatch.setattr(orthoglide, "_aggregate_stiffness", first_cell_indefinite)
+    grid = compliance_grid(ortho_nopreload, 2)
+    assert len(calls) == 4
+    assert not grid.ok[0, 0]
+    assert np.isnan(grid.c_min[0, 0]) and np.isnan(grid.c_max[0, 0])
+    assert grid.ok.sum() == 3
+    assert np.all(grid.c_min[grid.ok] > 0.0)
+
+
+def test_compliance_grid_rejects_non_finite_tolerance(ortho_nopreload):
+    with pytest.raises(ModelError, match="finite"):
+        compliance_grid(ortho_nopreload, 2, eps_f=float("nan"))
 
 
 @pytest.fixture(scope="module")

@@ -16,11 +16,14 @@ from kinetostat import (
     manipulator_stiffness,
     partition,
     solve_chain_equilibrium,
+    solve_inverse_kinetostatic,
     stiffness_vs_fd_check,
     workspace_points,
 )
 
-from conftest import DIAG, linear_preload_model, two_prismatic_toy
+from kinetostat.stiffness import _aggregate_stiffness
+
+from conftest import DIAG, linear_preload_model, stop_limit_model, two_prismatic_toy
 
 
 def test_single_chain_rank_one_outer_product(ortho_nopreload):
@@ -167,3 +170,20 @@ def test_buckled_stiffness_flagged_not_error(ortho_spec, ortho_nopreload):
     res = manipulator_stiffness(ortho_nopreload, q2 + 0.25 * DIAG, rho)
     assert directional_stiffness(res.K_sigma, DIAG) < 0.0
     assert res.indefinite
+
+
+@pytest.mark.parametrize("model_name", ["linear", "stop_limit"])
+@pytest.mark.parametrize("point", [1, 2])
+def test_stiffness_at_compensation_equilibria_is_identical(ortho_spec, model_name, point):
+    # the compensation's last accepted equilibria are the ones a fresh
+    # solve at the returned rho finds, to the bit
+    model = linear_preload_model(0.1) if model_name == "linear" else stop_limit_model()
+    pose = workspace_points(ortho_spec)[point]
+    opts = ortho_spec.options()
+    sol = solve_inverse_kinetostatic(model, pose, 1e-8, opts)
+    reused = _aggregate_stiffness(model, sol.equilibria)
+    fresh = manipulator_stiffness(model, pose, sol.rho, opts)
+    assert np.array_equal(reused.K_sigma, fresh.K_sigma)
+    assert all(np.array_equal(a, b) for a, b in zip(reused.K_c, fresh.K_c))
+    assert reused.condition == fresh.condition
+    assert reused.indefinite == fresh.indefinite
