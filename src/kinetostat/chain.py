@@ -43,6 +43,10 @@ class Transform:
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     rpy: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.translation, *self.rpy)):
+            raise ModelError(f"transform {self.translation}/{self.rpy} is not finite")
+
     @cached_property
     def matrix(self) -> np.ndarray:
         return geo.homogeneous(geo.rpy_matrix(self.rpy), self.translation)
@@ -67,6 +71,8 @@ class JointModel:
             raise ModelError(f"unknown joint kind {self.kind!r}")
         if self.motion not in MOTIONS:
             raise ModelError(f"unknown joint motion {self.motion!r}")
+        if not all(math.isfinite(a) for a in self.axis):
+            raise ModelError(f"joint axis {self.axis} is not finite")
         norm = math.sqrt(sum(a * a for a in self.axis))
         if abs(norm - 1.0) > _AXIS_TOL:
             raise ModelError(f"joint axis must have unit norm, |axis| = {norm!r}")
@@ -74,8 +80,10 @@ class JointModel:
             raise ModelError("spring law present iff the joint is preloaded_passive")
         if (self.stiffness is not None) != (self.kind == VIRTUAL_ELASTIC):
             raise ModelError("stiffness present iff the joint is virtual_elastic")
-        if self.stiffness is not None and self.stiffness <= 0.0:
-            raise ModelError(f"virtual spring stiffness must be > 0, got {self.stiffness}")
+        if self.stiffness is not None and not 0.0 < self.stiffness < math.inf:
+            raise ModelError(
+                f"virtual spring stiffness must be finite and > 0, got {self.stiffness}"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,12 @@ class ChainModel:
     tool_transform: Transform
     ik_seed: np.ndarray | None = None
     name: str = ""
-    _kind_elements: dict = field(init=False, repr=False)
+    # derived from the elements: index maps, joint motion constants, the
+    # preload springs in preloaded order and the regrouping layout per mask
+    _kind_elements: dict = field(init=False, repr=False, compare=False)
+    _motions: tuple = field(init=False, repr=False, compare=False)
+    preload_springs: tuple = field(init=False, repr=False, compare=False)
+    _regroupings: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.task_dim not in TASK_DIMS:
@@ -158,7 +171,10 @@ class ChainModel:
             by_kind[joint.kind].append(i)
         if not by_kind[VIRTUAL_ELASTIC]:
             raise ModelError("chain needs at least one virtual_elastic joint")
-        self._kind_elements = {k: tuple(v) for k, v in by_kind.items()}
+        # element indices per kind as index arrays, for gathers and scatters
+        self._kind_elements = {k: np.array(v, dtype=np.intp) for k, v in by_kind.items()}
+        self._motions = tuple(_motion_constants(joint) for _, joint in self.elements)
+        self.preload_springs = tuple(self.joint_at(e).spring for e in by_kind[PRELOADED_PASSIVE])
         n_ik = self.n_actuated + self.n_perfect + self.n_preloaded
         if self.ik_seed is not None:
             self.ik_seed = np.asarray(self.ik_seed, dtype=float).ravel()
@@ -205,26 +221,64 @@ class ChainModel:
     def joint_at(self, element: int) -> JointModel:
         return self.elements[element][1]
 
-    def coordinate_of(self, element: int) -> tuple[str, int]:
-        """(kind, index within that kind) backing a chain element."""
-        kind = self.joint_at(element).kind
-        return kind, self._kind_elements[kind].index(element)
+    def regrouping(self, mask: np.ndarray) -> tuple:
+        """Layout of the regrouped sets for one preload active set.
+
+        Returns ``(idle, q_elements, theta_elements, theta_tilde_0, k_tilde)``:
+        the mask of disengaged preloaded joints, the chain element behind
+        each aggregate coordinate, and the rest offsets and stiffnesses
+        aligned with theta_tilde. Built once per mask and read-only.
+        """
+        key = mask.tobytes()
+        layout = self._regroupings.get(key)
+        if layout is None:
+            idle = ~mask
+            preloaded = self.preloaded_elements
+            engaged = [s for s, on in zip(self.preload_springs, mask) if on]
+            virtual_k = [self.joint_at(e).stiffness for e in self.virtual_elements]
+            layout = (
+                idle,
+                np.concatenate([self.perfect_elements, preloaded[idle]]),
+                np.concatenate([self.virtual_elements, preloaded[mask]]),
+                np.array([0.0] * self.n_virtual + [s.preload_offset for s in engaged], dtype=float),
+                np.array(virtual_k + [s.k for s in engaged], dtype=float),
+            )
+            for array in layout:
+                array.flags.writeable = False
+            self._regroupings[key] = layout
+        return layout
 
     def element_coordinates(self, state: ChainState) -> np.ndarray:
         """Joint values in chain element order."""
         state.validate_against(self)
-        arrays = {
-            ACTUATED: state.rho,
-            PERFECT_PASSIVE: state.q,
-            PRELOADED_PASSIVE: state.vartheta,
-            VIRTUAL_ELASTIC: state.theta,
-        }
         out = np.empty(len(self.elements))
-        counters = {k: 0 for k in JOINT_KINDS}
-        for i, (_, joint) in enumerate(self.elements):
-            out[i] = arrays[joint.kind][counters[joint.kind]]
-            counters[joint.kind] += 1
+        out[self.actuated_elements] = state.rho
+        out[self.perfect_elements] = state.q
+        out[self.preloaded_elements] = state.vartheta
+        out[self.virtual_elements] = state.theta
         return out
+
+    def regrouped_coordinates(
+        self, regrouped: RegroupedState, q_tilde=None, theta_tilde=None
+    ) -> np.ndarray:
+        """Joint values in chain element order from a regrouped view,
+        optionally substituting new aggregate values."""
+        q = regrouped.q_tilde if q_tilde is None else q_tilde
+        theta = regrouped.theta_tilde if theta_tilde is None else theta_tilde
+        out = np.empty(len(self.elements))
+        out[self.actuated_elements] = regrouped.rho
+        out[regrouped.q_elements] = q
+        out[regrouped.theta_elements] = theta
+        return out
+
+    def state_of(self, coords: np.ndarray) -> ChainState:
+        """ChainState holding joint values given in chain element order."""
+        return ChainState(
+            rho=coords[self.actuated_elements],
+            q=coords[self.perfect_elements],
+            vartheta=coords[self.preloaded_elements],
+            theta=coords[self.virtual_elements],
+        )
 
     def zero_state(self) -> ChainState:
         return ChainState(
@@ -264,31 +318,48 @@ class ManipulatorModel:
         if isinstance(t, PoseVector):
             if t.dim != self.task_dim:
                 raise ModelError(f"pose dim {t.dim} does not match task dim {self.task_dim}")
-            return t.as_array()
-        v = np.asarray(t, dtype=float).ravel()
-        if v.size != self.task_dim:
-            raise ModelError(f"pose of length {v.size} does not match task dim {self.task_dim}")
+            v = t.as_array()
+        else:
+            v = np.asarray(t, dtype=float).ravel()
+            if v.size != self.task_dim:
+                raise ModelError(f"pose of length {v.size} does not match task dim {self.task_dim}")
+        if not np.all(np.isfinite(v)):
+            raise ModelError(f"pose {v.tolist()} is not finite")
         return v
 
 
 # -- forward geometry ------------------------------------------------------
 
+_I3 = np.eye(3)
+_I4 = np.eye(4)
+_ZERO3 = np.zeros(3)
 
-def _joint_motion(joint: JointModel, value: float) -> np.ndarray:
+
+def _motion_constants(joint: JointModel):
+    """(axis, rotation terms) of a joint; the terms are None for a prismatic
+    joint and (skew(axis), axis axis^T) for a revolute one."""
+    axis = np.asarray(joint.axis, dtype=float)
     if joint.motion == TRANSLATIONAL:
-        return geo.translation_along(joint.axis, value)
-    return geo.rotation_joint(joint.axis, value)
+        return axis, None
+    return axis, (geo.skew(axis), np.outer(axis, axis))
 
 
 def _end_transform(chain: ChainModel, coords: np.ndarray, with_joint_frames: bool):
-    """Compose the chain; optionally record each joint's world axis and origin."""
-    T = chain.base_pose.matrix.copy()
+    """Compose the chain; optionally record each joint's frame (after its link)."""
+    T = chain.base_pose.matrix
     frames = [] if with_joint_frames else None
-    for (link, joint), value in zip(chain.elements, coords):
+    for (link, _), (axis, rotation), value in zip(chain.elements, chain._motions, coords):
         T = T @ link.matrix
         if with_joint_frames:
-            frames.append((T[:3, :3] @ np.asarray(joint.axis), T[:3, 3].copy()))
-        T = T @ _joint_motion(joint, value)
+            frames.append(T)
+        motion = _I4.copy()
+        if rotation is None:
+            motion[:3, 3] = axis * value
+        else:
+            # geo.rotation_about with the axis terms cached
+            c, s = math.cos(value), math.sin(value)
+            motion[:3, :3] = c * _I3 + s * rotation[0] + (1.0 - c) * rotation[1]
+        T = T @ motion
     T = T @ chain.tool_transform.matrix
     return T, frames
 
@@ -318,63 +389,82 @@ def forward_kinematics(chain: ChainModel, state: ChainState) -> PoseVector:
 # -- analytic Jacobians ----------------------------------------------------
 
 
-def _geometry_and_columns(chain: ChainModel, coords: np.ndarray):
-    """End pose and the task Jacobian column of every chain element.
+def _columns(chain: ChainModel, T: np.ndarray, frames, pose: np.ndarray) -> np.ndarray:
+    """Task Jacobian column of every chain element from one forward pass.
 
     Columns are built from the classic screw recursion: a translational
     joint contributes its world axis, a rotational one the lever cross
     product axis x (p_end - p_joint), with the angular part mapped onto
-    the orientation parameters of the declared task dimension.
+    the orientation parameters of the declared task dimension. The cross
+    products are written out in np.cross's operand order and arithmetic.
     """
-    T, frames = _end_transform(chain, coords, with_joint_frames=True)
     dim = chain.task_dim
-    p_end = T[:3, 3]
-    R = T[:3, :3]
-    pose = _task_pose(T, dim)
-
     if dim == 6:
         E = geo.euler_rate_matrix(pose[3:])
         if abs(np.linalg.det(E)) < 1e-9:
             raise ModelError("orientation parametrization singular (cos ry ~ 0)")
         E_inv = np.linalg.inv(E)
-
-    cols = np.zeros((dim, len(chain.elements)))
-    for j, ((axis_w, origin_w), (_, joint)) in enumerate(zip(frames, chain.elements)):
-        if joint.motion == TRANSLATIONAL:
-            v = axis_w
-            omega = np.zeros(3)
+    p0, p1, p2 = T[:3, 3].tolist()
+    c0, c1, c2 = T[:3, 0].tolist()
+    rows = [[] for _ in range(dim)]
+    for frame, (axis, rotation) in zip(frames, chain._motions):
+        axis_w = frame[:3, :3] @ axis
+        a0, a1, a2 = axis_w.tolist()
+        if rotation is None:
+            v = (a0, a1, a2)
+            omega = _ZERO3
         else:
-            v = np.cross(axis_w, p_end - origin_w)
+            f0, f1, f2 = frame[:3, 3].tolist()
+            b0, b1, b2 = p0 - f0, p1 - f1, p2 - f2
+            v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
             omega = axis_w
-        if dim == 2:
-            cols[:, j] = v[:2]
-        elif dim == 3:
-            # exact derivative of atan2(R10, R00) under dR = [omega]x R
-            c0 = R[:, 0]
-            dc0 = np.cross(omega, c0)
-            denom = c0[0] * c0[0] + c0[1] * c0[1]
-            cols[:2, j] = v[:2]
-            cols[2, j] = (c0[0] * dc0[1] - c0[1] * dc0[0]) / denom
-        else:
-            cols[:3, j] = v
-            cols[3:, j] = E_inv @ omega
-    return pose, cols
+        o0, o1, o2 = omega.tolist()
+        rows[0].append(v[0])
+        rows[1].append(v[1])
+        if dim == 3:
+            # exact derivative of atan2(R10, R00) under dR = [omega]x R, less
+            # the division by R00^2 + R10^2 done on the whole row below
+            d0 = o1 * c2 - o2 * c1
+            d1 = o2 * c0 - o0 * c2
+            rows[2].append(c0 * d1 - c1 * d0)
+        elif dim == 6:
+            rows[2].append(v[2])
+            for row, value in zip(rows[3:], (E_inv @ omega).tolist()):
+                row.append(value)
+    cols = np.array(rows)
+    if dim == 3:
+        cols[2] /= c0 * c0 + c1 * c1
+    return cols
+
+
+def _geometry_and_columns(chain: ChainModel, coords: np.ndarray):
+    """End pose and the task Jacobian column of every chain element."""
+    T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    pose = _task_pose(T, chain.task_dim)
+    return pose, _columns(chain, T, frames, pose)
+
+
+def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
+    """End pose at a regrouped configuration and its Jacobians on demand.
+
+    One forward pass records the joint frames. Returns ``(pose, columns)``;
+    ``columns()`` builds ``(J_theta, J_q)`` from those frames, so a caller
+    that ends up needing only the pose never builds them.
+    """
+    coords = chain.regrouped_coordinates(regrouped)
+    T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    pose = _task_pose(T, chain.task_dim)
+
+    def columns():
+        cols = _columns(chain, T, frames, pose)
+        return cols[:, regrouped.theta_elements], cols[:, regrouped.q_elements]
+
+    return pose, columns
 
 
 def jacobians(chain: ChainModel, regrouped: RegroupedState):
     """(J_theta, J_q): task Jacobians of the spring-like and passive sets."""
-    state = regrouped.to_state(chain)
-    _, cols = _geometry_and_columns(chain, chain.element_coordinates(state))
-    J_theta = cols[:, list(regrouped.theta_elements)]
-    J_q = cols[:, list(regrouped.q_elements)]
-    return J_theta, J_q
-
-
-def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
-    """(pose, J_theta, J_q) in one forward pass."""
-    state = regrouped.to_state(chain)
-    pose, cols = _geometry_and_columns(chain, chain.element_coordinates(state))
-    return pose, cols[:, list(regrouped.theta_elements)], cols[:, list(regrouped.q_elements)]
+    return regrouped_geometry(chain, regrouped)[1]()
 
 
 # -- load-weighted Hessians --------------------------------------------------
@@ -397,11 +487,12 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
     if not np.any(F):
         return np.zeros((k, k)), np.zeros((m, m)), np.zeros((k, m))
 
+    elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
+
     def gradient(x):
-        state = regrouped.scatter(chain, q_tilde=x[:k], theta_tilde=x[k:])
-        _, cols = _geometry_and_columns(chain, chain.element_coordinates(state))
-        J = cols[:, list(regrouped.q_elements) + list(regrouped.theta_elements)]
-        return J.T @ F
+        coords = chain.regrouped_coordinates(regrouped, q_tilde=x[:k], theta_tilde=x[k:])
+        _, cols = _geometry_and_columns(chain, coords)
+        return cols[:, elements].T @ F
 
     x0 = np.concatenate([regrouped.q_tilde, regrouped.theta_tilde])
     H = np.zeros((n, n))

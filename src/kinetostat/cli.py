@@ -27,7 +27,7 @@ from .errors import (
 )
 from .modelfile import parse_model
 from .orthoglide import OrthoglideSpec, compliance_grid, critical_force, reproduce_table1
-from .stiffness import manipulator_stiffness
+from .stiffness import _aggregate_stiffness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,17 +99,23 @@ def _options(args) -> SolverOptions:
 
 
 def _resolve_rho(model, args, target):
+    """Actuator values and the chain states to start the solves from.
+
+    Without --rho the rigid IK picks the actuators, and its states are what
+    a cold start would solve again, so they seed the solves instead.
+    """
     if args.rho is not None:
-        return split_rho(model, _floats(args.rho, "--rho"))
-    return [s.rho for s in inverse_kinematics_unloaded(model, target)]
+        return split_rho(model, _floats(args.rho, "--rho")), None
+    states = inverse_kinematics_unloaded(model, target)
+    return [s.rho for s in states], states
 
 
 def _cmd_equilibrium(args) -> int:
     model = _load_model(args.model)
     target = model.pose_array(_floats(args.pose, "--pose"))
     opts = _options(args)
-    rho = _resolve_rho(model, args, target)
-    F_sigma, results = total_wrench(model, target, rho, opts)
+    rho, starts = _resolve_rho(model, args, target)
+    F_sigma, results = total_wrench(model, target, rho, opts, starts=starts)
     if args.json:
         payload = {
             "command": "equilibrium",
@@ -144,8 +150,9 @@ def _cmd_stiffness(args) -> int:
     model = _load_model(args.model)
     target = model.pose_array(_floats(args.pose, "--pose"))
     opts = _options(args)
-    rho = _resolve_rho(model, args, target)
-    res = manipulator_stiffness(model, target, rho, opts)
+    rho, starts = _resolve_rho(model, args, target)
+    _, equilibria = total_wrench(model, target, rho, opts, starts=starts)
+    res = _aggregate_stiffness(model, equilibria)
     eig = np.linalg.eigvalsh(res.K_sigma)
     if args.json:
         payload = {

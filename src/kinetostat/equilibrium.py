@@ -12,6 +12,17 @@ followed by the spring update theta = K^-1 J_th^T F + theta_0, with
 eps = t - g + J_q q + J_th (theta - theta_0). The preloaded active set is
 re-partitioned every iteration; stagnating runs are restarted from a
 slightly perturbed configuration drawn from a seeded generator.
+
+Each iteration runs the chain's forward pass once. After a step the new
+state is partitioned and one pass records its joint frames: the pose it
+yields is the residual of that step, and the frames give the Jacobian
+columns of the next iteration, built only if another iteration runs.
+
+The block matrix must stay well conditioned (condition number at most
+1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
+below the 2-norm condition number, so a finite bound under 1e10 clears A.
+Only when the bound fails to clear it is the condition number computed by
+SVD and compared with the limit.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ from .chain import (
     ChainState,
     ManipulatorModel,
     chain_ik_best_effort,
-    fk_array,
     inverse_kinematics_unloaded,
     regrouped_geometry,
 )
@@ -35,6 +45,8 @@ from .springs import RegroupedState, partition
 
 STEP_TOL = 1e-10  # relative (F, q) step change accepted as stationary
 COND_LIMIT = 1e12
+# a Frobenius condition bound below this clears the block matrix without an SVD
+_COND_BOUND_CLEAR = 1e-2 * COND_LIMIT
 _OSCILLATION_LIMIT = 5
 _DAMPING = 0.5
 
@@ -81,6 +93,28 @@ def _block_matrix(J_theta, J_q, k_tilde):
     return A
 
 
+def _check_condition(chain: ChainModel, A: np.ndarray):
+    """Raise SingularityError when cond(A) exceeds COND_LIMIT or is not finite.
+
+    ||A||_F ||A^-1||_F is an upper bound of cond(A): when it is finite and
+    well below the limit, A passes without the SVD of np.linalg.cond.
+    """
+    try:
+        A_inv = np.linalg.inv(A)
+        bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
+    except np.linalg.LinAlgError:
+        bound_sq = math.inf
+    if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
+        return
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularityError(
+            f"chain {chain.name!r} is singular at the prescribed pose "
+            f"(condition {cond:.3e})",
+            condition=float(cond),
+        )
+
+
 def solve_chain_equilibrium(
     chain: ChainModel,
     t,
@@ -103,6 +137,8 @@ def solve_chain_equilibrium(
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.shape != (chain.n_actuated,):
         raise ModelError(f"rho of shape {rho.shape} does not match {chain.n_actuated} actuators")
+    if not (np.all(np.isfinite(target)) and np.all(np.isfinite(rho))):
+        raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
     rng = np.random.default_rng(opts.rng_seed)
     if start is None:
@@ -120,27 +156,22 @@ def solve_chain_equilibrium(
     restarts = 0
 
     while True:
+        reg = partition(chain, state)
+        g, columns = regrouped_geometry(chain, reg)
         F = np.zeros(d)
         prev_mask = None
         oscillating = 0
         converged = False
         for _ in range(opts.max_iterations):
-            reg = partition(chain, state)
-            if prev_mask is not None and not np.array_equal(reg.active_mask, prev_mask):
+            if prev_mask is not None and (reg.active_mask != prev_mask).any():
                 oscillating += 1
             else:
                 oscillating = 0
             prev_mask = reg.active_mask
 
-            g, J_theta, J_q = regrouped_geometry(chain, reg)
+            J_theta, J_q = columns()
             A = _block_matrix(J_theta, J_q, reg.k_tilde)
-            cond = np.linalg.cond(A)
-            if not np.isfinite(cond) or cond > COND_LIMIT:
-                raise SingularityError(
-                    f"chain {chain.name!r} is singular at the prescribed pose "
-                    f"(condition {cond:.3e})",
-                    condition=float(cond),
-                )
+            _check_condition(chain, A)
             eps = target - g + J_q @ reg.q_tilde + J_theta @ (reg.theta_tilde - reg.theta_tilde_0)
             rhs = np.concatenate([eps, np.zeros(J_q.shape[1])])
             sol = np.linalg.solve(A, rhs)
@@ -171,7 +202,9 @@ def solve_chain_equilibrium(
             )
             state = new_state
             F = F_new
-            residual = float(np.linalg.norm(target - fk_array(chain, state)))
+            reg = partition(chain, state)
+            g, columns = regrouped_geometry(chain, reg)
+            residual = float(np.linalg.norm(target - g))
             best_residual = min(best_residual, residual)
             if residual <= opts.pose_tol and float(np.linalg.norm(step)) <= STEP_TOL * scale:
                 converged = True
@@ -195,7 +228,6 @@ def solve_chain_equilibrium(
 
         state = ChainState(rho.copy(), perturbed(state.q), perturbed(state.vartheta), perturbed(state.theta))
 
-    reg = partition(chain, state)
     return EquilibriumResult(
         F=F,
         q_tilde=reg.q_tilde,
@@ -289,6 +321,8 @@ def force_deflection(
     u = np.asarray(direction, dtype=float).ravel()
     if u.size != manipulator.task_dim:
         raise ModelError("sweep direction does not match the task dimension")
+    if not np.all(np.isfinite(u)):
+        raise ModelError(f"sweep direction {u.tolist()} is not finite")
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")

@@ -78,10 +78,3 @@ def homogeneous(rotation: np.ndarray | None = None, translation=None) -> np.ndar
         T[:3, 3] = np.asarray(translation, dtype=float)
     return T
 
-
-def translation_along(axis, value: float) -> np.ndarray:
-    return homogeneous(translation=np.asarray(axis, dtype=float) * value)
-
-
-def rotation_joint(axis, value: float) -> np.ndarray:
-    return homogeneous(rotation=rotation_about(axis, value))

@@ -9,6 +9,7 @@ idempotent and independent of the input key order.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -56,7 +57,14 @@ def _number(value, path, errs):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.add(path, f"expected a number, got {type(value).__name__}")
         return 0.0
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # also 1e999, which json reads as inf
+        errs.add(path, "expected a finite number")
+        return 0.0
+    return number
 
 
 def _vector(value, length, path, errs):
@@ -261,11 +269,15 @@ def parse_document(tree) -> ManipulatorModel:
     )
 
 
+def _reject_constant(name: str):
+    raise ModelError(f"model document syntax error: non-finite number {name} is not allowed")
+
+
 def parse_model(text: str) -> ManipulatorModel:
     """Parse and validate a model document; raises ModelError with every
     violation and its document path."""
     try:
-        tree = json.loads(text)
+        tree = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ModelError(f"model document syntax error: {err}") from err
     return parse_document(tree)

@@ -10,6 +10,7 @@ aggregated ``(q_tilde, theta_tilde)`` view the solvers work in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,6 +36,10 @@ class SpringLaw:
     branch: str = LINEAR
 
     def __post_init__(self):
+        if not (math.isfinite(self.k) and math.isfinite(self.preload_offset)):
+            raise ModelError(
+                f"spring constants must be finite, got k={self.k}, offset={self.preload_offset}"
+            )
         if self.k < 0.0:
             raise ModelError(f"spring stiffness must be >= 0, got {self.k}")
         if self.branch not in BRANCHES:
@@ -87,7 +92,9 @@ class RegroupedState:
     ``theta_tilde_0`` are the spring stiffnesses and rest offsets aligned
     with ``theta_tilde`` (rest is exactly zero for virtual springs).
     ``q_elements`` / ``theta_elements`` hold the chain element index behind
-    each column so Jacobians can be gathered consistently.
+    each column, as index arrays, so Jacobians can be gathered consistently.
+    These four arrays depend only on the active set; ``partition`` shares
+    them, read-only, between all states with the same mask.
     """
 
     rho: np.ndarray
@@ -96,34 +103,12 @@ class RegroupedState:
     theta_tilde_0: np.ndarray
     k_tilde: np.ndarray
     active_mask: np.ndarray
-    q_elements: tuple[int, ...]
-    theta_elements: tuple[int, ...]
+    q_elements: np.ndarray
+    theta_elements: np.ndarray
 
     def scatter(self, chain: "ChainModel", q_tilde=None, theta_tilde=None) -> "ChainState":
         """Rebuild a ChainState, optionally substituting new aggregate values."""
-        from .chain import ChainState
-
-        qv = self.q_tilde if q_tilde is None else np.asarray(q_tilde, dtype=float)
-        tv = self.theta_tilde if theta_tilde is None else np.asarray(theta_tilde, dtype=float)
-        q = np.zeros(chain.n_perfect)
-        vartheta = np.zeros(chain.n_preloaded)
-        theta = np.zeros(chain.n_virtual)
-        for value, element in zip(qv, self.q_elements):
-            kind, local = chain.coordinate_of(element)
-            if kind == "perfect_passive":
-                q[local] = value
-            else:
-                vartheta[local] = value
-        for value, element in zip(tv, self.theta_elements):
-            kind, local = chain.coordinate_of(element)
-            if kind == "virtual_elastic":
-                theta[local] = value
-            else:
-                vartheta[local] = value
-        return ChainState(rho=self.rho.copy(), q=q, vartheta=vartheta, theta=theta)
-
-    def to_state(self, chain: "ChainModel") -> "ChainState":
-        return self.scatter(chain)
+        return chain.state_of(chain.regrouped_coordinates(self, q_tilde, theta_tilde))
 
 
 def partition(chain: "ChainModel", state: "ChainState") -> RegroupedState:
@@ -134,37 +119,17 @@ def partition(chain: "ChainModel", state: "ChainState") -> RegroupedState:
     """
     state.validate_against(chain)
     mask = np.array(
-        [
-            chain.joint_at(e).spring.engaged(state.vartheta[i])
-            for i, e in enumerate(chain.preloaded_elements)
-        ],
+        [spring.engaged(v) for spring, v in zip(chain.preload_springs, state.vartheta)],
         dtype=bool,
     )
-
-    q_elements = list(chain.perfect_elements)
-    q_values = list(state.q)
-    th_elements = list(chain.virtual_elements)
-    th_values = list(state.theta)
-    th_rest = [0.0] * chain.n_virtual
-    th_k = [chain.joint_at(e).stiffness for e in chain.virtual_elements]
-    for i, e in enumerate(chain.preloaded_elements):
-        spring = chain.joint_at(e).spring
-        if mask[i]:
-            th_elements.append(e)
-            th_values.append(state.vartheta[i])
-            th_rest.append(spring.preload_offset)
-            th_k.append(spring.k)
-        else:
-            q_elements.append(e)
-            q_values.append(state.vartheta[i])
-
+    idle, q_elements, theta_elements, theta_tilde_0, k_tilde = chain.regrouping(mask)
     return RegroupedState(
-        rho=np.asarray(state.rho, dtype=float).copy(),
-        q_tilde=np.array(q_values, dtype=float),
-        theta_tilde=np.array(th_values, dtype=float),
-        theta_tilde_0=np.array(th_rest, dtype=float),
-        k_tilde=np.array(th_k, dtype=float),
+        rho=state.rho.copy(),
+        q_tilde=np.concatenate([state.q, state.vartheta[idle]]),
+        theta_tilde=np.concatenate([state.theta, state.vartheta[mask]]),
+        theta_tilde_0=theta_tilde_0,
+        k_tilde=k_tilde,
         active_mask=mask,
-        q_elements=tuple(q_elements),
-        theta_elements=tuple(th_elements),
+        q_elements=q_elements,
+        theta_elements=theta_elements,
     )

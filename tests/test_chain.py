@@ -122,6 +122,55 @@ def test_revolute_jacobian_column_is_lever(ortho_nopreload):
     assert abs(col @ lever) < 1e-12
 
 
+def _reference_geometry(chain, coords):
+    """Forward pass and Jacobian columns composed from geo.rotation_about and
+    np.cross, the arithmetic the cached joint constants must reproduce."""
+    from kinetostat import geometry as geo
+
+    T = chain.base_pose.matrix
+    frames = []
+    for (link, joint), value in zip(chain.elements, coords):
+        T = T @ link.matrix
+        frames.append((T[:3, :3] @ np.asarray(joint.axis), T[:3, 3].copy()))
+        if joint.motion == "translational":
+            T = T @ geo.homogeneous(translation=np.asarray(joint.axis) * value)
+        else:
+            T = T @ geo.homogeneous(rotation=geo.rotation_about(joint.axis, value))
+    T = T @ chain.tool_transform.matrix
+    dim = chain.task_dim
+    cols = np.zeros((dim, len(chain.elements)))
+    for j, ((axis_w, origin_w), (_, joint)) in enumerate(zip(frames, chain.elements)):
+        rotational = joint.motion == "rotational"
+        v = np.cross(axis_w, T[:3, 3] - origin_w) if rotational else axis_w
+        omega = axis_w if rotational else np.zeros(3)
+        cols[:2, j] = v[:2]
+        if dim == 3:
+            c0 = T[:3, 0]
+            dc0 = np.cross(omega, c0)
+            cols[2, j] = (c0[0] * dc0[1] - c0[1] * dc0[0]) / (c0[0] * c0[0] + c0[1] * c0[1])
+        elif dim == 6:
+            rpy = geo.rpy_from_matrix(T[:3, :3])
+            cols[2, j] = v[2]
+            cols[3:, j] = np.linalg.inv(geo.euler_rate_matrix([geo.wrap_angle(a) for a in rpy])) @ omega
+    return T, cols
+
+
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_geometry_bitwise_equal_to_reference(task_dim):
+    from kinetostat.chain import _end_transform, _geometry_and_columns
+
+    rng = np.random.default_rng(70 + task_dim)
+    for _ in range(40):
+        if task_dim == 6:
+            chain = random_spatial_chain(rng)
+        else:
+            chain = random_planar_chain(rng, task_dim=task_dim, n_joints=5)
+        coords = chain.element_coordinates(random_state(rng, chain))
+        T_ref, cols_ref = _reference_geometry(chain, coords)
+        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=False)[0], T_ref)
+        assert np.array_equal(_geometry_and_columns(chain, coords)[1], cols_ref)
+
+
 def _fd_jacobian(chain, state, elements):
     coords0 = chain.element_coordinates(state)
     cols = []

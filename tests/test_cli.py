@@ -197,3 +197,46 @@ def test_out_file_written(model_path, tmp_path):
     assert main(["stiffness", "--model", model_path, "--pose", "0,0", "--json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert "K_sigma" in payload
+
+
+def test_non_finite_model_number_exits_3(model_path, tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(open(model_path).read().replace('"stiffness": 1.0', '"stiffness": NaN', 1))
+    assert "NaN" in bad.read_text()
+    assert main(["equilibrium", "--model", str(bad), "--pose", "0,0"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stiffness"])
+def test_rigid_ik_solved_once_per_chain(model_path, monkeypatch, capsys, command):
+    import kinetostat.chain
+    import kinetostat.equilibrium
+
+    real = kinetostat.chain.chain_ik_best_effort
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    for module in (kinetostat.chain, kinetostat.equilibrium):
+        monkeypatch.setattr(module, "chain_ik_best_effort", counted)
+    assert main([command, "--model", model_path, "--pose", "0.3,-0.2"]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stiffness"])
+@pytest.mark.parametrize("pose", ["0.3,-0.2", "0.45,0.45"])
+def test_ik_actuators_match_explicit_rho(model_path, tmp_path, command, pose):
+    # the IK states seeding the solves are exactly what a cold start solves again
+    from kinetostat import inverse_kinematics_unloaded, parse_model
+
+    model = parse_model(open(model_path).read())
+    states = inverse_kinematics_unloaded(model, [float(v) for v in pose.split(",")])
+    rho = ",".join(repr(float(s.rho[0])) for s in states)
+    implied = tmp_path / "implied.json"
+    explicit = tmp_path / "explicit.json"
+    args = [command, "--model", model_path, "--pose", pose, "--json"]
+    assert main(args + ["--out", str(implied)]) == 0
+    assert main(args + ["--rho", rho, "--out", str(explicit)]) == 0
+    assert implied.read_bytes() == explicit.read_bytes()

@@ -228,3 +228,8 @@ def test_non_finite_knobs_rejected(ortho_nopreload, value):
         SolverOptions(pose_tol=value)
     with pytest.raises(ModelError, match="finite"):
         SolverOptions(perturbation_scale=value)
+
+
+def test_compensation_rejects_non_finite_pose(ortho_nopreload):
+    with pytest.raises(ModelError, match="not finite"):
+        solve_inverse_kinetostatic(ortho_nopreload, [math.nan, 0.0], 1e-8)

@@ -198,3 +198,78 @@ def test_solver_options_validation():
 def test_rho_shape_checked(ortho_nopreload):
     with pytest.raises(ModelError):
         solve_chain_equilibrium(ortho_nopreload.chains[0], [0.0, 0.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("pose, rho", [([math.nan, 0.0], [[1.0], [1.0]]), ([0.0, 0.0], [[math.inf], [1.0]])])
+def test_total_wrench_rejects_non_finite_input(ortho_nopreload, pose, rho):
+    with pytest.raises(ModelError, match="not finite"):
+        total_wrench(ortho_nopreload, pose, rho)
+
+
+def test_force_deflection_rejects_non_finite_direction(ortho_nopreload):
+    with pytest.raises(ModelError, match="not finite"):
+        force_deflection(ortho_nopreload, [0.0, 0.0], [math.nan, 1.0], 0.01, 0.005)
+
+
+def _count_forward_passes(monkeypatch):
+    import kinetostat.chain
+
+    real = kinetostat.chain._end_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kinetostat.chain, "_end_transform", counted)
+    return calls
+
+
+@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(max_iterations=3, max_restarts=10)])
+def test_one_forward_pass_per_iteration(monkeypatch, opts):
+    # one pass per iteration plus one at each (re)start; both passes per
+    # iteration (Jacobians, then the residual) used to be separate
+    model = linear_preload_model(0.1)
+    chain = model.chains[0]
+    start = inverse_kinematics_unloaded(model, [0.3, 0.2])[0]
+    passes = _count_forward_passes(monkeypatch)
+    eq = solve_chain_equilibrium(chain, [0.33, 0.16], start.rho, opts, start=start)
+    assert eq.iterations > 2
+    assert (eq.restarts > 0) == (opts.max_iterations == 3)
+    assert len(passes) == eq.iterations + eq.restarts + 1
+
+
+def _matrix_with_condition(rng, n, cond):
+    # symmetric indefinite like the saddle block matrix, singular values from 1 to 1/cond
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    s = np.geomspace(1.0, 1.0 / cond, n) * rng.choice([-1.0, 1.0], n)
+    return (Q * s) @ Q.T
+
+
+def test_condition_guard_matches_svd_condition():
+    from kinetostat.equilibrium import COND_LIMIT, _check_condition
+
+    chain = linear_preload_model(0.1).chains[0]
+    rng = np.random.default_rng(2024)
+    cases = [_matrix_with_condition(rng, int(rng.integers(2, 6)), 10.0 ** rng.uniform(8, 16)) for _ in range(400)]
+    cases += [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)), np.array([[1.0, 0.0], [0.0, math.inf]])]
+    outcomes = {"passed": 0, "raised": 0}
+    for A in cases:
+        cond = np.linalg.cond(A)
+        expected = not np.isfinite(cond) or cond > COND_LIMIT
+        try:
+            _check_condition(chain, A)
+        except SingularityError as err:
+            assert expected
+            assert err.condition == float(cond) or (math.isnan(err.condition) and math.isnan(cond))
+            outcomes["raised"] += 1
+        else:
+            assert not expected
+            outcomes["passed"] += 1
+    assert min(outcomes.values()) > 100
+    # the SVD's own failure surfaces unchanged
+    nan_block = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cond(nan_block)
+    with pytest.raises(np.linalg.LinAlgError):
+        _check_condition(chain, nan_block)

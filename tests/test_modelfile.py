@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from importlib import resources
 
 from kinetostat import (
+    JointModel,
     ModelError,
     OrthoglideSpec,
     SpringLaw,
+    Transform,
     build_planar_orthoglide,
     parse_model,
     serialize_model,
@@ -147,3 +150,40 @@ def test_bad_workspace_rejected():
     with pytest.raises(ModelError) as exc:
         parse_model(json.dumps(tree))
     assert "workspace" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["stiffness", "translation"])
+def test_non_finite_tokens_rejected(token, field):
+    # json.dumps writes these tokens, and json.loads reads them unless told otherwise
+    tree = json.loads(fixture_text())
+    if field == "stiffness":
+        tree["chains"][0]["elements"][1]["joint"]["stiffness"] = float(token.lower())
+    else:
+        tree["chains"][0]["elements"][1]["link"] = {"translation": [float(token.lower()), 0.0, 0.0]}
+    text = json.dumps(tree)
+    assert token in text
+    with pytest.raises(ModelError, match=f"non-finite number {token}"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
+def test_out_of_range_numbers_rejected_with_path(literal):
+    tree = json.loads(fixture_text())
+    tree["chains"][1]["base"] = {"rpy": [0.0, 0.0, 0.5]}
+    text = json.dumps(tree).replace('"rpy": [0.0, 0.0, 0.5]', f'"rpy": [0.0, 0.0, {literal}]')
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert "$.chains[1].base.rpy[2]: expected a finite number" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_dataclasses_reject_non_finite_numbers(bad):
+    with pytest.raises(ModelError, match="finite"):
+        Transform(translation=(bad, 0.0, 0.0))
+    with pytest.raises(ModelError, match="finite"):
+        Transform(rpy=(0.0, bad, 0.0))
+    with pytest.raises(ModelError, match="finite"):
+        JointModel(kind="actuated", motion="translational", axis=(bad, 0.0, 0.0))
+    with pytest.raises(ModelError, match="finite"):
+        JointModel(kind="virtual_elastic", motion="translational", axis=(1.0, 0.0, 0.0), stiffness=bad)

@@ -70,6 +70,12 @@ def test_spring_law_rejects_negative_stiffness():
         SpringLaw(1.0, 0.0, "sideways")
 
 
+@pytest.mark.parametrize("k, offset", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)])
+def test_spring_law_rejects_non_finite_constants(k, offset):
+    with pytest.raises(ModelError, match="finite"):
+        SpringLaw(k, offset)
+
+
 # -- partition ----------------------------------------------------------------
 
 
@@ -129,7 +135,7 @@ def test_partition_idempotent_and_consistent():
         chain = random_planar_chain(rng, n_joints=5)
         state = random_state(rng, chain)
         reg = partition(chain, state)
-        again = partition(chain, reg.to_state(chain))
+        again = partition(chain, reg.scatter(chain))
         assert np.array_equal(reg.active_mask, again.active_mask)
         np.testing.assert_array_equal(reg.q_tilde, again.q_tilde)
         np.testing.assert_array_equal(reg.theta_tilde, again.theta_tilde)
