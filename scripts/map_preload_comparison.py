@@ -4,10 +4,11 @@
 Writes two CSV lattices (x, y, c_max, c_min, flag) over the workspace
 square: the plain manipulator and the stop-limit case (angular stiffness
 0.5, activation angle pi/12), whose compliance drops only near the corner
-that engages the stop.
+that engages the stop. Each case's model document is written next to its
+CSV, which ``kinetostat map`` computes from that document.
 
 Usage:
-    python scripts/map_preload_comparison.py [--grid 15] [--threads 4] [--out-dir results]
+    python scripts/map_preload_comparison.py [--grid 15] [--out-dir results]
 """
 
 import argparse
@@ -15,39 +16,31 @@ import math
 import sys
 from pathlib import Path
 
-from kinetostat import OrthoglideSpec, SpringLaw, compliance_map
+from kinetostat import OrthoglideSpec, SpringLaw, build_planar_orthoglide, serialize_model
+from kinetostat.cli import main as kinetostat
 
-
-def write_csv(path, grid):
-    with path.open("w", newline="") as fh:
-        fh.write("x,y,c_max,c_min,flag\n")
-        for ix, x in enumerate(grid.xs):
-            for iy, y in enumerate(grid.ys):
-                flag = "ok" if grid.ok[ix, iy] else "failed"
-                fh.write(
-                    f"{x:.17g},{y:.17g},{grid.c_max[ix, iy]:.17g},{grid.c_min[ix, iy]:.17g},{flag}\n"
-                )
+CASES = {
+    "map_no_preload": SpringLaw(0.0),
+    "map_stop_limit": SpringLaw(0.5, math.pi / 12.0, "positive_part"),
+}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=15)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = OrthoglideSpec()
-    cases = {
-        "map_no_preload.csv": None,
-        "map_stop_limit.csv": SpringLaw(0.5, math.pi / 12.0, "positive_part"),
-    }
-    for name, spring in cases.items():
-        grid = compliance_map(spec, spring, args.grid, threads=args.threads)
-        path = out_dir / name
-        write_csv(path, grid)
-        print(f"{name}: {int(grid.ok.sum())}/{grid.ok.size} cells solved -> {path}")
+    for name, spring in CASES.items():
+        model = out_dir / f"{name}.json"
+        model.write_text(serialize_model(build_planar_orthoglide(OrthoglideSpec(spring=spring))))
+        csv = out_dir / f"{name}.csv"
+        code = kinetostat(["map", "--model", str(model), "--grid", str(args.grid), "--out", str(csv)])
+        if code != 0:
+            return code
+        print(f"{name}: -> {csv}")
     return 0
 
 

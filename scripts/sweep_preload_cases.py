@@ -3,10 +3,13 @@
 
 Writes one CSV per preload factor (delta, |F|, F along the diagonal) plus
 the detected critical point, sweeping outward from the (+p, +p) corner at
-kinetostatically compensated actuator coordinates.
+kinetostatically compensated actuator coordinates. Each case's model
+document is written next to its CSV, which ``kinetostat sweep
+--compensate`` computes from that document.
 
 Usage:
     python scripts/sweep_preload_cases.py [--out-dir results] [--kv 0 0.01 0.1]
+                                          [--max-delta 0.3] [--step 0.001]
 """
 
 import argparse
@@ -15,15 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from kinetostat import (
-    OrthoglideSpec,
-    SpringLaw,
-    build_planar_orthoglide,
-    critical_force,
-    force_deflection,
-    solve_inverse_kinetostatic,
-    workspace_points,
-)
+from kinetostat import OrthoglideSpec, SpringLaw, build_planar_orthoglide, serialize_model, workspace_points
+from kinetostat.cli import main as kinetostat
+
+DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def _csv(values):
+    return ",".join(repr(float(v)) for v in values)
 
 
 def main(argv=None):
@@ -36,26 +38,20 @@ def main(argv=None):
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
-
     for kv in args.kv:
         spec = OrthoglideSpec(spring=SpringLaw(kv, 0.0, "linear"))
-        model = build_planar_orthoglide(spec)
-        q2 = workspace_points(spec)[2]
-        sol = solve_inverse_kinetostatic(model, q2, 1e-8)
-        curve = force_deflection(model, q2, diag, args.max_delta, args.step, rho_all=sol.rho)
-        crit = critical_force(curve)
-
-        path = out_dir / f"sweep_kv{kv:g}.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("delta,F_mag,F_dir\n")
-            for d, fm, fd in zip(curve.deltas, curve.force_magnitude, curve.force_along):
-                fh.write(f"{d:.17g},{fm:.17g},{fd:.17g}\n")
-            if crit is None:
-                fh.write("# critical=none\n")
-            else:
-                fh.write(f"# critical_delta={crit[0]:.17g} critical_force={crit[1]:.17g}\n")
-        print(f"kv={kv:g}: {len(curve.deltas)} samples, critical={crit}, -> {path}")
+        model = out_dir / f"sweep_kv{kv:g}.json"
+        model.write_text(serialize_model(build_planar_orthoglide(spec)))
+        q2 = workspace_points(spec)[2].as_array()
+        csv = out_dir / f"sweep_kv{kv:g}.csv"
+        code = kinetostat(
+            ["sweep", "--model", str(model), "--from", _csv(q2), "--dir", _csv(DIAG),
+             "--max-delta", repr(args.max_delta), "--step", repr(args.step),
+             "--compensate", "--eps-f", "1e-8", "--out", str(csv)]
+        )
+        if code != 0:
+            return code
+        print(f"kv={kv:g}: -> {csv}")
     return 0
 
 

@@ -15,7 +15,6 @@ from .chain import (
 )
 from .control import (
     KinetostaticSolution,
-    compensate_trajectory,
     sensitivity_matrix,
     solve_inverse_kinetostatic,
 )
@@ -43,7 +42,6 @@ from .orthoglide import (
     Table1Report,
     build_planar_orthoglide,
     compliance_grid,
-    compliance_map,
     critical_force,
     reproduce_table1,
     workspace_points,
@@ -85,9 +83,7 @@ __all__ = [
     "Transform",
     "build_planar_orthoglide",
     "chain_stiffness",
-    "compensate_trajectory",
     "compliance_grid",
-    "compliance_map",
     "critical_force",
     "directional_stiffness",
     "force_deflection",

@@ -34,6 +34,11 @@ TASK_DIMS = (2, 3, 6)
 _AXIS_TOL = 1e-12
 # central-difference step factors, see jacobians/hessian tests
 _HESSIAN_STEP = 1e-6
+# rigid IK: pose distance that ends the iteration, distance above which a
+# target counts as unreachable, Levenberg-Marquardt iteration budget
+_IK_TOL = 1e-12
+_IK_FAIL_TOL = 1e-10
+_IK_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,6 @@ class ChainState:
             raise ModelError(
                 f"state sizes {counts} do not match chain joint counts {expected}"
             )
-
-    def copy(self) -> "ChainState":
-        return ChainState(self.rho.copy(), self.q.copy(), self.vartheta.copy(), self.theta.copy())
 
 
 @dataclass
@@ -510,19 +512,15 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
 # -- rigid inverse kinematics ------------------------------------------------
 
 
-def chain_ik_best_effort(
-    chain: ChainModel,
-    t,
-    *,
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-):
+def chain_ik_best_effort(chain: ChainModel, t):
     """Rigid IK core: closest reachable configuration and its pose distance.
 
     Levenberg-Marquardt on the actuated, perfect-passive and preloaded
     coordinates with virtual springs locked at rest, started from the
     chain's declared assembly seed (which picks the branch). Unreachable
-    targets converge to the closest reachable point.
+    targets converge to the closest reachable point. Each trial step runs
+    one forward pass that records the joint frames, so the Jacobian of the
+    next iteration is built from the accepted trial's pass.
     """
     target = np.asarray(t, dtype=float).ravel()
     if target.size != chain.task_dim:
@@ -542,29 +540,32 @@ def chain_ik_best_effort(
             theta=np.zeros(chain.n_virtual),
         )
 
-    def residual(vec):
-        return target - fk_array(chain, build_state(vec))
+    def forward(vec):
+        """Residual at vec and the (T, frames, pose) pass behind it."""
+        coords = chain.element_coordinates(build_state(vec))
+        T, frames = _end_transform(chain, coords, with_joint_frames=True)
+        pose = _task_pose(T, chain.task_dim)
+        return target - pose, (T, frames, pose)
 
-    r = residual(u)
+    r, geometry = forward(u)
     r_norm = float(np.linalg.norm(r))
     lam = None
     eye = np.eye(len(free_elements))
-    for _ in range(max_iterations):
-        if r_norm <= tol or not free_elements:
+    for _ in range(_IK_MAX_ITERATIONS):
+        if r_norm <= _IK_TOL or not free_elements:
             break
-        _, cols = _geometry_and_columns(chain, chain.element_coordinates(build_state(u)))
-        J = cols[:, free_elements]
+        J = _columns(chain, *geometry)[:, free_elements]
         if lam is None:
             lam = 1e-3 * max(float(np.linalg.norm(J, 2)) ** 2, 1.0)
         g = J.T @ r
         improved = False
         for _ in range(40):
             step = np.linalg.solve(J.T @ J + lam * eye, g)
-            r_try = residual(u + step)
+            r_try, geometry_try = forward(u + step)
             try_norm = float(np.linalg.norm(r_try))
             if try_norm < r_norm:
                 u = u + step
-                r, r_norm = r_try, try_norm
+                r, r_norm, geometry = r_try, try_norm, geometry_try
                 lam = max(lam * 0.3, 1e-14)
                 improved = True
                 break
@@ -574,18 +575,11 @@ def chain_ik_best_effort(
     return build_state(u), r_norm
 
 
-def chain_ik_unloaded(
-    chain: ChainModel,
-    t,
-    *,
-    tol: float = 1e-12,
-    fail_tol: float = 1e-10,
-    max_iterations: int = 200,
-):
+def chain_ik_unloaded(chain: ChainModel, t):
     """Rigid inverse kinematics of one chain; raises OutOfWorkspaceError
     carrying the closest reachable distance when the target cannot be met."""
-    state, r_norm = chain_ik_best_effort(chain, t, tol=tol, max_iterations=max_iterations)
-    if r_norm > fail_tol:
+    state, r_norm = chain_ik_best_effort(chain, t)
+    if r_norm > _IK_FAIL_TOL:
         raise OutOfWorkspaceError(
             f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}",
             distance=r_norm,

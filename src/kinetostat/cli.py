@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -84,8 +85,12 @@ def _load_model(path: str):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ModelError(f"cannot write {out_path}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -206,7 +211,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_map(args) -> int:
     model = _load_model(args.model)
     opts = _options(args)
-    grid = compliance_grid(model, args.grid, opts, eps_f=args.eps_f, threads=args.threads)
+    grid = compliance_grid(model, args.grid, opts, eps_f=args.eps_f)
     lines = ["x,y,c_max,c_min,flag"]
     for ix, x in enumerate(grid.xs):
         for iy, y in enumerate(grid.ys):
@@ -245,11 +250,9 @@ def _cmd_invkin(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.benchmark != "orthoglide":
-        raise _UsageError(f"unknown benchmark {args.benchmark!r}")
     spec = OrthoglideSpec(p_factor=args.p_factor)
     opts = SolverOptions(pose_tol=args.tol * spec.L, rng_seed=args.seed, max_iterations=args.max_iter)
-    report = reproduce_table1(spec, opts, threads=args.threads)
+    report = reproduce_table1(spec, opts)
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -298,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--eps-f", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("invkin", parents=[common], help="kinetostatically compensated actuator coordinates")
@@ -310,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common], help="built-in benchmark reports")
     p.add_argument("benchmark", choices=["orthoglide"])
     p.add_argument("--p-factor", type=float, default=0.45)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
     return parser
 

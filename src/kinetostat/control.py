@@ -30,6 +30,7 @@ from .equilibrium import EquilibriumResult, SolverOptions, split_rho, total_wren
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
 
 _DEFAULT_H_RHO = 1e-5
+_MAX_OUTER = 30
 _MAX_HALVINGS = 8
 
 
@@ -48,10 +49,6 @@ class KinetostaticSolution:
     full_rank: bool = True
     history: list[float] = field(default_factory=list)
     equilibria: list[EquilibriumResult] = field(default_factory=list)
-
-    @property
-    def rho_flat(self) -> np.ndarray:
-        return np.concatenate(self.rho)
 
 
 def sensitivity_matrix(
@@ -95,7 +92,6 @@ def solve_inverse_kinetostatic(
     *,
     f_ext=None,
     h_rho: float = _DEFAULT_H_RHO,
-    max_outer: int = 30,
 ) -> KinetostaticSolution:
     """Actuator coordinates making pose t an equilibrium under f_ext (default zero).
 
@@ -120,7 +116,7 @@ def solve_inverse_kinetostatic(
     S = None
     full_rank = True
 
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         if err_norm < eps_f:
             break
         S = sensitivity_matrix(manipulator, target, rho, h_rho, opts, starts=seeds)
@@ -168,14 +164,3 @@ def solve_inverse_kinetostatic(
         residual=err_norm,
         iterations=len(history) - 1,
     )
-
-
-def compensate_trajectory(
-    manipulator: ManipulatorModel,
-    poses,
-    eps_f: float,
-    opts: SolverOptions | None = None,
-    **kwargs,
-) -> list[KinetostaticSolution]:
-    """Batch compensation: one kinetostatic solve per target pose."""
-    return [solve_inverse_kinetostatic(manipulator, t, eps_f, opts, **kwargs) for t in poses]

@@ -336,11 +336,14 @@ def force_deflection(
     else:
         rhos = split_rho(manipulator, rho_all)
 
+    n_samples = max_delta / step
+    if not n_samples < math.inf:
+        raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} has no finite sample count")
     deltas = []
     magnitudes = []
     along = []
     truncated = False
-    n_steps = int(round(max_delta / step))
+    n_steps = int(round(n_samples))
     for i in range(n_steps + 1):
         delta = i * step
         target = start_vec + delta * u

@@ -15,14 +15,13 @@ force-deflection sweeps, and the workspace compliance maps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .control import solve_inverse_kinetostatic
-from .equilibrium import ForceDeflectionCurve, SolverOptions, split_rho, total_wrench
+from .equilibrium import ForceDeflectionCurve, SolverOptions, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
 from .stiffness import _aggregate_stiffness, chain_stiffness, directional_stiffness
@@ -163,36 +162,42 @@ def critical_force(curve: ForceDeflectionCurve):
     return None
 
 
-def _critical_point(model, start, u, max_delta, opts, rho_all):
+def _critical_point(model, start, u, max_delta, opts, equilibria):
     """First maximum of the force along unit u at fixed actuators, or None.
 
     Since d(F.u)/d(delta) = u^T K_sigma u at fixed actuators, the maximum
     is the first zero of the directional stiffness s(delta) along
-    start + delta * u. A warm-started continuation over [0, max_delta] in
-    SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps brackets the first
-    change of s from > 0 to <= 0 (Allgower & Georg, turning-point
-    detection); Illinois regula falsi narrows the bracket, warm-starting
-    every solve from the state at its rising end. Returns (delta, F.u) at
-    the zero, or None when no sample past a positive one has s <= 0. A
-    solver failure is re-raised with the delta it was reached at, so a
-    lost branch is never mistaken for a monotone curve.
+    start + delta * u. ``equilibria`` are the chain equilibria at
+    ``start`` (a compensation's ``sol.equilibria``); they fix the actuators
+    and are the delta = 0 sample. A warm-started continuation over
+    [0, max_delta] in SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps
+    brackets the first change of s from > 0 to <= 0 (Allgower & Georg,
+    turning-point detection); Illinois regula falsi narrows the bracket,
+    warm-starting every solve from the state at its rising end. Returns
+    (delta, F.u) at the zero, or None when no sample past a positive one
+    has s <= 0. A solver failure is re-raised with the delta it was reached
+    at, so a lost branch is never mistaken for a monotone curve.
     """
     start = model.pose_array(start)
-    rhos = split_rho(model, rho_all)
+    rhos = [eq.state.rho for eq in equilibria]
+
+    def directional(eqs):
+        K = sum(chain_stiffness(chain, eq) for chain, eq in zip(model.chains, eqs))
+        return float(u @ K @ u)
 
     def solve(delta, warm):
         try:
             F, eqs = total_wrench(model, start + delta * u, rhos, opts, starts=warm)
-            K = sum(chain_stiffness(chain, eq) for chain, eq in zip(model.chains, eqs))
+            s = directional(eqs)
         except (NonConvergenceError, SingularityError) as err:
             err.args = (f"{err} (critical-point search lost the branch at delta = {delta:.6g})",)
             raise
-        return float(u @ K @ u), float(F @ u), [eq.state for eq in eqs]
+        return s, float(F @ u), [eq.state for eq in eqs]
 
     n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
     step = max_delta / n_steps
     lo = 0.0
-    s_lo, _, warm = solve(lo, None)
+    s_lo, warm = directional(equilibria), [eq.state for eq in equilibria]
     for i in range(1, n_steps + 1):
         hi = i * step
         s_hi, _, states = solve(hi, warm)
@@ -238,7 +243,6 @@ def compliance_grid(
     grid_n: int,
     opts: SolverOptions | None = None,
     eps_f: float = 1e-8,
-    threads: int = 1,
 ) -> ComplianceMap:
     """Compliance map of any planar model over its declared workspace box.
 
@@ -265,49 +269,25 @@ def compliance_grid(
     ok = np.zeros((grid_n, grid_n), dtype=bool)
     K_all = np.full((grid_n, grid_n, d, d), np.nan)
 
-    def cell(ix, iy):
-        t = np.zeros(d)
-        t[0] = xs[ix]
-        t[1] = ys[iy]
-        try:
-            sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
-            res = _aggregate_stiffness(manipulator, sol.equilibria)
-        except KinetostatError:
-            return ix, iy, None
-        # a zero or negative eigenvalue has no meaningful compliance
-        return ix, iy, None if res.indefinite else res.K_sigma
-
-    indices = [(ix, iy) for ix in range(grid_n) for iy in range(grid_n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: cell(*p), indices))
-    else:
-        results = [cell(*p) for p in indices]
-
-    for ix, iy, K in results:
-        if K is None:
-            continue
-        c = 1.0 / np.linalg.eigvalsh(K)
-        K_all[ix, iy] = K
-        c_max[ix, iy] = float(c.max())
-        c_min[ix, iy] = float(c.min())
-        ok[ix, iy] = True
+    for ix in range(grid_n):
+        for iy in range(grid_n):
+            t = np.zeros(d)
+            t[0] = xs[ix]
+            t[1] = ys[iy]
+            try:
+                sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
+                res = _aggregate_stiffness(manipulator, sol.equilibria)
+            except KinetostatError:
+                continue
+            # a zero or negative eigenvalue has no meaningful compliance
+            if res.indefinite:
+                continue
+            c = 1.0 / np.linalg.eigvalsh(res.K_sigma)
+            K_all[ix, iy] = res.K_sigma
+            c_max[ix, iy] = float(c.max())
+            c_min[ix, iy] = float(c.min())
+            ok[ix, iy] = True
     return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok, K=K_all)
-
-
-def compliance_map(
-    spec: OrthoglideSpec,
-    preload_case: SpringLaw | None,
-    grid_n: int,
-    opts: SolverOptions | None = None,
-    threads: int = 1,
-) -> ComplianceMap:
-    """Benchmark compliance map for a given preload case (None = no preload)."""
-    case = replace(spec, spring=preload_case if preload_case is not None else SpringLaw(0.0))
-    model = build_planar_orthoglide(case)
-    return compliance_grid(
-        model, grid_n, opts or case.options(), eps_f=1e-8 * case.K_theta * case.L, threads=threads
-    )
 
 
 @dataclass
@@ -427,11 +407,7 @@ def _bench_cell(model, point_name, pose, direction, kv, opts, eps_f):
     ), sol
 
 
-def reproduce_table1(
-    spec_base: OrthoglideSpec,
-    opts: SolverOptions | None = None,
-    threads: int = 1,
-) -> Table1Report:
+def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = None) -> Table1Report:
     """Run the full benchmark grid: points Q0/Q1/Q2 x preload factors.
 
     Per cell: kinetostatic compensation, then directional stiffness along
@@ -450,32 +426,18 @@ def reproduce_table1(
     }
     poses = {"Q0": q0, "Q1": q1, "Q2": q2}
 
-    def run_kv(kv):
+    cells: dict[tuple[str, float], Table1Cell] = {}
+    critical: dict[float, tuple[float, float] | None] = {}
+    for kv in KV_FACTORS:
         spring = SpringLaw(kv * spec_base.K_theta * spec_base.L**2, 0.0, "linear")
         model = build_planar_orthoglide(replace(spec_base, spring=spring))
-        cells = {}
-        q2_sol = None
         for point in ("Q0", "Q1", "Q2"):
             cell, sol = _bench_cell(model, point, poses[point], directions[point], kv, opts, eps_f)
             cells[(point, kv)] = cell
-            if point == "Q2":
-                q2_sol = sol
-        crit = _critical_point(
-            model, poses["Q2"], directions["Q2"], SWEEP_MAX_FACTOR * spec_base.L, opts, q2_sol.rho
+        # sol is Q2's compensation: its equilibria start the search at Q2
+        critical[kv] = _critical_point(
+            model, poses["Q2"], directions["Q2"], SWEEP_MAX_FACTOR * spec_base.L, opts, sol.equilibria
         )
-        return cells, crit
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_kv, KV_FACTORS))
-    else:
-        outcomes = [run_kv(kv) for kv in KV_FACTORS]
-
-    cells: dict[tuple[str, float], Table1Cell] = {}
-    critical: dict[float, tuple[float, float] | None] = {}
-    for kv, (kv_cells, crit) in zip(KV_FACTORS, outcomes):
-        cells.update(kv_cells)
-        critical[kv] = crit
     critical_ref = {kv: REFERENCE_TABLE["Q2"]["critical_force"][kv] for kv in KV_FACTORS}
     return Table1Report(
         p_factor=spec_base.p_factor,

@@ -348,3 +348,93 @@ def test_ik_out_of_workspace(ortho_nopreload):
         inverse_kinematics_unloaded(ortho_nopreload, [0.0, 1.7])
     assert exc.value.distance == pytest.approx(0.7, rel=1e-3)
     assert exc.value.chain_index == 0
+
+
+def _two_pass_ik(chain, t):
+    """Reference rigid IK: the same Levenberg-Marquardt iteration with a
+    separate forward pass for the Jacobian of every iteration."""
+    from kinetostat.chain import _geometry_and_columns
+
+    target = np.asarray(t, dtype=float).ravel()
+    n_rho, n_q = chain.n_actuated, chain.n_perfect
+    free = [*chain.actuated_elements, *chain.perfect_elements, *chain.preloaded_elements]
+    u = np.zeros(len(free)) if chain.ik_seed is None else chain.ik_seed.copy()
+
+    def state(vec):
+        return ChainState(vec[:n_rho], vec[n_rho : n_rho + n_q], vec[n_rho + n_q :], np.zeros(chain.n_virtual))
+
+    r = target - fk_array(chain, state(u))
+    r_norm = float(np.linalg.norm(r))
+    lam = None
+    eye = np.eye(len(free))
+    for _ in range(200):
+        if r_norm <= 1e-12 or not free:
+            break
+        _, cols = _geometry_and_columns(chain, chain.element_coordinates(state(u)))
+        J = cols[:, free]
+        if lam is None:
+            lam = 1e-3 * max(float(np.linalg.norm(J, 2)) ** 2, 1.0)
+        g = J.T @ r
+        improved = False
+        for _ in range(40):
+            step = np.linalg.solve(J.T @ J + lam * eye, g)
+            r_try = target - fk_array(chain, state(u + step))
+            try_norm = float(np.linalg.norm(r_try))
+            if try_norm < r_norm:
+                u = u + step
+                r, r_norm = r_try, try_norm
+                lam = max(lam * 0.3, 1e-14)
+                improved = True
+                break
+            lam *= 10.0
+        if not improved:
+            break
+    return state(u), r_norm
+
+
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_ik_bitwise_equal_to_two_pass_reference(task_dim):
+    # reachable targets (the pose of a random state) and arbitrary ones
+    from kinetostat.chain import chain_ik_best_effort
+
+    rng = np.random.default_rng(90 + task_dim)
+    for i in range(30):
+        if task_dim == 6:
+            chain = random_spatial_chain(rng)
+        else:
+            chain = random_planar_chain(rng, task_dim=task_dim, n_joints=5)
+        if i % 2:
+            t = fk_array(chain, random_state(rng, chain, scale=0.3))
+        else:
+            t = fk_array(chain, chain.zero_state()) + rng.uniform(-1.0, 1.0, task_dim)
+        state, r_norm = chain_ik_best_effort(chain, t)
+        ref_state, ref_norm = _two_pass_ik(chain, t)
+        assert r_norm == ref_norm
+        for a, b in zip((state.rho, state.q, state.vartheta), (ref_state.rho, ref_state.q, ref_state.vartheta)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("target", [[0.3, 0.1], [0.0, 1.7]])
+def test_ik_one_forward_pass_per_trial(monkeypatch, ortho_nopreload, target):
+    # each Levenberg-Marquardt trial (one linear solve) runs one pass, and
+    # the Jacobian of the next iteration reuses the accepted trial's frames
+    import kinetostat.chain
+    from kinetostat.chain import chain_ik_best_effort
+
+    real_pass = kinetostat.chain._end_transform
+    real_solve = np.linalg.solve
+    passes, trials = [], []
+
+    def counted_pass(*args, **kwargs):
+        passes.append(1)
+        return real_pass(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        trials.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(kinetostat.chain, "_end_transform", counted_pass)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    chain_ik_best_effort(ortho_nopreload.chains[0], target)
+    assert len(trials) > 1
+    assert len(passes) == 1 + len(trials)

@@ -131,11 +131,33 @@ def test_model_errors_exit_3(model_path, tmp_path, capsys):
         (["equilibrium", "--pose", "0,0", "--tol", "nan"], 3),
         (["invkin", "--pose", "0.1,0.2", "--eps-f", "inf"], 3),
         (["map", "--grid", "2", "--eps-f", "nan"], 3),
+        (["sweep", "--from", "0,0", "--dir", "0,1", "--max-delta", "1e300", "--step", "1e-300"], 3),
     ],
 )
 def test_non_finite_numbers_named(model_path, capsys, command, code):
     assert main(command + ["--model", model_path]) == code
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["map", "--grid", "2"], ["bench", "orthoglide"]])
+def test_threads_option_rejected(model_path, command):
+    # both commands run serially and take no thread count
+    args = command + (["--model", model_path] if command[0] == "map" else [])
+    assert main(args + ["--threads", "2"]) == 2
+
+
+def test_out_creates_missing_directories(model_path, tmp_path):
+    out = tmp_path / "results" / "nested" / "eq.txt"
+    assert main(["equilibrium", "--model", model_path, "--pose", "0,0", "--out", str(out)]) == 0
+    assert out.read_text().startswith("F_sigma: ")
+
+
+def test_unwritable_out_exits_3(model_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "eq.txt"
+    assert main(["equilibrium", "--model", model_path, "--pose", "0,0", "--out", str(out)]) == 3
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_4(model_path, capsys):

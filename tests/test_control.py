@@ -14,7 +14,6 @@ from kinetostat import (
     SpringLaw,
     Transform,
     build_planar_orthoglide,
-    compensate_trajectory,
     inverse_kinematics_unloaded,
     sensitivity_matrix,
     solve_inverse_kinetostatic,
@@ -116,16 +115,6 @@ def test_prescribed_external_wrench(ortho_spec):
     sol = solve_inverse_kinetostatic(model, [0.1, 0.2], 1e-10, f_ext=target_wrench)
     F, _ = total_wrench(model, [0.1, 0.2], sol.rho)
     np.testing.assert_allclose(F, target_wrench, atol=1e-9)
-
-
-def test_trajectory_batch(ortho_spec):
-    model = linear_preload_model(0.05)
-    poses = [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]]
-    sols = compensate_trajectory(model, poses, 1e-8)
-    assert len(sols) == 3
-    for pose, sol in zip(poses, sols):
-        F, _ = total_wrench(model, pose, sol.rho)
-        assert np.linalg.norm(F) < 1e-8
 
 
 def test_coincident_legs_raise_control_singularity():

@@ -211,6 +211,12 @@ def test_force_deflection_rejects_non_finite_direction(ortho_nopreload):
         force_deflection(ortho_nopreload, [0.0, 0.0], [math.nan, 1.0], 0.01, 0.005)
 
 
+def test_force_deflection_rejects_unbounded_sample_count(ortho_nopreload):
+    # 1e300 / 1e-300 overflows to inf samples
+    with pytest.raises(ModelError, match="finite"):
+        force_deflection(ortho_nopreload, [0.0, 0.0], [0.0, 1.0], 1e300, 1e-300)
+
+
 def _count_forward_passes(monkeypatch):
     import kinetostat.chain
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -11,16 +12,17 @@ from kinetostat import (
     OrthoglideSpec,
     SolverOptions,
     SpringLaw,
+    build_planar_orthoglide,
     compliance_grid,
-    compliance_map,
     critical_force,
     force_deflection,
     inverse_kinematics_unloaded,
     reproduce_table1,
     solve_inverse_kinetostatic,
+    total_wrench,
     workspace_points,
 )
-from kinetostat.orthoglide import _critical_point
+from kinetostat.orthoglide import KV_FACTORS, _critical_point
 
 from conftest import DIAG, linear_preload_model
 
@@ -90,10 +92,10 @@ def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
     model = linear_preload_model(kv)
     q2 = workspace_points(ortho_spec)[2]
     opts = ortho_spec.options()
-    rho = solve_inverse_kinetostatic(model, q2, 1e-8, opts).rho
-    curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=rho)
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
+    curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho)
     expected = critical_force(curve)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, rho)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
     assert (found is None) == (expected is None)
     assert (expected is None) == (kv > 0.0)
     if expected is not None:
@@ -104,17 +106,19 @@ def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
 def test_critical_point_lost_branch_raises(ortho_spec):
     model = linear_preload_model(0.0)
     q2 = workspace_points(ortho_spec)[2]
-    rho = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options()).rho
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
     starved = SolverOptions(max_iterations=1, max_restarts=0)
     with pytest.raises(KinetostatError, match="delta = "):
-        _critical_point(model, q2, DIAG, 0.3, starved, rho)
+        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
 
 
 @pytest.fixture(scope="module")
 def maps():
     spec = OrthoglideSpec()
-    plain = compliance_map(spec, None, 3)
-    stop = compliance_map(spec, SpringLaw(0.5, math.pi / 12.0, "positive_part"), 3)
+    plain = compliance_grid(build_planar_orthoglide(replace(spec, spring=SpringLaw(0.0))), 3)
+    stop = compliance_grid(
+        build_planar_orthoglide(replace(spec, spring=SpringLaw(0.5, math.pi / 12.0, "positive_part"))), 3
+    )
     return plain, stop
 
 
@@ -195,9 +199,37 @@ def test_table1_report_serializes(table1):
     assert "Q2" in text and "F_cr" in text
 
 
-def test_table1_threads_agree(table1):
-    fast = reproduce_table1(OrthoglideSpec(), threads=4)
-    for key, cell in table1.cells.items():
-        assert fast.cells[key].rho == cell.rho
-        assert fast.cells[key].stiffness == cell.stiffness
-    assert fast.critical == table1.critical
+def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, table1):
+    # the search at Q2 starts from the equilibria of Q2's compensation; a
+    # cold solve at delta = 0 gives the same equilibria, so the same report
+    import kinetostat.chain
+    import kinetostat.control
+    import kinetostat.equilibrium
+    import kinetostat.orthoglide as orthoglide
+
+    real_ik = kinetostat.chain.chain_ik_best_effort
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_ik(*args, **kwargs)
+
+    for module in (kinetostat.chain, kinetostat.control, kinetostat.equilibrium):
+        monkeypatch.setattr(module, "chain_ik_best_effort", counted)
+    report = reproduce_table1(OrthoglideSpec())
+    # one rigid IK per chain for each of the three compensations per kv
+    assert len(calls) == 2 * 3 * len(KV_FACTORS) == 24
+
+    real_search = orthoglide._critical_point
+
+    def cold_start(model, start, u, max_delta, opts, equilibria):
+        _, cold = total_wrench(model, start, [eq.state.rho for eq in equilibria], opts)
+        return real_search(model, start, u, max_delta, opts, cold)
+
+    monkeypatch.setattr(orthoglide, "_critical_point", cold_start)
+    calls.clear()
+    cold_report = reproduce_table1(OrthoglideSpec())
+    # plus the cold start's rigid IK per chain and kv
+    assert len(calls) == 24 + 2 * len(KV_FACTORS)
+    assert json.dumps(report.to_json_dict()) == json.dumps(cold_report.to_json_dict())
+    assert report.to_text() == cold_report.to_text() == table1.to_text()
