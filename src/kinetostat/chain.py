@@ -472,6 +472,25 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
 # -- load-weighted Hessians --------------------------------------------------
 
 
+def _gradient_differences(chain: ChainModel, coords: np.ndarray, rows, columns, F) -> np.ndarray:
+    """Central differences of J_rows^T F over the chain element coordinates
+    ``columns``, one column each, with step _HESSIAN_STEP * max(1, |value|)."""
+
+    def gradient(c):
+        _, cols = _geometry_and_columns(chain, c)
+        return cols[:, rows].T @ F
+
+    H = np.zeros((len(rows), len(columns)))
+    for j, element in enumerate(columns):
+        h = _HESSIAN_STEP * max(1.0, abs(coords[element]))
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[element] += h
+        cm[element] -= h
+        H[:, j] = (gradient(cp) - gradient(cm)) / (2.0 * h)
+    return H
+
+
 def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
     """Second derivatives of psi = pose . F over the regrouped coordinates.
 
@@ -485,28 +504,26 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
         raise ModelError(f"wrench of length {F.size} does not match task dim {chain.task_dim}")
     k = len(regrouped.q_tilde)
     m = len(regrouped.theta_tilde)
-    n = k + m
     if not np.any(F):
         return np.zeros((k, k)), np.zeros((m, m)), np.zeros((k, m))
-
     elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
-
-    def gradient(x):
-        coords = chain.regrouped_coordinates(regrouped, q_tilde=x[:k], theta_tilde=x[k:])
-        _, cols = _geometry_and_columns(chain, coords)
-        return cols[:, elements].T @ F
-
-    x0 = np.concatenate([regrouped.q_tilde, regrouped.theta_tilde])
-    H = np.zeros((n, n))
-    for j in range(n):
-        h = _HESSIAN_STEP * max(1.0, abs(x0[j]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        H[:, j] = (gradient(xp) - gradient(xm)) / (2.0 * h)
+    coords = chain.regrouped_coordinates(regrouped)
+    H = _gradient_differences(chain, coords, elements, elements, F)
     H = 0.5 * (H + H.T)
     return H[:k, :k], H[k:, k:], H[:k, k:]
+
+
+def _actuator_derivatives(chain: ChainModel, regrouped: RegroupedState, F):
+    """(J_rho, H_qrho, H_thrho): the actuator Jacobian columns and the mixed
+    load Hessian d(J_{q,theta}^T F)/drho, by the differences of
+    ``loaded_hessians``. The mixed block is zero for an actuator at the
+    chain base, but not for one whose axis a joint before it turns."""
+    coords = chain.regrouped_coordinates(regrouped)
+    _, cols = _geometry_and_columns(chain, coords)
+    elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
+    H = _gradient_differences(chain, coords, elements, chain.actuated_elements, F)
+    k = len(regrouped.q_tilde)
+    return cols[:, chain.actuated_elements], H[:k], H[k:]
 
 
 # -- rigid inverse kinematics ------------------------------------------------

@@ -187,13 +187,16 @@ def _cmd_sweep(args) -> int:
     start = model.pose_array(_floats(args.start, "--from"))
     direction = _floats(args.dir, "--dir")
     opts = _options(args)
+    rho = starts = None
     if args.compensate:
-        rho = solve_inverse_kinetostatic(model, start, args.eps_f, opts).rho
+        # the compensation's equilibria at the start pose seed the first sample
+        sol = solve_inverse_kinetostatic(model, start, args.eps_f, opts)
+        rho, starts = sol.rho, [eq.state for eq in sol.equilibria]
     elif args.rho is not None:
         rho = split_rho(model, _floats(args.rho, "--rho"))
-    else:
-        rho = None
-    curve = force_deflection(model, start, direction, args.max_delta, args.step, opts, rho_all=rho)
+    curve = force_deflection(
+        model, start, direction, args.max_delta, args.step, opts, rho_all=rho, starts=starts
+    )
     crit = critical_force(curve)
     lines = ["delta,F_mag,F_dir"]
     for d, fm, fd in zip(curve.deltas, curve.force_magnitude, curve.force_along):

@@ -9,9 +9,18 @@ to hold the target vanishes (or matches a prescribed external wrench):
     1. rho <- rigid inverse kinematics at t
     2. F   <- total holding wrench at (t, rho)
     3. stop once |F - F_target| < eps_f
-    4. S   <- dF/drho by central differences around rho
+    4. S   <- dF/drho at the equilibria of step 2: per chain, the top
+       task-size rows of A^-1 (-[J_rho + J_th kf H_thrho ;
+       H_qrho + H_qth kf H_thrho]), with A, kf and the load Hessians of
+       the chain stiffness (stiffness.py) and H_.rho = d(J_.^T F)/drho
     5. rho <- rho - S^-1 (F - F_target), halving the step while the
        residual grows, then back to 2.
+
+Step 4 linearises the equilibria instead of differencing wrench solves, so
+each Newton step costs the wrench evaluations of its line search alone; the
+load Hessians in it are central differences of the analytic J^T F, as in
+the stiffness. The mixed block H_.rho is zero when the actuators sit at the
+chain base, but not when a joint before an actuator turns its axis.
 
 The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold
@@ -25,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, chain_ik_best_effort, inverse_kinematics_unloaded
-from .equilibrium import EquilibriumResult, SolverOptions, split_rho, total_wrench
-from .errors import ControlSingularityError, ModelError, NonConvergenceError
+from .chain import ChainState, ManipulatorModel, inverse_kinematics_unloaded
+from .equilibrium import EquilibriumResult, SolverOptions, _check_condition, split_rho, total_wrench
+from .errors import ControlSingularityError, ModelError, NonConvergenceError, SingularityError
+from .stiffness import _chain_sensitivity
 
-_DEFAULT_H_RHO = 1e-5
 _MAX_OUTER = 30
 _MAX_HALVINGS = 8
 
@@ -51,37 +60,34 @@ class KinetostaticSolution:
     equilibria: list[EquilibriumResult] = field(default_factory=list)
 
 
+def _sensitivity(manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]) -> np.ndarray:
+    """dF_total/drho at solved chain equilibria: each chain's columns from
+    its stiffness block system."""
+    columns = []
+    for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
+        try:
+            columns.append(_chain_sensitivity(chain, eq))
+        except SingularityError as err:
+            err.chain_index = i
+            raise
+    return np.hstack(columns)
+
+
 def sensitivity_matrix(
     manipulator: ManipulatorModel,
     t,
     rho_all,
-    h_rho: float = _DEFAULT_H_RHO,
     opts: SolverOptions | None = None,
     *,
     starts: list[ChainState] | None = None,
 ) -> np.ndarray:
-    """dF_total/drho by central differences, one column per actuator.
+    """dF_total/drho at (t, rho), one column per actuator.
 
-    ``starts`` seeds every wrench evaluation as in ``total_wrench``; by
-    default each chain starts from its best-effort rigid IK at t, solved
-    once here rather than once per evaluation.
+    Solves every chain once, as ``total_wrench`` with ``starts`` does, and
+    differentiates the equilibria through their stiffness block systems.
     """
-    if not 0.0 < h_rho < math.inf:
-        raise ModelError("sensitivity step must be positive and finite")
-    target = manipulator.pose_array(t)
-    if starts is None:
-        starts = [chain_ik_best_effort(chain, target)[0] for chain in manipulator.chains]
-    flat = np.concatenate(split_rho(manipulator, rho_all))
-    S = np.zeros((manipulator.task_dim, flat.size))
-    for j in range(flat.size):
-        rp = flat.copy()
-        rm = flat.copy()
-        rp[j] += h_rho
-        rm[j] -= h_rho
-        Fp, _ = total_wrench(manipulator, target, rp, opts, starts=starts)
-        Fm, _ = total_wrench(manipulator, target, rm, opts, starts=starts)
-        S[:, j] = (Fp - Fm) / (2.0 * h_rho)
-    return S
+    _, equilibria = total_wrench(manipulator, t, rho_all, opts, starts=starts)
+    return _sensitivity(manipulator, equilibria)
 
 
 def solve_inverse_kinetostatic(
@@ -91,7 +97,6 @@ def solve_inverse_kinetostatic(
     opts: SolverOptions | None = None,
     *,
     f_ext=None,
-    h_rho: float = _DEFAULT_H_RHO,
 ) -> KinetostaticSolution:
     """Actuator coordinates making pose t an equilibrium under f_ext (default zero).
 
@@ -119,14 +124,9 @@ def solve_inverse_kinetostatic(
     for _ in range(_MAX_OUTER):
         if err_norm < eps_f:
             break
-        S = sensitivity_matrix(manipulator, target, rho, h_rho, opts, starts=seeds)
+        S = _sensitivity(manipulator, equilibria)
         if S.shape[0] == S.shape[1]:
-            cond = np.linalg.cond(S)
-            if not np.isfinite(cond) or cond > 1e12:
-                raise ControlSingularityError(
-                    f"force/actuator sensitivity is singular (condition {cond:.3e})",
-                    condition=float(cond),
-                )
+            _check_condition(S, ControlSingularityError, "force/actuator sensitivity is singular")
             step = np.linalg.solve(S, err)
         else:
             step, _, rank, _ = np.linalg.lstsq(S, err, rcond=None)

@@ -93,26 +93,28 @@ def _block_matrix(J_theta, J_q, k_tilde):
     return A
 
 
-def _check_condition(chain: ChainModel, A: np.ndarray):
-    """Raise SingularityError when cond(A) exceeds COND_LIMIT or is not finite.
+def _check_condition(A: np.ndarray, error: type, what: str, exact: bool = False):
+    """Raise ``error`` when cond(A) exceeds COND_LIMIT or is not finite.
 
     ||A||_F ||A^-1||_F is an upper bound of cond(A): when it is finite and
-    well below the limit, A passes without the SVD of np.linalg.cond.
+    well below the limit, A passes without the SVD of np.linalg.cond and
+    None is returned. Otherwise, or when ``exact`` is set, the condition
+    number is computed by SVD and returned if it is within the limit. The
+    message is ``what`` followed by the condition number, which the error
+    also carries.
     """
-    try:
-        A_inv = np.linalg.inv(A)
-        bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
-    except np.linalg.LinAlgError:
-        bound_sq = math.inf
-    if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
-        return
-    cond = np.linalg.cond(A)
+    if not exact:
+        try:
+            A_inv = np.linalg.inv(A)
+            bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
+        except np.linalg.LinAlgError:
+            bound_sq = math.inf
+        if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
+            return None
+    cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularityError(
-            f"chain {chain.name!r} is singular at the prescribed pose "
-            f"(condition {cond:.3e})",
-            condition=float(cond),
-        )
+        raise error(f"{what} (condition {cond:.3e})", condition=cond)
+    return cond
 
 
 def solve_chain_equilibrium(
@@ -151,6 +153,7 @@ def solve_chain_equilibrium(
         state = ChainState(rho.copy(), start.q.copy(), start.vartheta.copy(), start.theta.copy())
 
     d = chain.task_dim
+    singular = f"chain {chain.name!r} is singular at the prescribed pose"
     best_residual = np.inf
     iterations = 0
     restarts = 0
@@ -171,7 +174,7 @@ def solve_chain_equilibrium(
 
             J_theta, J_q = columns()
             A = _block_matrix(J_theta, J_q, reg.k_tilde)
-            _check_condition(chain, A)
+            _check_condition(A, SingularityError, singular)
             eps = target - g + J_q @ reg.q_tilde + J_theta @ (reg.theta_tilde - reg.theta_tilde_0)
             rhs = np.concatenate([eps, np.zeros(J_q.shape[1])])
             sol = np.linalg.solve(A, rhs)
@@ -268,6 +271,8 @@ def total_wrench(
     """Sum of the per-chain holding wrenches at a shared platform pose."""
     target = manipulator.pose_array(t)
     rhos = split_rho(manipulator, rho_all)
+    if starts is not None and len(starts) != len(manipulator.chains):
+        raise ModelError(f"{len(starts)} start states for {len(manipulator.chains)} chains")
     results = []
     for i, chain in enumerate(manipulator.chains):
         try:
@@ -306,14 +311,19 @@ def force_deflection(
     step: float,
     opts: SolverOptions | None = None,
     rho_all=None,
+    starts: list[ChainState] | None = None,
 ) -> ForceDeflectionCurve:
     """Sweep the platform from ``start`` along ``direction`` at fixed actuators.
 
-    Actuator coordinates default to the rigid inverse kinematics at the
-    start pose, whose chain states then seed the first sample; each later
-    sample is warm-started from the previous one. The first non-convergent
-    sample truncates the curve instead of raising, which is how loss of
-    solvability past buckling shows up.
+    ``starts`` are chain states at the start pose (for instance a
+    compensation's ``[eq.state for eq in sol.equilibria]``) that seed the
+    first sample; without them the first sample cold-starts every chain.
+    Actuator coordinates default to those of ``starts``, or else to the
+    rigid inverse kinematics at the start pose, whose chain states then
+    seed the first sample. Each later sample is warm-started from the
+    previous one. The first non-convergent sample truncates the curve
+    instead of raising, which is how loss of solvability past buckling
+    shows up.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -328,13 +338,14 @@ def force_deflection(
         raise ModelError("sweep direction must be nonzero")
     u = u / norm
 
-    warm: list[ChainState] | None = None
-    if rho_all is None:
-        # the rigid IK states at the start pose are what a cold first sample would solve
-        warm = inverse_kinematics_unloaded(manipulator, start_vec)
-        rhos = [s.rho for s in warm]
-    else:
+    warm = starts
+    if rho_all is not None:
         rhos = split_rho(manipulator, rho_all)
+    else:
+        if warm is None:
+            # the rigid IK states at the start pose are what a cold first sample would solve
+            warm = inverse_kinematics_unloaded(manipulator, start_vec)
+        rhos = [s.rho for s in warm]
 
     n_samples = max_delta / step
     if not n_samples < math.inf:

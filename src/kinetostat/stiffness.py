@@ -8,7 +8,9 @@ block of the inverse of
     [ J_q^T + H_qth kf J_th^T     H_qq + H_qth kf H_thq          ]
 
 obtained by solving task-dim right-hand sides rather than inverting the
-whole block. Chain matrices sum to the manipulator stiffness.
+whole block. Chain matrices sum to the manipulator stiffness. The same
+block system with an actuator right-hand side gives dF/drho, the chain's
+columns of the sensitivity that the kinetostatic compensation inverts.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, ManipulatorModel, jacobians, loaded_hessians
-from .equilibrium import COND_LIMIT, EquilibriumResult, SolverOptions, total_wrench
+from .chain import ChainModel, ManipulatorModel, _actuator_derivatives, jacobians, loaded_hessians
+from .equilibrium import EquilibriumResult, SolverOptions, _check_condition, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
 _RANK_TOL = 1e-9
@@ -37,19 +39,19 @@ class StiffnessResult:
     equilibria: list[EquilibriumResult] = field(default_factory=list)
 
 
-def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
+def _block_system(chain: ChainModel, eq: EquilibriumResult):
+    """Stiffness block matrix A of one chain at its equilibrium.
+
+    Returns ``(A, J_theta, kf, H_qth)``; the last three build the actuator
+    right-hand side of ``_chain_sensitivity``.
+    """
     reg = eq.regrouped
     J_theta, J_q = jacobians(chain, reg)
     H_qq, H_thth, H_qth = loaded_hessians(chain, reg, eq.F)
 
     spring_block = np.diag(reg.k_tilde) - H_thth
-    cond_spring = np.linalg.cond(spring_block)
-    if not np.isfinite(cond_spring) or cond_spring > COND_LIMIT:
-        raise SpringSofteningError(
-            f"loaded spring block of chain {chain.name!r} lost invertibility "
-            f"(condition {cond_spring:.3e})",
-            condition=float(cond_spring),
-        )
+    what = f"loaded spring block of chain {chain.name!r} lost invertibility"
+    _check_condition(spring_block, SpringSofteningError, what)
     kf = np.linalg.inv(spring_block)
 
     d = chain.task_dim
@@ -60,20 +62,41 @@ def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
     A[:d, d:] = J_q + J_theta @ kf @ H_thq
     A[d:, :d] = J_q.T + H_qth @ kf @ J_theta.T
     A[d:, d:] = H_qq + H_qth @ kf @ H_thq
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularityError(
-            f"stiffness block of chain {chain.name!r} is singular (condition {cond:.3e})",
-            condition=float(cond),
-        )
+    return A, J_theta, kf, H_qth
 
-    rhs = np.zeros((d + k, d))
+
+def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
+    A = _block_system(chain, eq)[0]
+    # the exact condition number is part of the result
+    what = f"stiffness block of chain {chain.name!r} is singular"
+    cond = _check_condition(A, SingularityError, what, exact=True)
+    d = chain.task_dim
+    rhs = np.zeros((A.shape[0], d))
     rhs[:d, :] = np.eye(d)
     sol = np.linalg.solve(A, rhs)
     K = sol[:d, :]
     asym = float(np.linalg.norm(K - K.T))
     K = 0.5 * (K + K.T)
-    return K, float(cond), asym
+    return K, cond, asym
+
+
+def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
+    """dF/drho of one chain at its equilibrium, one column per actuator.
+
+    Differentiating the equilibrium conditions g = t, J_q^T F = 0 and
+    J_th^T F = K (theta - theta_0) in rho at fixed t gives the stiffness
+    block system with the actuator right-hand side
+
+        - [ J_rho + J_th kf H_thrho ; H_qrho + H_qth kf H_thrho ]
+
+    where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
+    """
+    A, J_theta, kf, H_qth = _block_system(chain, eq)
+    _check_condition(A, SingularityError, f"stiffness block of chain {chain.name!r} is singular")
+    J_rho, H_qrho, H_thrho = _actuator_derivatives(chain, eq.regrouped, eq.F)
+    spring = kf @ H_thrho
+    rhs = -np.concatenate([J_rho + J_theta @ spring, H_qrho + H_qth @ spring])
+    return np.linalg.solve(A, rhs)[: chain.task_dim]
 
 
 def chain_stiffness(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
@@ -108,8 +131,9 @@ def _aggregate_stiffness(
             err.chain_index = i
             raise
         K_c.append(K)
-        smax = float(np.linalg.norm(K, 2))
-        ranks.append(int(np.linalg.matrix_rank(K, tol=_RANK_TOL * max(smax, 1e-300))))
+        singular_values = np.linalg.svd(K, compute_uv=False)
+        smax = float(singular_values.max())
+        ranks.append(int(np.count_nonzero(singular_values > _RANK_TOL * max(smax, 1e-300))))
         conditions.append(cond)
         asymmetries.append(asym)
     K_sigma = np.sum(K_c, axis=0)

@@ -40,6 +40,51 @@ def stop_limit_model(k=0.5, offset=math.pi / 12.0):
     return build_planar_orthoglide(OrthoglideSpec(spring=SpringLaw(k, offset, "positive_part")))
 
 
+def off_base_actuator_model(spring=SpringLaw(0.1, 0.0, "linear"), base_spring=None):
+    """Two planar legs whose drive sits behind a revolute spring at the base:
+    base spring, actuated slider, drive spring, preloaded revolute, bar of
+    unit length. The base spring turns the drive axis, so the wrench
+    depends on rho through the mixed load Hessian as well. It is a virtual
+    spring of stiffness 5, or a preloaded joint with ``base_spring``, which
+    leaves a passive coordinate before the actuator while it is idle."""
+    if base_spring is None:
+        base = JointModel(kind="virtual_elastic", motion="rotational", axis=(0.0, 0.0, 1.0), stiffness=5.0)
+    else:
+        base = JointModel(kind="preloaded_passive", motion="rotational", axis=(0.0, 0.0, 1.0), spring=base_spring)
+
+    def leg(name, drive_axis, revolute_axis, bar):
+        return ChainModel(
+            task_dim=2,
+            base_pose=Transform.identity(),
+            elements=[
+                (Transform.identity(), base),
+                (Transform.identity(), JointModel(kind="actuated", motion="translational", axis=drive_axis)),
+                (
+                    Transform.identity(),
+                    JointModel(kind="virtual_elastic", motion="translational", axis=drive_axis, stiffness=1.0),
+                ),
+                (
+                    Transform.identity(),
+                    JointModel(
+                        kind="preloaded_passive",
+                        motion="rotational",
+                        axis=revolute_axis,
+                        spring=spring,
+                    ),
+                ),
+            ],
+            tool_transform=Transform(translation=bar),
+            ik_seed=np.array([1.0, 0.0] if base_spring is None else [1.0, 0.0, 0.0]),
+            name=name,
+        )
+
+    chains = [
+        leg("x-leg", (1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)),
+        leg("y-leg", (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
+    ]
+    return ManipulatorModel(task_dim=2, chains=chains, name="off-base-actuator")
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
     return tuple(v / np.linalg.norm(v))

@@ -229,8 +229,7 @@ def test_non_finite_model_number_exits_3(model_path, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["equilibrium", "stiffness"])
-def test_rigid_ik_solved_once_per_chain(model_path, monkeypatch, capsys, command):
+def _count_ik_calls(monkeypatch):
     import kinetostat.chain
     import kinetostat.equilibrium
 
@@ -243,8 +242,23 @@ def test_rigid_ik_solved_once_per_chain(model_path, monkeypatch, capsys, command
 
     for module in (kinetostat.chain, kinetostat.equilibrium):
         monkeypatch.setattr(module, "chain_ik_best_effort", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stiffness"])
+def test_rigid_ik_solved_once_per_chain(model_path, monkeypatch, capsys, command):
+    calls = _count_ik_calls(monkeypatch)
     assert main([command, "--model", model_path, "--pose", "0.3,-0.2"]) == 0
     assert len(calls) == 2
+
+
+def test_compensated_sweep_solves_rigid_ik_once_per_chain(model_path, monkeypatch, capsys):
+    # the compensation's equilibria seed the first sample of the sweep
+    calls = _count_ik_calls(monkeypatch)
+    args = ["sweep", "--model", model_path, "--from", "0.3,0.2", "--dir", "1,1"]
+    assert main(args + ["--max-delta", "0.02", "--step", "0.01", "--compensate"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 + 1
+    assert sorted(calls) == ["x-leg", "y-leg"]
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "stiffness"])

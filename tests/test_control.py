@@ -21,7 +21,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from conftest import linear_preload_model
+from conftest import linear_preload_model, off_base_actuator_model, stop_limit_model
 
 
 def test_sensitivity_is_minus_drive_stiffness_at_centre(ortho_nopreload):
@@ -38,11 +38,85 @@ def test_sensitivity_scales_with_drive_stiffness():
     np.testing.assert_allclose(Sb, 2.0 * Sa, atol=1e-6)
 
 
-def test_sensitivity_step_refinement(ortho_nopreload):
-    coarse = sensitivity_matrix(ortho_nopreload, [0.2, 0.3], [[1.0], [1.0]], h_rho=1e-5)
-    fine = sensitivity_matrix(ortho_nopreload, [0.2, 0.3], [[1.0], [1.0]], h_rho=5e-6)
-    rel = np.abs(fine - coarse) / np.maximum(1e-12, np.abs(fine))
-    assert rel.max() <= 1e-4
+def _fd_sensitivity(manipulator, t, rho_all, h_rho=1e-5):
+    """dF_total/drho by central differences of total_wrench: the form the
+    compensation used before the exact one, kept as its oracle."""
+    from kinetostat.chain import chain_ik_best_effort
+    from kinetostat.equilibrium import split_rho
+
+    target = manipulator.pose_array(t)
+    starts = [chain_ik_best_effort(chain, target)[0] for chain in manipulator.chains]
+    flat = np.concatenate(split_rho(manipulator, rho_all))
+    S = np.zeros((manipulator.task_dim, flat.size))
+    for j in range(flat.size):
+        rp = flat.copy()
+        rm = flat.copy()
+        rp[j] += h_rho
+        rm[j] -= h_rho
+        Fp, _ = total_wrench(manipulator, target, rp, starts=starts)
+        Fm, _ = total_wrench(manipulator, target, rm, starts=starts)
+        S[:, j] = (Fp - Fm) / (2.0 * h_rho)
+    return S
+
+
+def _deviation_from_fd(model, pose):
+    rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, pose)]
+    S = sensitivity_matrix(model, pose, rho)
+    S_fd = _fd_sensitivity(model, pose, rho)
+    return float(np.abs(S - S_fd).max() / np.abs(S_fd).max())
+
+
+SENSITIVITY_MODELS = {
+    "linear-preload": lambda: linear_preload_model(0.1),
+    "stop-limit": stop_limit_model,
+    "off-base-actuator": off_base_actuator_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENSITIVITY_MODELS))
+@pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.45])
+def test_sensitivity_matches_finite_differences(name, p):
+    assert _deviation_from_fd(SENSITIVITY_MODELS[name](), [p, p]) <= 1e-8
+
+
+@pytest.mark.parametrize("p", [0.15, 0.3, 0.45])
+def test_sensitivity_with_a_passive_coordinate_before_the_actuator(p):
+    # the y-leg's base spring idles below its offset, so the passive base
+    # coordinate turns the drive axis and H_qrho enters the right-hand side
+    model = off_base_actuator_model(base_spring=SpringLaw(1.0, 0.05, "positive_part"))
+    rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [p, p])]
+    _, equilibria = total_wrench(model, [p, p], rho)
+    assert [len(eq.q_tilde) for eq in equilibria] == [0, 1]
+    assert _deviation_from_fd(model, [p, p]) <= 1e-8
+
+
+def test_sensitivity_needs_the_mixed_hessian(monkeypatch):
+    # with the actuator behind a revolute spring, -sum K_c J_rho misses dF/drho
+    import kinetostat.stiffness
+
+    real = kinetostat.stiffness._actuator_derivatives
+
+    def without_mixed_block(chain, regrouped, F):
+        J_rho, H_qrho, H_thrho = real(chain, regrouped, F)
+        return J_rho, np.zeros_like(H_qrho), np.zeros_like(H_thrho)
+
+    monkeypatch.setattr(kinetostat.stiffness, "_actuator_derivatives", without_mixed_block)
+    assert _deviation_from_fd(off_base_actuator_model(), [0.45, 0.45]) > 1e-3
+
+
+@pytest.mark.parametrize("build, vanishes", [(lambda: linear_preload_model(0.1), True), (off_base_actuator_model, False)])
+def test_mixed_hessian_vanishes_for_base_actuators(build, vanishes):
+    from kinetostat.chain import _actuator_derivatives
+
+    model = build()
+    rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [0.3, 0.4])]
+    _, equilibria = total_wrench(model, [0.3, 0.4], rho)
+    for chain, eq in zip(model.chains, equilibria):
+        assert np.any(eq.F)
+        _, H_qrho, H_thrho = _actuator_derivatives(chain, eq.regrouped, eq.F)
+        assert H_qrho.shape == (len(eq.q_tilde), chain.n_actuated)
+        assert H_thrho.shape == (len(eq.theta_tilde), chain.n_actuated)
+        assert (not np.any(H_qrho) and not np.any(H_thrho)) == vanishes
 
 
 def test_no_preload_keeps_kinematic_rho(ortho_nopreload):
@@ -159,7 +233,6 @@ def test_sensitivity_seeded_by_ik_states_is_identical(pose):
 
 def _count_ik_calls(monkeypatch):
     import kinetostat.chain
-    import kinetostat.control
     import kinetostat.equilibrium
 
     real = kinetostat.chain.chain_ik_best_effort
@@ -169,18 +242,55 @@ def _count_ik_calls(monkeypatch):
         calls.append(args[0].name)
         return real(*args, **kwargs)
 
-    for module in (kinetostat.chain, kinetostat.control, kinetostat.equilibrium):
+    for module in (kinetostat.chain, kinetostat.equilibrium):
         monkeypatch.setattr(module, "chain_ik_best_effort", counted)
     return calls
 
 
-@pytest.mark.parametrize("kv, pose, outer", [(0.1, [0.0, 0.0], 0), (0.1, [0.45, 0.45], 1), (1.0, [0.45, 0.45], 2)])
+@pytest.mark.parametrize("kv, pose, outer", [(0.1, [0.0, 0.0], 0), (0.1, [0.45, 0.45], 1)])
 def test_compensation_solves_rigid_ik_once_per_chain(monkeypatch, kv, pose, outer):
     model = linear_preload_model(kv)
     calls = _count_ik_calls(monkeypatch)
     sol = solve_inverse_kinetostatic(model, pose, 1e-12)
     assert sol.outer_iterations == outer
     assert sorted(calls) == sorted(chain.name for chain in model.chains)
+
+
+def test_multi_step_compensation_solves_rigid_ik_once_per_chain(monkeypatch):
+    # the shipped legs' wrench is affine in rho, so an exact S lands in one
+    # step; an actuator behind a revolute spring needs several
+    model = off_base_actuator_model()
+    calls = _count_ik_calls(monkeypatch)
+    sol = solve_inverse_kinetostatic(model, [0.45, 0.45], 1e-12)
+    assert sol.outer_iterations == 4
+    assert sorted(calls) == sorted(chain.name for chain in model.chains)
+
+
+def _count_wrench_calls(monkeypatch):
+    import kinetostat.control
+
+    real = kinetostat.control.total_wrench
+    norms = []
+
+    def counted(*args, **kwargs):
+        F, eqs = real(*args, **kwargs)
+        norms.append(float(np.linalg.norm(F)))
+        return F, eqs
+
+    monkeypatch.setattr(kinetostat.control, "total_wrench", counted)
+    return norms
+
+
+@pytest.mark.parametrize("build", [lambda: linear_preload_model(0.1), stop_limit_model, off_base_actuator_model])
+def test_compensation_solves_no_equilibrium_for_the_sensitivity(monkeypatch, build):
+    # one wrench evaluation at the kinematic rho, then only line-search
+    # trials: here every trial is accepted, one per Newton step
+    model = build()
+    norms = _count_wrench_calls(monkeypatch)
+    sol = solve_inverse_kinetostatic(model, [0.45, 0.45], 1e-12)
+    assert sol.outer_iterations > 0
+    assert len(norms) == 1 + sol.outer_iterations
+    assert norms == sol.history
 
 
 def test_solution_carries_equilibria_at_returned_rho(ortho_spec):
@@ -211,8 +321,6 @@ def test_force_deflection_solves_rigid_ik_once_per_chain(monkeypatch):
 def test_non_finite_knobs_rejected(ortho_nopreload, value):
     with pytest.raises(ModelError, match="finite"):
         solve_inverse_kinetostatic(ortho_nopreload, [0.1, 0.2], value)
-    with pytest.raises(ModelError, match="finite"):
-        sensitivity_matrix(ortho_nopreload, [0.1, 0.2], [[1.0], [1.0]], h_rho=value)
     with pytest.raises(ModelError, match="finite"):
         SolverOptions(pose_tol=value)
     with pytest.raises(ModelError, match="finite"):

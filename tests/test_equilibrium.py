@@ -206,6 +206,15 @@ def test_total_wrench_rejects_non_finite_input(ortho_nopreload, pose, rho):
         total_wrench(ortho_nopreload, pose, rho)
 
 
+def test_start_states_must_match_the_chains(ortho_nopreload):
+    states = inverse_kinematics_unloaded(ortho_nopreload, [0.1, 0.2])
+    rho = [s.rho for s in states]
+    with pytest.raises(ModelError, match="1 start states for 2 chains"):
+        total_wrench(ortho_nopreload, [0.1, 0.2], rho, starts=states[:1])
+    with pytest.raises(ModelError, match="1 start states for 2 chains"):
+        force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, rho_all=rho, starts=states[:1])
+
+
 def test_force_deflection_rejects_non_finite_direction(ortho_nopreload):
     with pytest.raises(ModelError, match="not finite"):
         force_deflection(ortho_nopreload, [0.0, 0.0], [math.nan, 1.0], 0.01, 0.005)
@@ -255,7 +264,6 @@ def _matrix_with_condition(rng, n, cond):
 def test_condition_guard_matches_svd_condition():
     from kinetostat.equilibrium import COND_LIMIT, _check_condition
 
-    chain = linear_preload_model(0.1).chains[0]
     rng = np.random.default_rng(2024)
     cases = [_matrix_with_condition(rng, int(rng.integers(2, 6)), 10.0 ** rng.uniform(8, 16)) for _ in range(400)]
     cases += [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)), np.array([[1.0, 0.0], [0.0, math.inf]])]
@@ -264,7 +272,7 @@ def test_condition_guard_matches_svd_condition():
         cond = np.linalg.cond(A)
         expected = not np.isfinite(cond) or cond > COND_LIMIT
         try:
-            _check_condition(chain, A)
+            _check_condition(A, SingularityError, "block")
         except SingularityError as err:
             assert expected
             assert err.condition == float(cond) or (math.isnan(err.condition) and math.isnan(cond))
@@ -278,4 +286,20 @@ def test_condition_guard_matches_svd_condition():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(nan_block)
     with pytest.raises(np.linalg.LinAlgError):
-        _check_condition(chain, nan_block)
+        _check_condition(nan_block, SingularityError, "block")
+
+
+def test_condition_guard_raises_the_given_class_or_returns_the_exact_condition():
+    from kinetostat import ControlSingularityError, SpringSofteningError
+    from kinetostat.equilibrium import _check_condition
+
+    rng = np.random.default_rng(7)
+    well = _matrix_with_condition(rng, 4, 1e3)
+    assert _check_condition(well, SingularityError, "block") is None
+    assert _check_condition(well, SingularityError, "block", exact=True) == float(np.linalg.cond(well))
+    bad = _matrix_with_condition(rng, 4, 1e14)
+    for error in (SpringSofteningError, ControlSingularityError):
+        for exact in (False, True):
+            with pytest.raises(error, match=r"^what \(condition ") as raised:
+                _check_condition(bad, error, "what", exact=exact)
+            assert raised.value.condition == float(np.linalg.cond(bad))

@@ -203,7 +203,6 @@ def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, tabl
     # the search at Q2 starts from the equilibria of Q2's compensation; a
     # cold solve at delta = 0 gives the same equilibria, so the same report
     import kinetostat.chain
-    import kinetostat.control
     import kinetostat.equilibrium
     import kinetostat.orthoglide as orthoglide
 
@@ -214,7 +213,7 @@ def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, tabl
         calls.append(args[0].name)
         return real_ik(*args, **kwargs)
 
-    for module in (kinetostat.chain, kinetostat.control, kinetostat.equilibrium):
+    for module in (kinetostat.chain, kinetostat.equilibrium):
         monkeypatch.setattr(module, "chain_ik_best_effort", counted)
     report = reproduce_table1(OrthoglideSpec())
     # one rigid IK per chain for each of the three compensations per kv

@@ -187,3 +187,18 @@ def test_stiffness_at_compensation_equilibria_is_identical(ortho_spec, model_nam
     assert all(np.array_equal(a, b) for a, b in zip(reused.K_c, fresh.K_c))
     assert reused.condition == fresh.condition
     assert reused.indefinite == fresh.indefinite
+
+
+@pytest.mark.parametrize("build", [lambda: linear_preload_model(0.1), stop_limit_model])
+def test_reported_condition_and_rank_come_from_full_svds(build):
+    # the reported condition is the exact 2-norm condition of each chain's
+    # block matrix, and rank_c counts K_c's singular values above 1e-9 smax
+    from kinetostat.stiffness import _block_system
+
+    model = build()
+    res = manipulator_stiffness(model, [0.3, 0.4], [[1.2], [1.1]])
+    for chain, eq, K, cond, rank in zip(model.chains, res.equilibria, res.K_c, res.condition, res.rank_c):
+        A = _block_system(chain, eq)[0]
+        assert cond == float(np.linalg.cond(A))
+        smax = float(np.linalg.norm(K, 2))
+        assert rank == int(np.linalg.matrix_rank(K, tol=1e-9 * smax))
