@@ -32,8 +32,6 @@ MOTIONS = (ROTATIONAL, TRANSLATIONAL)
 TASK_DIMS = (2, 3, 6)
 
 _AXIS_TOL = 1e-12
-# central-difference step factors, see jacobians/hessian tests
-_HESSIAN_STEP = 1e-6
 # rigid IK: pose distance that ends the iteration, distance above which a
 # target counts as unreachable, Levenberg-Marquardt iteration budget
 _IK_TOL = 1e-12
@@ -334,7 +332,6 @@ class ManipulatorModel:
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
-_ZERO3 = np.zeros(3)
 
 
 def _motion_constants(joint: JointModel):
@@ -388,41 +385,52 @@ def forward_kinematics(chain: ChainModel, state: ChainState) -> PoseVector:
     return PoseVector.from_array(fk_array(chain, state), chain.task_dim)
 
 
-# -- analytic Jacobians ----------------------------------------------------
+# -- analytic Jacobians and load Hessians ------------------------------------
 
 
-def _columns(chain: ChainModel, T: np.ndarray, frames, pose: np.ndarray) -> np.ndarray:
-    """Task Jacobian column of every chain element from one forward pass.
+def _twists(chain: ChainModel, T: np.ndarray, frames) -> list[tuple]:
+    """World twist of every chain element at the chain end from one pass.
 
-    Columns are built from the classic screw recursion: a translational
-    joint contributes its world axis, a rotational one the lever cross
-    product axis x (p_end - p_joint), with the angular part mapped onto
-    the orientation parameters of the declared task dimension. The cross
-    products are written out in np.cross's operand order and arithmetic.
+    Each is a scalar 6-tuple (omega, v): omega is a revolute joint's world
+    axis (zero for a prismatic joint) and v the velocity of the end point,
+    the world axis of a prismatic joint or the lever cross product
+    axis x (p_end - p_joint) of a revolute one, written out in np.cross's
+    operand order and arithmetic.
     """
-    dim = chain.task_dim
-    if dim == 6:
-        E = geo.euler_rate_matrix(pose[3:])
-        if abs(np.linalg.det(E)) < 1e-9:
-            raise ModelError("orientation parametrization singular (cos ry ~ 0)")
-        E_inv = np.linalg.inv(E)
     p0, p1, p2 = T[:3, 3].tolist()
-    c0, c1, c2 = T[:3, 0].tolist()
-    rows = [[] for _ in range(dim)]
+    twists = []
     for frame, (axis, rotation) in zip(frames, chain._motions):
-        axis_w = frame[:3, :3] @ axis
-        a0, a1, a2 = axis_w.tolist()
+        a0, a1, a2 = (frame[:3, :3] @ axis).tolist()
         if rotation is None:
-            v = (a0, a1, a2)
-            omega = _ZERO3
+            twists.append((0.0, 0.0, 0.0, a0, a1, a2))
         else:
             f0, f1, f2 = frame[:3, 3].tolist()
             b0, b1, b2 = p0 - f0, p1 - f1, p2 - f2
-            v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-            omega = axis_w
-        o0, o1, o2 = omega.tolist()
-        rows[0].append(v[0])
-        rows[1].append(v[1])
+            twists.append((a0, a1, a2, a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    return twists
+
+
+def _euler_rate_inverse(pose: np.ndarray) -> np.ndarray:
+    E = geo.euler_rate_matrix(pose[3:])
+    if abs(np.linalg.det(E)) < 1e-9:
+        raise ModelError("orientation parametrization singular (cos ry ~ 0)")
+    return np.linalg.inv(E)
+
+
+def _columns(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists) -> np.ndarray:
+    """Task Jacobian column of every chain element from its twist.
+
+    The position rows are the twist's v; the angular part omega is mapped
+    onto the orientation parameters of the declared task dimension.
+    """
+    dim = chain.task_dim
+    if dim == 6:
+        E_inv = _euler_rate_inverse(pose)
+    c0, c1, c2 = T[:3, 0].tolist()
+    rows = [[] for _ in range(dim)]
+    for o0, o1, o2, v0, v1, v2 in twists:
+        rows[0].append(v0)
+        rows[1].append(v1)
         if dim == 3:
             # exact derivative of atan2(R10, R00) under dR = [omega]x R, less
             # the division by R00^2 + R10^2 done on the whole row below
@@ -430,8 +438,8 @@ def _columns(chain: ChainModel, T: np.ndarray, frames, pose: np.ndarray) -> np.n
             d1 = o2 * c0 - o0 * c2
             rows[2].append(c0 * d1 - c1 * d0)
         elif dim == 6:
-            rows[2].append(v[2])
-            for row, value in zip(rows[3:], (E_inv @ omega).tolist()):
+            rows[2].append(v2)
+            for row, value in zip(rows[3:], (E_inv @ np.array((o0, o1, o2))).tolist()):
                 row.append(value)
     cols = np.array(rows)
     if dim == 3:
@@ -439,11 +447,64 @@ def _columns(chain: ChainModel, T: np.ndarray, frames, pose: np.ndarray) -> np.n
     return cols
 
 
+def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, cols, F) -> np.ndarray:
+    """d(J^T F)/dx over every pair of chain elements, in closed form.
+
+    Take a pair with a the earlier (or the same) element and b the later.
+    Moving a turns b's column with a's twist, and moving b moves the end
+    point, which turns a's column through its angular part. Both give
+    omega_a x v_b on the position rows, the Lie bracket of the two joint
+    screws (Murray, Li & Sastry, ch. 3), so H[a, b] = F_p . (omega_a x v_b)
+    is symmetric by construction. The yaw row (dim 3) and the E^-1(phi)
+    omega rows (dim 6) add their derivatives, written in the same
+    symmetric form.
+    """
+    dim = chain.task_dim
+    n = len(twists)
+    f = F.tolist()
+    f0, f1 = f[0], f[1]
+    f2 = f[2] if dim == 6 else 0.0
+    if dim == 3:
+        # yaw = atan2(c1, c0) of the end x-axis c, which moves as dc = omega x c
+        c0, c1, c2 = T[:3, 0].tolist()
+        # numpy division: a vertical x-axis gives inf here as in _columns
+        inv_s = float(np.float64(1.0) / (c0 * c0 + c1 * c1))
+        dc = [(o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0) for o0, o1, o2, *_ in twists]
+        yaw = cols[2].tolist()
+        mu = [(c0 * d0 + c1 * d1) * inv_s for d0, d1, _ in dc]
+    elif dim == 6:
+        # phi rates u = E^-1 omega; d(F_phi . E^-1 omega) brings in -G . dE[u_b] u_a
+        G = (_euler_rate_inverse(pose).T @ F[3:]).tolist()
+        cy, sy = math.cos(pose[4]), math.sin(pose[4])
+        cz, sz = math.cos(pose[5]), math.sin(pose[5])
+        rates = cols[3:].T.tolist()
+    H = [[0.0] * n for _ in range(n)]
+    for b in range(n):
+        v0, v1, v2 = twists[b][3:]
+        for a in range(b + 1):
+            o0, o1, o2 = twists[a][:3]
+            h = f0 * (o1 * v2 - o2 * v1) + f1 * (o2 * v0 - o0 * v2) + f2 * (o0 * v1 - o1 * v0)
+            if dim == 3:
+                # d(dc_b)/dx_a = omega_a x dc_b
+                e0, e1, e2 = dc[b]
+                w0, w1 = o1 * e2 - o2 * e1, o2 * e0 - o0 * e2
+                h += f[2] * ((c0 * w1 - c1 * w0) * inv_s - yaw[b] * mu[a] - yaw[a] * mu[b])
+            elif dim == 6:
+                _, u1, u2 = rates[b]
+                w0, w1, _ = rates[a]
+                r0 = (-sy * cz * u1 - cy * sz * u2) * w0 - cz * u2 * w1
+                r1 = (-sy * sz * u1 + cy * cz * u2) * w0 - sz * u2 * w1
+                r2 = -cy * u1 * w0
+                h -= G[0] * r0 + G[1] * r1 + G[2] * r2
+            H[a][b] = H[b][a] = h
+    return np.array(H)
+
+
 def _geometry_and_columns(chain: ChainModel, coords: np.ndarray):
     """End pose and the task Jacobian column of every chain element."""
     T, frames = _end_transform(chain, coords, with_joint_frames=True)
     pose = _task_pose(T, chain.task_dim)
-    return pose, _columns(chain, T, frames, pose)
+    return pose, _columns(chain, T, pose, _twists(chain, T, frames))
 
 
 def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
@@ -458,7 +519,7 @@ def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
     pose = _task_pose(T, chain.task_dim)
 
     def columns():
-        cols = _columns(chain, T, frames, pose)
+        cols = _columns(chain, T, pose, _twists(chain, T, frames))
         return cols[:, regrouped.theta_elements], cols[:, regrouped.q_elements]
 
     return pose, columns
@@ -469,61 +530,31 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
     return regrouped_geometry(chain, regrouped)[1]()
 
 
-# -- load-weighted Hessians --------------------------------------------------
-
-
-def _gradient_differences(chain: ChainModel, coords: np.ndarray, rows, columns, F) -> np.ndarray:
-    """Central differences of J_rows^T F over the chain element coordinates
-    ``columns``, one column each, with step _HESSIAN_STEP * max(1, |value|)."""
-
-    def gradient(c):
-        _, cols = _geometry_and_columns(chain, c)
-        return cols[:, rows].T @ F
-
-    H = np.zeros((len(rows), len(columns)))
-    for j, element in enumerate(columns):
-        h = _HESSIAN_STEP * max(1.0, abs(coords[element]))
-        cp = coords.copy()
-        cm = coords.copy()
-        cp[element] += h
-        cm[element] -= h
-        H[:, j] = (gradient(cp) - gradient(cm)) / (2.0 * h)
-    return H
+def _loaded_derivatives(chain: ChainModel, regrouped: RegroupedState, F: np.ndarray):
+    """Task Jacobian columns and load Hessian d(J^T F)/dx of every chain
+    element at a regrouped configuration, from one forward pass."""
+    coords = chain.regrouped_coordinates(regrouped)
+    T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    pose = _task_pose(T, chain.task_dim)
+    twists = _twists(chain, T, frames)
+    cols = _columns(chain, T, pose, twists)
+    return cols, _load_hessian(chain, T, pose, twists, cols, F)
 
 
 def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
     """Second derivatives of psi = pose . F over the regrouped coordinates.
 
-    Returns (H_qq, H_thth, H_qth) with the diagonal blocks symmetrized and
-    H_qth laid out passive-rows by spring-columns. Central differences of
-    the analytic gradient J^T F keep the error near 1e-8 without symbolic
-    machinery; a zero wrench short-circuits to exact zeros.
+    Returns (H_qq, H_thth, H_qth), H_qth laid out passive-rows by
+    spring-columns. They are blocks of the closed-form load Hessian of
+    ``_load_hessian``, exactly symmetric, and exact zeros for a zero wrench.
     """
     F = np.asarray(F, dtype=float).ravel()
     if F.size != chain.task_dim:
         raise ModelError(f"wrench of length {F.size} does not match task dim {chain.task_dim}")
-    k = len(regrouped.q_tilde)
-    m = len(regrouped.theta_tilde)
-    if not np.any(F):
-        return np.zeros((k, k)), np.zeros((m, m)), np.zeros((k, m))
     elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
-    coords = chain.regrouped_coordinates(regrouped)
-    H = _gradient_differences(chain, coords, elements, elements, F)
-    H = 0.5 * (H + H.T)
+    H = _loaded_derivatives(chain, regrouped, F)[1][np.ix_(elements, elements)]
+    k = len(regrouped.q_tilde)
     return H[:k, :k], H[k:, k:], H[:k, k:]
-
-
-def _actuator_derivatives(chain: ChainModel, regrouped: RegroupedState, F):
-    """(J_rho, H_qrho, H_thrho): the actuator Jacobian columns and the mixed
-    load Hessian d(J_{q,theta}^T F)/drho, by the differences of
-    ``loaded_hessians``. The mixed block is zero for an actuator at the
-    chain base, but not for one whose axis a joint before it turns."""
-    coords = chain.regrouped_coordinates(regrouped)
-    _, cols = _geometry_and_columns(chain, coords)
-    elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
-    H = _gradient_differences(chain, coords, elements, chain.actuated_elements, F)
-    k = len(regrouped.q_tilde)
-    return cols[:, chain.actuated_elements], H[:k], H[k:]
 
 
 # -- rigid inverse kinematics ------------------------------------------------
@@ -569,11 +600,14 @@ def chain_ik_best_effort(chain: ChainModel, t):
     lam = None
     eye = np.eye(len(free_elements))
     for _ in range(_IK_MAX_ITERATIONS):
-        if r_norm <= _IK_TOL or not free_elements:
+        # a distance that overflows to inf or nan ends the iteration as unreachable
+        if r_norm <= _IK_TOL or not r_norm < math.inf or not free_elements:
             break
-        J = _columns(chain, *geometry)[:, free_elements]
+        T, frames, pose = geometry
+        J = _columns(chain, T, pose, _twists(chain, T, frames))[:, free_elements]
         if lam is None:
-            lam = 1e-3 * max(float(np.linalg.norm(J, 2)) ** 2, 1.0)
+            sigma = float(np.linalg.norm(J, 2))
+            lam = 1e-3 * max(sigma * sigma, 1.0)
         g = J.T @ r
         improved = False
         for _ in range(40):
@@ -596,7 +630,7 @@ def chain_ik_unloaded(chain: ChainModel, t):
     """Rigid inverse kinematics of one chain; raises OutOfWorkspaceError
     carrying the closest reachable distance when the target cannot be met."""
     state, r_norm = chain_ik_best_effort(chain, t)
-    if r_norm > _IK_FAIL_TOL:
+    if not r_norm <= _IK_FAIL_TOL:
         raise OutOfWorkspaceError(
             f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}",
             distance=r_norm,

@@ -268,8 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="rng seed for solver restarts")
     common.add_argument("--tol", type=float, default=1e-9, help="pose tolerance of the equilibrium solve")
     common.add_argument("--max-iter", type=int, default=50, help="equilibrium iterations per restart")
-    common.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
     common.add_argument("--out", default=None, help="write the payload to a file instead of stdout")
+    # sweep and map write CSV only, so they do not take --json
+    with_json = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_json.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
 
     parser = argparse.ArgumentParser(
         prog="kinetostat",
@@ -277,13 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equilibrium", parents=[common], help="total wrench holding a pose")
+    p = sub.add_parser("equilibrium", parents=[with_json], help="total wrench holding a pose")
     p.add_argument("--model", required=True)
     p.add_argument("--pose", required=True, help="comma separated task coordinates")
     p.add_argument("--rho", default=None, help="actuator coordinates, flat comma list")
     p.set_defaults(func=_cmd_equilibrium)
 
-    p = sub.add_parser("stiffness", parents=[common], help="aggregated Cartesian stiffness at a pose")
+    p = sub.add_parser("stiffness", parents=[with_json], help="aggregated Cartesian stiffness at a pose")
     p.add_argument("--model", required=True)
     p.add_argument("--pose", required=True)
     p.add_argument("--rho", default=None)
@@ -306,13 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-f", type=float, default=1e-8)
     p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("invkin", parents=[common], help="kinetostatically compensated actuator coordinates")
+    p = sub.add_parser("invkin", parents=[with_json], help="kinetostatically compensated actuator coordinates")
     p.add_argument("--model", required=True)
     p.add_argument("--pose", required=True)
     p.add_argument("--eps-f", type=float, required=True)
     p.set_defaults(func=_cmd_invkin)
 
-    p = sub.add_parser("bench", parents=[common], help="built-in benchmark reports")
+    p = sub.add_parser("bench", parents=[with_json], help="built-in benchmark reports")
     p.add_argument("benchmark", choices=["orthoglide"])
     p.add_argument("--p-factor", type=float, default=0.45)
     p.set_defaults(func=_cmd_bench)

@@ -18,9 +18,10 @@ to hold the target vanishes (or matches a prescribed external wrench):
 
 Step 4 linearises the equilibria instead of differencing wrench solves, so
 each Newton step costs the wrench evaluations of its line search alone; the
-load Hessians in it are central differences of the analytic J^T F, as in
-the stiffness. The mixed block H_.rho is zero when the actuators sit at the
-chain base, but not when a joint before an actuator turns its axis.
+load Hessians in it are blocks of the stiffness's closed-form Hessian of
+J^T F, from the same one forward pass per chain. The mixed block H_.rho is
+zero when the actuators sit at the chain base, but not when a joint before
+an actuator turns its axis.
 
 The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold

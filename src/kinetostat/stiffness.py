@@ -8,7 +8,9 @@ block of the inverse of
     [ J_q^T + H_qth kf J_th^T     H_qq + H_qth kf H_thq          ]
 
 obtained by solving task-dim right-hand sides rather than inverting the
-whole block. Chain matrices sum to the manipulator stiffness. The same
+whole block. The Jacobians and the load Hessians H = d(J^T F)/dx come in
+closed form from one forward pass per chain (``chain._loaded_derivatives``).
+Chain matrices sum to the manipulator stiffness. The same
 block system with an actuator right-hand side gives dF/drho, the chain's
 columns of the sensitivity that the kinetostatic compensation inverts.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, ManipulatorModel, _actuator_derivatives, jacobians, loaded_hessians
+from .chain import ChainModel, ManipulatorModel, _loaded_derivatives
 from .equilibrium import EquilibriumResult, SolverOptions, _check_condition, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
@@ -42,12 +44,19 @@ class StiffnessResult:
 def _block_system(chain: ChainModel, eq: EquilibriumResult):
     """Stiffness block matrix A of one chain at its equilibrium.
 
-    Returns ``(A, J_theta, kf, H_qth)``; the last three build the actuator
-    right-hand side of ``_chain_sensitivity``.
+    Returns ``(A, actuator_rhs)``; ``actuator_rhs()`` builds the right-hand
+    side of ``_chain_sensitivity``. Both come from the Jacobian columns and
+    load Hessian of one forward pass.
     """
     reg = eq.regrouped
-    J_theta, J_q = jacobians(chain, reg)
-    H_qq, H_thth, H_qth = loaded_hessians(chain, reg, eq.F)
+    cols, H = _loaded_derivatives(chain, reg, eq.F)
+    J_theta, J_q = cols[:, reg.theta_elements], cols[:, reg.q_elements]
+    k = J_q.shape[1]
+    m = J_theta.shape[1]
+    # Hessian rows and columns in passive, spring, actuator order
+    order = np.concatenate([reg.q_elements, reg.theta_elements, chain.actuated_elements])
+    H = H[order][:, order]
+    H_qq, H_thth, H_qth = H[:k, :k], H[k : k + m, k : k + m], H[:k, k : k + m]
 
     spring_block = np.diag(reg.k_tilde) - H_thth
     what = f"loaded spring block of chain {chain.name!r} lost invertibility"
@@ -55,14 +64,19 @@ def _block_system(chain: ChainModel, eq: EquilibriumResult):
     kf = np.linalg.inv(spring_block)
 
     d = chain.task_dim
-    k = J_q.shape[1]
     H_thq = H_qth.T
     A = np.zeros((d + k, d + k))
     A[:d, :d] = J_theta @ kf @ J_theta.T
     A[:d, d:] = J_q + J_theta @ kf @ H_thq
     A[d:, :d] = J_q.T + H_qth @ kf @ J_theta.T
     A[d:, d:] = H_qq + H_qth @ kf @ H_thq
-    return A, J_theta, kf, H_qth
+
+    def actuator_rhs():
+        spring = kf @ H[k : k + m, k + m :]
+        J_rho = cols[:, chain.actuated_elements]
+        return -np.concatenate([J_rho + J_theta @ spring, H[:k, k + m :] + H_qth @ spring])
+
+    return A, actuator_rhs
 
 
 def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
@@ -91,12 +105,9 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
 
     where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
     """
-    A, J_theta, kf, H_qth = _block_system(chain, eq)
+    A, actuator_rhs = _block_system(chain, eq)
     _check_condition(A, SingularityError, f"stiffness block of chain {chain.name!r} is singular")
-    J_rho, H_qrho, H_thrho = _actuator_derivatives(chain, eq.regrouped, eq.F)
-    spring = kf @ H_thrho
-    rhs = -np.concatenate([J_rho + J_theta @ spring, H_qrho + H_qth @ spring])
-    return np.linalg.solve(A, rhs)[: chain.task_dim]
+    return np.linalg.solve(A, actuator_rhs())[: chain.task_dim]
 
 
 def chain_stiffness(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:

@@ -173,3 +173,24 @@ def two_prismatic_toy(k1=1.3, k2=0.7):
         name="toy",
     )
     return ManipulatorModel(task_dim=2, chains=[chain], name="toy")
+
+
+def gradient_differences(chain, coords, F):
+    """d(J^T F)/dx over every chain element by central differences of the
+    analytic J^T F, step 1e-6 * max(1, |x|): the load Hessian's form before
+    the closed one, kept as its oracle. Column j differentiates along
+    element j."""
+    from kinetostat.chain import _geometry_and_columns
+
+    F = np.asarray(F, dtype=float)
+    H = np.zeros((coords.size, coords.size))
+    for j in range(coords.size):
+        h = 1e-6 * max(1.0, abs(coords[j]))
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[j] += h
+        cm[j] -= h
+        gp = _geometry_and_columns(chain, cp)[1].T @ F
+        gm = _geometry_and_columns(chain, cm)[1].T @ F
+        H[:, j] = (gp - gm) / (2.0 * h)
+    return H

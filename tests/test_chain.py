@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from kinetostat import (
 )
 from kinetostat.chain import chain_ik_unloaded, fk_array
 
-from conftest import random_planar_chain, random_spatial_chain, random_state
+from conftest import gradient_differences, random_planar_chain, random_spatial_chain, random_state
 
 
 # -- forward kinematics ------------------------------------------------------
@@ -277,6 +278,36 @@ def test_hessians_match_psi_differences():
         np.testing.assert_allclose(H_qq, R_qq, atol=tol)
         np.testing.assert_allclose(H_tt, R_tt, atol=tol)
         np.testing.assert_allclose(H_qt, R_qt, atol=tol)
+
+
+# random chains of every task dimension; the spatial-axis ones also reach the
+# yaw Hessian of dim 3 (zero on planar chains) and the out-of-plane terms of dim 2
+ORACLE_CHAINS = {
+    "planar-2": lambda rng: random_planar_chain(rng, task_dim=2),
+    "planar-3": lambda rng: random_planar_chain(rng, task_dim=3),
+    "spatial-2": lambda rng: dataclasses.replace(random_spatial_chain(rng), task_dim=2),
+    "spatial-3": lambda rng: dataclasses.replace(random_spatial_chain(rng), task_dim=3),
+    "spatial-6": random_spatial_chain,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+def test_load_hessian_matches_gradient_differences(name):
+    from kinetostat.chain import _geometry_and_columns, _loaded_derivatives
+
+    rng = np.random.default_rng(sorted(ORACLE_CHAINS).index(name))
+    for _ in range(25):
+        chain = ORACLE_CHAINS[name](rng)
+        state = random_state(rng, chain, scale=0.3)
+        reg = partition(chain, state)
+        F = rng.normal(size=chain.task_dim)
+        coords = chain.element_coordinates(state)
+        cols, H = _loaded_derivatives(chain, reg, F)
+        np.testing.assert_array_equal(cols, _geometry_and_columns(chain, coords)[1])
+        np.testing.assert_array_equal(H, H.T)
+        R = gradient_differences(chain, coords, F)
+        # central differences at step 1e-6 carry roundoff near 1e-10 |H|
+        np.testing.assert_allclose(H, R, rtol=0.0, atol=1e-7 * max(1.0, np.abs(R).max()))
 
 
 def test_hessians_zero_for_zero_wrench(ortho_nopreload):

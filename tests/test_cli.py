@@ -146,6 +146,29 @@ def test_threads_option_rejected(model_path, command):
     assert main(args + ["--threads", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["map", "--grid", "2"], ["sweep", "--from", "0,0", "--dir", "1,0", "--max-delta", "0.1", "--step", "0.05"]],
+)
+def test_json_rejected_where_only_csv_is_written(model_path, capsys, command):
+    assert main(command + ["--model", model_path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--json" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_chain_reach_is_unreachable(model_path, tmp_path, capsys):
+    # the y-leg's end lies 1e300 away: its distance overflows, which names
+    # the pose unreachable instead of escaping as an OverflowError
+    doc = json.loads(open(model_path).read())
+    doc["chains"][1]["tool"]["translation"] = [0.0, 1e300, 0.0]
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    assert main(["equilibrium", "--model", str(far), "--pose", "0,0"]) == 3
+    assert "closest distance inf" in capsys.readouterr().err
+
+
 def test_out_creates_missing_directories(model_path, tmp_path):
     out = tmp_path / "results" / "nested" / "eq.txt"
     assert main(["equilibrium", "--model", model_path, "--pose", "0,0", "--out", str(out)]) == 0

@@ -21,7 +21,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from conftest import linear_preload_model, off_base_actuator_model, stop_limit_model
+from conftest import gradient_differences, linear_preload_model, off_base_actuator_model, stop_limit_model
 
 
 def test_sensitivity_is_minus_drive_stiffness_at_centre(ortho_nopreload):
@@ -94,29 +94,58 @@ def test_sensitivity_needs_the_mixed_hessian(monkeypatch):
     # with the actuator behind a revolute spring, -sum K_c J_rho misses dF/drho
     import kinetostat.stiffness
 
-    real = kinetostat.stiffness._actuator_derivatives
+    real = kinetostat.stiffness._loaded_derivatives
 
     def without_mixed_block(chain, regrouped, F):
-        J_rho, H_qrho, H_thrho = real(chain, regrouped, F)
-        return J_rho, np.zeros_like(H_qrho), np.zeros_like(H_thrho)
+        cols, H = real(chain, regrouped, F)
+        H = H.copy()
+        H[:, chain.actuated_elements] = 0.0
+        H[chain.actuated_elements, :] = 0.0
+        return cols, H
 
-    monkeypatch.setattr(kinetostat.stiffness, "_actuator_derivatives", without_mixed_block)
+    monkeypatch.setattr(kinetostat.stiffness, "_loaded_derivatives", without_mixed_block)
     assert _deviation_from_fd(off_base_actuator_model(), [0.45, 0.45]) > 1e-3
+
+
+def _mixed_blocks(chain, eq):
+    """(H_qrho, H_thrho) of the closed-form load Hessian at an equilibrium."""
+    from kinetostat.chain import _loaded_derivatives
+
+    H = _loaded_derivatives(chain, eq.regrouped, eq.F)[1]
+    act = chain.actuated_elements
+    return H[np.ix_(eq.regrouped.q_elements, act)], H[np.ix_(eq.regrouped.theta_elements, act)]
 
 
 @pytest.mark.parametrize("build, vanishes", [(lambda: linear_preload_model(0.1), True), (off_base_actuator_model, False)])
 def test_mixed_hessian_vanishes_for_base_actuators(build, vanishes):
-    from kinetostat.chain import _actuator_derivatives
-
     model = build()
     rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [0.3, 0.4])]
     _, equilibria = total_wrench(model, [0.3, 0.4], rho)
     for chain, eq in zip(model.chains, equilibria):
         assert np.any(eq.F)
-        _, H_qrho, H_thrho = _actuator_derivatives(chain, eq.regrouped, eq.F)
+        H_qrho, H_thrho = _mixed_blocks(chain, eq)
         assert H_qrho.shape == (len(eq.q_tilde), chain.n_actuated)
         assert H_thrho.shape == (len(eq.theta_tilde), chain.n_actuated)
         assert (not np.any(H_qrho) and not np.any(H_thrho)) == vanishes
+
+
+@pytest.mark.parametrize("base_spring", [None, SpringLaw(1.0, 0.05, "positive_part")])
+def test_mixed_hessian_matches_gradient_differences(base_spring):
+    model = off_base_actuator_model(base_spring=base_spring)
+    rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [0.3, 0.4])]
+    _, equilibria = total_wrench(model, [0.3, 0.4], rho)
+    for chain, eq in zip(model.chains, equilibria):
+        coords = chain.regrouped_coordinates(eq.regrouped)
+        R = gradient_differences(chain, coords, eq.F)
+        act = chain.actuated_elements
+        R_qrho = R[np.ix_(eq.regrouped.q_elements, act)]
+        R_thrho = R[np.ix_(eq.regrouped.theta_elements, act)]
+        H_qrho, H_thrho = _mixed_blocks(chain, eq)
+        # the base joint, passive or spring, turns the drive axis
+        assert np.any(R_qrho) or np.any(R_thrho)
+        tol = 1e-7 * max(1.0, np.abs(R).max())
+        np.testing.assert_allclose(H_qrho, R_qrho, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(H_thrho, R_thrho, rtol=0.0, atol=tol)
 
 
 def test_no_preload_keeps_kinematic_rho(ortho_nopreload):

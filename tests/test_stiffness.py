@@ -18,6 +18,7 @@ from kinetostat import (
     solve_chain_equilibrium,
     solve_inverse_kinetostatic,
     stiffness_vs_fd_check,
+    total_wrench,
     workspace_points,
 )
 
@@ -202,3 +203,38 @@ def test_reported_condition_and_rank_come_from_full_svds(build):
         assert cond == float(np.linalg.cond(A))
         smax = float(np.linalg.norm(K, 2))
         assert rank == int(np.linalg.matrix_rank(K, tol=1e-9 * smax))
+
+
+def _count_forward_passes(monkeypatch):
+    import kinetostat.chain
+
+    real = kinetostat.chain._end_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kinetostat.chain, "_end_transform", counted)
+    return calls
+
+
+@pytest.mark.parametrize("block", ["_chain_stiffness_diag", "_chain_sensitivity"])
+def test_one_forward_pass_per_block(monkeypatch, block):
+    # the Jacobians and the whole load Hessian come from one pass; central
+    # differences of J^T F made 5 (stiffness) and 8 (sensitivity) here
+    from importlib import resources
+
+    import kinetostat.stiffness
+    from kinetostat.modelfile import parse_model
+
+    text = resources.files("kinetostat").joinpath("models/orthoglide-planar.json").read_text()
+    model = parse_model(text)
+    rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [0.3, 0.2])]
+    _, equilibria = total_wrench(model, [0.3, 0.2], rho)
+    passes = _count_forward_passes(monkeypatch)
+    for chain, eq in zip(model.chains, equilibria):
+        assert np.any(eq.F)
+        passes.clear()
+        getattr(kinetostat.stiffness, block)(chain, eq)
+        assert len(passes) == 1
