@@ -589,14 +589,17 @@ def chain_ik_best_effort(chain: ChainModel, t):
         )
 
     def forward(vec):
-        """Residual at vec and the (T, frames, pose) pass behind it."""
+        """Residual at vec, its norm and the (T, frames, pose) pass behind it."""
         coords = chain.element_coordinates(build_state(vec))
         T, frames = _end_transform(chain, coords, with_joint_frames=True)
         pose = _task_pose(T, chain.task_dim)
-        return target - pose, (T, frames, pose)
+        r = target - pose
+        # a distance past ~1e154 overflows to inf, which ends the iteration below
+        with np.errstate(over="ignore"):
+            r_norm = float(np.linalg.norm(r))
+        return r, r_norm, (T, frames, pose)
 
-    r, geometry = forward(u)
-    r_norm = float(np.linalg.norm(r))
+    r, r_norm, geometry = forward(u)
     lam = None
     eye = np.eye(len(free_elements))
     for _ in range(_IK_MAX_ITERATIONS):
@@ -612,8 +615,7 @@ def chain_ik_best_effort(chain: ChainModel, t):
         improved = False
         for _ in range(40):
             step = np.linalg.solve(J.T @ J + lam * eye, g)
-            r_try, geometry_try = forward(u + step)
-            try_norm = float(np.linalg.norm(r_try))
+            r_try, try_norm, geometry_try = forward(u + step)
             if try_norm < r_norm:
                 u = u + step
                 r, r_norm, geometry = r_try, try_norm, geometry_try

@@ -202,7 +202,8 @@ def _cmd_sweep(args) -> int:
     for d, fm, fd in zip(curve.deltas, curve.force_magnitude, curve.force_along):
         lines.append(f"{_fmt(d)},{_fmt(fm)},{_fmt(fd)}")
     if crit is None:
-        lines.append("# critical=none")
+        # a curve cut short before any interior peak may still have one further on
+        lines.append("# critical=unknown" if curve.truncated else "# critical=none")
     else:
         lines.append(f"# critical_delta={_fmt(crit[0])} critical_force={_fmt(crit[1])}")
     if curve.truncated:

@@ -292,6 +292,25 @@ def total_wrench(
     return F_sigma, results
 
 
+def _predicted_states(a: list[ChainState], b: list[ChainState], w: float) -> list[ChainState]:
+    """Chain states a + w (b - a) in q, vartheta and theta, with b's actuators.
+
+    w = 2 is the secant predictor 2 b - a of a continuation with equal steps
+    (Allgower & Georg, ch. 2); w in [0, 1] interpolates between the two
+    end states of a bracket. The actuators are fixed along a continuation,
+    and solve_chain_equilibrium substitutes its own rho in any case.
+    """
+    return [
+        ChainState(
+            y.rho,
+            x.q + w * (y.q - x.q),
+            x.vartheta + w * (y.vartheta - x.vartheta),
+            x.theta + w * (y.theta - x.theta),
+        )
+        for x, y in zip(a, b)
+    ]
+
+
 @dataclass
 class ForceDeflectionCurve:
     """Displacement-controlled sweep along a fixed direction."""
@@ -320,10 +339,11 @@ def force_deflection(
     first sample; without them the first sample cold-starts every chain.
     Actuator coordinates default to those of ``starts``, or else to the
     rigid inverse kinematics at the start pose, whose chain states then
-    seed the first sample. Each later sample is warm-started from the
-    previous one. The first non-convergent sample truncates the curve
-    instead of raising, which is how loss of solvability past buckling
-    shows up.
+    seed the first sample. The second sample is warm-started from the
+    first, and every later one from the secant prediction 2 x_k - x_(k-1)
+    through the two samples before it. The first non-convergent sample
+    truncates the curve instead of raising, which is how loss of
+    solvability past buckling shows up.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -354,6 +374,7 @@ def force_deflection(
     magnitudes = []
     along = []
     truncated = False
+    previous = None
     n_steps = int(round(n_samples))
     for i in range(n_steps + 1):
         delta = i * step
@@ -363,7 +384,9 @@ def force_deflection(
         except (NonConvergenceError, SingularityError):
             truncated = True
             break
-        warm = [r.state for r in results]
+        states = [r.state for r in results]
+        warm = states if previous is None else _predicted_states(previous, states, 2.0)
+        previous = states
         deltas.append(delta)
         magnitudes.append(float(np.linalg.norm(F_sigma)))
         along.append(float(F_sigma @ u))

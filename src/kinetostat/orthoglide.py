@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .control import solve_inverse_kinetostatic
-from .equilibrium import ForceDeflectionCurve, SolverOptions, total_wrench
+from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
 from .stiffness import _aggregate_stiffness, chain_stiffness, directional_stiffness
@@ -172,8 +172,10 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     and are the delta = 0 sample. A warm-started continuation over
     [0, max_delta] in SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps
     brackets the first change of s from > 0 to <= 0 (Allgower & Georg,
-    turning-point detection); Illinois regula falsi narrows the bracket,
-    warm-starting every solve from the state at its rising end. Returns
+    turning-point detection), each step from the secant prediction
+    2 x_k - x_(k-1) once two states are known; Illinois regula falsi
+    narrows the bracket, starting every solve from the linear interpolation
+    between the states at the bracket's two ends. Returns
     (delta, F.u) at the zero, or None when no sample past a positive one
     has s <= 0. A solver failure is re-raised with the delta it was reached
     at, so a lost branch is never mistaken for a monotone curve.
@@ -197,32 +199,39 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
     step = max_delta / n_steps
     lo = 0.0
-    s_lo, warm = directional(equilibria), [eq.state for eq in equilibria]
+    s_lo, states_lo = directional(equilibria), [eq.state for eq in equilibria]
+    previous = None
     for i in range(1, n_steps + 1):
         hi = i * step
-        s_hi, _, states = solve(hi, warm)
+        warm = states_lo if previous is None else _predicted_states(previous, states_lo, 2.0)
+        s_hi, _, states_hi = solve(hi, warm)
         if s_lo > 0.0 >= s_hi:
             break
-        lo, s_lo, warm = hi, s_hi, states
+        previous = states_lo
+        lo, s_lo, states_lo = hi, s_hi, states_hi
     else:
         return None
+
+    def interpolated(delta):
+        # a probe that rounds onto hi and comes out positive collapses the bracket
+        return _predicted_states(states_lo, states_hi, (delta - lo) / (hi - lo) if hi > lo else 0.0)
 
     side = 0
     while hi - lo > _REFINE_TOL * step and s_hi < 0.0:
         mid = lo + s_lo * (hi - lo) / (s_lo - s_hi)
-        s_mid, _, states = solve(mid, warm)
+        s_mid, _, states = solve(mid, interpolated(mid))
         if s_mid > 0.0:
-            lo, s_lo, warm = mid, s_mid, states
+            lo, s_lo, states_lo = mid, s_mid, states
             if side > 0:
                 s_hi *= 0.5
             side = 1
         else:
-            hi, s_hi = mid, s_mid
+            hi, s_hi, states_hi = mid, s_mid, states
             if side < 0:
                 s_lo *= 0.5
             side = -1
     delta = hi if s_hi == 0.0 else lo + s_lo * (hi - lo) / (s_lo - s_hi)
-    _, force, _ = solve(delta, warm)
+    _, force, _ = solve(delta, interpolated(delta))
     return delta, force
 
 

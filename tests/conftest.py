@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kinetostat import (
     SpringLaw,
     Transform,
     build_planar_orthoglide,
+    parse_model,
 )
 
 DIAG = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -30,6 +32,27 @@ def ortho_spec():
 @pytest.fixture
 def ortho_nopreload():
     return build_planar_orthoglide(OrthoglideSpec())
+
+
+def shipped_model():
+    """The packaged planar orthoglide with its linear preload (kv = 0.1)."""
+    return parse_model(resources.files("kinetostat").joinpath("models/orthoglide-planar.json").read_text())
+
+
+def count_iterations(monkeypatch):
+    """Record the iterations of every chain equilibrium solved from now on."""
+    import kinetostat.equilibrium
+
+    real = kinetostat.equilibrium.solve_chain_equilibrium
+    iterations = []
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(kinetostat.equilibrium, "solve_chain_equilibrium", counted)
+    return iterations
 
 
 def linear_preload_model(kv):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -73,6 +74,16 @@ def test_sweep_csv_shape(model_path, capsys):
     assert lines[1].startswith("0,0,")
     assert lines[-1].startswith("#")
     assert len([l for l in lines if not l.startswith("#")]) == 4  # header + 3 samples
+
+
+def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
+    # two iterations cannot converge the second sample: the curve ends before
+    # it could show a peak, so it must not claim there is none
+    argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
+            "--max-delta", "0.1", "--step", "0.01", "--max-iter", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["delta,F_mag,F_dir", "0,0,0", "# critical=unknown", "# truncated=true"]
 
 
 def test_map_csv(model_path, capsys):
@@ -157,16 +168,19 @@ def test_json_rejected_where_only_csv_is_written(model_path, capsys, command):
     assert "--json" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_chain_reach_is_unreachable(model_path, tmp_path, capsys):
     # the y-leg's end lies 1e300 away: its distance overflows, which names
-    # the pose unreachable instead of escaping as an OverflowError
+    # the pose unreachable instead of escaping as an OverflowError, and no
+    # numpy warning reaches stderr ahead of the message
     doc = json.loads(open(model_path).read())
     doc["chains"][1]["tool"]["translation"] = [0.0, 1e300, 0.0]
     far = tmp_path / "far.json"
     far.write_text(json.dumps(doc))
-    assert main(["equilibrium", "--model", str(far), "--pose", "0,0"]) == 3
-    assert "closest distance inf" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["equilibrium", "--model", str(far), "--pose", "0,0"]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "model error: pose unreachable for chain 'y-leg', closest distance inf\n"
 
 
 def test_out_creates_missing_directories(model_path, tmp_path):

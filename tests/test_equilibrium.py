@@ -24,7 +24,7 @@ from kinetostat import (
 )
 from kinetostat.chain import fk_array
 
-from conftest import DIAG, linear_preload_model
+from conftest import DIAG, count_iterations, linear_preload_model, shipped_model, stop_limit_model
 
 
 def equilibrium_identities(chain, eq, target):
@@ -252,6 +252,71 @@ def test_one_forward_pass_per_iteration(monkeypatch, opts):
     assert eq.iterations > 2
     assert (eq.restarts > 0) == (opts.max_iterations == 3)
     assert len(passes) == eq.iterations + eq.restarts + 1
+
+
+def _warm_start_sweep(manipulator, start, direction, max_delta, step):
+    """Oracle: the sweep that warm-starts every sample from the one before.
+
+    Returns the summed force vectors per sample, the truncation flag, the
+    summed equilibrium iterations and the active masks per sample.
+    """
+    u = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    warm = inverse_kinematics_unloaded(manipulator, start)
+    rhos = [s.rho for s in warm]
+    forces, masks = [], []
+    iterations = 0
+    for i in range(int(round(max_delta / step)) + 1):
+        try:
+            F_sigma, results = total_wrench(manipulator, np.asarray(start) + i * step * u, rhos, starts=warm)
+        except (NonConvergenceError, SingularityError):
+            return np.array(forces), True, iterations, masks
+        warm = [r.state for r in results]
+        iterations += sum(r.iterations for r in results)
+        forces.append(F_sigma)
+        masks.append(tuple(tuple(r.active_mask) for r in results))
+    return np.array(forces), False, iterations, masks
+
+
+def _sweep_pairs():
+    # seeded starts and directions inside the workspace, then two sweeps
+    # that leave it through the bar's reach (|y| or |x| = L) and truncate
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(6):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        pairs.append((rng.uniform(-0.35, 0.35, 2), [math.cos(angle), math.sin(angle)], 0.2, 0.01))
+    pairs += [([0.0, 0.3], [0.0, 1.0], 0.9, 0.05), ([0.1, -0.2], [-1.0, 0.2], 1.5, 0.05)]
+    return pairs
+
+
+@pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
+def test_secant_predictor_matches_warm_start_sweep(make_model):
+    model = make_model()
+    engaged = truncated = 0
+    for start, direction, max_delta, step in _sweep_pairs():
+        forces, expected_truncated, _, masks = _warm_start_sweep(model, start, direction, max_delta, step)
+        curve = force_deflection(model, start, direction, max_delta, step)
+        assert len(curve.deltas) == len(forces)
+        assert curve.truncated == expected_truncated
+        np.testing.assert_allclose(curve.force_magnitude, np.linalg.norm(forces, axis=1), rtol=1e-11, atol=1e-300)
+        np.testing.assert_allclose(curve.force_along, forces @ curve.direction, rtol=1e-11, atol=1e-300)
+        engaged += len(set(masks)) > 1
+        truncated += expected_truncated
+    assert truncated == 2
+    # the stop-limit springs engage or release inside some of the sweeps
+    assert (engaged > 0) == (make_model is stop_limit_model)
+
+
+def test_secant_predictor_saves_iterations(monkeypatch):
+    # a plain warm start from the previous sample needs about a third more
+    model = shipped_model()
+    start, direction = [0.1, -0.2], [0.6, 0.8]
+    _, _, expected, _ = _warm_start_sweep(model, start, direction, 0.096, 0.004)
+    iterations = count_iterations(monkeypatch)
+    curve = force_deflection(model, start, direction, 0.096, 0.004)
+    assert len(curve.deltas) == 25 and not curve.truncated
+    assert len(iterations) == 50
+    assert sum(iterations) <= 0.85 * expected
 
 
 def _matrix_with_condition(rng, n, cond):

@@ -24,7 +24,7 @@ from kinetostat import (
 )
 from kinetostat.orthoglide import KV_FACTORS, _critical_point
 
-from conftest import DIAG, linear_preload_model
+from conftest import DIAG, count_iterations, linear_preload_model
 
 
 def test_spec_validation():
@@ -110,6 +110,33 @@ def test_critical_point_lost_branch_raises(ortho_spec):
     starved = SolverOptions(max_iterations=1, max_restarts=0)
     with pytest.raises(KinetostatError, match="delta = "):
         _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
+
+
+def test_critical_point_predictor_matches_plain_warm_starts(monkeypatch, ortho_spec):
+    # the oracle starts each continuation step from the previous state and
+    # each regula falsi solve from the state at the bracket's rising end;
+    # the point is the same, and each half of the predictor saves iterations
+    import kinetostat.orthoglide as orthoglide
+
+    model = linear_preload_model(0.0)
+    q2 = workspace_points(ortho_spec)[2]
+    opts = ortho_spec.options()
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
+    iterations = count_iterations(monkeypatch)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+    predicted = sum(iterations)
+    real_predicted = orthoglide._predicted_states
+    oracles = {
+        "plain": lambda a, b, w: b if w == 2.0 else a,
+        "plain continuation": lambda a, b, w: b if w == 2.0 else real_predicted(a, b, w),
+        "plain bracket": lambda a, b, w: real_predicted(a, b, w) if w == 2.0 else a,
+    }
+    for name, oracle in oracles.items():
+        monkeypatch.setattr(orthoglide, "_predicted_states", oracle)
+        iterations.clear()
+        expected = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+        assert found == pytest.approx(expected, rel=1e-13), name
+        assert predicted < (0.85 if name == "plain" else 1.0) * sum(iterations), name
 
 
 @pytest.fixture(scope="module")
