@@ -8,7 +8,6 @@ from .chain import (
     ManipulatorModel,
     PoseVector,
     Transform,
-    forward_kinematics,
     inverse_kinematics_unloaded,
     jacobians,
     loaded_hessians,
@@ -46,10 +45,9 @@ from .orthoglide import (
     reproduce_table1,
     workspace_points,
 )
-from .springs import RegroupedState, SpringLaw, partition, spring_energy, spring_torque
+from .springs import RegroupedState, SpringLaw, partition, spring_torque
 from .stiffness import (
     StiffnessResult,
-    chain_stiffness,
     directional_stiffness,
     manipulator_stiffness,
     stiffness_vs_fd_check,
@@ -82,12 +80,10 @@ __all__ = [
     "Table1Report",
     "Transform",
     "build_planar_orthoglide",
-    "chain_stiffness",
     "compliance_grid",
     "critical_force",
     "directional_stiffness",
     "force_deflection",
-    "forward_kinematics",
     "inverse_kinematics_unloaded",
     "jacobians",
     "loaded_hessians",
@@ -99,7 +95,6 @@ __all__ = [
     "serialize_model",
     "solve_chain_equilibrium",
     "solve_inverse_kinetostatic",
-    "spring_energy",
     "spring_torque",
     "stiffness_vs_fd_check",
     "total_wrench",

@@ -224,21 +224,19 @@ class ChainModel:
     def regrouping(self, mask: np.ndarray) -> tuple:
         """Layout of the regrouped sets for one preload active set.
 
-        Returns ``(idle, q_elements, theta_elements, theta_tilde_0, k_tilde)``:
-        the mask of disengaged preloaded joints, the chain element behind
-        each aggregate coordinate, and the rest offsets and stiffnesses
-        aligned with theta_tilde. Built once per mask and read-only.
+        Returns ``(q_elements, theta_elements, theta_tilde_0, k_tilde)``:
+        the chain element behind each aggregate coordinate, and the rest
+        offsets and stiffnesses aligned with theta_tilde. Built once per
+        mask and read-only.
         """
         key = mask.tobytes()
         layout = self._regroupings.get(key)
         if layout is None:
-            idle = ~mask
             preloaded = self.preloaded_elements
             engaged = [s for s, on in zip(self.preload_springs, mask) if on]
             virtual_k = [self.joint_at(e).stiffness for e in self.virtual_elements]
             layout = (
-                idle,
-                np.concatenate([self.perfect_elements, preloaded[idle]]),
+                np.concatenate([self.perfect_elements, preloaded[~mask]]),
                 np.concatenate([self.virtual_elements, preloaded[mask]]),
                 np.array([0.0] * self.n_virtual + [s.preload_offset for s in engaged], dtype=float),
                 np.array(virtual_k + [s.k for s in engaged], dtype=float),
@@ -256,19 +254,6 @@ class ChainModel:
         out[self.perfect_elements] = state.q
         out[self.preloaded_elements] = state.vartheta
         out[self.virtual_elements] = state.theta
-        return out
-
-    def regrouped_coordinates(
-        self, regrouped: RegroupedState, q_tilde=None, theta_tilde=None
-    ) -> np.ndarray:
-        """Joint values in chain element order from a regrouped view,
-        optionally substituting new aggregate values."""
-        q = regrouped.q_tilde if q_tilde is None else q_tilde
-        theta = regrouped.theta_tilde if theta_tilde is None else theta_tilde
-        out = np.empty(len(self.elements))
-        out[self.actuated_elements] = regrouped.rho
-        out[regrouped.q_elements] = q
-        out[regrouped.theta_elements] = theta
         return out
 
     def state_of(self, coords: np.ndarray) -> ChainState:
@@ -378,11 +363,6 @@ def fk_array(chain: ChainModel, state: ChainState) -> np.ndarray:
     coords = chain.element_coordinates(state)
     T, _ = _end_transform(chain, coords, with_joint_frames=False)
     return _task_pose(T, chain.task_dim)
-
-
-def forward_kinematics(chain: ChainModel, state: ChainState) -> PoseVector:
-    """Pose of the chain end for the given joint coordinates."""
-    return PoseVector.from_array(fk_array(chain, state), chain.task_dim)
 
 
 # -- analytic Jacobians and load Hessians ------------------------------------
@@ -514,8 +494,7 @@ def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
     ``columns()`` builds ``(J_theta, J_q)`` from those frames, so a caller
     that ends up needing only the pose never builds them.
     """
-    coords = chain.regrouped_coordinates(regrouped)
-    T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    T, frames = _end_transform(chain, regrouped.coords, with_joint_frames=True)
     pose = _task_pose(T, chain.task_dim)
 
     def columns():
@@ -533,8 +512,7 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
 def _loaded_derivatives(chain: ChainModel, regrouped: RegroupedState, F: np.ndarray):
     """Task Jacobian columns and load Hessian d(J^T F)/dx of every chain
     element at a regrouped configuration, from one forward pass."""
-    coords = chain.regrouped_coordinates(regrouped)
-    T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    T, frames = _end_transform(chain, regrouped.coords, with_joint_frames=True)
     pose = _task_pose(T, chain.task_dim)
     twists = _twists(chain, T, frames)
     cols = _columns(chain, T, pose, twists)
@@ -566,66 +544,62 @@ def chain_ik_best_effort(chain: ChainModel, t):
     Levenberg-Marquardt on the actuated, perfect-passive and preloaded
     coordinates with virtual springs locked at rest, started from the
     chain's declared assembly seed (which picks the branch). Unreachable
-    targets converge to the closest reachable point. Each trial step runs
-    one forward pass that records the joint frames, so the Jacobian of the
-    next iteration is built from the accepted trial's pass.
+    targets converge to the closest reachable point. The iterate is the
+    joint vector in chain element order that the forward pass reads; a
+    trial step writes the free coordinates of a copy of it, and a
+    ChainState is built only for the result. Each trial runs one forward
+    pass that records the joint frames, so the Jacobian of the next
+    iteration is built from the accepted trial's pass.
     """
     target = np.asarray(t, dtype=float).ravel()
     if target.size != chain.task_dim:
         raise ModelError(f"pose of length {target.size} does not match task dim {chain.task_dim}")
 
-    n_rho, n_q = chain.n_actuated, chain.n_perfect
-    free_elements = list(chain.actuated_elements) + list(chain.perfect_elements) + list(
-        chain.preloaded_elements
-    )
-    u = np.zeros(len(free_elements)) if chain.ik_seed is None else chain.ik_seed.copy()
+    free = np.concatenate([chain.actuated_elements, chain.perfect_elements, chain.preloaded_elements])
+    coords = np.zeros(len(chain.elements))
+    if chain.ik_seed is not None:
+        coords[free] = chain.ik_seed
 
-    def build_state(vec):
-        return ChainState(
-            rho=vec[:n_rho],
-            q=vec[n_rho : n_rho + n_q],
-            vartheta=vec[n_rho + n_q :],
-            theta=np.zeros(chain.n_virtual),
-        )
-
-    def forward(vec):
-        """Residual at vec, its norm and the (T, frames, pose) pass behind it."""
-        coords = chain.element_coordinates(build_state(vec))
-        T, frames = _end_transform(chain, coords, with_joint_frames=True)
+    def forward(x):
+        """Residual at x, its norm and the (T, frames, pose) pass behind it."""
+        T, frames = _end_transform(chain, x, with_joint_frames=True)
         pose = _task_pose(T, chain.task_dim)
         r = target - pose
-        # a distance past ~1e154 overflows to inf, which ends the iteration below
-        with np.errstate(over="ignore"):
-            r_norm = float(np.linalg.norm(r))
-        return r, r_norm, (T, frames, pose)
+        return r, float(np.linalg.norm(r)), (T, frames, pose)
 
-    r, r_norm, geometry = forward(u)
-    lam = None
-    eye = np.eye(len(free_elements))
-    for _ in range(_IK_MAX_ITERATIONS):
-        # a distance that overflows to inf or nan ends the iteration as unreachable
-        if r_norm <= _IK_TOL or not r_norm < math.inf or not free_elements:
-            break
-        T, frames, pose = geometry
-        J = _columns(chain, T, pose, _twists(chain, T, frames))[:, free_elements]
-        if lam is None:
-            sigma = float(np.linalg.norm(J, 2))
-            lam = 1e-3 * max(sigma * sigma, 1.0)
-        g = J.T @ r
-        improved = False
-        for _ in range(40):
-            step = np.linalg.solve(J.T @ J + lam * eye, g)
-            r_try, try_norm, geometry_try = forward(u + step)
-            if try_norm < r_norm:
-                u = u + step
-                r, r_norm, geometry = r_try, try_norm, geometry_try
-                lam = max(lam * 0.3, 1e-14)
-                improved = True
+    # a reach near the float range overflows the residual norm (past ~1e154) or
+    # the damped normal matrix; the distance left names the target unreachable
+    with np.errstate(over="ignore"):
+        r, r_norm, geometry = forward(coords)
+        lam = None
+        eye = np.eye(free.size)
+        for _ in range(_IK_MAX_ITERATIONS):
+            # a distance that overflows to inf or nan ends the iteration as unreachable
+            if r_norm <= _IK_TOL or not r_norm < math.inf or not free.size:
                 break
-            lam *= 10.0
-        if not improved:
-            break
-    return build_state(u), r_norm
+            T, frames, pose = geometry
+            J = _columns(chain, T, pose, _twists(chain, T, frames))[:, free]
+            if lam is None:
+                sigma = float(np.linalg.norm(J, 2))
+                lam = 1e-3 * max(sigma * sigma, 1.0)
+            g = J.T @ r
+            improved = False
+            for _ in range(40):
+                if not lam < math.inf:  # a damping past the float range ends it too
+                    break
+                trial = coords.copy()
+                trial[free] += np.linalg.solve(J.T @ J + lam * eye, g)
+                r_try, try_norm, geometry_try = forward(trial)
+                if try_norm < r_norm:
+                    coords = trial
+                    r, r_norm, geometry = r_try, try_norm, geometry_try
+                    lam = max(lam * 0.3, 1e-14)
+                    improved = True
+                    break
+                lam *= 10.0
+            if not improved:
+                break
+    return chain.state_of(coords), r_norm
 
 
 def chain_ik_unloaded(chain: ChainModel, t):

@@ -133,7 +133,7 @@ def _cmd_equilibrium(args) -> int:
                     "residual": r.residual,
                     "iterations": r.iterations,
                     "restarts": r.restarts,
-                    "active_mask": [bool(b) for b in r.active_mask],
+                    "active_mask": [bool(b) for b in r.regrouped.active_mask],
                 }
                 for r in results
             ],

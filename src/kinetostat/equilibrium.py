@@ -10,11 +10,15 @@ block system
 
 followed by the spring update theta = K^-1 J_th^T F + theta_0, with
 eps = t - g + J_q q + J_th (theta - theta_0). The preloaded active set is
-re-partitioned every iteration; stagnating runs are restarted from a
-slightly perturbed configuration drawn from a seeded generator.
+regrouped every iteration; stagnating runs are restarted from a slightly
+perturbed configuration drawn from a seeded generator.
 
-Each iteration runs the chain's forward pass once. After a step the new
-state is partitioned and one pass records its joint frames: the pose it
+The iterate is one vector x of joint values in chain element order, the
+vector the forward pass reads. The start is validated once, when x is
+built; a step writes the new q~ and theta~ into a copy of x through the
+regrouping's element indices, and a ChainState is built only for the
+result. Each iteration runs the chain's forward pass once. After a step
+the new x is regrouped and one pass records its joint frames: the pose it
 yields is the residual of that step, and the frames give the Jacobian
 columns of the next iteration, built only if another iteration runs.
 
@@ -41,7 +45,7 @@ from .chain import (
     regrouped_geometry,
 )
 from .errors import ModelError, NonConvergenceError, SingularityError
-from .springs import RegroupedState, partition
+from .springs import RegroupedState, regroup
 
 STEP_TOL = 1e-10  # relative (F, q) step change accepted as stationary
 COND_LIMIT = 1e12
@@ -49,6 +53,8 @@ COND_LIMIT = 1e12
 _COND_BOUND_CLEAR = 1e-2 * COND_LIMIT
 _OSCILLATION_LIMIT = 5
 _DAMPING = 0.5
+# relative size of the random disturbance a restart applies to the joints
+_PERTURBATION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,10 @@ class SolverOptions:
     pose_tol: float = 1e-9
     max_iterations: int = 50
     max_restarts: int = 10
-    perturbation_scale: float = 1e-4
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.pose_tol < math.inf and 0.0 < self.perturbation_scale < math.inf):
+        if not 0.0 < self.pose_tol < math.inf:
             raise ModelError("solver tolerances must be positive and finite")
         if self.max_iterations < 1 or self.max_restarts < 0:
             raise ModelError("solver iteration budgets must be positive")
@@ -73,9 +78,6 @@ class EquilibriumResult:
     """Converged loaded equilibrium of one chain."""
 
     F: np.ndarray
-    q_tilde: np.ndarray
-    theta_tilde: np.ndarray
-    active_mask: np.ndarray
     residual: float
     iterations: int
     restarts: int
@@ -144,13 +146,13 @@ def solve_chain_equilibrium(
 
     rng = np.random.default_rng(opts.rng_seed)
     if start is None:
-        # nearest unloaded configuration; best effort because part of the
-        # task space may only be reachable through elastic deflection
-        seed, _ = chain_ik_best_effort(chain, target)
-        state = ChainState(rho.copy(), seed.q, seed.vartheta, np.zeros(chain.n_virtual))
-    else:
-        start.validate_against(chain)
-        state = ChainState(rho.copy(), start.q.copy(), start.vartheta.copy(), start.theta.copy())
+        # nearest unloaded configuration, virtual springs at rest; best effort,
+        # as part of the task space is reachable only through elastic deflection
+        start, _ = chain_ik_best_effort(chain, target)
+    x = chain.element_coordinates(start)
+    x[chain.actuated_elements] = rho
+    # the unknowns in perfect, preloaded, virtual order, for norms and restarts
+    free = np.concatenate([chain.perfect_elements, chain.preloaded_elements, chain.virtual_elements])
 
     d = chain.task_dim
     singular = f"chain {chain.name!r} is singular at the prescribed pose"
@@ -159,7 +161,7 @@ def solve_chain_equilibrium(
     restarts = 0
 
     while True:
-        reg = partition(chain, state)
+        reg = regroup(chain, x)
         g, columns = regrouped_geometry(chain, reg)
         F = np.zeros(d)
         prev_mask = None
@@ -185,27 +187,15 @@ def solve_chain_equilibrium(
                 q_new = reg.q_tilde + _DAMPING * (q_new - reg.q_tilde)
                 th_new = reg.theta_tilde + _DAMPING * (th_new - reg.theta_tilde)
 
-            new_state = reg.scatter(chain, q_tilde=q_new, theta_tilde=th_new)
+            x_new = x.copy()
+            x_new[reg.q_elements] = q_new
+            x_new[reg.theta_elements] = th_new
             iterations += 1
-            step = np.concatenate(
-                [
-                    F_new - F,
-                    new_state.q - state.q,
-                    new_state.vartheta - state.vartheta,
-                    new_state.theta - state.theta,
-                ]
-            )
-            scale = max(
-                1.0,
-                float(
-                    np.linalg.norm(
-                        np.concatenate([F_new, new_state.q, new_state.vartheta, new_state.theta])
-                    )
-                ),
-            )
-            state = new_state
+            step = np.concatenate([F_new - F, x_new[free] - x[free]])
+            scale = max(1.0, float(np.linalg.norm(np.concatenate([F_new, x_new[free]]))))
+            x = x_new
             F = F_new
-            reg = partition(chain, state)
+            reg = regroup(chain, x)
             g, columns = regrouped_geometry(chain, reg)
             residual = float(np.linalg.norm(target - g))
             best_residual = min(best_residual, residual)
@@ -224,23 +214,16 @@ def solve_chain_equilibrium(
                 restarts=restarts - 1,
             )
         # slight random disturbance of the configuration, actuators stay put
-        def perturbed(v):
-            return v + rng.uniform(-1.0, 1.0, v.shape) * opts.perturbation_scale * np.maximum(
-                1.0, np.abs(v)
-            )
-
-        state = ChainState(rho.copy(), perturbed(state.q), perturbed(state.vartheta), perturbed(state.theta))
+        v = x[free]
+        x[free] = v + rng.uniform(-1.0, 1.0, v.shape) * _PERTURBATION * np.maximum(1.0, np.abs(v))
 
     return EquilibriumResult(
         F=F,
-        q_tilde=reg.q_tilde,
-        theta_tilde=reg.theta_tilde,
-        active_mask=reg.active_mask,
         residual=residual,
         iterations=iterations,
         restarts=restarts,
         regrouped=reg,
-        state=state,
+        state=chain.state_of(x),
     )
 
 

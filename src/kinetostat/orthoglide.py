@@ -24,7 +24,7 @@ from .control import solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
-from .stiffness import _aggregate_stiffness, chain_stiffness, directional_stiffness
+from .stiffness import _aggregate_stiffness, _chain_stiffness_diag, directional_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -184,7 +184,7 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     rhos = [eq.state.rho for eq in equilibria]
 
     def directional(eqs):
-        K = sum(chain_stiffness(chain, eq) for chain, eq in zip(model.chains, eqs))
+        K = sum(_chain_stiffness_diag(chain, eq)[0] for chain, eq in zip(model.chains, eqs))
         return float(u @ K @ u)
 
     def solve(delta, warm):

@@ -4,8 +4,9 @@ A preloaded passive joint carries an auxiliary spring whose torque is
 ``k * h(x - offset)`` where ``h`` is the identity, its positive part or its
 negative part. Coordinates whose spring is currently engaged behave like
 elastic (spring) coordinates; the rest behave like perfect passive ones.
-``partition`` performs that split for a whole chain, producing the
-aggregated ``(q_tilde, theta_tilde)`` view the solvers work in.
+``regroup`` performs that split for a whole chain on its joint values in
+element order, producing the aggregated ``(q_tilde, theta_tilde)`` view the
+solvers work in; ``partition`` does the same for a ``ChainState``.
 """
 
 from __future__ import annotations
@@ -72,32 +73,24 @@ def spring_torque(law: SpringLaw, vartheta: float) -> float:
     return law.k * d
 
 
-def spring_energy(law: SpringLaw, vartheta: float) -> float:
-    """Stored elastic energy; piecewise quadratic, torque is its derivative."""
-    d = vartheta - law.preload_offset
-    if law.branch == POSITIVE_PART:
-        d = max(d, 0.0)
-    elif law.branch == NEGATIVE_PART:
-        d = min(d, 0.0)
-    return 0.5 * law.k * d * d
-
-
 @dataclass
 class RegroupedState:
     """Aggregated view of one chain configuration.
 
-    ``q_tilde`` stacks the perfect-passive coordinates followed by the
-    disengaged preloaded ones; ``theta_tilde`` stacks the virtual-spring
-    coordinates followed by the engaged preloaded ones. ``k_tilde`` and
-    ``theta_tilde_0`` are the spring stiffnesses and rest offsets aligned
-    with ``theta_tilde`` (rest is exactly zero for virtual springs).
-    ``q_elements`` / ``theta_elements`` hold the chain element index behind
-    each column, as index arrays, so Jacobians can be gathered consistently.
-    These four arrays depend only on the active set; ``partition`` shares
-    them, read-only, between all states with the same mask.
+    ``coords`` holds every joint value in chain element order, the vector
+    the forward pass reads. ``q_tilde`` gathers from it the perfect-passive
+    coordinates followed by the disengaged preloaded ones; ``theta_tilde``
+    the virtual-spring coordinates followed by the engaged preloaded ones.
+    ``k_tilde`` and ``theta_tilde_0`` are the spring stiffnesses and rest
+    offsets aligned with ``theta_tilde`` (rest is exactly zero for virtual
+    springs). ``q_elements`` / ``theta_elements`` hold the chain element
+    index behind each aggregate coordinate, as index arrays, so Jacobians
+    are gathered and new aggregate values written back the same way. These
+    four arrays depend only on the active set; ``regroup`` shares them,
+    read-only, between all configurations with the same mask.
     """
 
-    rho: np.ndarray
+    coords: np.ndarray
     q_tilde: np.ndarray
     theta_tilde: np.ndarray
     theta_tilde_0: np.ndarray
@@ -106,30 +99,32 @@ class RegroupedState:
     q_elements: np.ndarray
     theta_elements: np.ndarray
 
-    def scatter(self, chain: "ChainModel", q_tilde=None, theta_tilde=None) -> "ChainState":
-        """Rebuild a ChainState, optionally substituting new aggregate values."""
-        return chain.state_of(chain.regrouped_coordinates(self, q_tilde, theta_tilde))
 
-
-def partition(chain: "ChainModel", state: "ChainState") -> RegroupedState:
-    """Split the chain coordinates into currently-passive and spring-like sets.
+def regroup(chain: "ChainModel", coords: np.ndarray) -> RegroupedState:
+    """Split joint values in chain element order into currently-passive and
+    spring-like sets.
 
     The mask is recomputed from the preloaded coordinate values alone, so
-    repeated calls on the same state are idempotent.
+    repeated calls on the same coordinates are idempotent. ``coords`` is
+    held, not copied; the solvers hand over a fresh vector per step.
     """
-    state.validate_against(chain)
     mask = np.array(
-        [spring.engaged(v) for spring, v in zip(chain.preload_springs, state.vartheta)],
+        [spring.engaged(v) for spring, v in zip(chain.preload_springs, coords[chain.preloaded_elements])],
         dtype=bool,
     )
-    idle, q_elements, theta_elements, theta_tilde_0, k_tilde = chain.regrouping(mask)
+    q_elements, theta_elements, theta_tilde_0, k_tilde = chain.regrouping(mask)
     return RegroupedState(
-        rho=state.rho.copy(),
-        q_tilde=np.concatenate([state.q, state.vartheta[idle]]),
-        theta_tilde=np.concatenate([state.theta, state.vartheta[mask]]),
+        coords=coords,
+        q_tilde=coords[q_elements],
+        theta_tilde=coords[theta_elements],
         theta_tilde_0=theta_tilde_0,
         k_tilde=k_tilde,
         active_mask=mask,
         q_elements=q_elements,
         theta_elements=theta_elements,
     )
+
+
+def partition(chain: "ChainModel", state: "ChainState") -> RegroupedState:
+    """``regroup`` of a validated ChainState."""
+    return regroup(chain, chain.element_coordinates(state))

@@ -110,12 +110,6 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
     return np.linalg.solve(A, actuator_rhs())[: chain.task_dim]
 
 
-def chain_stiffness(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
-    """Symmetrized task-space stiffness of one chain at its equilibrium."""
-    K, _, _ = _chain_stiffness_diag(chain, eq)
-    return K
-
-
 def manipulator_stiffness(
     manipulator: ManipulatorModel,
     t,

@@ -13,7 +13,6 @@ from kinetostat import (
     OutOfWorkspaceError,
     Transform,
     build_planar_orthoglide,
-    forward_kinematics,
     inverse_kinematics_unloaded,
     jacobians,
     loaded_hessians,
@@ -30,8 +29,7 @@ from conftest import gradient_differences, random_planar_chain, random_spatial_c
 def test_fk_orthoglide_q0(ortho_nopreload):
     chain = ortho_nopreload.chains[0]
     state = ChainState(rho=[1.0], q=[], vartheta=[0.0], theta=[0.0])
-    pose = forward_kinematics(chain, state)
-    np.testing.assert_allclose(pose.as_array(), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(fk_array(chain, state), [0.0, 0.0], atol=1e-15)
 
 
 def test_fk_identity_chain_is_base_then_tool():
@@ -83,7 +81,7 @@ def test_fk_dimension_mismatch():
     spec = OrthoglideSpec()
     chain = build_planar_orthoglide(spec).chains[0]
     with pytest.raises(ModelError):
-        forward_kinematics(chain, ChainState(rho=[1.0, 2.0], q=[], vartheta=[0.0], theta=[0.0]))
+        fk_array(chain, ChainState(rho=[1.0, 2.0], q=[], vartheta=[0.0], theta=[0.0]))
 
 
 def test_pose_wrap_full_turn():
@@ -236,8 +234,10 @@ def _psi_hessian_fd(chain, reg, F, h=1e-5):
     n = x0.size
 
     def psi(x):
-        state = reg.scatter(chain, q_tilde=x[:k], theta_tilde=x[k:])
-        return float(fk_array(chain, state) @ F)
+        coords = reg.coords.copy()
+        coords[reg.q_elements] = x[:k]
+        coords[reg.theta_elements] = x[k:]
+        return float(fk_array(chain, chain.state_of(coords)) @ F)
 
     H = np.zeros((n, n))
     psi0 = psi(x0)
@@ -469,3 +469,27 @@ def test_ik_one_forward_pass_per_trial(monkeypatch, ortho_nopreload, target):
     chain_ik_best_effort(ortho_nopreload.chains[0], target)
     assert len(trials) > 1
     assert len(passes) == 1 + len(trials)
+
+
+def test_ik_builds_one_chain_state(monkeypatch, ortho_nopreload):
+    # the trials write the free coordinates of an element-order vector; a
+    # ChainState is built for the result only
+    from kinetostat.chain import chain_ik_best_effort
+
+    real_init = ChainState.__post_init__
+    real_solve = np.linalg.solve
+    states, trials = [], []
+
+    def counted_init(self):
+        states.append(1)
+        real_init(self)
+
+    def counted_solve(*args, **kwargs):
+        trials.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ChainState, "__post_init__", counted_init)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    chain_ik_best_effort(ortho_nopreload.chains[0], [0.3, 0.1])
+    assert len(trials) > 1
+    assert len(states) == 1

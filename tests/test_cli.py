@@ -168,19 +168,22 @@ def test_json_rejected_where_only_csv_is_written(model_path, capsys, command):
     assert "--json" in captured.err
 
 
-def test_overflowing_chain_reach_is_unreachable(model_path, tmp_path, capsys):
-    # the y-leg's end lies 1e300 away: its distance overflows, which names
-    # the pose unreachable instead of escaping as an OverflowError, and no
-    # numpy warning reaches stderr ahead of the message
+@pytest.mark.parametrize("reach, distance", [(1e300, "inf"), (1e150, "1.000e+150")])
+def test_overflowing_chain_reach_is_unreachable(model_path, tmp_path, capsys, reach, distance):
+    # the y-leg's end lies far away: at 1e300 its distance overflows, at
+    # 1e150 the distance is finite but the Levenberg-Marquardt damping grows
+    # past the float range; either way the pose is named unreachable instead
+    # of escaping as an OverflowError, and no numpy warning reaches stderr
+    # ahead of the message
     doc = json.loads(open(model_path).read())
-    doc["chains"][1]["tool"]["translation"] = [0.0, 1e300, 0.0]
+    doc["chains"][1]["tool"]["translation"] = [0.0, reach, 0.0]
     far = tmp_path / "far.json"
     far.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["equilibrium", "--model", str(far), "--pose", "0,0"]) == 3
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == "model error: pose unreachable for chain 'y-leg', closest distance inf\n"
+    assert capsys.readouterr().err == f"model error: pose unreachable for chain 'y-leg', closest distance {distance}\n"
 
 
 def test_out_creates_missing_directories(model_path, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from kinetostat import (
     ChainModel,
+    ChainState,
     JointModel,
     ModelError,
     NonConvergenceError,
@@ -99,7 +100,7 @@ def test_bitwise_determinism(ortho_nopreload):
     a = solve_chain_equilibrium(chain, [0.3, 0.2], [1.1], opts)
     b = solve_chain_equilibrium(chain, [0.3, 0.2], [1.1], opts)
     assert a.F.tobytes() == b.F.tobytes()
-    assert a.theta_tilde.tobytes() == b.theta_tilde.tobytes()
+    assert a.regrouped.theta_tilde.tobytes() == b.regrouped.theta_tilde.tobytes()
     assert a.iterations == b.iterations
 
 
@@ -112,7 +113,7 @@ def test_repartition_is_fixed_point():
     state = inverse_kinematics_unloaded(model, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
     again = solve_chain_equilibrium(chain, target, state.rho, start=eq.state)
-    assert np.array_equal(eq.active_mask, again.active_mask)
+    assert np.array_equal(eq.regrouped.active_mask, again.regrouped.active_mask)
     assert np.linalg.norm(eq.F - again.F) <= 1e-9
 
 
@@ -254,6 +255,40 @@ def test_one_forward_pass_per_iteration(monkeypatch, opts):
     assert len(passes) == eq.iterations + eq.restarts + 1
 
 
+@pytest.mark.parametrize(
+    "warm, opts",
+    [
+        (True, SolverOptions()),
+        (True, SolverOptions(max_iterations=3, max_restarts=10)),
+        (False, SolverOptions()),
+        (False, SolverOptions(max_iterations=1, max_restarts=4)),
+    ],
+)
+def test_start_validated_once_per_solve(monkeypatch, warm, opts):
+    # the iteration runs on the element-order joint vector, so the start (or
+    # the rigid IK seed) is checked against the chain once, not per iteration
+    # or restart; the last case restarts until its budget is spent
+    model = linear_preload_model(0.1)
+    chain = model.chains[0]
+    start = inverse_kinematics_unloaded(model, [0.3, 0.2])[0]
+    real = ChainState.validate_against
+    calls = []
+
+    def counted(self, chain):
+        calls.append(1)
+        return real(self, chain)
+
+    monkeypatch.setattr(ChainState, "validate_against", counted)
+    try:
+        eq = solve_chain_equilibrium(chain, [0.33, 0.16], start.rho, opts, start=start if warm else None)
+        iterations, restarts = eq.iterations, eq.restarts
+    except NonConvergenceError as err:
+        iterations, restarts = err.iterations, err.restarts
+    assert iterations >= 2
+    assert (restarts > 0) == (opts.max_iterations < 50)
+    assert len(calls) == 1
+
+
 def _warm_start_sweep(manipulator, start, direction, max_delta, step):
     """Oracle: the sweep that warm-starts every sample from the one before.
 
@@ -273,7 +308,7 @@ def _warm_start_sweep(manipulator, start, direction, max_delta, step):
         warm = [r.state for r in results]
         iterations += sum(r.iterations for r in results)
         forces.append(F_sigma)
-        masks.append(tuple(tuple(r.active_mask) for r in results))
+        masks.append(tuple(tuple(r.regrouped.active_mask) for r in results))
     return np.array(forces), False, iterations, masks
 
 
