@@ -265,14 +265,6 @@ class ChainModel:
             theta=coords[self.virtual_elements],
         )
 
-    def zero_state(self) -> ChainState:
-        return ChainState(
-            rho=np.zeros(self.n_actuated),
-            q=np.zeros(self.n_perfect),
-            vartheta=np.zeros(self.n_preloaded),
-            theta=np.zeros(self.n_virtual),
-        )
-
 
 @dataclass
 class ManipulatorModel:
@@ -478,13 +470,6 @@ def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, co
                 h -= G[0] * r0 + G[1] * r1 + G[2] * r2
             H[a][b] = H[b][a] = h
     return np.array(H)
-
-
-def _geometry_and_columns(chain: ChainModel, coords: np.ndarray):
-    """End pose and the task Jacobian column of every chain element."""
-    T, frames = _end_transform(chain, coords, with_joint_frames=True)
-    pose = _task_pose(T, chain.task_dim)
-    return pose, _columns(chain, T, pose, _twists(chain, T, frames))
 
 
 def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):

@@ -9,6 +9,7 @@ JSON payloads go to stdout or --out, with floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -255,8 +256,7 @@ def _cmd_invkin(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = OrthoglideSpec(p_factor=args.p_factor)
-    opts = SolverOptions(pose_tol=args.tol * spec.L, rng_seed=args.seed, max_iterations=args.max_iter)
-    report = reproduce_table1(spec, opts)
+    report = reproduce_table1(spec, _options(args))
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -264,6 +264,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="rng seed for solver restarts")

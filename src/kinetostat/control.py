@@ -21,7 +21,8 @@ each Newton step costs the wrench evaluations of its line search alone; the
 load Hessians in it are blocks of the stiffness's closed-form Hessian of
 J^T F, from the same one forward pass per chain. The mixed block H_.rho is
 zero when the actuators sit at the chain base, but not when a joint before
-an actuator turns its axis.
+an actuator turns its axis. Steps 4 and 5 solve each system once, with the
+inverse that clears its condition bound (``equilibrium._solve``).
 
 The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainState, ManipulatorModel, inverse_kinematics_unloaded
-from .equilibrium import EquilibriumResult, SolverOptions, _check_condition, split_rho, total_wrench
+from .equilibrium import EquilibriumResult, SolverOptions, _solve, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError, SingularityError
 from .stiffness import _chain_sensitivity
 
@@ -55,7 +56,6 @@ class KinetostaticSolution:
     rho: list[np.ndarray]
     residual_wrench: float
     outer_iterations: int
-    S_F_rho: np.ndarray | None
     full_rank: bool = True
     history: list[float] = field(default_factory=list)
     equilibria: list[EquilibriumResult] = field(default_factory=list)
@@ -119,7 +119,6 @@ def solve_inverse_kinetostatic(
     err = F - F_target
     err_norm = float(np.linalg.norm(err))
     history = [err_norm]
-    S = None
     full_rank = True
 
     for _ in range(_MAX_OUTER):
@@ -127,8 +126,7 @@ def solve_inverse_kinetostatic(
             break
         S = _sensitivity(manipulator, equilibria)
         if S.shape[0] == S.shape[1]:
-            _check_condition(S, ControlSingularityError, "force/actuator sensitivity is singular")
-            step = np.linalg.solve(S, err)
+            step = _solve(S, err, ControlSingularityError, "force/actuator sensitivity is singular")
         else:
             step, _, rank, _ = np.linalg.lstsq(S, err, rcond=None)
             full_rank = rank == min(S.shape)
@@ -154,7 +152,6 @@ def solve_inverse_kinetostatic(
             rho=split_rho(manipulator, rho),
             residual_wrench=err_norm,
             outer_iterations=len(history) - 1,
-            S_F_rho=S,
             full_rank=full_rank,
             history=history,
             equilibria=equilibria,

@@ -24,9 +24,10 @@ columns of the next iteration, built only if another iteration runs.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
-below the 2-norm condition number, so a finite bound under 1e10 clears A.
-Only when the bound fails to clear it is the condition number computed by
-SVD and compared with the limit.
+below the 2-norm condition number, so a finite bound under 1e10 clears A,
+and the inverse that cleared it also gives the step. Only when the bound
+fails to clear A is the condition number computed by SVD, compared with
+the limit, and the system solved by LU.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class SolverOptions:
             raise ModelError("solver tolerances must be positive and finite")
         if self.max_iterations < 1 or self.max_restarts < 0:
             raise ModelError("solver iteration budgets must be positive")
+        if self.rng_seed < 0:
+            raise ModelError(f"solver rng seed {self.rng_seed} must be non-negative")
 
 
 @dataclass
@@ -95,28 +98,27 @@ def _block_matrix(J_theta, J_q, k_tilde):
     return A
 
 
-def _check_condition(A: np.ndarray, error: type, what: str, exact: bool = False):
-    """Raise ``error`` when cond(A) exceeds COND_LIMIT or is not finite.
+def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
+    """A^-1 b, raising ``error`` when cond(A) exceeds COND_LIMIT or is not finite.
 
     ||A||_F ||A^-1||_F is an upper bound of cond(A): when it is finite and
     well below the limit, A passes without the SVD of np.linalg.cond and
-    None is returned. Otherwise, or when ``exact`` is set, the condition
-    number is computed by SVD and returned if it is within the limit. The
-    message is ``what`` followed by the condition number, which the error
-    also carries.
+    the inverse computed for the bound solves the system. Otherwise the
+    condition number is computed by SVD, and within the limit the system
+    is solved by LU. The message is ``what`` followed by the condition
+    number, which the error also carries.
     """
-    if not exact:
-        try:
-            A_inv = np.linalg.inv(A)
-            bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
-        except np.linalg.LinAlgError:
-            bound_sq = math.inf
-        if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
-            return None
+    try:
+        A_inv = np.linalg.inv(A)
+        bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
+    except np.linalg.LinAlgError:
+        bound_sq = math.inf
+    if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
+        return A_inv @ b
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{what} (condition {cond:.3e})", condition=cond)
-    return cond
+    return np.linalg.solve(A, b)
 
 
 def solve_chain_equilibrium(
@@ -176,10 +178,8 @@ def solve_chain_equilibrium(
 
             J_theta, J_q = columns()
             A = _block_matrix(J_theta, J_q, reg.k_tilde)
-            _check_condition(A, SingularityError, singular)
             eps = target - g + J_q @ reg.q_tilde + J_theta @ (reg.theta_tilde - reg.theta_tilde_0)
-            rhs = np.concatenate([eps, np.zeros(J_q.shape[1])])
-            sol = np.linalg.solve(A, rhs)
+            sol = _solve(A, np.concatenate([eps, np.zeros(J_q.shape[1])]), SingularityError, singular)
             F_new = sol[:d]
             q_new = sol[d:]
             th_new = (J_theta.T @ F_new) / reg.k_tilde + reg.theta_tilde_0
@@ -336,7 +336,12 @@ def force_deflection(
         raise ModelError("sweep direction does not match the task dimension")
     if not np.all(np.isfinite(u)):
         raise ModelError(f"sweep direction {u.tolist()} is not finite")
-    norm = float(np.linalg.norm(u))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(u))
+    if norm in (0.0, math.inf) and np.any(u):
+        # the squared norm left the float range: scale by the largest entry first
+        u = u / np.abs(u).max()
+        norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")
     u = u / norm

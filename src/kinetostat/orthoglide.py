@@ -244,7 +244,6 @@ class ComplianceMap:
     c_max: np.ndarray
     c_min: np.ndarray
     ok: np.ndarray
-    K: np.ndarray
 
 
 def compliance_grid(
@@ -276,7 +275,6 @@ def compliance_grid(
     c_max = np.full((grid_n, grid_n), np.nan)
     c_min = np.full((grid_n, grid_n), np.nan)
     ok = np.zeros((grid_n, grid_n), dtype=bool)
-    K_all = np.full((grid_n, grid_n, d, d), np.nan)
 
     for ix in range(grid_n):
         for iy in range(grid_n):
@@ -292,11 +290,10 @@ def compliance_grid(
             if res.indefinite:
                 continue
             c = 1.0 / np.linalg.eigvalsh(res.K_sigma)
-            K_all[ix, iy] = res.K_sigma
             c_max[ix, iy] = float(c.max())
             c_min[ix, iy] = float(c.min())
             ok[ix, iy] = True
-    return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok, K=K_all)
+    return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok)
 
 
 @dataclass

@@ -8,11 +8,13 @@ block of the inverse of
     [ J_q^T + H_qth kf J_th^T     H_qq + H_qth kf H_thq          ]
 
 obtained by solving task-dim right-hand sides rather than inverting the
-whole block. The Jacobians and the load Hessians H = d(J^T F)/dx come in
-closed form from one forward pass per chain (``chain._loaded_derivatives``).
-Chain matrices sum to the manipulator stiffness. The same
-block system with an actuator right-hand side gives dF/drho, the chain's
-columns of the sensitivity that the kinetostatic compensation inverts.
+whole block. Each system, kf's included, is solved once by the guarded
+``_solve``: the inverse that clears a matrix's condition bound also solves
+it. The Jacobians and the load Hessians H = d(J^T F)/dx come in closed form
+from one forward pass per chain (``chain._loaded_derivatives``). Chain
+matrices sum to the manipulator stiffness. The same block system with an
+actuator right-hand side gives dF/drho, the chain's columns of the
+sensitivity that the kinetostatic compensation inverts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainModel, ManipulatorModel, _loaded_derivatives
-from .equilibrium import EquilibriumResult, SolverOptions, _check_condition, total_wrench
+from .equilibrium import EquilibriumResult, SolverOptions, _solve, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
 _RANK_TOL = 1e-9
@@ -36,7 +38,6 @@ class StiffnessResult:
     K_sigma: np.ndarray
     rank_c: list[int]
     condition: list[float]
-    asymmetry: list[float] = field(default_factory=list)
     indefinite: bool = False
     equilibria: list[EquilibriumResult] = field(default_factory=list)
 
@@ -60,8 +61,7 @@ def _block_system(chain: ChainModel, eq: EquilibriumResult):
 
     spring_block = np.diag(reg.k_tilde) - H_thth
     what = f"loaded spring block of chain {chain.name!r} lost invertibility"
-    _check_condition(spring_block, SpringSofteningError, what)
-    kf = np.linalg.inv(spring_block)
+    kf = _solve(spring_block, np.eye(m), SpringSofteningError, what)
 
     d = chain.task_dim
     H_thq = H_qth.T
@@ -81,17 +81,11 @@ def _block_system(chain: ChainModel, eq: EquilibriumResult):
 
 def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
     A = _block_system(chain, eq)[0]
-    # the exact condition number is part of the result
-    what = f"stiffness block of chain {chain.name!r} is singular"
-    cond = _check_condition(A, SingularityError, what, exact=True)
     d = chain.task_dim
-    rhs = np.zeros((A.shape[0], d))
-    rhs[:d, :] = np.eye(d)
-    sol = np.linalg.solve(A, rhs)
-    K = sol[:d, :]
-    asym = float(np.linalg.norm(K - K.T))
-    K = 0.5 * (K + K.T)
-    return K, cond, asym
+    what = f"stiffness block of chain {chain.name!r} is singular"
+    K = _solve(A, np.eye(A.shape[0], d), SingularityError, what)[:d]
+    # the exact condition number is part of the result
+    return 0.5 * (K + K.T), float(np.linalg.cond(A))
 
 
 def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
@@ -106,8 +100,8 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
     where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
     """
     A, actuator_rhs = _block_system(chain, eq)
-    _check_condition(A, SingularityError, f"stiffness block of chain {chain.name!r} is singular")
-    return np.linalg.solve(A, actuator_rhs())[: chain.task_dim]
+    what = f"stiffness block of chain {chain.name!r} is singular"
+    return _solve(A, actuator_rhs(), SingularityError, what)[: chain.task_dim]
 
 
 def manipulator_stiffness(
@@ -128,10 +122,9 @@ def _aggregate_stiffness(
     K_c = []
     ranks = []
     conditions = []
-    asymmetries = []
     for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
         try:
-            K, cond, asym = _chain_stiffness_diag(chain, eq)
+            K, cond = _chain_stiffness_diag(chain, eq)
         except SingularityError as err:
             err.chain_index = i
             raise
@@ -140,7 +133,6 @@ def _aggregate_stiffness(
         smax = float(singular_values.max())
         ranks.append(int(np.count_nonzero(singular_values > _RANK_TOL * max(smax, 1e-300))))
         conditions.append(cond)
-        asymmetries.append(asym)
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(
@@ -148,7 +140,6 @@ def _aggregate_stiffness(
         K_sigma=K_sigma,
         rank_c=ranks,
         condition=conditions,
-        asymmetry=asymmetries,
         indefinite=bool(eigvals.min() <= 0.0),
         equilibria=equilibria,
     )

@@ -203,7 +203,8 @@ def gradient_differences(chain, coords, F):
     analytic J^T F, step 1e-6 * max(1, |x|): the load Hessian's form before
     the closed one, kept as its oracle. Column j differentiates along
     element j."""
-    from kinetostat.chain import _geometry_and_columns
+    from kinetostat.chain import _loaded_derivatives
+    from kinetostat.springs import regroup
 
     F = np.asarray(F, dtype=float)
     H = np.zeros((coords.size, coords.size))
@@ -213,7 +214,7 @@ def gradient_differences(chain, coords, F):
         cm = coords.copy()
         cp[j] += h
         cm[j] -= h
-        gp = _geometry_and_columns(chain, cp)[1].T @ F
-        gm = _geometry_and_columns(chain, cm)[1].T @ F
+        gp = _loaded_derivatives(chain, regroup(chain, cp), F)[0].T @ F
+        gm = _loaded_derivatives(chain, regroup(chain, cm), F)[0].T @ F
         H[:, j] = (gp - gm) / (2.0 * h)
     return H

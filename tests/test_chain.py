@@ -43,7 +43,7 @@ def test_fk_identity_chain_is_base_then_tool():
         ],
         tool_transform=tool,
     )
-    pose = fk_array(chain, chain.zero_state())
+    pose = fk_array(chain, chain.state_of(np.zeros(len(chain.elements))))
     expected = (base.matrix @ tool.matrix)[:2, 3]
     np.testing.assert_allclose(pose, expected, atol=1e-15)
 
@@ -156,7 +156,8 @@ def _reference_geometry(chain, coords):
 
 @pytest.mark.parametrize("task_dim", [2, 3, 6])
 def test_geometry_bitwise_equal_to_reference(task_dim):
-    from kinetostat.chain import _end_transform, _geometry_and_columns
+    from kinetostat.chain import _end_transform, _loaded_derivatives
+    from kinetostat.springs import regroup
 
     rng = np.random.default_rng(70 + task_dim)
     for _ in range(40):
@@ -167,7 +168,8 @@ def test_geometry_bitwise_equal_to_reference(task_dim):
         coords = chain.element_coordinates(random_state(rng, chain))
         T_ref, cols_ref = _reference_geometry(chain, coords)
         assert np.array_equal(_end_transform(chain, coords, with_joint_frames=False)[0], T_ref)
-        assert np.array_equal(_geometry_and_columns(chain, coords)[1], cols_ref)
+        cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
+        assert np.array_equal(cols, cols_ref)
 
 
 def _fd_jacobian(chain, state, elements):
@@ -293,7 +295,7 @@ ORACLE_CHAINS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
 def test_load_hessian_matches_gradient_differences(name):
-    from kinetostat.chain import _geometry_and_columns, _loaded_derivatives
+    from kinetostat.chain import _end_transform, _columns, _loaded_derivatives, _task_pose, _twists
 
     rng = np.random.default_rng(sorted(ORACLE_CHAINS).index(name))
     for _ in range(25):
@@ -303,7 +305,9 @@ def test_load_hessian_matches_gradient_differences(name):
         F = rng.normal(size=chain.task_dim)
         coords = chain.element_coordinates(state)
         cols, H = _loaded_derivatives(chain, reg, F)
-        np.testing.assert_array_equal(cols, _geometry_and_columns(chain, coords)[1])
+        T, frames = _end_transform(chain, coords, with_joint_frames=True)
+        pose = _task_pose(T, chain.task_dim)
+        np.testing.assert_array_equal(cols, _columns(chain, T, pose, _twists(chain, T, frames)))
         np.testing.assert_array_equal(H, H.T)
         R = gradient_differences(chain, coords, F)
         # central differences at step 1e-6 carry roundoff near 1e-10 |H|
@@ -384,7 +388,8 @@ def test_ik_out_of_workspace(ortho_nopreload):
 def _two_pass_ik(chain, t):
     """Reference rigid IK: the same Levenberg-Marquardt iteration with a
     separate forward pass for the Jacobian of every iteration."""
-    from kinetostat.chain import _geometry_and_columns
+    from kinetostat.chain import _loaded_derivatives
+    from kinetostat.springs import regroup
 
     target = np.asarray(t, dtype=float).ravel()
     n_rho, n_q = chain.n_actuated, chain.n_perfect
@@ -401,7 +406,7 @@ def _two_pass_ik(chain, t):
     for _ in range(200):
         if r_norm <= 1e-12 or not free:
             break
-        _, cols = _geometry_and_columns(chain, chain.element_coordinates(state(u)))
+        cols = _loaded_derivatives(chain, regroup(chain, chain.element_coordinates(state(u))), r)[0]
         J = cols[:, free]
         if lam is None:
             lam = 1e-3 * max(float(np.linalg.norm(J, 2)) ** 2, 1.0)
@@ -437,7 +442,7 @@ def test_ik_bitwise_equal_to_two_pass_reference(task_dim):
         if i % 2:
             t = fk_array(chain, random_state(rng, chain, scale=0.3))
         else:
-            t = fk_array(chain, chain.zero_state()) + rng.uniform(-1.0, 1.0, task_dim)
+            t = fk_array(chain, chain.state_of(np.zeros(len(chain.elements)))) + rng.uniform(-1.0, 1.0, task_dim)
         state, r_norm = chain_ik_best_effort(chain, t)
         ref_state, ref_norm = _two_pass_ik(chain, t)
         assert r_norm == ref_norm

@@ -76,6 +76,26 @@ def test_sweep_csv_shape(model_path, capsys):
     assert len([l for l in lines if not l.startswith("#")]) == 4  # header + 3 samples
 
 
+@pytest.mark.parametrize(
+    "direction, unit",
+    [("1e200,0", "1,0"), ("1e-200,0", "1,0"), ("1e300,1e300", "1,1")],
+)
+def test_sweep_direction_of_any_finite_size(model_path, capsys, direction, unit):
+    # the direction's squared norm overflows or underflows, its unit vector does not
+    def run(d):
+        argv = ["sweep", "--model", model_path, "--from", "0.1,0.1", "--dir", d,
+                "--max-delta", "0.01", "--step", "0.005"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught] == []
+        return capsys.readouterr()
+
+    scaled, plain = run(direction), run(unit)
+    assert scaled.out == plain.out
+    assert scaled.err == plain.err == ""
+
+
 def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
     # two iterations cannot converge the second sample: the curve ends before
     # it could show a peak, so it must not claim there is none
@@ -130,6 +150,12 @@ def test_model_errors_exit_3(model_path, tmp_path, capsys):
     assert main(["equilibrium", "--model", model_path, "--pose", "0,1.5"]) == 3
     err = capsys.readouterr().err
     assert "closest distance" in err
+    # a negative seed is rejected by the solver options, not by numpy
+    assert main(["equilibrium", "--model", model_path, "--pose", "0.1,0.1", "--seed", "-1"]) == 3
+    assert "seed" in capsys.readouterr().err
+    sweep = ["sweep", "--model", model_path, "--from", "0,0", "--max-delta", "0.01", "--step", "0.005"]
+    assert main(sweep + ["--dir", "0,0"]) == 3
+    assert "nonzero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,9 @@ def test_solver_options_validation():
         SolverOptions(pose_tol=0.0)
     with pytest.raises(ModelError):
         SolverOptions(max_iterations=0)
+    # np.random.default_rng rejects a negative seed, so it must never reach it
+    with pytest.raises(ModelError, match="seed"):
+        SolverOptions(rng_seed=-1)
 
 
 def test_rho_shape_checked(ortho_nopreload):
@@ -253,6 +256,26 @@ def test_one_forward_pass_per_iteration(monkeypatch, opts):
     assert eq.iterations > 2
     assert (eq.restarts > 0) == (opts.max_iterations == 3)
     assert len(passes) == eq.iterations + eq.restarts + 1
+
+
+def test_one_inverse_and_no_lu_solve_per_iteration(monkeypatch):
+    # the inverse that clears the block matrix's condition bound also gives
+    # the step, so the matrix is not factored a second time
+    model = linear_preload_model(0.1)
+    chain = model.chains[0]
+    start = inverse_kinematics_unloaded(model, [0.3, 0.2])[0]
+    calls = {"inv": 0, "solve": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    eq = solve_chain_equilibrium(chain, [0.33, 0.16], start.rho, SolverOptions(), start=start)
+    assert eq.iterations > 2 and eq.restarts == 0
+    assert calls == {"inv": eq.iterations, "solve": 0}
 
 
 @pytest.mark.parametrize(
@@ -362,7 +385,7 @@ def _matrix_with_condition(rng, n, cond):
 
 
 def test_condition_guard_matches_svd_condition():
-    from kinetostat.equilibrium import COND_LIMIT, _check_condition
+    from kinetostat.equilibrium import COND_LIMIT, _solve
 
     rng = np.random.default_rng(2024)
     cases = [_matrix_with_condition(rng, int(rng.integers(2, 6)), 10.0 ** rng.uniform(8, 16)) for _ in range(400)]
@@ -371,14 +394,17 @@ def test_condition_guard_matches_svd_condition():
     for A in cases:
         cond = np.linalg.cond(A)
         expected = not np.isfinite(cond) or cond > COND_LIMIT
+        b = rng.normal(size=A.shape[0])
         try:
-            _check_condition(A, SingularityError, "block")
+            x = _solve(A, b, SingularityError, "block")
         except SingularityError as err:
             assert expected
             assert err.condition == float(cond) or (math.isnan(err.condition) and math.isnan(cond))
             outcomes["raised"] += 1
         else:
             assert not expected
+            ref = np.linalg.solve(A, b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             outcomes["passed"] += 1
     assert min(outcomes.values()) > 100
     # the SVD's own failure surfaces unchanged
@@ -386,20 +412,19 @@ def test_condition_guard_matches_svd_condition():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(nan_block)
     with pytest.raises(np.linalg.LinAlgError):
-        _check_condition(nan_block, SingularityError, "block")
+        _solve(nan_block, np.ones(2), SingularityError, "block")
 
 
-def test_condition_guard_raises_the_given_class_or_returns_the_exact_condition():
+def test_condition_guard_raises_the_given_class_or_solves():
     from kinetostat import ControlSingularityError, SpringSofteningError
-    from kinetostat.equilibrium import _check_condition
+    from kinetostat.equilibrium import _solve
 
     rng = np.random.default_rng(7)
     well = _matrix_with_condition(rng, 4, 1e3)
-    assert _check_condition(well, SingularityError, "block") is None
-    assert _check_condition(well, SingularityError, "block", exact=True) == float(np.linalg.cond(well))
+    b = rng.normal(size=(4, 2))
+    np.testing.assert_allclose(_solve(well, b, SingularityError, "block"), np.linalg.solve(well, b), rtol=1e-10)
     bad = _matrix_with_condition(rng, 4, 1e14)
     for error in (SpringSofteningError, ControlSingularityError):
-        for exact in (False, True):
-            with pytest.raises(error, match=r"^what \(condition ") as raised:
-                _check_condition(bad, error, "what", exact=exact)
-            assert raised.value.condition == float(np.linalg.cond(bad))
+        with pytest.raises(error, match=r"^what \(condition ") as raised:
+            _solve(bad, b, error, "what")
+        assert raised.value.condition == float(np.linalg.cond(bad))
