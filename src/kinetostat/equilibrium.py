@@ -13,14 +13,19 @@ eps = t - g + J_q q + J_th (theta - theta_0). The preloaded active set is
 regrouped every iteration; stagnating runs are restarted from a slightly
 perturbed configuration drawn from a seeded generator.
 
-The iterate is one vector x of joint values in chain element order, the
-vector the forward pass reads. The start is validated once, when x is
-built; a step writes the new q~ and theta~ into a copy of x through the
-regrouping's element indices, and a ChainState is built only for the
-result. Each iteration runs the chain's forward pass once. After a step
-the new x is regrouped and one pass records its joint frames: the pose it
-yields is the residual of that step, and the frames give the Jacobian
-columns of the next iteration, built only if another iteration runs.
+A solve stops when the pose residual is within pose_tol and the step in
+(F, x) is at most STEP_TOL of the iterate's size. A second exit stops it
+one iteration early when no damping ran and the active set held over the
+last two steps: with c = |dx_k|/|dx_k-1| < 1/2 in the free joints and
+L = |dF_k|/|dx_k-1|, 1e4 (c + L)|dx_k|/(1 - c) must be at most that same
+STEP_TOL share. c/(1 - c)|dx_k| bounds a contraction's error (Kelley 1995,
+ch. 4), and L|dx_k| predicts the next force step.
+
+The iterate x holds the joint values in chain element order, which the
+forward pass reads; the start is validated once, a step writes q~ and
+theta~ into a copy of x, and a ChainState is built only for the result.
+Each iteration runs one forward pass on the regrouped new x: its pose is
+the step's residual, its frames give the next iteration's Jacobian columns.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
@@ -48,7 +53,7 @@ from .chain import (
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, regroup
 
-STEP_TOL = 1e-10  # relative (F, q) step change accepted as stationary
+STEP_TOL = 1e-10  # relative (F, x) step, or contraction error bound, accepted as stationary
 COND_LIMIT = 1e12
 # a Frobenius condition bound below this clears the block matrix without an SVD
 _COND_BOUND_CLEAR = 1e-2 * COND_LIMIT
@@ -56,6 +61,7 @@ _OSCILLATION_LIMIT = 5
 _DAMPING = 0.5
 # relative size of the random disturbance a restart applies to the joints
 _PERTURBATION = 1e-4
+_CONTRACTION_SAFETY = 1e4  # margin of the contraction bound; the second exit's accuracy knob
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,7 @@ class EquilibriumResult:
 
 
 def _block_matrix(J_theta, J_q, k_tilde):
-    d = J_theta.shape[0]
-    k = J_q.shape[1]
+    d, k = J_q.shape
     A = np.zeros((d + k, d + k))
     A[:d, :d] = (J_theta / k_tilde) @ J_theta.T
     A[:d, d:] = J_q
@@ -119,6 +124,14 @@ def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{what} (condition {cond:.3e})", condition=cond)
     return np.linalg.solve(A, b)
+
+
+def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> float:
+    """_CONTRACTION_SAFETY (c + L)|dx|/(1 - c), c = |dx|/|dx_prev|, L = |dF|/|dx_prev|; inf if c >= 1/2."""
+    size, prev = float(np.linalg.norm(dx)), float(np.linalg.norm(dx_prev))
+    if not size < 0.5 * prev:
+        return math.inf
+    return _CONTRACTION_SAFETY * (size + float(np.linalg.norm(dF))) * size / (prev - size)
 
 
 def solve_chain_equilibrium(
@@ -167,6 +180,7 @@ def solve_chain_equilibrium(
         g, columns = regrouped_geometry(chain, reg)
         F = np.zeros(d)
         prev_mask = None
+        dx_prev = None
         oscillating = 0
         converged = False
         for _ in range(opts.max_iterations):
@@ -192,16 +206,21 @@ def solve_chain_equilibrium(
             x_new[reg.theta_elements] = th_new
             iterations += 1
             step = np.concatenate([F_new - F, x_new[free] - x[free]])
-            scale = max(1.0, float(np.linalg.norm(np.concatenate([F_new, x_new[free]]))))
             x = x_new
             F = F_new
             reg = regroup(chain, x)
             g, columns = regrouped_geometry(chain, reg)
             residual = float(np.linalg.norm(target - g))
             best_residual = min(best_residual, residual)
-            if residual <= opts.pose_tol and float(np.linalg.norm(step)) <= STEP_TOL * scale:
-                converged = True
-                break
+            if residual <= opts.pose_tol:
+                tol = STEP_TOL * max(1.0, float(np.linalg.norm(np.concatenate([F, x[free]]))))
+                if float(np.linalg.norm(step)) <= tol or (
+                    dx_prev is not None and oscillating == 0 and np.array_equal(reg.active_mask, prev_mask)
+                    and _contraction_bound(step[:d], step[d:], dx_prev) <= tol
+                ):
+                    converged = True
+                    break
+            dx_prev = step[d:]
         if converged:
             break
         restarts += 1
@@ -259,15 +278,8 @@ def total_wrench(
     results = []
     for i, chain in enumerate(manipulator.chains):
         try:
-            results.append(
-                solve_chain_equilibrium(
-                    chain,
-                    target,
-                    rhos[i],
-                    opts,
-                    start=None if starts is None else starts[i],
-                )
-            )
+            start = None if starts is None else starts[i]
+            results.append(solve_chain_equilibrium(chain, target, rhos[i], opts, start=start))
         except (NonConvergenceError, SingularityError) as err:
             err.chain_index = i
             raise
@@ -292,6 +304,13 @@ def _predicted_states(a: list[ChainState], b: list[ChainState], w: float) -> lis
         )
         for x, y in zip(a, b)
     ]
+
+
+def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
+    """(s, |v/s|): s = max|v_i| outside [1e-150, 1e150], where squares leave the float range, else 1."""
+    s = float(np.abs(v).max())
+    s = s if s > 1e150 or 0.0 < s < 1e-150 else 1.0
+    return s, float(np.linalg.norm(v / s))
 
 
 @dataclass
@@ -336,15 +355,10 @@ def force_deflection(
         raise ModelError("sweep direction does not match the task dimension")
     if not np.all(np.isfinite(u)):
         raise ModelError(f"sweep direction {u.tolist()} is not finite")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(u))
-    if norm in (0.0, math.inf) and np.any(u):
-        # the squared norm left the float range: scale by the largest entry first
-        u = u / np.abs(u).max()
-        norm = float(np.linalg.norm(u))
+    s, norm = _scaled_norm(u)
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")
-    u = u / norm
+    u = u / s / norm
 
     warm = starts
     if rho_all is not None:
@@ -376,7 +390,8 @@ def force_deflection(
         warm = states if previous is None else _predicted_states(previous, states, 2.0)
         previous = states
         deltas.append(delta)
-        magnitudes.append(float(np.linalg.norm(F_sigma)))
+        s, mag = _scaled_norm(F_sigma)
+        magnitudes.append(s * mag)
         along.append(float(F_sigma @ u))
     return ForceDeflectionCurve(
         deltas=np.array(deltas),

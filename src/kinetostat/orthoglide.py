@@ -151,14 +151,13 @@ def critical_force(curve: ForceDeflectionCurve):
         return None
     for i in range(1, len(f) - 1):
         if f[i] >= f[i - 1] and f[i] > f[i + 1]:
-            x = d[i - 1 : i + 2]
-            y = f[i - 1 : i + 2]
-            a, b, c = np.polyfit(x, y, 2)
+            # fit in units of the last delta when the squares would leave the float range
+            s = d[i + 1] if not 1e-150 < d[i + 1] < 1e150 else 1.0
+            a, b, c = np.polyfit(d[i - 1 : i + 2] / s, f[i - 1 : i + 2], 2)
             if a >= 0.0:
                 return float(d[i]), float(f[i])
-            delta_cr = -b / (2.0 * a)
-            f_cr = a * delta_cr * delta_cr + b * delta_cr + c
-            return float(delta_cr), float(f_cr)
+            t = -b / (2.0 * a)
+            return float(s * t), float(a * t * t + b * t + c)
     return None
 
 
@@ -184,7 +183,7 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     rhos = [eq.state.rho for eq in equilibria]
 
     def directional(eqs):
-        K = sum(_chain_stiffness_diag(chain, eq)[0] for chain, eq in zip(model.chains, eqs))
+        K = sum(_chain_stiffness_diag(chain, eq) for chain, eq in zip(model.chains, eqs))
         return float(u @ K @ u)
 
     def solve(delta, warm):

@@ -19,6 +19,7 @@ sensitivity that the kinetostatic compensation inverts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,15 @@ class StiffnessResult:
     K_c: list[np.ndarray]
     K_sigma: np.ndarray
     rank_c: list[int]
-    condition: list[float]
     indefinite: bool = False
     equilibria: list[EquilibriumResult] = field(default_factory=list)
+    chains: list[ChainModel] = field(default_factory=list)
+
+    @functools.cached_property
+    def condition(self) -> list[float]:
+        """Exact 2-norm condition of each chain's block matrix, one SVD each on first read."""
+        pairs = zip(self.chains, self.equilibria)
+        return [float(np.linalg.cond(_block_system(chain, eq)[0])) for chain, eq in pairs]
 
 
 def _block_system(chain: ChainModel, eq: EquilibriumResult):
@@ -84,8 +91,7 @@ def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
     d = chain.task_dim
     what = f"stiffness block of chain {chain.name!r} is singular"
     K = _solve(A, np.eye(A.shape[0], d), SingularityError, what)[:d]
-    # the exact condition number is part of the result
-    return 0.5 * (K + K.T), float(np.linalg.cond(A))
+    return 0.5 * (K + K.T)
 
 
 def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
@@ -121,10 +127,9 @@ def _aggregate_stiffness(
     """Chain stiffnesses at already solved chain equilibria, and their sum."""
     K_c = []
     ranks = []
-    conditions = []
     for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
         try:
-            K, cond = _chain_stiffness_diag(chain, eq)
+            K = _chain_stiffness_diag(chain, eq)
         except SingularityError as err:
             err.chain_index = i
             raise
@@ -132,16 +137,15 @@ def _aggregate_stiffness(
         singular_values = np.linalg.svd(K, compute_uv=False)
         smax = float(singular_values.max())
         ranks.append(int(np.count_nonzero(singular_values > _RANK_TOL * max(smax, 1e-300))))
-        conditions.append(cond)
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(
         K_c=K_c,
         K_sigma=K_sigma,
         rank_c=ranks,
-        condition=conditions,
         indefinite=bool(eigvals.min() <= 0.0),
         equilibria=equilibria,
+        chains=manipulator.chains,
     )
 
 

@@ -96,6 +96,31 @@ def test_sweep_direction_of_any_finite_size(model_path, capsys, direction, unit)
     assert scaled.err == plain.err == ""
 
 
+def test_sweep_force_magnitude_of_any_finite_size(model_path, capsys):
+    # the squared sum of a 1e-300 force underflows to 0, its magnitude does not
+    argv = ["sweep", "--model", model_path, "--from=0,0", "--dir=1,0",
+            "--max-delta", "1e-300", "--step", "1e-300"]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    delta, magnitude, along = (float(v) for v in out.out.splitlines()[2].split(","))
+    assert delta == 1e-300 and along != 0.0
+    assert magnitude >= abs(along)
+    assert out.err == ""
+
+
+def test_sweep_peak_of_any_finite_step(model_path, capsys):
+    # a peak among deltas of 1e-226 is refined without leaving the float range
+    argv = ["sweep", "--model", model_path, "--from=0.1789059572328009,1e-300",
+            "--dir=-5.960464477539063e-08,-0.6", "--max-delta", "1.02e-225", "--step", "5.1e-228"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[-1].startswith("# critical_delta=")
+
+
 def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
     # two iterations cannot converge the second sample: the curve ends before
     # it could show a peak, so it must not claim there is none
@@ -210,6 +235,18 @@ def test_overflowing_chain_reach_is_unreachable(model_path, tmp_path, capsys, re
         assert main(["equilibrium", "--model", str(far), "--pose", "0,0"]) == 3
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"model error: pose unreachable for chain 'y-leg', closest distance {distance}\n"
+
+
+def test_far_pose_with_given_rho_warns_nothing(model_path, capsys):
+    # with --rho the solve starts from the best-effort IK, and its iterates
+    # grow past 1e154; the step norm the stop test reads is taken only once
+    # the residual is within tolerance, so no overflow warning comes first
+    argv = ["equilibrium", "--model", model_path, "--pose=-1.32e185,4.07e16", "--rho=2.276,-9e15"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 5
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith("singularity: chain 'x-leg' is singular")
 
 
 def test_out_creates_missing_directories(model_path, tmp_path):

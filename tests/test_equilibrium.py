@@ -377,6 +377,135 @@ def test_secant_predictor_saves_iterations(monkeypatch):
     assert sum(iterations) <= 0.85 * expected
 
 
+def _both_stop_rules(monkeypatch, run):
+    """run() with the contraction exit, then with the step test alone.
+
+    The step test alone is the oracle: with an infinite safety factor the
+    contraction bound is inf or NaN (inf * 0) and never passes.
+    """
+    import kinetostat.equilibrium
+
+    with_exit = run()
+    with monkeypatch.context() as m:
+        m.setattr(kinetostat.equilibrium, "_CONTRACTION_SAFETY", math.inf)
+        return with_exit, run()
+
+
+def test_contraction_exit_matches_step_test_on_residual_suite(monkeypatch):
+    # every fourth pose of criterion 5's suite, solved as it solves them
+    # (the cold start is the best-effort rigid IK at the target); these
+    # solves stop after two iterations through the step test under both rules
+    from kinetostat.chain import chain_ik_best_effort
+
+    rng = np.random.default_rng(2024)
+    P = OrthoglideSpec().p
+    models = [build_planar_orthoglide(OrthoglideSpec()), linear_preload_model(0.1), stop_limit_model()]
+    cases = []
+    for model, n in zip(models, (334, 333, 333)):
+        for i in range(n):
+            base = rng.uniform(-P, P, size=2)
+            target = base + rng.uniform(-0.05, 0.05, size=2)
+            if i % 4 == 0:
+                states = inverse_kinematics_unloaded(model, base)
+                for chain, st in zip(model.chains, states):
+                    cases.append((chain, target, st.rho, chain_ik_best_effort(chain, target)[0]))
+
+    def run():
+        return [solve_chain_equilibrium(chain, t, rho, start=start) for chain, t, rho, start in cases]
+
+    with_exit, oracle = _both_stop_rules(monkeypatch, run)
+    for a, b in zip(with_exit, oracle):
+        assert a.iterations == b.iterations
+        assert np.linalg.norm(a.F - b.F) <= 1e-11 * np.linalg.norm(b.F)
+
+
+@pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
+def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
+    import kinetostat.equilibrium
+
+    model = make_model()
+    real = kinetostat.equilibrium.total_wrench
+    forces = []
+
+    def recorded(*args, **kwargs):
+        F_sigma, results = real(*args, **kwargs)
+        forces.append(F_sigma)
+        return F_sigma, results
+
+    monkeypatch.setattr(kinetostat.equilibrium, "total_wrench", recorded)
+    for start, direction, max_delta, step in _sweep_pairs() + [([0.1, -0.2], [0.6, 0.8], 0.096, 0.004)]:
+
+        def run():
+            forces.clear()
+            curve = force_deflection(model, start, direction, max_delta, step)
+            return curve.truncated, np.array(forces)
+
+        (truncated, F), (expected_truncated, F_oracle) = _both_stop_rules(monkeypatch, run)
+        assert truncated == expected_truncated and F.shape == F_oracle.shape
+        assert np.all(np.linalg.norm(F - F_oracle, axis=1) <= 1e-11 * np.linalg.norm(F_oracle, axis=1))
+
+
+def test_contraction_exit_saves_iterations(monkeypatch):
+    # the step test alone runs a third iteration in most warm solves only to
+    # confirm the second
+    model = shipped_model()
+    iterations = count_iterations(monkeypatch)
+
+    def run():
+        iterations.clear()
+        force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004)
+        return sum(iterations)
+
+    with_exit, oracle = _both_stop_rules(monkeypatch, run)
+    assert with_exit <= 0.85 * oracle
+
+
+@pytest.mark.parametrize("flip", ["last", "alternating"])
+def test_contraction_exit_falls_back_to_step_test(monkeypatch, flip):
+    # A late active-set flip is too rare on these models to pick one (the
+    # seed-0 benchmark solves flip once, in a first iteration), so the flip
+    # is injected into the mask the loop compares, which no arithmetic reads.
+    # "last": the mask of the iterate the contraction exit would accept
+    # differs from its predecessor's. "alternating": every regrouping flips,
+    # and with the oscillation limit lowered to 1 the damping runs from the
+    # third iteration on. Either way only the step test stops the solve, as
+    # it does with no contraction exit.
+    import dataclasses
+
+    import kinetostat.equilibrium
+
+    model = shipped_model()
+    chain = model.chains[1]
+    start = inverse_kinematics_unloaded(model, [0.3, 0.2])[1]
+    target = [0.33, 0.16]
+    plain = solve_chain_equilibrium(chain, target, start.rho, start=start)
+    real = kinetostat.equilibrium.regroup
+    calls = []
+
+    def flipped(chain, x):
+        reg = real(chain, x)
+        calls.append(1)
+        n = len(calls) - 1  # 0 regroups the start, n the n-th iterate
+        flips = (n == plain.iterations) if flip == "last" else (n % 2 == 1)
+        if flips:
+            reg = dataclasses.replace(reg, active_mask=~reg.active_mask)
+        return reg
+
+    def run():
+        calls.clear()
+        return solve_chain_equilibrium(chain, target, start.rho, start=start)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "regroup", flipped)
+    undamped = run()
+    if flip == "alternating":
+        monkeypatch.setattr(kinetostat.equilibrium, "_OSCILLATION_LIMIT", 1)
+    with_exit, oracle = _both_stop_rules(monkeypatch, run)
+    assert with_exit.iterations == oracle.iterations > plain.iterations
+    assert np.array_equal(with_exit.F, oracle.F) and np.array_equal(with_exit.state.theta, oracle.state.theta)
+    # the halved steps of the damping take more iterations than undamped ones
+    assert (oracle.iterations > undamped.iterations) == (flip == "alternating")
+
+
 def _matrix_with_condition(rng, n, cond):
     # symmetric indefinite like the saddle block matrix, singular values from 1 to 1/cond
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))

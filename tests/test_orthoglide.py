@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,23 @@ def test_critical_force_quadratic_vertex_recovered():
     assert crit is not None
     assert crit[0] == pytest.approx(0.3, abs=1e-9)
     assert crit[1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-228, 1e200])
+def test_critical_force_of_any_finite_step(scale):
+    # the squares of deltas this small or large leave the float range, so the
+    # quadratic is fitted in units of the last delta; it used to fail the
+    # least-squares SVD (exit 1 from sweep) or overflow
+    d = np.arange(0.0, 7.0)
+    f = 1.0 - (d - 2.4) ** 2
+    curve = ForceDeflectionCurve(
+        deltas=scale * d, force_magnitude=np.abs(f), force_along=f, direction=np.array([1.0, 0.0])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crit = critical_force(curve)
+    assert crit[0] == pytest.approx(2.4 * scale, rel=1e-12)
+    assert crit[1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_critical_force_needs_three_samples():

@@ -32,7 +32,7 @@ def test_single_chain_rank_one_outer_product(ortho_nopreload):
     target = np.array([0.25, 0.4])
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
-    K = _chain_stiffness_diag(chain, eq)[0]
+    K = _chain_stiffness_diag(chain, eq)
     leg = target - np.array([state.rho[0], 0.0])
     leg /= np.linalg.norm(leg)
     cos_alpha = abs(leg[0])
@@ -56,7 +56,7 @@ def test_zero_wrench_reduces_to_classic_model(ortho_nopreload):
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
     assert np.linalg.norm(eq.F) < 1e-12
-    K = _chain_stiffness_diag(chain, eq)[0]
+    K = _chain_stiffness_diag(chain, eq)
 
     J_theta, J_q = jacobians(chain, partition(chain, eq.state))
     d = chain.task_dim
@@ -199,6 +199,29 @@ def test_reported_condition_and_rank_come_from_full_svds(build):
         assert cond == float(np.linalg.cond(A))
         smax = float(np.linalg.norm(K, 2))
         assert rank == int(np.linalg.matrix_rank(K, tol=1e-9 * smax))
+
+
+def test_condition_computed_only_when_read(monkeypatch):
+    # the reported condition takes one SVD per chain; only `stiffness --json`
+    # prints it, so the table, the map and the critical search never pay for it
+    from kinetostat import OrthoglideSpec, compliance_grid, reproduce_table1
+
+    from conftest import shipped_model
+
+    real = np.linalg.cond
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    reproduce_table1(OrthoglideSpec())
+    compliance_grid(shipped_model(), 4)
+    res = manipulator_stiffness(linear_preload_model(0.1), [0.3, 0.4], [[1.2], [1.1]])
+    assert calls == []
+    condition = res.condition
+    assert len(calls) == 2 and res.condition is condition and len(calls) == 2
 
 
 def _count_forward_passes(monkeypatch):
