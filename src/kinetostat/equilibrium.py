@@ -134,6 +134,9 @@ def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> f
     return _CONTRACTION_SAFETY * (size + float(np.linalg.norm(dF))) * size / (prev - size)
 
 
+# a pose or rho near the float range overflows the residual and step norms
+# (past ~1e154); the solve then ends as singular or unconverged, unwarned
+@np.errstate(over="ignore")
 def solve_chain_equilibrium(
     chain: ChainModel,
     t,
@@ -159,7 +162,7 @@ def solve_chain_equilibrium(
     if not (np.all(np.isfinite(target)) and np.all(np.isfinite(rho))):
         raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
-    rng = np.random.default_rng(opts.rng_seed)
+    rng = None  # built on the first restart, the only place that draws from it
     if start is None:
         # nearest unloaded configuration, virtual springs at rest; best effort,
         # as part of the task space is reachable only through elastic deflection
@@ -233,6 +236,8 @@ def solve_chain_equilibrium(
                 restarts=restarts - 1,
             )
         # slight random disturbance of the configuration, actuators stay put
+        if rng is None:
+            rng = np.random.default_rng(opts.rng_seed)
         v = x[free]
         x[free] = v + rng.uniform(-1.0, 1.0, v.shape) * _PERTURBATION * np.maximum(1.0, np.abs(v))
 
@@ -291,8 +296,9 @@ def _predicted_states(a: list[ChainState], b: list[ChainState], w: float) -> lis
     """Chain states a + w (b - a) in q, vartheta and theta, with b's actuators.
 
     w = 2 is the secant predictor 2 b - a of a continuation with equal steps
-    (Allgower & Georg, ch. 2); w in [0, 1] interpolates between the two
-    end states of a bracket. The actuators are fixed along a continuation,
+    (Allgower & Georg, ch. 2), and w > 1 in general extrapolates the secant
+    past b; w in [0, 1] interpolates between the two end states of a
+    bracket. The actuators are fixed along a continuation,
     and solve_chain_equilibrium substitutes its own rho in any case.
     """
     return [

@@ -49,10 +49,11 @@ REFERENCE_TABLE = {
 }
 
 # 0.3 L reaches past the weakest preload's stationary point (~0.21 L); the
-# critical-point search crosses it in steps of 0.01 L and refines the
-# bracket to 1e-7 L, i.e. 1e-5 of one step
+# critical-point search crosses it on a grid of 0.01 L, in strides of 1, 2
+# or 4 grid steps, and refines the bracket to 1e-7 L, i.e. 1e-5 of one step
 SWEEP_MAX_FACTOR = 0.3
 CONTINUATION_STEP_FACTOR = 0.01
+_MAX_STRIDE = 4
 _REFINE_TOL = 1e-5
 
 
@@ -169,12 +170,17 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     start + delta * u. ``equilibria`` are the chain equilibria at
     ``start`` (a compensation's ``sol.equilibria``); they fix the actuators
     and are the delta = 0 sample. A warm-started continuation over
-    [0, max_delta] in SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps
-    brackets the first change of s from > 0 to <= 0 (Allgower & Georg,
-    turning-point detection), each step from the secant prediction
-    2 x_k - x_(k-1) once two states are known; Illinois regula falsi
-    narrows the bracket, starting every solve from the linear interpolation
-    between the states at the bracket's two ends. Returns
+    [0, max_delta] brackets the first change of s from > 0 to <= 0
+    (Allgower & Georg, turning-point detection). Its samples lie on a grid
+    of SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps, and it walks the
+    grid in strides of one up to _MAX_STRIDE steps: the stride doubles
+    after each positive sample and drops back to one step when the secant
+    of s through the last two samples predicts a zero within two strides
+    (Allgower & Georg, ch. 6, step-length control). The last stride ends
+    exactly at max_delta. Each step starts from the secant prediction
+    through the two states before it once two are known; Illinois regula
+    falsi narrows the bracket, starting every solve from the linear
+    interpolation between the states at the bracket's two ends. Returns
     (delta, F.u) at the zero, or None when no sample past a positive one
     has s <= 0. A solver failure is re-raised with the delta it was reached
     at, so a lost branch is never mistaken for a monotone curve.
@@ -197,17 +203,27 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
 
     n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
     step = max_delta / n_steps
-    lo = 0.0
+    i, lo = 0, 0.0
     s_lo, states_lo = directional(equilibria), [eq.state for eq in equilibria]
-    previous = None
-    for i in range(1, n_steps + 1):
-        hi = i * step
-        warm = states_lo if previous is None else _predicted_states(previous, states_lo, 2.0)
+    i_prev = s_prev = states_prev = None
+    stride = 1
+    while i < n_steps:
+        j = min(i + stride, n_steps)
+        hi = j * step
+        if states_prev is None:
+            warm = states_lo
+        else:
+            warm = _predicted_states(states_prev, states_lo, (j - i_prev) / (i - i_prev))
         s_hi, _, states_hi = solve(hi, warm)
         if s_lo > 0.0 >= s_hi:
             break
-        previous = states_lo
-        lo, s_lo, states_lo = hi, s_hi, states_hi
+        i_prev, s_prev, states_prev = i, s_lo, states_lo
+        i, lo, s_lo, states_lo = j, hi, s_hi, states_hi
+        # grow the stride while s stays positive and its secant predicts no
+        # zero within two strides; back to one grid step otherwise
+        grown = min(2 * stride, _MAX_STRIDE)
+        slope = (s_lo - s_prev) / (i - i_prev)
+        stride = grown if s_lo > 0.0 and s_lo + 2 * grown * slope > 0.0 else 1
     else:
         return None
 

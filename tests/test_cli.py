@@ -249,6 +249,29 @@ def test_far_pose_with_given_rho_warns_nothing(model_path, capsys):
     assert capsys.readouterr().err.startswith("singularity: chain 'x-leg' is singular")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["equilibrium", "--pose=1e200,0", "--rho=1,1"], 5),
+        (["sweep", "--from=0,0", "--dir=1,0", "--max-delta=1e200", "--step=1e198"], 0),
+    ],
+)
+def test_overflowing_norms_warn_nothing(model_path, capsys, argv, code):
+    # the iterates of these solves grow past 1e154, where the residual norm
+    # overflows; the solve ends singular, or the sweep truncated, and no
+    # numpy overflow warning comes ahead of that outcome
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], "--model", model_path, *argv[1:]]) == code
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    if code == 0:
+        assert captured.out.endswith("# critical=unknown\n# truncated=true\n")
+    else:
+        assert captured.err.startswith("singularity: chain 'y-leg' is singular")
+
+
 def test_out_creates_missing_directories(model_path, tmp_path):
     out = tmp_path / "results" / "nested" / "eq.txt"
     assert main(["equilibrium", "--model", model_path, "--pose", "0,0", "--out", str(out)]) == 0

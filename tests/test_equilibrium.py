@@ -104,6 +104,26 @@ def test_bitwise_determinism(ortho_nopreload):
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(max_iterations=2, max_restarts=10, rng_seed=7)])
+def test_generator_built_on_first_restart(monkeypatch, opts):
+    # only a restart draws from the seeded generator, so a solve that does
+    # not restart builds none, and one that does builds one for all its
+    # restarts, from the seed: the same stream as one built up front
+    model = linear_preload_model(0.1)
+    start = inverse_kinematics_unloaded(model, [0.3, 0.2])[0]
+    real = np.random.default_rng
+    seeds = []
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    eq = solve_chain_equilibrium(model.chains[0], [0.33, 0.16], start.rho, opts, start=start)
+    assert (eq.restarts > 1) == (opts.max_iterations == 2)
+    assert seeds == ([opts.rng_seed] if eq.restarts else [])
+
+
 def test_repartition_is_fixed_point():
     model = build_planar_orthoglide(
         OrthoglideSpec(spring=SpringLaw(0.3, math.pi / 12.0, "positive_part"))

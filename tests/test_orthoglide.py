@@ -133,7 +133,9 @@ def test_critical_point_lost_branch_raises(ortho_spec):
 def test_critical_point_predictor_matches_plain_warm_starts(monkeypatch, ortho_spec):
     # the oracle starts each continuation step from the previous state and
     # each regula falsi solve from the state at the bracket's rising end;
-    # the point is the same, and each half of the predictor saves iterations
+    # the point is the same, and each half of the predictor saves iterations.
+    # A continuation step extrapolates (w > 1, w = 2 on equal strides), a
+    # bracket probe interpolates (w in [0, 1])
     import kinetostat.orthoglide as orthoglide
 
     model = linear_preload_model(0.0)
@@ -145,9 +147,9 @@ def test_critical_point_predictor_matches_plain_warm_starts(monkeypatch, ortho_s
     predicted = sum(iterations)
     real_predicted = orthoglide._predicted_states
     oracles = {
-        "plain": lambda a, b, w: b if w == 2.0 else a,
-        "plain continuation": lambda a, b, w: b if w == 2.0 else real_predicted(a, b, w),
-        "plain bracket": lambda a, b, w: real_predicted(a, b, w) if w == 2.0 else a,
+        "plain": lambda a, b, w: b if w > 1.0 else a,
+        "plain continuation": lambda a, b, w: b if w > 1.0 else real_predicted(a, b, w),
+        "plain bracket": lambda a, b, w: real_predicted(a, b, w) if w > 1.0 else a,
     }
     for name, oracle in oracles.items():
         monkeypatch.setattr(orthoglide, "_predicted_states", oracle)
@@ -155,6 +157,91 @@ def test_critical_point_predictor_matches_plain_warm_starts(monkeypatch, ortho_s
         expected = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
         assert found == pytest.approx(expected, rel=1e-13), name
         assert predicted < (0.85 if name == "plain" else 1.0) * sum(iterations), name
+
+
+@pytest.mark.parametrize("p_factor", [0.40, 0.45, 0.50])
+@pytest.mark.parametrize(
+    "spring",
+    [SpringLaw(kv, 0.0, "linear") for kv in KV_FACTORS] + [SpringLaw(0.5, math.pi / 12.0, "positive_part")],
+    ids=[f"kv={kv:g}" for kv in KV_FACTORS] + ["stop-limit"],
+)
+def test_adaptive_stride_matches_fixed_step_search(monkeypatch, p_factor, spring):
+    # the oracle walks every grid step (stride 1), as the search did before
+    # its stride could grow; a stride that jumped over a short negative
+    # excursion of s would report a different point or none
+    import kinetostat.orthoglide as orthoglide
+
+    spec = OrthoglideSpec(p_factor=p_factor, spring=spring)
+    model = build_planar_orthoglide(spec)
+    q2 = workspace_points(spec)[2]
+    opts = spec.options()
+    equilibria = solve_inverse_kinetostatic(model, q2, 1e-8, opts).equilibria
+    found = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
+    monkeypatch.setattr(orthoglide, "_MAX_STRIDE", 1)
+    expected = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
+    assert (found is None) == (expected is None)
+    if expected is not None:
+        assert found == pytest.approx(expected, rel=1e-10)
+
+
+def test_stride_drops_back_before_a_predicted_zero(monkeypatch, ortho_spec):
+    # a synthetic s(delta), in grid steps x = delta / 0.01, falls toward a
+    # zero at x = 14 and dips below zero around x = 13; the secant predicts
+    # the zero, so the stride drops back to one step and the search finds
+    # the dip as the fixed-step search does. Strides of 4 without the drop
+    # would sample x = 11 and 15 and report the zero at x = 14
+    import kinetostat.orthoglide as orthoglide
+
+    model = linear_preload_model(0.1)
+    q2 = workspace_points(ortho_spec)[2]
+    opts = ortho_spec.options()
+    equilibria = solve_inverse_kinetostatic(model, q2, 1e-8, opts).equilibria
+    real_wrench = orthoglide.total_wrench
+    x = [0.0]
+
+    def wrench(model, t, *args, **kwargs):
+        x[0] = float((t - q2.as_array()) @ DIAG) / 0.01
+        return real_wrench(model, t, *args, **kwargs)
+
+    def stiffness(chain, eq):
+        s = 14.0 - x[0] - 4.0 * max(0.0, 1.0 - abs(x[0] - 13.0) / 0.6)
+        return 0.5 * s * np.eye(2)
+
+    monkeypatch.setattr(orthoglide, "total_wrench", wrench)
+    monkeypatch.setattr(orthoglide, "_chain_stiffness_diag", stiffness)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
+    x[0] = 0.0
+    monkeypatch.setattr(orthoglide, "_MAX_STRIDE", 1)
+    expected = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
+    assert 0.12 < expected[0] < 0.13
+    assert found == pytest.approx(expected, rel=1e-10)
+
+
+def test_table1_critical_search_strides(monkeypatch):
+    # the fixed-step search made 110 wrench solves on this table; the
+    # monotone curves (kv >= 0.05) still end on a sample at max_delta
+    import kinetostat.orthoglide as orthoglide
+
+    real_search, real_wrench = orthoglide._critical_point, orthoglide.total_wrench
+    searches = []  # per search: the pose at max_delta and the poses solved
+
+    def search(model, start, u, max_delta, opts, equilibria):
+        searches.append((model.pose_array(start) + max_delta * u, []))
+        return real_search(model, start, u, max_delta, opts, equilibria)
+
+    def wrench(model, t, *args, **kwargs):
+        searches[-1][1].append(np.array(t))
+        return real_wrench(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(orthoglide, "_critical_point", search)
+    monkeypatch.setattr(orthoglide, "total_wrench", wrench)
+    report = reproduce_table1(OrthoglideSpec())
+    assert len(searches) == len(KV_FACTORS)
+    assert sum(len(poses) for _, poses in searches) <= 60
+    for kv, (end, poses) in zip(KV_FACTORS, searches):
+        assert (report.critical[kv] is None) == (kv >= 0.05)
+        if kv >= 0.05:
+            assert poses[-1].tobytes() == end.tobytes()
 
 
 @pytest.fixture(scope="module")
