@@ -54,6 +54,11 @@ class Transform:
     def matrix(self) -> np.ndarray:
         return geo.homogeneous(geo.rpy_matrix(self.rpy), self.translation)
 
+    @cached_property
+    def is_identity(self) -> bool:
+        """True when translation and rpy are all zero; the forward pass skips it."""
+        return not any(self.translation) and not any(self.rpy)
+
     @staticmethod
     def identity() -> "Transform":
         return Transform()
@@ -156,9 +161,15 @@ class ChainModel:
     tool_transform: Transform
     ik_seed: np.ndarray | None = None
     name: str = ""
-    # derived from the elements: index maps, joint motion constants, the
-    # preload springs in preloaded order and the regrouping layout per mask
-    _kind_elements: dict = field(init=False, repr=False, compare=False)
+    # derived from the elements: index arrays per joint kind, of the equilibrium
+    # unknowns and of the rigid IK's coordinates (both in JOINT_KINDS order),
+    # joint motion constants, preload springs in preloaded order, layout per mask
+    actuated_elements: np.ndarray = field(init=False, repr=False, compare=False)
+    perfect_elements: np.ndarray = field(init=False, repr=False, compare=False)
+    preloaded_elements: np.ndarray = field(init=False, repr=False, compare=False)
+    virtual_elements: np.ndarray = field(init=False, repr=False, compare=False)
+    unknown_elements: np.ndarray = field(init=False, repr=False, compare=False)
+    rigid_elements: np.ndarray = field(init=False, repr=False, compare=False)
     _motions: tuple = field(init=False, repr=False, compare=False)
     preload_springs: tuple = field(init=False, repr=False, compare=False)
     _regroupings: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -171,36 +182,21 @@ class ChainModel:
             by_kind[joint.kind].append(i)
         if not by_kind[VIRTUAL_ELASTIC]:
             raise ModelError("chain needs at least one virtual_elastic joint")
-        # element indices per kind as index arrays, for gathers and scatters
-        self._kind_elements = {k: np.array(v, dtype=np.intp) for k, v in by_kind.items()}
+        kinds = [np.array(by_kind[k], dtype=np.intp) for k in JOINT_KINDS]
+        self.actuated_elements, self.perfect_elements, self.preloaded_elements, self.virtual_elements = kinds
+        self.unknown_elements = np.concatenate(kinds[1:])
+        self.rigid_elements = np.concatenate(kinds[:3])
         self._motions = tuple(_motion_constants(joint) for _, joint in self.elements)
         self.preload_springs = tuple(self.joint_at(e).spring for e in by_kind[PRELOADED_PASSIVE])
-        n_ik = self.n_actuated + self.n_perfect + self.n_preloaded
         if self.ik_seed is not None:
             self.ik_seed = np.asarray(self.ik_seed, dtype=float).ravel()
-            if self.ik_seed.size != n_ik:
+            if self.ik_seed.size != self.rigid_elements.size:
                 raise ModelError(
                     f"ik_seed length {self.ik_seed.size} does not match the "
-                    f"{n_ik} rigid coordinates of chain {self.name!r}"
+                    f"{self.rigid_elements.size} rigid coordinates of chain {self.name!r}"
                 )
 
     # -- coordinate bookkeeping -------------------------------------------
-
-    @property
-    def actuated_elements(self):
-        return self._kind_elements[ACTUATED]
-
-    @property
-    def perfect_elements(self):
-        return self._kind_elements[PERFECT_PASSIVE]
-
-    @property
-    def preloaded_elements(self):
-        return self._kind_elements[PRELOADED_PASSIVE]
-
-    @property
-    def virtual_elements(self):
-        return self._kind_elements[VIRTUAL_ELASTIC]
 
     @property
     def n_actuated(self):
@@ -300,7 +296,7 @@ class ManipulatorModel:
             v = np.asarray(t, dtype=float).ravel()
             if v.size != self.task_dim:
                 raise ModelError(f"pose of length {v.size} does not match task dim {self.task_dim}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ModelError(f"pose {v.tolist()} is not finite")
         return v
 
@@ -321,13 +317,21 @@ def _motion_constants(joint: JointModel):
 
 
 def _end_transform(chain: ChainModel, coords: np.ndarray, with_joint_frames: bool):
-    """Compose the chain; optionally record each joint's frame (after its link)."""
-    T = chain.base_pose.matrix
+    """Compose the chain; optionally record each joint's frame (after its link).
+
+    Identity transforms (``Transform.is_identity``) are skipped, and a
+    factor meeting a product that is still I is taken as it is. A product
+    with I equals the other factor bit for bit, except that it turns -0.0
+    into +0.0 and spreads NaN from an overflowed (inf) translation through
+    inf * 0. T and the frames may be shared matrices: callers only read them.
+    """
+    T = None if chain.base_pose.is_identity else chain.base_pose.matrix  # None: the identity
     frames = [] if with_joint_frames else None
     for (link, _), (axis, rotation), value in zip(chain.elements, chain._motions, coords):
-        T = T @ link.matrix
+        if not link.is_identity:
+            T = link.matrix if T is None else T @ link.matrix
         if with_joint_frames:
-            frames.append(T)
+            frames.append(_I4 if T is None else T)
         motion = _I4.copy()
         if rotation is None:
             motion[:3, 3] = axis * value
@@ -335,8 +339,9 @@ def _end_transform(chain: ChainModel, coords: np.ndarray, with_joint_frames: boo
             # geo.rotation_about with the axis terms cached
             c, s = math.cos(value), math.sin(value)
             motion[:3, :3] = c * _I3 + s * rotation[0] + (1.0 - c) * rotation[1]
-        T = T @ motion
-    T = T @ chain.tool_transform.matrix
+        T = motion if T is None else T @ motion
+    if not chain.tool_transform.is_identity:
+        T = T @ chain.tool_transform.matrix
     return T, frames
 
 
@@ -540,7 +545,7 @@ def chain_ik_best_effort(chain: ChainModel, t):
     if target.size != chain.task_dim:
         raise ModelError(f"pose of length {target.size} does not match task dim {chain.task_dim}")
 
-    free = np.concatenate([chain.actuated_elements, chain.perfect_elements, chain.preloaded_elements])
+    free = chain.rigid_elements
     coords = np.zeros(len(chain.elements))
     if chain.ik_seed is not None:
         coords[free] = chain.ik_seed
@@ -550,7 +555,7 @@ def chain_ik_best_effort(chain: ChainModel, t):
         T, frames = _end_transform(chain, x, with_joint_frames=True)
         pose = _task_pose(T, chain.task_dim)
         r = target - pose
-        return r, float(np.linalg.norm(r)), (T, frames, pose)
+        return r, math.sqrt(r @ r), (T, frames, pose)
 
     # a reach near the float range overflows the residual norm (past ~1e154) or
     # the damped normal matrix; the distance left names the target unreachable

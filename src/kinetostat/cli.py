@@ -159,13 +159,12 @@ def _cmd_stiffness(args) -> int:
     rho, starts = _resolve_rho(model, args, target)
     _, equilibria = total_wrench(model, target, rho, opts, starts=starts)
     res = _aggregate_stiffness(model, equilibria)
-    eig = np.linalg.eigvalsh(res.K_sigma)
     if args.json:
         payload = {
             "command": "stiffness",
             "pose": [float(v) for v in target],
             "K_sigma": _matrix_rows(res.K_sigma),
-            "eigenvalues": [float(v) for v in eig],
+            "eigenvalues": [float(v) for v in res.eigenvalues],
             "K_c": [_matrix_rows(K) for K in res.K_c],
             "rank_c": res.rank_c,
             "condition": res.condition,
@@ -177,7 +176,7 @@ def _cmd_stiffness(args) -> int:
         lines = ["K_sigma:"]
         for row in np.asarray(res.K_sigma):
             lines.append("  " + " ".join(_fmt(v) for v in row))
-        lines.append("eigenvalues: " + " ".join(_fmt(v) for v in eig))
+        lines.append("eigenvalues: " + " ".join(_fmt(v) for v in res.eigenvalues))
         lines.append("chain ranks: " + " ".join(str(r) for r in res.rank_c))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -192,7 +191,7 @@ def _cmd_sweep(args) -> int:
     if args.compensate:
         # the compensation's equilibria at the start pose seed the first sample
         sol = solve_inverse_kinetostatic(model, start, args.eps_f, opts)
-        rho, starts = sol.rho, [eq.state for eq in sol.equilibria]
+        rho, starts = sol.rho, [eq.regrouped.coords for eq in sol.equilibria]
     elif args.rho is not None:
         rho = split_rho(model, _floats(args.rho, "--rho"))
     curve = force_deflection(

@@ -23,9 +23,10 @@ ch. 4), and L|dx_k| predicts the next force step.
 
 The iterate x holds the joint values in chain element order, which the
 forward pass reads; the start is validated once, a step writes q~ and
-theta~ into a copy of x, and a ChainState is built only for the result.
-Each iteration runs one forward pass on the regrouped new x: its pose is
-the step's residual, its frames give the next iteration's Jacobian columns.
+theta~ into a copy of x, and a ChainState is built only for the result,
+on first read. Each iteration runs one forward pass on the regrouped new x:
+its pose is the step's residual, its frames give the next iteration's
+Jacobian columns. Continuations pass such vectors on between samples.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
@@ -38,7 +39,8 @@ the limit, and the system solved by LU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +93,12 @@ class EquilibriumResult:
     iterations: int
     restarts: int
     regrouped: RegroupedState
-    state: ChainState
+    chain: ChainModel = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> ChainState:
+        """The configuration ``regrouped.coords`` as a ChainState, built on first read."""
+        return self.chain.state_of(self.regrouped.coords)
 
 
 def _block_matrix(J_theta, J_q, k_tilde):
@@ -128,10 +135,10 @@ def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
 
 def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> float:
     """_CONTRACTION_SAFETY (c + L)|dx|/(1 - c), c = |dx|/|dx_prev|, L = |dF|/|dx_prev|; inf if c >= 1/2."""
-    size, prev = float(np.linalg.norm(dx)), float(np.linalg.norm(dx_prev))
+    size, prev = math.sqrt(dx @ dx), math.sqrt(dx_prev @ dx_prev)
     if not size < 0.5 * prev:
         return math.inf
-    return _CONTRACTION_SAFETY * (size + float(np.linalg.norm(dF))) * size / (prev - size)
+    return _CONTRACTION_SAFETY * (size + math.sqrt(dF @ dF)) * size / (prev - size)
 
 
 # a pose or rho near the float range overflows the residual and step norms
@@ -142,12 +149,14 @@ def solve_chain_equilibrium(
     t,
     rho,
     opts: SolverOptions | None = None,
-    start: ChainState | None = None,
+    start: ChainState | np.ndarray | None = None,
 ) -> EquilibriumResult:
     """Wrench and configuration holding one chain at pose t with actuators at rho.
 
-    The iteration is warm-started from ``start`` when given, otherwise from
-    the rigid inverse kinematics at t with the prescribed rho substituted.
+    The iteration is warm-started from ``start`` when given, a ChainState
+    or a joint vector in chain element order (such as a result's
+    ``regrouped.coords``), otherwise from the rigid inverse kinematics at
+    t. The prescribed rho replaces the start's actuator values.
     Raises SingularityError when the block matrix degenerates (condition
     number beyond 1e12) and NonConvergenceError once the restart budget is
     exhausted.
@@ -159,7 +168,7 @@ def solve_chain_equilibrium(
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.shape != (chain.n_actuated,):
         raise ModelError(f"rho of shape {rho.shape} does not match {chain.n_actuated} actuators")
-    if not (np.all(np.isfinite(target)) and np.all(np.isfinite(rho))):
+    if not (np.isfinite(target).all() and np.isfinite(rho).all()):
         raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
     rng = None  # built on the first restart, the only place that draws from it
@@ -167,10 +176,12 @@ def solve_chain_equilibrium(
         # nearest unloaded configuration, virtual springs at rest; best effort,
         # as part of the task space is reachable only through elastic deflection
         start, _ = chain_ik_best_effort(chain, target)
-    x = chain.element_coordinates(start)
+    x = chain.element_coordinates(start) if isinstance(start, ChainState) else np.array(start, dtype=float)
+    if x.shape != (len(chain.elements),):
+        raise ModelError(f"start of shape {x.shape} does not match {len(chain.elements)} chain elements")
     x[chain.actuated_elements] = rho
     # the unknowns in perfect, preloaded, virtual order, for norms and restarts
-    free = np.concatenate([chain.perfect_elements, chain.preloaded_elements, chain.virtual_elements])
+    free = chain.unknown_elements
 
     d = chain.task_dim
     singular = f"chain {chain.name!r} is singular at the prescribed pose"
@@ -196,7 +207,9 @@ def solve_chain_equilibrium(
             J_theta, J_q = columns()
             A = _block_matrix(J_theta, J_q, reg.k_tilde)
             eps = target - g + J_q @ reg.q_tilde + J_theta @ (reg.theta_tilde - reg.theta_tilde_0)
-            sol = _solve(A, np.concatenate([eps, np.zeros(J_q.shape[1])]), SingularityError, singular)
+            rhs = np.zeros(len(A))
+            rhs[:d] = eps
+            sol = _solve(A, rhs, SingularityError, singular)
             F_new = sol[:d]
             q_new = sol[d:]
             th_new = (J_theta.T @ F_new) / reg.k_tilde + reg.theta_tilde_0
@@ -213,11 +226,13 @@ def solve_chain_equilibrium(
             F = F_new
             reg = regroup(chain, x)
             g, columns = regrouped_geometry(chain, reg)
-            residual = float(np.linalg.norm(target - g))
+            r = target - g
+            residual = math.sqrt(r @ r)  # np.linalg.norm of a contiguous vector, to the bit
             best_residual = min(best_residual, residual)
             if residual <= opts.pose_tol:
-                tol = STEP_TOL * max(1.0, float(np.linalg.norm(np.concatenate([F, x[free]]))))
-                if float(np.linalg.norm(step)) <= tol or (
+                iterate = np.concatenate([F, x[free]])
+                tol = STEP_TOL * max(1.0, math.sqrt(iterate @ iterate))
+                if math.sqrt(step @ step) <= tol or (
                     dx_prev is not None and oscillating == 0 and np.array_equal(reg.active_mask, prev_mask)
                     and _contraction_bound(step[:d], step[d:], dx_prev) <= tol
                 ):
@@ -247,7 +262,7 @@ def solve_chain_equilibrium(
         iterations=iterations,
         restarts=restarts,
         regrouped=reg,
-        state=chain.state_of(x),
+        chain=chain,
     )
 
 
@@ -273,7 +288,7 @@ def total_wrench(
     t,
     rho_all,
     opts: SolverOptions | None = None,
-    starts: list[ChainState] | None = None,
+    starts: list | None = None,
 ):
     """Sum of the per-chain holding wrenches at a shared platform pose."""
     target = manipulator.pose_array(t)
@@ -292,24 +307,16 @@ def total_wrench(
     return F_sigma, results
 
 
-def _predicted_states(a: list[ChainState], b: list[ChainState], w: float) -> list[ChainState]:
-    """Chain states a + w (b - a) in q, vartheta and theta, with b's actuators.
+def _predicted_states(a: list[np.ndarray], b: list[np.ndarray], w: float) -> list[np.ndarray]:
+    """Joint vectors a + w (b - a), per chain, in chain element order.
 
     w = 2 is the secant predictor 2 b - a of a continuation with equal steps
     (Allgower & Georg, ch. 2), and w > 1 in general extrapolates the secant
     past b; w in [0, 1] interpolates between the two end states of a
-    bracket. The actuators are fixed along a continuation,
-    and solve_chain_equilibrium substitutes its own rho in any case.
+    bracket. The actuators are fixed along a continuation, and
+    solve_chain_equilibrium substitutes its own rho in any case.
     """
-    return [
-        ChainState(
-            y.rho,
-            x.q + w * (y.q - x.q),
-            x.vartheta + w * (y.vartheta - x.vartheta),
-            x.theta + w * (y.theta - x.theta),
-        )
-        for x, y in zip(a, b)
-    ]
+    return [x + w * (y - x) for x, y in zip(a, b)]
 
 
 def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
@@ -338,13 +345,14 @@ def force_deflection(
     step: float,
     opts: SolverOptions | None = None,
     rho_all=None,
-    starts: list[ChainState] | None = None,
+    starts: list | None = None,
 ) -> ForceDeflectionCurve:
     """Sweep the platform from ``start`` along ``direction`` at fixed actuators.
 
-    ``starts`` are chain states at the start pose (for instance a
-    compensation's ``[eq.state for eq in sol.equilibria]``) that seed the
-    first sample; without them the first sample cold-starts every chain.
+    ``starts`` are chain states or joint vectors in chain element order at
+    the start pose (for instance a compensation's ``[eq.regrouped.coords
+    for eq in sol.equilibria]``) that seed the first sample; without them
+    the first sample cold-starts every chain.
     Actuator coordinates default to those of ``starts``, or else to the
     rigid inverse kinematics at the start pose, whose chain states then
     seed the first sample. The second sample is warm-started from the
@@ -359,7 +367,7 @@ def force_deflection(
     u = np.asarray(direction, dtype=float).ravel()
     if u.size != manipulator.task_dim:
         raise ModelError("sweep direction does not match the task dimension")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ModelError(f"sweep direction {u.tolist()} is not finite")
     s, norm = _scaled_norm(u)
     if norm == 0.0:
@@ -373,7 +381,7 @@ def force_deflection(
         if warm is None:
             # the rigid IK states at the start pose are what a cold first sample would solve
             warm = inverse_kinematics_unloaded(manipulator, start_vec)
-        rhos = [s.rho for s in warm]
+        rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(manipulator.chains, warm)]
 
     n_samples = max_delta / step
     if not n_samples < math.inf:
@@ -392,7 +400,7 @@ def force_deflection(
         except (NonConvergenceError, SingularityError):
             truncated = True
             break
-        states = [r.state for r in results]
+        states = [r.regrouped.coords for r in results]
         warm = states if previous is None else _predicted_states(previous, states, 2.0)
         previous = states
         deltas.append(delta)

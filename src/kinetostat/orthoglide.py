@@ -186,7 +186,7 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     at, so a lost branch is never mistaken for a monotone curve.
     """
     start = model.pose_array(start)
-    rhos = [eq.state.rho for eq in equilibria]
+    rhos = [eq.regrouped.coords[chain.actuated_elements] for chain, eq in zip(model.chains, equilibria)]
 
     def directional(eqs):
         K = sum(_chain_stiffness_diag(chain, eq) for chain, eq in zip(model.chains, eqs))
@@ -199,12 +199,12 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
         except (NonConvergenceError, SingularityError) as err:
             err.args = (f"{err} (critical-point search lost the branch at delta = {delta:.6g})",)
             raise
-        return s, float(F @ u), [eq.state for eq in eqs]
+        return s, float(F @ u), [eq.regrouped.coords for eq in eqs]
 
     n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
     step = max_delta / n_steps
     i, lo = 0, 0.0
-    s_lo, states_lo = directional(equilibria), [eq.state for eq in equilibria]
+    s_lo, states_lo = directional(equilibria), [eq.regrouped.coords for eq in equilibria]
     i_prev = s_prev = states_prev = None
     stride = 1
     while i < n_steps:
@@ -282,14 +282,16 @@ def compliance_grid(
         raise ModelError("wrench tolerance eps_f must be positive and finite")
     if manipulator.workspace is None:
         raise ModelError("model declares no workspace box")
+    try:  # the n x n maps before the axes: a grid too large to hold allocates nothing
+        c_max = np.full((grid_n, grid_n), np.nan)
+        c_min = np.full((grid_n, grid_n), np.nan)
+        ok = np.zeros((grid_n, grid_n), dtype=bool)
+    except (MemoryError, ValueError) as err:  # ValueError: past numpy's largest array
+        raise ModelError(f"compliance grid of {grid_n} x {grid_n} cells does not fit in memory") from err
     lo, hi = manipulator.workspace
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
     d = manipulator.task_dim
-
-    c_max = np.full((grid_n, grid_n), np.nan)
-    c_min = np.full((grid_n, grid_n), np.nan)
-    ok = np.zeros((grid_n, grid_n), dtype=bool)
 
     for ix in range(grid_n):
         for iy in range(grid_n):
@@ -304,7 +306,7 @@ def compliance_grid(
             # a zero or negative eigenvalue has no meaningful compliance
             if res.indefinite:
                 continue
-            c = 1.0 / np.linalg.eigvalsh(res.K_sigma)
+            c = 1.0 / res.eigenvalues
             c_max[ix, iy] = float(c.max())
             c_min[ix, iy] = float(c.min())
             ok[ix, iy] = True

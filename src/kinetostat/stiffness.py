@@ -37,10 +37,16 @@ class StiffnessResult:
 
     K_c: list[np.ndarray]
     K_sigma: np.ndarray
-    rank_c: list[int]
+    eigenvalues: np.ndarray  # of K_sigma, ascending
     indefinite: bool = False
     equilibria: list[EquilibriumResult] = field(default_factory=list)
     chains: list[ChainModel] = field(default_factory=list)
+
+    @functools.cached_property
+    def rank_c(self) -> list[int]:
+        """Numerical rank of each K_c (singular values above 1e-9 of the largest), one SVD each on first read."""
+        svs = [np.linalg.svd(K, compute_uv=False) for K in self.K_c]
+        return [int(np.count_nonzero(s > _RANK_TOL * max(float(s.max()), 1e-300))) for s in svs]
 
     @functools.cached_property
     def condition(self) -> list[float]:
@@ -126,23 +132,18 @@ def _aggregate_stiffness(
 ) -> StiffnessResult:
     """Chain stiffnesses at already solved chain equilibria, and their sum."""
     K_c = []
-    ranks = []
     for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
         try:
-            K = _chain_stiffness_diag(chain, eq)
+            K_c.append(_chain_stiffness_diag(chain, eq))
         except SingularityError as err:
             err.chain_index = i
             raise
-        K_c.append(K)
-        singular_values = np.linalg.svd(K, compute_uv=False)
-        smax = float(singular_values.max())
-        ranks.append(int(np.count_nonzero(singular_values > _RANK_TOL * max(smax, 1e-300))))
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(
         K_c=K_c,
         K_sigma=K_sigma,
-        rank_c=ranks,
+        eigenvalues=eigvals,
         indefinite=bool(eigvals.min() <= 0.0),
         equilibria=equilibria,
         chains=manipulator.chains,

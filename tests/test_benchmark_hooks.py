@@ -64,3 +64,18 @@ def test_traced_run_reports_every_declared_per_layer_key():
     assert t.absent == []
     assert set(t.snapshot()) | {name for name, _ in tracer.TRACE_METRICS} == declared
     assert t.snapshot()["equilibrium.solve_chain_equilibrium.calls"] == 2
+
+
+def test_traced_sweep_solves_every_sample_warm_through_the_traced_solve():
+    # the per-layer counters stay comparable only while every sample's chain
+    # solves enter through solve_chain_equilibrium with a start, so the
+    # tracer counts them as warm
+    model_path = str(resources.files("kinetostat").joinpath("models/orthoglide-planar.json"))
+    argv = ["sweep", "--model", model_path, "--from=0.1,-0.2", "--dir=0.6,0.8", "--max-delta", "0.016", "--step", "0.004"]
+    with tracer.Tracer() as t:
+        assert main(argv) == 0
+    t.fold(None, 1.0)
+    snapshot = t.snapshot()
+    assert snapshot["equilibrium.force_deflection.calls"] == 1
+    assert snapshot["equilibrium.solve_chain_equilibrium.calls"] == 10
+    assert snapshot["equilibrium.warm_solves"] == 10 and snapshot["equilibrium.cold_solves"] == 0

@@ -172,6 +172,75 @@ def test_geometry_bitwise_equal_to_reference(task_dim):
         assert np.array_equal(cols, cols_ref)
 
 
+def _with_identities(rng, chain):
+    """The chain with its base, tool and each link replaced by the identity at random."""
+    def pick(transform):
+        return Transform.identity() if rng.uniform() < 0.5 else transform
+
+    return dataclasses.replace(
+        chain,
+        base_pose=pick(chain.base_pose),
+        elements=[(pick(link), joint) for link, joint in chain.elements],
+        tool_transform=pick(chain.tool_transform),
+    )
+
+
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_identity_elision_bitwise_equal_to_reference(task_dim):
+    # skipping identity base, links and tool leaves the pass and the
+    # Jacobian columns equal to the fully multiplied reference
+    from kinetostat.chain import _end_transform, _loaded_derivatives
+    from kinetostat.springs import regroup
+
+    rng = np.random.default_rng(90 + task_dim)
+    skipped = 0
+    for _ in range(40):
+        if task_dim == 6:
+            chain = random_spatial_chain(rng)
+        else:
+            chain = random_planar_chain(rng, task_dim=task_dim, n_joints=5)
+        chain = _with_identities(rng, chain)
+        skipped += sum(link.is_identity for link, _ in chain.elements)
+        coords = chain.element_coordinates(random_state(rng, chain))
+        T_ref, cols_ref = _reference_geometry(chain, coords)
+        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=False)[0], T_ref)
+        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=True)[0], T_ref)
+        cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
+        assert np.array_equal(cols, cols_ref)
+    assert skipped > 0
+
+
+def test_identity_transforms_are_never_multiplied_in():
+    # NaN in the cached matrix of every identity transform of the shipped
+    # chains would reach the pose, the Jacobian and the solve if multiplied in
+    from conftest import shipped_model
+    from kinetostat import solve_chain_equilibrium
+
+    model = shipped_model()
+    target = np.array([0.1, 0.2])
+    states = inverse_kinematics_unloaded(model, target)
+    poisoned = 0
+    for chain in model.chains:
+        for transform in (chain.base_pose, chain.tool_transform, *(link for link, _ in chain.elements)):
+            if transform.is_identity:
+                transform.__dict__["matrix"] = np.full((4, 4), np.nan)
+                poisoned += 1
+    assert poisoned == 8  # base and three links per chain
+    for chain, state in zip(model.chains, states):
+        assert np.isfinite(fk_array(chain, state)).all()
+        J_theta, J_q = jacobians(chain, partition(chain, state))
+        assert np.isfinite(J_theta).all() and np.isfinite(J_q).all()
+        eq = solve_chain_equilibrium(chain, target, state.rho, start=state)
+        assert np.isfinite(eq.F).all() and eq.residual <= 1e-9
+
+
+def test_is_identity_flag():
+    assert Transform.identity().is_identity
+    assert Transform(translation=(-0.0, 0.0, 0.0)).is_identity
+    assert not Transform(translation=(0.0, 1e-300, 0.0)).is_identity
+    assert not Transform(rpy=(0.0, 0.0, 2.0 * math.pi)).is_identity
+
+
 def _fd_jacobian(chain, state, elements):
     coords0 = chain.element_coordinates(state)
     cols = []

@@ -139,6 +139,18 @@ def test_map_csv(model_path, capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_map_refuses_a_grid_too_large_to_hold(model_path, capsys):
+    # the n x n maps are allocated before the axes, and their MemoryError
+    # becomes a model error naming the grid; the two 800 MB axes of such a
+    # grid are never built, so the process peak stays put
+    import resource
+
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["map", "--model", model_path, "--grid", "100000000"]) == 3
+    assert "compliance grid of 100000000 x 100000000" in capsys.readouterr().err
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100_000
+
+
 def test_invkin_matches_library(model_path, capsys):
     assert main(["invkin", "--model", model_path, "--pose", "0.45,0.45", "--eps-f", "1e-8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

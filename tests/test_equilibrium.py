@@ -332,6 +332,59 @@ def test_start_validated_once_per_solve(monkeypatch, warm, opts):
     assert len(calls) == 1
 
 
+def test_vector_start_matches_state_start():
+    # an element-order joint vector starts the solve exactly as the ChainState
+    # holding the same values; it is copied, and its length is checked
+    model = shipped_model()
+    chain = model.chains[1]
+    state = inverse_kinematics_unloaded(model, [0.3, 0.2])[1]
+    vector = chain.element_coordinates(state)
+    kept = vector.copy()
+    from_state = solve_chain_equilibrium(chain, [0.33, 0.16], state.rho, start=state)
+    from_vector = solve_chain_equilibrium(chain, [0.33, 0.16], state.rho, start=vector)
+    assert np.array_equal(from_state.F, from_vector.F)
+    assert np.array_equal(from_state.regrouped.coords, from_vector.regrouped.coords)
+    assert from_state.iterations == from_vector.iterations
+    assert np.array_equal(vector, kept)
+    assert np.array_equal(from_vector.state.theta, from_vector.regrouped.coords[chain.virtual_elements])
+    with pytest.raises(ModelError):
+        solve_chain_equilibrium(chain, [0.33, 0.16], state.rho, start=vector[:-1])
+
+
+def _count_chain_states(monkeypatch):
+    real = ChainState.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(ChainState, "__post_init__", counted)
+    return built
+
+
+def test_sweep_builds_only_the_ik_states(monkeypatch):
+    # samples hand element-order vectors on, so a 25-sample sweep builds
+    # the rigid IK's chain states at its start pose and nothing more
+    model = shipped_model()
+    built = _count_chain_states(monkeypatch)
+    curve = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004)
+    assert len(curve.deltas) == 25 and not curve.truncated
+    assert len(built) == len(model.chains)
+
+
+def test_critical_search_builds_no_chain_state(monkeypatch, ortho_spec):
+    from kinetostat import solve_inverse_kinetostatic
+    from kinetostat.orthoglide import SWEEP_MAX_FACTOR, _critical_point
+
+    model = build_planar_orthoglide(ortho_spec)
+    q2 = workspace_points(ortho_spec)[2]
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
+    built = _count_chain_states(monkeypatch)
+    critical = _critical_point(model, q2, DIAG, SWEEP_MAX_FACTOR, ortho_spec.options(), sol.equilibria)
+    assert critical is not None and built == []
+
+
 def _warm_start_sweep(manipulator, start, direction, max_delta, step):
     """Oracle: the sweep that warm-starts every sample from the one before.
 

@@ -154,7 +154,7 @@ def test_spring_softening_error():
         iterations=1,
         restarts=0,
         regrouped=reg,
-        state=state,
+        chain=chain,
     )
     with pytest.raises(SpringSofteningError):
         _chain_stiffness_diag(chain, eq)
