@@ -45,7 +45,7 @@ from .orthoglide import (
     reproduce_table1,
     workspace_points,
 )
-from .springs import RegroupedState, SpringLaw, partition, spring_torque
+from .springs import RegroupedState, SpringLaw, partition
 from .stiffness import (
     StiffnessResult,
     directional_stiffness,
@@ -95,7 +95,6 @@ __all__ = [
     "serialize_model",
     "solve_chain_equilibrium",
     "solve_inverse_kinetostatic",
-    "spring_torque",
     "stiffness_vs_fd_check",
     "total_wrench",
     "workspace_points",

@@ -76,21 +76,24 @@ class JointModel:
 
     def __post_init__(self):
         if self.kind not in JOINT_KINDS:
-            raise ModelError(f"unknown joint kind {self.kind!r}")
+            raise ModelError(f"unknown joint kind {self.kind!r}, expected one of {JOINT_KINDS}", field="kind")
         if self.motion not in MOTIONS:
-            raise ModelError(f"unknown joint motion {self.motion!r}")
+            raise ModelError(f"unknown joint motion {self.motion!r}, expected one of {MOTIONS}", field="motion")
         if not all(math.isfinite(a) for a in self.axis):
-            raise ModelError(f"joint axis {self.axis} is not finite")
+            raise ModelError(f"joint axis {self.axis} is not finite", field="axis")
         norm = math.sqrt(sum(a * a for a in self.axis))
         if abs(norm - 1.0) > _AXIS_TOL:
-            raise ModelError(f"joint axis must have unit norm, |axis| = {norm!r}")
+            raise ModelError(f"joint axis must have unit norm, |axis| = {norm!r}", field="axis")
         if (self.spring is not None) != (self.kind == PRELOADED_PASSIVE):
-            raise ModelError("spring law present iff the joint is preloaded_passive")
+            need = "needs a" if self.spring is None else "takes no"
+            raise ModelError(f"{self.kind} joint {need} spring law", field="spring")
         if (self.stiffness is not None) != (self.kind == VIRTUAL_ELASTIC):
-            raise ModelError("stiffness present iff the joint is virtual_elastic")
+            need = "needs a" if self.stiffness is None else "takes no"
+            raise ModelError(f"{self.kind} joint {need} stiffness", field="stiffness")
         if self.stiffness is not None and not 0.0 < self.stiffness < math.inf:
             raise ModelError(
-                f"virtual spring stiffness must be finite and > 0, got {self.stiffness}"
+                f"virtual spring stiffness must be finite and > 0, got {self.stiffness}",
+                field="stiffness",
             )
 
 
@@ -181,7 +184,7 @@ class ChainModel:
         for i, (_, joint) in enumerate(self.elements):
             by_kind[joint.kind].append(i)
         if not by_kind[VIRTUAL_ELASTIC]:
-            raise ModelError("chain needs at least one virtual_elastic joint")
+            raise ModelError("chain needs at least one virtual_elastic joint", field="elements")
         kinds = [np.array(by_kind[k], dtype=np.intp) for k in JOINT_KINDS]
         self.actuated_elements, self.perfect_elements, self.preloaded_elements, self.virtual_elements = kinds
         self.unknown_elements = np.concatenate(kinds[1:])
@@ -193,7 +196,8 @@ class ChainModel:
             if self.ik_seed.size != self.rigid_elements.size:
                 raise ModelError(
                     f"ik_seed length {self.ik_seed.size} does not match the "
-                    f"{self.rigid_elements.size} rigid coordinates of chain {self.name!r}"
+                    f"{self.rigid_elements.size} rigid coordinates of chain {self.name!r}",
+                    field="ik_seed",
                 )
 
     # -- coordinate bookkeeping -------------------------------------------

@@ -80,7 +80,7 @@ def _load_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_model(fh.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ModelError(f"cannot read model file {path}: {err}") from err
 
 

@@ -14,7 +14,15 @@ class KinetostatError(Exception):
 
 
 class ModelError(KinetostatError):
-    """A model, document or argument violates its declared invariants."""
+    """A model, document or argument violates its declared invariants.
+
+    ``field`` names the constructor argument at fault, when there is one, so
+    a document parser can report the error under that key's path.
+    """
+
+    def __init__(self, message, *, field=None, chain_index=None):
+        super().__init__(message, chain_index=chain_index)
+        self.field = field
 
 
 class OutOfWorkspaceError(KinetostatError):

@@ -1,7 +1,9 @@
 """Model document parsing and canonical serialization (schema kinetostat/1).
 
-Documents are JSON trees. Parsing validates the whole document first and
-reports every violation with its path; serialization emits a canonical
+Documents are JSON trees. Parsing checks keys, JSON types and literals
+itself and leaves the model's rules to the constructors of SpringLaw,
+JointModel and ChainModel; it validates the whole document first and
+reports every violation with its path. Serialization emits a canonical
 form (fixed key order, defaults materialized) so that parse/serialize is
 idempotent and independent of the input key order.
 """
@@ -11,19 +13,9 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
-from .chain import (
-    JOINT_KINDS,
-    MOTIONS,
-    TASK_DIMS,
-    ChainModel,
-    JointModel,
-    ManipulatorModel,
-    Transform,
-)
+from .chain import TASK_DIMS, ChainModel, JointModel, ManipulatorModel, Transform
 from .errors import ModelError
-from .springs import BRANCHES, SpringLaw
+from .springs import SpringLaw
 
 SCHEMA_VERSION = "kinetostat/1"
 
@@ -90,6 +82,16 @@ def _transform(value, path, errs) -> Transform:
     return Transform(translation=translation, rpy=rpy)
 
 
+def _build(cls, path, errs, **kwargs):
+    """``cls(**kwargs)``, or None with the constructor's ModelError recorded
+    under the path of the argument it names."""
+    try:
+        return cls(**kwargs)
+    except ModelError as err:
+        errs.add(f"{path}.{err.field}" if err.field else path, str(err))
+        return None
+
+
 def _spring(value, path, errs) -> SpringLaw | None:
     if not isinstance(value, dict):
         errs.add(path, "expected an object")
@@ -97,14 +99,7 @@ def _spring(value, path, errs) -> SpringLaw | None:
     _check_keys(value, _SPRING_KEYS, path, errs)
     k = _number(value.get("k", 0.0), f"{path}.k", errs)
     offset = _number(value.get("offset", 0.0), f"{path}.offset", errs)
-    branch = value.get("branch", "linear")
-    if branch not in BRANCHES:
-        errs.add(f"{path}.branch", f"expected one of {sorted(BRANCHES)}")
-        return None
-    if k < 0.0:
-        errs.add(f"{path}.k", "spring stiffness must be >= 0")
-        return None
-    return SpringLaw(k=k, preload_offset=offset, branch=branch)
+    return _build(SpringLaw, path, errs, k=k, preload_offset=offset, branch=value.get("branch", "linear"))
 
 
 def _joint(value, path, errs) -> JointModel | None:
@@ -112,45 +107,32 @@ def _joint(value, path, errs) -> JointModel | None:
         errs.add(path, "expected an object")
         return None
     _check_keys(value, _JOINT_KEYS, path, errs)
-    kind = value.get("kind")
-    if kind not in JOINT_KINDS:
-        errs.add(f"{path}.kind", f"expected one of {sorted(JOINT_KINDS)}")
-        return None
-    motion = value.get("motion")
-    if motion not in MOTIONS:
-        errs.add(f"{path}.motion", f"expected one of {sorted(MOTIONS)}")
-        return None
     axis = _vector(value.get("axis"), 3, f"{path}.axis", errs)
-    norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > 1e-12:
-        errs.add(f"{path}.axis", f"axis must have unit norm, |axis| = {norm!r}")
-        return None
-
+    # a key given as null still counts as present: _number and _spring reject
+    # null, so the constructor never takes it for an absent stiffness or spring
     stiffness = None
-    if kind == "virtual_elastic":
-        if "stiffness" not in value:
-            errs.add(f"{path}.stiffness", "virtual_elastic joint needs a stiffness")
-            return None
+    if "stiffness" in value:
         stiffness = _number(value["stiffness"], f"{path}.stiffness", errs)
-        if stiffness <= 0.0:
-            errs.add(f"{path}.stiffness", "stiffness must be > 0")
-            return None
-    elif "stiffness" in value:
-        errs.add(f"{path}.stiffness", f"not allowed on a {kind} joint")
-        return None
-
     spring = None
-    if kind == "preloaded_passive":
-        if "spring" not in value:
-            errs.add(f"{path}.spring", "preloaded_passive joint needs a spring")
-            return None
+    if "spring" in value:
         spring = _spring(value["spring"], f"{path}.spring", errs)
         if spring is None:
             return None
-    elif "spring" in value:
-        errs.add(f"{path}.spring", f"not allowed on a {kind} joint")
+    kind, motion = value.get("kind"), value.get("motion")
+    return _build(JointModel, path, errs, kind=kind, motion=motion, axis=axis, spring=spring, stiffness=stiffness)
+
+
+def _element(value, path, errs) -> tuple[Transform, JointModel] | None:
+    if not isinstance(value, dict):
+        errs.add(path, "expected an object")
         return None
-    return JointModel(kind=kind, motion=motion, axis=axis, spring=spring, stiffness=stiffness)
+    _check_keys(value, _ELEMENT_KEYS, path, errs)
+    link = _transform(value.get("link"), f"{path}.link", errs)
+    if "joint" not in value:
+        errs.add(f"{path}.joint", "missing joint")
+        return None
+    joint = _joint(value["joint"], f"{path}.joint", errs)
+    return None if joint is None else (link, joint)
 
 
 def parse_document(tree) -> ManipulatorModel:
@@ -210,59 +192,25 @@ def parse_document(tree) -> ManipulatorModel:
             if not isinstance(cname, str):
                 errs.add(f"{cpath}.name", "expected a string")
                 cname = ""
+            ik_seed = cdoc.get("ik_seed")
+            if isinstance(ik_seed, list):
+                ik_seed = [_number(v, f"{cpath}.ik_seed[{i}]", errs) for i, v in enumerate(ik_seed)]
+            elif ik_seed is not None:
+                errs.add(f"{cpath}.ik_seed", "expected a list of numbers")
+                ik_seed = None
             edocs = cdoc.get("elements")
-            elements = []
-            broken = False
-            if not isinstance(edocs, list) or not edocs:
-                errs.add(f"{cpath}.elements", "expected a nonempty list")
+            if not isinstance(edocs, list):
+                errs.add(f"{cpath}.elements", "expected a list")
                 continue
-            for ei, edoc in enumerate(edocs):
-                epath = f"{cpath}.elements[{ei}]"
-                if not isinstance(edoc, dict):
-                    errs.add(epath, "expected an object")
-                    broken = True
-                    continue
-                _check_keys(edoc, _ELEMENT_KEYS, epath, errs)
-                link = _transform(edoc.get("link"), f"{epath}.link", errs)
-                if "joint" not in edoc:
-                    errs.add(f"{epath}.joint", "missing joint")
-                    broken = True
-                    continue
-                joint = _joint(edoc["joint"], f"{epath}.joint", errs)
-                if joint is None:
-                    broken = True
-                    continue
-                elements.append((link, joint))
-            if broken:
+            elements = [_element(e, f"{cpath}.elements[{ei}]", errs) for ei, e in enumerate(edocs)]
+            if None in elements:
                 continue
-            if not any(j.kind == "virtual_elastic" for _, j in elements):
-                errs.add(f"{cpath}.elements", "chain needs at least one virtual_elastic joint")
-                continue
-            ik_seed = None
-            if cdoc.get("ik_seed") is not None:
-                seed_doc = cdoc["ik_seed"]
-                n_rigid = sum(
-                    1 for _, j in elements if j.kind in ("actuated", "perfect_passive", "preloaded_passive")
-                )
-                if not isinstance(seed_doc, list) or len(seed_doc) != n_rigid:
-                    errs.add(
-                        f"{cpath}.ik_seed",
-                        f"expected a list of {n_rigid} numbers (one per rigid coordinate)",
-                    )
-                else:
-                    ik_seed = [
-                        _number(v, f"{cpath}.ik_seed[{i}]", errs) for i, v in enumerate(seed_doc)
-                    ]
-            chains.append(
-                ChainModel(
-                    task_dim=task_dim,
-                    base_pose=base,
-                    elements=elements,
-                    tool_transform=tool,
-                    ik_seed=None if ik_seed is None else np.array(ik_seed),
-                    name=cname,
-                )
+            chain = _build(
+                ChainModel, cpath, errs, task_dim=task_dim, base_pose=base, elements=elements,
+                tool_transform=tool, ik_seed=ik_seed, name=cname,
             )
+            if chain is not None:
+                chains.append(chain)
     errs.raise_if_any()
     return ManipulatorModel(
         task_dim=task_dim, chains=chains, units=dict(units), workspace=workspace, name=name
@@ -278,7 +226,7 @@ def parse_model(text: str) -> ManipulatorModel:
     violation and its document path."""
     try:
         tree = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # also a document nested too deep
         raise ModelError(f"model document syntax error: {err}") from err
     return parse_document(tree)
 

@@ -42,9 +42,9 @@ class SpringLaw:
                 f"spring constants must be finite, got k={self.k}, offset={self.preload_offset}"
             )
         if self.k < 0.0:
-            raise ModelError(f"spring stiffness must be >= 0, got {self.k}")
+            raise ModelError(f"spring stiffness must be >= 0, got {self.k}", field="k")
         if self.branch not in BRANCHES:
-            raise ModelError(f"unknown spring branch {self.branch!r}")
+            raise ModelError(f"unknown spring branch {self.branch!r}, expected one of {BRANCHES}", field="branch")
 
     def engaged(self, vartheta: float) -> bool:
         """True when the spring carries torque at this coordinate value.
@@ -61,16 +61,6 @@ class SpringLaw:
         if self.branch == POSITIVE_PART:
             return d > 0.0
         return d < 0.0
-
-
-def spring_torque(law: SpringLaw, vartheta: float) -> float:
-    """Generalized torque k * h(vartheta - offset) of the preload spring."""
-    d = vartheta - law.preload_offset
-    if law.branch == POSITIVE_PART:
-        d = max(d, 0.0)
-    elif law.branch == NEGATIVE_PART:
-        d = min(d, 0.0)
-    return law.k * d
 
 
 @dataclass

@@ -367,6 +367,20 @@ def test_non_finite_model_number_exits_3(model_path, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", "cannot read model file"), (b"[" * 200_000 + b"]" * 200_000, "syntax error")],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_unreadable_model_document_exits_3(tmp_path, capsys, content, message):
+    # a decode error and a recursion error from the JSON reader are named
+    # model errors, not internal ones
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["equilibrium", "--model", str(bad), "--pose", "0,0"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def _count_ik_calls(monkeypatch):
     import kinetostat.chain
     import kinetostat.equilibrium

@@ -1,20 +1,23 @@
-"""Property: every command line maps to a named outcome.
+"""Property: every command line and every model document maps to a named outcome.
 
 Arbitrary float text for the pose, direction, step, max-delta, tol and
 eps-f, and arbitrary integer text for grid and max-iter, on the shipped
-model. The exit code is one of the named ones (exit 1 is an internal
-error), and no numpy RuntimeWarning reaches stderr or the warnings module.
-The work is capped: a sweep takes at most about 200 samples, a map grid is
-at most 6 and max-iter at most 50.
+model; then the shipped model mutated (numbers set to extreme values, keys
+dropped or added) under fixed command lines. The exit code is one of the
+named ones (exit 1 is an internal error), and no numpy RuntimeWarning
+reaches stderr or the warnings module. The work is capped: a sweep takes at
+most about 200 samples, a map grid is at most 6 and max-iter at most 50.
 """
 
 import contextlib
+import copy
 import io
+import json
 import warnings
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kinetostat.cli import main
 
@@ -101,6 +104,19 @@ def command_lines(draw, command):
     return argv
 
 
+def _run(argv):
+    """Exit code of ``main(argv)``, asserting that it is named and warned nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in NAMED_EXITS, (argv, code, err.getvalue())
+    assert "RuntimeWarning" not in err.getvalue(), argv
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+    return code
+
+
 @pytest.mark.parametrize("command", ["equilibrium", "stiffness", "invkin", "sweep", "map"])
 @settings(
     derandomize=True,
@@ -111,12 +127,69 @@ def command_lines(draw, command):
 )
 @given(data=st.data())
 def test_every_command_line_has_a_named_outcome(command, data):
-    argv = data.draw(command_lines(command), label="argv")
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in NAMED_EXITS, (argv, code, err.getvalue())
-    assert "RuntimeWarning" not in err.getvalue(), argv
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+    _run(data.draw(command_lines(command), label="argv"))
+
+
+SHIPPED = json.loads(resources.files("kinetostat").joinpath("models/orthoglide-planar.json").read_text())
+
+
+def _nodes(node, path=()):
+    """Every (path, value) pair of a document tree, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+_NUMBERS = [p for p, v in _nodes(SHIPPED) if isinstance(v, (int, float)) and not isinstance(v, bool)]
+_KEYS = [p for p, _ in _nodes(SHIPPED) if p and isinstance(p[-1], str)]
+_OBJECTS = [p for p, v in _nodes(SHIPPED) if isinstance(v, dict)]
+# set a number to an extreme or degenerate value, drop a key, or add an unknown one
+mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_NUMBERS), st.sampled_from([0, 1e150, -1e150, 1e300, 1e-300, -0.0])),
+    st.tuples(st.just("drop"), st.sampled_from(_KEYS), st.none()),
+    st.tuples(st.just("add"), st.sampled_from(_OBJECTS), st.none()),
+)
+MODEL_COMMANDS = {
+    "equilibrium": ["equilibrium", "--pose", "0.1,0.1"],
+    "stiffness": ["stiffness", "--pose", "0.1,0.1"],
+    "invkin": ["invkin", "--pose", "0.1,0.1", "--eps-f", "1e-3"],
+    "map": ["map", "--grid", "2"],
+}
+
+
+def _mutated(edits):
+    doc = copy.deepcopy(SHIPPED)
+    for op, path, value in edits:
+        *parents, last = (*path, "extra") if op == "add" else path
+        node = doc
+        try:
+            for key in parents:
+                node = node[key]
+        except KeyError:
+            continue  # an earlier edit dropped this node
+        if op == "drop":
+            node.pop(last, None)
+        else:
+            node[last] = 1 if op == "add" else value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "model.json"
+
+
+@settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(edits=st.lists(mutations, min_size=1, max_size=3), command=st.sampled_from(sorted(MODEL_COMMANDS)))
+# a joint axis whose norm overflows exits 3, with no numpy overflow warning first
+@example(edits=[("set", ("chains", 0, "elements", 1, "joint", "axis", 0), 1e300)], command="equilibrium")
+def test_every_mutated_model_has_a_named_outcome(model_file, edits, command):
+    model_file.write_text(json.dumps(_mutated(edits)))
+    _run([*MODEL_COMMANDS[command], "--model", str(model_file)])

@@ -187,3 +187,41 @@ def test_model_dataclasses_reject_non_finite_numbers(bad):
         JointModel(kind="actuated", motion="translational", axis=(bad, 0.0, 0.0))
     with pytest.raises(ModelError, match="finite"):
         JointModel(kind="virtual_elastic", motion="translational", axis=(1.0, 0.0, 0.0), stiffness=bad)
+
+
+_ACTUATED_ONLY = [{"joint": {"kind": "actuated", "motion": "translational", "axis": [1.0, 0.0, 0.0]}}]
+
+
+@pytest.mark.parametrize(
+    "where, value, path, words",
+    [
+        (("chains", 0, "elements", 0, "joint", "kind"), "spherical", "elements[0].joint.kind", "spherical"),
+        (("chains", 0, "elements", 0, "joint", "motion"), "helical", "elements[0].joint.motion", "helical"),
+        (("chains", 0, "elements", 1, "joint", "axis"), [0.6, 0.6, 0.0], "elements[1].joint.axis", "unit norm"),
+        (("chains", 0, "elements", 1, "joint", "axis", 0), 1e300, "elements[1].joint.axis", "= inf"),
+        (("chains", 0, "elements", 1, "joint", "stiffness"), -1.0, "elements[1].joint.stiffness", "> 0"),
+        (("chains", 0, "elements", 0, "joint", "stiffness"), 1.0, "elements[0].joint.stiffness", "takes no"),
+        (("chains", 0, "elements", 0, "joint", "stiffness"), None, "elements[0].joint.stiffness", "expected a number"),
+        (("chains", 0, "elements", 1, "joint", "stiffness"), None, "elements[1].joint.stiffness", "expected a number"),
+        (("chains", 0, "elements", 0, "joint", "spring"), {"k": 1.0}, "elements[0].joint.spring", "takes no"),
+        (("chains", 0, "elements", 0, "joint", "spring"), None, "elements[0].joint.spring", "expected an object"),
+        (("chains", 0, "elements", 2, "joint", "spring"), None, "elements[2].joint.spring", "expected an object"),
+        (("chains", 0, "elements", 2, "joint", "spring", "k"), -1.0, "elements[2].joint.spring.k", ">= 0"),
+        (("chains", 0, "elements", 2, "joint", "spring", "branch"), "sideways", "elements[2].joint.spring.branch", "sideways"),
+        (("chains", 0, "ik_seed"), [1.0], "ik_seed", "rigid coordinates"),
+        (("chains", 0, "elements"), _ACTUATED_ONLY, "elements", "virtual_elastic"),
+        (("chains", 0, "elements"), [], "elements", "virtual_elastic"),
+    ],
+)
+def test_constructor_rules_reported_under_their_key_path(where, value, path, words):
+    # the model constructors hold these rules; the parser reports each one
+    # at the document path of the key it names, with null read as present
+    tree = json.loads(fixture_text())
+    node = tree
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ModelError) as exc:
+        parse_model(json.dumps(tree))
+    line = next(l for l in str(exc.value).splitlines() if l.startswith(f"$.chains[0].{path}: "))
+    assert words in line

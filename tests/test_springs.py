@@ -12,7 +12,6 @@ from kinetostat import (
     build_planar_orthoglide,
     inverse_kinematics_unloaded,
     partition,
-    spring_torque,
     workspace_points,
 )
 
@@ -20,6 +19,16 @@ from conftest import random_planar_chain, random_state
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 stiffnesses = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+
+
+def spring_torque(law: SpringLaw, vartheta: float) -> float:
+    """Oracle: the preload law's generalized torque k * h(vartheta - offset)."""
+    d = vartheta - law.preload_offset
+    if law.branch == "positive_part":
+        d = max(d, 0.0)
+    elif law.branch == "negative_part":
+        d = min(d, 0.0)
+    return law.k * d
 
 
 def spring_energy(law: SpringLaw, vartheta: float) -> float:
