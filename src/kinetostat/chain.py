@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as geo
-from .errors import ModelError, OutOfWorkspaceError
+from .errors import KinetostatError, ModelError, OutOfWorkspaceError
 from .springs import RegroupedState, SpringLaw
 
 ACTUATED = "actuated"
@@ -596,26 +596,140 @@ def chain_ik_best_effort(chain: ChainModel, t):
     return chain.state_of(coords), r_norm
 
 
-def chain_ik_unloaded(chain: ChainModel, t):
-    """Rigid inverse kinematics of one chain; raises OutOfWorkspaceError
-    carrying the closest reachable distance when the target cannot be met."""
-    state, r_norm = chain_ik_best_effort(chain, t)
-    if not r_norm <= _IK_FAIL_TOL:
-        raise OutOfWorkspaceError(
-            f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}",
-            distance=r_norm,
-        )
-    return state
+def _stack_pass(chain: ChainModel, coords: np.ndarray):
+    """Poses (M, task_dim) and Jacobian columns (M, task_dim, n_elements) of
+    a stack of element-order joint vectors, in the arithmetic of
+    ``_end_transform``, ``_task_pose``, ``_twists`` and ``_columns``; in task
+    dim 6 the last three rows are the angular velocity, not yet mapped."""
+    m, dim = len(coords), chain.task_dim
+    T = None if chain.base_pose.is_identity else chain.base_pose.matrix
+    axes, origins = [], []
+    for (link, _), (axis, rotation), value in zip(chain.elements, chain._motions, coords.T):
+        if not link.is_identity:
+            T = link.matrix if T is None else T @ link.matrix
+        frame = _I4 if T is None else T
+        axes.append(np.broadcast_to(frame[..., :3, :3] @ axis, (m, 3)))
+        origins.append(np.broadcast_to(frame[..., :3, 3], (m, 3)))
+        motion = np.tile(_I4, (m, 1, 1))
+        if rotation is None:
+            motion[:, :3, 3] = axis * value[:, None]
+        else:
+            c, s = np.cos(value)[:, None, None], np.sin(value)[:, None, None]
+            motion[:, :3, :3] = c * _I3 + s * rotation[0] + (1.0 - c) * rotation[1]
+        T = motion if T is None else T @ motion
+    if not chain.tool_transform.is_identity:
+        T = T @ chain.tool_transform.matrix
+    # numpy's arctan2 and arcsin miss math's last bit on some inputs: angles go row by row
+    pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T])
+    revolute = np.array([rotation is not None for _, rotation in chain._motions])
+    a0, a1, a2 = np.stack(axes, axis=2).swapaxes(0, 1)
+    b0, b1, b2 = (T[:, :3, 3, None] - np.stack(origins, axis=2)).swapaxes(0, 1)
+    o0, o1, o2 = (np.where(revolute, a, 0.0) for a in (a0, a1, a2))
+    rows = [np.where(revolute, a1 * b2 - a2 * b1, a0), np.where(revolute, a2 * b0 - a0 * b2, a1)]
+    if dim == 3:
+        c0, c1, c2 = (T[:, i, 0, None] for i in range(3))
+        d0, d1 = o1 * c2 - o2 * c1, o2 * c0 - o0 * c2
+        rows.append((c0 * d1 - c1 * d0) / (c0 * c0 + c1 * c1))
+    elif dim == 6:
+        rows += [np.where(revolute, a0 * b1 - a1 * b0, a2), o0, o1, o2]
+    return pose, np.stack(rows, axis=1)
+
+
+def _ik_stack(chain: ChainModel, targets: np.ndarray):
+    """``chain_ik_best_effort`` for a stack of targets (N, task_dim) at once.
+
+    Each row keeps its own damping, counts and stop test, so it takes the
+    scalar solve's steps and trials bit for bit; a round makes one trial per
+    row still iterating. Returns the joint vectors (N, n_elements), the pose
+    distances (N,) and, by row, the ModelError a scalar solve would raise.
+    A stack of one costs more than the scalar solve: grids take this path.
+    """
+    n, free = len(targets), chain.rigid_elements
+    coords = np.zeros((n, len(chain.elements)))
+    if chain.ik_seed is not None:
+        coords[:, free] = chain.ik_seed
+    lam, steps, trials = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    normal, gradient = np.empty((n, free.size, free.size)), np.empty((n, free.size))
+    iterating, fresh, errors = np.ones(n, dtype=bool), np.arange(n), {}
+    # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        pose, cols = _stack_pass(chain, coords)
+        r = targets - pose
+        dist = np.sqrt(np.vecdot(r, r))
+        while True:
+            # the scalar stop tests; a row is fresh when its last trial was accepted
+            iterating &= (dist > _IK_TOL) & (dist < math.inf) & (steps < _IK_MAX_ITERATIONS)
+            iterating &= (trials < 40) & (lam < math.inf) & bool(free.size)
+            fresh = fresh[iterating[fresh]]
+            J = cols[fresh][:, :, free]
+            if chain.task_dim == 6:
+                E_inv = []
+                for row in fresh.tolist():
+                    try:
+                        E_inv.append(_euler_rate_inverse(pose[row]))
+                    except ModelError as err:
+                        errors[row], iterating[row] = err, False
+                J = J[iterating[fresh]]
+                J[:, 3:] = np.matvec(np.reshape(E_inv, (-1, 1, 3, 3)), J[:, 3:].swapaxes(1, 2)).swapaxes(1, 2)
+                fresh = fresh[iterating[fresh]]
+            first = steps[fresh] == 0
+            sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
+            lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
+            normal[fresh] = J.swapaxes(1, 2) @ J
+            gradient[fresh] = np.matvec(J.swapaxes(1, 2), r[fresh])
+            rows = np.flatnonzero(iterating)
+            if not rows.size:
+                return coords, dist, errors
+            trial = coords[rows]
+            damped = normal[rows] + lam[rows, None, None] * np.eye(free.size)
+            trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
+            pose_try, cols_try = _stack_pass(chain, trial)
+            r_try = targets[rows] - pose_try
+            try_dist = np.sqrt(np.vecdot(r_try, r_try))
+            better = try_dist < dist[rows]
+            fresh, worse = rows[better], rows[~better]
+            for a, a_try in ((coords, trial), (r, r_try), (dist, try_dist), (pose, pose_try), (cols, cols_try)):
+                a[fresh] = a_try[better]
+            lam[fresh] = np.maximum(lam[fresh] * 0.3, 1e-14)
+            steps[fresh] += 1
+            trials[fresh] = 0
+            lam[worse] *= 10.0
+            trials[worse] += 1
+
+
+def _stack_row(chains, stacks, row: int):
+    """Each chain's (state, pose distance) at one row of its ``_ik_stack``
+    result, for ``_reachable``; raises the row's ModelError instead."""
+    for chain, (coords, distances, errors) in zip(chains, stacks):
+        if row in errors:
+            raise errors[row]
+        yield chain.state_of(coords[row]), float(distances[row])
+
+
+def _reachable(manipulator: ManipulatorModel, solved) -> list[ChainState]:
+    """The chains' rigid IK states from ``solved``, which yields each chain's
+    (state, pose distance) in chain order, so a chain is solved only once
+    the chains before it have reached the target. Raises OutOfWorkspaceError
+    carrying the closest reachable distance for the first chain that cannot
+    meet it; this error and any that ``solved`` raises carry the chain index.
+    """
+    states = []
+    for i, chain in enumerate(manipulator.chains):
+        try:
+            state, r_norm = next(solved)
+            if not r_norm <= _IK_FAIL_TOL:
+                raise OutOfWorkspaceError(
+                    f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}",
+                    distance=r_norm,
+                )
+        except KinetostatError as err:
+            err.chain_index = i
+            raise
+        states.append(state)
+    return states
 
 
 def inverse_kinematics_unloaded(manipulator: ManipulatorModel, t) -> list[ChainState]:
     """Per-chain rigid IK of the whole manipulator at a shared target pose."""
     target = manipulator.pose_array(t)
-    states = []
-    for i, chain in enumerate(manipulator.chains):
-        try:
-            states.append(chain_ik_unloaded(chain, target))
-        except OutOfWorkspaceError as err:
-            err.chain_index = i
-            raise
-    return states
+    return _reachable(manipulator, (chain_ik_best_effort(chain, target) for chain in manipulator.chains))

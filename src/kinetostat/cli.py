@@ -224,6 +224,8 @@ def _cmd_map(args) -> int:
                 f"{_fmt(x)},{_fmt(y)},{_fmt(grid.c_max[ix, iy])},{_fmt(grid.c_min[ix, iy])},{flag}"
             )
     _emit("\n".join(lines) + "\n", args.out)
+    for (ix, iy), reason in grid.reasons.items():
+        print(f"map: cell x={_fmt(grid.xs[ix])} y={_fmt(grid.ys[iy])} failed: {reason}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -112,8 +112,13 @@ def solve_inverse_kinetostatic(
     F_target = np.zeros(d) if f_ext is None else np.asarray(f_ext, dtype=float).ravel()
     if F_target.size != d:
         raise ModelError("prescribed wrench does not match the task dimension")
-
     seeds = inverse_kinematics_unloaded(manipulator, target)
+    return _compensate(manipulator, target, seeds, F_target, eps_f, opts)
+
+
+def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> KinetostaticSolution:
+    """Steps 2-5 of the loop at a checked target, from the rigid IK states
+    ``seeds`` of step 1; a caller that solved the IK itself starts here."""
     rho = np.concatenate([s.rho for s in seeds])
     F, equilibria = total_wrench(manipulator, target, rho, opts, starts=seeds)
     err = F - F_target

@@ -30,9 +30,11 @@ _SPRING_KEYS = {"k", "offset", "branch"}
 class _Collector:
     def __init__(self):
         self.problems: list[str] = []
+        self.paths: set[str] = set()
 
     def add(self, path, message):
         self.problems.append(f"{path}: {message}")
+        self.paths.add(path)
 
     def raise_if_any(self):
         if self.problems:
@@ -84,11 +86,15 @@ def _transform(value, path, errs) -> Transform:
 
 def _build(cls, path, errs, **kwargs):
     """``cls(**kwargs)``, or None with the constructor's ModelError recorded
-    under the path of the argument it names."""
+    under the path of the argument it names. A path the parser has already
+    reported holds a placeholder value, so the constructor's complaint about
+    it is the same fault and is not recorded again."""
     try:
         return cls(**kwargs)
     except ModelError as err:
-        errs.add(f"{path}.{err.field}" if err.field else path, str(err))
+        key = f"{path}.{err.field}" if err.field else path
+        if key not in errs.paths:
+            errs.add(key, str(err))
         return None
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
-from .control import solve_inverse_kinetostatic
+from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _ik_stack, _reachable, _stack_row
+from .control import _compensate, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
@@ -252,13 +252,33 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
 
 @dataclass
 class ComplianceMap:
-    """Workspace lattice of aggregated stiffness and compliance extremes."""
+    """Workspace lattice of aggregated stiffness and compliance extremes.
+
+    ``reasons`` names why each failed cell (ix, iy) failed: the error class,
+    the chain, and the distance, condition or residual the error carries.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     c_max: np.ndarray
     c_min: np.ndarray
     ok: np.ndarray
+    reasons: dict[tuple[int, int], str] = field(default_factory=dict)
+
+
+# cells whose rigid IK is solved as one stack per chain; bounds the stack's memory on large grids
+_STACK_CELLS = 4096
+
+
+def _failure_reason(manipulator: ManipulatorModel, err: KinetostatError) -> str:
+    """Error class, chain and the figure the error carries, on one line."""
+    text = type(err).__name__
+    if err.chain_index is not None:
+        text += f" on chain {err.chain_index} ({manipulator.chains[err.chain_index].name!r})"
+    for figure in ("distance", "condition", "residual"):
+        if hasattr(err, figure):
+            return f"{text}: {figure} {getattr(err, figure):.3e}"
+    return f"{text}: {err}"
 
 
 def compliance_grid(
@@ -272,8 +292,11 @@ def compliance_grid(
     Each cell is evaluated in the compensated state: actuators are solved
     kinetostatically so the cell pose is an unloaded equilibrium, then the
     aggregate stiffness is computed at the equilibria that solve ends on.
-    Cells whose solve fails or whose stiffness is not positive definite are
-    flagged failed, never dropped.
+    The rigid IK that starts each compensation is solved for the cells of
+    the grid as one stack per chain (``chain._ik_stack``), bit for bit what
+    the per-cell solve gives. Cells whose solve fails or whose stiffness is
+    not positive definite are flagged failed, never dropped, and the map
+    names the reason.
     """
     if grid_n < 2:
         raise ModelError("compliance grid needs at least 2 points per side")
@@ -291,26 +314,32 @@ def compliance_grid(
     lo, hi = manipulator.workspace
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
-    d = manipulator.task_dim
+    F_target = np.zeros(manipulator.task_dim)
+    reasons = {}
 
-    for ix in range(grid_n):
-        for iy in range(grid_n):
-            t = np.zeros(d)
-            t[0] = xs[ix]
-            t[1] = ys[iy]
+    for first in range(0, grid_n * grid_n, _STACK_CELLS):
+        ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
+        targets = np.zeros((ix.size, manipulator.task_dim))
+        targets[:, 0] = xs[ix]
+        targets[:, 1] = ys[iy]
+        stacks = [_ik_stack(chain, targets) for chain in manipulator.chains]
+        for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
             try:
-                sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
+                seeds = _reachable(manipulator, _stack_row(manipulator.chains, stacks, row))
+                sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
-            except KinetostatError:
+            except KinetostatError as err:
+                reasons[cell] = _failure_reason(manipulator, err)
                 continue
             # a zero or negative eigenvalue has no meaningful compliance
             if res.indefinite:
+                reasons[cell] = f"indefinite stiffness: smallest eigenvalue {res.eigenvalues.min():.3e}"
                 continue
             c = 1.0 / res.eigenvalues
-            c_max[ix, iy] = float(c.max())
-            c_min[ix, iy] = float(c.min())
-            ok[ix, iy] = True
-    return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok)
+            c_max[cell] = float(c.max())
+            c_min[cell] = float(c.min())
+            ok[cell] = True
+    return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok, reasons=reasons)
 
 
 @dataclass

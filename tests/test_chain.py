@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kinetostat import (
     loaded_hessians,
     partition,
 )
-from kinetostat.chain import chain_ik_unloaded, fk_array
+from kinetostat.chain import _ik_stack, chain_ik_best_effort, fk_array
 
 from conftest import gradient_differences, random_planar_chain, random_spatial_chain, random_state
 
@@ -432,7 +433,8 @@ def test_ik_tangent_pose(ortho_nopreload):
     # fully folded: |t - axis foot| = L, the two branches coincide; the
     # double root turns a 1e-10 pose tolerance into ~1e-5 on coordinates
     chain = ortho_nopreload.chains[0]
-    state = chain_ik_unloaded(chain, [0.3, 1.0])
+    state, distance = chain_ik_best_effort(chain, [0.3, 1.0])
+    assert distance <= 1e-10
     np.testing.assert_allclose(fk_array(chain, state), [0.3, 1.0], atol=1e-10)
     assert math.isclose(state.rho[0], 0.3, abs_tol=5e-5)
 
@@ -567,3 +569,91 @@ def test_ik_builds_one_chain_state(monkeypatch, ortho_nopreload):
     chain_ik_best_effort(ortho_nopreload.chains[0], [0.3, 0.1])
     assert len(trials) > 1
     assert len(states) == 1
+
+
+# -- rigid inverse kinematics of a stack of targets ------------------------------
+
+
+def _assert_stack_is_scalar_ik(chain, targets):
+    """The stacked IK gives every row the bytes of its scalar solve, and the
+    ModelError of a row whose scalar solve raises one."""
+    targets = np.asarray(targets, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, distances, errors = _ik_stack(chain, targets)
+    raised = 0
+    for row, t in enumerate(targets):
+        try:
+            state, r_norm = chain_ik_best_effort(chain, t)
+        except ModelError as err:
+            assert type(errors[row]) is type(err) and str(errors[row]) == str(err)
+            raised += 1
+            continue
+        assert row not in errors
+        assert np.array_equal(coords[row], chain.element_coordinates(state))
+        assert np.array_equal(distances[row], r_norm, equal_nan=True)
+    return raised
+
+
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_ik_stack_bitwise_equal_to_scalar_ik(task_dim):
+    # random chains without an ik_seed; reachable targets (the pose of a random
+    # state), targets off the reach, far off it, and one at 1e200
+    rng = np.random.default_rng(170 + task_dim)
+    for _ in range(5):
+        chain = random_spatial_chain(rng) if task_dim == 6 else random_planar_chain(rng, task_dim, n_joints=5)
+        assert chain.ik_seed is None
+        home = fk_array(chain, chain.state_of(np.zeros(len(chain.elements))))
+        targets = [fk_array(chain, random_state(rng, chain, scale=0.3)) for _ in range(6)]
+        targets += [home + rng.uniform(-1.0, 1.0, task_dim) for _ in range(6)]
+        targets += [home + rng.uniform(-5.0, 5.0, task_dim) for _ in range(3)]
+        targets.append(np.full(task_dim, 1e200))
+        assert _assert_stack_is_scalar_ik(chain, targets) == 0
+
+
+def test_ik_stack_bitwise_equal_on_the_orthoglide_grid(ortho_spec):
+    # seeded chains; a 20 x 20 grid over the workspace, an unreachable
+    # corner, a target at 1e200 and the centre
+    p = ortho_spec.p
+    axis = np.linspace(-p, p, 20)
+    targets = [[x, y] for x in axis for y in axis] + [[5.0, 5.0], [1e200, 0.0], [0.0, 0.0]]
+    for chain in build_planar_orthoglide(ortho_spec).chains:
+        assert chain.ik_seed is not None
+        assert _assert_stack_is_scalar_ik(chain, targets) == 0
+
+
+def test_ik_stack_of_a_chain_without_rigid_coordinates():
+    # only virtual springs: no free coordinate, every row keeps the rest pose
+    chain = ChainModel(
+        task_dim=2,
+        base_pose=Transform.identity(),
+        elements=[
+            (Transform.identity(), JointModel("virtual_elastic", "translational", (1.0, 0.0, 0.0), stiffness=1.0)),
+            (Transform.identity(), JointModel("virtual_elastic", "rotational", (0.0, 0.0, 1.0), stiffness=2.0)),
+        ],
+        tool_transform=Transform(translation=(1.0, 0.0, 0.0)),
+    )
+    assert _assert_stack_is_scalar_ik(chain, [[1.0, 0.0], [0.5, 0.2], [1e200, 0.0]]) == 0
+
+
+def test_ik_stack_fails_only_the_row_at_the_euler_singularity():
+    # the Euler-rate map is singular at cos ry = 0: the scalar solve of that
+    # target raises a ModelError, and only that row of the stack carries it
+    def joint(kind, motion, axis, **kw):
+        return Transform.identity(), JointModel(kind, motion, axis, **kw)
+
+    chain = ChainModel(
+        task_dim=6,
+        base_pose=Transform.identity(),
+        elements=[
+            joint("virtual_elastic", "translational", (1.0, 0.0, 0.0), stiffness=1.0),
+            joint("actuated", "translational", (1.0, 0.0, 0.0)),
+            joint("perfect_passive", "translational", (0.0, 1.0, 0.0)),
+            joint("perfect_passive", "translational", (0.0, 0.0, 1.0)),
+            joint("perfect_passive", "rotational", (0.0, 1.0, 0.0)),
+        ],
+        tool_transform=Transform(translation=(0.1, 0.0, 0.0)),
+    )
+    ry = [0.0, 0.3, 1.5, math.pi / 2.0, -0.7]
+    targets = [[x, y, 0.1, 0.0, r, 0.0] for x in (0.3, -1.0) for y in (0.2, 2.0) for r in ry]
+    assert _assert_stack_is_scalar_ik(chain, targets) == 4

@@ -139,6 +139,22 @@ def test_map_csv(model_path, capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_map_names_each_failed_cell_on_stderr(model_path, tmp_path, capsys):
+    # the CSV rows keep their form; one stderr line per failed cell names it
+    tree = json.loads(open(model_path).read())
+    tree["workspace"] = {"min": [-1.35, -1.35], "max": [1.35, 1.35]}
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(tree))
+    assert main(["map", "--model", str(wide), "--grid", "3"]) == 0
+    captured = capsys.readouterr()
+    failed = [row.split(",")[:2] for row in captured.out.splitlines()[1:] if row.endswith(",failed")]
+    reasons = captured.err.splitlines()
+    assert 0 < len(failed) == len(reasons) < 9
+    for (x, y), line in zip(failed, reasons):
+        assert line.startswith(f"map: cell x={x} y={y} failed: OutOfWorkspaceError on chain ")
+        assert "distance" in line
+
+
 def test_map_refuses_a_grid_too_large_to_hold(model_path, capsys):
     # the n x n maps are allocated before the axes, and their MemoryError
     # becomes a model error naming the grid; the two 800 MB axes of such a

@@ -225,3 +225,16 @@ def test_constructor_rules_reported_under_their_key_path(where, value, path, wor
         parse_model(json.dumps(tree))
     line = next(l for l in str(exc.value).splitlines() if l.startswith(f"$.chains[0].{path}: "))
     assert words in line
+
+
+@pytest.mark.parametrize("key, value, words", [("stiffness", None, "expected a number"), ("axis", "x", "list of 3")])
+def test_placeholder_fault_reported_once(key, value, words):
+    # the parser reports the key and builds the joint with a placeholder; the
+    # constructor's complaint about that placeholder is the same fault
+    tree = json.loads(fixture_text())
+    tree["chains"][0]["elements"][1]["joint"][key] = value
+    with pytest.raises(ModelError) as exc:
+        parse_model(json.dumps(tree))
+    problems = str(exc.value).splitlines()[1:]
+    assert len(problems) == 1
+    assert problems[0].startswith(f"$.chains[0].elements[1].joint.{key}: ") and words in problems[0]

@@ -24,8 +24,9 @@ from kinetostat import (
     workspace_points,
 )
 from kinetostat.orthoglide import KV_FACTORS, _critical_point
+from kinetostat.stiffness import _aggregate_stiffness
 
-from conftest import DIAG, count_iterations, linear_preload_model
+from conftest import DIAG, count_iterations, linear_preload_model, shipped_model, stop_limit_model
 
 
 def test_spec_validation():
@@ -302,6 +303,93 @@ def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
 def test_compliance_grid_rejects_non_finite_tolerance(ortho_nopreload):
     with pytest.raises(ModelError, match="finite"):
         compliance_grid(ortho_nopreload, 2, eps_f=float("nan"))
+
+
+def _per_cell_grid(manipulator, grid_n, eps_f=1e-8):
+    """The compliance grid as one compensation per cell, each solving its own
+    rigid IK: the grid's form before the stacked IK, kept as its oracle."""
+    lo, hi = manipulator.workspace
+    xs, ys = np.linspace(lo[0], hi[0], grid_n), np.linspace(lo[1], hi[1], grid_n)
+    c_max, c_min = np.full((grid_n, grid_n), np.nan), np.full((grid_n, grid_n), np.nan)
+    ok = np.zeros((grid_n, grid_n), dtype=bool)
+    for ix in range(grid_n):
+        for iy in range(grid_n):
+            t = np.zeros(manipulator.task_dim)
+            t[0], t[1] = xs[ix], ys[iy]
+            try:
+                sol = solve_inverse_kinetostatic(manipulator, t, eps_f)
+                res = _aggregate_stiffness(manipulator, sol.equilibria)
+            except KinetostatError:
+                continue
+            if res.indefinite:
+                continue
+            c = 1.0 / res.eigenvalues
+            c_max[ix, iy], c_min[ix, iy], ok[ix, iy] = c.max(), c.min(), True
+    return c_max, c_min, ok
+
+
+def _scaled_box(model, scale):
+    lo, hi = model.workspace
+    return replace(model, workspace=(tuple(scale * v for v in lo), tuple(scale * v for v in hi)))
+
+
+@pytest.mark.parametrize(
+    "build, grid_n",
+    [(shipped_model, 7), (stop_limit_model, 7), (lambda: _scaled_box(shipped_model(), 1.6), 10)],
+    ids=["shipped", "stop-limit", "box-1.6"],
+)
+def test_grid_bitwise_equal_to_per_cell_compensations(build, grid_n):
+    model = build()
+    grid = compliance_grid(model, grid_n)
+    c_max, c_min, ok = _per_cell_grid(model, grid_n)
+    assert grid.c_max.tobytes() == c_max.tobytes()
+    assert grid.c_min.tobytes() == c_min.tobytes()
+    assert grid.ok.tobytes() == ok.tobytes()
+    # every failed cell names its reason, and only failed cells do
+    assert set(grid.reasons) == {tuple(cell) for cell in np.argwhere(~ok).tolist()}
+
+
+def test_grid_names_the_reason_of_a_failed_cell():
+    # on a box three times the shipped one, the corners lie out of reach
+    grid = compliance_grid(_scaled_box(shipped_model(), 3.0), 3)
+    assert not grid.ok[0, 0]
+    assert grid.reasons[0, 0].startswith("OutOfWorkspaceError on chain 0 ('x-leg'): distance ")
+    assert float(grid.reasons[0, 0].rsplit(" ", 1)[1]) > 1e-10
+
+
+def test_grid_split_into_several_stacks_is_the_same_grid(monkeypatch):
+    # 25 cells in stacks of 7: the last stack is short, and no cell moves
+    import kinetostat.orthoglide as orthoglide
+
+    model = stop_limit_model()
+    whole = compliance_grid(model, 5)
+    monkeypatch.setattr(orthoglide, "_STACK_CELLS", 7)
+    split = compliance_grid(model, 5)
+    for name in ("c_max", "c_min", "ok"):
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_grid_solves_rigid_ik_as_one_stack_per_chain(monkeypatch):
+    import kinetostat.chain
+    import kinetostat.orthoglide as orthoglide
+
+    real_ik, real_stack = kinetostat.chain.chain_ik_best_effort, orthoglide._ik_stack
+    calls, stacks = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_ik(*args, **kwargs)
+
+    def counted_stack(chain, targets):
+        stacks.append((chain.name, len(targets)))
+        return real_stack(chain, targets)
+
+    monkeypatch.setattr(kinetostat.chain, "chain_ik_best_effort", counted)
+    monkeypatch.setattr(orthoglide, "_ik_stack", counted_stack)
+    grid = compliance_grid(shipped_model(), 10)
+    assert grid.ok.all()
+    assert calls == []
+    assert stacks == [("x-leg", 100), ("y-leg", 100)]
 
 
 @pytest.fixture(scope="module")
