@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as geo
-from .errors import KinetostatError, ModelError, OutOfWorkspaceError
+from .errors import ModelError, OutOfWorkspaceError
 from .springs import RegroupedState, SpringLaw
 
 ACTUATED = "actuated"
@@ -598,9 +598,8 @@ def chain_ik_best_effort(chain: ChainModel, t):
 
 def _stack_pass(chain: ChainModel, coords: np.ndarray):
     """Poses (M, task_dim) and Jacobian columns (M, task_dim, n_elements) of
-    a stack of element-order joint vectors, in the arithmetic of
-    ``_end_transform``, ``_task_pose``, ``_twists`` and ``_columns``; in task
-    dim 6 the last three rows are the angular velocity, not yet mapped."""
+    stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
+    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped."""
     m, dim = len(coords), chain.task_dim
     T = None if chain.base_pose.is_identity else chain.base_pose.matrix
     axes, origins = [], []
@@ -636,18 +635,14 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray):
 
 
 def _ik_stack(chain: ChainModel, targets: np.ndarray):
-    """``chain_ik_best_effort`` for a stack of targets (N, task_dim) at once.
-
-    Each row keeps its own damping, counts and stop test, so it takes the
-    scalar solve's steps and trials bit for bit; a round makes one trial per
-    row still iterating. Returns the joint vectors (N, n_elements), the pose
-    distances (N,) and, by row, the ModelError a scalar solve would raise.
-    A stack of one costs more than the scalar solve: grids take this path.
-    """
+    """``chain_ik_best_effort`` for targets (N, task_dim), one trial per row
+    still iterating a round. Each row keeps its own damping, counts and stop
+    test, so it takes the scalar solve's steps bit for bit. Returns joint
+    vectors (N, n_elements), pose distances (N,) and, by row, the ModelError
+    a scalar solve would raise. A stack of one is slower than the scalar solve."""
     n, free = len(targets), chain.rigid_elements
     coords = np.zeros((n, len(chain.elements)))
-    if chain.ik_seed is not None:
-        coords[:, free] = chain.ik_seed
+    coords[:, free] = 0.0 if chain.ik_seed is None else chain.ik_seed
     lam, steps, trials = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     normal, gradient = np.empty((n, free.size, free.size)), np.empty((n, free.size))
     iterating, fresh, errors = np.ones(n, dtype=bool), np.arange(n), {}
@@ -655,7 +650,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         pose, cols = _stack_pass(chain, coords)
         r = targets - pose
-        dist = np.sqrt(np.vecdot(r, r))
+        dist = np.sqrt((r[:, None] @ r[:, :, None])[:, 0, 0])
         while True:
             # the scalar stop tests; a row is fresh when its last trial was accepted
             iterating &= (dist > _IK_TOL) & (dist < math.inf) & (steps < _IK_MAX_ITERATIONS)
@@ -669,14 +664,14 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
                         E_inv.append(_euler_rate_inverse(pose[row]))
                     except ModelError as err:
                         errors[row], iterating[row] = err, False
-                J = J[iterating[fresh]]
-                J[:, 3:] = np.matvec(np.reshape(E_inv, (-1, 1, 3, 3)), J[:, 3:].swapaxes(1, 2)).swapaxes(1, 2)
-                fresh = fresh[iterating[fresh]]
+                keep = iterating[fresh]
+                J, fresh = J[keep], fresh[keep]
+                J[:, 3:] = (np.reshape(E_inv, (-1, 1, 3, 3)) @ J[:, 3:].swapaxes(1, 2)[..., None])[..., 0].swapaxes(1, 2)
             first = steps[fresh] == 0
             sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
             lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
             normal[fresh] = J.swapaxes(1, 2) @ J
-            gradient[fresh] = np.matvec(J.swapaxes(1, 2), r[fresh])
+            gradient[fresh] = (J.swapaxes(1, 2) @ r[fresh, :, None])[:, :, 0]
             rows = np.flatnonzero(iterating)
             if not rows.size:
                 return coords, dist, errors
@@ -685,51 +680,26 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
             pose_try, cols_try = _stack_pass(chain, trial)
             r_try = targets[rows] - pose_try
-            try_dist = np.sqrt(np.vecdot(r_try, r_try))
+            try_dist = np.sqrt((r_try[:, None] @ r_try[:, :, None])[:, 0, 0])
             better = try_dist < dist[rows]
-            fresh, worse = rows[better], rows[~better]
+            fresh = rows[better]
             for a, a_try in ((coords, trial), (r, r_try), (dist, try_dist), (pose, pose_try), (cols, cols_try)):
                 a[fresh] = a_try[better]
-            lam[fresh] = np.maximum(lam[fresh] * 0.3, 1e-14)
+            lam[rows] = np.where(better, np.maximum(lam[rows] * 0.3, 1e-14), lam[rows] * 10.0)
+            trials[rows] = np.where(better, 0, trials[rows] + 1)
             steps[fresh] += 1
-            trials[fresh] = 0
-            lam[worse] *= 10.0
-            trials[worse] += 1
 
 
-def _stack_row(chains, stacks, row: int):
-    """Each chain's (state, pose distance) at one row of its ``_ik_stack``
-    result, for ``_reachable``; raises the row's ModelError instead."""
-    for chain, (coords, distances, errors) in zip(chains, stacks):
-        if row in errors:
-            raise errors[row]
-        yield chain.state_of(coords[row]), float(distances[row])
-
-
-def _reachable(manipulator: ManipulatorModel, solved) -> list[ChainState]:
-    """The chains' rigid IK states from ``solved``, which yields each chain's
-    (state, pose distance) in chain order, so a chain is solved only once
-    the chains before it have reached the target. Raises OutOfWorkspaceError
-    carrying the closest reachable distance for the first chain that cannot
-    meet it; this error and any that ``solved`` raises carry the chain index.
-    """
-    states = []
-    for i, chain in enumerate(manipulator.chains):
-        try:
-            state, r_norm = next(solved)
-            if not r_norm <= _IK_FAIL_TOL:
-                raise OutOfWorkspaceError(
-                    f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}",
-                    distance=r_norm,
-                )
-        except KinetostatError as err:
-            err.chain_index = i
-            raise
-        states.append(state)
-    return states
+def _reached(chain: ChainModel, index: int, state: ChainState, r_norm: float) -> ChainState:
+    """``state``, the rigid IK of chain ``index``, if it met its target;
+    else raises OutOfWorkspaceError carrying the closest reachable distance."""
+    if not r_norm <= _IK_FAIL_TOL:
+        message = f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}"
+        raise OutOfWorkspaceError(message, distance=r_norm, chain_index=index)
+    return state
 
 
 def inverse_kinematics_unloaded(manipulator: ManipulatorModel, t) -> list[ChainState]:
     """Per-chain rigid IK of the whole manipulator at a shared target pose."""
     target = manipulator.pose_array(t)
-    return _reachable(manipulator, (chain_ik_best_effort(chain, target) for chain in manipulator.chains))
+    return [_reached(chain, i, *chain_ik_best_effort(chain, target)) for i, chain in enumerate(manipulator.chains)]

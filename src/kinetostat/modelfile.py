@@ -86,14 +86,15 @@ def _transform(value, path, errs) -> Transform:
 
 def _build(cls, path, errs, **kwargs):
     """``cls(**kwargs)``, or None with the constructor's ModelError recorded
-    under the path of the argument it names. A path the parser has already
-    reported holds a placeholder value, so the constructor's complaint about
-    it is the same fault and is not recorded again."""
+    under the path of the argument it names. An argument the parser has
+    already reported, whole or in part, holds a placeholder value, so the
+    constructor's complaint about it is the same fault and is not recorded
+    again."""
     try:
         return cls(**kwargs)
     except ModelError as err:
         key = f"{path}.{err.field}" if err.field else path
-        if key not in errs.paths:
+        if not any(p == key or p.startswith(f"{key}[") for p in errs.paths):
             errs.add(key, str(err))
         return None
 

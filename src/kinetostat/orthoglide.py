@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _ik_stack, _reachable, _stack_row
+from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _ik_stack, _reached
 from .control import _compensate, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
@@ -266,7 +266,7 @@ class ComplianceMap:
     reasons: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-# cells whose rigid IK is solved as one stack per chain; bounds the stack's memory on large grids
+# cells per rigid IK stack: caps its temporaries (~1.3 kB a cell, shipped chains) on large grids
 _STACK_CELLS = 4096
 
 
@@ -292,11 +292,10 @@ def compliance_grid(
     Each cell is evaluated in the compensated state: actuators are solved
     kinetostatically so the cell pose is an unloaded equilibrium, then the
     aggregate stiffness is computed at the equilibria that solve ends on.
-    The rigid IK that starts each compensation is solved for the cells of
-    the grid as one stack per chain (``chain._ik_stack``), bit for bit what
-    the per-cell solve gives. Cells whose solve fails or whose stiffness is
-    not positive definite are flagged failed, never dropped, and the map
-    names the reason.
+    The rigid IK that starts it is solved for all cells as one stack per
+    chain (``chain._ik_stack``), bit for bit the per-cell solve. Cells whose
+    solve fails or whose stiffness is not positive definite are flagged
+    failed, never dropped, and the map names the reason.
     """
     if grid_n < 2:
         raise ModelError("compliance grid needs at least 2 points per side")
@@ -320,12 +319,15 @@ def compliance_grid(
     for first in range(0, grid_n * grid_n, _STACK_CELLS):
         ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))
-        targets[:, 0] = xs[ix]
-        targets[:, 1] = ys[iy]
+        targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
         stacks = [_ik_stack(chain, targets) for chain in manipulator.chains]
         for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
             try:
-                seeds = _reachable(manipulator, _stack_row(manipulator.chains, stacks, row))
+                seeds = []
+                for i, (chain, (coords, distances, errors)) in enumerate(zip(manipulator.chains, stacks)):
+                    if row in errors:
+                        raise ModelError(str(errors[row]), chain_index=i)
+                    seeds.append(_reached(chain, i, chain.state_of(coords[row]), float(distances[row])))
                 sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
             except KinetostatError as err:

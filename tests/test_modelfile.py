@@ -227,8 +227,15 @@ def test_constructor_rules_reported_under_their_key_path(where, value, path, wor
     assert words in line
 
 
-@pytest.mark.parametrize("key, value, words", [("stiffness", None, "expected a number"), ("axis", "x", "list of 3")])
-def test_placeholder_fault_reported_once(key, value, words):
+@pytest.mark.parametrize(
+    "key, value, path, words",
+    [
+        ("stiffness", None, "stiffness", "expected a number"),
+        ("axis", "x", "axis", "list of 3"),
+        ("axis", [None, 0, 0], "axis[0]", "expected a number"),
+    ],
+)
+def test_placeholder_fault_reported_once(key, value, path, words):
     # the parser reports the key and builds the joint with a placeholder; the
     # constructor's complaint about that placeholder is the same fault
     tree = json.loads(fixture_text())
@@ -237,4 +244,4 @@ def test_placeholder_fault_reported_once(key, value, words):
         parse_model(json.dumps(tree))
     problems = str(exc.value).splitlines()[1:]
     assert len(problems) == 1
-    assert problems[0].startswith(f"$.chains[0].elements[1].joint.{key}: ") and words in problems[0]
+    assert problems[0].startswith(f"$.chains[0].elements[1].joint.{path}: ") and words in problems[0]
