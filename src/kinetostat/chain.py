@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as geo
-from .errors import ModelError, OutOfWorkspaceError
+from .errors import KinetostatError, ModelError, OutOfWorkspaceError
 from .springs import RegroupedState, SpringLaw
 
 ACTUATED = "actuated"
@@ -320,8 +320,8 @@ def _motion_constants(joint: JointModel):
     return axis, (geo.skew(axis), np.outer(axis, axis))
 
 
-def _end_transform(chain: ChainModel, coords: np.ndarray, with_joint_frames: bool):
-    """Compose the chain; optionally record each joint's frame (after its link).
+def _end_transform(chain: ChainModel, coords: np.ndarray):
+    """Compose the chain and record each joint's frame (after its link).
 
     Identity transforms (``Transform.is_identity``) are skipped, and a
     factor meeting a product that is still I is taken as it is. A product
@@ -330,12 +330,11 @@ def _end_transform(chain: ChainModel, coords: np.ndarray, with_joint_frames: boo
     inf * 0. T and the frames may be shared matrices: callers only read them.
     """
     T = None if chain.base_pose.is_identity else chain.base_pose.matrix  # None: the identity
-    frames = [] if with_joint_frames else None
+    frames = []
     for (link, _), (axis, rotation), value in zip(chain.elements, chain._motions, coords):
         if not link.is_identity:
             T = link.matrix if T is None else T @ link.matrix
-        if with_joint_frames:
-            frames.append(_I4 if T is None else T)
+        frames.append(_I4 if T is None else T)
         motion = _I4.copy()
         if rotation is None:
             motion[:3, 3] = axis * value
@@ -362,7 +361,7 @@ def _task_pose(T: np.ndarray, dim: int) -> np.ndarray:
 def fk_array(chain: ChainModel, state: ChainState) -> np.ndarray:
     """End pose as a flat task-space vector."""
     coords = chain.element_coordinates(state)
-    T, _ = _end_transform(chain, coords, with_joint_frames=False)
+    T, _ = _end_transform(chain, coords)
     return _task_pose(T, chain.task_dim)
 
 
@@ -488,7 +487,7 @@ def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
     ``columns()`` builds ``(J_theta, J_q)`` from those frames, so a caller
     that ends up needing only the pose never builds them.
     """
-    T, frames = _end_transform(chain, regrouped.coords, with_joint_frames=True)
+    T, frames = _end_transform(chain, regrouped.coords)
     pose = _task_pose(T, chain.task_dim)
 
     def columns():
@@ -506,7 +505,7 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
 def _loaded_derivatives(chain: ChainModel, regrouped: RegroupedState, F: np.ndarray):
     """Task Jacobian columns and load Hessian d(J^T F)/dx of every chain
     element at a regrouped configuration, from one forward pass."""
-    T, frames = _end_transform(chain, regrouped.coords, with_joint_frames=True)
+    T, frames = _end_transform(chain, regrouped.coords)
     pose = _task_pose(T, chain.task_dim)
     twists = _twists(chain, T, frames)
     cols = _columns(chain, T, pose, twists)
@@ -556,7 +555,7 @@ def chain_ik_best_effort(chain: ChainModel, t):
 
     def forward(x):
         """Residual at x, its norm and the (T, frames, pose) pass behind it."""
-        T, frames = _end_transform(chain, x, with_joint_frames=True)
+        T, frames = _end_transform(chain, x)
         pose = _task_pose(T, chain.task_dim)
         r = target - pose
         return r, math.sqrt(r @ r), (T, frames, pose)
@@ -690,16 +689,30 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             steps[fresh] += 1
 
 
-def _reached(chain: ChainModel, index: int, state: ChainState, r_norm: float) -> ChainState:
-    """``state``, the rigid IK of chain ``index``, if it met its target;
-    else raises OutOfWorkspaceError carrying the closest reachable distance."""
+def _reached(chain: ChainModel, state: ChainState, r_norm: float) -> ChainState:
+    """``state``, the chain's rigid IK, if it met its target; else raises
+    OutOfWorkspaceError carrying the closest reachable distance."""
     if not r_norm <= _IK_FAIL_TOL:
         message = f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}"
-        raise OutOfWorkspaceError(message, distance=r_norm, chain_index=index)
+        raise OutOfWorkspaceError(message, distance=r_norm)
     return state
+
+
+def _each_chain(manipulator: ManipulatorModel, solve, *per_chain) -> list:
+    """``solve(chain, *items)`` for every chain, ``items`` its entries of the
+    ``per_chain`` sequences; a KinetostatError leaves with the chain's index."""
+    out = []
+    try:
+        for args in zip(manipulator.chains, *per_chain):
+            out.append(solve(*args))
+    except KinetostatError as err:
+        err.chain_index = len(out)  # every chain before the failing one returned
+        raise
+    return out
 
 
 def inverse_kinematics_unloaded(manipulator: ManipulatorModel, t) -> list[ChainState]:
     """Per-chain rigid IK of the whole manipulator at a shared target pose."""
     target = manipulator.pose_array(t)
-    return [_reached(chain, i, *chain_ik_best_effort(chain, target)) for i, chain in enumerate(manipulator.chains)]
+    # chain_ik_best_effort is looked up at each call, so a wrapper bound in its place sees it
+    return _each_chain(manipulator, lambda chain: _reached(chain, *chain_ik_best_effort(chain, target)))

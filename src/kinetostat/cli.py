@@ -96,12 +96,27 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _finish(args, payload, lines) -> int:
+    """Write ``payload()`` as JSON under --json, else the text ``lines``, to stdout or --out."""
+    if getattr(args, "json", False):  # sweep and map take no --json
+        _emit(json.dumps(payload(), indent=2) + "\n", args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
+
+
 def _matrix_rows(M) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(M)]
 
 
 def _options(args) -> SolverOptions:
     return SolverOptions(pose_tol=args.tol, rng_seed=args.seed, max_iterations=args.max_iter)
+
+
+def _pose_command(args):
+    """The model, the checked --pose and the solver options of a single-pose command."""
+    model = _load_model(args.model)
+    return model, model.pose_array(_floats(args.pose, "--pose")), _options(args)
 
 
 def _resolve_rho(model, args, target):
@@ -117,69 +132,53 @@ def _resolve_rho(model, args, target):
 
 
 def _cmd_equilibrium(args) -> int:
-    model = _load_model(args.model)
-    target = model.pose_array(_floats(args.pose, "--pose"))
-    opts = _options(args)
+    model, target, opts = _pose_command(args)
     rho, starts = _resolve_rho(model, args, target)
     F_sigma, results = total_wrench(model, target, rho, opts, starts=starts)
-    if args.json:
-        payload = {
-            "command": "equilibrium",
-            "pose": [float(v) for v in target],
-            "rho": [[float(v) for v in r] for r in rho],
-            "F_sigma": [float(v) for v in F_sigma],
-            "chains": [
-                {
-                    "F": [float(v) for v in r.F],
-                    "residual": r.residual,
-                    "iterations": r.iterations,
-                    "restarts": r.restarts,
-                    "active_mask": [bool(b) for b in r.regrouped.active_mask],
-                }
-                for r in results
-            ],
-            "units": model.units,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["F_sigma: " + " ".join(_fmt(v) for v in F_sigma)]
-        for i, r in enumerate(results):
-            lines.append(
-                f"chain[{i}]: F = {' '.join(_fmt(v) for v in r.F)}  "
-                f"residual = {_fmt(r.residual)}  iterations = {r.iterations}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines = ["F_sigma: " + " ".join(_fmt(v) for v in F_sigma)]
+    for i, r in enumerate(results):
+        lines.append(
+            f"chain[{i}]: F = {' '.join(_fmt(v) for v in r.F)}  "
+            f"residual = {_fmt(r.residual)}  iterations = {r.iterations}"
+        )
+    return _finish(args, lambda: {
+        "command": "equilibrium",
+        "pose": [float(v) for v in target],
+        "rho": [[float(v) for v in r] for r in rho],
+        "F_sigma": [float(v) for v in F_sigma],
+        "chains": [
+            {
+                "F": [float(v) for v in r.F],
+                "residual": r.residual,
+                "iterations": r.iterations,
+                "restarts": r.restarts,
+                "active_mask": [bool(b) for b in r.regrouped.active_mask],
+            }
+            for r in results
+        ],
+        "units": model.units,
+    }, lines)
 
 
 def _cmd_stiffness(args) -> int:
-    model = _load_model(args.model)
-    target = model.pose_array(_floats(args.pose, "--pose"))
-    opts = _options(args)
+    model, target, opts = _pose_command(args)
     rho, starts = _resolve_rho(model, args, target)
     _, equilibria = total_wrench(model, target, rho, opts, starts=starts)
     res = _aggregate_stiffness(model, equilibria)
-    if args.json:
-        payload = {
-            "command": "stiffness",
-            "pose": [float(v) for v in target],
-            "K_sigma": _matrix_rows(res.K_sigma),
-            "eigenvalues": [float(v) for v in res.eigenvalues],
-            "K_c": [_matrix_rows(K) for K in res.K_c],
-            "rank_c": res.rank_c,
-            "condition": res.condition,
-            "indefinite": res.indefinite,
-            "units": model.units,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["K_sigma:"]
-        for row in np.asarray(res.K_sigma):
-            lines.append("  " + " ".join(_fmt(v) for v in row))
-        lines.append("eigenvalues: " + " ".join(_fmt(v) for v in res.eigenvalues))
-        lines.append("chain ranks: " + " ".join(str(r) for r in res.rank_c))
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines = ["K_sigma:"] + ["  " + " ".join(_fmt(v) for v in row) for row in np.asarray(res.K_sigma)]
+    lines.append("eigenvalues: " + " ".join(_fmt(v) for v in res.eigenvalues))
+    lines.append("chain ranks: " + " ".join(str(r) for r in res.rank_c))
+    return _finish(args, lambda: {
+        "command": "stiffness",
+        "pose": [float(v) for v in target],
+        "K_sigma": _matrix_rows(res.K_sigma),
+        "eigenvalues": [float(v) for v in res.eigenvalues],
+        "K_c": [_matrix_rows(K) for K in res.K_c],
+        "rank_c": res.rank_c,
+        "condition": res.condition,
+        "indefinite": res.indefinite,
+        "units": model.units,
+    }, lines)
 
 
 def _cmd_sweep(args) -> int:
@@ -208,8 +207,7 @@ def _cmd_sweep(args) -> int:
         lines.append(f"# critical_delta={_fmt(crit[0])} critical_force={_fmt(crit[1])}")
     if curve.truncated:
         lines.append("# truncated=true")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _finish(args, None, lines)
 
 
 def _cmd_map(args) -> int:
@@ -223,46 +221,34 @@ def _cmd_map(args) -> int:
             lines.append(
                 f"{_fmt(x)},{_fmt(y)},{_fmt(grid.c_max[ix, iy])},{_fmt(grid.c_min[ix, iy])},{flag}"
             )
-    _emit("\n".join(lines) + "\n", args.out)
+    _finish(args, None, lines)
     for (ix, iy), reason in grid.reasons.items():
         print(f"map: cell x={_fmt(grid.xs[ix])} y={_fmt(grid.ys[iy])} failed: {reason}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_invkin(args) -> int:
-    model = _load_model(args.model)
-    target = model.pose_array(_floats(args.pose, "--pose"))
-    opts = _options(args)
+    model, target, opts = _pose_command(args)
     sol = solve_inverse_kinetostatic(model, target, args.eps_f, opts)
-    if args.json:
-        payload = {
-            "command": "invkin",
-            "pose": [float(v) for v in target],
-            "rho": [[float(v) for v in r] for r in sol.rho],
-            "residual_wrench": sol.residual_wrench,
-            "outer_iterations": sol.outer_iterations,
-            "full_rank": sol.full_rank,
-            "units": model.units,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        flat = " ".join(_fmt(v) for r in sol.rho for v in r)
-        _emit(
-            f"rho: {flat}\nresidual_wrench: {_fmt(sol.residual_wrench)}\n"
-            f"outer_iterations: {sol.outer_iterations}\n",
-            args.out,
-        )
-    return EXIT_OK
+    lines = [
+        "rho: " + " ".join(_fmt(v) for r in sol.rho for v in r),
+        f"residual_wrench: {_fmt(sol.residual_wrench)}",
+        f"outer_iterations: {sol.outer_iterations}",
+    ]
+    return _finish(args, lambda: {
+        "command": "invkin",
+        "pose": [float(v) for v in target],
+        "rho": [[float(v) for v in r] for r in sol.rho],
+        "residual_wrench": sol.residual_wrench,
+        "outer_iterations": sol.outer_iterations,
+        "full_rank": sol.full_rank,
+        "units": model.units,
+    }, lines)
 
 
 def _cmd_bench(args) -> int:
-    spec = OrthoglideSpec(p_factor=args.p_factor)
-    report = reproduce_table1(spec, _options(args))
-    if args.json:
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    else:
-        _emit(report.to_text(), args.out)
-    return EXIT_OK
+    report = reproduce_table1(OrthoglideSpec(p_factor=args.p_factor), _options(args))
+    return _finish(args, report.to_json_dict, report.to_text().splitlines())
 
 
 @functools.cache

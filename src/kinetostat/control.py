@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, inverse_kinematics_unloaded
+from .chain import ChainState, ManipulatorModel, _each_chain, inverse_kinematics_unloaded
 from .equilibrium import EquilibriumResult, SolverOptions, _solve, split_rho, total_wrench
-from .errors import ControlSingularityError, ModelError, NonConvergenceError, SingularityError
+from .errors import ControlSingularityError, ModelError, NonConvergenceError
 from .stiffness import _chain_sensitivity
 
 _MAX_OUTER = 30
@@ -64,14 +64,7 @@ class KinetostaticSolution:
 def _sensitivity(manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]) -> np.ndarray:
     """dF_total/drho at solved chain equilibria: each chain's columns from
     its stiffness block system."""
-    columns = []
-    for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
-        try:
-            columns.append(_chain_sensitivity(chain, eq))
-        except SingularityError as err:
-            err.chain_index = i
-            raise
-    return np.hstack(columns)
+    return np.hstack(_each_chain(manipulator, _chain_sensitivity, equilibria))
 
 
 def sensitivity_matrix(
@@ -137,7 +130,6 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
             full_rank = rank == min(S.shape)
 
         lam = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS):
             rho_try = rho - lam * step
             F_try, eqs_try = total_wrench(manipulator, target, rho_try, opts, starts=seeds)
@@ -145,10 +137,9 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
             try_norm = float(np.linalg.norm(err_try))
             if try_norm < err_norm:
                 rho, err, err_norm, equilibria = rho_try, err_try, try_norm, eqs_try
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:  # no halving lowered the residual
             break
         history.append(err_norm)
 

@@ -48,6 +48,7 @@ from .chain import (
     ChainModel,
     ChainState,
     ManipulatorModel,
+    _each_chain,
     chain_ik_best_effort,
     inverse_kinematics_unloaded,
     regrouped_geometry,
@@ -171,7 +172,6 @@ def solve_chain_equilibrium(
     if not (np.isfinite(target).all() and np.isfinite(rho).all()):
         raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
-    rng = None  # built on the first restart, the only place that draws from it
     if start is None:
         # nearest unloaded configuration, virtual springs at rest; best effort,
         # as part of the task space is reachable only through elastic deflection
@@ -187,16 +187,19 @@ def solve_chain_equilibrium(
     singular = f"chain {chain.name!r} is singular at the prescribed pose"
     best_residual = np.inf
     iterations = 0
-    restarts = 0
 
-    while True:
+    for restarts in range(opts.max_restarts + 1):
+        if restarts:  # slight random disturbance of the configuration, actuators stay put
+            if restarts == 1:  # the generator is built on the first restart, the only place that draws
+                rng = np.random.default_rng(opts.rng_seed)
+            v = x[free]
+            x[free] = v + rng.uniform(-1.0, 1.0, v.shape) * _PERTURBATION * np.maximum(1.0, np.abs(v))
         reg = regroup(chain, x)
         g, columns = regrouped_geometry(chain, reg)
         F = np.zeros(d)
         prev_mask = None
         dx_prev = None
         oscillating = 0
-        converged = False
         for _ in range(opts.max_iterations):
             if prev_mask is not None and (reg.active_mask != prev_mask).any():
                 oscillating += 1
@@ -236,33 +239,15 @@ def solve_chain_equilibrium(
                     dx_prev is not None and oscillating == 0 and np.array_equal(reg.active_mask, prev_mask)
                     and _contraction_bound(step[:d], step[d:], dx_prev) <= tol
                 ):
-                    converged = True
-                    break
+                    return EquilibriumResult(
+                        F=F, residual=residual, iterations=iterations, restarts=restarts, regrouped=reg, chain=chain
+                    )
             dx_prev = step[d:]
-        if converged:
-            break
-        restarts += 1
-        if restarts > opts.max_restarts:
-            raise NonConvergenceError(
-                f"equilibrium of chain {chain.name!r} did not converge "
-                f"(best residual {best_residual:.3e})",
-                residual=best_residual,
-                iterations=iterations,
-                restarts=restarts - 1,
-            )
-        # slight random disturbance of the configuration, actuators stay put
-        if rng is None:
-            rng = np.random.default_rng(opts.rng_seed)
-        v = x[free]
-        x[free] = v + rng.uniform(-1.0, 1.0, v.shape) * _PERTURBATION * np.maximum(1.0, np.abs(v))
-
-    return EquilibriumResult(
-        F=F,
-        residual=residual,
+    raise NonConvergenceError(
+        f"equilibrium of chain {chain.name!r} did not converge (best residual {best_residual:.3e})",
+        residual=best_residual,
         iterations=iterations,
-        restarts=restarts,
-        regrouped=reg,
-        chain=chain,
+        restarts=opts.max_restarts,
     )
 
 
@@ -293,16 +278,13 @@ def total_wrench(
     """Sum of the per-chain holding wrenches at a shared platform pose."""
     target = manipulator.pose_array(t)
     rhos = split_rho(manipulator, rho_all)
-    if starts is not None and len(starts) != len(manipulator.chains):
+    if starts is None:
+        starts = [None] * len(manipulator.chains)
+    elif len(starts) != len(manipulator.chains):
         raise ModelError(f"{len(starts)} start states for {len(manipulator.chains)} chains")
-    results = []
-    for i, chain in enumerate(manipulator.chains):
-        try:
-            start = None if starts is None else starts[i]
-            results.append(solve_chain_equilibrium(chain, target, rhos[i], opts, start=start))
-        except (NonConvergenceError, SingularityError) as err:
-            err.chain_index = i
-            raise
+    results = _each_chain(
+        manipulator, lambda chain, rho, start: solve_chain_equilibrium(chain, target, rho, opts, start=start), rhos, starts
+    )
     F_sigma = np.sum([r.F for r in results], axis=0)
     return F_sigma, results
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _ik_stack, _reached
+from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _each_chain, _ik_stack, _reached
 from .control import _compensate, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
@@ -189,7 +189,7 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     rhos = [eq.regrouped.coords[chain.actuated_elements] for chain, eq in zip(model.chains, equilibria)]
 
     def directional(eqs):
-        K = sum(_chain_stiffness_diag(chain, eq) for chain, eq in zip(model.chains, eqs))
+        K = sum(_each_chain(model, _chain_stiffness_diag, eqs))
         return float(u @ K @ u)
 
     def solve(delta, warm):
@@ -316,6 +316,13 @@ def compliance_grid(
     F_target = np.zeros(manipulator.task_dim)
     reasons = {}
 
+    def seed(chain, stack):
+        """The rigid IK state of cell ``row`` in the chain's stack, or the error its row stored."""
+        coords, distances, errors = stack
+        if row in errors:
+            raise errors[row]
+        return _reached(chain, chain.state_of(coords[row]), float(distances[row]))
+
     for first in range(0, grid_n * grid_n, _STACK_CELLS):
         ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))
@@ -323,11 +330,7 @@ def compliance_grid(
         stacks = [_ik_stack(chain, targets) for chain in manipulator.chains]
         for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
             try:
-                seeds = []
-                for i, (chain, (coords, distances, errors)) in enumerate(zip(manipulator.chains, stacks)):
-                    if row in errors:
-                        raise ModelError(str(errors[row]), chain_index=i)
-                    seeds.append(_reached(chain, i, chain.state_of(coords[row]), float(distances[row])))
+                seeds = _each_chain(manipulator, seed, stacks)
                 sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
             except KinetostatError as err:

@@ -20,11 +20,12 @@ sensitivity that the kinetostatic compensation inverts.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, ManipulatorModel, _loaded_derivatives
+from .chain import ChainModel, ManipulatorModel, _each_chain, _loaded_derivatives
 from .equilibrium import EquilibriumResult, SolverOptions, _solve, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
@@ -92,11 +93,15 @@ def _block_system(chain: ChainModel, eq: EquilibriumResult):
     return A, actuator_rhs
 
 
+def _chain_response(chain: ChainModel, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Task rows of A^-1 rhs for the chain's stiffness block A."""
+    what = f"stiffness block of chain {chain.name!r} is singular"
+    return _solve(A, rhs, SingularityError, what)[: chain.task_dim]
+
+
 def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
     A = _block_system(chain, eq)[0]
-    d = chain.task_dim
-    what = f"stiffness block of chain {chain.name!r} is singular"
-    K = _solve(A, np.eye(A.shape[0], d), SingularityError, what)[:d]
+    K = _chain_response(chain, A, np.eye(len(A), chain.task_dim))
     return 0.5 * (K + K.T)
 
 
@@ -112,8 +117,7 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
     where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
     """
     A, actuator_rhs = _block_system(chain, eq)
-    what = f"stiffness block of chain {chain.name!r} is singular"
-    return _solve(A, actuator_rhs(), SingularityError, what)[: chain.task_dim]
+    return _chain_response(chain, A, actuator_rhs())
 
 
 def manipulator_stiffness(
@@ -131,13 +135,7 @@ def _aggregate_stiffness(
     manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]
 ) -> StiffnessResult:
     """Chain stiffnesses at already solved chain equilibria, and their sum."""
-    K_c = []
-    for i, (chain, eq) in enumerate(zip(manipulator.chains, equilibria)):
-        try:
-            K_c.append(_chain_stiffness_diag(chain, eq))
-        except SingularityError as err:
-            err.chain_index = i
-            raise
+    K_c = _each_chain(manipulator, _chain_stiffness_diag, equilibria)
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(
@@ -152,10 +150,12 @@ def _aggregate_stiffness(
 
 def directional_stiffness(K: np.ndarray, u) -> float:
     """u^T K u: holding-force change per unit prescribed displacement along u."""
-    u = np.asarray(u, dtype=float).ravel()
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
-        raise ModelError("direction must be a unit vector")
-    return float(u @ np.asarray(K) @ u)
+    K, u = np.asarray(K), np.asarray(u, dtype=float).ravel()
+    if K.shape != (u.size, u.size):
+        raise ModelError(f"direction u of length {u.size} does not match K of shape {K.shape}")
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= 1e-9:  # NaN fails too
+        raise ModelError(f"direction u must be a unit vector, got {u.tolist()}")
+    return float(u @ K @ u)
 
 
 def stiffness_vs_fd_check(
@@ -170,8 +170,8 @@ def stiffness_vs_fd_check(
     Central differences of the total-wrench map with step h, column by
     column; deviations are scaled by the spectral norm of K_sigma.
     """
-    if h <= 0:
-        raise ModelError("finite-difference step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ModelError(f"finite-difference step h must be positive and finite, got {h!r}")
     target = manipulator.pose_array(t)
     K = manipulator_stiffness(manipulator, target, rho_all, opts).K_sigma
     scale = float(np.linalg.norm(K, 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -168,7 +169,7 @@ def test_geometry_bitwise_equal_to_reference(task_dim):
             chain = random_planar_chain(rng, task_dim=task_dim, n_joints=5)
         coords = chain.element_coordinates(random_state(rng, chain))
         T_ref, cols_ref = _reference_geometry(chain, coords)
-        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=False)[0], T_ref)
+        assert np.array_equal(_end_transform(chain, coords)[0], T_ref)
         cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
         assert np.array_equal(cols, cols_ref)
 
@@ -204,8 +205,7 @@ def test_identity_elision_bitwise_equal_to_reference(task_dim):
         skipped += sum(link.is_identity for link, _ in chain.elements)
         coords = chain.element_coordinates(random_state(rng, chain))
         T_ref, cols_ref = _reference_geometry(chain, coords)
-        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=False)[0], T_ref)
-        assert np.array_equal(_end_transform(chain, coords, with_joint_frames=True)[0], T_ref)
+        assert np.array_equal(_end_transform(chain, coords)[0], T_ref)
         cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
         assert np.array_equal(cols, cols_ref)
     assert skipped > 0
@@ -255,7 +255,7 @@ def _fd_jacobian(chain, state, elements):
         def pose_at(c):
             from kinetostat.chain import _end_transform, _task_pose
 
-            T, _ = _end_transform(chain, c, with_joint_frames=False)
+            T, _ = _end_transform(chain, c)
             return _task_pose(T, chain.task_dim)
 
         cols.append((pose_at(cp) - pose_at(cm)) / (2.0 * h))
@@ -375,7 +375,7 @@ def test_load_hessian_matches_gradient_differences(name):
         F = rng.normal(size=chain.task_dim)
         coords = chain.element_coordinates(state)
         cols, H = _loaded_derivatives(chain, reg, F)
-        T, frames = _end_transform(chain, coords, with_joint_frames=True)
+        T, frames = _end_transform(chain, coords)
         pose = _task_pose(T, chain.task_dim)
         np.testing.assert_array_equal(cols, _columns(chain, T, pose, _twists(chain, T, frames)))
         np.testing.assert_array_equal(H, H.T)
@@ -657,3 +657,107 @@ def test_ik_stack_fails_only_the_row_at_the_euler_singularity():
     ry = [0.0, 0.3, 1.5, math.pi / 2.0, -0.7]
     targets = [[x, y, 0.1, 0.0, r, 0.0] for x in (0.3, -1.0) for y in (0.2, 2.0) for r in ry]
     assert _assert_stack_is_scalar_ik(chain, targets) == 4
+
+
+# -- the chain-failure rule ----------------------------------------------------
+
+
+def _upright_document():
+    """A dim-6 model of two copies of one chain: slider along x, passive y
+    and z slides, a passive pitch joint, then six virtual springs. The
+    first copy's IK seed is level; the second's pitches the end upright
+    (ry = pi/2), where the roll-pitch-yaw rate map is singular."""
+
+    def joint(kind, motion, axis, **kw):
+        return {"joint": {"kind": kind, "motion": motion, "axis": axis, **kw}}
+
+    x, y, z = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    elements = [
+        joint("actuated", "translational", x),
+        joint("perfect_passive", "translational", y),
+        joint("perfect_passive", "translational", z),
+        joint("perfect_passive", "rotational", y),
+    ]
+    elements += [joint("virtual_elastic", m, a, stiffness=1.0) for m in ("translational", "rotational") for a in (x, y, z)]
+    chains = [
+        {"name": name, "tool": {"translation": [0.1, 0.0, 0.0]}, "ik_seed": [0.0, 0.0, 0.0, pitch], "elements": elements}
+        for name, pitch in (("level", 0.0), ("upright", math.pi / 2.0))
+    ]
+    box = {"min": [-0.2, -0.2, -0.1], "max": [0.2, 0.2, 0.1]}
+    return {"version": "kinetostat/1", "task_dim": 6, "workspace": box, "chains": chains}
+
+
+def _failure_in_chain_1(site):
+    """The error that ``site``, one of the per-chain loops, raises when chain 1 fails."""
+    from kinetostat import SingularityError, total_wrench
+    from kinetostat.control import _sensitivity
+    from kinetostat.equilibrium import EquilibriumResult
+    from kinetostat.orthoglide import _critical_point
+    from kinetostat.springs import regroup
+    from kinetostat.stiffness import _aggregate_stiffness
+
+    from conftest import shipped_model
+
+    model = shipped_model()
+    _, eqs = total_wrench(model, [0.1, 0.1], [1.0, 1.0])
+    # the y-leg's bar turned across its drive: both its spring columns point along y
+    y_leg = model.chains[1]
+    flat = EquilibriumResult(np.zeros(2), 0.0, 0, 0, regroup(y_leg, np.array([1.0, 0.0, math.pi / 2.0])), y_leg)
+    calls = {
+        "inverse_kinematics_unloaded": (OutOfWorkspaceError, lambda: inverse_kinematics_unloaded(model, [1.5, 0.0])),
+        "total_wrench": (
+            ModelError,
+            lambda: total_wrench(model, [0.1, 0.1], [1.0, 1.0], starts=[eqs[0].regrouped.coords, np.zeros(2)]),
+        ),
+        "control._sensitivity": (SingularityError, lambda: _sensitivity(model, [eqs[0], flat])),
+        "stiffness._aggregate_stiffness": (SingularityError, lambda: _aggregate_stiffness(model, [eqs[0], flat])),
+        "orthoglide._critical_point": (
+            SingularityError,
+            lambda: _critical_point(model, [0.1, 0.1], np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3, None, [eqs[0], flat]),
+        ),
+    }
+    error, call = calls[site]
+    with pytest.raises(error) as exc:
+        call()
+    return exc.value
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        "inverse_kinematics_unloaded",
+        "total_wrench",
+        "control._sensitivity",
+        "stiffness._aggregate_stiffness",
+        "orthoglide._critical_point",
+        "orthoglide.compliance_grid",
+    ],
+)
+def test_a_failure_inside_one_chain_carries_its_index(site, tmp_path, capsys):
+    # every per-chain loop tags the error of the chain that failed, here chain 1
+    if site != "orthoglide.compliance_grid":
+        assert _failure_in_chain_1(site).chain_index == 1
+        return
+    # the grid re-raises the ModelError its IK stack stored for a row, in every cell
+    from kinetostat.cli import main
+
+    path = tmp_path / "upright.json"
+    path.write_text(json.dumps(_upright_document()))
+    assert main(["map", "--model", str(path), "--grid", "2"]) == 0
+    reason = "ModelError on chain 1 ('upright'): orientation parametrization singular (cos ry ~ 0)"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.endswith(f" failed: {reason}") for line in lines)
+
+
+def test_a_model_error_inside_a_chain_solve_carries_its_index():
+    # the upright chain's cold start hits the Euler singularity inside its
+    # equilibrium solve; the level chain before it converges
+    from kinetostat import ManipulatorModel, parse_model, total_wrench
+
+    model = parse_model(json.dumps(_upright_document()))
+    target = [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
+    F, _ = total_wrench(ManipulatorModel(task_dim=6, chains=model.chains[:1]), target, [0.0])
+    assert np.isfinite(F).all()
+    with pytest.raises(ModelError, match="orientation parametrization singular") as exc:
+        total_wrench(model, target, [0.0, 0.0])
+    assert exc.value.chain_index == 1

@@ -187,6 +187,30 @@ def test_bench_orthoglide_json(capsys):
     assert payload["critical_force"]["0.05"] is None
 
 
+def test_bench_orthoglide_text_is_the_report(capsys):
+    from kinetostat import OrthoglideSpec, reproduce_table1
+
+    assert main(["bench", "orthoglide"]) == 0
+    assert capsys.readouterr().out == reproduce_table1(OrthoglideSpec()).to_text()
+
+
+def test_sweep_at_given_actuators_matches_library(model_path, capsys):
+    from kinetostat import force_deflection, parse_model
+
+    sweep = ["sweep", "--model", model_path, "--from", "0.1,0.2", "--dir", "1,0", "--max-delta", "0.02", "--step", "0.01"]
+    assert main(sweep + ["--rho", "1.05,0.95"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:4]]
+    model = parse_model(open(model_path).read())
+    curve = force_deflection(model, [0.1, 0.2], [1.0, 0.0], 0.02, 0.01, rho_all=[1.05, 0.95])
+    assert [float(f) for _, _, f in rows] == curve.force_along.tolist()
+
+
+def test_invkin_stall_exits_4(model_path, capsys):
+    # a wrench tolerance below the float floor: the line search stalls
+    assert main(["invkin", "--model", model_path, "--pose", "0.1,0.1", "--eps-f", "1e-300"]) == 4
+    assert "non-convergence: kinetostatic compensation stalled at |F| = " in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(model_path, capsys):
     assert main(["equilibrium", "--model", model_path]) == 2  # missing --pose
     assert main(["equilibrium", "--model", model_path, "--pose", "a,b"]) == 2

@@ -9,6 +9,7 @@ from kinetostat import (
     JointModel,
     ManipulatorModel,
     ModelError,
+    NonConvergenceError,
     OrthoglideSpec,
     SolverOptions,
     SpringLaw,
@@ -21,7 +22,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from conftest import gradient_differences, linear_preload_model, off_base_actuator_model, stop_limit_model
+from conftest import gradient_differences, linear_preload_model, off_base_actuator_model, shipped_model, stop_limit_model
 
 
 def test_sensitivity_is_minus_drive_stiffness_at_centre(ortho_nopreload):
@@ -357,3 +358,41 @@ def test_non_finite_knobs_rejected(ortho_nopreload, value):
 def test_compensation_rejects_non_finite_pose(ortho_nopreload):
     with pytest.raises(ModelError, match="not finite"):
         solve_inverse_kinetostatic(ortho_nopreload, [math.nan, 0.0], 1e-8)
+
+
+def test_redundant_actuators_take_the_least_squares_step():
+    # a second x-leg makes S 2 x 3: the step is the least-squares one, of full rank 2
+    x_leg, y_leg = shipped_model().chains
+    model = ManipulatorModel(task_dim=2, chains=[x_leg, y_leg, x_leg])
+    sol = solve_inverse_kinetostatic(model, [0.2, 0.3], 1e-8)
+    assert sol.full_rank and sol.outer_iterations == 1 and sol.residual_wrench < 1e-8
+
+
+def test_rank_deficient_actuators_converge_and_are_flagged():
+    # three x-legs on the x axis: every column of S points along x (rank 1 of
+    # 2), and a prescribed x load lies in its range
+    model = ManipulatorModel(task_dim=2, chains=[shipped_model().chains[0]] * 3)
+    sol = solve_inverse_kinetostatic(model, [0.1, 0.0], 1e-8, f_ext=[0.05, 0.0])
+    assert not sol.full_rank and sol.outer_iterations == 1
+    F, _ = total_wrench(model, [0.1, 0.0], sol.rho)
+    np.testing.assert_allclose(F, [0.05, 0.0], atol=1e-8)
+
+
+def test_compensation_stalls_when_no_halving_lowers_the_residual(monkeypatch):
+    # the x-leg alone cannot cancel its preload's y force: the first step is
+    # taken, then every halving of the second leaves |F| where it was
+    import kinetostat.control as control
+
+    real, norms = control.total_wrench, []
+
+    def counted(*args, **kwargs):
+        F, eqs = real(*args, **kwargs)
+        norms.append(float(np.linalg.norm(F)))
+        return F, eqs
+
+    monkeypatch.setattr(control, "total_wrench", counted)
+    model = ManipulatorModel(task_dim=2, chains=[shipped_model().chains[0]])
+    with pytest.raises(NonConvergenceError, match=r"stalled at \|F\| = 3\.047e-02") as exc:
+        solve_inverse_kinetostatic(model, [0.2, 0.3], 1e-8)
+    assert exc.value.iterations == 1 and exc.value.residual == norms[1]
+    assert len(norms) == 2 + control._MAX_HALVINGS and min(norms[2:]) >= norms[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,20 @@ def test_one_forward_pass_per_block(monkeypatch, block):
         passes.clear()
         getattr(kinetostat.stiffness, block)(chain, eq)
         assert len(passes) == 1
+
+
+@pytest.mark.parametrize(
+    "u, match",
+    [([math.nan, 0.0], "direction u must be a unit vector"), ([1.0, 0.0, 0.0], "direction u of length 3")],
+)
+def test_directional_stiffness_names_a_bad_direction(u, match):
+    # NaN passed the old |norm - 1| > tol test; a wrong length failed inside matmul
+    with pytest.raises(ModelError, match=match):
+        directional_stiffness(np.eye(2), u)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-6])
+def test_fd_check_names_a_bad_step(ortho_nopreload, h):
+    # NaN passed the old h <= 0 test and failed later as a non-finite pose
+    with pytest.raises(ModelError, match="finite-difference step h"):
+        stiffness_vs_fd_check(ortho_nopreload, [0.0, 0.1], [[1.0], [1.0]], h=h)
