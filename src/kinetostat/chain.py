@@ -246,6 +246,11 @@ class ChainModel:
             self._regroupings[key] = layout
         return layout
 
+    def _by_mask(self, masks: np.ndarray) -> list:
+        """``(rows, regrouping(mask))`` for each distinct mask among the rows of ``masks`` (M, n_preloaded)."""
+        unique, inverse = np.unique(masks, axis=0, return_inverse=True)
+        return [(np.flatnonzero(inverse.ravel() == i), self.regrouping(mask)) for i, mask in enumerate(unique)]
+
     def element_coordinates(self, state: ChainState) -> np.ndarray:
         """Joint values in chain element order."""
         state.validate_against(self)
@@ -438,26 +443,32 @@ def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, co
     is symmetric by construction. The yaw row (dim 3) and the E^-1(phi)
     omega rows (dim 6) add their derivatives, written in the same
     symmetric form.
+    Stacked arguments (twists of (M,) arrays, F (M, d)) give (M, n, n) Hessians, NaN where E is singular.
     """
     dim = chain.task_dim
     n = len(twists)
-    f = F.tolist()
+    stacked = F.ndim == 2
+    # entries as Python floats, or as arrays over the stack's rows
+    leaves = np.transpose if stacked else (lambda a: a.T.tolist())
+    f = leaves(F)
     f0, f1 = f[0], f[1]
     f2 = f[2] if dim == 6 else 0.0
     if dim == 3:
         # yaw = atan2(c1, c0) of the end x-axis c, which moves as dc = omega x c
-        c0, c1, c2 = T[:3, 0].tolist()
+        c0, c1, c2 = leaves(T[..., :3, 0])
         # numpy division: a vertical x-axis gives inf here as in _columns
-        inv_s = float(np.float64(1.0) / (c0 * c0 + c1 * c1))
+        inv_s = leaves(np.float64(1.0) / (c0 * c0 + c1 * c1))
         dc = [(o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0) for o0, o1, o2, *_ in twists]
-        yaw = cols[2].tolist()
+        yaw = leaves(cols[..., 2, :])
         mu = [(c0 * d0 + c1 * d1) * inv_s for d0, d1, _ in dc]
     elif dim == 6:
         # phi rates u = E^-1 omega; d(F_phi . E^-1 omega) brings in -G . dE[u_b] u_a
-        G = (_euler_rate_inverse(pose).T @ F[3:]).tolist()
-        cy, sy = math.cos(pose[4]), math.sin(pose[4])
-        cz, sz = math.cos(pose[5]), math.sin(pose[5])
-        rates = cols[3:].T.tolist()
+        E_inv = _euler_stack(pose)[0] if stacked else _euler_rate_inverse(pose)
+        G = leaves((E_inv.swapaxes(-1, -2) @ F[..., 3:, None])[..., 0])
+        cos, sin = (np.cos, np.sin) if stacked else (math.cos, math.sin)
+        cy, sy = cos(pose[..., 4]), sin(pose[..., 4])
+        cz, sz = cos(pose[..., 5]), sin(pose[..., 5])
+        rates = leaves(cols[..., 3:, :])
     H = [[0.0] * n for _ in range(n)]
     for b in range(n):
         v0, v1, v2 = twists[b][3:]
@@ -477,7 +488,7 @@ def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, co
                 r2 = -cy * u1 * w0
                 h -= G[0] * r0 + G[1] * r1 + G[2] * r2
             H[a][b] = H[b][a] = h
-    return np.array(H)
+    return np.transpose(H) if stacked else np.array(H)
 
 
 def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
@@ -596,8 +607,8 @@ def chain_ik_best_effort(chain: ChainModel, t):
 
 
 def _stack_pass(chain: ChainModel, coords: np.ndarray):
-    """Poses (M, task_dim) and Jacobian columns (M, task_dim, n_elements) of
-    stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
+    """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (per
+    element six (M,) arrays) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
     ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped."""
     m, dim = len(coords), chain.task_dim
     T = None if chain.base_pose.is_identity else chain.base_pose.matrix
@@ -618,19 +629,51 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray):
     if not chain.tool_transform.is_identity:
         T = T @ chain.tool_transform.matrix
     # numpy's arctan2 and arcsin miss math's last bit on some inputs: angles go row by row
-    pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T])
+    pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T]).reshape(m, dim)
     revolute = np.array([rotation is not None for _, rotation in chain._motions])
     a0, a1, a2 = np.stack(axes, axis=2).swapaxes(0, 1)
     b0, b1, b2 = (T[:, :3, 3, None] - np.stack(origins, axis=2)).swapaxes(0, 1)
     o0, o1, o2 = (np.where(revolute, a, 0.0) for a in (a0, a1, a2))
-    rows = [np.where(revolute, a1 * b2 - a2 * b1, a0), np.where(revolute, a2 * b0 - a0 * b2, a1)]
+    v = [np.where(revolute, c, a) for c, a in ((a1 * b2 - a2 * b1, a0), (a2 * b0 - a0 * b2, a1), (a0 * b1 - a1 * b0, a2))]
+    rows = v[:2]
     if dim == 3:
         c0, c1, c2 = (T[:, i, 0, None] for i in range(3))
         d0, d1 = o1 * c2 - o2 * c1, o2 * c0 - o0 * c2
         rows.append((c0 * d1 - c1 * d0) / (c0 * c0 + c1 * c1))
     elif dim == 6:
-        rows += [np.where(revolute, a0 * b1 - a1 * b0, a2), o0, o1, o2]
-    return pose, np.stack(rows, axis=1)
+        rows += [v[2], o0, o1, o2]
+    return pose, np.stack(rows, axis=1), T, list(zip(*(t.T for t in (o0, o1, o2, *v))))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """sqrt(v . v) of each row of v (M, n), as ``math.sqrt(v @ v)`` gives it for one row."""
+    return np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+
+
+def _euler_stack(poses: np.ndarray):
+    """``_euler_rate_inverse`` of pose rows: E^-1 (K, 3, 3), NaN where it raises, and those errors by row."""
+    E_inv, errors = np.full((len(poses), 3, 3), np.nan), {}
+    for i, pose in enumerate(poses):
+        try:
+            E_inv[i] = _euler_rate_inverse(pose)
+        except ModelError as err:
+            errors[i] = err
+    return E_inv, errors
+
+
+def _map_rates(cols: np.ndarray, E_inv: np.ndarray) -> np.ndarray:
+    """Dim-6 stacked columns (K, 6, n) with rows 3-5 mapped from omega onto
+    the orientation rates E^-1 omega, as ``_columns`` maps them; in place."""
+    omega = np.ascontiguousarray(cols[:, 3:].swapaxes(1, 2))[..., None]
+    cols[:, 3:] = (E_inv[:, None] @ omega)[..., 0].swapaxes(1, 2)
+    return cols
+
+
+def _gather(a: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """``a[..., elements]`` laid out by columns, as numpy lays out that gather of a
+    2-D array: a product's BLAS kernel, and so its order of summation, follows
+    the layout, and a stacked product of these takes the scalar one's kernel."""
+    return np.take(a.swapaxes(-1, -2), elements, axis=-2).swapaxes(-1, -2)
 
 
 def _ik_stack(chain: ChainModel, targets: np.ndarray):
@@ -647,9 +690,9 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
     iterating, fresh, errors = np.ones(n, dtype=bool), np.arange(n), {}
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        pose, cols = _stack_pass(chain, coords)
+        pose, cols = _stack_pass(chain, coords)[:2]
         r = targets - pose
-        dist = np.sqrt((r[:, None] @ r[:, :, None])[:, 0, 0])
+        dist = _norms(r)
         while True:
             # the scalar stop tests; a row is fresh when its last trial was accepted
             iterating &= (dist > _IK_TOL) & (dist < math.inf) & (steps < _IK_MAX_ITERATIONS)
@@ -657,15 +700,11 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             fresh = fresh[iterating[fresh]]
             J = cols[fresh][:, :, free]
             if chain.task_dim == 6:
-                E_inv = []
-                for row in fresh.tolist():
-                    try:
-                        E_inv.append(_euler_rate_inverse(pose[row]))
-                    except ModelError as err:
-                        errors[row], iterating[row] = err, False
+                E_inv, bad = _euler_stack(pose[fresh])
+                for i, err in bad.items():
+                    errors[fresh[i]], iterating[fresh[i]] = err, False
                 keep = iterating[fresh]
-                J, fresh = J[keep], fresh[keep]
-                J[:, 3:] = (np.reshape(E_inv, (-1, 1, 3, 3)) @ J[:, 3:].swapaxes(1, 2)[..., None])[..., 0].swapaxes(1, 2)
+                J, fresh = _map_rates(J[keep], E_inv[keep]), fresh[keep]
             first = steps[fresh] == 0
             sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
             lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
@@ -677,9 +716,9 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             trial = coords[rows]
             damped = normal[rows] + lam[rows, None, None] * np.eye(free.size)
             trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
-            pose_try, cols_try = _stack_pass(chain, trial)
+            pose_try, cols_try = _stack_pass(chain, trial)[:2]
             r_try = targets[rows] - pose_try
-            try_dist = np.sqrt((r_try[:, None] @ r_try[:, :, None])[:, 0, 0])
+            try_dist = _norms(r_try)
             better = try_dist < dist[rows]
             fresh = rows[better]
             for a, a_try in ((coords, trial), (r, r_try), (dist, try_dist), (pose, pose_try), (cols, cols_try)):

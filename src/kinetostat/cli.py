@@ -38,6 +38,14 @@ EXIT_NONCONVERGENCE = 4
 EXIT_SINGULARITY = 5
 
 
+# exit code and stderr prefix by error class, the first match wins
+_FAILURES = (
+    ((ModelError, OutOfWorkspaceError), EXIT_MODEL, "model error"),
+    (SingularityError, EXIT_SINGULARITY, "singularity"),
+    (NonConvergenceError, EXIT_NONCONVERGENCE, "non-convergence"),
+    (KinetostatError, EXIT_MODEL, "error"),  # any remaining domain error is a model problem
+)
+
 # comma-list flags whose value may start with a minus sign
 _LIST_FLAGS = ("--pose", "--from", "--dir", "--rho")
 _NEGATIVE_LEAD = re.compile(r"-\.?\d")
@@ -321,18 +329,12 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, OutOfWorkspaceError) as err:
-        print(f"model error: {err}", file=sys.stderr)
-        return EXIT_MODEL
-    except SingularityError as err:
-        print(f"singularity: {err}", file=sys.stderr)
-        return EXIT_SINGULARITY
-    except NonConvergenceError as err:
-        print(f"non-convergence: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except KinetostatError as err:  # any remaining domain error is a model problem
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MODEL
+    except KinetostatError as err:
+        code, prefix = next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(err, kinds))
+        if err.chain_index is not None and not re.search(r"\bchain ['\"\d]", str(err)):  # names no chain
+            prefix += f" on chain {err.chain_index}"
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
     except Exception as err:  # noqa: BLE001 - nothing may escape to the shell
         print(f"internal error: {err!r}", file=sys.stderr)
         return 1

@@ -27,6 +27,9 @@ inverse that clears its condition bound (``equilibrium._solve``).
 The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold
 start that would re-solve the same IK each time.
+
+A compliance grid runs steps 2-5 in rounds over stacks of its cells still above
+eps_f; a cell that needs a branch the stacks leave out is solved by the loop above.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, _each_chain, inverse_kinematics_unloaded
-from .equilibrium import EquilibriumResult, SolverOptions, _solve, split_rho, total_wrench
+from .chain import ChainState, ManipulatorModel, _each_chain, _norms, inverse_kinematics_unloaded
+from .equilibrium import EquilibriumResult, SolverOptions, _equilibrium_stack, _solve, _solve_stack, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
-from .stiffness import _chain_sensitivity
+from .stiffness import _chain_responses, _chain_sensitivity
 
 _MAX_OUTER = 30
 _MAX_HALVINGS = 8
@@ -158,3 +161,42 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
         residual=err_norm,
         iterations=len(history) - 1,
     )
+
+
+def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
+    """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors
+    ``seeds`` (N, n_elements) per chain, in rounds. Returns per chain the equilibria's
+    joint vectors and wrenches, and the rows finished here; the others need the loop."""
+    chains, opts = manipulator.chains, opts or SolverOptions()
+    ends = np.cumsum([chain.n_actuated for chain in chains])[:-1]
+
+    def wrench(rows, rho):
+        """Per chain the equilibria at rho, the rows all chains solved, and F_sigma (= err, as F_target = 0)."""
+        per_chain = zip(chains, seeds, np.split(rho, ends, axis=1))
+        solves = [_equilibrium_stack(chain, targets[rows], seed[rows], r, opts) for chain, seed, r in per_chain]
+        F, coords, solved = (list(a) for a in zip(*solves))
+        return coords, F, np.all(solved, axis=0), np.sum(F, axis=0)
+
+    rho = np.concatenate([seed[:, chain.actuated_elements] for chain, seed in zip(chains, seeds)], axis=1)
+    coords, F, live, err = wrench(np.arange(len(targets)), rho)
+    err_norm = _norms(err)
+    live &= np.isfinite(err_norm)
+    for _ in range(_MAX_OUTER):
+        rows = np.flatnonzero(live & ~(err_norm < eps_f))
+        if not rows.size:
+            break
+        S = np.concatenate([_chain_responses(c, x[rows], f[rows], True) for c, x, f in zip(chains, coords, F)], axis=2)
+        if S.shape[1] != S.shape[2]:  # the least-squares step
+            live[rows] = False
+            break
+        step = _solve_stack(S, err[rows, :, None])[..., 0]
+        live[rows] = np.isfinite(step).all(axis=1)
+        rows, rho_try = rows[live[rows]], (rho[rows] - step)[live[rows]]
+        coords_try, F_try, solved, err_try = wrench(rows, rho_try)
+        try_norm = _norms(err_try)
+        accepted = solved & (try_norm < err_norm[rows])
+        live[rows], rows = accepted, rows[accepted]
+        rho[rows], err[rows], err_norm[rows] = rho_try[accepted], err_try[accepted], try_norm[accepted]
+        for a, a_try in zip(coords + F, coords_try + F_try):
+            a[rows] = a_try[accepted]
+    return coords, F, live & (err_norm < eps_f)

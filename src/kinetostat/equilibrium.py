@@ -44,17 +44,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import (
-    ChainModel,
-    ChainState,
-    ManipulatorModel,
-    _each_chain,
-    chain_ik_best_effort,
-    inverse_kinematics_unloaded,
-    regrouped_geometry,
-)
+from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
+from .chain import _stack_pass, chain_ik_best_effort, inverse_kinematics_unloaded, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
-from .springs import RegroupedState, regroup
+from .springs import RegroupedState, _engaged_rows, regroup
 
 STEP_TOL = 1e-10  # relative (F, x) step, or contraction error bound, accepted as stationary
 COND_LIMIT = 1e12
@@ -109,6 +102,22 @@ def _block_matrix(J_theta, J_q, k_tilde):
     A[:d, d:] = J_q
     A[d:, :d] = J_q.T
     return A
+
+
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """A^-1, NaN where A is singular; a stack is inverted row by row only when a row is."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return np.array([_inverse(a) for a in A]) if A.ndim > 2 else np.full(A.shape, np.nan)
+
+
+def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_solve`` of a stack (M, n, n): A^-1 b where the Frobenius bound clears a row, else NaN."""
+    A_inv = _inverse(A)
+    flat, flat_inv = A.reshape(len(A), 1, -1), A_inv.reshape(len(A), 1, -1)
+    bound_sq = (flat @ flat.swapaxes(1, 2)) * (flat_inv @ flat_inv.swapaxes(1, 2))
+    return np.where(bound_sq < _COND_BOUND_CLEAR**2, A_inv @ b, np.nan)
 
 
 def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
@@ -249,6 +258,54 @@ def solve_chain_equilibrium(
         iterations=iterations,
         restarts=opts.max_restarts,
     )
+
+
+def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions):
+    """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements)
+    updated in place, actuators rho), each with its own mask, oscillation count and stop tests,
+    so bit for bit. Returns the wrenches, x and the rows converged here; the others need a branch
+    of the scalar solve (damping, ``_solve``'s SVD, a singular dim-6 E, a non-finite step, a restart)."""
+    m, d = targets.shape
+    x[:, chain.actuated_elements] = rho
+    free, springs, preloaded = chain.unknown_elements, chain.preload_springs, chain.preloaded_elements
+    F, mask = np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
+    prev_mask, oscillating = mask.copy(), np.zeros(m, dtype=int)
+    pose, cols = _stack_pass(chain, x)[:2]
+    dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
+    done, left = np.zeros((2, m), dtype=bool)
+    for _ in range(opts.max_iterations):
+        rows = np.flatnonzero(~(done | left))
+        if not rows.size:
+            break
+        oscillating[rows] = np.where((mask[rows] != prev_mask[rows]).any(axis=1), oscillating[rows] + 1, 0)
+        prev_mask[rows] = mask[rows]
+        J = _map_rates(cols[rows], _euler_stack(pose[rows])[0]) if d == 6 else cols[rows]
+        F_new, x_new = np.empty((rows.size, d)), x[rows]
+        for sub, (q_el, th_el, th0, k_tilde) in chain._by_mask(mask[rows]):
+            J_th, J_q, xs = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
+            eps = targets[rows[sub]] - pose[rows[sub]] + (J_q @ np.take(xs, q_el, axis=1)[..., None])[..., 0]
+            eps += (J_th @ (np.take(xs, th_el, axis=1) - th0)[..., None])[..., 0]
+            A = np.zeros((sub.size, d + q_el.size, d + q_el.size))  # _block_matrix of each row
+            A[:, :d, :d], A[:, :d, d:] = (J_th / k_tilde) @ J_th.swapaxes(1, 2), J_q
+            A[:, d:, :d] = J_q.swapaxes(1, 2)
+            rhs = np.concatenate([eps, np.zeros((sub.size, q_el.size))], axis=1)[..., None]
+            sol = _solve_stack(A, rhs)
+            F_new[sub], xs[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
+            xs[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
+            x_new[sub] = xs
+        step = np.concatenate([F_new - F[rows], x_new[:, free] - x[rows][:, free]], axis=1)
+        left[rows] = (oscillating[rows] > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
+        F[rows], x[rows], mask[rows] = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
+        pose[rows], cols[rows] = _stack_pass(chain, x_new)[:2]
+        # the scalar stop tests, _contraction_bound's arithmetic included
+        tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
+        size, prev = _norms(step[:, d:]), _norms(dx_prev[rows])
+        bound = _CONTRACTION_SAFETY * (size + _norms(step[:, :d])) * size / (prev - size)
+        held = (oscillating[rows] == 0) & (mask[rows] == prev_mask[rows]).all(axis=1)
+        stationary = (_norms(step) <= tol) | (held & (size < 0.5 * prev) & (bound <= tol))
+        done[rows] = ~left[rows] & (_norms(targets[rows] - pose[rows]) <= opts.pose_tol) & stationary
+        dx_prev[rows] = step[:, d:]
+    return F, x, done
 
 
 def split_rho(manipulator: ManipulatorModel, rho_all) -> list[np.ndarray]:

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _each_chain, _ik_stack, _reached
-from .control import _compensate, solve_inverse_kinetostatic
+from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
-from .stiffness import _aggregate_stiffness, _chain_stiffness_diag, directional_stiffness
+from .stiffness import _aggregate_stiffness, _chain_responses, _chain_stiffness_diag, directional_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -266,7 +266,7 @@ class ComplianceMap:
     reasons: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-# cells per rigid IK stack: caps its temporaries (~1.3 kB a cell, shipped chains) on large grids
+# cells per stack: caps the IK and compensation temporaries (~3.1 kB a cell, shipped chains) on large grids
 _STACK_CELLS = 4096
 
 
@@ -292,10 +292,11 @@ def compliance_grid(
     Each cell is evaluated in the compensated state: actuators are solved
     kinetostatically so the cell pose is an unloaded equilibrium, then the
     aggregate stiffness is computed at the equilibria that solve ends on.
-    The rigid IK that starts it is solved for all cells as one stack per
-    chain (``chain._ik_stack``), bit for bit the per-cell solve. Cells whose
-    solve fails or whose stiffness is not positive definite are flagged
-    failed, never dropped, and the map names the reason.
+    The rigid IK, compensation and stiffness run as stacks over the cells, bit
+    for bit the per-cell solves, and ``control._compensate`` finishes a cell
+    the stacks leave. Cells whose solve fails or whose stiffness is not
+    positive definite are flagged failed, never dropped, and the map names
+    the reason.
     """
     if grid_n < 2:
         raise ModelError("compliance grid needs at least 2 points per side")
@@ -313,8 +314,7 @@ def compliance_grid(
     lo, hi = manipulator.workspace
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
-    F_target = np.zeros(manipulator.task_dim)
-    reasons = {}
+    F_target, chains, reasons = np.zeros(manipulator.task_dim), manipulator.chains, {}
 
     def seed(chain, stack):
         """The rigid IK state of cell ``row`` in the chain's stack, or the error its row stored."""
@@ -327,20 +327,36 @@ def compliance_grid(
         ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))
         targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
-        stacks = [_ik_stack(chain, targets) for chain in manipulator.chains]
-        for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
+        stacks = [_ik_stack(chain, targets) for chain in chains]
+        seeds = []
+        for row in range(ix.size):
             try:
-                seeds = _each_chain(manipulator, seed, stacks)
-                sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
-                res = _aggregate_stiffness(manipulator, sol.equilibria)
+                seeds.append(_each_chain(manipulator, seed, stacks))
+            except KinetostatError as err:
+                seeds.append(err)
+        eigenvalues = np.full(targets.shape, np.nan)  # of K_sigma; NaN: the cell is left to the scalar loop
+        rows = np.flatnonzero([not isinstance(s, KinetostatError) for s in seeds])
+        with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar loop, which warns as it does
+            coords, F, done = _compensate_stack(manipulator, targets[rows], [s[0][rows] for s in stacks], eps_f, opts)
+            K = np.sum([_chain_responses(c, x[done], f[done], False) for c, x, f in zip(chains, coords, F)], 0)
+        clear = np.isfinite(K).all(axis=(1, 2))
+        eigenvalues[rows[done][clear]] = np.linalg.eigvalsh(K[clear])
+        for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
+            eig = eigenvalues[row]
+            try:
+                if isinstance(seeds[row], KinetostatError):
+                    raise seeds[row]
+                if np.isnan(eig).any():
+                    sol = _compensate(manipulator, targets[row], seeds[row], F_target, eps_f, opts)
+                    eig = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
             except KinetostatError as err:
                 reasons[cell] = _failure_reason(manipulator, err)
                 continue
             # a zero or negative eigenvalue has no meaningful compliance
-            if res.indefinite:
-                reasons[cell] = f"indefinite stiffness: smallest eigenvalue {res.eigenvalues.min():.3e}"
+            if eig.min() <= 0.0:
+                reasons[cell] = f"indefinite stiffness: smallest eigenvalue {eig.min():.3e}"
                 continue
-            c = 1.0 / res.eigenvalues
+            c = 1.0 / eig
             c_max[cell] = float(c.max())
             c_min[cell] = float(c.min())
             ok[cell] = True

@@ -63,6 +63,15 @@ class SpringLaw:
         return d < 0.0
 
 
+def _engaged_rows(springs, values: np.ndarray) -> np.ndarray:
+    """Active masks (M, n) of M configurations: ``SpringLaw.engaged`` of
+    each of the n springs applied to its column of ``values`` (M, n)."""
+    mask = np.zeros(values.shape, dtype=bool)
+    for i, spring in enumerate(springs):
+        mask[:, i] = spring.engaged(values[:, i])
+    return mask
+
+
 @dataclass
 class RegroupedState:
     """Aggregated view of one chain configuration.

@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, ManipulatorModel, _each_chain, _loaded_derivatives
-from .equilibrium import EquilibriumResult, SolverOptions, _solve, total_wrench
+from .chain import ChainModel, ManipulatorModel, _each_chain, _euler_stack, _gather, _load_hessian, _loaded_derivatives
+from .chain import _map_rates, _stack_pass
+from .equilibrium import EquilibriumResult, SolverOptions, _solve, _solve_stack, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
+from .springs import _engaged_rows
 
 _RANK_TOL = 1e-9
 
@@ -118,6 +120,39 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
     """
     A, actuator_rhs = _block_system(chain, eq)
     return _chain_response(chain, A, actuator_rhs())
+
+
+def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool) -> np.ndarray:
+    """``_chain_sensitivity`` (else ``_chain_stiffness_diag``) of stacked equilibria, joint vectors
+    (M, n_elements) and wrenches (M, d), in the scalar arithmetic and operand layout (``chain._gather``)
+    with the rows of one active mask as one stack; NaN in a row a guarded solve does not clear."""
+    pose, cols, T, twists = _stack_pass(chain, coords)
+    if chain.task_dim == 6:
+        cols = _map_rates(cols, _euler_stack(pose)[0])
+    H_all, d = _load_hessian(chain, T, pose, twists, cols, F), chain.task_dim
+    out = np.empty((len(coords), d, chain.n_actuated if sensitivity else d))
+    masks = _engaged_rows(chain.preload_springs, coords[:, chain.preloaded_elements])
+    for rows, (q_elements, theta_elements, _, k_tilde) in chain._by_mask(masks):
+        J_theta, J_q = _gather(cols[rows], theta_elements), _gather(cols[rows], q_elements)
+        k, m = q_elements.size, theta_elements.size
+        order = np.concatenate([q_elements, theta_elements, chain.actuated_elements])
+        H = _gather(H_all[rows][:, order], order)
+        H_qq, H_thth, H_qth = H[:, :k, :k], H[:, k : k + m, k : k + m], H[:, :k, k : k + m]
+        kf = _solve_stack(np.diag(k_tilde) - H_thth, np.eye(m))
+        H_thq, J_theta_T = H_qth.swapaxes(1, 2), J_theta.swapaxes(1, 2)
+        A = np.zeros((rows.size, d + k, d + k))
+        A[:, :d, :d] = J_theta @ kf @ J_theta_T
+        A[:, :d, d:] = J_q + J_theta @ kf @ H_thq
+        A[:, d:, :d] = J_q.swapaxes(1, 2) + H_qth @ kf @ J_theta_T
+        A[:, d:, d:] = H_qq + H_qth @ kf @ H_thq
+        rhs = np.eye(d + k, d)
+        if sensitivity:
+            spring = kf @ H[:, k : k + m, k + m :]
+            J_rho = _gather(cols[rows], chain.actuated_elements)
+            rhs = -np.concatenate([J_rho + J_theta @ spring, H[:, :k, k + m :] + H_qth @ spring], axis=1)
+        K = _solve_stack(A, rhs)[:, :d]
+        out[rows] = K if sensitivity else 0.5 * (K + K.swapaxes(1, 2))
+    return out
 
 
 def manipulator_stiffness(

@@ -468,3 +468,15 @@ def test_ik_actuators_match_explicit_rho(model_path, tmp_path, command, pose):
     assert main(args + ["--out", str(implied)]) == 0
     assert main(args + ["--rho", rho, "--out", str(explicit)]) == 0
     assert implied.read_bytes() == explicit.read_bytes()
+
+
+def test_a_failure_inside_a_chain_names_the_chain(tmp_path, capsys):
+    # the Euler singularity of the second chain's start carries chain_index 1,
+    # which its message does not name; messages that name their chain keep
+    # their text (see the unreachable-pose test above)
+    from test_chain import _upright_document
+
+    path = tmp_path / "upright.json"
+    path.write_text(json.dumps(_upright_document()))
+    assert main(["equilibrium", "--model", str(path), "--pose", "0.1,0,0,0,0,0"]) == 3
+    assert capsys.readouterr().err == "model error on chain 1: orientation parametrization singular (cos ry ~ 0)\n"

@@ -630,3 +630,60 @@ def test_condition_guard_raises_the_given_class_or_solves():
         with pytest.raises(error, match=r"^what \(condition ") as raised:
             _solve(bad, b, error, "what")
         assert raised.value.condition == float(np.linalg.cond(bad))
+
+
+def _random_rows(rng, chain, m):
+    """Start joint vectors of m random configurations and targets near their ends."""
+    from conftest import random_state
+
+    x = np.array([chain.element_coordinates(random_state(rng, chain)) for _ in range(m)])
+    targets = np.array([fk_array(chain, chain.state_of(v)) for v in x]) + rng.uniform(-0.05, 0.05, (m, chain.task_dim))
+    return targets, x
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_equilibrium_stack_is_the_scalar_solve_bit_for_bit(dim):
+    # every row the lockstep stack converges is the scalar solve's result to
+    # the bit; a row it leaves is one the scalar solve damps, restarts or fails
+    from conftest import random_planar_chain, random_spatial_chain
+    from kinetostat.equilibrium import _equilibrium_stack
+
+    rng = np.random.default_rng(dim)
+    tally = {"stacked": 0, "left": 0}
+    for _ in range(8):
+        chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
+        targets, x = _random_rows(rng, chain, 20)
+        rho = x[:, chain.actuated_elements]
+        with np.errstate(all="ignore"):
+            F, coords, done = _equilibrium_stack(chain, targets, x.copy(), rho, SolverOptions())
+        for i in range(len(x)):
+            try:
+                eq = solve_chain_equilibrium(chain, targets[i], rho[i], start=x[i])
+            except (ModelError, NonConvergenceError, SingularityError):
+                assert not done[i]
+                continue
+            if done[i]:
+                assert eq.F.tobytes() == F[i].tobytes()
+                assert eq.regrouped.coords.tobytes() == coords[i].tobytes()
+            tally["stacked" if done[i] else "left"] += 1
+    assert tally["stacked"] > 20  # not a vacuous check
+
+
+@pytest.mark.parametrize(
+    "patch, value",
+    [("_OSCILLATION_LIMIT", -1), ("_COND_BOUND_CLEAR", 0.0)],
+    ids=["damping", "svd-branch"],
+)
+def test_equilibrium_stack_leaves_rows_to_the_scalar_branches(monkeypatch, patch, value):
+    # damping on every iteration, or a Frobenius bound that clears nothing:
+    # both branches belong to the scalar solve, so no row converges in the stack
+    import kinetostat.equilibrium as equilibrium
+
+    chain = shipped_model().chains[0]
+    targets, x = _random_rows(np.random.default_rng(0), chain, 10)
+    monkeypatch.setattr(equilibrium, patch, value)
+    with np.errstate(all="ignore"):
+        done = equilibrium._equilibrium_stack(chain, targets, x.copy(), x[:, chain.actuated_elements], SolverOptions())[2]
+    assert not done.any()
+    for i in range(len(x)):  # the scalar solve still converges
+        solve_chain_equilibrium(chain, targets[i], x[i, chain.actuated_elements], start=x[i])

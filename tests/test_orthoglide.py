@@ -23,7 +23,7 @@ from kinetostat import (
     total_wrench,
     workspace_points,
 )
-from kinetostat.orthoglide import KV_FACTORS, _critical_point
+from kinetostat.orthoglide import KV_FACTORS, _critical_point, _failure_reason
 from kinetostat.stiffness import _aggregate_stiffness
 
 from conftest import DIAG, count_iterations, linear_preload_model, shipped_model, stop_limit_model
@@ -278,7 +278,44 @@ def test_stop_limit_map_only_changes_engaged_corner(maps):
 
 
 def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
-    # a cell whose stiffness has a negative eigenvalue has no compliance
+    # a cell whose stiffness has a negative eigenvalue has no compliance; the
+    # grid's chain stiffnesses come as one stack per chain, of all four cells
+    import kinetostat.orthoglide as orthoglide
+
+    real = orthoglide._chain_responses
+    calls = []
+
+    def first_cell_indefinite(chain, coords, F, sensitivity):
+        K = real(chain, coords, F, sensitivity)
+        calls.append((chain.name, len(K)))
+        K[0] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
+        return K
+
+    monkeypatch.setattr(orthoglide, "_chain_responses", first_cell_indefinite)
+    grid = compliance_grid(ortho_nopreload, 2)
+    assert calls == [("x-leg", 4), ("y-leg", 4)]
+    assert not grid.ok[0, 0]
+    assert grid.reasons == {(0, 0): "indefinite stiffness: smallest eigenvalue -1.000e+00"}
+    assert np.isnan(grid.c_min[0, 0]) and np.isnan(grid.c_max[0, 0])
+    assert grid.ok.sum() == 3
+    assert np.all(grid.c_min[grid.ok] > 0.0)
+
+
+def _stacks_finish_nothing(monkeypatch):
+    """Make the grid's compensation stack leave every cell to the scalar loop."""
+    import kinetostat.orthoglide as orthoglide
+
+    real = orthoglide._compensate_stack
+
+    def leave_all(*args):
+        coords, F, done = real(*args)
+        return coords, F, np.zeros_like(done)
+
+    monkeypatch.setattr(orthoglide, "_compensate_stack", leave_all)
+
+
+def test_indefinite_cell_left_to_the_scalar_loop_flagged_failed(monkeypatch, ortho_nopreload):
+    # the same flag on the per-cell path a cell takes once the stacks leave it
     import kinetostat.orthoglide as orthoglide
 
     real = orthoglide._aggregate_stiffness
@@ -288,14 +325,15 @@ def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
         res = real(model, equilibria)
         calls.append(res)
         if len(calls) == 1:
-            res = replace(res, K_sigma=np.diag([1.0, -1.0]), indefinite=True)
+            res = replace(res, eigenvalues=np.array([-1.0, 1.0]), indefinite=True)
         return res
 
+    _stacks_finish_nothing(monkeypatch)
     monkeypatch.setattr(orthoglide, "_aggregate_stiffness", first_cell_indefinite)
     grid = compliance_grid(ortho_nopreload, 2)
     assert len(calls) == 4
     assert not grid.ok[0, 0]
-    assert np.isnan(grid.c_min[0, 0]) and np.isnan(grid.c_max[0, 0])
+    assert grid.reasons == {(0, 0): "indefinite stiffness: smallest eigenvalue -1.000e+00"}
     assert grid.ok.sum() == 3
     assert np.all(grid.c_min[grid.ok] > 0.0)
 
@@ -305,27 +343,30 @@ def test_compliance_grid_rejects_non_finite_tolerance(ortho_nopreload):
         compliance_grid(ortho_nopreload, 2, eps_f=float("nan"))
 
 
-def _per_cell_grid(manipulator, grid_n, eps_f=1e-8):
+def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
     """The compliance grid as one compensation per cell, each solving its own
-    rigid IK: the grid's form before the stacked IK, kept as its oracle."""
+    rigid IK: the grid's form before the stacks, kept as its oracle."""
     lo, hi = manipulator.workspace
     xs, ys = np.linspace(lo[0], hi[0], grid_n), np.linspace(lo[1], hi[1], grid_n)
     c_max, c_min = np.full((grid_n, grid_n), np.nan), np.full((grid_n, grid_n), np.nan)
     ok = np.zeros((grid_n, grid_n), dtype=bool)
+    reasons = {}
     for ix in range(grid_n):
         for iy in range(grid_n):
             t = np.zeros(manipulator.task_dim)
             t[0], t[1] = xs[ix], ys[iy]
             try:
-                sol = solve_inverse_kinetostatic(manipulator, t, eps_f)
+                sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
-            except KinetostatError:
+            except KinetostatError as err:
+                reasons[ix, iy] = _failure_reason(manipulator, err)
                 continue
             if res.indefinite:
+                reasons[ix, iy] = f"indefinite stiffness: smallest eigenvalue {res.eigenvalues.min():.3e}"
                 continue
             c = 1.0 / res.eigenvalues
             c_max[ix, iy], c_min[ix, iy], ok[ix, iy] = c.max(), c.min(), True
-    return c_max, c_min, ok
+    return c_max, c_min, ok, reasons
 
 
 def _scaled_box(model, scale):
@@ -333,20 +374,86 @@ def _scaled_box(model, scale):
     return replace(model, workspace=(tuple(scale * v for v in lo), tuple(scale * v for v in hi)))
 
 
+def _random_arm(seed, dim):
+    """A manipulator of one random chain with dim actuators and dim springs,
+    one of them a linear preload off its rest (so every cell takes a Newton
+    step); its end sits at the origin, level, at the chain's IK seed."""
+    from kinetostat import ChainModel, JointModel, ManipulatorModel, Transform, geometry
+    from kinetostat.chain import _end_transform
+
+    rng = np.random.default_rng(seed)
+    kinds = ["actuated"] * dim + ["virtual_elastic"] * (dim - 1) + ["preloaded_passive"]
+    rng.shuffle(kinds)
+    elements = []
+    for kind in kinds:
+        motion = str(rng.choice(["rotational", "translational"]))
+        if dim == 3:  # revolutes about z, prismatics in the plane
+            v = rng.normal(size=2)
+            axis = (0.0, 0.0, 1.0) if motion == "rotational" else (*(v / np.linalg.norm(v)), 0.0)
+            link = Transform((*rng.uniform(-0.5, 0.5, 2), 0.0), (0.0, 0.0, rng.uniform(-1.0, 1.0)))
+        else:
+            v = rng.normal(size=3)
+            axis = tuple(v / np.linalg.norm(v))
+            link = Transform(tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-0.3, 0.3, 3)))
+        spring = SpringLaw(rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.3)) if kind == "preloaded_passive" else None
+        stiffness = rng.uniform(0.5, 3.0) if kind == "virtual_elastic" else None
+        elements.append((link, JointModel(kind=kind, motion=motion, axis=axis, spring=spring, stiffness=stiffness)))
+    chain = ChainModel(task_dim=dim, base_pose=Transform(), elements=elements, tool_transform=Transform())
+    seed_coords = rng.uniform(-0.3, 0.3, chain.rigid_elements.size)
+    coords = np.zeros(len(elements))
+    coords[chain.rigid_elements] = seed_coords
+    T = _end_transform(chain, coords)[0]
+    R = T[:3, :3].T  # the tool frame undoes the end's pose at the seed
+    tool = Transform(tuple(-R @ T[:3, 3]), geometry.rpy_from_matrix(R))
+    chain = replace(chain, tool_transform=tool, ik_seed=seed_coords, name=f"arm-{seed}")
+    return ManipulatorModel(task_dim=dim, chains=[chain], workspace=((-0.05, -0.05), (0.05, 0.05)))
+
+
 @pytest.mark.parametrize(
-    "build, grid_n",
-    [(shipped_model, 7), (stop_limit_model, 7), (lambda: _scaled_box(shipped_model(), 1.6), 10)],
-    ids=["shipped", "stop-limit", "box-1.6"],
+    "build, grid_n, opts, patch, left",
+    [
+        (shipped_model, 7, None, None, "none"),
+        (stop_limit_model, 7, None, None, "none"),
+        (lambda: _scaled_box(shipped_model(), 1.6), 10, None, None, "none"),
+        # random chains, each with cells that stay in the stacks and with cells they leave
+        (lambda: _random_arm(0, 3), 4, None, None, "none"),
+        (lambda: _random_arm(1, 3), 4, None, None, "some"),
+        (lambda: _random_arm(3, 6), 4, None, None, "none"),
+        (lambda: _random_arm(7, 6), 4, None, None, "some"),
+        # rows forced out of the stacks: the iteration budget, damping, the SVD branch
+        (shipped_model, 5, SolverOptions(max_iterations=1), None, "some"),
+        (stop_limit_model, 5, SolverOptions(max_iterations=1), None, "some"),
+        (shipped_model, 5, None, ("_OSCILLATION_LIMIT", -1), "all"),
+        (shipped_model, 5, None, ("_COND_BOUND_CLEAR", 0.0), "all"),
+        (shipped_model, 7, None, ("_COND_BOUND_CLEAR", 12.0), "some"),
+    ],
+    ids=[
+        "shipped", "stop-limit", "box-1.6", "dim3-0", "dim3-1", "dim6-3", "dim6-7",
+        "budget-shipped", "budget-stop-limit", "damping", "svd-branch", "svd-branch-some",
+    ],
 )
-def test_grid_bitwise_equal_to_per_cell_compensations(build, grid_n):
+def test_grid_bitwise_equal_to_per_cell_compensations(monkeypatch, build, grid_n, opts, patch, left):
+    import kinetostat.equilibrium
+    import kinetostat.orthoglide as orthoglide
+
     model = build()
-    grid = compliance_grid(model, grid_n)
-    c_max, c_min, ok = _per_cell_grid(model, grid_n)
+    if patch is not None:
+        monkeypatch.setattr(kinetostat.equilibrium, *patch)
+    scalar_cells = []
+    real = orthoglide._compensate
+    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
+    grid = compliance_grid(model, grid_n, opts)
+    c_max, c_min, ok, reasons = _per_cell_grid(model, grid_n, opts=opts)
     assert grid.c_max.tobytes() == c_max.tobytes()
     assert grid.c_min.tobytes() == c_min.tobytes()
     assert grid.ok.tobytes() == ok.tobytes()
-    # every failed cell names its reason, and only failed cells do
+    # every failed cell names its reason, and only failed cells do, in cell order
     assert set(grid.reasons) == {tuple(cell) for cell in np.argwhere(~ok).tolist()}
+    assert list(grid.reasons.items()) == list(reasons.items())
+    n_left = len(scalar_cells)
+    if left is not None:
+        expected = {"none": n_left == 0, "some": 0 < n_left < grid_n**2, "all": n_left == grid_n**2}
+        assert expected[left], n_left
 
 
 def test_grid_names_the_reason_of_a_failed_cell():
@@ -357,16 +464,39 @@ def test_grid_names_the_reason_of_a_failed_cell():
     assert float(grid.reasons[0, 0].rsplit(" ", 1)[1]) > 1e-10
 
 
-def test_grid_split_into_several_stacks_is_the_same_grid(monkeypatch):
-    # 25 cells in stacks of 7: the last stack is short, and no cell moves
+def _split_grid_groups(monkeypatch, model):
+    """Stacks of 7 cells of a 5 x 5 grid are the whole grid's cells; returns
+    the number of active-mask groups of every stacked block system."""
     import kinetostat.orthoglide as orthoglide
+    from kinetostat.chain import ChainModel
 
-    model = stop_limit_model()
     whole = compliance_grid(model, 5)
     monkeypatch.setattr(orthoglide, "_STACK_CELLS", 7)
+    groups_seen = []
+    real = ChainModel._by_mask
+
+    def counted(chain, masks):
+        groups = real(chain, masks)
+        groups_seen.append(len(groups))
+        return groups
+
+    monkeypatch.setattr(ChainModel, "_by_mask", counted)
     split = compliance_grid(model, 5)
     for name in ("c_max", "c_min", "ok"):
         assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+    assert split.reasons == whole.reasons
+    return groups_seen
+
+
+def test_grid_split_into_several_stacks_is_the_same_grid(monkeypatch):
+    # 25 cells in stacks of 7: the last stack is short, and no cell moves;
+    # some stacks mix cells whose preloads engage with cells where they idle
+    assert max(_split_grid_groups(monkeypatch, stop_limit_model())) > 1
+
+
+def test_grid_split_on_the_linear_preload_model_is_the_same_grid(monkeypatch):
+    # every cell of the shipped model takes a Newton step; its preload never idles
+    assert max(_split_grid_groups(monkeypatch, shipped_model())) == 1
 
 
 def test_grid_solves_rigid_ik_as_one_stack_per_chain(monkeypatch):

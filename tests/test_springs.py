@@ -173,3 +173,18 @@ def test_partition_idempotent_and_consistent():
         for rest, element in zip(reg.theta_tilde_0, reg.theta_elements):
             if chain.joint_at(element).kind == "virtual_elastic":
                 assert rest == 0.0
+
+
+def test_engaged_rows_is_engaged_on_every_branch():
+    # the stacked masks apply SpringLaw.engaged column by column, edge values included
+    from kinetostat.springs import BRANCHES, _engaged_rows
+
+    springs = [SpringLaw(k, offset, branch) for branch in BRANCHES for k in (0.0, 0.5) for offset in (0.0, 0.3, -0.2)]
+    edges = [0.0, -0.0, 0.3, -0.2, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.3 + 1e-16, 0.3 - 1e-16]
+    rng = np.random.default_rng(0)
+    values = np.array([edges + list(rng.uniform(-1.0, 1.0, 5)) for _ in springs]).T
+    mask = _engaged_rows(springs, values)
+    assert mask.dtype == bool and mask.shape == values.shape
+    expected = [[spring.engaged(v) for spring, v in zip(springs, row)] for row in values.tolist()]
+    assert mask.tolist() == expected
+    assert _engaged_rows([], np.zeros((3, 0))).shape == (3, 0)

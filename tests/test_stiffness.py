@@ -276,3 +276,44 @@ def test_fd_check_names_a_bad_step(ortho_nopreload, h):
     # NaN passed the old h <= 0 test and failed later as a non-finite pose
     with pytest.raises(ModelError, match="finite-difference step h"):
         stiffness_vs_fd_check(ortho_nopreload, [0.0, 0.1], [[1.0], [1.0]], h=h)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(dim):
+    # dF/drho and the chain stiffness of stacked equilibria, grouped by active
+    # mask, equal the scalar block systems' to the bit; a row the stack leaves
+    # NaN is one whose system a guarded solve does not clear
+    from conftest import random_planar_chain, random_spatial_chain, random_state
+    from kinetostat import KinetostatError, solve_chain_equilibrium
+    from kinetostat.chain import fk_array
+    from kinetostat.stiffness import _chain_responses, _chain_sensitivity
+
+    rng = np.random.default_rng(10 + dim)
+    compared = 0
+    for _ in range(8):
+        chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
+        equilibria = []
+        for _ in range(12):
+            x = chain.element_coordinates(random_state(rng, chain))
+            target = fk_array(chain, chain.state_of(x)) + rng.uniform(-0.05, 0.05, dim)
+            try:
+                equilibria.append(solve_chain_equilibrium(chain, target, x[chain.actuated_elements], start=x))
+            except KinetostatError:
+                pass
+        if not equilibria:
+            continue
+        coords = np.array([eq.regrouped.coords for eq in equilibria])
+        F = np.array([eq.F for eq in equilibria])
+        for sensitivity, scalar in ((True, _chain_sensitivity), (False, _chain_stiffness_diag)):
+            with np.errstate(all="ignore"):
+                stacked = _chain_responses(chain, coords, F, sensitivity)
+            for eq, row in zip(equilibria, stacked):
+                try:
+                    expected = scalar(chain, eq)
+                except KinetostatError:
+                    assert np.isnan(row).all()
+                    continue
+                if not np.isnan(row).all():
+                    assert row.tobytes() == expected.tobytes()
+                    compared += 1
+    assert compared > 20  # not a vacuous check
