@@ -728,10 +728,15 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             steps[fresh] += 1
 
 
+def _reaches(r_norm):
+    """True where a rigid IK's pose distance (a float or an array) met its target; False for NaN."""
+    return r_norm <= _IK_FAIL_TOL
+
+
 def _reached(chain: ChainModel, state: ChainState, r_norm: float) -> ChainState:
     """``state``, the chain's rigid IK, if it met its target; else raises
     OutOfWorkspaceError carrying the closest reachable distance."""
-    if not r_norm <= _IK_FAIL_TOL:
+    if not _reaches(r_norm):
         message = f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}"
         raise OutOfWorkspaceError(message, distance=r_norm)
     return state

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform, _each_chain, _ik_stack, _reached
+from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
+from .chain import _each_chain, _ik_stack, _reached, _reaches
 from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
@@ -328,14 +329,9 @@ def compliance_grid(
         targets = np.zeros((ix.size, manipulator.task_dim))
         targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
         stacks = [_ik_stack(chain, targets) for chain in chains]
-        seeds = []
-        for row in range(ix.size):
-            try:
-                seeds.append(_each_chain(manipulator, seed, stacks))
-            except KinetostatError as err:
-                seeds.append(err)
+        # the cells whose every chain met its target; the others raise their IK's error below
+        rows = np.flatnonzero(np.all([_reaches(d) & ~np.isin(np.arange(ix.size), list(e)) for _, d, e in stacks], 0))
         eigenvalues = np.full(targets.shape, np.nan)  # of K_sigma; NaN: the cell is left to the scalar loop
-        rows = np.flatnonzero([not isinstance(s, KinetostatError) for s in seeds])
         with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar loop, which warns as it does
             coords, F, done = _compensate_stack(manipulator, targets[rows], [s[0][rows] for s in stacks], eps_f, opts)
             K = np.sum([_chain_responses(c, x[done], f[done], False) for c, x, f in zip(chains, coords, F)], 0)
@@ -344,10 +340,9 @@ def compliance_grid(
         for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
             eig = eigenvalues[row]
             try:
-                if isinstance(seeds[row], KinetostatError):
-                    raise seeds[row]
                 if np.isnan(eig).any():
-                    sol = _compensate(manipulator, targets[row], seeds[row], F_target, eps_f, opts)
+                    seeds = _each_chain(manipulator, seed, stacks)  # raises the error of a cell the IK failed
+                    sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                     eig = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
             except KinetostatError as err:
                 reasons[cell] = _failure_reason(manipulator, err)
