@@ -166,7 +166,7 @@ class ChainModel:
     name: str = ""
     # derived from the elements: index arrays per joint kind, of the equilibrium
     # unknowns and of the rigid IK's coordinates (both in JOINT_KINDS order),
-    # joint motion constants, preload springs in preloaded order, layout per mask
+    # joint motion constants and revolute flags, preload springs in preloaded order, layout per mask
     actuated_elements: np.ndarray = field(init=False, repr=False, compare=False)
     perfect_elements: np.ndarray = field(init=False, repr=False, compare=False)
     preloaded_elements: np.ndarray = field(init=False, repr=False, compare=False)
@@ -174,6 +174,7 @@ class ChainModel:
     unknown_elements: np.ndarray = field(init=False, repr=False, compare=False)
     rigid_elements: np.ndarray = field(init=False, repr=False, compare=False)
     _motions: tuple = field(init=False, repr=False, compare=False)
+    _revolute: np.ndarray = field(init=False, repr=False, compare=False)
     preload_springs: tuple = field(init=False, repr=False, compare=False)
     _regroupings: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -190,6 +191,7 @@ class ChainModel:
         self.unknown_elements = np.concatenate(kinds[1:])
         self.rigid_elements = np.concatenate(kinds[:3])
         self._motions = tuple(_motion_constants(joint) for _, joint in self.elements)
+        self._revolute = np.array([rotation is not None for _, rotation in self._motions])
         self.preload_springs = tuple(self.joint_at(e).spring for e in by_kind[PRELOADED_PASSIVE])
         if self.ik_seed is not None:
             self.ik_seed = np.asarray(self.ik_seed, dtype=float).ravel()
@@ -248,6 +250,8 @@ class ChainModel:
 
     def _by_mask(self, masks: np.ndarray) -> list:
         """``(rows, regrouping(mask))`` for each distinct mask among the rows of ``masks`` (M, n_preloaded)."""
+        if len(masks) and (masks == masks[0]).all():  # one mask, the common case: no sort
+            return [(np.arange(len(masks)), self.regrouping(masks[0]))]
         unique, inverse = np.unique(masks, axis=0, return_inverse=True)
         return [(np.flatnonzero(inverse.ravel() == i), self.regrouping(mask)) for i, mask in enumerate(unique)]
 
@@ -607,19 +611,19 @@ def chain_ik_best_effort(chain: ChainModel, t):
 
 
 def _stack_pass(chain: ChainModel, coords: np.ndarray):
-    """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (per
-    element six (M,) arrays) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
+    """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (six
+    (M, n) arrays, omega then v) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
     ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped."""
     m, dim = len(coords), chain.task_dim
     T = None if chain.base_pose.is_identity else chain.base_pose.matrix
-    axes, origins = [], []
-    for (link, _), (axis, rotation), value in zip(chain.elements, chain._motions, coords.T):
+    axes, origins = np.empty((2, m, 3, len(chain.elements)))
+    for j, ((link, _), (axis, rotation), value) in enumerate(zip(chain.elements, chain._motions, coords.T)):
         if not link.is_identity:
             T = link.matrix if T is None else T @ link.matrix
         frame = _I4 if T is None else T
-        axes.append(np.broadcast_to(frame[..., :3, :3] @ axis, (m, 3)))
-        origins.append(np.broadcast_to(frame[..., :3, 3], (m, 3)))
-        motion = np.tile(_I4, (m, 1, 1))
+        axes[..., j], origins[..., j] = frame[..., :3, :3] @ axis, frame[..., :3, 3]
+        motion = np.empty((m, 4, 4))
+        motion[:] = _I4
         if rotation is None:
             motion[:, :3, 3] = axis * value[:, None]
         else:
@@ -630,9 +634,9 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray):
         T = T @ chain.tool_transform.matrix
     # numpy's arctan2 and arcsin miss math's last bit on some inputs: angles go row by row
     pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T]).reshape(m, dim)
-    revolute = np.array([rotation is not None for _, rotation in chain._motions])
-    a0, a1, a2 = np.stack(axes, axis=2).swapaxes(0, 1)
-    b0, b1, b2 = (T[:, :3, 3, None] - np.stack(origins, axis=2)).swapaxes(0, 1)
+    revolute = chain._revolute
+    a0, a1, a2 = axes.swapaxes(0, 1)
+    b0, b1, b2 = (T[:, :3, 3, None] - origins).swapaxes(0, 1)
     o0, o1, o2 = (np.where(revolute, a, 0.0) for a in (a0, a1, a2))
     v = [np.where(revolute, c, a) for c, a in ((a1 * b2 - a2 * b1, a0), (a2 * b0 - a0 * b2, a1), (a0 * b1 - a1 * b0, a2))]
     rows = v[:2]
@@ -642,7 +646,7 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray):
         rows.append((c0 * d1 - c1 * d0) / (c0 * c0 + c1 * c1))
     elif dim == 6:
         rows += [v[2], o0, o1, o2]
-    return pose, np.stack(rows, axis=1), T, list(zip(*(t.T for t in (o0, o1, o2, *v))))
+    return pose, np.stack(rows, axis=1), T, (o0, o1, o2, *v)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -687,7 +691,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
     coords[:, free] = 0.0 if chain.ik_seed is None else chain.ik_seed
     lam, steps, trials = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     normal, gradient = np.empty((n, free.size, free.size)), np.empty((n, free.size))
-    iterating, fresh, errors = np.ones(n, dtype=bool), np.arange(n), {}
+    iterating, fresh, errors, eye = np.ones(n, dtype=bool), np.arange(n), {}, np.eye(free.size)
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         pose, cols = _stack_pass(chain, coords)[:2]
@@ -706,15 +710,16 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
                 keep = iterating[fresh]
                 J, fresh = _map_rates(J[keep], E_inv[keep]), fresh[keep]
             first = steps[fresh] == 0
-            sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
-            lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
+            if first.any():  # the 2-norm's SVD costs as much on an empty stack
+                sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
+                lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
             normal[fresh] = J.swapaxes(1, 2) @ J
             gradient[fresh] = (J.swapaxes(1, 2) @ r[fresh, :, None])[:, :, 0]
             rows = np.flatnonzero(iterating)
             if not rows.size:
                 return coords, dist, errors
             trial = coords[rows]
-            damped = normal[rows] + lam[rows, None, None] * np.eye(free.size)
+            damped = normal[rows] + lam[rows, None, None] * eye
             trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
             pose_try, cols_try = _stack_pass(chain, trial)[:2]
             r_try = targets[rows] - pose_try

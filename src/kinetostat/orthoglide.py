@@ -337,8 +337,13 @@ def compliance_grid(
             K = np.sum([_chain_responses(c, x[done], f[done], False) for c, x, f in zip(chains, coords, F)], 0)
         clear = np.isfinite(K).all(axis=(1, 2))
         eigenvalues[rows[done][clear]] = np.linalg.eigvalsh(K[clear])
-        for row, cell in enumerate(zip(ix.tolist(), iy.tolist())):
-            eig = eigenvalues[row]
+        # the cells the stacks finished positive definite, in one pass; the loop takes the rest in order
+        finished = eigenvalues.min(axis=1) > 0.0  # False for NaN
+        c = 1.0 / eigenvalues[finished]
+        cells = ix[finished], iy[finished]
+        c_max[cells], c_min[cells], ok[cells] = c.max(axis=1), c.min(axis=1), True
+        for row in np.flatnonzero(~finished).tolist():
+            cell, eig = divmod(first + row, grid_n), eigenvalues[row]
             try:
                 if np.isnan(eig).any():
                     seeds = _each_chain(manipulator, seed, stacks)  # raises the error of a cell the IK failed

@@ -129,6 +129,7 @@ def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensi
     pose, cols, T, twists = _stack_pass(chain, coords)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
+    twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
     H_all, d = _load_hessian(chain, T, pose, twists, cols, F), chain.task_dim
     out = np.empty((len(coords), d, chain.n_actuated if sensitivity else d))
     masks = _engaged_rows(chain.preload_springs, coords[:, chain.preloaded_elements])

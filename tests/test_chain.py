@@ -13,6 +13,7 @@ from kinetostat import (
     ModelError,
     OrthoglideSpec,
     OutOfWorkspaceError,
+    SpringLaw,
     Transform,
     build_planar_orthoglide,
     inverse_kinematics_unloaded,
@@ -657,6 +658,87 @@ def test_ik_stack_fails_only_the_row_at_the_euler_singularity():
     ry = [0.0, 0.3, 1.5, math.pi / 2.0, -0.7]
     targets = [[x, y, 0.1, 0.0, r, 0.0] for x in (0.3, -1.0) for y in (0.2, 2.0) for r in ry]
     assert _assert_stack_is_scalar_ik(chain, targets) == 4
+
+
+# -- stacked forward pass and mask groups ----------------------------------------
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_stack_pass_bitwise_equal_to_the_scalar_pass(task_dim, m):
+    # row by row the bytes of _end_transform, _task_pose, _twists and _columns
+    # (dim 6 after the rate map its callers apply), on random chains whose
+    # base, links and tool are none of them the identity
+    from kinetostat.chain import _columns, _end_transform, _euler_stack, _map_rates, _stack_pass, _task_pose, _twists
+
+    rng = np.random.default_rng(230 + task_dim)
+    for _ in range(5):
+        chain = random_spatial_chain(rng) if task_dim == 6 else random_planar_chain(rng, task_dim, n_joints=5)
+        transforms = [chain.base_pose, chain.tool_transform] + [link for link, _ in chain.elements]
+        assert not any(transform.is_identity for transform in transforms)
+        coords = np.array([chain.element_coordinates(random_state(rng, chain)) for _ in range(m)])
+        pose, cols, T, twists = _stack_pass(chain, coords.reshape(m, len(chain.elements)))
+        if task_dim == 6:
+            cols = _map_rates(cols, _euler_stack(pose)[0])
+        assert pose.shape == (m, task_dim) and cols.shape == (m, task_dim, len(chain.elements))
+        assert T.shape == (m, 4, 4) and np.shape(twists) == (6, m, len(chain.elements))
+        for row, x in enumerate(coords):
+            T_ref, frames = _end_transform(chain, x)
+            pose_ref = _task_pose(T_ref, task_dim)
+            twists_ref = _twists(chain, T_ref, frames)
+            assert T[row].tobytes() == T_ref.tobytes()
+            assert pose[row].tobytes() == pose_ref.tobytes()
+            assert cols[row].tobytes() == _columns(chain, T_ref, pose_ref, twists_ref).tobytes()
+            assert np.array(twists)[:, row].T.tobytes() == np.array(twists_ref).tobytes()
+
+
+def _groups_by_sorting(chain, masks):
+    """``ChainModel._by_mask`` as ``np.unique`` over the mask rows gives it."""
+    unique, inverse = np.unique(masks, axis=0, return_inverse=True)
+    return [(np.flatnonzero(inverse.ravel() == i), chain.regrouping(mask)) for i, mask in enumerate(unique)]
+
+
+def _two_spring_chain(preloaded=True):
+    """A planar chain with two preloaded revolutes, or with perfect ones in their place."""
+    def joint(kind, motion, axis, **kw):
+        return Transform(translation=(0.5, 0.0, 0.0)), JointModel(kind, motion, axis, **kw)
+
+    kind = "preloaded_passive" if preloaded else "perfect_passive"
+    springs = [{"spring": SpringLaw(1.0, 0.1, "positive_part")}, {"spring": SpringLaw(2.0, -0.1)}] if preloaded else [{}, {}]
+    return ChainModel(
+        task_dim=2,
+        base_pose=Transform.identity(),
+        elements=[
+            joint("actuated", "translational", (1.0, 0.0, 0.0)),
+            joint("virtual_elastic", "translational", (1.0, 0.0, 0.0), stiffness=1.0),
+            joint(kind, "rotational", (0.0, 0.0, 1.0), **springs[0]),
+            joint(kind, "rotational", (0.0, 0.0, 1.0), **springs[1]),
+        ],
+        tool_transform=Transform(translation=(0.5, 0.0, 0.0)),
+    )
+
+
+@pytest.mark.parametrize(
+    "preloaded, rows, groups",
+    [
+        (True, [], 0),
+        (True, [[True, False]] * 6, 1),
+        (True, [[True, False], [False, False], [True, True], [True, False], [False, True], [True, True]], 4),
+        (False, [[]] * 5, 1),
+        (False, [], 0),
+    ],
+    ids=["no-rows", "one-mask", "mixed-masks", "no-preloaded-joint", "no-preloaded-joint-no-rows"],
+)
+def test_by_mask_groups_as_sorting_the_masks(preloaded, rows, groups):
+    # the one-mask shortcut gives the groups, row indices and shared layouts
+    # of sorting the masks, an empty stack included
+    chain = _two_spring_chain(preloaded)
+    masks = np.array(rows, dtype=bool).reshape(len(rows), chain.n_preloaded)
+    got, expected = chain._by_mask(masks), _groups_by_sorting(chain, masks)
+    assert len(got) == len(expected) == groups
+    for (rows_got, layout), (rows_expected, layout_expected) in zip(got, expected):
+        assert rows_got.dtype == rows_expected.dtype and np.array_equal(rows_got, rows_expected)
+        assert layout is layout_expected
 
 
 # -- the chain-failure rule ----------------------------------------------------

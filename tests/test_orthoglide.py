@@ -456,6 +456,46 @@ def test_grid_bitwise_equal_to_per_cell_compensations(monkeypatch, build, grid_n
         assert expected[left], n_left
 
 
+def test_grid_tail_matches_the_per_cell_path(monkeypatch):
+    # a box where the border cells lie out of reach: the first reached cell is
+    # left to the scalar loop, the next one is made indefinite in the stacked
+    # stiffness, and the other reached cells finish in the stacks
+    import kinetostat.orthoglide as orthoglide
+
+    model, grid_n = _scaled_box(shipped_model(), 2.4), 5
+    c_max, c_min, ok, reasons = _per_cell_grid(model, grid_n)
+    reached = [cell for cell in np.ndindex(grid_n, grid_n) if cell not in reasons]
+    assert reasons and len(reached) > 2
+    assert all(reason.startswith("OutOfWorkspaceError") for reason in reasons.values())
+    indefinite = "indefinite stiffness: smallest eigenvalue -1.000e+00"
+    c_max[reached[1]] = c_min[reached[1]] = np.nan
+    ok[reached[1]] = False
+    reasons = {cell: reasons.get(cell, indefinite) for cell in np.ndindex(grid_n, grid_n) if cell in reasons or cell == reached[1]}
+
+    real_stack, real_responses, scalar_cells = orthoglide._compensate_stack, orthoglide._chain_responses, []
+
+    def leave_first(*args):
+        coords, F, done = real_stack(*args)
+        assert done[0]
+        return coords, F, np.concatenate([[False], done[1:]])
+
+    def first_finished_indefinite(chain, coords, F, sensitivity):
+        K = real_responses(chain, coords, F, sensitivity)
+        K[0] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
+        return K
+
+    real_compensate = orthoglide._compensate
+    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(args[1]) or real_compensate(*args))
+    monkeypatch.setattr(orthoglide, "_compensate_stack", leave_first)
+    monkeypatch.setattr(orthoglide, "_chain_responses", first_finished_indefinite)
+    grid = compliance_grid(model, grid_n)
+    assert [t.tolist() for t in scalar_cells] == [[grid.xs[reached[0][0]], grid.ys[reached[0][1]]]]
+    assert grid.c_max.tobytes() == c_max.tobytes()
+    assert grid.c_min.tobytes() == c_min.tobytes()
+    assert grid.ok.tobytes() == ok.tobytes()
+    assert list(grid.reasons.items()) == list(reasons.items())
+
+
 def test_grid_names_the_reason_of_a_failed_cell():
     # on a box three times the shipped one, the corners lie out of reach
     grid = compliance_grid(_scaled_box(shipped_model(), 3.0), 3)
