@@ -12,7 +12,8 @@ to hold the target vanishes (or matches a prescribed external wrench):
     4. S   <- dF/drho at the equilibria of step 2: per chain, the top
        task-size rows of A^-1 (-[J_rho + J_th kf H_thrho ;
        H_qrho + H_qth kf H_thrho]), with A, kf and the load Hessians of
-       the chain stiffness (stiffness.py) and H_.rho = d(J_.^T F)/drho
+       the chain stiffness and H_.rho = d(J_.^T F)/drho, from the one
+       assembly (stiffness.py) that serves a single equilibrium and a stack
     5. rho <- rho - S^-1 (F - F_target), halving the step while the
        residual grows, then back to 2.
 

@@ -96,11 +96,12 @@ class EquilibriumResult:
 
 
 def _block_matrix(J_theta, J_q, k_tilde):
-    d, k = J_q.shape
-    A = np.zeros((d + k, d + k))
-    A[:d, :d] = (J_theta / k_tilde) @ J_theta.T
-    A[:d, d:] = J_q
-    A[d:, :d] = J_q.T
+    """The step's saddle matrix of one iterate, or of a stack of them (leading axis)."""
+    d, k = J_q.shape[-2:]
+    A = np.zeros(J_q.shape[:-2] + (d + k, d + k))
+    A[..., :d, :d] = (J_theta / k_tilde) @ J_theta.swapaxes(-1, -2)
+    A[..., :d, d:] = J_q
+    A[..., d:, :d] = J_q.swapaxes(-1, -2)
     return A
 
 
@@ -112,8 +113,9 @@ def _inverse(A: np.ndarray) -> np.ndarray:
         return np.array([_inverse(a) for a in A]) if A.ndim > 2 else np.full(A.shape, np.nan)
 
 
-def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_solve`` of a stack (M, n, n): A^-1 b where the Frobenius bound clears a row, else NaN."""
+def _solve_stack(A: np.ndarray, b: np.ndarray, *_) -> np.ndarray:
+    """``_solve`` of a stack (M, n, n): A^-1 b where the Frobenius bound clears a row, else NaN;
+    ``_solve``'s error type and message, if passed, go unused."""
     A_inv = _inverse(A)
     flat, flat_inv = A.reshape(len(A), 1, -1), A_inv.reshape(len(A), 1, -1)
     bound_sq = (flat @ flat.swapaxes(1, 2)) * (flat_inv @ flat_inv.swapaxes(1, 2))
@@ -285,11 +287,8 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
             J_th, J_q, xs = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
             eps = targets[rows[sub]] - pose[rows[sub]] + (J_q @ np.take(xs, q_el, axis=1)[..., None])[..., 0]
             eps += (J_th @ (np.take(xs, th_el, axis=1) - th0)[..., None])[..., 0]
-            A = np.zeros((sub.size, d + q_el.size, d + q_el.size))  # _block_matrix of each row
-            A[:, :d, :d], A[:, :d, d:] = (J_th / k_tilde) @ J_th.swapaxes(1, 2), J_q
-            A[:, d:, :d] = J_q.swapaxes(1, 2)
             rhs = np.concatenate([eps, np.zeros((sub.size, q_el.size))], axis=1)[..., None]
-            sol = _solve_stack(A, rhs)
+            sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde), rhs)
             F_new[sub], xs[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
             xs[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
             x_new[sub] = xs

@@ -337,29 +337,25 @@ def compliance_grid(
             K = np.sum([_chain_responses(c, x[done], f[done], False) for c, x, f in zip(chains, coords, F)], 0)
         clear = np.isfinite(K).all(axis=(1, 2))
         eigenvalues[rows[done][clear]] = np.linalg.eigvalsh(K[clear])
-        # the cells the stacks finished positive definite, in one pass; the loop takes the rest in order
-        finished = eigenvalues.min(axis=1) > 0.0  # False for NaN
-        c = 1.0 / eigenvalues[finished]
-        cells = ix[finished], iy[finished]
-        c_max[cells], c_min[cells], ok[cells] = c.max(axis=1), c.min(axis=1), True
-        for row in np.flatnonzero(~finished).tolist():
-            cell, eig = divmod(first + row, grid_n), eigenvalues[row]
+        # the loop takes, in cell order, the cells the stacks did not finish positive definite
+        for row in np.flatnonzero(~(eigenvalues.min(axis=1) > 0.0)).tolist():  # NaN included
+            cell, eig = divmod(first + row, grid_n), eigenvalues[row]  # eig: a view of the row
             try:
                 if np.isnan(eig).any():
                     seeds = _each_chain(manipulator, seed, stacks)  # raises the error of a cell the IK failed
                     sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
-                    eig = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
+                    eig[:] = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
             except KinetostatError as err:
                 reasons[cell] = _failure_reason(manipulator, err)
                 continue
             # a zero or negative eigenvalue has no meaningful compliance
-            if eig.min() <= 0.0:
+            if not eig.min() > 0.0:
                 reasons[cell] = f"indefinite stiffness: smallest eigenvalue {eig.min():.3e}"
-                continue
-            c = 1.0 / eig
-            c_max[cell] = float(c.max())
-            c_min[cell] = float(c.min())
-            ok[cell] = True
+        # the compliances of every positive definite cell, in one pass
+        positive = eigenvalues.min(axis=1) > 0.0
+        c = 1.0 / eigenvalues[positive]
+        cells = ix[positive], iy[positive]
+        c_max[cells], c_min[cells], ok[cells] = c.max(axis=1), c.min(axis=1), True
     return ComplianceMap(xs=xs, ys=ys, c_max=c_max, c_min=c_min, ok=ok, reasons=reasons)
 
 

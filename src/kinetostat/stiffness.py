@@ -8,13 +8,16 @@ block of the inverse of
     [ J_q^T + H_qth kf J_th^T     H_qq + H_qth kf H_thq          ]
 
 obtained by solving task-dim right-hand sides rather than inverting the
-whole block. Each system, kf's included, is solved once by the guarded
-``_solve``: the inverse that clears a matrix's condition bound also solves
-it. The Jacobians and the load Hessians H = d(J^T F)/dx come in closed form
-from one forward pass per chain (``chain._loaded_derivatives``). Chain
-matrices sum to the manipulator stiffness. The same block system with an
-actuator right-hand side gives dF/drho, the chain's columns of the
-sensitivity that the kinetostatic compensation inverts.
+whole block. Each system, kf's included, is solved once by a guarded solve:
+the inverse that clears a matrix's condition bound also solves it. The
+Jacobians and the load Hessians H = d(J^T F)/dx come in closed form from one
+forward pass per chain (``chain._loaded_derivatives``). Chain matrices sum
+to the manipulator stiffness. The same block system with an actuator
+right-hand side gives dF/drho, the chain's columns of the sensitivity that
+the kinetostatic compensation inverts. One assembly (``_block_system``)
+builds A, kf and both right-hand sides for a single equilibrium, whose
+singular systems raise, and for a stack of them over a leading axis, whose
+singular rows come out NaN.
 """
 
 from __future__ import annotations
@@ -55,104 +58,82 @@ class StiffnessResult:
     def condition(self) -> list[float]:
         """Exact 2-norm condition of each chain's block matrix, one SVD each on first read."""
         pairs = zip(self.chains, self.equilibria)
-        return [float(np.linalg.cond(_block_system(chain, eq)[0])) for chain, eq in pairs]
+        return [float(np.linalg.cond(_chain_block(chain, eq, None))) for chain, eq in pairs]
 
 
-def _block_system(chain: ChainModel, eq: EquilibriumResult):
-    """Stiffness block matrix A of one chain at its equilibrium.
+def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tuple, solve, sensitivity: bool | None):
+    """Responses of the stiffness block system of one chain equilibrium, or of a stack of them.
 
-    Returns ``(A, actuator_rhs)``; ``actuator_rhs()`` builds the right-hand
-    side of ``_chain_sensitivity``. Both come from the Jacobian columns and
-    load Hessian of one forward pass.
-    """
-    reg = eq.regrouped
-    cols, H = _loaded_derivatives(chain, reg, eq.F)
-    J_theta, J_q = cols[:, reg.theta_elements], cols[:, reg.q_elements]
-    k = J_q.shape[1]
-    m = J_theta.shape[1]
-    # Hessian rows and columns in passive, spring, actuator order
-    order = np.concatenate([reg.q_elements, reg.theta_elements, chain.actuated_elements])
-    H = H[order][:, order]
-    H_qq, H_thth, H_qth = H[:k, :k], H[k : k + m, k : k + m], H[:k, k : k + m]
-
-    spring_block = np.diag(reg.k_tilde) - H_thth
-    what = f"loaded spring block of chain {chain.name!r} lost invertibility"
-    kf = _solve(spring_block, np.eye(m), SpringSofteningError, what)
-
-    d = chain.task_dim
-    H_thq = H_qth.T
-    A = np.zeros((d + k, d + k))
-    A[:d, :d] = J_theta @ kf @ J_theta.T
-    A[:d, d:] = J_q + J_theta @ kf @ H_thq
-    A[d:, :d] = J_q.T + H_qth @ kf @ J_theta.T
-    A[d:, d:] = H_qq + H_qth @ kf @ H_thq
-
-    def actuator_rhs():
-        spring = kf @ H[k : k + m, k + m :]
-        J_rho = cols[:, chain.actuated_elements]
-        return -np.concatenate([J_rho + J_theta @ spring, H[:k, k + m :] + H_qth @ spring])
-
-    return A, actuator_rhs
-
-
-def _chain_response(chain: ChainModel, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Task rows of A^-1 rhs for the chain's stiffness block A."""
-    what = f"stiffness block of chain {chain.name!r} is singular"
-    return _solve(A, rhs, SingularityError, what)[: chain.task_dim]
-
-
-def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult):
-    A = _block_system(chain, eq)[0]
-    K = _chain_response(chain, A, np.eye(len(A), chain.task_dim))
-    return 0.5 * (K + K.T)
-
-
-def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
-    """dF/drho of one chain at its equilibrium, one column per actuator.
+    ``cols`` (..., d, n) are the Jacobian columns and ``H`` (..., n, n) the
+    load Hessian of every chain element, ``layout`` the active set's
+    ``ChainModel.regrouping``, and ``solve`` the guarded solve: ``_solve``
+    raises on a singular system, ``_solve_stack`` gives NaN in its row.
+    Returns the task rows of A^-1 rhs: the chain stiffness, symmetrised, or
+    with ``sensitivity`` dF/drho, one column per actuator; A itself when
+    ``sensitivity`` is None.
 
     Differentiating the equilibrium conditions g = t, J_q^T F = 0 and
-    J_th^T F = K (theta - theta_0) in rho at fixed t gives the stiffness
-    block system with the actuator right-hand side
+    J_th^T F = K (theta - theta_0) in rho at fixed t gives the block system
+    with the actuator right-hand side
 
         - [ J_rho + J_th kf H_thrho ; H_qrho + H_qth kf H_thrho ]
 
     where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
     """
-    A, actuator_rhs = _block_system(chain, eq)
-    return _chain_response(chain, A, actuator_rhs())
+    q_elements, theta_elements, _, k_tilde = layout
+    d, k, m = chain.task_dim, q_elements.size, theta_elements.size
+    # columns, and Hessian rows and columns, in passive, spring, actuator order; H is symmetric
+    # to the bit, so the view of its transpose lays it out by columns, as _gather does
+    order = np.concatenate([q_elements, theta_elements, chain.actuated_elements])
+    cols, H = _gather(cols, order), np.take(np.take(H, order, -1), order, -2).swapaxes(-1, -2)
+    J_q, J_theta = cols[..., :k], cols[..., k : k + m]
+    H_qq, H_thth, H_qth = H[..., :k, :k], H[..., k : k + m, k : k + m], H[..., :k, k : k + m]
+    what = f"loaded spring block of chain {chain.name!r} lost invertibility"
+    kf = solve(np.diag(k_tilde) - H_thth, np.eye(m), SpringSofteningError, what)
+    H_thq, J_theta_T = H_qth.swapaxes(-1, -2), J_theta.swapaxes(-1, -2)
+    A = np.zeros(H.shape[:-2] + (d + k, d + k))
+    A[..., :d, :d] = J_theta @ kf @ J_theta_T
+    A[..., :d, d:] = J_q + J_theta @ kf @ H_thq
+    A[..., d:, :d] = J_q.swapaxes(-1, -2) + H_qth @ kf @ J_theta_T
+    A[..., d:, d:] = H_qq + H_qth @ kf @ H_thq
+    if sensitivity is None:
+        return A
+    rhs = np.eye(d + k, d)
+    if sensitivity:
+        spring = kf @ H[..., k : k + m, k + m :]
+        rhs = -np.concatenate([cols[..., k + m :] + J_theta @ spring, H[..., :k, k + m :] + H_qth @ spring], axis=-2)
+    K = solve(A, rhs, SingularityError, f"stiffness block of chain {chain.name!r} is singular")[..., :d, :]
+    return K if sensitivity else 0.5 * (K + K.swapaxes(-1, -2))
+
+
+def _chain_block(chain: ChainModel, eq: EquilibriumResult, sensitivity: bool | None):
+    """``_block_system`` of one chain at its equilibrium, from one forward pass; a singular system raises."""
+    cols, H = _loaded_derivatives(chain, eq.regrouped, eq.F)
+    return _block_system(chain, cols, H, chain.regrouping(eq.regrouped.active_mask), _solve, sensitivity)
+
+
+def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
+    return _chain_block(chain, eq, False)
+
+
+def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
+    """dF/drho of one chain at its equilibrium, one column per actuator."""
+    return _chain_block(chain, eq, True)
 
 
 def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool) -> np.ndarray:
     """``_chain_sensitivity`` (else ``_chain_stiffness_diag``) of stacked equilibria, joint vectors
-    (M, n_elements) and wrenches (M, d), in the scalar arithmetic and operand layout (``chain._gather``)
-    with the rows of one active mask as one stack; NaN in a row a guarded solve does not clear."""
+    (M, n_elements) and wrenches (M, d), with the rows of one active mask as one stack, bit for
+    bit; NaN in a row a guarded solve does not clear."""
     pose, cols, T, twists = _stack_pass(chain, coords)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
     twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
-    H_all, d = _load_hessian(chain, T, pose, twists, cols, F), chain.task_dim
-    out = np.empty((len(coords), d, chain.n_actuated if sensitivity else d))
+    H = _load_hessian(chain, T, pose, twists, cols, F)
+    out = np.empty((len(coords), chain.task_dim, chain.n_actuated if sensitivity else chain.task_dim))
     masks = _engaged_rows(chain.preload_springs, coords[:, chain.preloaded_elements])
-    for rows, (q_elements, theta_elements, _, k_tilde) in chain._by_mask(masks):
-        J_theta, J_q = _gather(cols[rows], theta_elements), _gather(cols[rows], q_elements)
-        k, m = q_elements.size, theta_elements.size
-        order = np.concatenate([q_elements, theta_elements, chain.actuated_elements])
-        H = _gather(H_all[rows][:, order], order)
-        H_qq, H_thth, H_qth = H[:, :k, :k], H[:, k : k + m, k : k + m], H[:, :k, k : k + m]
-        kf = _solve_stack(np.diag(k_tilde) - H_thth, np.eye(m))
-        H_thq, J_theta_T = H_qth.swapaxes(1, 2), J_theta.swapaxes(1, 2)
-        A = np.zeros((rows.size, d + k, d + k))
-        A[:, :d, :d] = J_theta @ kf @ J_theta_T
-        A[:, :d, d:] = J_q + J_theta @ kf @ H_thq
-        A[:, d:, :d] = J_q.swapaxes(1, 2) + H_qth @ kf @ J_theta_T
-        A[:, d:, d:] = H_qq + H_qth @ kf @ H_thq
-        rhs = np.eye(d + k, d)
-        if sensitivity:
-            spring = kf @ H[:, k : k + m, k + m :]
-            J_rho = _gather(cols[rows], chain.actuated_elements)
-            rhs = -np.concatenate([J_rho + J_theta @ spring, H[:, :k, k + m :] + H_qth @ spring], axis=1)
-        K = _solve_stack(A, rhs)[:, :d]
-        out[rows] = K if sensitivity else 0.5 * (K + K.swapaxes(1, 2))
+    for rows, layout in chain._by_mask(masks):
+        out[rows] = _block_system(chain, cols[rows], H[rows], layout, _solve_stack, sensitivity)
     return out
 
 

@@ -23,7 +23,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from kinetostat.stiffness import _aggregate_stiffness, _chain_stiffness_diag
+from kinetostat.stiffness import _aggregate_stiffness, _chain_responses, _chain_stiffness_diag
 
 from conftest import DIAG, linear_preload_model, stop_limit_model, two_prismatic_toy
 
@@ -142,13 +142,14 @@ def test_spring_softening_error():
         task_dim=2,
         base_pose=Transform.identity(),
         elements=[
+            (Transform.identity(), JointModel(kind="actuated", motion="translational", axis=(1.0, 0.0, 0.0))),
             (Transform.identity(), JointModel(kind="virtual_elastic", motion="translational", axis=(1.0, 0.0, 0.0), stiffness=2.0)),
             (Transform.identity(), JointModel(kind="virtual_elastic", motion="rotational", axis=(0.0, 0.0, 1.0), stiffness=0.5)),
         ],
         tool_transform=Transform(translation=(1.0, 0.0, 0.0)),
         name="softening-toy",
     )
-    state = ChainState(rho=[], q=[], vartheta=[], theta=[0.0, 0.0])
+    state = ChainState(rho=[0.0], q=[], vartheta=[], theta=[0.0, 0.0])
     reg = partition(chain, state)
     eq = EquilibriumResult(
         F=np.array([-0.5, 0.0]),  # exactly cancels the 0.5 rotational stiffness
@@ -158,8 +159,13 @@ def test_spring_softening_error():
         regrouped=reg,
         chain=chain,
     )
-    with pytest.raises(SpringSofteningError):
+    with pytest.raises(SpringSofteningError, match="loaded spring block of chain 'softening-toy' lost invertibility"):
         _chain_stiffness_diag(chain, eq)
+    # the same block assembly over a stack of one leaves the softened row NaN
+    for sensitivity, columns in ((True, 1), (False, 2)):
+        with np.errstate(all="ignore"):
+            row = _chain_responses(chain, reg.coords[None], eq.F[None], sensitivity)
+        assert row.shape == (1, 2, columns) and np.isnan(row).all()
 
 
 def test_buckled_stiffness_flagged_not_error(ortho_spec, ortho_nopreload):
@@ -192,12 +198,12 @@ def test_stiffness_at_compensation_equilibria_is_identical(ortho_spec, model_nam
 def test_reported_condition_and_rank_come_from_full_svds(build):
     # the reported condition is the exact 2-norm condition of each chain's
     # block matrix, and rank_c counts K_c's singular values above 1e-9 smax
-    from kinetostat.stiffness import _block_system
+    from kinetostat.stiffness import _chain_block
 
     model = build()
     res = manipulator_stiffness(model, [0.3, 0.4], [[1.2], [1.1]])
     for chain, eq, K, cond, rank in zip(model.chains, res.equilibria, res.K_c, res.condition, res.rank_c):
-        A = _block_system(chain, eq)[0]
+        A = _chain_block(chain, eq, None)
         assert cond == float(np.linalg.cond(A))
         smax = float(np.linalg.norm(K, 2))
         assert rank == int(np.linalg.matrix_rank(K, tol=1e-9 * smax))
