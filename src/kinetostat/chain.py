@@ -610,10 +610,11 @@ def chain_ik_best_effort(chain: ChainModel, t):
     return chain.state_of(coords), r_norm
 
 
-def _stack_pass(chain: ChainModel, coords: np.ndarray):
+def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True):
     """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (six
     (M, n) arrays, omega then v) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
-    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped."""
+    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped. With ``twists``
+    False a dim-2 pass returns None for them and skips the terms its columns do not read."""
     m, dim = len(coords), chain.task_dim
     T = None if chain.base_pose.is_identity else chain.base_pose.matrix
     axes, origins = np.empty((2, m, 3, len(chain.elements)))
@@ -637,8 +638,11 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray):
     revolute = chain._revolute
     a0, a1, a2 = axes.swapaxes(0, 1)
     b0, b1, b2 = (T[:, :3, 3, None] - origins).swapaxes(0, 1)
+    v = [np.where(revolute, c, a) for c, a in ((a1 * b2 - a2 * b1, a0), (a2 * b0 - a0 * b2, a1))]
+    if dim == 2 and not twists:
+        return pose, np.stack(v, axis=1), T, None
     o0, o1, o2 = (np.where(revolute, a, 0.0) for a in (a0, a1, a2))
-    v = [np.where(revolute, c, a) for c, a in ((a1 * b2 - a2 * b1, a0), (a2 * b0 - a0 * b2, a1), (a0 * b1 - a1 * b0, a2))]
+    v.append(np.where(revolute, a0 * b1 - a1 * b0, a2))
     rows = v[:2]
     if dim == 3:
         c0, c1, c2 = (T[:, i, 0, None] for i in range(3))
@@ -694,7 +698,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
     iterating, fresh, errors, eye = np.ones(n, dtype=bool), np.arange(n), {}, np.eye(free.size)
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        pose, cols = _stack_pass(chain, coords)[:2]
+        pose, cols = _stack_pass(chain, coords, False)[:2]
         r = targets - pose
         dist = _norms(r)
         while True:
@@ -721,7 +725,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             trial = coords[rows]
             damped = normal[rows] + lam[rows, None, None] * eye
             trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
-            pose_try, cols_try = _stack_pass(chain, trial)[:2]
+            pose_try, cols_try = _stack_pass(chain, trial, False)[:2]
             r_try = targets[rows] - pose_try
             try_dist = _norms(r_try)
             better = try_dist < dist[rows]
@@ -745,6 +749,15 @@ def _reached(chain: ChainModel, state: ChainState, r_norm: float) -> ChainState:
         message = f"pose unreachable for chain {chain.name!r}, closest distance {r_norm:.3e}"
         raise OutOfWorkspaceError(message, distance=r_norm)
     return state
+
+
+def _stack_state(chain: ChainModel, stack, row: int) -> ChainState:
+    """Row ``row`` of an ``_ik_stack`` result, checked as ``inverse_kinematics_unloaded``
+    checks its rigid IK: the state, or the error the row stored, or OutOfWorkspaceError."""
+    coords, distances, errors = stack
+    if row in errors:
+        raise errors[row]
+    return _reached(chain, chain.state_of(coords[row]), float(distances[row]))
 
 
 def _each_chain(manipulator: ManipulatorModel, solve, *per_chain) -> list:

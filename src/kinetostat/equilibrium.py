@@ -26,7 +26,8 @@ forward pass reads; the start is validated once, a step writes q~ and
 theta~ into a copy of x, and a ChainState is built only for the result,
 on first read. Each iteration runs one forward pass on the regrouped new x:
 its pose is the step's residual, its frames give the next iteration's
-Jacobian columns. Continuations pass such vectors on between samples.
+Jacobian columns. A sweep solves its samples as stacks of such vectors,
+and the continuation that solves the samples a stack leaves passes them on.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
@@ -45,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
-from .chain import _stack_pass, chain_ik_best_effort, inverse_kinematics_unloaded, regrouped_geometry
+from .chain import _ik_stack, _stack_pass, _stack_state, chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, _engaged_rows, regroup
 
@@ -153,6 +154,22 @@ def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> f
     return _CONTRACTION_SAFETY * (size + math.sqrt(dF @ dF)) * size / (prev - size)
 
 
+def _actuators(chain: ChainModel, rho) -> np.ndarray:
+    """rho as an array of the chain's actuator count, or a ModelError."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if rho.shape != (chain.n_actuated,):
+        raise ModelError(f"rho of shape {rho.shape} does not match {chain.n_actuated} actuators")
+    return rho
+
+
+def _start_vector(chain: ChainModel, start) -> np.ndarray:
+    """A new joint vector in chain element order from a ChainState or such a vector, or a ModelError."""
+    x = chain.element_coordinates(start) if isinstance(start, ChainState) else np.array(start, dtype=float)
+    if x.shape != (len(chain.elements),):
+        raise ModelError(f"start of shape {x.shape} does not match {len(chain.elements)} chain elements")
+    return x
+
+
 # a pose or rho near the float range overflows the residual and step norms
 # (past ~1e154); the solve then ends as singular or unconverged, unwarned
 @np.errstate(over="ignore")
@@ -177,9 +194,7 @@ def solve_chain_equilibrium(
     target = np.asarray(t.as_array() if hasattr(t, "as_array") else t, dtype=float).ravel()
     if target.size != chain.task_dim:
         raise ModelError(f"pose of length {target.size} does not match task dim {chain.task_dim}")
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if rho.shape != (chain.n_actuated,):
-        raise ModelError(f"rho of shape {rho.shape} does not match {chain.n_actuated} actuators")
+    rho = _actuators(chain, rho)
     if not (np.isfinite(target).all() and np.isfinite(rho).all()):
         raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
@@ -187,9 +202,7 @@ def solve_chain_equilibrium(
         # nearest unloaded configuration, virtual springs at rest; best effort,
         # as part of the task space is reachable only through elastic deflection
         start, _ = chain_ik_best_effort(chain, target)
-    x = chain.element_coordinates(start) if isinstance(start, ChainState) else np.array(start, dtype=float)
-    if x.shape != (len(chain.elements),):
-        raise ModelError(f"start of shape {x.shape} does not match {len(chain.elements)} chain elements")
+    x = _start_vector(chain, start)
     x[chain.actuated_elements] = rho
     # the unknowns in perfect, preloaded, virtual order, for norms and restarts
     free = chain.unknown_elements
@@ -272,7 +285,7 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
     free, springs, preloaded = chain.unknown_elements, chain.preload_springs, chain.preloaded_elements
     F, mask = np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
     prev_mask, oscillating = mask.copy(), np.zeros(m, dtype=int)
-    pose, cols = _stack_pass(chain, x)[:2]
+    pose, cols = _stack_pass(chain, x, False)[:2]
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
     done, left = np.zeros((2, m), dtype=bool)
     for _ in range(opts.max_iterations):
@@ -295,7 +308,7 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
         step = np.concatenate([F_new - F[rows], x_new[:, free] - x[rows][:, free]], axis=1)
         left[rows] = (oscillating[rows] > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
         F[rows], x[rows], mask[rows] = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
-        pose[rows], cols[rows] = _stack_pass(chain, x_new)[:2]
+        pose[rows], cols[rows] = _stack_pass(chain, x_new, False)[:2]
         # the scalar stop tests, _contraction_bound's arithmetic included
         tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
         size, prev = _norms(step[:, d:]), _norms(dx_prev[rows])
@@ -357,11 +370,12 @@ def _predicted_states(a: list[np.ndarray], b: list[np.ndarray], w: float) -> lis
     return [x + w * (y - x) for x, y in zip(a, b)]
 
 
-def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
-    """(s, |v/s|): s = max|v_i| outside [1e-150, 1e150], where squares leave the float range, else 1."""
-    s = float(np.abs(v).max())
-    s = s if s > 1e150 or 0.0 < s < 1e-150 else 1.0
-    return s, float(np.linalg.norm(v / s))
+def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, |v/s|) of each row of v (M, d): s = max|v_i| outside [1e-150, 1e150], where squares leave
+    the float range, else 1; |.| is ``np.linalg.norm`` of the row to the bit."""
+    s = np.abs(v).max(axis=1)
+    s = np.where((s > 1e150) | ((0.0 < s) & (s < 1e-150)), s, 1.0)
+    return s, _norms(v / s[:, None])
 
 
 @dataclass
@@ -373,6 +387,10 @@ class ForceDeflectionCurve:
     force_along: np.ndarray
     direction: np.ndarray
     truncated: bool = False
+
+
+# samples per stack of a sweep: a curve cut short early wastes at most one chunk
+_SWEEP_CHUNK = 64
 
 
 def force_deflection(
@@ -389,15 +407,21 @@ def force_deflection(
 
     ``starts`` are chain states or joint vectors in chain element order at
     the start pose (for instance a compensation's ``[eq.regrouped.coords
-    for eq in sol.equilibria]``) that seed the first sample; without them
-    the first sample cold-starts every chain.
-    Actuator coordinates default to those of ``starts``, or else to the
-    rigid inverse kinematics at the start pose, whose chain states then
-    seed the first sample. The second sample is warm-started from the
-    first, and every later one from the secant prediction 2 x_k - x_(k-1)
-    through the two samples before it. The first non-convergent sample
-    truncates the curve instead of raising, which is how loss of
-    solvability past buckling shows up.
+    for eq in sol.equilibria]``) that seed the first sample. Actuator
+    coordinates default to those of ``starts``, or else to the rigid
+    inverse kinematics at the start pose, which must reach it.
+
+    Per chain, the samples are solved as stacks of up to _SWEEP_CHUNK rows
+    (``_equilibrium_stack``), each started from the best-effort rigid IK at
+    its own target (``_ik_stack``), as ``solve_chain_equilibrium`` cold-starts,
+    and the first from ``starts`` when given. From the first row that some
+    chain's stack leaves unfinished (its IK failed, or its solve needs damping,
+    a restart, the SVD branch or more iterations) to the end, the samples are
+    solved one at a time: each is warm-started from the secant prediction
+    2 x_k - x_(k-1) through the two samples before it (Allgower & Georg,
+    ch. 2), or from the one sample before. The first non-convergent sample
+    truncates the curve instead of raising, which is how loss of solvability
+    past buckling shows up.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -407,48 +431,61 @@ def force_deflection(
         raise ModelError("sweep direction does not match the task dimension")
     if not np.isfinite(u).all():
         raise ModelError(f"sweep direction {u.tolist()} is not finite")
-    s, norm = _scaled_norm(u)
+    s, norm = _scaled_norms(u[None])
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")
     u = u / s / norm
 
-    warm = starts
-    if rho_all is not None:
-        rhos = split_rho(manipulator, rho_all)
-    else:
-        if warm is None:
-            # the rigid IK states at the start pose are what a cold first sample would solve
-            warm = inverse_kinematics_unloaded(manipulator, start_vec)
-        rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(manipulator.chains, warm)]
-
     n_samples = max_delta / step
     if not n_samples < math.inf:
         raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} has no finite sample count")
-    deltas = []
-    magnitudes = []
-    along = []
+    chains, opts, n = manipulator.chains, opts or SolverOptions(), int(round(n_samples)) + 1
+    # F_sigma of the solved samples, and the chains' joint vectors of the last two
+    forces, last, warm, rhos = [], [], starts, rho_all
+    for first in range(0, n, _SWEEP_CHUNK):
+        targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
+        iks = [_ik_stack(chain, targets) for chain in chains]
+        seeds = [coords for coords, _, _ in iks]
+        if not first:
+            if rhos is None:
+                if warm is None:  # row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
+                    warm = _each_chain(manipulator, _stack_state, iks, [0] * len(chains))
+                rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(chains, warm)]
+            rhos = split_rho(manipulator, rhos)
+            if starts is not None and len(starts) != len(chains):
+                raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
+            rhos = _each_chain(manipulator, _actuators, rhos)
+            if starts is not None:
+                for seed, x in zip(seeds, _each_chain(manipulator, _start_vector, starts)):
+                    seed[0] = x
+        with np.errstate(all="ignore"):  # a row gone non-finite is left to the continuation, which warns as it does
+            solves = [_equilibrium_stack(c, targets, x, rho, opts) for c, x, rho in zip(chains, seeds, rhos)]
+        finished = np.all([done for _, _, done in solves], axis=0)
+        finished[[row for _, _, errors in iks for row in errors]] = False
+        unfinished = np.flatnonzero(~finished)
+        k = int(unfinished[0]) if unfinished.size else len(targets)
+        forces.append(np.sum([F[:k] for F, _, _ in solves], axis=0))
+        last = (last + [[x[i] for _, x, _ in solves] for i in range(max(k - 2, 0), k)])[-2:]
+        if k < len(targets):
+            break
+
     truncated = False
-    previous = None
-    n_steps = int(round(n_samples))
-    for i in range(n_steps + 1):
-        delta = i * step
-        target = start_vec + delta * u
+    for i in range(sum(map(len, forces)), n):  # the continuation, from the first unfinished row
+        if last:
+            warm = last[0] if len(last) == 1 else _predicted_states(*last, 2.0)
         try:
-            F_sigma, results = total_wrench(manipulator, target, rhos, opts, starts=warm)
+            F_sigma, results = total_wrench(manipulator, start_vec + (i * step) * u, rhos, opts, starts=warm)
         except (NonConvergenceError, SingularityError):
             truncated = True
             break
-        states = [r.regrouped.coords for r in results]
-        warm = states if previous is None else _predicted_states(previous, states, 2.0)
-        previous = states
-        deltas.append(delta)
-        s, mag = _scaled_norm(F_sigma)
-        magnitudes.append(s * mag)
-        along.append(float(F_sigma @ u))
+        forces.append(F_sigma[None])
+        last = (last + [[r.regrouped.coords for r in results]])[-2:]
+    F = np.concatenate(forces)
+    s, norms = _scaled_norms(F)
     return ForceDeflectionCurve(
-        deltas=np.array(deltas),
-        force_magnitude=np.array(magnitudes),
-        force_along=np.array(along),
+        deltas=np.arange(len(F)) * step,
+        force_magnitude=s * norms,
+        force_along=(F[:, None] @ u[:, None])[:, 0, 0],
         direction=u,
         truncated=truncated,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
-from .chain import _each_chain, _ik_stack, _reached, _reaches
+from .chain import _each_chain, _ik_stack, _reaches, _stack_state
 from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
@@ -317,13 +317,6 @@ def compliance_grid(
     ys = np.linspace(lo[1], hi[1], grid_n)
     F_target, chains, reasons = np.zeros(manipulator.task_dim), manipulator.chains, {}
 
-    def seed(chain, stack):
-        """The rigid IK state of cell ``row`` in the chain's stack, or the error its row stored."""
-        coords, distances, errors = stack
-        if row in errors:
-            raise errors[row]
-        return _reached(chain, chain.state_of(coords[row]), float(distances[row]))
-
     for first in range(0, grid_n * grid_n, _STACK_CELLS):
         ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))
@@ -342,7 +335,8 @@ def compliance_grid(
             cell, eig = divmod(first + row, grid_n), eigenvalues[row]  # eig: a view of the row
             try:
                 if np.isnan(eig).any():
-                    seeds = _each_chain(manipulator, seed, stacks)  # raises the error of a cell the IK failed
+                    # raises the error of a cell the IK failed
+                    seeds = _each_chain(manipulator, _stack_state, stacks, [row] * len(chains))
                     sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                     eig[:] = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
             except KinetostatError as err:

@@ -55,6 +55,17 @@ def count_iterations(monkeypatch):
     return iterations
 
 
+def force_continuation(monkeypatch):
+    """Make the sweep's equilibrium stacks finish no row, so that every sample
+    of a sweep runs the one-at-a-time secant continuation."""
+    import kinetostat.equilibrium
+
+    def unfinished(chain, targets, x, rho, opts):
+        return np.zeros(targets.shape), x, np.zeros(len(targets), dtype=bool)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", unfinished)
+
+
 def linear_preload_model(kv):
     return build_planar_orthoglide(OrthoglideSpec(spring=SpringLaw(kv, 0.0, "linear")))
 

@@ -7,6 +7,8 @@ import pytest
 
 from kinetostat.cli import main
 
+from conftest import force_continuation
+
 
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
@@ -108,8 +110,12 @@ def test_sweep_force_magnitude_of_any_finite_size(model_path, capsys):
     assert out.err == ""
 
 
-def test_sweep_peak_of_any_finite_step(model_path, capsys):
-    # a peak among deltas of 1e-226 is refined without leaving the float range
+def test_sweep_peak_of_any_finite_step(model_path, capsys, monkeypatch):
+    # a peak among deltas of 1e-226 is refined without leaving the float range;
+    # such a peak is rounding noise of the one-at-a-time continuation (the
+    # stacks solve every one of these samples to the same wrench), so the
+    # stacks are made to finish no row
+    force_continuation(monkeypatch)
     argv = ["sweep", "--model", model_path, "--from=0.1789059572328009,1e-300",
             "--dir=-5.960464477539063e-08,-0.6", "--max-delta", "1.02e-225", "--step", "5.1e-228"]
     with warnings.catch_warnings(record=True) as caught:
@@ -122,10 +128,11 @@ def test_sweep_peak_of_any_finite_step(model_path, capsys):
 
 
 def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
-    # two iterations cannot converge the second sample: the curve ends before
-    # it could show a peak, so it must not claim there is none
+    # one iteration cannot converge the second sample, neither from its rigid
+    # IK nor from the first sample: the curve ends before it could show a
+    # peak, so it must not claim there is none
     argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
-            "--max-delta", "0.1", "--step", "0.01", "--max-iter", "2"]
+            "--max-delta", "0.1", "--step", "0.01", "--max-iter", "1"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["delta,F_mag,F_dir", "0,0,0", "# critical=unknown", "# truncated=true"]

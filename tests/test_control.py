@@ -338,13 +338,24 @@ def test_solution_carries_equilibria_at_returned_rho(ortho_spec):
 
 
 def test_force_deflection_solves_rigid_ik_once_per_chain(monkeypatch):
+    # one IK stack per chain over every sample's target, whose first row is
+    # the rigid IK at the start pose; the sweep runs no scalar IK
+    import kinetostat.equilibrium
     from kinetostat import force_deflection
 
     model = linear_preload_model(0.1)
     calls = _count_ik_calls(monkeypatch)
+    real, stacks = kinetostat.equilibrium._ik_stack, []
+
+    def counted(chain, targets):
+        stacks.append((chain.name, len(targets)))
+        return real(chain, targets)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_ik_stack", counted)
     curve = force_deflection(model, [0.1, 0.2], [0.6, 0.8], 0.05, 0.01)
     assert len(curve.deltas) == 6
-    assert sorted(calls) == sorted(chain.name for chain in model.chains)
+    assert calls == []
+    assert sorted(stacks) == sorted((chain.name, 6) for chain in model.chains)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

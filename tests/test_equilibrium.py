@@ -25,7 +25,7 @@ from kinetostat import (
 )
 from kinetostat.chain import fk_array
 
-from conftest import DIAG, count_iterations, linear_preload_model, shipped_model, stop_limit_model
+from conftest import DIAG, count_iterations, force_continuation, linear_preload_model, shipped_model, stop_limit_model
 
 
 def equilibrium_identities(chain, eq, target):
@@ -439,15 +439,140 @@ def test_secant_predictor_matches_warm_start_sweep(make_model):
 
 
 def test_secant_predictor_saves_iterations(monkeypatch):
-    # a plain warm start from the previous sample needs about a third more
+    # a plain warm start from the previous sample needs about a third more;
+    # the stacks finish no row here, so every sample runs the continuation
     model = shipped_model()
     start, direction = [0.1, -0.2], [0.6, 0.8]
     _, _, expected, _ = _warm_start_sweep(model, start, direction, 0.096, 0.004)
+    force_continuation(monkeypatch)
     iterations = count_iterations(monkeypatch)
     curve = force_deflection(model, start, direction, 0.096, 0.004)
     assert len(curve.deltas) == 25 and not curve.truncated
     assert len(iterations) == 50
     assert sum(iterations) <= 0.85 * expected
+
+
+@pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
+def test_stacked_sweep_matches_the_continuation(monkeypatch, make_model):
+    # the first row a stack leaves unfinished is where the one-at-a-time curve
+    # truncates, and every row before it agrees with that curve
+    model = make_model()
+    truncated = 0
+    for start, direction, max_delta, step in _sweep_pairs():
+        curve = force_deflection(model, start, direction, max_delta, step)
+        with monkeypatch.context() as m:
+            force_continuation(m)
+            oracle = force_deflection(model, start, direction, max_delta, step)
+        assert len(curve.deltas) == len(oracle.deltas) > 0 and curve.truncated == oracle.truncated
+        assert curve.deltas.tobytes() == oracle.deltas.tobytes()
+        for values, expected in ((curve.force_magnitude, oracle.force_magnitude), (curve.force_along, oracle.force_along)):
+            assert np.all(np.abs(values - expected) <= 1e-11 * oracle.force_magnitude)
+        truncated += curve.truncated
+    assert truncated == 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
+    # one chain's stack leaves row k: the rows before it keep the stack's
+    # bytes, and from k on each sample is warm-started from the secant through
+    # the two samples before it (row 0 from the rigid IK at the start pose)
+    import kinetostat.equilibrium
+
+    model, start, direction = stop_limit_model(), [0.1, -0.2], [0.6, 0.8]
+    real, stacked = kinetostat.equilibrium._equilibrium_stack, []
+
+    def recorded(chain, targets, x, rho, opts):
+        F, x, done = real(chain, targets, x, rho, opts)
+        stacked.append(x.copy())
+        return F, x, done
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", recorded)
+    full = force_deflection(model, start, direction, 0.096, 0.004)
+    assert len(full.deltas) == 25 and not full.truncated
+
+    def leaving(chain, targets, x, rho, opts):
+        F, x, done = real(chain, targets, x, rho, opts)
+        done[k] &= chain is not model.chains[1]
+        return F, x, done
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", leaving)
+    iterations = count_iterations(monkeypatch)
+    curve = force_deflection(model, start, direction, 0.096, 0.004)
+    assert len(curve.deltas) == 25 and not curve.truncated and len(iterations) == 2 * (25 - k)
+    for values, expected in ((curve.force_magnitude, full.force_magnitude), (curve.force_along, full.force_along)):
+        assert values[:k].tobytes() == expected[:k].tobytes()
+
+    warm = inverse_kinematics_unloaded(model, start)
+    states, rhos = [[x[i] for x in stacked] for i in range(k)], [s.rho for s in warm]
+    for i in range(k, 25):
+        if i:
+            warm = states[0] if i == 1 else [a + 2.0 * (b - a) for a, b in zip(states[i - 2], states[i - 1])]
+        F, results = total_wrench(model, np.asarray(start) + (i * 0.004) * curve.direction, rhos, starts=warm)
+        states.append([r.regrouped.coords for r in results])
+        assert curve.force_magnitude[i] == np.linalg.norm(F) and curve.force_along[i] == float(F @ curve.direction)
+
+
+def test_sweep_chunks_give_the_bytes_of_one_stack(monkeypatch):
+    import kinetostat.equilibrium
+
+    model = stop_limit_model()
+    real, stacks = kinetostat.equilibrium._ik_stack, []
+
+    def counted(chain, targets):
+        stacks.append(len(targets))
+        return real(chain, targets)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_ik_stack", counted)
+    chunked = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.149, 0.001)
+    assert len(chunked.deltas) == 150 and not chunked.truncated
+    assert len(stacks) == 2 * math.ceil(150 / kinetostat.equilibrium._SWEEP_CHUNK) > 2
+    stacks.clear()
+    monkeypatch.setattr(kinetostat.equilibrium, "_SWEEP_CHUNK", 150)
+    whole = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.149, 0.001)
+    assert stacks == [150, 150] and not whole.truncated
+    for a, b in ((chunked.deltas, whole.deltas), (chunked.force_magnitude, whole.force_magnitude),
+                 (chunked.force_along, whole.force_along)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_starts_seed_the_first_row(monkeypatch):
+    # a compensation's equilibria start row 0, whose solve is then theirs bit for bit
+    import kinetostat.equilibrium
+    from kinetostat import solve_inverse_kinetostatic
+
+    model, start = shipped_model(), [0.3, 0.2]
+    sol = solve_inverse_kinetostatic(model, start, 1e-8)
+    starts = [eq.regrouped.coords for eq in sol.equilibria]
+    real, seeds = kinetostat.equilibrium._equilibrium_stack, []
+
+    def recorded(chain, targets, x, rho, opts):
+        seeds.append(x[0].copy())
+        return real(chain, targets, x, rho, opts)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", recorded)
+    curve = force_deflection(model, start, [0.6, 0.8], 0.02, 0.01, starts=starts)
+    assert len(curve.deltas) == 3 and [x.tobytes() for x in seeds] == [x.tobytes() for x in starts]
+    F, _ = total_wrench(model, start, sol.rho, starts=starts)
+    assert curve.force_magnitude[0] == np.linalg.norm(F) and curve.force_along[0] == float(F @ curve.direction)
+    assert curve.force_magnitude[0] < 1e-8
+
+
+def test_sweep_start_errors_keep_their_messages(ortho_nopreload):
+    states = inverse_kinematics_unloaded(ortho_nopreload, [0.1, 0.2])
+    coords = [chain.element_coordinates(s) for chain, s in zip(ortho_nopreload.chains, states)]
+    rho, n = [s.rho for s in states], len(ortho_nopreload.chains[1].elements)
+
+    def sweep(**kw):
+        return force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, **kw)
+
+    # without rho_all the actuators come from the starts, one chain short
+    with pytest.raises(ModelError, match="expected 2 actuator values, got 1"):
+        sweep(starts=coords[:1])
+    with pytest.raises(ModelError, match="1 start states for 2 chains"):
+        sweep(starts=coords[:1], rho_all=rho)
+    with pytest.raises(ModelError, match=rf"start of shape \(2,\) does not match {n} chain elements") as err:
+        sweep(starts=[coords[0], coords[1][:2]], rho_all=rho)
+    assert err.value.chain_index == 1
 
 
 def _both_stop_rules(monkeypatch, run):
@@ -494,9 +619,17 @@ def test_contraction_exit_matches_step_test_on_residual_suite(monkeypatch):
 
 @pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
 def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
+    # the stacked curves, then the continuation's wrenches with the stacks finishing no row
     import kinetostat.equilibrium
 
     model = make_model()
+    sweeps = _sweep_pairs() + [([0.1, -0.2], [0.6, 0.8], 0.096, 0.004)]
+    for start, direction, max_delta, step in sweeps:
+        curve, oracle = _both_stop_rules(monkeypatch, lambda: force_deflection(model, start, direction, max_delta, step))
+        assert len(curve.deltas) == len(oracle.deltas) > 0 and curve.truncated == oracle.truncated
+        for values, expected in ((curve.force_magnitude, oracle.force_magnitude), (curve.force_along, oracle.force_along)):
+            assert np.all(np.abs(values - expected) <= 1e-11 * oracle.force_magnitude)
+
     real = kinetostat.equilibrium.total_wrench
     forces = []
 
@@ -506,7 +639,8 @@ def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
         return F_sigma, results
 
     monkeypatch.setattr(kinetostat.equilibrium, "total_wrench", recorded)
-    for start, direction, max_delta, step in _sweep_pairs() + [([0.1, -0.2], [0.6, 0.8], 0.096, 0.004)]:
+    force_continuation(monkeypatch)
+    for start, direction, max_delta, step in sweeps:
 
         def run():
             forces.clear()
@@ -514,19 +648,22 @@ def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
             return curve.truncated, np.array(forces)
 
         (truncated, F), (expected_truncated, F_oracle) = _both_stop_rules(monkeypatch, run)
-        assert truncated == expected_truncated and F.shape == F_oracle.shape
+        assert truncated == expected_truncated and F.shape == F_oracle.shape and len(F) > 0
         assert np.all(np.linalg.norm(F - F_oracle, axis=1) <= 1e-11 * np.linalg.norm(F_oracle, axis=1))
 
 
 def test_contraction_exit_saves_iterations(monkeypatch):
     # the step test alone runs a third iteration in most warm solves only to
-    # confirm the second
+    # confirm the second; the stacks finish no row here, so every sample is a
+    # warm solve of the continuation
     model = shipped_model()
+    force_continuation(monkeypatch)
     iterations = count_iterations(monkeypatch)
 
     def run():
         iterations.clear()
         force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004)
+        assert len(iterations) == 50
         return sum(iterations)
 
     with_exit, oracle = _both_stop_rules(monkeypatch, run)
