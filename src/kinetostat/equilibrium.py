@@ -451,11 +451,10 @@ def force_deflection(
                 if warm is None:  # row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
                     warm = _each_chain(manipulator, _stack_state, iks, [0] * len(chains))
                 rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(chains, warm)]
-            rhos = split_rho(manipulator, rhos)
-            if starts is not None and len(starts) != len(chains):
-                raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
-            rhos = _each_chain(manipulator, _actuators, rhos)
+            rhos = _each_chain(manipulator, _actuators, split_rho(manipulator, rhos))
             if starts is not None:
+                if len(starts) != len(chains):
+                    raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
                 for seed, x in zip(seeds, _each_chain(manipulator, _start_vector, starts)):
                     seed[0] = x
         with np.errstate(all="ignore"):  # a row gone non-finite is left to the continuation, which warns as it does

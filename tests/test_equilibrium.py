@@ -237,6 +237,14 @@ def test_start_states_must_match_the_chains(ortho_nopreload):
         total_wrench(ortho_nopreload, [0.1, 0.2], rho, starts=states[:1])
     with pytest.raises(ModelError, match="1 start states for 2 chains"):
         force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, rho_all=rho, starts=states[:1])
+    # without rho_all the actuators come from the starts, one chain short
+    with pytest.raises(ModelError, match="expected 2 actuator values, got 1"):
+        force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, starts=states[:1])
+    coords = [chain.element_coordinates(s) for chain, s in zip(ortho_nopreload.chains, states)]
+    n = len(ortho_nopreload.chains[1].elements)
+    with pytest.raises(ModelError, match=rf"start of shape \(2,\) does not match {n} chain elements") as err:
+        force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, rho_all=rho, starts=[coords[0], coords[1][:2]])
+    assert err.value.chain_index == 1
 
 
 def test_force_deflection_rejects_non_finite_direction(ortho_nopreload):
@@ -471,15 +479,17 @@ def test_stacked_sweep_matches_the_continuation(monkeypatch, make_model):
     assert truncated == 2
 
 
-@pytest.mark.parametrize("k", [0, 1, 7])
+@pytest.mark.parametrize("k", [0, 1, 7, 9])
 def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
     # one chain's stack leaves row k: the rows before it keep the stack's
     # bytes, and from k on each sample is warm-started from the secant through
-    # the two samples before it (row 0 from the rigid IK at the start pose)
+    # the two samples before it (row 0 from the rigid IK at the start pose);
+    # in stacks of 8 rows, row 9 is the second row of the second stack
     import kinetostat.equilibrium
 
     model, start, direction = stop_limit_model(), [0.1, -0.2], [0.6, 0.8]
-    real, stacked = kinetostat.equilibrium._equilibrium_stack, []
+    monkeypatch.setattr(kinetostat.equilibrium, "_SWEEP_CHUNK", 8)
+    real, stacked, offsets = kinetostat.equilibrium._equilibrium_stack, [], {}
 
     def recorded(chain, targets, x, rho, opts):
         F, x, done = real(chain, targets, x, rho, opts)
@@ -492,7 +502,10 @@ def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
 
     def leaving(chain, targets, x, rho, opts):
         F, x, done = real(chain, targets, x, rho, opts)
-        done[k] &= chain is not model.chains[1]
+        first = offsets.get(chain.name, 0)  # the sweep row of the stack's first row
+        offsets[chain.name] = first + len(targets)
+        if chain is model.chains[1] and first <= k < first + len(targets):
+            done[k - first] = False
         return F, x, done
 
     monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", leaving)
@@ -502,8 +515,9 @@ def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
     for values, expected in ((curve.force_magnitude, full.force_magnitude), (curve.force_along, full.force_along)):
         assert values[:k].tobytes() == expected[:k].tobytes()
 
+    coords = [np.concatenate(stacked[c :: len(model.chains)]) for c in range(len(model.chains))]
     warm = inverse_kinematics_unloaded(model, start)
-    states, rhos = [[x[i] for x in stacked] for i in range(k)], [s.rho for s in warm]
+    states, rhos = [[x[i] for x in coords] for i in range(k)], [s.rho for s in warm]
     for i in range(k, 25):
         if i:
             warm = states[0] if i == 1 else [a + 2.0 * (b - a) for a, b in zip(states[i - 2], states[i - 1])]
@@ -555,24 +569,6 @@ def test_starts_seed_the_first_row(monkeypatch):
     F, _ = total_wrench(model, start, sol.rho, starts=starts)
     assert curve.force_magnitude[0] == np.linalg.norm(F) and curve.force_along[0] == float(F @ curve.direction)
     assert curve.force_magnitude[0] < 1e-8
-
-
-def test_sweep_start_errors_keep_their_messages(ortho_nopreload):
-    states = inverse_kinematics_unloaded(ortho_nopreload, [0.1, 0.2])
-    coords = [chain.element_coordinates(s) for chain, s in zip(ortho_nopreload.chains, states)]
-    rho, n = [s.rho for s in states], len(ortho_nopreload.chains[1].elements)
-
-    def sweep(**kw):
-        return force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, **kw)
-
-    # without rho_all the actuators come from the starts, one chain short
-    with pytest.raises(ModelError, match="expected 2 actuator values, got 1"):
-        sweep(starts=coords[:1])
-    with pytest.raises(ModelError, match="1 start states for 2 chains"):
-        sweep(starts=coords[:1], rho_all=rho)
-    with pytest.raises(ModelError, match=rf"start of shape \(2,\) does not match {n} chain elements") as err:
-        sweep(starts=[coords[0], coords[1][:2]], rho_all=rho)
-    assert err.value.chain_index == 1
 
 
 def _both_stop_rules(monkeypatch, run):
