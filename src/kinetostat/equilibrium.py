@@ -26,8 +26,8 @@ forward pass reads; the start is validated once, a step writes q~ and
 theta~ into a copy of x, and a ChainState is built only for the result,
 on first read. Each iteration runs one forward pass on the regrouped new x:
 its pose is the step's residual, its frames give the next iteration's
-Jacobian columns. A sweep solves its samples as stacks of such vectors,
-and the continuation that solves the samples a stack leaves passes them on.
+Jacobian columns. A sweep solves its samples as stacks of such vectors;
+the scalar solve, which a stack reproduces, takes the samples it leaves.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
@@ -411,17 +411,15 @@ def force_deflection(
     coordinates default to those of ``starts``, or else to the rigid
     inverse kinematics at the start pose, which must reach it.
 
-    Per chain, the samples are solved as stacks of up to _SWEEP_CHUNK rows
-    (``_equilibrium_stack``), each started from the best-effort rigid IK at
-    its own target (``_ik_stack``), as ``solve_chain_equilibrium`` cold-starts,
-    and the first from ``starts`` when given. From the first row that some
-    chain's stack leaves unfinished (its IK failed, or its solve needs damping,
-    a restart, the SVD branch or more iterations) to the end, the samples are
-    solved one at a time: each is warm-started from the secant prediction
-    2 x_k - x_(k-1) through the two samples before it (Allgower & Georg,
-    ch. 2), or from the one sample before. The first non-convergent sample
-    truncates the curve instead of raising, which is how loss of solvability
-    past buckling shows up.
+    A sample is the cold ``total_wrench`` at its target, the first one
+    started from ``starts`` when given. Per chain, the samples are solved as
+    stacks of up to _SWEEP_CHUNK rows (``_equilibrium_stack``), each started
+    from the best-effort rigid IK at its own target (``_ik_stack``), which
+    reproduce that solve bit for bit. A row that some chain's stack leaves
+    (its IK failed, or its solve needs damping, a restart, the SVD branch or
+    more iterations) gets the scalar solve itself, in row order. The first
+    non-convergent or singular sample truncates the curve instead of
+    raising, which is how loss of solvability past buckling shows up.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -440,16 +438,14 @@ def force_deflection(
     if not n_samples < math.inf:
         raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} has no finite sample count")
     chains, opts, n = manipulator.chains, opts or SolverOptions(), int(round(n_samples)) + 1
-    # F_sigma of the solved samples, and the chains' joint vectors of the last two
-    forces, last, warm, rhos = [], [], starts, rho_all
+    forces, rhos, truncated = [], rho_all, False  # F_sigma of the solved samples, per chunk
     for first in range(0, n, _SWEEP_CHUNK):
         targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
         iks = [_ik_stack(chain, targets) for chain in chains]
         seeds = [coords for coords, _, _ in iks]
         if not first:
-            if rhos is None:
-                if warm is None:  # row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
-                    warm = _each_chain(manipulator, _stack_state, iks, [0] * len(chains))
+            if rhos is None:  # from starts, or row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
+                warm = starts if starts is not None else _each_chain(manipulator, _stack_state, iks, [0] * len(chains))
                 rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(chains, warm)]
             rhos = _each_chain(manipulator, _actuators, split_rho(manipulator, rhos))
             if starts is not None:
@@ -457,28 +453,21 @@ def force_deflection(
                     raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
                 for seed, x in zip(seeds, _each_chain(manipulator, _start_vector, starts)):
                     seed[0] = x
-        with np.errstate(all="ignore"):  # a row gone non-finite is left to the continuation, which warns as it does
+        with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
             solves = [_equilibrium_stack(c, targets, x, rho, opts) for c, x, rho in zip(chains, seeds, rhos)]
-        finished = np.all([done for _, _, done in solves], axis=0)
-        finished[[row for _, _, errors in iks for row in errors]] = False
-        unfinished = np.flatnonzero(~finished)
-        k = int(unfinished[0]) if unfinished.size else len(targets)
-        forces.append(np.sum([F[:k] for F, _, _ in solves], axis=0))
-        last = (last + [[x[i] for _, x, _ in solves] for i in range(max(k - 2, 0), k)])[-2:]
-        if k < len(targets):
+        F = np.sum([wrenches for wrenches, _, _ in solves], axis=0)
+        left = ~np.all([done for _, _, done in solves], axis=0)
+        left[[row for _, _, errors in iks for row in errors]] = True
+        for i in np.flatnonzero(left):  # the cold solve that a finished row reproduces
+            try:
+                F[i] = total_wrench(manipulator, targets[i], rhos, opts, starts=None if first + i else starts)[0]
+            except (NonConvergenceError, SingularityError):
+                F, truncated = F[:i], True
+                break
+        forces.append(F)
+        if truncated:
             break
 
-    truncated = False
-    for i in range(sum(map(len, forces)), n):  # the continuation, from the first unfinished row
-        if last:
-            warm = last[0] if len(last) == 1 else _predicted_states(*last, 2.0)
-        try:
-            F_sigma, results = total_wrench(manipulator, start_vec + (i * step) * u, rhos, opts, starts=warm)
-        except (NonConvergenceError, SingularityError):
-            truncated = True
-            break
-        forces.append(F_sigma[None])
-        last = (last + [[r.regrouped.coords for r in results]])[-2:]
     F = np.concatenate(forces)
     s, norms = _scaled_norms(F)
     return ForceDeflectionCurve(

@@ -55,9 +55,9 @@ def count_iterations(monkeypatch):
     return iterations
 
 
-def force_continuation(monkeypatch):
+def force_scalar_rows(monkeypatch):
     """Make the sweep's equilibrium stacks finish no row, so that every sample
-    of a sweep runs the one-at-a-time secant continuation."""
+    of a sweep gets the cold scalar solve that a finished row reproduces."""
     import kinetostat.equilibrium
 
     def unfinished(chain, targets, x, rho, opts):

@@ -26,7 +26,7 @@ from kinetostat import (
 )
 from kinetostat.cli import main
 
-from conftest import force_continuation
+from conftest import force_scalar_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,20 +68,20 @@ def test_traced_run_reports_every_declared_per_layer_key():
     assert t.snapshot()["equilibrium.solve_chain_equilibrium.calls"] == 2
 
 
-def test_traced_sweep_solves_every_sample_warm_through_the_traced_solve(monkeypatch):
+def test_traced_sweep_solves_every_left_sample_cold_through_the_traced_solve(monkeypatch):
     # the sweep's samples run as stacks, which the tracer does not wrap, so it
-    # counts no solve; the samples a stack leaves to the continuation enter
-    # through solve_chain_equilibrium with a start, and the tracer counts
-    # them as warm: forced here for every sample, by stacks that finish no row
+    # counts no solve; a sample a stack leaves gets the cold scalar solve, one
+    # solve_chain_equilibrium per chain without a start, which the tracer
+    # counts as cold: forced here for every sample, by stacks that finish no row
     model_path = str(resources.files("kinetostat").joinpath("models/orthoglide-planar.json"))
     argv = ["sweep", "--model", model_path, "--from=0.1,-0.2", "--dir=0.6,0.8", "--max-delta", "0.016", "--step", "0.004"]
     for solves in (0, 10):
         if solves:
-            force_continuation(monkeypatch)
+            force_scalar_rows(monkeypatch)
         with tracer.Tracer() as t:
             assert main(argv) == 0
         t.fold(None, 1.0)
         snapshot = t.snapshot()
         assert snapshot["equilibrium.force_deflection.calls"] == 1
         assert snapshot["equilibrium.solve_chain_equilibrium.calls"] == solves
-        assert snapshot["equilibrium.warm_solves"] == solves and snapshot["equilibrium.cold_solves"] == 0
+        assert snapshot["equilibrium.cold_solves"] == solves and snapshot["equilibrium.warm_solves"] == 0

@@ -850,3 +850,20 @@ def test_a_model_error_inside_a_chain_solve_carries_its_index():
     with pytest.raises(ModelError, match="orientation parametrization singular") as exc:
         total_wrench(model, target, [0.0, 0.0])
     assert exc.value.chain_index == 1
+
+
+def test_sweep_row_whose_ik_stored_a_model_error_raises_it():
+    # the upright chain's IK stack stores the Euler singularity for every row:
+    # row 0 is solved from the given starts, but row 1 is a cold solve, whose
+    # rigid IK raises that ModelError, so the sweep ends with it
+    from kinetostat import ManipulatorModel, force_deflection, parse_model, total_wrench
+
+    model = parse_model(json.dumps(_upright_document()))
+    target = [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
+    _, (level,) = total_wrench(ManipulatorModel(task_dim=6, chains=model.chains[:1]), target, [0.0])
+    starts = [level.regrouped.coords] * 2
+    curve = force_deflection(model, target, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.0, 0.01, starts=starts)
+    assert len(curve.deltas) == 1 and not curve.truncated
+    with pytest.raises(ModelError, match="orientation parametrization singular") as exc:
+        force_deflection(model, target, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.02, 0.01, starts=starts)
+    assert exc.value.chain_index == 1

@@ -7,7 +7,7 @@ import pytest
 
 from kinetostat.cli import main
 
-from conftest import force_continuation
+from conftest import force_scalar_rows
 
 
 @pytest.fixture(scope="module")
@@ -111,26 +111,44 @@ def test_sweep_force_magnitude_of_any_finite_size(model_path, capsys):
 
 
 def test_sweep_peak_of_any_finite_step(model_path, capsys, monkeypatch):
-    # a peak among deltas of 1e-226 is refined without leaving the float range;
-    # such a peak is rounding noise of the one-at-a-time continuation (the
-    # stacks solve every one of these samples to the same wrench), so the
-    # stacks are made to finish no row
-    force_continuation(monkeypatch)
+    # deltas of 1e-226 leave the float range when squared; every sample here
+    # holds the same wrench, whether the stacks or the scalar solve take it,
+    # so the curve has no peak, and neither path warns (the quadratic fit at
+    # this scale is test_critical_force_of_any_finite_step's)
     argv = ["sweep", "--model", model_path, "--from=0.1789059572328009,1e-300",
             "--dir=-5.960464477539063e-08,-0.6", "--max-delta", "1.02e-225", "--step", "5.1e-228"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(argv) == 0
-    assert [str(w.message) for w in caught] == []
-    out = capsys.readouterr()
-    assert out.err == ""
-    assert out.out.splitlines()[-1].startswith("# critical_delta=")
+    outputs = []
+    for scalar in (False, True):
+        if scalar:
+            force_scalar_rows(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught] == []
+        out = capsys.readouterr()
+        assert out.err == ""
+        outputs.append(out.out)
+    assert outputs[0] == outputs[1] and outputs[0].splitlines()[-1] == "# critical=none"
+
+
+def test_sweep_under_a_small_iteration_budget_is_one_curve(model_path, capsys, monkeypatch):
+    # a sample is its cold solve whichever path takes it: from its rigid IK
+    # each sample here converges in two iterations, in the stacks and in the
+    # scalar solve that takes every sample when the stacks finish no row
+    argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
+            "--max-delta", "0.1", "--step", "0.01", "--max-iter", "2"]
+    assert main(argv) == 0
+    stacked = capsys.readouterr()
+    lines = stacked.out.splitlines()
+    assert len(lines) == 13 and lines[-1] == "# critical=none" and stacked.err == ""
+    force_scalar_rows(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr() == stacked
 
 
 def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
-    # one iteration cannot converge the second sample, neither from its rigid
-    # IK nor from the first sample: the curve ends before it could show a
-    # peak, so it must not claim there is none
+    # one iteration cannot converge the second sample from its rigid IK: the
+    # curve ends before it could show a peak, so it must not claim there is none
     argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
             "--max-delta", "0.1", "--step", "0.01", "--max-iter", "1"]
     assert main(argv) == 0

@@ -25,7 +25,7 @@ from kinetostat import (
 )
 from kinetostat.chain import fk_array
 
-from conftest import DIAG, count_iterations, force_continuation, linear_preload_model, shipped_model, stop_limit_model
+from conftest import DIAG, count_iterations, force_scalar_rows, linear_preload_model, shipped_model, stop_limit_model
 
 
 def equilibrium_identities(chain, eq, target):
@@ -446,59 +446,40 @@ def test_secant_predictor_matches_warm_start_sweep(make_model):
     assert (engaged > 0) == (make_model is stop_limit_model)
 
 
-def test_secant_predictor_saves_iterations(monkeypatch):
-    # a plain warm start from the previous sample needs about a third more;
-    # the stacks finish no row here, so every sample runs the continuation
-    model = shipped_model()
-    start, direction = [0.1, -0.2], [0.6, 0.8]
-    _, _, expected, _ = _warm_start_sweep(model, start, direction, 0.096, 0.004)
-    force_continuation(monkeypatch)
-    iterations = count_iterations(monkeypatch)
-    curve = force_deflection(model, start, direction, 0.096, 0.004)
-    assert len(curve.deltas) == 25 and not curve.truncated
-    assert len(iterations) == 50
-    assert sum(iterations) <= 0.85 * expected
-
-
 @pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
 def test_stacked_sweep_matches_the_continuation(monkeypatch, make_model):
-    # the first row a stack leaves unfinished is where the one-at-a-time curve
-    # truncates, and every row before it agrees with that curve
+    # a sample is its cold scalar solve: the stacked curve and the curve whose
+    # stacks finish no row, so that the scalar solve takes every sample, agree
+    # to the byte, truncation included, also on a budget of two iterations per restart
     model = make_model()
-    truncated = 0
-    for start, direction, max_delta, step in _sweep_pairs():
-        curve = force_deflection(model, start, direction, max_delta, step)
-        with monkeypatch.context() as m:
-            force_continuation(m)
-            oracle = force_deflection(model, start, direction, max_delta, step)
-        assert len(curve.deltas) == len(oracle.deltas) > 0 and curve.truncated == oracle.truncated
-        assert curve.deltas.tobytes() == oracle.deltas.tobytes()
-        for values, expected in ((curve.force_magnitude, oracle.force_magnitude), (curve.force_along, oracle.force_along)):
-            assert np.all(np.abs(values - expected) <= 1e-11 * oracle.force_magnitude)
-        truncated += curve.truncated
-    assert truncated == 2
+    truncated = []
+    for opts in (SolverOptions(), SolverOptions(max_iterations=2)):
+        for start, direction, max_delta, step in _sweep_pairs():
+            curve = force_deflection(model, start, direction, max_delta, step, opts)
+            with monkeypatch.context() as m:
+                force_scalar_rows(m)
+                oracle = force_deflection(model, start, direction, max_delta, step, opts)
+            assert len(curve.deltas) == len(oracle.deltas) > 0 and curve.truncated == oracle.truncated
+            for values, expected in ((curve.deltas, oracle.deltas), (curve.force_magnitude, oracle.force_magnitude),
+                                     (curve.force_along, oracle.force_along)):
+                assert values.tobytes() == expected.tobytes()
+            truncated.append(curve.truncated)
+    assert sum(truncated[:8]) == sum(truncated[8:]) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 9])
-def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
-    # one chain's stack leaves row k: the rows before it keep the stack's
-    # bytes, and from k on each sample is warm-started from the secant through
-    # the two samples before it (row 0 from the rigid IK at the start pose);
-    # in stacks of 8 rows, row 9 is the second row of the second stack
+def test_row_left_by_a_stack_gets_the_scalar_solve(monkeypatch, k):
+    # one chain's stack leaves row k: that row alone gets the cold scalar
+    # solve, once per chain, and the whole curve keeps the bytes of the one
+    # whose stacks finish every row; in stacks of 8 rows, row 9 is the second
+    # row of the second stack
     import kinetostat.equilibrium
 
     model, start, direction = stop_limit_model(), [0.1, -0.2], [0.6, 0.8]
     monkeypatch.setattr(kinetostat.equilibrium, "_SWEEP_CHUNK", 8)
-    real, stacked, offsets = kinetostat.equilibrium._equilibrium_stack, [], {}
-
-    def recorded(chain, targets, x, rho, opts):
-        F, x, done = real(chain, targets, x, rho, opts)
-        stacked.append(x.copy())
-        return F, x, done
-
-    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", recorded)
     full = force_deflection(model, start, direction, 0.096, 0.004)
     assert len(full.deltas) == 25 and not full.truncated
+    real, offsets = kinetostat.equilibrium._equilibrium_stack, {}
 
     def leaving(chain, targets, x, rho, opts):
         F, x, done = real(chain, targets, x, rho, opts)
@@ -508,22 +489,20 @@ def test_row_left_by_a_stack_starts_the_continuation(monkeypatch, k):
             done[k - first] = False
         return F, x, done
 
-    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", leaving)
-    iterations = count_iterations(monkeypatch)
-    curve = force_deflection(model, start, direction, 0.096, 0.004)
-    assert len(curve.deltas) == 25 and not curve.truncated and len(iterations) == 2 * (25 - k)
-    for values, expected in ((curve.force_magnitude, full.force_magnitude), (curve.force_along, full.force_along)):
-        assert values[:k].tobytes() == expected[:k].tobytes()
+    real_solve, solves = kinetostat.equilibrium.solve_chain_equilibrium, []
 
-    coords = [np.concatenate(stacked[c :: len(model.chains)]) for c in range(len(model.chains))]
-    warm = inverse_kinematics_unloaded(model, start)
-    states, rhos = [[x[i] for x in coords] for i in range(k)], [s.rho for s in warm]
-    for i in range(k, 25):
-        if i:
-            warm = states[0] if i == 1 else [a + 2.0 * (b - a) for a, b in zip(states[i - 2], states[i - 1])]
-        F, results = total_wrench(model, np.asarray(start) + (i * 0.004) * curve.direction, rhos, starts=warm)
-        states.append([r.regrouped.coords for r in results])
-        assert curve.force_magnitude[i] == np.linalg.norm(F) and curve.force_along[i] == float(F @ curve.direction)
+    def recorded(chain, t, rho, opts=None, start=None):
+        solves.append((np.asarray(t).tobytes(), start is None))
+        return real_solve(chain, t, rho, opts, start=start)
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", leaving)
+    monkeypatch.setattr(kinetostat.equilibrium, "solve_chain_equilibrium", recorded)
+    curve = force_deflection(model, start, direction, 0.096, 0.004)
+    target = (np.asarray(start) + (k * 0.004) * curve.direction).tobytes()
+    assert solves == [(target, True)] * len(model.chains)
+    assert len(curve.deltas) == 25 and not curve.truncated
+    for values, expected in ((curve.force_magnitude, full.force_magnitude), (curve.force_along, full.force_along)):
+        assert values.tobytes() == expected.tobytes()
 
 
 def test_sweep_chunks_give_the_bytes_of_one_stack(monkeypatch):
@@ -615,7 +594,7 @@ def test_contraction_exit_matches_step_test_on_residual_suite(monkeypatch):
 
 @pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
 def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
-    # the stacked curves, then the continuation's wrenches with the stacks finishing no row
+    # the stacked curves, then the scalar solves' wrenches with the stacks finishing no row
     import kinetostat.equilibrium
 
     model = make_model()
@@ -635,7 +614,7 @@ def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
         return F_sigma, results
 
     monkeypatch.setattr(kinetostat.equilibrium, "total_wrench", recorded)
-    force_continuation(monkeypatch)
+    force_scalar_rows(monkeypatch)
     for start, direction, max_delta, step in sweeps:
 
         def run():
@@ -650,17 +629,14 @@ def test_contraction_exit_matches_step_test_on_sweeps(monkeypatch, make_model):
 
 def test_contraction_exit_saves_iterations(monkeypatch):
     # the step test alone runs a third iteration in most warm solves only to
-    # confirm the second; the stacks finish no row here, so every sample is a
-    # warm solve of the continuation
+    # confirm the second; a sweep's samples are cold solves, which stop after
+    # two iterations either way, so the oracle's warm-started sweep is counted
     model = shipped_model()
-    force_continuation(monkeypatch)
-    iterations = count_iterations(monkeypatch)
 
     def run():
-        iterations.clear()
-        force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004)
-        assert len(iterations) == 50
-        return sum(iterations)
+        forces, truncated, iterations, _ = _warm_start_sweep(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004)
+        assert len(forces) == 25 and not truncated
+        return iterations
 
     with_exit, oracle = _both_stop_rules(monkeypatch, run)
     assert with_exit <= 0.85 * oracle
