@@ -358,18 +358,6 @@ def total_wrench(
     return F_sigma, results
 
 
-def _predicted_states(a: list[np.ndarray], b: list[np.ndarray], w: float) -> list[np.ndarray]:
-    """Joint vectors a + w (b - a), per chain, in chain element order.
-
-    w = 2 is the secant predictor 2 b - a of a continuation with equal steps
-    (Allgower & Georg, ch. 2), and w > 1 in general extrapolates the secant
-    past b; w in [0, 1] interpolates between the two end states of a
-    bracket. The actuators are fixed along a continuation, and
-    solve_chain_equilibrium substitutes its own rho in any case.
-    """
-    return [x + w * (y - x) for x, y in zip(a, b)]
-
-
 def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, |v/s|) of each row of v (M, d): s = max|v_i| outside [1e-150, 1e150], where squares leave
     the float range, else 1; |.| is ``np.linalg.norm`` of the row to the bit."""

@@ -22,10 +22,10 @@ import numpy as np
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .chain import _each_chain, _ik_stack, _reaches, _stack_state
 from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
-from .equilibrium import ForceDeflectionCurve, SolverOptions, _predicted_states, total_wrench
+from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
 from .springs import SpringLaw
-from .stiffness import _aggregate_stiffness, _chain_responses, _chain_stiffness_diag, directional_stiffness
+from .stiffness import _aggregate_stiffness, _chain_responses, directional_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -49,13 +49,10 @@ REFERENCE_TABLE = {
     },
 }
 
-# 0.3 L reaches past the weakest preload's stationary point (~0.21 L); the
-# critical-point search crosses it on a grid of 0.01 L, in strides of 1, 2
-# or 4 grid steps, and refines the bracket to 1e-7 L, i.e. 1e-5 of one step
+# 0.3 L reaches past the weakest preload's stationary point (~0.21 L); table
+# 1's critical-force sweep samples it every 0.01 L
 SWEEP_MAX_FACTOR = 0.3
-CONTINUATION_STEP_FACTOR = 0.01
-_MAX_STRIDE = 4
-_REFINE_TOL = 1e-5
+SWEEP_STEP_FACTOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -164,91 +161,32 @@ def critical_force(curve: ForceDeflectionCurve):
 
 
 def _critical_point(model, start, u, max_delta, opts, equilibria):
-    """First maximum of the force along unit u at fixed actuators, or None.
+    """``critical_force`` of the sweep from ``start`` along u, or None.
 
-    Since d(F.u)/d(delta) = u^T K_sigma u at fixed actuators, the maximum
-    is the first zero of the directional stiffness s(delta) along
-    start + delta * u. ``equilibria`` are the chain equilibria at
-    ``start`` (a compensation's ``sol.equilibria``); they fix the actuators
-    and are the delta = 0 sample. A warm-started continuation over
-    [0, max_delta] brackets the first change of s from > 0 to <= 0
-    (Allgower & Georg, turning-point detection). Its samples lie on a grid
-    of SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR steps, and it walks the
-    grid in strides of one up to _MAX_STRIDE steps: the stride doubles
-    after each positive sample and drops back to one step when the secant
-    of s through the last two samples predicts a zero within two strides
-    (Allgower & Georg, ch. 6, step-length control). The last stride ends
-    exactly at max_delta. Each step starts from the secant prediction
-    through the two states before it once two are known; Illinois regula
-    falsi narrows the bracket, starting every solve from the linear
-    interpolation between the states at the bracket's two ends. Returns
-    (delta, F.u) at the zero, or None when no sample past a positive one
-    has s <= 0. A solver failure is re-raised with the delta it was reached
-    at, so a lost branch is never mistaken for a monotone curve.
+    The sweep is the ``force_deflection`` of ``sweep --compensate``: its
+    actuators and first sample come from ``equilibria``, the chain
+    equilibria at ``start`` (a compensation's ``sol.equilibria``), and it
+    samples [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR steps.
+    A curve cut short before any peak may still have one further on: the
+    cold solve of the sample that ended it is repeated, and its error
+    re-raised with the delta it was reached at, so a lost branch is never
+    mistaken for a monotone curve.
     """
-    start = model.pose_array(start)
-    rhos = [eq.regrouped.coords[chain.actuated_elements] for chain, eq in zip(model.chains, equilibria)]
-
-    def directional(eqs):
-        K = sum(_each_chain(model, _chain_stiffness_diag, eqs))
-        return float(u @ K @ u)
-
-    def solve(delta, warm):
+    starts = [eq.regrouped.coords for eq in equilibria]
+    step = max_delta / round(SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR)
+    curve = force_deflection(model, start, u, max_delta, step, opts, starts=starts)
+    found = critical_force(curve)
+    if found is None and curve.truncated:
+        # the sample that ended the curve, its target and start as force_deflection builds them
+        n = len(curve.deltas)
+        target = model.pose_array(start) + (n * step) * curve.direction
+        rhos = [x[chain.actuated_elements] for chain, x in zip(model.chains, starts)]
         try:
-            F, eqs = total_wrench(model, start + delta * u, rhos, opts, starts=warm)
-            s = directional(eqs)
+            total_wrench(model, target, rhos, opts, starts=None if n else starts)
         except (NonConvergenceError, SingularityError) as err:
-            err.args = (f"{err} (critical-point search lost the branch at delta = {delta:.6g})",)
+            err.args = (f"{err} (critical-point search lost the branch at delta = {n * step:.6g})",)
             raise
-        return s, float(F @ u), [eq.regrouped.coords for eq in eqs]
-
-    n_steps = int(round(SWEEP_MAX_FACTOR / CONTINUATION_STEP_FACTOR))
-    step = max_delta / n_steps
-    i, lo = 0, 0.0
-    s_lo, states_lo = directional(equilibria), [eq.regrouped.coords for eq in equilibria]
-    i_prev = s_prev = states_prev = None
-    stride = 1
-    while i < n_steps:
-        j = min(i + stride, n_steps)
-        hi = j * step
-        if states_prev is None:
-            warm = states_lo
-        else:
-            warm = _predicted_states(states_prev, states_lo, (j - i_prev) / (i - i_prev))
-        s_hi, _, states_hi = solve(hi, warm)
-        if s_lo > 0.0 >= s_hi:
-            break
-        i_prev, s_prev, states_prev = i, s_lo, states_lo
-        i, lo, s_lo, states_lo = j, hi, s_hi, states_hi
-        # grow the stride while s stays positive and its secant predicts no
-        # zero within two strides; back to one grid step otherwise
-        grown = min(2 * stride, _MAX_STRIDE)
-        slope = (s_lo - s_prev) / (i - i_prev)
-        stride = grown if s_lo > 0.0 and s_lo + 2 * grown * slope > 0.0 else 1
-    else:
-        return None
-
-    def interpolated(delta):
-        # a probe that rounds onto hi and comes out positive collapses the bracket
-        return _predicted_states(states_lo, states_hi, (delta - lo) / (hi - lo) if hi > lo else 0.0)
-
-    side = 0
-    while hi - lo > _REFINE_TOL * step and s_hi < 0.0:
-        mid = lo + s_lo * (hi - lo) / (s_lo - s_hi)
-        s_mid, _, states = solve(mid, interpolated(mid))
-        if s_mid > 0.0:
-            lo, s_lo, states_lo = mid, s_mid, states
-            if side > 0:
-                s_hi *= 0.5
-            side = 1
-        else:
-            hi, s_hi, states_hi = mid, s_mid, states
-            if side < 0:
-                s_lo *= 0.5
-            side = -1
-    delta = hi if s_hi == 0.0 else lo + s_lo * (hi - lo) / (s_lo - s_hi)
-    _, force, _ = solve(delta, interpolated(delta))
-    return delta, force
+    return found
 
 
 @dataclass
@@ -475,8 +413,8 @@ def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = Non
 
     Per cell: kinetostatic compensation, then directional stiffness along
     the matching workspace diagonal; per preload factor additionally the
-    critical force outward from Q2, where the directional stiffness along
-    the diagonal first vanishes at the compensated actuators.
+    critical force outward from Q2 along the diagonal, the ``critical_force``
+    of the force-deflection sweep at Q2's compensated actuators.
     """
     opts = opts or spec_base.options()
     eps_f = 1e-8 * spec_base.K_theta * spec_base.L
@@ -497,7 +435,7 @@ def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = Non
         for point in ("Q0", "Q1", "Q2"):
             cell, sol = _bench_cell(model, point, poses[point], directions[point], kv, opts, eps_f)
             cells[(point, kv)] = cell
-        # sol is Q2's compensation: its equilibria start the search at Q2
+        # sol is Q2's compensation: its equilibria start the sweep at Q2
         critical[kv] = _critical_point(
             model, poses["Q2"], directions["Q2"], SWEEP_MAX_FACTOR * spec_base.L, opts, sol.equilibria
         )

@@ -219,6 +219,21 @@ def test_bench_orthoglide_text_is_the_report(capsys):
     assert capsys.readouterr().out == reproduce_table1(OrthoglideSpec()).to_text()
 
 
+def test_bench_under_a_small_iteration_budget(capsys):
+    # the critical force is a sweep, whose samples converge from their rigid
+    # IK in two iterations: two give the default report, one loses the branch
+    # at the first step past Q2 and names the chain and its residual
+    assert main(["bench", "orthoglide"]) == 0
+    report = capsys.readouterr()
+    for budget in (["--max-iter", "2"], ["--seed", "3", "--max-iter", "2"]):
+        assert main(["bench", "orthoglide", *budget]) == 0
+        assert capsys.readouterr() == report
+    assert main(["bench", "orthoglide", "--max-iter", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: equilibrium of chain 'x-leg' did not converge (best residual ")
+    assert err.endswith(" (critical-point search lost the branch at delta = 0.01)\n")
+
+
 def test_sweep_at_given_actuators_matches_library(model_path, capsys):
     from kinetostat import force_deflection, parse_model
 

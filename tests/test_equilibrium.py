@@ -429,7 +429,7 @@ def _sweep_pairs():
 
 
 @pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
-def test_secant_predictor_matches_warm_start_sweep(make_model):
+def test_stacked_sweep_matches_warm_start_sweep(make_model):
     model = make_model()
     engaged = truncated = 0
     for start, direction, max_delta, step in _sweep_pairs():
@@ -447,7 +447,7 @@ def test_secant_predictor_matches_warm_start_sweep(make_model):
 
 
 @pytest.mark.parametrize("make_model", [shipped_model, stop_limit_model])
-def test_stacked_sweep_matches_the_continuation(monkeypatch, make_model):
+def test_stacked_sweep_matches_the_scalar_solve(monkeypatch, make_model):
     # a sample is its cold scalar solve: the stacked curve and the curve whose
     # stacks finish no row, so that the scalar solve takes every sample, agree
     # to the byte, truncation included, also on a budget of two iterations per restart

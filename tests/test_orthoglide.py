@@ -10,14 +10,17 @@ from kinetostat import (
     ForceDeflectionCurve,
     KinetostatError,
     ModelError,
+    NonConvergenceError,
     OrthoglideSpec,
     SolverOptions,
     SpringLaw,
     build_planar_orthoglide,
     compliance_grid,
     critical_force,
+    directional_stiffness,
     force_deflection,
     inverse_kinematics_unloaded,
+    manipulator_stiffness,
     reproduce_table1,
     solve_inverse_kinetostatic,
     total_wrench,
@@ -26,7 +29,7 @@ from kinetostat import (
 from kinetostat.orthoglide import KV_FACTORS, _critical_point, _failure_reason
 from kinetostat.stiffness import _aggregate_stiffness
 
-from conftest import DIAG, count_iterations, linear_preload_model, shipped_model, stop_limit_model
+from conftest import DIAG, linear_preload_model, shipped_model, stop_limit_model
 
 
 def test_spec_validation():
@@ -105,144 +108,47 @@ def test_critical_force_needs_three_samples():
     assert critical_force(curve) is None
 
 
-@pytest.mark.parametrize("kv", [0.0, 0.05])
-def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
-    # the 301-sample sweep with its quadratic peak fit is the reference
-    model = linear_preload_model(kv)
-    q2 = workspace_points(ortho_spec)[2]
-    opts = ortho_spec.options()
-    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
-    curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho)
-    expected = critical_force(curve)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
-    assert (found is None) == (expected is None)
-    assert (expected is None) == (kv > 0.0)
-    if expected is not None:
-        assert found[0] == pytest.approx(expected[0], abs=1e-4)
-        assert found[1] == pytest.approx(expected[1], rel=1e-6)
-
-
-def test_critical_point_lost_branch_raises(ortho_spec):
-    model = linear_preload_model(0.0)
-    q2 = workspace_points(ortho_spec)[2]
-    sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
-    starved = SolverOptions(max_iterations=1, max_restarts=0)
-    with pytest.raises(KinetostatError, match="delta = "):
-        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
-
-
-def test_critical_point_predictor_matches_plain_warm_starts(monkeypatch, ortho_spec):
-    # the oracle starts each continuation step from the previous state and
-    # each regula falsi solve from the state at the bracket's rising end;
-    # the point is the same, and each half of the predictor saves iterations.
-    # A continuation step extrapolates (w > 1, w = 2 on equal strides), a
-    # bracket probe interpolates (w in [0, 1])
-    import kinetostat.orthoglide as orthoglide
-
-    model = linear_preload_model(0.0)
-    q2 = workspace_points(ortho_spec)[2]
-    opts = ortho_spec.options()
-    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
-    iterations = count_iterations(monkeypatch)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
-    predicted = sum(iterations)
-    real_predicted = orthoglide._predicted_states
-    oracles = {
-        "plain": lambda a, b, w: b if w > 1.0 else a,
-        "plain continuation": lambda a, b, w: b if w > 1.0 else real_predicted(a, b, w),
-        "plain bracket": lambda a, b, w: real_predicted(a, b, w) if w > 1.0 else a,
-    }
-    for name, oracle in oracles.items():
-        monkeypatch.setattr(orthoglide, "_predicted_states", oracle)
-        iterations.clear()
-        expected = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
-        assert found == pytest.approx(expected, rel=1e-13), name
-        assert predicted < (0.85 if name == "plain" else 1.0) * sum(iterations), name
-
-
 @pytest.mark.parametrize("p_factor", [0.40, 0.45, 0.50])
 @pytest.mark.parametrize(
     "spring",
     [SpringLaw(kv, 0.0, "linear") for kv in KV_FACTORS] + [SpringLaw(0.5, math.pi / 12.0, "positive_part")],
     ids=[f"kv={kv:g}" for kv in KV_FACTORS] + ["stop-limit"],
 )
-def test_adaptive_stride_matches_fixed_step_search(monkeypatch, p_factor, spring):
-    # the oracle walks every grid step (stride 1), as the search did before
-    # its stride could grow; a stride that jumped over a short negative
-    # excursion of s would report a different point or none
-    import kinetostat.orthoglide as orthoglide
-
+def test_critical_point_matches_sampled_sweep(p_factor, spring):
+    # table 1's critical point is the peak of `sweep --compensate` from Q2 in
+    # steps of 0.01 L; it lies within 1e-4 L of the 301-sample sweep's peak,
+    # and u^T K_sigma u changes sign across it within one step. Only the two
+    # weakest linear preloads buckle within 0.3 L
     spec = OrthoglideSpec(p_factor=p_factor, spring=spring)
     model = build_planar_orthoglide(spec)
     q2 = workspace_points(spec)[2]
     opts = spec.options()
-    equilibria = solve_inverse_kinetostatic(model, q2, 1e-8, opts).equilibria
-    found = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
-    monkeypatch.setattr(orthoglide, "_MAX_STRIDE", 1)
-    expected = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
-    assert (found is None) == (expected is None)
-    if expected is not None:
-        assert found == pytest.approx(expected, rel=1e-10)
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
+    starts = [eq.regrouped.coords for eq in sol.equilibria]
+    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+    assert found == critical_force(force_deflection(model, q2, DIAG, 0.3, 0.01, opts, rho_all=sol.rho, starts=starts))
+    assert (found is None) == (spring.branch != "linear" or spring.k >= 0.05)
+    if found is not None:
+        expected = critical_force(force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho, starts=starts))
+        assert found[0] == pytest.approx(expected[0], abs=1e-4)
+        assert found[1] == pytest.approx(expected[1], rel=1e-5)
+        for offset, sign in ((-0.01, 1.0), (0.01, -1.0)):
+            K = manipulator_stiffness(model, q2.as_array() + (found[0] + offset) * DIAG, sol.rho).K_sigma
+            assert sign * directional_stiffness(K, DIAG) > 0.0
 
 
-def test_stride_drops_back_before_a_predicted_zero(monkeypatch, ortho_spec):
-    # a synthetic s(delta), in grid steps x = delta / 0.01, falls toward a
-    # zero at x = 14 and dips below zero around x = 13; the secant predicts
-    # the zero, so the stride drops back to one step and the search finds
-    # the dip as the fixed-step search does. Strides of 4 without the drop
-    # would sample x = 11 and 15 and report the zero at x = 14
-    import kinetostat.orthoglide as orthoglide
-
-    model = linear_preload_model(0.1)
+def test_critical_point_lost_branch_raises(ortho_spec):
+    # one iteration cannot converge the sample at 0.01 L from its rigid IK:
+    # the sweep ends before any peak, and the search raises that sample's
+    # error, chain included, rather than report a monotone curve
+    model = linear_preload_model(0.0)
     q2 = workspace_points(ortho_spec)[2]
-    opts = ortho_spec.options()
-    equilibria = solve_inverse_kinetostatic(model, q2, 1e-8, opts).equilibria
-    real_wrench = orthoglide.total_wrench
-    x = [0.0]
-
-    def wrench(model, t, *args, **kwargs):
-        x[0] = float((t - q2.as_array()) @ DIAG) / 0.01
-        return real_wrench(model, t, *args, **kwargs)
-
-    def stiffness(chain, eq):
-        s = 14.0 - x[0] - 4.0 * max(0.0, 1.0 - abs(x[0] - 13.0) / 0.6)
-        return 0.5 * s * np.eye(2)
-
-    monkeypatch.setattr(orthoglide, "total_wrench", wrench)
-    monkeypatch.setattr(orthoglide, "_chain_stiffness_diag", stiffness)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
-    x[0] = 0.0
-    monkeypatch.setattr(orthoglide, "_MAX_STRIDE", 1)
-    expected = _critical_point(model, q2, DIAG, 0.3, opts, equilibria)
-    assert 0.12 < expected[0] < 0.13
-    assert found == pytest.approx(expected, rel=1e-10)
-
-
-def test_table1_critical_search_strides(monkeypatch):
-    # the fixed-step search made 110 wrench solves on this table; the
-    # monotone curves (kv >= 0.05) still end on a sample at max_delta
-    import kinetostat.orthoglide as orthoglide
-
-    real_search, real_wrench = orthoglide._critical_point, orthoglide.total_wrench
-    searches = []  # per search: the pose at max_delta and the poses solved
-
-    def search(model, start, u, max_delta, opts, equilibria):
-        searches.append((model.pose_array(start) + max_delta * u, []))
-        return real_search(model, start, u, max_delta, opts, equilibria)
-
-    def wrench(model, t, *args, **kwargs):
-        searches[-1][1].append(np.array(t))
-        return real_wrench(model, t, *args, **kwargs)
-
-    monkeypatch.setattr(orthoglide, "_critical_point", search)
-    monkeypatch.setattr(orthoglide, "total_wrench", wrench)
-    report = reproduce_table1(OrthoglideSpec())
-    assert len(searches) == len(KV_FACTORS)
-    assert sum(len(poses) for _, poses in searches) <= 60
-    for kv, (end, poses) in zip(KV_FACTORS, searches):
-        assert (report.critical[kv] is None) == (kv >= 0.05)
-        if kv >= 0.05:
-            assert poses[-1].tobytes() == end.tobytes()
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
+    starved = SolverOptions(max_iterations=1, max_restarts=0)
+    with pytest.raises(NonConvergenceError, match=r"did not converge .*\(critical-point search lost the branch "
+                                                  r"at delta = 0\.01\)$") as exc:
+        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
+    assert exc.value.chain_index == 0
 
 
 @pytest.fixture(scope="module")
@@ -590,7 +496,7 @@ def test_table1_report_serializes(table1):
 
 
 def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, table1):
-    # the search at Q2 starts from the equilibria of Q2's compensation; a
+    # the sweep at Q2 starts from the equilibria of Q2's compensation; a
     # cold solve at delta = 0 gives the same equilibria, so the same report
     import kinetostat.chain
     import kinetostat.equilibrium
