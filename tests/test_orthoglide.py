@@ -108,13 +108,32 @@ def test_critical_force_needs_three_samples():
     assert critical_force(curve) is None
 
 
+@pytest.mark.parametrize("kv", [0.0, 0.05])
+def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
+    # the 301-sample sweep with its quadratic peak fit is the reference, its
+    # row 0 seeded by the rigid IK rather than the compensation; F is the
+    # 31-sample peak fit, 4.0e-6 relative from the reference at kv = 0
+    model = linear_preload_model(kv)
+    q2 = workspace_points(ortho_spec)[2]
+    opts = ortho_spec.options()
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
+    curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho)
+    expected = critical_force(curve)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+    assert (found is None) == (expected is None)
+    assert (expected is None) == (kv > 0.0)
+    if expected is not None:
+        assert found[0] == pytest.approx(expected[0], abs=1e-4)
+        assert found[1] == pytest.approx(expected[1], rel=1e-5)
+
+
 @pytest.mark.parametrize("p_factor", [0.40, 0.45, 0.50])
 @pytest.mark.parametrize(
     "spring",
     [SpringLaw(kv, 0.0, "linear") for kv in KV_FACTORS] + [SpringLaw(0.5, math.pi / 12.0, "positive_part")],
     ids=[f"kv={kv:g}" for kv in KV_FACTORS] + ["stop-limit"],
 )
-def test_critical_point_matches_sampled_sweep(p_factor, spring):
+def test_critical_point_is_the_compensated_sweep_peak(p_factor, spring):
     # table 1's critical point is the peak of `sweep --compensate` from Q2 in
     # steps of 0.01 L; it lies within 1e-4 L of the 301-sample sweep's peak,
     # and u^T K_sigma u changes sign across it within one step. Only the two
