@@ -177,6 +177,7 @@ class ChainModel:
     _revolute: np.ndarray = field(init=False, repr=False, compare=False)
     preload_springs: tuple = field(init=False, repr=False, compare=False)
     _regroupings: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _structure: tuple = field(init=False, repr=False, compare=False)  # shared by the chains of one stack (_fused)
 
     def __post_init__(self):
         if self.task_dim not in TASK_DIMS:
@@ -201,6 +202,12 @@ class ChainModel:
                     f"{self.rigid_elements.size} rigid coordinates of chain {self.name!r}",
                     field="ik_seed",
                 )
+        # the bytes of the seed and of the spring offsets keep the sign of a zero, which == ignores
+        joints = tuple((link.is_identity, joint.kind, joint.motion, joint.stiffness) for link, joint in self.elements)
+        offsets = np.array([s.preload_offset for s in self.preload_springs]).tobytes()
+        seed = None if self.ik_seed is None else self.ik_seed.tobytes()
+        identity = (self.base_pose.is_identity, self.tool_transform.is_identity)
+        self._structure = (self.task_dim, *identity, joints, self.preload_springs, offsets, seed)
 
     # -- coordinate bookkeeping -------------------------------------------
 
@@ -610,29 +617,59 @@ def chain_ik_best_effort(chain: ChainModel, t):
     return chain.state_of(coords), r_norm
 
 
-def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True):
+def _row_constants(chains, sizes) -> np.ndarray:
+    """The constants a stack's forward pass reads, for ``sizes[i]`` rows of ``chains[i]`` in chain
+    order: one row each of the base matrix, every link's matrix, joint axis and revolute terms
+    (``ChainModel._motions``) and the tool matrix, in the order the pass reads them and without the
+    identity transforms it skips, flattened, so that the constants of a subset of rows are one gather."""
+
+    def matrix(transform: Transform) -> list:
+        return [] if transform.is_identity else [transform.matrix]
+
+    def flat(chain: ChainModel) -> np.ndarray:
+        parts = matrix(chain.base_pose)
+        for (link, _), (axis, rotation) in zip(chain.elements, chain._motions):
+            parts += [*matrix(link), axis, *(rotation or ())]
+        return np.concatenate([part.ravel() for part in parts + matrix(chain.tool_transform)])
+
+    return np.array([flat(chain) for chain in chains])[np.repeat(np.arange(len(chains)), sizes)]
+
+
+def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True, constants=None):
     """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (six
     (M, n) arrays, omega then v) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
-    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped. With ``twists``
-    False a dim-2 pass returns None for them and skips the terms its columns do not read."""
-    m, dim = len(coords), chain.task_dim
-    T = None if chain.base_pose.is_identity else chain.base_pose.matrix
+    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped. ``constants`` are the
+    rows' ``_row_constants``, by default ``chain``'s, so the rows may belong to any chains of its structure.
+    With ``twists`` False a dim-2 pass returns None for them and skips the terms its columns do not read."""
+    m, dim, at = len(coords), chain.task_dim, 0
+    if constants is None:
+        constants = _row_constants([chain], [m])
+
+    def read(*shape):
+        """The rows' next constant, a view. Each row's matrix is C-ordered, as the scalar pass's is,
+        so a stacked product takes the scalar product's BLAS kernel and order of summation."""
+        nonlocal at
+        size = math.prod(shape)
+        at += size
+        return constants[:, at - size : at].reshape(m, *shape)
+
+    T = None if chain.base_pose.is_identity else read(4, 4)
     axes, origins = np.empty((2, m, 3, len(chain.elements)))
-    for j, ((link, _), (axis, rotation), value) in enumerate(zip(chain.elements, chain._motions, coords.T)):
+    for j, ((link, _), rotates, value) in enumerate(zip(chain.elements, chain._revolute, coords.T)):
         if not link.is_identity:
-            T = link.matrix if T is None else T @ link.matrix
-        frame = _I4 if T is None else T
-        axes[..., j], origins[..., j] = frame[..., :3, :3] @ axis, frame[..., :3, 3]
+            T = read(4, 4) if T is None else T @ read(4, 4)
+        frame, axis = _I4 if T is None else T, read(3)
+        axes[..., j], origins[..., j] = (frame[..., :3, :3] @ axis[:, :, None])[..., 0], frame[..., :3, 3]
         motion = np.empty((m, 4, 4))
         motion[:] = _I4
-        if rotation is None:
-            motion[:, :3, 3] = axis * value[:, None]
-        else:
+        if rotates:
             c, s = np.cos(value)[:, None, None], np.sin(value)[:, None, None]
-            motion[:, :3, :3] = c * _I3 + s * rotation[0] + (1.0 - c) * rotation[1]
+            motion[:, :3, :3] = c * _I3 + s * read(3, 3) + (1.0 - c) * read(3, 3)
+        else:
+            motion[:, :3, 3] = axis * value[:, None]
         T = motion if T is None else T @ motion
     if not chain.tool_transform.is_identity:
-        T = T @ chain.tool_transform.matrix
+        T = T @ read(4, 4)
     # numpy's arctan2 and arcsin miss math's last bit on some inputs: angles go row by row
     pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T]).reshape(m, dim)
     revolute = chain._revolute
@@ -684,13 +721,15 @@ def _gather(a: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.take(a.swapaxes(-1, -2), elements, axis=-2).swapaxes(-1, -2)
 
 
-def _ik_stack(chain: ChainModel, targets: np.ndarray):
+def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
     """``chain_ik_best_effort`` for targets (N, task_dim), one trial per row
     still iterating a round. Each row keeps its own damping, counts and stop
     test, so it takes the scalar solve's steps bit for bit. Returns joint
     vectors (N, n_elements), pose distances (N,) and, by row, the ModelError
-    a scalar solve would raise. A stack of one is slower than the scalar solve."""
+    a scalar solve would raise. ``constants`` as in ``_stack_pass``. A stack
+    of one is slower than the scalar solve."""
     n, free = len(targets), chain.rigid_elements
+    constants = _row_constants([chain], [n]) if constants is None else constants
     coords = np.zeros((n, len(chain.elements)))
     coords[:, free] = 0.0 if chain.ik_seed is None else chain.ik_seed
     lam, steps, trials = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -698,7 +737,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
     iterating, fresh, errors, eye = np.ones(n, dtype=bool), np.arange(n), {}, np.eye(free.size)
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        pose, cols = _stack_pass(chain, coords, False)[:2]
+        pose, cols = _stack_pass(chain, coords, False, constants)[:2]
         r = targets - pose
         dist = _norms(r)
         while True:
@@ -725,7 +764,7 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray):
             trial = coords[rows]
             damped = normal[rows] + lam[rows, None, None] * eye
             trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
-            pose_try, cols_try = _stack_pass(chain, trial, False)[:2]
+            pose_try, cols_try = _stack_pass(chain, trial, False, constants[rows])[:2]
             r_try = targets[rows] - pose_try
             try_dist = _norms(r_try)
             better = try_dist < dist[rows]
@@ -758,6 +797,33 @@ def _stack_state(chain: ChainModel, stack, row: int) -> ChainState:
     if row in errors:
         raise errors[row]
     return _reached(chain, chain.state_of(coords[row]), float(distances[row]))
+
+
+def _fused(chains, stack, per_chain, *shared) -> list:
+    """``stack(chain, *rows, *shared, constants)`` once per structure group of ``chains``, the chains
+    that share a ``ChainModel._structure``: ``rows`` are the group's entries of each ``per_chain``
+    sequence (arrays of rows) stacked in chain order, ``chain`` is the group's first and ``constants``
+    the rows' ``_row_constants``. Returns per chain its share of the result: its rows of each array,
+    and its entries of a dict keyed by row, renumbered. A chain of its own structure is a group of one."""
+    groups, out = {}, [None] * len(chains)
+    for i, chain in enumerate(chains):
+        groups.setdefault(chain._structure, []).append(i)
+    for group in groups.values():
+        sizes = [len(per_chain[0][i]) for i in group]
+        members = [chains[i] for i in group]
+        rows = [np.concatenate([a[i] for i in group]) for a in per_chain]
+        result = stack(members[0], *rows, *shared, _row_constants(members, sizes))
+        ends, single = np.cumsum(sizes).tolist(), isinstance(result, np.ndarray)
+        for i, lo, hi in zip(group, [0] + ends[:-1], ends):
+            out[i] = _share(result, lo, hi) if single else tuple(_share(a, lo, hi) for a in result)
+    return out
+
+
+def _share(a, lo: int, hi: int):
+    """Rows lo:hi of a stack's output: of an array, or of a dict keyed by row, renumbered from 0."""
+    if isinstance(a, dict):
+        return {r - lo: v for r, v in a.items() if lo <= r < hi}
+    return a[lo:hi]
 
 
 def _each_chain(manipulator: ManipulatorModel, solve, *per_chain) -> list:

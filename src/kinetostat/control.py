@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, _each_chain, _norms, inverse_kinematics_unloaded
+from .chain import ChainState, ManipulatorModel, _each_chain, _fused, _norms, inverse_kinematics_unloaded
 from .equilibrium import EquilibriumResult, SolverOptions, _equilibrium_stack, _solve, _solve_stack, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
 from .stiffness import _chain_responses, _chain_sensitivity
@@ -166,16 +166,17 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
 
 def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
     """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors
-    ``seeds`` (N, n_elements) per chain, in rounds. Returns per chain the equilibria's
-    joint vectors and wrenches, and the rows finished here; the others need the loop."""
+    ``seeds`` (N, n_elements) per chain, in rounds. The equilibria and the sensitivity
+    of all chains that share a structure run as one stack (``chain._fused``). Returns
+    per chain the equilibria's joint vectors and wrenches, and the rows finished here;
+    the others need the loop."""
     chains, opts = manipulator.chains, opts or SolverOptions()
     ends = np.cumsum([chain.n_actuated for chain in chains])[:-1]
 
     def wrench(rows, rho):
         """Per chain the equilibria at rho, the rows all chains solved, and F_sigma (= err, as F_target = 0)."""
-        per_chain = zip(chains, seeds, np.split(rho, ends, axis=1))
-        solves = [_equilibrium_stack(chain, targets[rows], seed[rows], r, opts) for chain, seed, r in per_chain]
-        F, coords, solved = (list(a) for a in zip(*solves))
+        per_chain = [[targets[rows]] * len(chains), [seed[rows] for seed in seeds], np.split(rho, ends, axis=1)]
+        F, coords, solved = (list(a) for a in zip(*_fused(chains, _equilibrium_stack, per_chain, opts)))
         return coords, F, np.all(solved, axis=0), np.sum(F, axis=0)
 
     rho = np.concatenate([seed[:, chain.actuated_elements] for chain, seed in zip(chains, seeds)], axis=1)
@@ -186,7 +187,8 @@ def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
         rows = np.flatnonzero(live & ~(err_norm < eps_f))
         if not rows.size:
             break
-        S = np.concatenate([_chain_responses(c, x[rows], f[rows], True) for c, x, f in zip(chains, coords, F)], axis=2)
+        equilibria = [[x[rows] for x in coords], [f[rows] for f in F]]
+        S = np.concatenate(_fused(chains, _chain_responses, equilibria, True), axis=2)
         if S.shape[1] != S.shape[2]:  # the least-squares step
             live[rows] = False
             break

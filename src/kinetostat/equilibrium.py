@@ -46,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
-from .chain import _ik_stack, _stack_pass, _stack_state, chain_ik_best_effort, regrouped_geometry
+from .chain import _fused, _ik_stack, _row_constants, _stack_pass, _stack_state
+from .chain import chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, _engaged_rows, regroup
 
@@ -275,17 +276,21 @@ def solve_chain_equilibrium(
     )
 
 
-def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions):
+def _equilibrium_stack(
+    chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions, constants=None
+):
     """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements)
-    updated in place, actuators rho), each with its own mask, oscillation count and stop tests,
-    so bit for bit. Returns the wrenches, x and the rows converged here; the others need a branch
-    of the scalar solve (damping, ``_solve``'s SVD, a singular dim-6 E, a non-finite step, a restart)."""
+    updated in place, actuators rho, by row or for all), each with its own mask, oscillation count and
+    stop tests, so bit for bit; ``constants`` as in ``_stack_pass``. Returns the wrenches, x and the rows
+    converged here; the others need a branch of the scalar solve (damping, ``_solve``'s SVD, a singular
+    dim-6 E, a non-finite step, a restart)."""
     m, d = targets.shape
     x[:, chain.actuated_elements] = rho
     free, springs, preloaded = chain.unknown_elements, chain.preload_springs, chain.preloaded_elements
     F, mask = np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
     prev_mask, oscillating = mask.copy(), np.zeros(m, dtype=int)
-    pose, cols = _stack_pass(chain, x, False)[:2]
+    constants = _row_constants([chain], [m]) if constants is None else constants
+    pose, cols = _stack_pass(chain, x, False, constants)[:2]
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
     done, left = np.zeros((2, m), dtype=bool)
     for _ in range(opts.max_iterations):
@@ -308,7 +313,7 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
         step = np.concatenate([F_new - F[rows], x_new[:, free] - x[rows][:, free]], axis=1)
         left[rows] = (oscillating[rows] > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
         F[rows], x[rows], mask[rows] = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
-        pose[rows], cols[rows] = _stack_pass(chain, x_new, False)[:2]
+        pose[rows], cols[rows] = _stack_pass(chain, x_new, False, constants[rows])[:2]
         # the scalar stop tests, _contraction_bound's arithmetic included
         tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
         size, prev = _norms(step[:, d:]), _norms(dx_prev[rows])
@@ -400,14 +405,17 @@ def force_deflection(
     inverse kinematics at the start pose, which must reach it.
 
     A sample is the cold ``total_wrench`` at its target, the first one
-    started from ``starts`` when given. Per chain, the samples are solved as
-    stacks of up to _SWEEP_CHUNK rows (``_equilibrium_stack``), each started
-    from the best-effort rigid IK at its own target (``_ik_stack``), which
-    reproduce that solve bit for bit. A row that some chain's stack leaves
-    (its IK failed, or its solve needs damping, a restart, the SVD branch or
-    more iterations) gets the scalar solve itself, in row order. The first
-    non-convergent or singular sample truncates the curve instead of
-    raising, which is how loss of solvability past buckling shows up.
+    started from ``starts`` when given. The samples of all chains that share
+    a structure are solved as one stack of up to _SWEEP_CHUNK rows per chain
+    (``chain._fused``, ``_equilibrium_stack``), each started from the
+    best-effort rigid IK at its own target (``_ik_stack``), which reproduce
+    that solve bit for bit. A row that some chain's stack leaves (its IK
+    failed, or its solve needs damping, a restart, the SVD branch or more
+    iterations) gets the scalar solve itself, in row order, started from
+    the row's rigid IK; a chain whose IK row stored an error solves it again,
+    which raises that error. The first non-convergent or singular sample
+    truncates the curve instead of raising, which is how loss of solvability
+    past buckling shows up.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -429,7 +437,8 @@ def force_deflection(
     forces, rhos, truncated = [], rho_all, False  # F_sigma of the solved samples, per chunk
     for first in range(0, n, _SWEEP_CHUNK):
         targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
-        iks = [_ik_stack(chain, targets) for chain in chains]
+        # _fused hands each stack a copy of its rows, so iks keeps the rigid IK that the equilibria overwrite
+        iks = _fused(chains, _ik_stack, [[targets] * len(chains)])
         seeds = [coords for coords, _, _ in iks]
         if not first:
             if rhos is None:  # from starts, or row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
@@ -439,16 +448,19 @@ def force_deflection(
             if starts is not None:
                 if len(starts) != len(chains):
                     raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
-                for seed, x in zip(seeds, _each_chain(manipulator, _start_vector, starts)):
-                    seed[0] = x
+                given = _each_chain(manipulator, _start_vector, starts)
+                seeds = [np.concatenate([x[None], seed[1:]]) for seed, x in zip(seeds, given)]
         with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
-            solves = [_equilibrium_stack(c, targets, x, rho, opts) for c, x, rho in zip(chains, seeds, rhos)]
+            rho_rows = [np.broadcast_to(rho, (len(targets), rho.size)) for rho in rhos]
+            solves = _fused(chains, _equilibrium_stack, [[targets] * len(chains), seeds, rho_rows], opts)
         F = np.sum([wrenches for wrenches, _, _ in solves], axis=0)
         left = ~np.all([done for _, _, done in solves], axis=0)
         left[[row for _, _, errors in iks for row in errors]] = True
         for i in np.flatnonzero(left):  # the cold solve that a finished row reproduces
+            rigid = [None if i in errors else coords[i] for coords, _, errors in iks]
+            row_starts = rigid if first + i or starts is None else starts
             try:
-                F[i] = total_wrench(manipulator, targets[i], rhos, opts, starts=None if first + i else starts)[0]
+                F[i] = total_wrench(manipulator, targets[i], rhos, opts, starts=row_starts)[0]
             except (NonConvergenceError, SingularityError):
                 F, truncated = F[:i], True
                 break

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
-from .chain import _each_chain, _ik_stack, _reaches, _stack_state
+from .chain import _each_chain, _fused, _ik_stack, _reaches, _stack_state
 from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
 from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection, total_wrench
 from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
@@ -205,7 +205,8 @@ class ComplianceMap:
     reasons: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-# cells per stack: caps the IK and compensation temporaries (~3.1 kB a cell, shipped chains) on large grids
+# cells per stack: caps the IK and compensation temporaries on large grids (a heap peak of ~4.1 kB a
+# cell on the shipped model, whose two legs run as one stack)
 _STACK_CELLS = 4096
 
 
@@ -231,11 +232,11 @@ def compliance_grid(
     Each cell is evaluated in the compensated state: actuators are solved
     kinetostatically so the cell pose is an unloaded equilibrium, then the
     aggregate stiffness is computed at the equilibria that solve ends on.
-    The rigid IK, compensation and stiffness run as stacks over the cells, bit
-    for bit the per-cell solves, and ``control._compensate`` finishes a cell
-    the stacks leave. Cells whose solve fails or whose stiffness is not
-    positive definite are flagged failed, never dropped, and the map names
-    the reason.
+    The rigid IK, compensation and stiffness run as stacks over the cells, one
+    per structure group of chains (``chain._fused``), bit for bit the per-cell
+    solves, and ``control._compensate`` finishes a cell the stacks leave.
+    Cells whose solve fails or whose stiffness is not positive definite are
+    flagged failed, never dropped, and the map names the reason.
     """
     if grid_n < 2:
         raise ModelError("compliance grid needs at least 2 points per side")
@@ -259,13 +260,13 @@ def compliance_grid(
         ix, iy = np.divmod(np.arange(first, min(first + _STACK_CELLS, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))
         targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
-        stacks = [_ik_stack(chain, targets) for chain in chains]
+        stacks = _fused(chains, _ik_stack, [[targets] * len(chains)])
         # the cells whose every chain met its target; the others raise their IK's error below
         rows = np.flatnonzero(np.all([_reaches(d) & ~np.isin(np.arange(ix.size), list(e)) for _, d, e in stacks], 0))
         eigenvalues = np.full(targets.shape, np.nan)  # of K_sigma; NaN: the cell is left to the scalar loop
         with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar loop, which warns as it does
             coords, F, done = _compensate_stack(manipulator, targets[rows], [s[0][rows] for s in stacks], eps_f, opts)
-            K = np.sum([_chain_responses(c, x[done], f[done], False) for c, x, f in zip(chains, coords, F)], 0)
+            K = np.sum(_fused(chains, _chain_responses, [[x[done] for x in coords], [f[done] for f in F]], False), 0)
         clear = np.isfinite(K).all(axis=(1, 2))
         eigenvalues[rows[done][clear]] = np.linalg.eigvalsh(K[clear])
         # the loop takes, in cell order, the cells the stacks did not finish positive definite

@@ -121,11 +121,11 @@ def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
     return _chain_block(chain, eq, True)
 
 
-def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool) -> np.ndarray:
+def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool, constants=None):
     """``_chain_sensitivity`` (else ``_chain_stiffness_diag``) of stacked equilibria, joint vectors
     (M, n_elements) and wrenches (M, d), with the rows of one active mask as one stack, bit for
-    bit; NaN in a row a guarded solve does not clear."""
-    pose, cols, T, twists = _stack_pass(chain, coords)
+    bit; NaN in a row a guarded solve does not clear. ``constants`` as in ``_stack_pass``."""
+    pose, cols, T, twists = _stack_pass(chain, coords, True, constants)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
     twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays

@@ -60,7 +60,7 @@ def force_scalar_rows(monkeypatch):
     of a sweep gets the cold scalar solve that a finished row reproduces."""
     import kinetostat.equilibrium
 
-    def unfinished(chain, targets, x, rho, opts):
+    def unfinished(chain, targets, x, rho, opts, constants=None):
         return np.zeros(targets.shape), x, np.zeros(len(targets), dtype=bool)
 
     monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", unfinished)

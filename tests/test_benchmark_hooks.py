@@ -71,8 +71,10 @@ def test_traced_run_reports_every_declared_per_layer_key():
 def test_traced_sweep_solves_every_left_sample_cold_through_the_traced_solve(monkeypatch):
     # the sweep's samples run as stacks, which the tracer does not wrap, so it
     # counts no solve; a sample a stack leaves gets the cold scalar solve, one
-    # solve_chain_equilibrium per chain without a start, which the tracer
-    # counts as cold: forced here for every sample, by stacks that finish no row
+    # solve_chain_equilibrium per chain started from the row's rigid IK that
+    # the IK stack holds: forced here for every sample, by stacks that finish
+    # no row. The tracer keys cold on a missing start, so it counts these
+    # cold solves as warm
     model_path = str(resources.files("kinetostat").joinpath("models/orthoglide-planar.json"))
     argv = ["sweep", "--model", model_path, "--from=0.1,-0.2", "--dir=0.6,0.8", "--max-delta", "0.016", "--step", "0.004"]
     for solves in (0, 10):
@@ -84,4 +86,4 @@ def test_traced_sweep_solves_every_left_sample_cold_through_the_traced_solve(mon
         snapshot = t.snapshot()
         assert snapshot["equilibrium.force_deflection.calls"] == 1
         assert snapshot["equilibrium.solve_chain_equilibrium.calls"] == solves
-        assert snapshot["equilibrium.cold_solves"] == solves and snapshot["equilibrium.warm_solves"] == 0
+        assert snapshot["equilibrium.cold_solves"] == 0 and snapshot["equilibrium.warm_solves"] == solves

@@ -699,6 +699,117 @@ def test_stack_pass_bitwise_equal_to_the_scalar_pass(task_dim, m):
         assert (lean_twists is None) == (task_dim == 2)
 
 
+# -- fused stacks: the rows of every chain of one structure as one stack --------
+
+
+def _structure_twin(rng, chain, name):
+    """A chain of ``chain``'s structure whose axes, base, links and tool are other, none the identity."""
+    spatial = chain.task_dim == 6
+
+    def transform():
+        if spatial:
+            return Transform(translation=tuple(rng.uniform(-0.5, 0.5, 3)), rpy=tuple(rng.uniform(-0.3, 0.3, 3)))
+        return Transform(translation=(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 0.0), rpy=(0.0, 0.0, float(rng.uniform(-1, 1))))
+
+    def axis(joint):
+        if not spatial and joint.motion == "rotational":
+            return (0.0, 0.0, float(rng.choice([-1.0, 1.0])))
+        v = rng.normal(size=3) if spatial else np.array([rng.normal(), rng.normal(), 0.0])
+        return tuple(v / np.linalg.norm(v))
+
+    elements = [(transform(), dataclasses.replace(joint, axis=axis(joint))) for _, joint in chain.elements]
+    return dataclasses.replace(chain, base_pose=transform(), elements=elements, tool_transform=transform(), name=name)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+@pytest.mark.parametrize("task_dim", [2, 3, 6])
+def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
+    # two chains of one structure (other axes, base, links and tool) and one
+    # of another, m rows each: the fused stacks, split per chain, give each
+    # chain the bytes of its own stack, for the forward pass, the rigid IK,
+    # the equilibrium and both block-system responses
+    from kinetostat import SolverOptions
+    from kinetostat.chain import _fused, _row_constants, _stack_pass
+    from kinetostat.equilibrium import _equilibrium_stack
+    from kinetostat.stiffness import _chain_responses
+
+    def random_chain():
+        return random_spatial_chain(rng, n_joints=8) if task_dim == 6 else random_planar_chain(rng, task_dim, n_joints=5)
+
+    rng, tally = np.random.default_rng(290 + task_dim), {"converged": 0, "responses": 0}
+    for _ in range(4):
+        first = random_chain()
+        first = dataclasses.replace(first, ik_seed=rng.uniform(-0.3, 0.3, first.rigid_elements.size), name="first")
+        chains = [first, dataclasses.replace(random_chain(), name="other"), _structure_twin(rng, first, "twin")]
+        assert chains[0]._structure == chains[2]._structure != chains[1]._structure
+        x = [np.array([c.element_coordinates(random_state(rng, c)) for _ in range(m)]).reshape(m, len(c.elements)) for c in chains]
+        targets = [np.array([fk_array(c, c.state_of(v)) for v in xs]).reshape(m, task_dim) for c, xs in zip(chains, x)]
+        targets = [t + rng.uniform(-0.05, 0.05, t.shape) for t in targets]
+        if m == 7:
+            targets[2][-1] = 1e200  # an overflowed row of the rigid IK
+        F = [rng.uniform(-0.5, 0.5, (m, task_dim)) for _ in chains]
+
+        group = [chains[0], chains[2]]
+        fused = _stack_pass(chains[0], np.concatenate([x[0], x[2]]), True, _row_constants(group, [m, m]))
+        for i, c in enumerate(group):
+            own = _stack_pass(c, [x[0], x[2]][i])
+            assert [a[i * m : (i + 1) * m].tobytes() for a in fused[:3]] == [a.tobytes() for a in own[:3]]
+            assert [a[i * m : (i + 1) * m].tobytes() for a in fused[3]] == [a.tobytes() for a in own[3]]
+
+        with np.errstate(all="ignore"):
+            iks = _fused(chains, _ik_stack, [targets])
+            for c, t, (coords, distances, errors) in zip(chains, targets, iks):
+                own = _ik_stack(c, t)
+                assert coords.tobytes() == own[0].tobytes() and distances.tobytes() == own[1].tobytes()
+                assert {row: (type(e), str(e)) for row, e in errors.items()} == {row: (type(e), str(e)) for row, e in own[2].items()}
+            rho = [xs[:, c.actuated_elements] for c, xs in zip(chains, x)]
+            solves = _fused(chains, _equilibrium_stack, [targets, [xs.copy() for xs in x], rho], SolverOptions())
+            for c, t, xs, r, solve in zip(chains, targets, x, rho, solves):
+                own = _equilibrium_stack(c, t, xs.copy(), r, SolverOptions())
+                assert [a.tobytes() for a in solve] == [a.tobytes() for a in own]
+                tally["converged"] += int(own[2].sum())
+            for sensitivity in (True, False):
+                responses = _fused(chains, _chain_responses, [x, F], sensitivity)
+                for c, xs, f, response in zip(chains, x, F, responses):
+                    assert response.tobytes() == _chain_responses(c, xs, f, sensitivity).tobytes()
+                    tally["responses"] += int(np.isfinite(response).all(axis=(1, 2)).sum())
+    assert min(tally.values()) > (5 if m == 7 else -1)  # not a vacuous check
+
+
+def test_chains_differing_in_a_spring_law_a_seed_or_an_identity_link_stack_apart():
+    # the y-leg differs from the x-leg only in its axes and tool, so they share
+    # a stack; a chain whose spring law, ik_seed or a link's identity differs
+    # from the x-leg's, if only in the sign of a zero, runs a stack of its own
+    from kinetostat.chain import _fused
+
+    x_leg, y_leg = build_planar_orthoglide(OrthoglideSpec(spring=SpringLaw(0.1, 0.0))).chains
+    link, joint = x_leg.elements[2]
+
+    def variant(name, **changes):
+        return dataclasses.replace(x_leg, name=name, **changes)
+
+    chains = [
+        x_leg,
+        variant("spring", elements=x_leg.elements[:2] + [(link, dataclasses.replace(joint, spring=SpringLaw(0.2, 0.0)))]),
+        y_leg,
+        variant("offset", elements=x_leg.elements[:2] + [(link, dataclasses.replace(joint, spring=SpringLaw(0.1, -0.0)))]),
+        variant("seed", ik_seed=np.array([1.0, -0.0])),
+        variant("link", elements=x_leg.elements[:2] + [(Transform(translation=(0.0, 0.1, 0.0)), joint)]),
+    ]
+    stacks = []
+
+    def recorded(chain, rows, constants):
+        stacks.append((chain.name, rows.tolist()))
+        return rows + 0.5, {len(rows) - 1: "last"}
+
+    # each chain's rows, and its share of a dict keyed by the stack's rows, come back to it
+    shares = _fused(chains, recorded, [[np.arange(3) + 10 * i for i in range(len(chains))]])
+    assert stacks == [("x-leg", [0, 1, 2, 20, 21, 22]), ("spring", [10, 11, 12]), ("offset", [30, 31, 32]),
+                      ("seed", [40, 41, 42]), ("link", [50, 51, 52])]
+    assert [rows.tolist() for rows, _ in shares] == [[10 * i + 0.5, 10 * i + 1.5, 10 * i + 2.5] for i in range(6)]
+    assert [by_row for _, by_row in shares] == [{}] + [{2: "last"}] * 5
+
+
 def _groups_by_sorting(chain, masks):
     """``ChainModel._by_mask`` as ``np.unique`` over the mask rows gives it."""
     unique, inverse = np.unique(masks, axis=0, return_inverse=True)

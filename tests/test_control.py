@@ -338,8 +338,10 @@ def test_solution_carries_equilibria_at_returned_rho(ortho_spec):
 
 
 def test_force_deflection_solves_rigid_ik_once_per_chain(monkeypatch):
-    # one IK stack per chain over every sample's target, whose first row is
-    # the rigid IK at the start pose; the sweep runs no scalar IK
+    # one IK stack per structure group over every sample's target, whose first
+    # row is the rigid IK at the start pose; the two legs share a structure, so
+    # that is one stack of both chains' rows, each chain with exactly the
+    # sweep's targets; the sweep runs no scalar IK
     import kinetostat.equilibrium
     from kinetostat import force_deflection
 
@@ -347,15 +349,18 @@ def test_force_deflection_solves_rigid_ik_once_per_chain(monkeypatch):
     calls = _count_ik_calls(monkeypatch)
     real, stacks = kinetostat.equilibrium._ik_stack, []
 
-    def counted(chain, targets):
-        stacks.append((chain.name, len(targets)))
-        return real(chain, targets)
+    def counted(chain, targets, constants):
+        stacks.append((chain.name, targets.copy()))
+        return real(chain, targets, constants)
 
     monkeypatch.setattr(kinetostat.equilibrium, "_ik_stack", counted)
     curve = force_deflection(model, [0.1, 0.2], [0.6, 0.8], 0.05, 0.01)
     assert len(curve.deltas) == 6
     assert calls == []
-    assert sorted(stacks) == sorted((chain.name, 6) for chain in model.chains)
+    sweep_targets = np.array([0.1, 0.2]) + (np.arange(6) * 0.01)[:, None] * curve.direction
+    assert [(name, targets.tobytes()) for name, targets in stacks] == [
+        (model.chains[0].name, np.concatenate([sweep_targets] * len(model.chains)).tobytes())
+    ]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

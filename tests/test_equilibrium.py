@@ -469,11 +469,13 @@ def test_stacked_sweep_matches_the_scalar_solve(monkeypatch, make_model):
 
 @pytest.mark.parametrize("k", [0, 1, 7, 9])
 def test_row_left_by_a_stack_gets_the_scalar_solve(monkeypatch, k):
-    # one chain's stack leaves row k: that row alone gets the cold scalar
-    # solve, once per chain, and the whole curve keeps the bytes of the one
-    # whose stacks finish every row; in stacks of 8 rows, row 9 is the second
-    # row of the second stack
+    # one chain's rows of the stack leave row k: that row alone gets the cold
+    # scalar solve, once per chain, started from the row's rigid IK that the
+    # IK stack holds (so no scalar IK runs), and the whole curve keeps the
+    # bytes of the one whose stacks finish every row; in stacks of 8 rows,
+    # row 9 is the second row of the second stack
     import kinetostat.equilibrium
+    from kinetostat.chain import chain_ik_best_effort
 
     model, start, direction = stop_limit_model(), [0.1, -0.2], [0.6, 0.8]
     monkeypatch.setattr(kinetostat.equilibrium, "_SWEEP_CHUNK", 8)
@@ -481,25 +483,34 @@ def test_row_left_by_a_stack_gets_the_scalar_solve(monkeypatch, k):
     assert len(full.deltas) == 25 and not full.truncated
     real, offsets = kinetostat.equilibrium._equilibrium_stack, {}
 
-    def leaving(chain, targets, x, rho, opts):
-        F, x, done = real(chain, targets, x, rho, opts)
-        first = offsets.get(chain.name, 0)  # the sweep row of the stack's first row
-        offsets[chain.name] = first + len(targets)
-        if chain is model.chains[1] and first <= k < first + len(targets):
-            done[k - first] = False
+    def leaving(chain, targets, x, rho, opts, constants):
+        F, x, done = real(chain, targets, x, rho, opts, constants)
+        # the legs share one stack, the rows of chain 1 after those of chain 0
+        n = len(targets) // len(model.chains)
+        first = offsets.get("rows", 0)  # the sweep row of the stack's first row
+        offsets["rows"] = first + n
+        if first <= k < first + n:
+            done[n + k - first] = False
         return F, x, done
 
-    real_solve, solves = kinetostat.equilibrium.solve_chain_equilibrium, []
+    real_solve, solves, iks = kinetostat.equilibrium.solve_chain_equilibrium, [], []
 
     def recorded(chain, t, rho, opts=None, start=None):
-        solves.append((np.asarray(t).tobytes(), start is None))
+        solves.append((np.asarray(t).tobytes(), None if start is None else np.asarray(start).tobytes()))
         return real_solve(chain, t, rho, opts, start=start)
+
+    def counted_ik(chain, t):
+        iks.append(chain.name)
+        return chain_ik_best_effort(chain, t)
 
     monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", leaving)
     monkeypatch.setattr(kinetostat.equilibrium, "solve_chain_equilibrium", recorded)
+    monkeypatch.setattr(kinetostat.equilibrium, "chain_ik_best_effort", counted_ik)
     curve = force_deflection(model, start, direction, 0.096, 0.004)
-    target = (np.asarray(start) + (k * 0.004) * curve.direction).tobytes()
-    assert solves == [(target, True)] * len(model.chains)
+    assert iks == []
+    t = np.asarray(start) + (k * 0.004) * curve.direction
+    rigid = [chain.element_coordinates(chain_ik_best_effort(chain, t)[0]).tobytes() for chain in model.chains]
+    assert solves == [(t.tobytes(), x) for x in rigid]
     assert len(curve.deltas) == 25 and not curve.truncated
     for values, expected in ((curve.force_magnitude, full.force_magnitude), (curve.force_along, full.force_along)):
         assert values.tobytes() == expected.tobytes()
@@ -511,18 +522,20 @@ def test_sweep_chunks_give_the_bytes_of_one_stack(monkeypatch):
     model = stop_limit_model()
     real, stacks = kinetostat.equilibrium._ik_stack, []
 
-    def counted(chain, targets):
+    def counted(chain, targets, constants):
         stacks.append(len(targets))
-        return real(chain, targets)
+        return real(chain, targets, constants)
 
+    # the legs share a structure: one stack of both legs' rows per chunk
     monkeypatch.setattr(kinetostat.equilibrium, "_ik_stack", counted)
     chunked = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.149, 0.001)
     assert len(chunked.deltas) == 150 and not chunked.truncated
-    assert len(stacks) == 2 * math.ceil(150 / kinetostat.equilibrium._SWEEP_CHUNK) > 2
+    chunk = kinetostat.equilibrium._SWEEP_CHUNK
+    assert stacks == [2 * min(chunk, 150 - first) for first in range(0, 150, chunk)] and len(stacks) > 1
     stacks.clear()
     monkeypatch.setattr(kinetostat.equilibrium, "_SWEEP_CHUNK", 150)
     whole = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.149, 0.001)
-    assert stacks == [150, 150] and not whole.truncated
+    assert stacks == [2 * 150] and not whole.truncated
     for a, b in ((chunked.deltas, whole.deltas), (chunked.force_magnitude, whole.force_magnitude),
                  (chunked.force_along, whole.force_along)):
         assert a.tobytes() == b.tobytes()
@@ -538,9 +551,10 @@ def test_starts_seed_the_first_row(monkeypatch):
     starts = [eq.regrouped.coords for eq in sol.equilibria]
     real, seeds = kinetostat.equilibrium._equilibrium_stack, []
 
-    def recorded(chain, targets, x, rho, opts):
-        seeds.append(x[0].copy())
-        return real(chain, targets, x, rho, opts)
+    def recorded(chain, targets, x, rho, opts, constants):
+        n = len(targets) // len(model.chains)  # the legs share one stack, one leg's rows after the other's
+        seeds.extend(x[i * n].copy() for i in range(len(model.chains)))
+        return real(chain, targets, x, rho, opts, constants)
 
     monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", recorded)
     curve = force_deflection(model, start, [0.6, 0.8], 0.02, 0.01, starts=starts)

@@ -204,21 +204,22 @@ def test_stop_limit_map_only_changes_engaged_corner(maps):
 
 def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
     # a cell whose stiffness has a negative eigenvalue has no compliance; the
-    # grid's chain stiffnesses come as one stack per chain, of all four cells
+    # grid's chain stiffnesses come as one stack per structure group, here
+    # both legs' rows of all four cells
     import kinetostat.orthoglide as orthoglide
 
     real = orthoglide._chain_responses
     calls = []
 
-    def first_cell_indefinite(chain, coords, F, sensitivity):
-        K = real(chain, coords, F, sensitivity)
+    def first_cell_indefinite(chain, coords, F, sensitivity, constants):
+        K = real(chain, coords, F, sensitivity, constants)
         calls.append((chain.name, len(K)))
-        K[0] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
+        K[0] = K[len(K) // 2] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
         return K
 
     monkeypatch.setattr(orthoglide, "_chain_responses", first_cell_indefinite)
     grid = compliance_grid(ortho_nopreload, 2)
-    assert calls == [("x-leg", 4), ("y-leg", 4)]
+    assert calls == [("x-leg", 2 * 4)]
     assert not grid.ok[0, 0]
     assert grid.reasons == {(0, 0): "indefinite stiffness: smallest eigenvalue -1.000e+00"}
     assert np.isnan(grid.c_min[0, 0]) and np.isnan(grid.c_max[0, 0])
@@ -404,9 +405,9 @@ def test_grid_tail_matches_the_per_cell_path(monkeypatch):
         assert done[0]
         return coords, F, np.concatenate([[False], done[1:]])
 
-    def first_finished_indefinite(chain, coords, F, sensitivity):
-        K = real_responses(chain, coords, F, sensitivity)
-        K[0] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
+    def first_finished_indefinite(chain, coords, F, sensitivity, constants):
+        K = real_responses(chain, coords, F, sensitivity, constants)
+        K[0] = K[len(K) // 2] = np.diag([0.5, -0.5])  # each leg's half of diag(1, -1), the legs in one stack
         return K
 
     real_compensate = orthoglide._compensate
@@ -464,7 +465,9 @@ def test_grid_split_on_the_linear_preload_model_is_the_same_grid(monkeypatch):
     assert max(_split_grid_groups(monkeypatch, shipped_model())) == 1
 
 
-def test_grid_solves_rigid_ik_as_one_stack_per_chain(monkeypatch):
+def test_grid_solves_rigid_ik_as_one_stack_per_structure_group(monkeypatch):
+    # the legs share a structure: one IK stack of both legs' rows, each leg
+    # with exactly the grid's cells, in cell order
     import kinetostat.chain
     import kinetostat.orthoglide as orthoglide
 
@@ -475,16 +478,17 @@ def test_grid_solves_rigid_ik_as_one_stack_per_chain(monkeypatch):
         calls.append(args[0].name)
         return real_ik(*args, **kwargs)
 
-    def counted_stack(chain, targets):
-        stacks.append((chain.name, len(targets)))
-        return real_stack(chain, targets)
+    def counted_stack(chain, targets, constants):
+        stacks.append((chain.name, targets.copy()))
+        return real_stack(chain, targets, constants)
 
     monkeypatch.setattr(kinetostat.chain, "chain_ik_best_effort", counted)
     monkeypatch.setattr(orthoglide, "_ik_stack", counted_stack)
     grid = compliance_grid(shipped_model(), 10)
     assert grid.ok.all()
     assert calls == []
-    assert stacks == [("x-leg", 100), ("y-leg", 100)]
+    cells = np.array([[x, y] for x in grid.xs for y in grid.ys])
+    assert [(name, targets.tobytes()) for name, targets in stacks] == [("x-leg", np.concatenate([cells, cells]).tobytes())]
 
 
 @pytest.fixture(scope="module")
