@@ -722,58 +722,61 @@ def _gather(a: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
-    """``chain_ik_best_effort`` for targets (N, task_dim), one trial per row
-    still iterating a round. Each row keeps its own damping, counts and stop
-    test, so it takes the scalar solve's steps bit for bit. Returns joint
-    vectors (N, n_elements), pose distances (N,) and, by row, the ModelError
-    a scalar solve would raise. ``constants`` as in ``_stack_pass``. A stack
-    of one is slower than the scalar solve."""
-    n, free = len(targets), chain.rigid_elements
-    constants = _row_constants([chain], [n]) if constants is None else constants
+    """``chain_ik_best_effort`` for targets (N, task_dim), one trial per live row a round: a row that
+    stops is written out once and dropped from every working array. Each row keeps its own damping, counts
+    and stop test, and a rejected row's normal matrix is built again from unchanged inputs, so it takes the
+    scalar solve's steps bit for bit. Returns joint vectors (N, n_elements), pose distances (N,) and, by row,
+    the ModelError a scalar solve would raise. ``constants`` as in ``_stack_pass``. A stack of one is slower
+    than the scalar solve."""
+    n, free, eye = len(targets), chain.rigid_elements, np.eye(chain.rigid_elements.size)
     coords = np.zeros((n, len(chain.elements)))
     coords[:, free] = 0.0 if chain.ik_seed is None else chain.ik_seed
-    lam, steps, trials = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    normal, gradient = np.empty((n, free.size, free.size)), np.empty((n, free.size))
-    iterating, fresh, errors, eye = np.ones(n, dtype=bool), np.arange(n), {}, np.eye(free.size)
+    out, distances, errors = np.empty(coords.shape), np.empty(n), {}
+    rows, lam, (steps, trials), first = np.arange(n), np.zeros(n), np.zeros((2, n), dtype=int), True
+    constants = _row_constants([chain], [n]) if constants is None else constants
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         pose, cols = _stack_pass(chain, coords, False, constants)[:2]
         r = targets - pose
         dist = _norms(r)
         while True:
-            # the scalar stop tests; a row is fresh when its last trial was accepted
-            iterating &= (dist > _IK_TOL) & (dist < math.inf) & (steps < _IK_MAX_ITERATIONS)
-            iterating &= (trials < 40) & (lam < math.inf) & bool(free.size)
-            fresh = fresh[iterating[fresh]]
-            J = cols[fresh][:, :, free]
+            # the scalar stop tests
+            live = (dist > _IK_TOL) & (dist < math.inf) & (steps < _IK_MAX_ITERATIONS) & bool(free.size)
+            live &= (trials < 40) & (lam < math.inf)
             if chain.task_dim == 6:
-                E_inv, bad = _euler_stack(pose[fresh])
+                at = np.flatnonzero(live)
+                E_inv, bad = _euler_stack(pose[at])
                 for i, err in bad.items():
-                    errors[fresh[i]], iterating[fresh[i]] = err, False
-                keep = iterating[fresh]
-                J, fresh = _map_rates(J[keep], E_inv[keep]), fresh[keep]
-            first = steps[fresh] == 0
-            if first.any():  # the 2-norm's SVD costs as much on an empty stack
-                sigma = np.linalg.norm(J[first], 2, axis=(1, 2))
-                lam[fresh[first]] = 1e-3 * np.maximum(sigma * sigma, 1.0)
-            normal[fresh] = J.swapaxes(1, 2) @ J
-            gradient[fresh] = (J.swapaxes(1, 2) @ r[fresh, :, None])[:, :, 0]
-            rows = np.flatnonzero(iterating)
+                    errors[rows[at[i]]], live[at[i]] = err, False
+                E_inv = E_inv[live[at]]
+            if not live.all():
+                out[rows[~live]], distances[rows[~live]] = coords[~live], dist[~live]
+                state = (rows, coords, r, dist, pose, cols, targets, constants, lam, steps, trials)
+                rows, coords, r, dist, pose, cols, targets, constants, lam, steps, trials = (a[live] for a in state)
             if not rows.size:
-                return coords, dist, errors
-            trial = coords[rows]
-            damped = normal[rows] + lam[rows, None, None] * eye
-            trial[:, free] += np.linalg.solve(damped, gradient[rows, :, None])[:, :, 0]
-            pose_try, cols_try = _stack_pass(chain, trial, False, constants[rows])[:2]
-            r_try = targets[rows] - pose_try
+                return out, distances, errors
+            J = cols[:, :, free]
+            if chain.task_dim == 6:
+                J = _map_rates(J, E_inv)
+            if first:  # every row has its first J, which the stop tests found finite
+                sigma = np.linalg.norm(J, 2, axis=(1, 2))
+                lam, first = 1e-3 * np.maximum(sigma * sigma, 1.0), False
+            trial = coords.copy()
+            damped = J.swapaxes(1, 2) @ J + lam[:, None, None] * eye
+            trial[:, free] += np.linalg.solve(damped, J.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+            pose_try, cols_try = _stack_pass(chain, trial, False, constants)[:2]
+            r_try = targets - pose_try
             try_dist = _norms(r_try)
-            better = try_dist < dist[rows]
-            fresh = rows[better]
-            for a, a_try in ((coords, trial), (r, r_try), (dist, try_dist), (pose, pose_try), (cols, cols_try)):
-                a[fresh] = a_try[better]
-            lam[rows] = np.where(better, np.maximum(lam[rows] * 0.3, 1e-14), lam[rows] * 10.0)
-            trials[rows] = np.where(better, 0, trials[rows] + 1)
-            steps[fresh] += 1
+            better = try_dist < dist
+            if better.all():  # the common round: no trial rejected
+                coords, r, dist, pose, cols = trial, r_try, try_dist, pose_try, cols_try
+            else:
+                kept = better[:, None]
+                coords, r, pose = np.where(kept, trial, coords), np.where(kept, r_try, r), np.where(kept, pose_try, pose)
+                dist, cols = np.where(better, try_dist, dist), np.where(kept[..., None], cols_try, cols)
+            lam = np.where(better, np.maximum(lam * 0.3, 1e-14), lam * 10.0)
+            trials = np.where(better, 0, trials + 1)
+            steps = steps + better
 
 
 def _reaches(r_norm):

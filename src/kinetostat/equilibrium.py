@@ -268,8 +268,12 @@ def solve_chain_equilibrium(
                         F=F, residual=residual, iterations=iterations, restarts=restarts, regrouped=reg, chain=chain
                     )
             dx_prev = step[d:]
+    reason = f"best residual {best_residual:.3e}"
+    if best_residual <= opts.pose_tol:  # the pose test passed, the step test never did
+        n = opts.max_iterations
+        reason += f" met pose_tol, but the step did not settle in {n} iteration{'s' * (n != 1)}"
     raise NonConvergenceError(
-        f"equilibrium of chain {chain.name!r} did not converge (best residual {best_residual:.3e})",
+        f"equilibrium of chain {chain.name!r} did not converge ({reason})",
         residual=best_residual,
         iterations=iterations,
         restarts=opts.max_restarts,
@@ -279,50 +283,53 @@ def solve_chain_equilibrium(
 def _equilibrium_stack(
     chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions, constants=None
 ):
-    """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements)
-    updated in place, actuators rho, by row or for all), each with its own mask, oscillation count and
-    stop tests, so bit for bit; ``constants`` as in ``_stack_pass``. Returns the wrenches, x and the rows
-    converged here; the others need a branch of the scalar solve (damping, ``_solve``'s SVD, a singular
-    dim-6 E, a non-finite step, a restart)."""
+    """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements) updated in
+    place, actuators rho, by row or for all), each with its own mask, oscillation count and stop tests, so bit
+    for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped from every
+    working array. Returns the wrenches, x and the rows converged here; the others, at the F and x they stopped
+    at, need a branch of the scalar solve (damping, ``_solve``'s SVD, a singular dim-6 E, a non-finite step)."""
     m, d = targets.shape
     x[:, chain.actuated_elements] = rho
     free, springs, preloaded = chain.unknown_elements, chain.preload_springs, chain.preloaded_elements
-    F, mask = np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
-    prev_mask, oscillating = mask.copy(), np.zeros(m, dtype=int)
+    wrenches, done, budget = np.zeros((m, d)), np.zeros(m, dtype=bool), opts.max_iterations
+    rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
+    prev_mask, oscillating = mask, np.zeros(m, dtype=int)
     constants = _row_constants([chain], [m]) if constants is None else constants
     pose, cols = _stack_pass(chain, x, False, constants)[:2]
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
-    done, left = np.zeros((2, m), dtype=bool)
-    for _ in range(opts.max_iterations):
-        rows = np.flatnonzero(~(done | left))
-        if not rows.size:
-            break
-        oscillating[rows] = np.where((mask[rows] != prev_mask[rows]).any(axis=1), oscillating[rows] + 1, 0)
-        prev_mask[rows] = mask[rows]
-        J = _map_rates(cols[rows], _euler_stack(pose[rows])[0]) if d == 6 else cols[rows]
-        F_new, x_new = np.empty((rows.size, d)), x[rows]
-        for sub, (q_el, th_el, th0, k_tilde) in chain._by_mask(mask[rows]):
-            J_th, J_q, xs = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
-            eps = targets[rows[sub]] - pose[rows[sub]] + (J_q @ np.take(xs, q_el, axis=1)[..., None])[..., 0]
-            eps += (J_th @ (np.take(xs, th_el, axis=1) - th0)[..., None])[..., 0]
+    while rows.size:
+        budget -= 1
+        oscillating = np.where((mask != prev_mask).any(axis=1), oscillating + 1, 0)
+        prev_mask = mask
+        J = _map_rates(cols, _euler_stack(pose)[0]) if d == 6 else cols
+        F_new, x_new = np.empty((rows.size, d)), xs.copy()
+        for sub, (q_el, th_el, th0, k_tilde) in chain._by_mask(mask):
+            J_th, J_q, xsub = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
+            eps = targets[sub] - pose[sub] + (J_q @ np.take(xsub, q_el, axis=1)[..., None])[..., 0]
+            eps += (J_th @ (np.take(xsub, th_el, axis=1) - th0)[..., None])[..., 0]
             rhs = np.concatenate([eps, np.zeros((sub.size, q_el.size))], axis=1)[..., None]
             sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde), rhs)
-            F_new[sub], xs[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
-            xs[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
-            x_new[sub] = xs
-        step = np.concatenate([F_new - F[rows], x_new[:, free] - x[rows][:, free]], axis=1)
-        left[rows] = (oscillating[rows] > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
-        F[rows], x[rows], mask[rows] = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
-        pose[rows], cols[rows] = _stack_pass(chain, x_new, False, constants[rows])[:2]
+            F_new[sub], xsub[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
+            xsub[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
+            x_new[sub] = xsub
+        step = np.concatenate([F_new - F, x_new[:, free] - xs[:, free]], axis=1)
+        left = (oscillating > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
+        F, xs, mask = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
+        pose, cols = _stack_pass(chain, x_new, False, constants)[:2]
         # the scalar stop tests, _contraction_bound's arithmetic included
         tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
-        size, prev = _norms(step[:, d:]), _norms(dx_prev[rows])
+        size, prev = _norms(step[:, d:]), _norms(dx_prev)
         bound = _CONTRACTION_SAFETY * (size + _norms(step[:, :d])) * size / (prev - size)
-        held = (oscillating[rows] == 0) & (mask[rows] == prev_mask[rows]).all(axis=1)
+        held = (oscillating == 0) & (mask == prev_mask).all(axis=1)
         stationary = (_norms(step) <= tol) | (held & (size < 0.5 * prev) & (bound <= tol))
-        done[rows] = ~left[rows] & (_norms(targets[rows] - pose[rows]) <= opts.pose_tol) & stationary
-        dx_prev[rows] = step[:, d:]
-    return F, x, done
+        converged = ~left & (_norms(targets - pose) <= opts.pose_tol) & stationary
+        dx_prev, live = step[:, d:], ~(left | converged) & (budget > 0)
+        if not live.all():
+            stopped = rows[~live]
+            wrenches[stopped], x[stopped], done[stopped] = F[~live], xs[~live], converged[~live]
+            state = (rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants)
+            rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants = (a[live] for a in state)
+    return wrenches, x, done
 
 
 def split_rho(manipulator: ManipulatorModel, rho_all) -> list[np.ndarray]:

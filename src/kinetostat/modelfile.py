@@ -47,25 +47,27 @@ def _check_keys(obj, allowed, path, errs):
             errs.add(f"{path}.{key}", "unknown key")
 
 
-def _number(value, path, errs):
+def _number(value, path, errs, index=None):
+    """``value`` as a float, or 0.0 with its problem recorded under ``path``, or ``path[index]`` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.add(path, f"expected a number, got {type(value).__name__}")
-        return 0.0
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):  # also 1e999, which json reads as inf
-        errs.add(path, "expected a finite number")
-        return 0.0
-    return number
+        problem = f"expected a number, got {type(value).__name__}"
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+        problem = "expected a finite number"  # also 1e999, which json reads as inf
+    errs.add(path if index is None else f"{path}[{index}]", problem)
+    return 0.0
 
 
 def _vector(value, length, path, errs):
     if not isinstance(value, list) or len(value) != length:
         errs.add(path, f"expected a list of {length} numbers")
         return (0.0,) * length
-    return tuple(_number(v, f"{path}[{i}]", errs) for i, v in enumerate(value))
+    return tuple(_number(v, path, errs, i) for i, v in enumerate(value))
 
 
 def _transform(value, path, errs) -> Transform:
@@ -201,7 +203,8 @@ def parse_document(tree) -> ManipulatorModel:
                 cname = ""
             ik_seed = cdoc.get("ik_seed")
             if isinstance(ik_seed, list):
-                ik_seed = [_number(v, f"{cpath}.ik_seed[{i}]", errs) for i, v in enumerate(ik_seed)]
+                seed_path = f"{cpath}.ik_seed"
+                ik_seed = [_number(v, seed_path, errs, i) for i, v in enumerate(ik_seed)]
             elif ik_seed is not None:
                 errs.add(f"{cpath}.ik_seed", "expected a list of numbers")
                 ik_seed = None

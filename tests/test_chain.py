@@ -660,6 +660,33 @@ def test_ik_stack_fails_only_the_row_at_the_euler_singularity():
     assert _assert_stack_is_scalar_ik(chain, targets) == 4
 
 
+@pytest.mark.parametrize("budget", [200, 3, 1])
+def test_ik_stack_rows_that_stop_in_different_rounds(monkeypatch, ortho_spec, budget):
+    # a row already at its target and one at 1e200 stop before the first
+    # round, one out of reach ends on rejected trials, the others converge
+    # round by round, or stop at an iteration budget of 3 or 1: every row is
+    # its scalar solve's bytes, in stacks of 6, 1 and 0 rows
+    import kinetostat.chain
+
+    chain = build_planar_orthoglide(ortho_spec).chains[0]
+    seed = np.zeros(len(chain.elements))
+    seed[chain.rigid_elements] = chain.ik_seed
+    targets = np.array([fk_array(chain, chain.state_of(seed)), [1e200, 0.0], [5.0, 5.0], [0.1, 0.2], [-0.3, 0.25], [0.45, -0.45]])
+    real, sizes = kinetostat.chain._stack_pass, []
+
+    def counted(chain, coords, *args):
+        sizes.append(len(coords))
+        return real(chain, coords, *args)
+
+    monkeypatch.setattr(kinetostat.chain, "_IK_MAX_ITERATIONS", budget)
+    monkeypatch.setattr(kinetostat.chain, "_stack_pass", counted)
+    for m in (6, 1, 0):
+        assert _assert_stack_is_scalar_ik(chain, targets[:m]) == 0
+    assert chain_ik_best_effort(chain, targets[2])[1] > 1.0  # out of reach
+    # the first pass has every row, the first trial the four still iterating
+    assert sizes[:2] == [6, 4] and len(set(sizes)) > (2 if budget > 1 else 1)
+
+
 # -- stacked forward pass and mask groups ----------------------------------------
 
 

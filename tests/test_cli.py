@@ -234,6 +234,15 @@ def test_bench_under_a_small_iteration_budget(capsys):
     assert err.endswith(" (critical-point search lost the branch at delta = 0.01)\n")
 
 
+def test_bench_under_one_iteration_says_the_pose_was_met(capsys):
+    # one iteration from F = 0 reaches the pose but cannot pass the step
+    # test, so the budget message says which test the solve missed
+    assert main(["bench", "orthoglide", "--max-iter", "1"]) == 4
+    err = capsys.readouterr().err
+    reason = "(best residual 1.241e-16 met pose_tol, but the step did not settle in 1 iteration)"
+    assert err == f"non-convergence: equilibrium of chain 'x-leg' did not converge {reason} (critical-point search lost the branch at delta = 0.01)\n"
+
+
 def test_sweep_at_given_actuators_matches_library(model_path, capsys):
     from kinetostat import force_deflection, parse_model
 

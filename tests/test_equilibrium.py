@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -207,6 +208,25 @@ def test_nonconvergence_carries_best_residual(ortho_nopreload):
     with pytest.raises(NonConvergenceError) as exc:
         solve_chain_equilibrium(chain, [0.4, 0.3], [1.3], opts)
     assert exc.value.residual > 0.0
+
+
+def test_nonconvergence_names_the_test_the_solve_missed(monkeypatch, ortho_nopreload):
+    # off the pose the message gives the best residual alone; at the pose it
+    # says that the step test, not the pose test, ran out of iterations
+    import kinetostat.equilibrium
+
+    chain, one = ortho_nopreload.chains[0], SolverOptions(max_iterations=1, max_restarts=0)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_chain_equilibrium(chain, [0.4, 0.3], [1.0], one, start=np.zeros(len(chain.elements)))
+    assert str(exc.value) == f"equilibrium of chain 'x-leg' did not converge (best residual {exc.value.residual:.3e})"
+    assert exc.value.residual > one.pose_tol
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_chain_equilibrium(chain, [0.4, 0.3], [1.3], one)
+    reason = "met pose_tol, but the step did not settle in 1 iteration"
+    assert str(exc.value) == f"equilibrium of chain 'x-leg' did not converge (best residual {exc.value.residual:.3e} {reason})"
+    monkeypatch.setattr(kinetostat.equilibrium, "STEP_TOL", -1.0)  # no step settles
+    with pytest.raises(NonConvergenceError, match=r" met pose_tol, but the step did not settle in 3 iterations\)$"):
+        solve_chain_equilibrium(chain, [0.4, 0.3], [1.3], SolverOptions(max_iterations=3))
 
 
 def test_solver_options_validation():
@@ -810,3 +830,75 @@ def test_equilibrium_stack_leaves_rows_to_the_scalar_branches(monkeypatch, patch
     assert not done.any()
     for i in range(len(x)):  # the scalar solve still converges
         solve_chain_equilibrium(chain, targets[i], x[i, chain.actuated_elements], start=x[i])
+
+
+def _unfinished_digest(stacks) -> str:
+    """sha256 over stacks (F, x, done) of the wrench and joint-vector bytes of the rows not done."""
+    digest = hashlib.sha256()
+    for F, x, done in stacks:
+        digest.update(F[~done].tobytes() + x[~done].tobytes())
+    return digest.hexdigest()
+
+
+# the _unfinished_digest of each stack below, pinned from the stack that ran every row to its last
+# round in full-size arrays: a row the stack does not finish comes back with the F and x it stopped at
+_UNFINISHED = {
+    2: "c45fef1b51ed68c63b47b8bf45d2683e12f8f2c9ba0c8b128c74b9213fad8c76",
+    3: "000b43a8107f1ed4f952d2e3d578c0181be140193381782744fef7f137a4e4c0",
+    6: "f052e6964ab5ab197115d23870ad6033f548f884fd18ecb965caa87268d68aae",
+    ("stop-limit", 2): "1a1e1aa5f47d2682388a1a5b6275d304e5fb4389ef7f733d6ea03e0b3b574c28",
+    ("stop-limit", 50): "2547dab17df5be4d032799c2edbd2b01bcf2598d05de519da6b70bbaf7d2cfc5",
+    ("dim-3", 2): "61d3c96379536bbc46d49cf7d0f6dff35212e2d35d61e9886dd6489952b909be",
+    ("dim-3", 50): "52b46c89355a485bfe84e972718019e96c44905f61bed7d52799533ca9192366",
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_equilibrium_stack_rows_it_does_not_finish_keep_their_bytes(dim):
+    # the stacks of test_equilibrium_stack_is_the_scalar_solve_bit_for_bit, and
+    # the F and x of every row they do not finish
+    from conftest import random_planar_chain, random_spatial_chain
+    from kinetostat.equilibrium import _equilibrium_stack
+
+    rng, stacks = np.random.default_rng(dim), []
+    for _ in range(8):
+        chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
+        targets, x = _random_rows(rng, chain, 20)
+        with np.errstate(all="ignore"):
+            stacks.append(_equilibrium_stack(chain, targets, x.copy(), x[:, chain.actuated_elements], SolverOptions()))
+    assert sum(int((~done).sum()) for _, _, done in stacks) > 20  # not a vacuous check
+    assert _unfinished_digest(stacks) == _UNFINISHED[dim]
+
+
+@pytest.mark.parametrize("max_iterations", [2, 50])
+@pytest.mark.parametrize("model", ["stop-limit", "dim-3"])
+def test_equilibrium_stack_rows_that_stop_in_different_rounds(monkeypatch, model, max_iterations):
+    # 12 rows, one aimed at 1e200 and one at its start's own pose, which stop
+    # in different rounds or at a budget of 2 iterations: a finished row is
+    # the scalar solve's bytes, an unfinished one keeps its pinned bytes, and
+    # stacks of 1 and 0 rows are the first row and nothing
+    import kinetostat.equilibrium as equilibrium
+    from conftest import random_planar_chain
+
+    chain = stop_limit_model().chains[0] if model == "stop-limit" else random_planar_chain(np.random.default_rng(5), 3, 5)
+    targets, x = _random_rows(np.random.default_rng(11), chain, 12)
+    targets[3] = 1e200
+    targets[5] = fk_array(chain, chain.state_of(x[5]))
+    rho, opts = x[:, chain.actuated_elements], SolverOptions(max_iterations=max_iterations)
+    real, sizes = equilibrium._stack_pass, []
+
+    def counted(chain, coords, *args):
+        sizes.append(len(coords))
+        return real(chain, coords, *args)
+
+    monkeypatch.setattr(equilibrium, "_stack_pass", counted)
+    with np.errstate(all="ignore"):
+        stacks = [equilibrium._equilibrium_stack(chain, targets[:m], x[:m].copy(), rho[:m], opts) for m in (12, 1, 0)]
+    F, coords, done = stacks[0]
+    assert 0 < done.sum() < 12 and len(set(sizes)) > (1 if max_iterations > 2 else 0)
+    for i in np.flatnonzero(done):
+        eq = solve_chain_equilibrium(chain, targets[i], rho[i], opts, start=x[i])
+        assert eq.F.tobytes() == F[i].tobytes() and eq.regrouped.coords.tobytes() == coords[i].tobytes()
+    assert _unfinished_digest(stacks[:1]) == _UNFINISHED[model, max_iterations]
+    assert [a.tobytes() for a in stacks[1]] == [a[:1].tobytes() for a in stacks[0]]
+    assert [a.shape for a in stacks[2]] == [(0, chain.task_dim), (0, len(chain.elements)), (0,)]

@@ -465,6 +465,44 @@ def test_grid_split_on_the_linear_preload_model_is_the_same_grid(monkeypatch):
     assert max(_split_grid_groups(monkeypatch, shipped_model())) == 1
 
 
+def test_grid_stacks_hold_at_most_the_cap_in_rows(monkeypatch):
+    # _STACK_CELLS counts the rows of a stack across the legs, which share one:
+    # a cap of 8 rows runs a 5 x 5 grid 4 cells a stack, with the same bytes;
+    # at the shipped cap a 45 x 45 grid is one stack and a 46 x 46 grid is not
+    import kinetostat.orthoglide as orthoglide
+
+    model, cap = shipped_model(), orthoglide._STACK_CELLS
+    whole = compliance_grid(model, 5)
+    real, rows = orthoglide._ik_stack, []
+
+    def counted(chain, targets, constants):
+        rows.append(len(targets))
+        return real(chain, targets, constants)
+
+    monkeypatch.setattr(orthoglide, "_ik_stack", counted)
+    monkeypatch.setattr(orthoglide, "_STACK_CELLS", 8)
+    split = compliance_grid(model, 5)
+    assert rows == [8] * 6 + [2]
+    for name in ("c_max", "c_min", "ok"):
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+    assert split.reasons == whole.reasons
+
+    class FirstStack(Exception):
+        pass
+
+    def first_only(chain, targets, constants):
+        rows.append(len(targets))
+        raise FirstStack
+
+    monkeypatch.setattr(orthoglide, "_STACK_CELLS", cap)
+    monkeypatch.setattr(orthoglide, "_ik_stack", first_only)
+    for grid_n, expected in ((45, 2 * 45 * 45), (46, cap)):
+        rows.clear()
+        with pytest.raises(FirstStack):
+            compliance_grid(model, grid_n)
+        assert rows == [expected]
+
+
 def test_grid_solves_rigid_ik_as_one_stack_per_structure_group(monkeypatch):
     # the legs share a structure: one IK stack of both legs' rows, each leg
     # with exactly the grid's cells, in cell order
