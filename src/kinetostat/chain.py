@@ -768,12 +768,9 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
             r_try = targets - pose_try
             try_dist = _norms(r_try)
             better = try_dist < dist
-            if better.all():  # the common round: no trial rejected
-                coords, r, dist, pose, cols = trial, r_try, try_dist, pose_try, cols_try
-            else:
-                kept = better[:, None]
-                coords, r, pose = np.where(kept, trial, coords), np.where(kept, r_try, r), np.where(kept, pose_try, pose)
-                dist, cols = np.where(better, try_dist, dist), np.where(kept[..., None], cols_try, cols)
+            kept = better[:, None]
+            coords, r, pose = np.where(kept, trial, coords), np.where(kept, r_try, r), np.where(kept, pose_try, pose)
+            dist, cols = np.where(better, try_dist, dist), np.where(kept[..., None], cols_try, cols)
             lam = np.where(better, np.maximum(lam * 0.3, 1e-14), lam * 10.0)
             trials = np.where(better, 0, trials + 1)
             steps = steps + better

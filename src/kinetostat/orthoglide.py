@@ -85,15 +85,30 @@ def build_planar_orthoglide(spec: OrthoglideSpec) -> ManipulatorModel:
     y_axis = (0.0, 1.0, 0.0)
 
     def leg(name, drive_axis, revolute_axis, bar):
-        joints = [
-            JointModel(kind="actuated", motion="translational", axis=drive_axis),
-            JointModel(kind="virtual_elastic", motion="translational", axis=drive_axis, stiffness=spec.K_theta),
-            JointModel(kind="preloaded_passive", motion="rotational", axis=revolute_axis, spring=spec.spring),
-        ]
         return ChainModel(
             task_dim=2,
             base_pose=Transform.identity(),
-            elements=[(Transform.identity(), joint) for joint in joints],
+            elements=[
+                (Transform.identity(), JointModel(kind="actuated", motion="translational", axis=drive_axis)),
+                (
+                    Transform.identity(),
+                    JointModel(
+                        kind="virtual_elastic",
+                        motion="translational",
+                        axis=drive_axis,
+                        stiffness=spec.K_theta,
+                    ),
+                ),
+                (
+                    Transform.identity(),
+                    JointModel(
+                        kind="preloaded_passive",
+                        motion="rotational",
+                        axis=revolute_axis,
+                        spring=spec.spring,
+                    ),
+                ),
+            ],
             tool_transform=Transform(translation=bar),
             ik_seed=np.array([spec.L, 0.0]),
             name=name,
@@ -192,7 +207,7 @@ class ComplianceMap:
 
 # rows per stack, across the chains of a structure group: caps the IK and compensation temporaries on
 # large grids (a heap peak of ~2 kB a row on the shipped model, whose two legs run as one stack)
-_STACK_CELLS = 4096
+_STACK_ROWS = 4096
 
 
 def _failure_reason(manipulator: ManipulatorModel, err: KinetostatError) -> str:
@@ -240,8 +255,8 @@ def compliance_grid(
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
     F_target, chains, reasons = np.zeros(manipulator.task_dim), manipulator.chains, {}
-    # a cell is one row of each chain of a group in the group's stack
-    per_stack = max(1, _STACK_CELLS // max(sum(c._structure == chain._structure for c in chains) for chain in chains))
+    # a cell is one row of each chain, so a stack of a structure group holds at most _STACK_ROWS rows
+    per_stack = max(1, _STACK_ROWS // len(chains))
     for first in range(0, grid_n * grid_n, per_stack):
         ix, iy = np.divmod(np.arange(first, min(first + per_stack, grid_n * grid_n)), grid_n)
         targets = np.zeros((ix.size, manipulator.task_dim))

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -832,42 +831,60 @@ def test_equilibrium_stack_leaves_rows_to_the_scalar_branches(monkeypatch, patch
         solve_chain_equilibrium(chain, targets[i], x[i, chain.actuated_elements], start=x[i])
 
 
-def _unfinished_digest(stacks) -> str:
-    """sha256 over stacks (F, x, done) of the wrench and joint-vector bytes of the rows not done."""
-    digest = hashlib.sha256()
-    for F, x, done in stacks:
-        digest.update(F[~done].tobytes() + x[~done].tobytes())
-    return digest.hexdigest()
+def _assert_each_row_alone(chain, targets, x, rho, opts, stack):
+    """Each row of ``stack`` (F, x, done) has the bytes of that row run as a stack of one, which
+    retires no row while others still iterate: finished or not, a row's F and x are its own."""
+    from kinetostat.equilibrium import _equilibrium_stack
 
-
-# the _unfinished_digest of each stack below, pinned from the stack that ran every row to its last
-# round in full-size arrays: a row the stack does not finish comes back with the F and x it stopped at
-_UNFINISHED = {
-    2: "c45fef1b51ed68c63b47b8bf45d2683e12f8f2c9ba0c8b128c74b9213fad8c76",
-    3: "000b43a8107f1ed4f952d2e3d578c0181be140193381782744fef7f137a4e4c0",
-    6: "f052e6964ab5ab197115d23870ad6033f548f884fd18ecb965caa87268d68aae",
-    ("stop-limit", 2): "1a1e1aa5f47d2682388a1a5b6275d304e5fb4389ef7f733d6ea03e0b3b574c28",
-    ("stop-limit", 50): "2547dab17df5be4d032799c2edbd2b01bcf2598d05de519da6b70bbaf7d2cfc5",
-    ("dim-3", 2): "61d3c96379536bbc46d49cf7d0f6dff35212e2d35d61e9886dd6489952b909be",
-    ("dim-3", 50): "52b46c89355a485bfe84e972718019e96c44905f61bed7d52799533ca9192366",
-}
+    for i in range(len(targets)):
+        with np.errstate(all="ignore"):
+            alone = _equilibrium_stack(chain, targets[i : i + 1], x[i : i + 1].copy(), rho[i : i + 1], opts)
+        assert [a.tobytes() for a in alone] == [a[i : i + 1].tobytes() for a in stack]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6])
 def test_equilibrium_stack_rows_it_does_not_finish_keep_their_bytes(dim):
-    # the stacks of test_equilibrium_stack_is_the_scalar_solve_bit_for_bit, and
-    # the F and x of every row they do not finish
+    # the stacks of test_equilibrium_stack_is_the_scalar_solve_bit_for_bit: a row
+    # they do not finish comes back with the F and x it stopped at, the bytes
+    # it ends on as a stack of its own
     from conftest import random_planar_chain, random_spatial_chain
     from kinetostat.equilibrium import _equilibrium_stack
 
-    rng, stacks = np.random.default_rng(dim), []
+    rng, unfinished = np.random.default_rng(dim), 0
     for _ in range(8):
         chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
         targets, x = _random_rows(rng, chain, 20)
+        rho = x[:, chain.actuated_elements]
         with np.errstate(all="ignore"):
-            stacks.append(_equilibrium_stack(chain, targets, x.copy(), x[:, chain.actuated_elements], SolverOptions()))
-    assert sum(int((~done).sum()) for _, _, done in stacks) > 20  # not a vacuous check
-    assert _unfinished_digest(stacks) == _UNFINISHED[dim]
+            stack = _equilibrium_stack(chain, targets, x.copy(), rho, SolverOptions())
+        unfinished += int((~stack[2]).sum())
+        _assert_each_row_alone(chain, targets, x, rho, SolverOptions(), stack)
+    assert unfinished > 20  # not a vacuous check
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_equilibrium_stack_of_two_iterations_ends_where_two_of_one_do(dim):
+    # x and F after an iteration depend on the x it starts from only, so a row
+    # that one iteration does not finish ends a budget of 2 where a second
+    # stack of 1 iteration, started from the first one's x, ends it
+    from conftest import random_planar_chain, random_spatial_chain
+    from kinetostat.equilibrium import _equilibrium_stack
+
+    rng, compared = np.random.default_rng(dim), 0
+    one, two = SolverOptions(max_iterations=1), SolverOptions(max_iterations=2)
+    for _ in range(4):
+        chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
+        targets, x0 = _random_rows(rng, chain, 20)
+        rho = x0[:, chain.actuated_elements]
+        with np.errstate(all="ignore"):
+            F1, x1, done1 = _equilibrium_stack(chain, targets, x0.copy(), rho, one)
+            F2, x2 = _equilibrium_stack(chain, targets, x1.copy(), rho, one)[:2]
+            F, x = _equilibrium_stack(chain, targets, x0.copy(), rho, two)[:2]
+        rows = np.flatnonzero(~done1 & np.isfinite(x1).all(axis=1))
+        assert (x1[rows] != x0[rows]).any(axis=1).all()  # the first stack wrote the rows it stopped
+        assert F[rows].tobytes() == F2[rows].tobytes() and x[rows].tobytes() == x2[rows].tobytes()
+        compared += rows.size
+    assert compared > 30  # not a vacuous check
 
 
 @pytest.mark.parametrize("max_iterations", [2, 50])
@@ -875,8 +892,8 @@ def test_equilibrium_stack_rows_it_does_not_finish_keep_their_bytes(dim):
 def test_equilibrium_stack_rows_that_stop_in_different_rounds(monkeypatch, model, max_iterations):
     # 12 rows, one aimed at 1e200 and one at its start's own pose, which stop
     # in different rounds or at a budget of 2 iterations: a finished row is
-    # the scalar solve's bytes, an unfinished one keeps its pinned bytes, and
-    # stacks of 1 and 0 rows are the first row and nothing
+    # the scalar solve's bytes, every row is its own stack of 1, and a stack
+    # of 0 rows is nothing
     import kinetostat.equilibrium as equilibrium
     from conftest import random_planar_chain
 
@@ -893,12 +910,11 @@ def test_equilibrium_stack_rows_that_stop_in_different_rounds(monkeypatch, model
 
     monkeypatch.setattr(equilibrium, "_stack_pass", counted)
     with np.errstate(all="ignore"):
-        stacks = [equilibrium._equilibrium_stack(chain, targets[:m], x[:m].copy(), rho[:m], opts) for m in (12, 1, 0)]
+        stacks = [equilibrium._equilibrium_stack(chain, targets[:m], x[:m].copy(), rho[:m], opts) for m in (12, 0)]
     F, coords, done = stacks[0]
     assert 0 < done.sum() < 12 and len(set(sizes)) > (1 if max_iterations > 2 else 0)
     for i in np.flatnonzero(done):
         eq = solve_chain_equilibrium(chain, targets[i], rho[i], opts, start=x[i])
         assert eq.F.tobytes() == F[i].tobytes() and eq.regrouped.coords.tobytes() == coords[i].tobytes()
-    assert _unfinished_digest(stacks[:1]) == _UNFINISHED[model, max_iterations]
-    assert [a.tobytes() for a in stacks[1]] == [a[:1].tobytes() for a in stacks[0]]
-    assert [a.shape for a in stacks[2]] == [(0, chain.task_dim), (0, len(chain.elements)), (0,)]
+    _assert_each_row_alone(chain, targets, x, rho, opts, stacks[0])
+    assert [a.shape for a in stacks[1]] == [(0, chain.task_dim), (0, len(chain.elements)), (0,)]

@@ -431,13 +431,13 @@ def test_grid_names_the_reason_of_a_failed_cell():
 
 
 def _split_grid_groups(monkeypatch, model):
-    """Stacks of 7 cells of a 5 x 5 grid are the whole grid's cells; returns
+    """Stacks of 7 rows (3 cells) of a 5 x 5 grid are the whole grid's cells; returns
     the number of active-mask groups of every stacked block system."""
     import kinetostat.orthoglide as orthoglide
     from kinetostat.chain import ChainModel
 
     whole = compliance_grid(model, 5)
-    monkeypatch.setattr(orthoglide, "_STACK_CELLS", 7)
+    monkeypatch.setattr(orthoglide, "_STACK_ROWS", 7)
     groups_seen = []
     real = ChainModel._by_mask
 
@@ -455,7 +455,7 @@ def _split_grid_groups(monkeypatch, model):
 
 
 def test_grid_split_into_several_stacks_is_the_same_grid(monkeypatch):
-    # 25 cells in stacks of 7: the last stack is short, and no cell moves;
+    # 25 cells in stacks of 7 rows, that is 3 cells: the last stack is short, and no cell moves;
     # some stacks mix cells whose preloads engage with cells where they idle
     assert max(_split_grid_groups(monkeypatch, stop_limit_model())) > 1
 
@@ -466,12 +466,12 @@ def test_grid_split_on_the_linear_preload_model_is_the_same_grid(monkeypatch):
 
 
 def test_grid_stacks_hold_at_most_the_cap_in_rows(monkeypatch):
-    # _STACK_CELLS counts the rows of a stack across the legs, which share one:
+    # _STACK_ROWS counts the rows of a stack across the legs, which share one:
     # a cap of 8 rows runs a 5 x 5 grid 4 cells a stack, with the same bytes;
     # at the shipped cap a 45 x 45 grid is one stack and a 46 x 46 grid is not
     import kinetostat.orthoglide as orthoglide
 
-    model, cap = shipped_model(), orthoglide._STACK_CELLS
+    model, cap = shipped_model(), orthoglide._STACK_ROWS
     whole = compliance_grid(model, 5)
     real, rows = orthoglide._ik_stack, []
 
@@ -480,7 +480,7 @@ def test_grid_stacks_hold_at_most_the_cap_in_rows(monkeypatch):
         return real(chain, targets, constants)
 
     monkeypatch.setattr(orthoglide, "_ik_stack", counted)
-    monkeypatch.setattr(orthoglide, "_STACK_CELLS", 8)
+    monkeypatch.setattr(orthoglide, "_STACK_ROWS", 8)
     split = compliance_grid(model, 5)
     assert rows == [8] * 6 + [2]
     for name in ("c_max", "c_min", "ok"):
@@ -494,7 +494,7 @@ def test_grid_stacks_hold_at_most_the_cap_in_rows(monkeypatch):
         rows.append(len(targets))
         raise FirstStack
 
-    monkeypatch.setattr(orthoglide, "_STACK_CELLS", cap)
+    monkeypatch.setattr(orthoglide, "_STACK_ROWS", cap)
     monkeypatch.setattr(orthoglide, "_ik_stack", first_only)
     for grid_n, expected in ((45, 2 * 45 * 45), (46, cap)):
         rows.clear()
