@@ -55,6 +55,14 @@ class _UsageError(Exception):
     pass
 
 
+def _failure(err: KinetostatError) -> tuple[int, str]:
+    """Exit code and stderr line of a domain error: its _FAILURES prefix, its chain if the message names none."""
+    code, prefix = next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(err, kinds))
+    if err.chain_index is not None and not re.search(r"\bchain ['\"\d]", str(err)):  # names no chain
+        prefix += f" on chain {err.chain_index}"
+    return code, f"{prefix}: {err}"
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -215,7 +223,11 @@ def _cmd_sweep(args) -> int:
         lines.append(f"# critical_delta={_fmt(crit[0])} critical_force={_fmt(crit[1])}")
     if curve.truncated:
         lines.append("# truncated=true")
-    return _finish(args, None, lines)
+    _finish(args, None, lines)
+    if curve.truncated:
+        delta = _fmt(len(curve.deltas) * args.step)
+        print(f"sweep: truncated at delta={delta}: {_failure(curve.error)[1]}", file=sys.stderr)
+    return EXIT_OK
 
 
 def _cmd_map(args) -> int:
@@ -330,10 +342,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except KinetostatError as err:
-        code, prefix = next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(err, kinds))
-        if err.chain_index is not None and not re.search(r"\bchain ['\"\d]", str(err)):  # names no chain
-            prefix += f" on chain {err.chain_index}"
-        print(f"{prefix}: {err}", file=sys.stderr)
+        code, line = _failure(err)
+        print(line, file=sys.stderr)
         return code
     except Exception as err:  # noqa: BLE001 - nothing may escape to the shell
         print(f"internal error: {err!r}", file=sys.stderr)

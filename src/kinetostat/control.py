@@ -109,6 +109,8 @@ def solve_inverse_kinetostatic(
     F_target = np.zeros(d) if f_ext is None else np.asarray(f_ext, dtype=float).ravel()
     if F_target.size != d:
         raise ModelError("prescribed wrench does not match the task dimension")
+    if not np.isfinite(F_target).all():
+        raise ModelError(f"prescribed wrench {F_target.tolist()} is not finite")
     seeds = inverse_kinematics_unloaded(manipulator, target)
     return _compensate(manipulator, target, seeds, F_target, eps_f, opts)
 

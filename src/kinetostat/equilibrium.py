@@ -380,13 +380,18 @@ def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ForceDeflectionCurve:
-    """Displacement-controlled sweep along a fixed direction."""
+    """Displacement-controlled sweep along a fixed direction; ``error`` is the NonConvergenceError or
+    SingularityError, its traceback dropped, of the sample that ended the curve early, else None."""
 
     deltas: np.ndarray
     force_magnitude: np.ndarray
     force_along: np.ndarray
     direction: np.ndarray
-    truncated: bool = False
+    error: NonConvergenceError | SingularityError | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.error is not None
 
 
 # samples per stack of a sweep: a curve cut short early wastes at most one chunk
@@ -422,7 +427,8 @@ def force_deflection(
     the row's rigid IK; a chain whose IK row stored an error solves it again,
     which raises that error. The first non-convergent or singular sample
     truncates the curve instead of raising, which is how loss of solvability
-    past buckling shows up.
+    past buckling shows up; the curve keeps that sample's error. A sweep
+    too long to hold in memory raises a ModelError before any solve.
     """
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
@@ -441,7 +447,11 @@ def force_deflection(
     if not n_samples < math.inf:
         raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} has no finite sample count")
     chains, opts, n = manipulator.chains, opts or SolverOptions(), int(round(n_samples)) + 1
-    forces, rhos, truncated = [], rho_all, False  # F_sigma of the solved samples, per chunk
+    try:  # F_sigma of every sample, before any solve: a sweep too long to hold solves nothing
+        forces = np.empty((n, manipulator.task_dim))
+    except (MemoryError, ValueError) as err:  # ValueError: past numpy's largest array
+        raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} does not fit in memory") from err
+    rhos, error = rho_all, None
     for first in range(0, n, _SWEEP_CHUNK):
         targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
         # _fused hands each stack a copy of its rows, so iks keeps the rigid IK that the equilibria overwrite
@@ -460,7 +470,7 @@ def force_deflection(
         with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
             rho_rows = [np.broadcast_to(rho, (len(targets), rho.size)) for rho in rhos]
             solves = _fused(chains, _equilibrium_stack, [[targets] * len(chains), seeds, rho_rows], opts)
-        F = np.sum([wrenches for wrenches, _, _ in solves], axis=0)
+        F = np.sum([wrenches for wrenches, _, _ in solves], axis=0, out=forces[first : first + len(targets)])
         left = ~np.all([done for _, _, done in solves], axis=0)
         left[[row for _, _, errors in iks for row in errors]] = True
         for i in np.flatnonzero(left):  # the cold solve that a finished row reproduces
@@ -468,19 +478,18 @@ def force_deflection(
             row_starts = rigid if first + i or starts is None else starts
             try:
                 F[i] = total_wrench(manipulator, targets[i], rhos, opts, starts=row_starts)[0]
-            except (NonConvergenceError, SingularityError):
-                F, truncated = F[:i], True
+            except (NonConvergenceError, SingularityError) as err:
+                n, error = first + i, err.with_traceback(None)
                 break
-        forces.append(F)
-        if truncated:
+        if error is not None:
             break
 
-    F = np.concatenate(forces)
+    F = forces[:n]
     s, norms = _scaled_norms(F)
     return ForceDeflectionCurve(
         deltas=np.arange(len(F)) * step,
         force_magnitude=s * norms,
         force_along=(F[:, None] @ u[:, None])[:, 0, 0],
         direction=u,
-        truncated=truncated,
+        error=error,
     )

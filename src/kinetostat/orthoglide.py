@@ -22,8 +22,8 @@ import numpy as np
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .chain import _each_chain, _fused, _ik_stack, _reaches, _stack_state
 from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
-from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection, total_wrench
-from .errors import KinetostatError, ModelError, NonConvergenceError, SingularityError
+from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection
+from .errors import KinetostatError, ModelError
 from .springs import SpringLaw
 from .stiffness import _aggregate_stiffness, _chain_responses, directional_stiffness
 
@@ -168,24 +168,18 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
     equilibria at ``start`` (a compensation's ``sol.equilibria``), and it
     samples [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR steps.
     A curve cut short before any peak may still have one further on: the
-    cold solve of the sample that ended it is repeated, and its error
-    re-raised with the delta it was reached at, so a lost branch is never
-    mistaken for a monotone curve.
+    error of the sample that ended it, which the curve keeps, is re-raised
+    with the delta it was reached at, so a lost branch is never mistaken
+    for a monotone curve.
     """
     starts = [eq.regrouped.coords for eq in equilibria]
     step = max_delta / round(SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR)
     curve = force_deflection(model, start, u, max_delta, step, opts, starts=starts)
     found = critical_force(curve)
     if found is None and curve.truncated:
-        # the sample that ended the curve, its target and start as force_deflection builds them
-        n = len(curve.deltas)
-        target = model.pose_array(start) + (n * step) * curve.direction
-        rhos = [x[chain.actuated_elements] for chain, x in zip(model.chains, starts)]
-        try:
-            total_wrench(model, target, rhos, opts, starts=None if n else starts)
-        except (NonConvergenceError, SingularityError) as err:
-            err.args = (f"{err} (critical-point search lost the branch at delta = {n * step:.6g})",)
-            raise
+        err = curve.error
+        err.args = (f"{err} (critical-point search lost the branch at delta = {len(curve.deltas) * step:.6g})",)
+        raise err
     return found
 
 

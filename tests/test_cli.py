@@ -152,8 +152,27 @@ def test_truncated_sweep_without_peak_is_unknown(model_path, capsys):
     argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
             "--max-delta", "0.1", "--step", "0.01", "--max-iter", "1"]
     assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines == ["delta,F_mag,F_dir", "0,0,0", "# critical=unknown", "# truncated=true"]
+    assert captured.err == (
+        "sweep: truncated at delta=0.01: non-convergence: equilibrium of chain 'x-leg' did not converge "
+        "(best residual 1.422e-16 met pose_tol, but the step did not settle in 1 iteration)\n"
+    )
+
+
+def test_sweep_truncated_at_its_first_sample_names_its_reason(model_path, capsys):
+    # the start sample itself does not settle in one iteration: no row, and
+    # stderr names the error that ended the curve, as main would had it raised
+    argv = ["sweep", "--model", model_path, "--from=0.1,0.2", "--dir=1,1",
+            "--max-delta", "0.03", "--step", "0.01", "--max-iter", "1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "delta,F_mag,F_dir\n# critical=unknown\n# truncated=true\n"
+    assert captured.err == (
+        "sweep: truncated at delta=0: non-convergence: equilibrium of chain 'x-leg' did not converge "
+        "(best residual 8.327e-17 met pose_tol, but the step did not settle in 1 iteration)\n"
+    )
 
 
 def test_map_csv(model_path, capsys):
@@ -369,6 +388,10 @@ def test_overflowing_norms_warn_nothing(model_path, capsys, argv, code):
     assert "RuntimeWarning" not in captured.err
     if code == 0:
         assert captured.out.endswith("# critical=unknown\n# truncated=true\n")
+        assert captured.err == (
+            "sweep: truncated at delta=1e+198: singularity: chain 'y-leg' is singular at the prescribed pose "
+            "(condition inf)\n"
+        )
     else:
         assert captured.err.startswith("singularity: chain 'y-leg' is singular")
 

@@ -376,6 +376,15 @@ def test_compensation_rejects_non_finite_pose(ortho_nopreload):
         solve_inverse_kinetostatic(ortho_nopreload, [math.nan, 0.0], 1e-8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_compensation_rejects_non_finite_wrench(ortho_nopreload, value):
+    # the caller's wrench is at fault, not an actuator of some chain
+    with pytest.raises(ModelError) as exc:
+        solve_inverse_kinetostatic(ortho_nopreload, [0.1, 0.1], 1e-8, f_ext=[value, 0])
+    assert str(exc.value) == f"prescribed wrench [{value}, 0.0] is not finite"
+    assert exc.value.chain_index is None
+
+
 def test_redundant_actuators_take_the_least_squares_step():
     # a second x-leg makes S 2 x 3: the step is the least-squares one, of full rank 2
     x_leg, y_leg = shipped_model().chains

@@ -162,8 +162,19 @@ def test_total_wrench_preloaded_centre(kv):
 def test_force_deflection_starts_at_zero(ortho_nopreload):
     curve = force_deflection(ortho_nopreload, [0.0, 0.0], [1.0, 0.0], 0.01, 0.005)
     assert curve.force_along[0] == 0.0
-    assert not curve.truncated
+    assert curve.error is None and not curve.truncated
     assert np.all(np.diff(curve.deltas) > 0.0)
+
+
+@pytest.mark.parametrize("step", [1e-19, 1e-300])
+def test_sweep_too_long_to_hold_raises_before_any_solve(monkeypatch, ortho_nopreload, step):
+    # 1e18 samples and more: numpy refuses the curve's force array at once, so
+    # the sweep raises before its first stack rather than solve chunk after chunk
+    import kinetostat.equilibrium
+
+    monkeypatch.setattr(kinetostat.equilibrium, "_fused", None)  # a stack would raise TypeError
+    with pytest.raises(ModelError, match=rf"^sweep of 0\.1 in steps of {step:g} does not fit in memory$"):
+        force_deflection(ortho_nopreload, [0.0, 0.0], [1.0, 1.0], 0.1, step)
 
 
 def test_force_deflection_buckling_peak(ortho_spec, ortho_nopreload):

@@ -170,6 +170,48 @@ def test_critical_point_lost_branch_raises(ortho_spec):
     assert exc.value.chain_index == 0
 
 
+def test_critical_point_raises_the_error_its_curve_keeps(monkeypatch, ortho_spec):
+    # the lost branch above: the truncated curve carries chain 0's error, and
+    # the search raises that error, with no solve or rigid IK beyond its sweep's
+    import kinetostat.chain
+    import kinetostat.equilibrium
+    import kinetostat.orthoglide as orthoglide
+
+    model = linear_preload_model(0.0)
+    q2 = workspace_points(ortho_spec)[2]
+    sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
+    starved = SolverOptions(max_iterations=1, max_restarts=0)
+    calls, sweeps = [], []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return call
+
+    ik, solve = counted(kinetostat.chain.chain_ik_best_effort), counted(kinetostat.equilibrium.solve_chain_equilibrium)
+    for module in (kinetostat.chain, kinetostat.equilibrium):
+        monkeypatch.setattr(module, "chain_ik_best_effort", ik)
+    monkeypatch.setattr(kinetostat.equilibrium, "solve_chain_equilibrium", solve)
+
+    def recorded(*args, **kwargs):
+        sweeps.append((args, kwargs, force_deflection(*args, **kwargs)))
+        return sweeps[-1][-1]
+
+    monkeypatch.setattr(orthoglide, "force_deflection", recorded)
+    with pytest.raises(NonConvergenceError) as exc:
+        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
+    [(args, kwargs, curve)] = sweeps
+    assert curve.truncated and curve.error is exc.value and len(curve.deltas) == 1
+    searched = calls.copy()
+    calls.clear()
+    alone = force_deflection(*args, **kwargs)
+    assert calls == searched and "solve_chain_equilibrium" in calls
+    assert alone.truncated and isinstance(alone.error, NonConvergenceError) and alone.error.chain_index == 0
+    assert alone.error.__traceback__ is None  # the curve holds none of the solver's frames
+
+
 @pytest.fixture(scope="module")
 def maps():
     spec = OrthoglideSpec()
