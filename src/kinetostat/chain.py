@@ -130,6 +130,16 @@ class PoseVector:
         return np.array(self.p + self.phi, dtype=float)
 
 
+def _task_vector(values, dim: int, what: str) -> np.ndarray:
+    """``values``, a PoseVector or numbers, as a flat float array of ``dim`` finite entries, or a ModelError."""
+    v = values.as_array() if isinstance(values, PoseVector) else np.asarray(values, dtype=float).ravel()
+    if v.size != dim:
+        raise ModelError(f"{what} of length {v.size} does not match task dim {dim}")
+    if not np.isfinite(v).all():
+        raise ModelError(f"{what} {v.tolist()} is not finite")
+    return v
+
+
 @dataclass
 class ChainState:
     """Joint coordinates of one chain, grouped by joint kind."""
@@ -308,17 +318,7 @@ class ManipulatorModel:
         return sum(c.n_actuated for c in self.chains)
 
     def pose_array(self, t) -> np.ndarray:
-        if isinstance(t, PoseVector):
-            if t.dim != self.task_dim:
-                raise ModelError(f"pose dim {t.dim} does not match task dim {self.task_dim}")
-            v = t.as_array()
-        else:
-            v = np.asarray(t, dtype=float).ravel()
-            if v.size != self.task_dim:
-                raise ModelError(f"pose of length {v.size} does not match task dim {self.task_dim}")
-        if not np.isfinite(v).all():
-            raise ModelError(f"pose {v.tolist()} is not finite")
-        return v
+        return _task_vector(t, self.task_dim, "pose")
 
 
 # -- forward geometry ------------------------------------------------------
@@ -541,9 +541,7 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
     spring-columns. They are blocks of the closed-form load Hessian of
     ``_load_hessian``, exactly symmetric, and exact zeros for a zero wrench.
     """
-    F = np.asarray(F, dtype=float).ravel()
-    if F.size != chain.task_dim:
-        raise ModelError(f"wrench of length {F.size} does not match task dim {chain.task_dim}")
+    F = _task_vector(F, chain.task_dim, "wrench")
     elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
     H = _loaded_derivatives(chain, regrouped, F)[1][np.ix_(elements, elements)]
     k = len(regrouped.q_tilde)
@@ -566,10 +564,7 @@ def chain_ik_best_effort(chain: ChainModel, t):
     pass that records the joint frames, so the Jacobian of the next
     iteration is built from the accepted trial's pass.
     """
-    target = np.asarray(t, dtype=float).ravel()
-    if target.size != chain.task_dim:
-        raise ModelError(f"pose of length {target.size} does not match task dim {chain.task_dim}")
-
+    target = _task_vector(t, chain.task_dim, "pose")
     free = chain.rigid_elements
     coords = np.zeros(len(chain.elements))
     if chain.ik_seed is not None:

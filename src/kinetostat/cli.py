@@ -20,31 +20,13 @@ import numpy as np
 from .chain import inverse_kinematics_unloaded
 from .control import solve_inverse_kinetostatic
 from .equilibrium import SolverOptions, force_deflection, split_rho, total_wrench
-from .errors import (
-    KinetostatError,
-    ModelError,
-    NonConvergenceError,
-    OutOfWorkspaceError,
-    SingularityError,
-)
+from .errors import KinetostatError, ModelError
 from .modelfile import parse_model
 from .orthoglide import OrthoglideSpec, compliance_grid, critical_force, reproduce_table1
 from .stiffness import _aggregate_stiffness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_MODEL = 3
-EXIT_NONCONVERGENCE = 4
-EXIT_SINGULARITY = 5
-
-
-# exit code and stderr prefix by error class, the first match wins
-_FAILURES = (
-    ((ModelError, OutOfWorkspaceError), EXIT_MODEL, "model error"),
-    (SingularityError, EXIT_SINGULARITY, "singularity"),
-    (NonConvergenceError, EXIT_NONCONVERGENCE, "non-convergence"),
-    (KinetostatError, EXIT_MODEL, "error"),  # any remaining domain error is a model problem
-)
 
 # comma-list flags whose value may start with a minus sign
 _LIST_FLAGS = ("--pose", "--from", "--dir", "--rho")
@@ -53,14 +35,6 @@ _NEGATIVE_LEAD = re.compile(r"-\.?\d")
 
 class _UsageError(Exception):
     pass
-
-
-def _failure(err: KinetostatError) -> tuple[int, str]:
-    """Exit code and stderr line of a domain error: its _FAILURES prefix, its chain if the message names none."""
-    code, prefix = next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(err, kinds))
-    if err.chain_index is not None and not re.search(r"\bchain ['\"\d]", str(err)):  # names no chain
-        prefix += f" on chain {err.chain_index}"
-    return code, f"{prefix}: {err}"
 
 
 def _fmt(x) -> str:
@@ -226,7 +200,7 @@ def _cmd_sweep(args) -> int:
     _finish(args, None, lines)
     if curve.truncated:
         delta = _fmt(len(curve.deltas) * args.step)
-        print(f"sweep: truncated at delta={delta}: {_failure(curve.error)[1]}", file=sys.stderr)
+        print(f"sweep: truncated at delta={delta}: {curve.error.describe()}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -342,9 +316,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except KinetostatError as err:
-        code, line = _failure(err)
-        print(line, file=sys.stderr)
-        return code
+        print(err.describe(), file=sys.stderr)
+        return err.exit_code
     except Exception as err:  # noqa: BLE001 - nothing may escape to the shell
         print(f"internal error: {err!r}", file=sys.stderr)
         return 1

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, _each_chain, _fused, _norms, inverse_kinematics_unloaded
+from .chain import ChainState, ManipulatorModel, _each_chain, _fused, _norms, _task_vector, inverse_kinematics_unloaded
 from .equilibrium import EquilibriumResult, SolverOptions, _equilibrium_stack, _solve, _solve_stack, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
-from .stiffness import _chain_responses, _chain_sensitivity
+from .stiffness import _chain_block, _chain_responses
 
 _MAX_OUTER = 30
 _MAX_HALVINGS = 8
@@ -68,7 +68,7 @@ class KinetostaticSolution:
 def _sensitivity(manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]) -> np.ndarray:
     """dF_total/drho at solved chain equilibria: each chain's columns from
     its stiffness block system."""
-    return np.hstack(_each_chain(manipulator, _chain_sensitivity, equilibria))
+    return np.hstack(_each_chain(manipulator, _chain_block, equilibria, [True] * len(equilibria)))
 
 
 def sensitivity_matrix(
@@ -106,11 +106,7 @@ def solve_inverse_kinetostatic(
         raise ModelError("wrench tolerance eps_f must be positive and finite")
     target = manipulator.pose_array(t)
     d = manipulator.task_dim
-    F_target = np.zeros(d) if f_ext is None else np.asarray(f_ext, dtype=float).ravel()
-    if F_target.size != d:
-        raise ModelError("prescribed wrench does not match the task dimension")
-    if not np.isfinite(F_target).all():
-        raise ModelError(f"prescribed wrench {F_target.tolist()} is not finite")
+    F_target = np.zeros(d) if f_ext is None else _task_vector(f_ext, d, "prescribed wrench")
     seeds = inverse_kinematics_unloaded(manipulator, target)
     return _compensate(manipulator, target, seeds, F_target, eps_f, opts)
 

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
-from .chain import _fused, _ik_stack, _row_constants, _stack_pass, _stack_state
+from .chain import _fused, _ik_stack, _row_constants, _stack_pass, _stack_state, _task_vector
 from .chain import chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, _engaged_rows, regroup
@@ -156,10 +156,12 @@ def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> f
 
 
 def _actuators(chain: ChainModel, rho) -> np.ndarray:
-    """rho as an array of the chain's actuator count, or a ModelError."""
+    """rho as a finite array of the chain's actuator count, or a ModelError."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.shape != (chain.n_actuated,):
         raise ModelError(f"rho of shape {rho.shape} does not match {chain.n_actuated} actuators")
+    if not np.isfinite(rho).all():
+        raise ModelError(f"rho {rho.tolist()} is not finite")
     return rho
 
 
@@ -192,12 +194,8 @@ def solve_chain_equilibrium(
     exhausted.
     """
     opts = opts or SolverOptions()
-    target = np.asarray(t.as_array() if hasattr(t, "as_array") else t, dtype=float).ravel()
-    if target.size != chain.task_dim:
-        raise ModelError(f"pose of length {target.size} does not match task dim {chain.task_dim}")
+    target = _task_vector(t, chain.task_dim, "pose")
     rho = _actuators(chain, rho)
-    if not (np.isfinite(target).all() and np.isfinite(rho).all()):
-        raise ModelError(f"pose {target.tolist()} or rho {rho.tolist()} is not finite")
 
     if start is None:
         # nearest unloaded configuration, virtual springs at rest; best effort,
@@ -341,12 +339,7 @@ def split_rho(manipulator: ManipulatorModel, rho_all) -> list[np.ndarray]:
         raise ModelError(
             f"expected {manipulator.n_actuated} actuator values, got {flat.size}"
         )
-    out = []
-    k = 0
-    for chain in manipulator.chains:
-        out.append(flat[k : k + chain.n_actuated].copy())
-        k += chain.n_actuated
-    return out
+    return np.split(flat.copy(), np.cumsum([chain.n_actuated for chain in manipulator.chains])[:-1])
 
 
 def total_wrench(
@@ -433,11 +426,7 @@ def force_deflection(
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
     start_vec = manipulator.pose_array(start)
-    u = np.asarray(direction, dtype=float).ravel()
-    if u.size != manipulator.task_dim:
-        raise ModelError("sweep direction does not match the task dimension")
-    if not np.isfinite(u).all():
-        raise ModelError(f"sweep direction {u.tolist()} is not finite")
+    u = _task_vector(direction, manipulator.task_dim, "sweep direction")
     s, norm = _scaled_norms(u[None])
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")

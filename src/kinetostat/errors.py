@@ -1,16 +1,26 @@
 """Exception types shared across the package."""
 
+import re
+
 
 class KinetostatError(Exception):
     """Base class for every error raised by this package.
 
-    ``chain_index`` is set when the failure happened inside one chain of a
-    multi-chain solve, so callers can tell which leg misbehaved.
+    Each class carries its outcome: ``label``, which opens its line on
+    stderr, and the CLI's ``exit_code``. ``chain_index`` is set when the
+    failure happened inside one chain of a multi-chain solve, so callers
+    can tell which leg misbehaved.
     """
 
-    def __init__(self, message, *, chain_index=None):
-        super().__init__(message)
-        self.chain_index = chain_index
+    label, exit_code = "error", 3  # any remaining domain error is a model problem
+    chain_index = None
+
+    def describe(self) -> str:
+        """``label``, the chain when the message names none, and the message, on one line."""
+        label = self.label
+        if self.chain_index is not None and not re.search(r"\bchain ['\"\d]", str(self)):
+            label += f" on chain {self.chain_index}"
+        return f"{label}: {self}"
 
 
 class ModelError(KinetostatError):
@@ -20,24 +30,30 @@ class ModelError(KinetostatError):
     a document parser can report the error under that key's path.
     """
 
-    def __init__(self, message, *, field=None, chain_index=None):
-        super().__init__(message, chain_index=chain_index)
+    label = "model error"
+
+    def __init__(self, message, *, field=None):
+        super().__init__(message)
         self.field = field
 
 
 class OutOfWorkspaceError(KinetostatError):
     """Target pose unreachable; carries the closest reachable distance."""
 
-    def __init__(self, message, *, distance, chain_index=None):
-        super().__init__(message, chain_index=chain_index)
+    label = "model error"
+
+    def __init__(self, message, *, distance):
+        super().__init__(message)
         self.distance = distance
 
 
 class SingularityError(KinetostatError):
     """A linear system of the solve became numerically singular."""
 
-    def __init__(self, message, *, condition=float("inf"), chain_index=None):
-        super().__init__(message, chain_index=chain_index)
+    label, exit_code = "singularity", 5
+
+    def __init__(self, message, *, condition=float("inf")):
+        super().__init__(message)
         self.condition = condition
 
 
@@ -52,8 +68,10 @@ class ControlSingularityError(SingularityError):
 class NonConvergenceError(KinetostatError):
     """Iteration budget exhausted; carries the best residual seen."""
 
-    def __init__(self, message, *, residual, iterations=0, restarts=0, chain_index=None):
-        super().__init__(message, chain_index=chain_index)
+    label, exit_code = "non-convergence", 4
+
+    def __init__(self, message, *, residual, iterations=0, restarts=0):
+        super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.restarts = restarts

@@ -142,21 +142,16 @@ def critical_force(curve: ForceDeflectionCurve):
     """First interior maximum of the along-direction force, or None.
 
     Detected through the sign change of the discrete derivative and refined
-    with a quadratic fit through the three samples around the peak.
+    to the vertex of the parabola through the three equally spaced samples
+    around the peak, which lies within half a step of the middle one.
     """
     f = curve.force_along
     d = curve.deltas
-    if len(f) < 3:
-        return None
     for i in range(1, len(f) - 1):
-        if f[i] >= f[i - 1] and f[i] > f[i + 1]:
-            # fit in units of the last delta when the squares would leave the float range
-            s = d[i + 1] if not 1e-150 < d[i + 1] < 1e150 else 1.0
-            a, b, c = np.polyfit(d[i - 1 : i + 2] / s, f[i - 1 : i + 2], 2)
-            if a >= 0.0:
-                return float(d[i]), float(f[i])
-            t = -b / (2.0 * a)
-            return float(s * t), float(a * t * t + b * t + c)
+        f0, f1, f2 = f[i - 1 : i + 2]
+        if f1 >= f0 and f1 > f2:
+            r = (f0 - f2) / (2.0 * ((f0 - f1) + (f2 - f1)))  # the vertex's offset in steps, |r| <= 1/2
+            return float(d[i] + r * (d[i + 1] - d[i])), float(f1 - r * (f0 - f2) / 4.0)
     return None
 
 
@@ -187,8 +182,8 @@ def _critical_point(model, start, u, max_delta, opts, equilibria):
 class ComplianceMap:
     """Workspace lattice of aggregated stiffness and compliance extremes.
 
-    ``reasons`` names why each failed cell (ix, iy) failed: the error class,
-    the chain, and the distance, condition or residual the error carries.
+    ``reasons`` names why each failed cell (ix, iy) failed: its error's
+    ``describe()`` line, or the smallest eigenvalue of an indefinite stiffness.
     """
 
     xs: np.ndarray
@@ -202,17 +197,6 @@ class ComplianceMap:
 # rows per stack, across the chains of a structure group: caps the IK and compensation temporaries on
 # large grids (a heap peak of ~2 kB a row on the shipped model, whose two legs run as one stack)
 _STACK_ROWS = 4096
-
-
-def _failure_reason(manipulator: ManipulatorModel, err: KinetostatError) -> str:
-    """Error class, chain and the figure the error carries, on one line."""
-    text = type(err).__name__
-    if err.chain_index is not None:
-        text += f" on chain {err.chain_index} ({manipulator.chains[err.chain_index].name!r})"
-    for figure in ("distance", "condition", "residual"):
-        if hasattr(err, figure):
-            return f"{text}: {figure} {getattr(err, figure):.3e}"
-    return f"{text}: {err}"
 
 
 def compliance_grid(
@@ -274,7 +258,7 @@ def compliance_grid(
                     sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
                     eig[:] = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
             except KinetostatError as err:
-                reasons[cell] = _failure_reason(manipulator, err)
+                reasons[cell] = err.describe()
                 continue
             # a zero or negative eigenvalue has no meaningful compliance
             if not eig.min() > 0.0:

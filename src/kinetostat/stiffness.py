@@ -112,19 +112,10 @@ def _chain_block(chain: ChainModel, eq: EquilibriumResult, sensitivity: bool | N
     return _block_system(chain, cols, H, chain.regrouping(eq.regrouped.active_mask), _solve, sensitivity)
 
 
-def _chain_stiffness_diag(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
-    return _chain_block(chain, eq, False)
-
-
-def _chain_sensitivity(chain: ChainModel, eq: EquilibriumResult) -> np.ndarray:
-    """dF/drho of one chain at its equilibrium, one column per actuator."""
-    return _chain_block(chain, eq, True)
-
-
 def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool, constants=None):
-    """``_chain_sensitivity`` (else ``_chain_stiffness_diag``) of stacked equilibria, joint vectors
-    (M, n_elements) and wrenches (M, d), with the rows of one active mask as one stack, bit for
-    bit; NaN in a row a guarded solve does not clear. ``constants`` as in ``_stack_pass``."""
+    """``_chain_block`` of stacked equilibria, joint vectors (M, n_elements) and wrenches (M, d),
+    with the rows of one active mask as one stack, bit for bit; NaN in a row a guarded solve does
+    not clear. ``constants`` as in ``_stack_pass``."""
     pose, cols, T, twists = _stack_pass(chain, coords, True, constants)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
@@ -152,7 +143,7 @@ def _aggregate_stiffness(
     manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]
 ) -> StiffnessResult:
     """Chain stiffnesses at already solved chain equilibria, and their sum."""
-    K_c = _each_chain(manipulator, _chain_stiffness_diag, equilibria)
+    K_c = _each_chain(manipulator, _chain_block, equilibria, [False] * len(equilibria))
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(

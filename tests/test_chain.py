@@ -411,6 +411,54 @@ def test_hessians_exactly_symmetric():
     np.testing.assert_array_equal(H_tt, H_tt.T)
 
 
+# -- task-space vectors --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        ("pose_array", "pose"),
+        ("solve_chain_equilibrium", "pose"),
+        ("chain_ik_best_effort", "pose"),
+        ("loaded_hessians", "wrench"),
+        ("solve_inverse_kinetostatic", "prescribed wrench"),
+        ("force_deflection", "sweep direction"),
+    ],
+)
+@pytest.mark.parametrize("bad", ["length", "nan", "inf"])
+def test_every_task_vector_is_checked_in_one_wording(ortho_nopreload, entry, what, bad):
+    # a vector of the wrong length or with a non-finite entry is named the
+    # same way at every entry point, with no chain index: the caller is at fault
+    from kinetostat import force_deflection, solve_chain_equilibrium, solve_inverse_kinetostatic
+
+    model, chain = ortho_nopreload, ortho_nopreload.chains[0]
+    state = ChainState(rho=[1.0], q=[], vartheta=[0.2], theta=[0.05])
+    calls = {
+        "pose_array": model.pose_array,
+        "solve_chain_equilibrium": lambda v: solve_chain_equilibrium(chain, v, [1.0]),
+        "chain_ik_best_effort": lambda v: chain_ik_best_effort(chain, v),
+        "loaded_hessians": lambda v: loaded_hessians(chain, partition(chain, state), v),
+        "solve_inverse_kinetostatic": lambda v: solve_inverse_kinetostatic(model, [0.1, 0.1], 1e-8, f_ext=v),
+        "force_deflection": lambda v: force_deflection(model, [0.1, 0.1], v, 0.01, 0.005),
+    }
+    vector, message = {
+        "length": ([0.1, 0.1, 0.0], f"{what} of length 3 does not match task dim 2"),
+        "nan": ([math.nan, 0.0], f"{what} [nan, 0.0] is not finite"),
+        "inf": ([0.0, -math.inf], f"{what} [0.0, -inf] is not finite"),
+    }[bad]
+    with pytest.raises(ModelError) as exc:
+        calls[entry](vector)
+    assert str(exc.value) == message
+    assert exc.value.chain_index is None
+
+
+def test_a_pose_vector_of_another_dimension_is_named_by_its_length(ortho_nopreload):
+    from kinetostat import PoseVector
+
+    with pytest.raises(ModelError, match=r"^pose of length 3 does not match task dim 2$"):
+        ortho_nopreload.pose_array(PoseVector(p=(0.1, 0.1), phi=(0.0,), dim=3))
+
+
 # -- rigid inverse kinematics -------------------------------------------------
 
 
@@ -971,7 +1019,7 @@ def test_a_failure_inside_one_chain_carries_its_index(site, tmp_path, capsys):
     path = tmp_path / "upright.json"
     path.write_text(json.dumps(_upright_document()))
     assert main(["map", "--model", str(path), "--grid", "2"]) == 0
-    reason = "ModelError on chain 1 ('upright'): orientation parametrization singular (cos ry ~ 0)"
+    reason = "model error on chain 1: orientation parametrization singular (cos ry ~ 0)"
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 4 and all(line.endswith(f" failed: {reason}") for line in lines)
 

@@ -195,7 +195,7 @@ def test_map_names_each_failed_cell_on_stderr(model_path, tmp_path, capsys):
     reasons = captured.err.splitlines()
     assert 0 < len(failed) == len(reasons) < 9
     for (x, y), line in zip(failed, reasons):
-        assert line.startswith(f"map: cell x={x} y={y} failed: OutOfWorkspaceError on chain ")
+        assert line.startswith(f"map: cell x={x} y={y} failed: model error: pose unreachable for chain ")
         assert "distance" in line
 
 
@@ -236,6 +236,22 @@ def test_bench_orthoglide_text_is_the_report(capsys):
 
     assert main(["bench", "orthoglide"]) == 0
     assert capsys.readouterr().out == reproduce_table1(OrthoglideSpec()).to_text()
+
+
+def test_compensated_sweep_gives_the_table1_critical_point(tmp_path, capsys):
+    # bench orthoglide's critical point at kv 0 is the sweep --compensate from Q2 along the diagonal
+    from kinetostat import OrthoglideSpec, build_planar_orthoglide, reproduce_table1, serialize_model
+
+    path = tmp_path / "kv0.json"
+    path.write_text(serialize_model(build_planar_orthoglide(OrthoglideSpec())))
+    argv = ["sweep", "--model", str(path), "--compensate", "--from=0.45,0.45", "--dir=1,1"]
+    assert main(argv + ["--max-delta", "0.3", "--step", "0.01"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("# critical_delta=")
+    delta, force = (float(field.split("=")[1]) for field in last[2:].split())
+    expected = reproduce_table1(OrthoglideSpec()).critical[0.0]
+    assert delta == pytest.approx(expected[0], rel=1e-12)
+    assert force == pytest.approx(expected[1], rel=1e-12)
 
 
 def test_bench_under_a_small_iteration_budget(capsys):
@@ -417,6 +433,44 @@ def test_nonconvergence_exits_4(model_path, capsys):
     )
     assert code == 4
     assert "non-convergence" in capsys.readouterr().err
+
+
+def test_every_error_class_has_the_exit_code_the_docstring_names(monkeypatch, capsys):
+    # the module docstring lists each exit code with what it means; each
+    # class's label names the outcome its exit code stands for
+    import re
+
+    import kinetostat.cli as cli
+    import kinetostat.errors as errors
+
+    text = " ".join(cli.__doc__.split()).split("Exit codes: ")[1].split(".")[0]
+    documented = {int(code): set(re.split(r"[ /]", meaning)) for code, meaning in re.findall(r"(\d) ([^,]+)", text)}
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.KinetostatError)]
+    assert len(classes) == 7
+    for cls in classes:
+        assert set(cls.label.split()) <= documented[cls.exit_code], cls
+
+        def command(*args, cls=cls):
+            raise cls.__new__(cls, "something failed")  # without the constructor, whose figures differ by class
+
+        monkeypatch.setattr(cli, "reproduce_table1", command)
+        assert main(["bench", "orthoglide"]) == cls.exit_code
+        assert capsys.readouterr().err == f"{cls.label}: something failed\n"
+    assert {(cls.label, cls.exit_code) for cls in classes} == {
+        ("error", 3), ("model error", 3), ("non-convergence", 4), ("singularity", 5)
+    }
+
+
+def test_describe_names_the_chain_only_where_the_message_does_not():
+    from kinetostat import ModelError, NonConvergenceError
+
+    err = NonConvergenceError("equilibrium did not converge", residual=1.0)
+    assert err.describe() == "non-convergence: equilibrium did not converge"
+    err.chain_index = 2
+    assert err.describe() == "non-convergence on chain 2: equilibrium did not converge"
+    err = ModelError("pose unreachable for chain 'x-leg'")
+    err.chain_index = 0
+    assert err.describe() == "model error: pose unreachable for chain 'x-leg'"
 
 
 def test_singularity_exits_5(toy_model_path, capsys):

@@ -20,7 +20,7 @@ NUMPY_1_24 = frozenset(
     """
     abs all arange array array_equal asarray ascontiguousarray atleast_1d broadcast_to concatenate cos
     count_nonzero cumsum diag divmod empty errstate eye flatnonzero float64 full hstack inf
-    intp isfinite isin isnan ix_ linspace maximum mean nan ndarray outer polyfit repeat sin
+    intp isfinite isin isnan ix_ linspace maximum mean nan ndarray outer repeat sin
     split sqrt stack sum take transpose unique vdot where zeros
     linalg.LinAlgError linalg.cond linalg.det linalg.eigvalsh linalg.inv linalg.lstsq
     linalg.norm linalg.solve linalg.svd

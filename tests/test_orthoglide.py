@@ -26,7 +26,7 @@ from kinetostat import (
     total_wrench,
     workspace_points,
 )
-from kinetostat.orthoglide import KV_FACTORS, _critical_point, _failure_reason
+from kinetostat.orthoglide import KV_FACTORS, _critical_point
 from kinetostat.stiffness import _aggregate_stiffness
 
 from conftest import DIAG, linear_preload_model, shipped_model, stop_limit_model
@@ -83,9 +83,9 @@ def test_critical_force_quadratic_vertex_recovered():
 
 @pytest.mark.parametrize("scale", [1e-228, 1e200])
 def test_critical_force_of_any_finite_step(scale):
-    # the squares of deltas this small or large leave the float range, so the
-    # quadratic is fitted in units of the last delta; it used to fail the
-    # least-squares SVD (exit 1 from sweep) or overflow
+    # the squares of deltas this small or large leave the float range; the
+    # vertex squares no delta, where a least-squares fit in these units used
+    # to fail its SVD (exit 1 from sweep) or overflow
     d = np.arange(0.0, 7.0)
     f = 1.0 - (d - 2.4) ** 2
     curve = ForceDeflectionCurve(
@@ -96,6 +96,23 @@ def test_critical_force_of_any_finite_step(scale):
         crit = critical_force(curve)
     assert crit[0] == pytest.approx(2.4 * scale, rel=1e-12)
     assert crit[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_critical_force_of_a_plateau_stays_within_its_samples():
+    # a least-squares quadratic through three nearly equal samples has a
+    # curvature made of rounding error: it put this peak at delta = -2.63,
+    # before the sweep starts, with F = 1.0000000000000007, above every sample
+    f = np.array([1.0, 1.0, 1.0 - 2.0**-52, 0.0])
+    curve = ForceDeflectionCurve(deltas=np.arange(4.0), force_magnitude=f, force_along=f, direction=np.array([1.0, 0.0]))
+    assert critical_force(curve) == (0.5, 1.0)
+
+
+def test_critical_force_is_the_exact_vertex():
+    # f = 3 - 2 (delta - 1.125)^2 in steps of 0.5: every sample and the vertex are exact in binary
+    d = np.arange(6) * 0.5
+    f = 3.0 - 2.0 * (d - 1.125) ** 2
+    curve = ForceDeflectionCurve(deltas=d, force_magnitude=np.abs(f), force_along=f, direction=np.array([1.0, 0.0]))
+    assert critical_force(curve) == (1.125, 3.0)
 
 
 def test_critical_force_needs_three_samples():
@@ -311,6 +328,35 @@ def test_compliance_grid_rejects_non_finite_tolerance(ortho_nopreload):
         compliance_grid(ortho_nopreload, 2, eps_f=float("nan"))
 
 
+@pytest.mark.parametrize("eps_f", [0.0, -1e-8, math.inf])
+def test_compliance_grid_checks_its_tolerance_before_any_cell(monkeypatch, ortho_nopreload, eps_f):
+    # inside a cell the error would only flag the cell failed
+    import kinetostat.orthoglide as orthoglide
+
+    monkeypatch.setattr(orthoglide, "_fused", None)  # no stack runs
+    with pytest.raises(ModelError, match=r"^wrench tolerance eps_f must be positive and finite$"):
+        compliance_grid(ortho_nopreload, 2, eps_f=eps_f)
+
+
+def test_grid_of_redundant_actuators_takes_the_least_squares_loop(monkeypatch):
+    # a second x-leg makes the sensitivity 2 x 3: the stacks solve square steps
+    # only, so they leave every cell a step must settle to the per-cell loop
+    import kinetostat.orthoglide as orthoglide
+    from kinetostat import ManipulatorModel
+
+    x_leg, y_leg = shipped_model().chains
+    model = ManipulatorModel(task_dim=2, chains=[x_leg, y_leg, x_leg], workspace=shipped_model().workspace)
+    scalar_cells, real = [], orthoglide._compensate
+    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
+    grid = compliance_grid(model, 3)
+    c_max, c_min, ok, reasons = _per_cell_grid(model, 3)
+    assert grid.c_max.tobytes() == c_max.tobytes()
+    assert grid.c_min.tobytes() == c_min.tobytes()
+    assert grid.ok.tobytes() == ok.tobytes() and ok.all()
+    assert grid.reasons == reasons == {}
+    assert len(scalar_cells) > 0
+
+
 def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
     """The compliance grid as one compensation per cell, each solving its own
     rigid IK: the grid's form before the stacks, kept as its oracle."""
@@ -327,7 +373,7 @@ def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
                 sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
             except KinetostatError as err:
-                reasons[ix, iy] = _failure_reason(manipulator, err)
+                reasons[ix, iy] = err.describe()
                 continue
             if res.indefinite:
                 reasons[ix, iy] = f"indefinite stiffness: smallest eigenvalue {res.eigenvalues.min():.3e}"
@@ -434,7 +480,7 @@ def test_grid_tail_matches_the_per_cell_path(monkeypatch):
     c_max, c_min, ok, reasons = _per_cell_grid(model, grid_n)
     reached = [cell for cell in np.ndindex(grid_n, grid_n) if cell not in reasons]
     assert reasons and len(reached) > 2
-    assert all(reason.startswith("OutOfWorkspaceError") for reason in reasons.values())
+    assert all(reason.startswith("model error: pose unreachable for chain ") for reason in reasons.values())
     indefinite = "indefinite stiffness: smallest eigenvalue -1.000e+00"
     c_max[reached[1]] = c_min[reached[1]] = np.nan
     ok[reached[1]] = False
@@ -468,7 +514,7 @@ def test_grid_names_the_reason_of_a_failed_cell():
     # on a box three times the shipped one, the corners lie out of reach
     grid = compliance_grid(_scaled_box(shipped_model(), 3.0), 3)
     assert not grid.ok[0, 0]
-    assert grid.reasons[0, 0].startswith("OutOfWorkspaceError on chain 0 ('x-leg'): distance ")
+    assert grid.reasons[0, 0].startswith("model error: pose unreachable for chain 'x-leg', closest distance ")
     assert float(grid.reasons[0, 0].rsplit(" ", 1)[1]) > 1e-10
 
 

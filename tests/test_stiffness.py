@@ -23,7 +23,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from kinetostat.stiffness import _aggregate_stiffness, _chain_responses, _chain_stiffness_diag
+from kinetostat.stiffness import _aggregate_stiffness, _chain_block, _chain_responses
 
 from conftest import DIAG, linear_preload_model, stop_limit_model, two_prismatic_toy
 
@@ -34,7 +34,7 @@ def test_single_chain_rank_one_outer_product(ortho_nopreload):
     target = np.array([0.25, 0.4])
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
-    K = _chain_stiffness_diag(chain, eq)
+    K = _chain_block(chain, eq, False)
     leg = target - np.array([state.rho[0], 0.0])
     leg /= np.linalg.norm(leg)
     cos_alpha = abs(leg[0])
@@ -58,7 +58,7 @@ def test_zero_wrench_reduces_to_classic_model(ortho_nopreload):
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
     assert np.linalg.norm(eq.F) < 1e-12
-    K = _chain_stiffness_diag(chain, eq)
+    K = _chain_block(chain, eq, False)
 
     J_theta, J_q = jacobians(chain, partition(chain, eq.state))
     d = chain.task_dim
@@ -160,7 +160,7 @@ def test_spring_softening_error():
         chain=chain,
     )
     with pytest.raises(SpringSofteningError, match="loaded spring block of chain 'softening-toy' lost invertibility"):
-        _chain_stiffness_diag(chain, eq)
+        _chain_block(chain, eq, False)
     # the same block assembly over a stack of one leaves the softened row NaN
     for sensitivity, columns in ((True, 1), (False, 2)):
         with np.errstate(all="ignore"):
@@ -198,8 +198,6 @@ def test_stiffness_at_compensation_equilibria_is_identical(ortho_spec, model_nam
 def test_reported_condition_and_rank_come_from_full_svds(build):
     # the reported condition is the exact 2-norm condition of each chain's
     # block matrix, and rank_c counts K_c's singular values above 1e-9 smax
-    from kinetostat.stiffness import _chain_block
-
     model = build()
     res = manipulator_stiffness(model, [0.3, 0.4], [[1.2], [1.1]])
     for chain, eq, K, cond, rank in zip(model.chains, res.equilibria, res.K_c, res.condition, res.rank_c):
@@ -246,13 +244,12 @@ def _count_forward_passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("block", ["_chain_stiffness_diag", "_chain_sensitivity"])
-def test_one_forward_pass_per_block(monkeypatch, block):
+@pytest.mark.parametrize("sensitivity", [False, True])
+def test_one_forward_pass_per_block(monkeypatch, sensitivity):
     # the Jacobians and the whole load Hessian come from one pass; central
     # differences of J^T F made 5 (stiffness) and 8 (sensitivity) here
     from importlib import resources
 
-    import kinetostat.stiffness
     from kinetostat.modelfile import parse_model
 
     text = resources.files("kinetostat").joinpath("models/orthoglide-planar.json").read_text()
@@ -263,7 +260,7 @@ def test_one_forward_pass_per_block(monkeypatch, block):
     for chain, eq in zip(model.chains, equilibria):
         assert np.any(eq.F)
         passes.clear()
-        getattr(kinetostat.stiffness, block)(chain, eq)
+        _chain_block(chain, eq, sensitivity)
         assert len(passes) == 1
 
 
@@ -292,7 +289,6 @@ def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(dim):
     from conftest import random_planar_chain, random_spatial_chain, random_state
     from kinetostat import KinetostatError, solve_chain_equilibrium
     from kinetostat.chain import fk_array
-    from kinetostat.stiffness import _chain_responses, _chain_sensitivity
 
     rng = np.random.default_rng(10 + dim)
     compared = 0
@@ -310,12 +306,12 @@ def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(dim):
             continue
         coords = np.array([eq.regrouped.coords for eq in equilibria])
         F = np.array([eq.F for eq in equilibria])
-        for sensitivity, scalar in ((True, _chain_sensitivity), (False, _chain_stiffness_diag)):
+        for sensitivity in (True, False):
             with np.errstate(all="ignore"):
                 stacked = _chain_responses(chain, coords, F, sensitivity)
             for eq, row in zip(equilibria, stacked):
                 try:
-                    expected = scalar(chain, eq)
+                    expected = _chain_block(chain, eq, sensitivity)
                 except KinetostatError:
                     assert np.isnan(row).all()
                     continue
