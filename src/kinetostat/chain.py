@@ -120,9 +120,7 @@ class PoseVector:
 
     @staticmethod
     def from_array(values, dim: int) -> "PoseVector":
-        v = np.asarray(values, dtype=float).ravel()
-        if v.size != dim:
-            raise ModelError(f"pose array of length {v.size} does not match dim {dim}")
+        v = _task_vector(values, dim, "pose")
         n_p = 2 if dim in (2, 3) else 3
         return PoseVector(p=tuple(v[:n_p]), phi=tuple(v[n_p:]), dim=dim)
 

@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:  # argparse drops the "--" of "--max-iter=--" and leaves the option an empty list
+            raise _UsageError(f"--{empty[0].replace('_', '-')} needs a value")
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -29,8 +29,9 @@ The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold
 start that would re-solve the same IK each time.
 
-A compliance grid runs steps 2-5 in rounds over stacks of its cells still above
-eps_f; a cell that needs a branch the stacks leave out is solved by the loop above.
+A compliance grid and table 1 run steps 2-5 in rounds over stacks of their poses
+still above eps_f, with each pose's accepted steps and |F| counted as the loop
+counts them; a pose that needs a branch the stacks leave out is solved by the loop.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
     """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors
     ``seeds`` (N, n_elements) per chain, in rounds. The equilibria and the sensitivity
     of all chains that share a structure run as one stack (``chain._fused``). Returns
-    per chain the equilibria's joint vectors and wrenches, and the rows finished here;
-    the others need the loop."""
+    per chain the equilibria's joint vectors and wrenches, the rows finished here (the
+    others need the loop), and per row its accepted Newton steps and |F|, a finished
+    row's ``outer_iterations`` and ``residual_wrench``."""
     chains, opts = manipulator.chains, opts or SolverOptions()
     ends = np.cumsum([chain.n_actuated for chain in chains])[:-1]
 
@@ -179,7 +181,7 @@ def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
 
     rho = np.concatenate([seed[:, chain.actuated_elements] for chain, seed in zip(chains, seeds)], axis=1)
     coords, F, live, err = wrench(np.arange(len(targets)), rho)
-    err_norm = _norms(err)
+    err_norm, outer = _norms(err), np.zeros(len(targets), dtype=int)
     live &= np.isfinite(err_norm)
     for _ in range(_MAX_OUTER):
         rows = np.flatnonzero(live & ~(err_norm < eps_f))
@@ -197,7 +199,8 @@ def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
         try_norm = _norms(err_try)
         accepted = solved & (try_norm < err_norm[rows])
         live[rows], rows = accepted, rows[accepted]
+        outer[rows] += 1
         rho[rows], err[rows], err_norm[rows] = rho_try[accepted], err_try[accepted], try_norm[accepted]
         for a, a_try in zip(coords + F, coords_try + F_try):
             a[rows] = a_try[accepted]
-    return coords, F, live & (err_norm < eps_f)
+    return coords, F, live & (err_norm < eps_f), outer, err_norm

@@ -302,14 +302,15 @@ def _equilibrium_stack(
         J = _map_rates(cols, _euler_stack(pose)[0]) if d == 6 else cols
         F_new, x_new = np.empty((rows.size, d)), xs.copy()
         for sub, (q_el, th_el, th0, k_tilde) in chain._by_mask(mask):
+            sub = slice(None) if sub.size == rows.size else sub  # one mask: views of whole arrays, not row copies
             J_th, J_q, xsub = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
             eps = targets[sub] - pose[sub] + (J_q @ np.take(xsub, q_el, axis=1)[..., None])[..., 0]
             eps += (J_th @ (np.take(xsub, th_el, axis=1) - th0)[..., None])[..., 0]
-            rhs = np.concatenate([eps, np.zeros((sub.size, q_el.size))], axis=1)[..., None]
+            rhs = np.concatenate([eps, np.zeros((len(eps), q_el.size))], axis=1)[..., None]
             sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde), rhs)
             F_new[sub], xsub[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
             xsub[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
-            x_new[sub] = xsub
+            x_new[sub] = xsub  # numpy skips the write of a view onto itself
         step = np.concatenate([F_new - F, x_new[:, free] - xs[:, free]], axis=1)
         left = (oscillating > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
         F, xs, mask = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])

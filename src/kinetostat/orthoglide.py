@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
 from .chain import _each_chain, _fused, _ik_stack, _reaches, _stack_state
-from .control import _compensate, _compensate_stack, solve_inverse_kinetostatic
+from .control import _compensate, _compensate_stack
 from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection
 from .errors import KinetostatError, ModelError
 from .springs import SpringLaw
@@ -150,24 +150,25 @@ def critical_force(curve: ForceDeflectionCurve):
     for i in range(1, len(f) - 1):
         f0, f1, f2 = f[i - 1 : i + 2]
         if f1 >= f0 and f1 > f2:
+            s = 16.0 if max(abs(f0), abs(f1), abs(f2)) > 2.0**1020 else 1.0  # exact: 8 max|f| stays finite
+            f0, f1, f2 = f0 / s, f1 / s, f2 / s
             r = (f0 - f2) / (2.0 * ((f0 - f1) + (f2 - f1)))  # the vertex's offset in steps, |r| <= 1/2
-            return float(d[i] + r * (d[i + 1] - d[i])), float(f1 - r * (f0 - f2) / 4.0)
+            return float(d[i] + r * (d[i + 1] - d[i])), s * float(f1 - r * (f0 - f2) / 4.0)
     return None
 
 
-def _critical_point(model, start, u, max_delta, opts, equilibria):
+def _critical_point(model, start, u, max_delta, opts, starts):
     """``critical_force`` of the sweep from ``start`` along u, or None.
 
     The sweep is the ``force_deflection`` of ``sweep --compensate``: its
-    actuators and first sample come from ``equilibria``, the chain
-    equilibria at ``start`` (a compensation's ``sol.equilibria``), and it
-    samples [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR steps.
+    actuators and first sample come from ``starts``, the joint vectors of
+    the chain equilibria at ``start`` (a compensation's), and it samples
+    [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR steps.
     A curve cut short before any peak may still have one further on: the
     error of the sample that ended it, which the curve keeps, is re-raised
     with the delta it was reached at, so a lost branch is never mistaken
     for a monotone curve.
     """
-    starts = [eq.regrouped.coords for eq in equilibria]
     step = max_delta / round(SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR)
     curve = force_deflection(model, start, u, max_delta, step, opts, starts=starts)
     found = critical_force(curve)
@@ -197,6 +198,42 @@ class ComplianceMap:
 # rows per stack, across the chains of a structure group: caps the IK and compensation temporaries on
 # large grids (a heap peak of ~2 kB a row on the shipped model, whose two legs run as one stack)
 _STACK_ROWS = 4096
+
+
+def _compensate_rows(manipulator, targets, stacks, eps_f, opts):
+    """The compensation of targets (N, d) at zero wrench and K_sigma at its equilibria, from ``stacks``, per
+    chain the ``_ik_stack`` of the targets: ``_compensate_stack`` of the rows that every chain's rigid IK
+    reached and the chain stiffnesses of the rows it finishes as stacks (``_chain_responses``), then, in row
+    order, ``control._compensate`` of every other row from its rigid IK state. Returns per chain the
+    equilibria's joint vectors, per row K_sigma, its eigenvalues, the outer iterations and |F|, and by row
+    the KinetostatError of a row that failed, NaN in its arrays."""
+    chains, n, d = manipulator.chains, len(targets), manipulator.task_dim
+    # the rows whose every chain met its target; the others raise their IK's error below
+    rows = np.flatnonzero(np.all([_reaches(dist) & ~np.isin(np.arange(n), list(e)) for _, dist, e in stacks], 0))
+    coords, K = [np.full(c.shape, np.nan) for c, _, _ in stacks], np.full((n, d, d), np.nan)
+    eigenvalues, outer, residual, errors = np.full((n, d), np.nan), np.zeros(n, dtype=int), np.full(n, np.nan), {}
+    with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar solve, which warns as it does
+        x, F, done, outer[rows], residual[rows] = _compensate_stack(
+            manipulator, targets[rows], [c[rows] for c, _, _ in stacks], eps_f, opts
+        )
+        K[rows[done]] = np.sum(_fused(chains, _chain_responses, [[a[done] for a in x], [f[done] for f in F]], False), 0)
+    for full, a in zip(coords, x):
+        full[rows] = a
+    clear = np.isfinite(K).all(axis=(1, 2))
+    eigenvalues[clear] = np.linalg.eigvalsh(K[clear])
+    for row in np.flatnonzero(~clear).tolist():
+        try:
+            seeds = _each_chain(manipulator, _stack_state, stacks, [row] * len(chains))
+            sol = _compensate(manipulator, targets[row], seeds, np.zeros(d), eps_f, opts)
+            res = _aggregate_stiffness(manipulator, sol.equilibria)
+        except KinetostatError as err:
+            errors[row] = err
+            continue
+        K[row], eigenvalues[row] = res.K_sigma, res.eigenvalues
+        outer[row], residual[row] = sol.outer_iterations, sol.residual_wrench
+        for full, eq in zip(coords, sol.equilibria):
+            full[row] = eq.regrouped.coords
+    return coords, K, eigenvalues, outer, residual, errors
 
 
 def compliance_grid(
@@ -232,7 +269,7 @@ def compliance_grid(
     lo, hi = manipulator.workspace
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
-    F_target, chains, reasons = np.zeros(manipulator.task_dim), manipulator.chains, {}
+    chains, reasons = manipulator.chains, {}
     # a cell is one row of each chain, so a stack of a structure group holds at most _STACK_ROWS rows
     per_stack = max(1, _STACK_ROWS // len(chains))
     for first in range(0, grid_n * grid_n, per_stack):
@@ -240,29 +277,11 @@ def compliance_grid(
         targets = np.zeros((ix.size, manipulator.task_dim))
         targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
         stacks = _fused(chains, _ik_stack, [[targets] * len(chains)])
-        # the cells whose every chain met its target; the others raise their IK's error below
-        rows = np.flatnonzero(np.all([_reaches(d) & ~np.isin(np.arange(ix.size), list(e)) for _, d, e in stacks], 0))
-        eigenvalues = np.full(targets.shape, np.nan)  # of K_sigma; NaN: the cell is left to the scalar loop
-        with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar loop, which warns as it does
-            coords, F, done = _compensate_stack(manipulator, targets[rows], [s[0][rows] for s in stacks], eps_f, opts)
-            K = np.sum(_fused(chains, _chain_responses, [[x[done] for x in coords], [f[done] for f in F]], False), 0)
-        clear = np.isfinite(K).all(axis=(1, 2))
-        eigenvalues[rows[done][clear]] = np.linalg.eigvalsh(K[clear])
-        # the loop takes, in cell order, the cells the stacks did not finish positive definite
+        eigenvalues, _, _, errors = _compensate_rows(manipulator, targets, stacks, eps_f, opts)[2:]
+        # in cell order, each failed cell names its error; a zero or negative eigenvalue has no meaningful compliance
         for row in np.flatnonzero(~(eigenvalues.min(axis=1) > 0.0)).tolist():  # NaN included
-            cell, eig = divmod(first + row, grid_n), eigenvalues[row]  # eig: a view of the row
-            try:
-                if np.isnan(eig).any():
-                    # raises the error of a cell the IK failed
-                    seeds = _each_chain(manipulator, _stack_state, stacks, [row] * len(chains))
-                    sol = _compensate(manipulator, targets[row], seeds, F_target, eps_f, opts)
-                    eig[:] = _aggregate_stiffness(manipulator, sol.equilibria).eigenvalues
-            except KinetostatError as err:
-                reasons[cell] = err.describe()
-                continue
-            # a zero or negative eigenvalue has no meaningful compliance
-            if not eig.min() > 0.0:
-                reasons[cell] = f"indefinite stiffness: smallest eigenvalue {eig.min():.3e}"
+            smallest = f"indefinite stiffness: smallest eigenvalue {eigenvalues[row].min():.3e}"
+            reasons[divmod(first + row, grid_n)] = errors[row].describe() if row in errors else smallest
         # the compliances of every positive definite cell, in one pass
         positive = eigenvalues.min(axis=1) > 0.0
         c = 1.0 / eigenvalues[positive]
@@ -369,56 +388,51 @@ class Table1Report:
         return "\n".join(lines) + "\n"
 
 
-def _bench_cell(model, point_name, pose, direction, kv, opts, eps_f):
-    sol = solve_inverse_kinetostatic(model, pose, eps_f, opts)
-    res = _aggregate_stiffness(model, sol.equilibria)
-    k = directional_stiffness(res.K_sigma, direction)
-    rho_values = tuple(float(r[0]) for r in sol.rho)
-    refs = REFERENCE_TABLE[point_name]
-    return Table1Cell(
-        point=point_name,
-        kv=kv,
-        rho=float(np.mean(rho_values)),
-        rho_per_chain=rho_values,
-        rho_ref=refs["rho"].get(kv),
-        stiffness=k,
-        stiffness_ref=refs["stiffness"].get(kv),
-        outer_iterations=sol.outer_iterations,
-        residual_wrench=sol.residual_wrench,
-    ), sol
-
-
 def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = None) -> Table1Report:
     """Run the full benchmark grid: points Q0/Q1/Q2 x preload factors.
 
-    Per cell: kinetostatic compensation, then directional stiffness along
-    the matching workspace diagonal; per preload factor additionally the
-    critical force outward from Q2 along the diagonal, the ``critical_force``
-    of the force-deflection sweep at Q2's compensated actuators.
+    One rigid IK stack of the three points serves every preload factor, as
+    the rigid IK reads no spring law. Per factor, ``_compensate_rows``
+    compensates the three points as stacks, bit for bit the single-pose
+    solves; each cell's directional stiffness is taken along the matching
+    workspace diagonal, and the critical force outward from Q2 along it, the
+    ``critical_force`` of the sweep started from Q2's compensated equilibria.
     """
     opts = opts or spec_base.options()
     eps_f = 1e-8 * spec_base.K_theta * spec_base.L
-    q0, q1, q2 = workspace_points(spec_base)
+    if not eps_f < math.inf:  # K_theta * L past the float range
+        raise ModelError("wrench tolerance eps_f must be positive and finite")
+    targets = np.array([pose.as_array() for pose in workspace_points(spec_base)])
     diag = 1.0 / math.sqrt(2.0)
-    directions = {
-        "Q0": np.array([diag, diag]),
-        "Q1": np.array([-diag, -diag]),
-        "Q2": np.array([diag, diag]),
-    }
-    poses = {"Q0": q0, "Q1": q1, "Q2": q2}
+    directions = np.array([[diag, diag], [-diag, -diag], [diag, diag]])
+    chains = build_planar_orthoglide(spec_base).chains
+    stacks = _fused(chains, _ik_stack, [[targets] * len(chains)])
 
     cells: dict[tuple[str, float], Table1Cell] = {}
     critical: dict[float, tuple[float, float] | None] = {}
     for kv in KV_FACTORS:
         spring = SpringLaw(kv * spec_base.K_theta * spec_base.L**2, 0.0, "linear")
         model = build_planar_orthoglide(replace(spec_base, spring=spring))
-        for point in ("Q0", "Q1", "Q2"):
-            cell, sol = _bench_cell(model, point, poses[point], directions[point], kv, opts, eps_f)
-            cells[(point, kv)] = cell
-        # sol is Q2's compensation: its equilibria start the sweep at Q2
-        critical[kv] = _critical_point(
-            model, poses["Q2"], directions["Q2"], SWEEP_MAX_FACTOR * spec_base.L, opts, sol.equilibria
-        )
+        coords, K, _, outer, residual, errors = _compensate_rows(model, targets, stacks, eps_f, opts)
+        if errors:  # the first in (kv, point) order
+            raise errors[min(errors)]
+        for row, point in enumerate(("Q0", "Q1", "Q2")):
+            rho = tuple(float(x[row, chain.actuated_elements[0]]) for chain, x in zip(chains, coords))
+            refs = REFERENCE_TABLE[point]
+            cells[(point, kv)] = Table1Cell(
+                point=point,
+                kv=kv,
+                rho=float(np.mean(rho)),
+                rho_per_chain=rho,
+                rho_ref=refs["rho"].get(kv),
+                stiffness=directional_stiffness(K[row], directions[row]),
+                stiffness_ref=refs["stiffness"].get(kv),
+                outer_iterations=int(outer[row]),
+                residual_wrench=float(residual[row]),
+            )
+        # Q2's compensated equilibria start its sweep
+        starts = [x[2] for x in coords]
+        critical[kv] = _critical_point(model, targets[2], directions[2], SWEEP_MAX_FACTOR * spec_base.L, opts, starts)
     critical_ref = {kv: REFERENCE_TABLE["Q2"]["critical_force"][kv] for kv in KV_FACTORS}
     return Table1Report(
         p_factor=spec_base.p_factor,

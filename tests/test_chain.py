@@ -418,6 +418,7 @@ def test_hessians_exactly_symmetric():
     "entry, what",
     [
         ("pose_array", "pose"),
+        ("PoseVector.from_array", "pose"),
         ("solve_chain_equilibrium", "pose"),
         ("chain_ik_best_effort", "pose"),
         ("loaded_hessians", "wrench"),
@@ -429,12 +430,13 @@ def test_hessians_exactly_symmetric():
 def test_every_task_vector_is_checked_in_one_wording(ortho_nopreload, entry, what, bad):
     # a vector of the wrong length or with a non-finite entry is named the
     # same way at every entry point, with no chain index: the caller is at fault
-    from kinetostat import force_deflection, solve_chain_equilibrium, solve_inverse_kinetostatic
+    from kinetostat import PoseVector, force_deflection, solve_chain_equilibrium, solve_inverse_kinetostatic
 
     model, chain = ortho_nopreload, ortho_nopreload.chains[0]
     state = ChainState(rho=[1.0], q=[], vartheta=[0.2], theta=[0.05])
     calls = {
         "pose_array": model.pose_array,
+        "PoseVector.from_array": lambda v: PoseVector.from_array(v, 2),
         "solve_chain_equilibrium": lambda v: solve_chain_equilibrium(chain, v, [1.0]),
         "chain_ik_best_effort": lambda v: chain_ik_best_effort(chain, v),
         "loaded_hessians": lambda v: loaded_hessians(chain, partition(chain, state), v),
@@ -988,7 +990,10 @@ def _failure_in_chain_1(site):
         "stiffness._aggregate_stiffness": (SingularityError, lambda: _aggregate_stiffness(model, [eqs[0], flat])),
         "orthoglide._critical_point": (
             SingularityError,
-            lambda: _critical_point(model, [0.1, 0.1], np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3, None, [eqs[0], flat]),
+            lambda: _critical_point(
+                model, [0.1, 0.1], np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3, None,
+                [eqs[0].regrouped.coords, flat.regrouped.coords],
+            ),
         ),
     }
     error, call = calls[site]

@@ -302,6 +302,14 @@ def test_usage_errors_exit_2(model_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", ["--max-iter", "--tol", "--seed", "--pose", "--rho"])
+def test_an_option_given_a_double_dash_is_a_usage_error(model_path, capsys, option):
+    # argparse drops "--" from "--max-iter=--" and leaves the option an empty list
+    argv = ["equilibrium", "--model", model_path, "--pose=0,0", "--rho=1,1", f"{option}=--"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {option} needs a value\n"
+
+
 def test_model_errors_exit_3(model_path, tmp_path, capsys):
     assert main(["equilibrium", "--model", str(tmp_path / "missing.json"), "--pose", "0,0"]) == 3
     bad = tmp_path / "bad.json"

@@ -419,7 +419,8 @@ def test_critical_search_builds_no_chain_state(monkeypatch, ortho_spec):
     q2 = workspace_points(ortho_spec)[2]
     sol = solve_inverse_kinetostatic(model, q2, 1e-8, ortho_spec.options())
     built = _count_chain_states(monkeypatch)
-    critical = _critical_point(model, q2, DIAG, SWEEP_MAX_FACTOR, ortho_spec.options(), sol.equilibria)
+    starts = [eq.regrouped.coords for eq in sol.equilibria]
+    critical = _critical_point(model, q2, DIAG, SWEEP_MAX_FACTOR, ortho_spec.options(), starts)
     assert critical is not None and built == []
 
 

@@ -26,7 +26,8 @@ from kinetostat import (
     total_wrench,
     workspace_points,
 )
-from kinetostat.orthoglide import KV_FACTORS, _critical_point
+from kinetostat.orthoglide import KV_FACTORS, REFERENCE_TABLE, SWEEP_MAX_FACTOR, _critical_point
+from kinetostat.orthoglide import Table1Cell, Table1Report
 from kinetostat.stiffness import _aggregate_stiffness
 
 from conftest import DIAG, linear_preload_model, shipped_model, stop_limit_model
@@ -115,6 +116,23 @@ def test_critical_force_is_the_exact_vertex():
     assert critical_force(curve) == (1.125, 3.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_critical_force_near_the_float_range():
+    # the differences of these samples leave the float range: the vertex is
+    # that of the samples divided by 16, an exact scaling, and no warning
+    f = np.array([1e308, 1.5e308, -1.5e308])
+    curve = ForceDeflectionCurve(deltas=np.arange(3.0), force_magnitude=np.abs(f), force_along=f, direction=DIAG)
+    delta, force = critical_force(curve)
+    scaled = critical_force(replace(curve, force_along=f / 16.0))
+    assert (delta, force) == (scaled[0], 16.0 * scaled[1])
+    assert 1.5e308 < force < math.inf
+    # 2**1022 (3 - 8 (delta - 1.125)^2): exact samples whose second difference is -2**1024
+    d = 0.5 * np.arange(1.0, 5.0)
+    f = 2.0**1022 * (3.0 - 8.0 * (d - 1.125) ** 2)
+    curve = ForceDeflectionCurve(deltas=d, force_magnitude=np.abs(f), force_along=f, direction=np.array([1.0, 0.0]))
+    assert critical_force(curve) == (1.125, 3.0 * 2.0**1022)
+
+
 def test_critical_force_needs_three_samples():
     curve = ForceDeflectionCurve(
         deltas=np.array([0.0, 1.0]),
@@ -136,7 +154,7 @@ def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
     sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
     curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho)
     expected = critical_force(curve)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, [eq.regrouped.coords for eq in sol.equilibria])
     assert (found is None) == (expected is None)
     assert (expected is None) == (kv > 0.0)
     if expected is not None:
@@ -161,7 +179,7 @@ def test_critical_point_is_the_compensated_sweep_peak(p_factor, spring):
     opts = spec.options()
     sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
     starts = [eq.regrouped.coords for eq in sol.equilibria]
-    found = _critical_point(model, q2, DIAG, 0.3, opts, sol.equilibria)
+    found = _critical_point(model, q2, DIAG, 0.3, opts, starts)
     assert found == critical_force(force_deflection(model, q2, DIAG, 0.3, 0.01, opts, rho_all=sol.rho, starts=starts))
     assert (found is None) == (spring.branch != "linear" or spring.k >= 0.05)
     if found is not None:
@@ -183,7 +201,7 @@ def test_critical_point_lost_branch_raises(ortho_spec):
     starved = SolverOptions(max_iterations=1, max_restarts=0)
     with pytest.raises(NonConvergenceError, match=r"did not converge .*\(critical-point search lost the branch "
                                                   r"at delta = 0\.01\)$") as exc:
-        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
+        _critical_point(model, q2, DIAG, 0.3, starved, [eq.regrouped.coords for eq in sol.equilibria])
     assert exc.value.chain_index == 0
 
 
@@ -218,7 +236,7 @@ def test_critical_point_raises_the_error_its_curve_keeps(monkeypatch, ortho_spec
 
     monkeypatch.setattr(orthoglide, "force_deflection", recorded)
     with pytest.raises(NonConvergenceError) as exc:
-        _critical_point(model, q2, DIAG, 0.3, starved, sol.equilibria)
+        _critical_point(model, q2, DIAG, 0.3, starved, [eq.regrouped.coords for eq in sol.equilibria])
     [(args, kwargs, curve)] = sweeps
     assert curve.truncated and curve.error is exc.value and len(curve.deltas) == 1
     searched = calls.copy()
@@ -293,8 +311,8 @@ def _stacks_finish_nothing(monkeypatch):
     real = orthoglide._compensate_stack
 
     def leave_all(*args):
-        coords, F, done = real(*args)
-        return coords, F, np.zeros_like(done)
+        coords, F, done, *counts = real(*args)
+        return coords, F, np.zeros_like(done), *counts
 
     monkeypatch.setattr(orthoglide, "_compensate_stack", leave_all)
 
@@ -489,9 +507,9 @@ def test_grid_tail_matches_the_per_cell_path(monkeypatch):
     real_stack, real_responses, scalar_cells = orthoglide._compensate_stack, orthoglide._chain_responses, []
 
     def leave_first(*args):
-        coords, F, done = real_stack(*args)
+        coords, F, done, *counts = real_stack(*args)
         assert done[0]
-        return coords, F, np.concatenate([[False], done[1:]])
+        return coords, F, np.concatenate([[False], done[1:]]), *counts
 
     def first_finished_indefinite(chain, coords, F, sensitivity, constants):
         K = real_responses(chain, coords, F, sensitivity, constants)
@@ -645,35 +663,138 @@ def test_table1_report_serializes(table1):
 
 
 def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, table1):
-    # the sweep at Q2 starts from the equilibria of Q2's compensation; a
-    # cold solve at delta = 0 gives the same equilibria, so the same report
+    # the cells' rigid IK is one stack of Q0, Q1 and Q2 for both legs, which
+    # every kv shares, and the sweep at Q2 starts from the equilibria of Q2's
+    # compensation; a cold solve at delta = 0 gives the same equilibria, so
+    # the same report
     import kinetostat.chain
     import kinetostat.equilibrium
     import kinetostat.orthoglide as orthoglide
 
-    real_ik = kinetostat.chain.chain_ik_best_effort
-    calls = []
+    real_ik, real_stack = kinetostat.chain.chain_ik_best_effort, orthoglide._ik_stack
+    calls, stacks = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[0].name)
         return real_ik(*args, **kwargs)
 
+    def counted_stack(chain, targets, constants):
+        stacks.append(targets.copy())
+        return real_stack(chain, targets, constants)
+
     for module in (kinetostat.chain, kinetostat.equilibrium):
         monkeypatch.setattr(module, "chain_ik_best_effort", counted)
+    monkeypatch.setattr(orthoglide, "_ik_stack", counted_stack)
     report = reproduce_table1(OrthoglideSpec())
-    # one rigid IK per chain for each of the three compensations per kv
-    assert len(calls) == 2 * 3 * len(KV_FACTORS) == 24
+    points = np.array([pose.as_array() for pose in workspace_points(OrthoglideSpec())])
+    assert calls == []
+    assert [targets.tobytes() for targets in stacks] == [np.concatenate([points, points]).tobytes()]
 
     real_search = orthoglide._critical_point
 
-    def cold_start(model, start, u, max_delta, opts, equilibria):
-        _, cold = total_wrench(model, start, [eq.state.rho for eq in equilibria], opts)
-        return real_search(model, start, u, max_delta, opts, cold)
+    def cold_start(model, start, u, max_delta, opts, starts):
+        rho = [x[chain.actuated_elements] for chain, x in zip(model.chains, starts)]
+        _, cold = total_wrench(model, start, rho, opts)
+        return real_search(model, start, u, max_delta, opts, [eq.regrouped.coords for eq in cold])
 
     monkeypatch.setattr(orthoglide, "_critical_point", cold_start)
-    calls.clear()
     cold_report = reproduce_table1(OrthoglideSpec())
-    # plus the cold start's rigid IK per chain and kv
-    assert len(calls) == 24 + 2 * len(KV_FACTORS)
+    # the cold start's rigid IK per chain and kv
+    assert len(calls) == 2 * len(KV_FACTORS)
     assert json.dumps(report.to_json_dict()) == json.dumps(cold_report.to_json_dict())
     assert report.to_text() == cold_report.to_text() == table1.to_text()
+
+
+def _per_cell_table1(spec, opts=None):
+    """Table 1 as one compensation per cell, each solving its own rigid IK,
+    and the critical sweep from Q2's equilibria: the report's form before
+    the stacks, kept as its oracle."""
+    opts = opts or spec.options()
+    points = dict(zip(("Q0", "Q1", "Q2"), workspace_points(spec)))
+    directions = {"Q0": DIAG, "Q1": -DIAG, "Q2": DIAG}
+    cells, critical = {}, {}
+    for kv in KV_FACTORS:
+        model = build_planar_orthoglide(replace(spec, spring=SpringLaw(kv * spec.K_theta * spec.L**2, 0.0, "linear")))
+        for point, pose in points.items():
+            sol = solve_inverse_kinetostatic(model, pose, 1e-8 * spec.K_theta * spec.L, opts)
+            K = _aggregate_stiffness(model, sol.equilibria).K_sigma
+            rho, refs = tuple(float(r[0]) for r in sol.rho), REFERENCE_TABLE[point]
+            cells[point, kv] = Table1Cell(
+                point=point,
+                kv=kv,
+                rho=float(np.mean(rho)),
+                rho_per_chain=rho,
+                rho_ref=refs["rho"].get(kv),
+                stiffness=directional_stiffness(K, directions[point]),
+                stiffness_ref=refs["stiffness"].get(kv),
+                outer_iterations=sol.outer_iterations,
+                residual_wrench=sol.residual_wrench,
+            )
+        starts = [eq.regrouped.coords for eq in sol.equilibria]  # Q2's, the last point
+        critical[kv] = _critical_point(model, points["Q2"], DIAG, SWEEP_MAX_FACTOR * spec.L, opts, starts)
+    critical_ref = {kv: REFERENCE_TABLE["Q2"]["critical_force"][kv] for kv in KV_FACTORS}
+    return Table1Report(spec.p_factor, KV_FACTORS, cells, critical, critical_ref)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["stacks", "stacks-finish-nothing"])
+@pytest.mark.parametrize(
+    "spec, opts",
+    [
+        (OrthoglideSpec(), None),
+        (OrthoglideSpec(), SolverOptions(pose_tol=1e-9, max_iterations=2)),
+        (OrthoglideSpec(p_factor=0.3), None),
+        (OrthoglideSpec(), SolverOptions(pose_tol=1e-7, rng_seed=3)),
+    ],
+    ids=["defaults", "max-iter-2", "p-factor-0.3", "seed-3-tol-1e-7"],
+)
+def test_table1_bitwise_equal_to_per_cell_compensations(monkeypatch, spec, opts, forced):
+    import kinetostat.orthoglide as orthoglide
+
+    expected = _per_cell_table1(spec, opts)
+    scalar_cells, real = [], orthoglide._compensate
+    if forced:
+        _stacks_finish_nothing(monkeypatch)
+    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
+    report = reproduce_table1(spec, opts)
+    assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+    assert report.to_text() == expected.to_text()
+    assert len(scalar_cells) == (3 * len(KV_FACTORS) if forced else 0)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["stacks", "stacks-finish-nothing"])
+def test_table1_raises_the_first_error_of_the_per_cell_path(monkeypatch, capsys, forced):
+    # one iteration loses kv 0's critical sweep at its first step past Q2
+    from kinetostat.cli import main
+
+    starved = SolverOptions(max_iterations=1)
+    with pytest.raises(NonConvergenceError) as per_cell:
+        _per_cell_table1(OrthoglideSpec(), starved)
+    if forced:
+        _stacks_finish_nothing(monkeypatch)
+    with pytest.raises(NonConvergenceError) as stacked:
+        reproduce_table1(OrthoglideSpec(), starved)
+    assert str(stacked.value) == str(per_cell.value)
+    assert stacked.value.chain_index == per_cell.value.chain_index == 0
+    assert main(["bench", "orthoglide", "--max-iter", "1"]) == 4
+    assert capsys.readouterr().err == per_cell.value.describe() + "\n"
+
+
+def test_table1_raises_the_error_of_the_first_failed_point(monkeypatch):
+    # every point left to the single-pose compensation, and Q1 and Q2 of the
+    # second kv failing: the report raises Q1's error, the first in (kv, point) order
+    import kinetostat.orthoglide as orthoglide
+
+    real, seen = orthoglide._compensate, []
+    q0, q1, q2 = (pose.as_array().tolist() for pose in workspace_points(OrthoglideSpec()))
+
+    def failing(manipulator, target, *args):
+        seen.append(target.tolist())
+        if len(seen) > 3 and target.tolist() != q0:
+            raise NonConvergenceError(f"no compensation at {target.tolist()}", residual=1.0)
+        return real(manipulator, target, *args)
+
+    _stacks_finish_nothing(monkeypatch)
+    monkeypatch.setattr(orthoglide, "_compensate", failing)
+    with pytest.raises(NonConvergenceError, match=r"^no compensation at \[-0\.45, -0\.45\]$"):
+        reproduce_table1(OrthoglideSpec())
+    assert seen == [q0, q1, q2] * 2
