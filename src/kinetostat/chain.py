@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import KinetostatError, ModelError, OutOfWorkspaceError
-from .springs import RegroupedState, SpringLaw
+from .springs import RegroupedState, SpringLaw, _engaged_rows
 
 ACTUATED = "actuated"
 PERFECT_PASSIVE = "perfect_passive"
@@ -210,12 +210,11 @@ class ChainModel:
                     f"{self.rigid_elements.size} rigid coordinates of chain {self.name!r}",
                     field="ik_seed",
                 )
-        # the bytes of the seed and of the spring offsets keep the sign of a zero, which == ignores
-        joints = tuple((link.is_identity, joint.kind, joint.motion, joint.stiffness) for link, joint in self.elements)
-        offsets = np.array([s.preload_offset for s in self.preload_springs]).tobytes()
+        # the discrete parts, the spring branches and the seed's bytes, which keep the sign of a zero that == ignores
+        joints = tuple((link.is_identity, joint.kind, joint.motion) for link, joint in self.elements)
         seed = None if self.ik_seed is None else self.ik_seed.tobytes()
         identity = (self.base_pose.is_identity, self.tool_transform.is_identity)
-        self._structure = (self.task_dim, *identity, joints, self.preload_springs, offsets, seed)
+        self._structure = (self.task_dim, *identity, joints, tuple(s.branch for s in self.preload_springs), seed)
 
     # -- coordinate bookkeeping -------------------------------------------
 
@@ -250,25 +249,39 @@ class ChainModel:
         layout = self._regroupings.get(key)
         if layout is None:
             preloaded = self.preloaded_elements
-            engaged = [s for s, on in zip(self.preload_springs, mask) if on]
-            virtual_k = [self.joint_at(e).stiffness for e in self.virtual_elements]
-            layout = (
-                np.concatenate([self.perfect_elements, preloaded[~mask]]),
-                np.concatenate([self.virtual_elements, preloaded[mask]]),
-                np.array([0.0] * self.n_virtual + [s.preload_offset for s in engaged], dtype=float),
-                np.array(virtual_k + [s.k for s in engaged], dtype=float),
-            )
+            theta = np.concatenate([self.virtual_elements, preloaded[mask]])
+            rest, k = _spring_constants(self, self._constants)
+            layout = (np.concatenate([self.perfect_elements, preloaded[~mask]]), theta, rest[theta], k[theta])
             for array in layout:
                 array.flags.writeable = False
             self._regroupings[key] = layout
         return layout
 
     def _by_mask(self, masks: np.ndarray) -> list:
-        """``(rows, regrouping(mask))`` for each distinct mask among the rows of ``masks`` (M, n_preloaded)."""
-        if len(masks) and (masks == masks[0]).all():  # one mask, the common case: no sort
-            return [(np.arange(len(masks)), self.regrouping(masks[0]))]
-        unique, inverse = np.unique(masks, axis=0, return_inverse=True)
-        return [(np.flatnonzero(inverse.ravel() == i), self.regrouping(mask)) for i, mask in enumerate(unique)]
+        """``(rows, regrouping(mask))`` per distinct mask of ``masks`` (M, n_preloaded), in ``np.unique``'s order."""
+        if not len(masks) or (masks == masks[0]).all():  # one mask, the common case: no sort
+            return [(np.arange(len(masks)), self.regrouping(masks[0]))] if len(masks) else []
+        order = np.lexsort(np.packbits(masks, axis=1).T[::-1])  # a stable sort of bytes of 8 columns, the first on top
+        ordered = masks[order]
+        ends = [0, *(np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1).tolist(), len(order)]
+        return [(order[lo:hi], self.regrouping(ordered[lo])) for lo, hi in zip(ends, ends[1:])]
+
+    @cached_property
+    def _constants(self) -> np.ndarray:
+        """The chain's row of ``_row_constants``: the base, link and tool matrices, joint axes and revolute terms
+        (``_motions``) in the order the forward pass reads them, less the identities it skips, then the springs
+        (``_spring_constants``)."""
+
+        def matrix(transform: Transform) -> list:
+            return [] if transform.is_identity else [transform.matrix]
+
+        parts = matrix(self.base_pose)
+        for (link, _), (axis, rotation) in zip(self.elements, self._motions):
+            parts += [*matrix(link), axis, *(rotation or ())]
+        parts += matrix(self.tool_transform)
+        springs = [(0.0, joint.stiffness or 0.0) if joint.spring is None else (joint.spring.preload_offset, joint.spring.k)
+                   for _, joint in self.elements]
+        return np.concatenate([part.ravel() for part in parts] + [np.array(springs).T.ravel()])
 
     def element_coordinates(self, state: ChainState) -> np.ndarray:
         """Joint values in chain element order."""
@@ -611,21 +624,23 @@ def chain_ik_best_effort(chain: ChainModel, t):
 
 
 def _row_constants(chains, sizes) -> np.ndarray:
-    """The constants a stack's forward pass reads, for ``sizes[i]`` rows of ``chains[i]`` in chain
-    order: one row each of the base matrix, every link's matrix, joint axis and revolute terms
-    (``ChainModel._motions``) and the tool matrix, in the order the pass reads them and without the
-    identity transforms it skips, flattened, so that the constants of a subset of rows are one gather."""
+    """The constants a stack reads, ``ChainModel._constants``, as ``sizes[i]`` rows of ``chains[i]`` in chain
+    order, so that the constants of a subset of rows are one gather."""
+    return np.array([chain._constants for chain in chains])[np.repeat(np.arange(len(chains)), sizes)]
 
-    def matrix(transform: Transform) -> list:
-        return [] if transform.is_identity else [transform.matrix]
 
-    def flat(chain: ChainModel) -> np.ndarray:
-        parts = matrix(chain.base_pose)
-        for (link, _), (axis, rotation) in zip(chain.elements, chain._motions):
-            parts += [*matrix(link), axis, *(rotation or ())]
-        return np.concatenate([part.ravel() for part in parts + matrix(chain.tool_transform)])
+def _spring_constants(chain: ChainModel, constants: np.ndarray) -> np.ndarray:
+    """Per element its spring's rest offset and stiffness (a virtual spring's are 0 and its stiffness, a
+    joint without one has zeros): a view (..., 2, n_elements) of the tail of ``constants`` (..., width)."""
+    n = len(chain.elements)
+    return constants[..., -2 * n :].reshape(*constants.shape[:-1], 2, n)
 
-    return np.array([flat(chain) for chain in chains])[np.repeat(np.arange(len(chains)), sizes)]
+
+def _masks(chain: ChainModel, coords: np.ndarray, springs: np.ndarray) -> np.ndarray:
+    """Active sets (M, n_preloaded) of stacked joint vectors, each under its row's ``_spring_constants``."""
+    at = chain.preloaded_elements
+    springs = springs[..., at]
+    return _engaged_rows([s.branch for s in chain.preload_springs], springs[:, 1], springs[:, 0], coords[:, at])
 
 
 def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True, constants=None):
@@ -792,12 +807,12 @@ def _stack_state(chain: ChainModel, stack, row: int) -> ChainState:
     return _reached(chain, chain.state_of(coords[row]), float(distances[row]))
 
 
-def _fused(chains, stack, per_chain, *shared) -> list:
-    """``stack(chain, *rows, *shared, constants)`` once per structure group of ``chains``, the chains
-    that share a ``ChainModel._structure``: ``rows`` are the group's entries of each ``per_chain``
-    sequence (arrays of rows) stacked in chain order, ``chain`` is the group's first and ``constants``
-    the rows' ``_row_constants``. Returns per chain its share of the result: its rows of each array,
-    and its entries of a dict keyed by row, renumbered. A chain of its own structure is a group of one."""
+def _fused(chains, stack, per_chain, *shared, constants=None) -> list:
+    """``stack(chain, *rows, *shared, constants)`` once per structure group of ``chains``, the chains that share
+    a ``ChainModel._structure``: ``rows`` are the group's entries of each ``per_chain`` sequence (arrays of rows)
+    stacked in chain order, ``chain`` is the group's first and ``constants`` the rows' ``_row_constants``: their
+    own chains', or the ``constants`` given per chain, which may be another model's of its structure. Returns per
+    chain its share of the result: its rows of each array, and its entries of a dict keyed by row, renumbered."""
     groups, out = {}, [None] * len(chains)
     for i, chain in enumerate(chains):
         groups.setdefault(chain._structure, []).append(i)
@@ -805,7 +820,8 @@ def _fused(chains, stack, per_chain, *shared) -> list:
         sizes = [len(per_chain[0][i]) for i in group]
         members = [chains[i] for i in group]
         rows = [np.concatenate([a[i] for i in group]) for a in per_chain]
-        result = stack(members[0], *rows, *shared, _row_constants(members, sizes))
+        own = _row_constants(members, sizes) if constants is None else np.concatenate([constants[i] for i in group])
+        result = stack(members[0], *rows, *shared, own)
         ends, single = np.cumsum(sizes).tolist(), isinstance(result, np.ndarray)
         for i, lo, hi in zip(group, [0] + ends[:-1], ends):
             out[i] = _share(result, lo, hi) if single else tuple(_share(a, lo, hi) for a in result)

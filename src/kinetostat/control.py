@@ -163,20 +163,21 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
     )
 
 
-def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
-    """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors
-    ``seeds`` (N, n_elements) per chain, in rounds. The equilibria and the sensitivity
-    of all chains that share a structure run as one stack (``chain._fused``). Returns
-    per chain the equilibria's joint vectors and wrenches, the rows finished here (the
-    others need the loop), and per row its accepted Newton steps and |F|, a finished
-    row's ``outer_iterations`` and ``residual_wrench``."""
-    chains, opts = manipulator.chains, opts or SolverOptions()
+def _compensate_stack(chains, targets, seeds, constants, eps_f, opts):
+    """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors ``seeds``
+    (N, n_elements) per chain, in rounds, each row with its ``constants`` per chain (of any
+    model of these structures). The equilibria and the sensitivity of all chains that share a
+    structure run as one stack (``chain._fused``). Returns per chain the equilibria's joint
+    vectors and wrenches, the rows finished here (the others need the loop), and per row its
+    accepted Newton steps and |F|, a finished row's ``outer_iterations`` and ``residual_wrench``."""
+    opts = opts or SolverOptions()
     ends = np.cumsum([chain.n_actuated for chain in chains])[:-1]
 
     def wrench(rows, rho):
         """Per chain the equilibria at rho, the rows all chains solved, and F_sigma (= err, as F_target = 0)."""
         per_chain = [[targets[rows]] * len(chains), [seed[rows] for seed in seeds], np.split(rho, ends, axis=1)]
-        F, coords, solved = (list(a) for a in zip(*_fused(chains, _equilibrium_stack, per_chain, opts)))
+        fused = _fused(chains, _equilibrium_stack, per_chain, opts, constants=[c[rows] for c in constants])
+        F, coords, solved = (list(a) for a in zip(*fused))
         return coords, F, np.all(solved, axis=0), np.sum(F, axis=0)
 
     rho = np.concatenate([seed[:, chain.actuated_elements] for chain, seed in zip(chains, seeds)], axis=1)
@@ -188,7 +189,7 @@ def _compensate_stack(manipulator, targets, seeds, eps_f, opts):
         if not rows.size:
             break
         equilibria = [[x[rows] for x in coords], [f[rows] for f in F]]
-        S = np.concatenate(_fused(chains, _chain_responses, equilibria, True), axis=2)
+        S = np.concatenate(_fused(chains, _chain_responses, equilibria, True, constants=[c[rows] for c in constants]), 2)
         if S.shape[1] != S.shape[2]:  # the least-squares step
             live[rows] = False
             break

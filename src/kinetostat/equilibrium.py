@@ -46,10 +46,10 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
-from .chain import _fused, _ik_stack, _row_constants, _stack_pass, _stack_state, _task_vector
+from .chain import _fused, _ik_stack, _masks, _row_constants, _spring_constants, _stack_pass, _stack_state, _task_vector
 from .chain import chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
-from .springs import RegroupedState, _engaged_rows, regroup
+from .springs import RegroupedState, regroup
 
 STEP_TOL = 1e-10  # relative (F, x) step, or contraction error bound, accepted as stationary
 COND_LIMIT = 1e12
@@ -282,17 +282,17 @@ def _equilibrium_stack(
     chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions, constants=None
 ):
     """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements) updated in
-    place, actuators rho, by row or for all), each with its own mask, oscillation count and stop tests, so bit
-    for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped from every
+    place, actuators rho, by row or for all), each with its own springs, mask, oscillation count and stop tests,
+    so bit for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped from every
     working array. Returns the wrenches, x and the rows converged here; the others, at the F and x they stopped
     at, need a branch of the scalar solve (damping, ``_solve``'s SVD, a singular dim-6 E, a non-finite step)."""
     m, d = targets.shape
     x[:, chain.actuated_elements] = rho
-    free, springs, preloaded = chain.unknown_elements, chain.preload_springs, chain.preloaded_elements
-    wrenches, done, budget = np.zeros((m, d)), np.zeros(m, dtype=bool), opts.max_iterations
-    rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _engaged_rows(springs, x[:, preloaded])
-    prev_mask, oscillating = mask, np.zeros(m, dtype=int)
+    free, wrenches, done, budget = chain.unknown_elements, np.zeros((m, d)), np.zeros(m, dtype=bool), opts.max_iterations
     constants = _row_constants([chain], [m]) if constants is None else constants
+    springs = _spring_constants(chain, constants)
+    rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _masks(chain, x, springs)
+    prev_mask, oscillating = mask, np.zeros(m, dtype=int)
     pose, cols = _stack_pass(chain, x, False, constants)[:2]
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
     while rows.size:
@@ -301,19 +301,20 @@ def _equilibrium_stack(
         prev_mask = mask
         J = _map_rates(cols, _euler_stack(pose)[0]) if d == 6 else cols
         F_new, x_new = np.empty((rows.size, d)), xs.copy()
-        for sub, (q_el, th_el, th0, k_tilde) in chain._by_mask(mask):
+        for sub, (q_el, th_el, _, _) in chain._by_mask(mask):
             sub = slice(None) if sub.size == rows.size else sub  # one mask: views of whole arrays, not row copies
             J_th, J_q, xsub = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
+            th0, k_tilde = springs[sub][..., th_el].swapaxes(0, 1)
             eps = targets[sub] - pose[sub] + (J_q @ np.take(xsub, q_el, axis=1)[..., None])[..., 0]
             eps += (J_th @ (np.take(xsub, th_el, axis=1) - th0)[..., None])[..., 0]
             rhs = np.concatenate([eps, np.zeros((len(eps), q_el.size))], axis=1)[..., None]
-            sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde), rhs)
+            sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde[:, None]), rhs)
             F_new[sub], xsub[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
             xsub[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
             x_new[sub] = xsub  # numpy skips the write of a view onto itself
         step = np.concatenate([F_new - F, x_new[:, free] - xs[:, free]], axis=1)
         left = (oscillating > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
-        F, xs, mask = F_new, x_new, _engaged_rows(springs, x_new[:, preloaded])
+        F, xs, mask = F_new, x_new, _masks(chain, x_new, springs)
         pose, cols = _stack_pass(chain, x_new, False, constants)[:2]
         # the scalar stop tests, _contraction_bound's arithmetic included
         tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
@@ -328,6 +329,7 @@ def _equilibrium_stack(
             wrenches[stopped], x[stopped], done[stopped] = F[~live], xs[~live], converged[~live]
             state = (rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants)
             rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants = (a[live] for a in state)
+            springs = _spring_constants(chain, constants)
     return wrenches, x, done
 
 
@@ -411,23 +413,24 @@ def force_deflection(
     inverse kinematics at the start pose, which must reach it.
 
     A sample is the cold ``total_wrench`` at its target, the first one
-    started from ``starts`` when given. The samples of all chains that share
-    a structure are solved as one stack of up to _SWEEP_CHUNK rows per chain
-    (``chain._fused``, ``_equilibrium_stack``), each started from the
-    best-effort rigid IK at its own target (``_ik_stack``), which reproduce
-    that solve bit for bit. A row that some chain's stack leaves (its IK
-    failed, or its solve needs damping, a restart, the SVD branch or more
-    iterations) gets the scalar solve itself, in row order, started from
-    the row's rigid IK; a chain whose IK row stored an error solves it again,
-    which raises that error. The first non-convergent or singular sample
-    truncates the curve instead of raising, which is how loss of solvability
-    past buckling shows up; the curve keeps that sample's error. A sweep
-    too long to hold in memory raises a ModelError before any solve.
+    started from ``starts`` when given, solved as stacks (``_sweep``) bit
+    for bit. The first non-convergent or singular sample truncates the
+    curve instead of raising, which is how loss of solvability past
+    buckling shows up; the curve keeps that sample's error. A sweep too
+    long to hold in memory raises a ModelError before any solve.
     """
+    return _sweep([manipulator], start, direction, max_delta, step, opts, [rho_all], [starts])[0]
+
+
+def _sweep(manipulators, start, direction, max_delta, step, opts, rhos, starts) -> list[ForceDeflectionCurve]:
+    """``force_deflection`` of each of ``manipulators`` with its entry of ``rhos`` and ``starts``. Their chains differ
+    from the first's at most in spring constants, so one ``_ik_stack`` of the first's chains seeds every row, and
+    the rows of one structure, up to _SWEEP_CHUNK a manipulator, are one ``_equilibrium_stack`` (``chain._fused``),
+    each under its manipulator's constants. A row it leaves, or whose IK failed, gets the scalar solve in order."""
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
-    start_vec = manipulator.pose_array(start)
-    u = _task_vector(direction, manipulator.task_dim, "sweep direction")
+    lead = manipulators[0]
+    start_vec, u = lead.pose_array(start), _task_vector(direction, lead.task_dim, "sweep direction")
     s, norm = _scaled_norms(u[None])
     if norm == 0.0:
         raise ModelError("sweep direction must be nonzero")
@@ -436,50 +439,50 @@ def force_deflection(
     n_samples = max_delta / step
     if not n_samples < math.inf:
         raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} has no finite sample count")
-    chains, opts, n = manipulator.chains, opts or SolverOptions(), int(round(n_samples)) + 1
+    chains, opts, n, count = lead.chains, opts or SolverOptions(), int(round(n_samples)) + 1, len(manipulators)
     try:  # F_sigma of every sample, before any solve: a sweep too long to hold solves nothing
-        forces = np.empty((n, manipulator.task_dim))
+        forces = np.empty((count, n, lead.task_dim))
     except (MemoryError, ValueError) as err:  # ValueError: past numpy's largest array
         raise ModelError(f"sweep of {max_delta:g} in steps of {step:g} does not fit in memory") from err
-    rhos, error = rho_all, None
+    constants = [np.array([c._constants for c in legs]) for legs in zip(*(m.chains for m in manipulators))]  # per chain
+    ends, errors, rhos = [n] * count, [None] * count, list(rhos)
     for first in range(0, n, _SWEEP_CHUNK):
-        targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
-        # _fused hands each stack a copy of its rows, so iks keeps the rigid IK that the equilibria overwrite
-        iks = _fused(chains, _ik_stack, [[targets] * len(chains)])
-        seeds = [coords for coords, _, _ in iks]
-        if not first:
-            if rhos is None:  # from starts, or row 0 of the IK stacks: the rigid IK at the start pose, which must reach it
-                warm = starts if starts is not None else _each_chain(manipulator, _stack_state, iks, [0] * len(chains))
-                rhos = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(chains, warm)]
-            rhos = _each_chain(manipulator, _actuators, split_rho(manipulator, rhos))
-            if starts is not None:
-                if len(starts) != len(chains):
-                    raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
-                given = _each_chain(manipulator, _start_vector, starts)
-                seeds = [np.concatenate([x[None], seed[1:]]) for seed, x in zip(seeds, given)]
-        with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
-            rho_rows = [np.broadcast_to(rho, (len(targets), rho.size)) for rho in rhos]
-            solves = _fused(chains, _equilibrium_stack, [[targets] * len(chains), seeds, rho_rows], opts)
-        F = np.sum([wrenches for wrenches, _, _ in solves], axis=0, out=forces[first : first + len(targets)])
-        left = ~np.all([done for _, _, done in solves], axis=0)
-        left[[row for _, _, errors in iks for row in errors]] = True
-        for i in np.flatnonzero(left):  # the cold solve that a finished row reproduces
-            rigid = [None if i in errors else coords[i] for coords, _, errors in iks]
-            row_starts = rigid if first + i or starts is None else starts
-            try:
-                F[i] = total_wrench(manipulator, targets[i], rhos, opts, starts=row_starts)[0]
-            except (NonConvergenceError, SingularityError) as err:
-                n, error = first + i, err.with_traceback(None)
-                break
-        if error is not None:
+        live = [k for k in range(count) if ends[k] > first]  # the curves not yet ended
+        if not live:
             break
+        targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
+        m, iks = len(targets), _fused(chains, _ik_stack, [[targets] * len(chains)])
+        x = [np.concatenate([coords] * len(live)) for coords, _, _ in iks]  # the starts of the live curves' rows
+        for k, model in enumerate([] if first else manipulators):
+            given = starts[k]
+            if rhos[k] is None:  # from starts, or the rigid IK at the start pose (row 0), which must reach it
+                warm = given if given is not None else _each_chain(model, _stack_state, iks, [0] * len(chains))
+                rhos[k] = [s[c.actuated_elements] if isinstance(s, np.ndarray) else s.rho for c, s in zip(chains, warm)]
+            rhos[k] = _each_chain(model, _actuators, split_rho(model, rhos[k]))
+            if given is not None:
+                if len(given) != len(chains):
+                    raise ModelError(f"{len(given)} start states for {len(chains)} chains")
+                for xs, x0 in zip(x, _each_chain(model, _start_vector, given)):
+                    xs[k * m] = x0
+        rho_rows = [np.array([rhos[k][i] for k in live]).repeat(m, 0) for i in range(len(chains))]
+        per_chain = [[np.concatenate([targets] * len(live))] * len(chains), x, rho_rows]
+        own = [a[live].repeat(m, 0) for a in constants]  # each row its manipulator's constants
+        with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
+            solves = _fused(chains, _equilibrium_stack, per_chain, opts, constants=own)
+        F_live = np.sum([wrenches for wrenches, _, _ in solves], axis=0).reshape(len(live), m, -1)
+        finished = np.all([solved for _, _, solved in solves], axis=0).reshape(len(live), m)
+        finished[:, [row for _, _, errs in iks for row in errs]] = False
+        for k, F, done in zip(live, F_live, finished):
+            forces[k, first : first + m] = F
+            for i in np.flatnonzero(~done):  # the cold solve that a finished row reproduces
+                rigid = [None if i in errs else coords[i] for coords, _, errs in iks]
+                row_starts = rigid if first + i or starts[k] is None else starts[k]
+                try:
+                    forces[k, first + i] = total_wrench(manipulators[k], targets[i], rhos[k], opts, starts=row_starts)[0]
+                except (NonConvergenceError, SingularityError) as err:
+                    ends[k], errors[k] = first + i, err.with_traceback(None)
+                    break
 
-    F = forces[:n]
-    s, norms = _scaled_norms(F)
-    return ForceDeflectionCurve(
-        deltas=np.arange(len(F)) * step,
-        force_magnitude=s * norms,
-        force_along=(F[:, None] @ u[:, None])[:, 0, 0],
-        direction=u,
-        error=error,
-    )
+    samples = [(F[:end], *_scaled_norms(F[:end]), error) for F, end, error in zip(forces, ends, errors)]
+    return [ForceDeflectionCurve(np.arange(len(F)) * step, s * norms, (F[:, None] @ u[:, None])[:, 0, 0], u, error)
+            for F, s, norms, error in samples]

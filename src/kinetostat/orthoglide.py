@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
-from .chain import _each_chain, _fused, _ik_stack, _reaches, _stack_state
+from .chain import _each_chain, _fused, _ik_stack, _reaches, _row_constants, _stack_state
 from .control import _compensate, _compensate_stack
-from .equilibrium import ForceDeflectionCurve, SolverOptions, force_deflection
+from .equilibrium import ForceDeflectionCurve, SolverOptions, _sweep
 from .errors import KinetostatError, ModelError
 from .springs import SpringLaw
 from .stiffness import _aggregate_stiffness, _chain_responses, directional_stiffness
@@ -157,26 +157,25 @@ def critical_force(curve: ForceDeflectionCurve):
     return None
 
 
-def _critical_point(model, start, u, max_delta, opts, starts):
-    """``critical_force`` of the sweep from ``start`` along u, or None.
-
-    The sweep is the ``force_deflection`` of ``sweep --compensate``: its
-    actuators and first sample come from ``starts``, the joint vectors of
-    the chain equilibria at ``start`` (a compensation's), and it samples
-    [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR steps.
-    A curve cut short before any peak may still have one further on: the
-    error of the sample that ended it, which the curve keeps, is re-raised
-    with the delta it was reached at, so a lost branch is never mistaken
-    for a monotone curve.
-    """
-    step = max_delta / round(SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR)
-    curve = force_deflection(model, start, u, max_delta, step, opts, starts=starts)
-    found = critical_force(curve)
-    if found is None and curve.truncated:
-        err = curve.error
-        err.args = (f"{err} (critical-point search lost the branch at delta = {len(curve.deltas) * step:.6g})",)
-        raise err
+def _critical_points(models, start, u, max_delta, opts, starts) -> list:
+    """``critical_force`` of each model's sweep from ``start`` along u, or None: ``sweep --compensate``'s from the
+    model's ``starts`` (its chain equilibria at ``start``) over [0, max_delta] in SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR
+    steps, one ``_sweep`` of models that differ at most in spring constants. A curve cut short before any peak may
+    still have one further on: the error that ended it is re-raised, in model order, with the delta it was reached
+    at, so a lost branch is never mistaken for a monotone curve."""
+    step, found = max_delta / round(SWEEP_MAX_FACTOR / SWEEP_STEP_FACTOR), []
+    for curve in _sweep(models, start, u, max_delta, step, opts, [None] * len(models), starts) if models else []:
+        found.append(critical_force(curve))
+        if found[-1] is None and curve.truncated:
+            err = curve.error
+            err.args = (f"{err} (critical-point search lost the branch at delta = {len(curve.deltas) * step:.6g})",)
+            raise err
     return found
+
+
+def _critical_point(model, start, u, max_delta, opts, starts):
+    """``_critical_points`` of one model."""
+    return _critical_points([model], start, u, max_delta, opts, [starts])[0]
 
 
 @dataclass
@@ -200,32 +199,37 @@ class ComplianceMap:
 _STACK_ROWS = 4096
 
 
-def _compensate_rows(manipulator, targets, stacks, eps_f, opts):
-    """The compensation of targets (N, d) at zero wrench and K_sigma at its equilibria, from ``stacks``, per
-    chain the ``_ik_stack`` of the targets: ``_compensate_stack`` of the rows that every chain's rigid IK
-    reached and the chain stiffnesses of the rows it finishes as stacks (``_chain_responses``), then, in row
-    order, ``control._compensate`` of every other row from its rigid IK state. Returns per chain the
-    equilibria's joint vectors, per row K_sigma, its eigenvalues, the outer iterations and |F|, and by row
-    the KinetostatError of a row that failed, NaN in its arrays."""
-    chains, n, d = manipulator.chains, len(targets), manipulator.task_dim
+def _compensate_rows(models, targets, stacks, eps_f, opts):
+    """The compensation at zero wrench, and K_sigma, of targets (P, d) for ``models`` whose chains differ at most in
+    spring constants, as rows in (model, target) order, from ``stacks``, per chain the targets' ``_ik_stack``:
+    ``_compensate_stack`` and ``_chain_responses`` of the rows that every chain's rigid IK reached, then, in row
+    order up to the first model with a failed row, ``control._compensate`` of every row they leave. Returns per
+    chain the equilibria's joint vectors, per row K_sigma, its eigenvalues, outer iterations, |F| and error."""
+    chains, p, d = models[0].chains, len(targets), models[0].task_dim
+    n, point = p * len(models), np.arange(p * len(models)) % p
     # the rows whose every chain met its target; the others raise their IK's error below
-    rows = np.flatnonzero(np.all([_reaches(dist) & ~np.isin(np.arange(n), list(e)) for _, dist, e in stacks], 0))
-    coords, K = [np.full(c.shape, np.nan) for c, _, _ in stacks], np.full((n, d, d), np.nan)
+    rows = np.flatnonzero(np.all([_reaches(dist) & ~np.isin(np.arange(p), list(e)) for _, dist, e in stacks], 0)[point])
+    constants = [_row_constants(legs, [p] * len(models))[rows] for legs in zip(*(m.chains for m in models))]
+    coords, K = [np.full((n, c.shape[1]), np.nan) for c, _, _ in stacks], np.full((n, d, d), np.nan)
     eigenvalues, outer, residual, errors = np.full((n, d), np.nan), np.zeros(n, dtype=int), np.full(n, np.nan), {}
     with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar solve, which warns as it does
         x, F, done, outer[rows], residual[rows] = _compensate_stack(
-            manipulator, targets[rows], [c[rows] for c, _, _ in stacks], eps_f, opts
+            chains, targets[point[rows]], [c[point[rows]] for c, _, _ in stacks], constants, eps_f, opts
         )
-        K[rows[done]] = np.sum(_fused(chains, _chain_responses, [[a[done] for a in x], [f[done] for f in F]], False), 0)
+        finished = [[a[done] for a in x], [f[done] for f in F]]
+        K[rows[done]] = np.sum(_fused(chains, _chain_responses, finished, False, constants=[c[done] for c in constants]), 0)
     for full, a in zip(coords, x):
         full[rows] = a
     clear = np.isfinite(K).all(axis=(1, 2))
     eigenvalues[clear] = np.linalg.eigvalsh(K[clear])
     for row in np.flatnonzero(~clear).tolist():
+        model = models[row // p]
+        if errors and row // p > min(errors) // p:
+            break
         try:
-            seeds = _each_chain(manipulator, _stack_state, stacks, [row] * len(chains))
-            sol = _compensate(manipulator, targets[row], seeds, np.zeros(d), eps_f, opts)
-            res = _aggregate_stiffness(manipulator, sol.equilibria)
+            seeds = _each_chain(model, _stack_state, stacks, [point[row]] * len(chains))
+            sol = _compensate(model, targets[point[row]], seeds, np.zeros(d), eps_f, opts)
+            res = _aggregate_stiffness(model, sol.equilibria)
         except KinetostatError as err:
             errors[row] = err
             continue
@@ -277,7 +281,7 @@ def compliance_grid(
         targets = np.zeros((ix.size, manipulator.task_dim))
         targets[:, 0], targets[:, 1] = xs[ix], ys[iy]
         stacks = _fused(chains, _ik_stack, [[targets] * len(chains)])
-        eigenvalues, _, _, errors = _compensate_rows(manipulator, targets, stacks, eps_f, opts)[2:]
+        eigenvalues, _, _, errors = _compensate_rows([manipulator], targets, stacks, eps_f, opts)[2:]
         # in cell order, each failed cell names its error; a zero or negative eigenvalue has no meaningful compliance
         for row in np.flatnonzero(~(eigenvalues.min(axis=1) > 0.0)).tolist():  # NaN included
             smallest = f"indefinite stiffness: smallest eigenvalue {eigenvalues[row].min():.3e}"
@@ -391,12 +395,12 @@ class Table1Report:
 def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = None) -> Table1Report:
     """Run the full benchmark grid: points Q0/Q1/Q2 x preload factors.
 
-    One rigid IK stack of the three points serves every preload factor, as
-    the rigid IK reads no spring law. Per factor, ``_compensate_rows``
-    compensates the three points as stacks, bit for bit the single-pose
-    solves; each cell's directional stiffness is taken along the matching
-    workspace diagonal, and the critical force outward from Q2 along it, the
-    ``critical_force`` of the sweep started from Q2's compensated equilibria.
+    The factors' models differ only in spring constants, so three stacks serve
+    them all, bit for bit the single-pose solves: the rigid IK of the points,
+    ``_compensate_rows`` of every (factor, point), and the critical sweeps,
+    outward from Q2's compensated equilibria along the workspace diagonal that
+    Q2's directional stiffness is taken along. A failure raises as a loop over
+    the factors, each sweeping after its points, would raise it.
     """
     opts = opts or spec_base.options()
     eps_f = 1e-8 * spec_base.K_theta * spec_base.L
@@ -405,39 +409,37 @@ def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = Non
     targets = np.array([pose.as_array() for pose in workspace_points(spec_base)])
     diag = 1.0 / math.sqrt(2.0)
     directions = np.array([[diag, diag], [-diag, -diag], [diag, diag]])
-    chains = build_planar_orthoglide(spec_base).chains
+    models = [build_planar_orthoglide(replace(spec_base, spring=SpringLaw(kv * spec_base.K_theta * spec_base.L**2)))
+              for kv in KV_FACTORS]
+    chains = models[0].chains
     stacks = _fused(chains, _ik_stack, [[targets] * len(chains)])
-
+    coords, K, _, outer, residual, errors = _compensate_rows(models, targets, stacks, eps_f, opts)
+    # the factors before the first failed point sweep from Q2's compensated equilibria
+    swept = min(errors, default=len(K)) // len(targets)
+    starts = [[x[len(targets) * k + 2] for x in coords] for k in range(swept)]
+    found = _critical_points(models[:swept], targets[2], directions[2], SWEEP_MAX_FACTOR * spec_base.L, opts, starts)
+    if errors:
+        raise errors[min(errors)]
     cells: dict[tuple[str, float], Table1Cell] = {}
-    critical: dict[float, tuple[float, float] | None] = {}
-    for kv in KV_FACTORS:
-        spring = SpringLaw(kv * spec_base.K_theta * spec_base.L**2, 0.0, "linear")
-        model = build_planar_orthoglide(replace(spec_base, spring=spring))
-        coords, K, _, outer, residual, errors = _compensate_rows(model, targets, stacks, eps_f, opts)
-        if errors:  # the first in (kv, point) order
-            raise errors[min(errors)]
-        for row, point in enumerate(("Q0", "Q1", "Q2")):
-            rho = tuple(float(x[row, chain.actuated_elements[0]]) for chain, x in zip(chains, coords))
-            refs = REFERENCE_TABLE[point]
-            cells[(point, kv)] = Table1Cell(
-                point=point,
-                kv=kv,
-                rho=float(np.mean(rho)),
-                rho_per_chain=rho,
-                rho_ref=refs["rho"].get(kv),
-                stiffness=directional_stiffness(K[row], directions[row]),
-                stiffness_ref=refs["stiffness"].get(kv),
-                outer_iterations=int(outer[row]),
-                residual_wrench=float(residual[row]),
-            )
-        # Q2's compensated equilibria start its sweep
-        starts = [x[2] for x in coords]
-        critical[kv] = _critical_point(model, targets[2], directions[2], SWEEP_MAX_FACTOR * spec_base.L, opts, starts)
+    for row, (kv, point) in enumerate((kv, point) for kv in KV_FACTORS for point in ("Q0", "Q1", "Q2")):
+        rho = tuple(float(x[row, chain.actuated_elements[0]]) for chain, x in zip(chains, coords))
+        refs = REFERENCE_TABLE[point]
+        cells[(point, kv)] = Table1Cell(
+            point=point,
+            kv=kv,
+            rho=float(np.mean(rho)),
+            rho_per_chain=rho,
+            rho_ref=refs["rho"].get(kv),
+            stiffness=directional_stiffness(K[row], directions[row % len(targets)]),
+            stiffness_ref=refs["stiffness"].get(kv),
+            outer_iterations=int(outer[row]),
+            residual_wrench=float(residual[row]),
+        )
     critical_ref = {kv: REFERENCE_TABLE["Q2"]["critical_force"][kv] for kv in KV_FACTORS}
     return Table1Report(
         p_factor=spec_base.p_factor,
         kv_factors=KV_FACTORS,
         cells=cells,
-        critical=critical,
+        critical=dict(zip(KV_FACTORS, found)),
         critical_ref=critical_ref,
     )

@@ -63,13 +63,14 @@ class SpringLaw:
         return d < 0.0
 
 
-def _engaged_rows(springs, values: np.ndarray) -> np.ndarray:
-    """Active masks (M, n) of M configurations: ``SpringLaw.engaged`` of
-    each of the n springs applied to its column of ``values`` (M, n)."""
-    mask = np.zeros(values.shape, dtype=bool)
-    for i, spring in enumerate(springs):
-        mask[:, i] = spring.engaged(values[:, i])
-    return mask
+def _engaged_rows(branches, k: np.ndarray, offset: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Active masks (M, n) of M configurations: ``SpringLaw.engaged`` of n springs of the given branches,
+    each row with its own ``k`` and ``offset`` (M, n), applied to its column of ``values`` (M, n)."""
+    engaged, linear = k > 0.0, [b == LINEAR for b in branches]
+    if not all(linear):  # a one-sided spring engages on its side of the offset only
+        d = values - offset
+        engaged &= np.array(linear, dtype=bool) | np.where([b == POSITIVE_PART for b in branches], d > 0.0, d < 0.0)
+    return engaged
 
 
 @dataclass

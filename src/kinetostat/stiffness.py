@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainModel, ManipulatorModel, _each_chain, _euler_stack, _gather, _load_hessian, _loaded_derivatives
-from .chain import _map_rates, _stack_pass
+from .chain import _map_rates, _masks, _row_constants, _spring_constants, _stack_pass
 from .equilibrium import EquilibriumResult, SolverOptions, _solve, _solve_stack, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
-from .springs import _engaged_rows
 
 _RANK_TOL = 1e-9
 
@@ -66,7 +65,8 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
 
     ``cols`` (..., d, n) are the Jacobian columns and ``H`` (..., n, n) the
     load Hessian of every chain element, ``layout`` the active set's
-    ``ChainModel.regrouping``, and ``solve`` the guarded solve: ``_solve``
+    ``ChainModel.regrouping``, for a stack with k_tilde (..., m) by row, and
+    ``solve`` the guarded solve: ``_solve``
     raises on a singular system, ``_solve_stack`` gives NaN in its row.
     Returns the task rows of A^-1 rhs: the chain stiffness, symmetrised, or
     with ``sensitivity`` dF/drho, one column per actuator; A itself when
@@ -89,7 +89,7 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
     J_q, J_theta = cols[..., :k], cols[..., k : k + m]
     H_qq, H_thth, H_qth = H[..., :k, :k], H[..., k : k + m, k : k + m], H[..., :k, k : k + m]
     what = f"loaded spring block of chain {chain.name!r} lost invertibility"
-    kf = solve(np.diag(k_tilde) - H_thth, np.eye(m), SpringSofteningError, what)
+    kf = solve(k_tilde[..., None] * np.eye(m) - H_thth, np.eye(m), SpringSofteningError, what)  # k > 0: diag(k), to the bit
     H_thq, J_theta_T = H_qth.swapaxes(-1, -2), J_theta.swapaxes(-1, -2)
     A = np.zeros(H.shape[:-2] + (d + k, d + k))
     A[..., :d, :d] = J_theta @ kf @ J_theta_T
@@ -114,16 +114,18 @@ def _chain_block(chain: ChainModel, eq: EquilibriumResult, sensitivity: bool | N
 
 def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool, constants=None):
     """``_chain_block`` of stacked equilibria, joint vectors (M, n_elements) and wrenches (M, d),
-    with the rows of one active mask as one stack, bit for bit; NaN in a row a guarded solve does
-    not clear. ``constants`` as in ``_stack_pass``."""
+    with the rows of one active mask as one stack, bit for bit, each under its row's springs; NaN in
+    a row a guarded solve does not clear. ``constants`` as in ``_stack_pass``."""
+    constants = _row_constants([chain], [len(coords)]) if constants is None else constants
     pose, cols, T, twists = _stack_pass(chain, coords, True, constants)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
     twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
     H = _load_hessian(chain, T, pose, twists, cols, F)
     out = np.empty((len(coords), chain.task_dim, chain.n_actuated if sensitivity else chain.task_dim))
-    masks = _engaged_rows(chain.preload_springs, coords[:, chain.preloaded_elements])
-    for rows, layout in chain._by_mask(masks):
+    springs = _spring_constants(chain, constants)
+    for rows, (q_el, th_el, _, _) in chain._by_mask(_masks(chain, coords, springs)):
+        layout = (q_el, th_el, None, springs[rows, 1][:, th_el])  # with each row's stiffnesses
         out[rows] = _block_system(chain, cols[rows], H[rows], layout, _solve_stack, sensitivity)
     return out
 

@@ -798,11 +798,30 @@ def _structure_twin(rng, chain, name):
     return dataclasses.replace(chain, base_pose=transform(), elements=elements, tool_transform=transform(), name=name)
 
 
+def _spring_twin(rng, chain, name):
+    """``chain`` with other spring constants and the same branches: its preloads take k = 0 and offset
+    -0.0 in turn, or other values, and its virtual springs other stiffnesses."""
+    preloads = iter(range(len(chain.elements)))
+
+    def joint(j):
+        if j.spring is not None:
+            i = next(preloads)
+            k = 0.0 if i % 2 == 0 else float(rng.uniform(0.1, 2.0))
+            offset = -0.0 if i % 3 != 1 else float(rng.uniform(-0.3, 0.3))
+            return dataclasses.replace(j, spring=SpringLaw(k, offset, j.spring.branch))
+        if j.stiffness is not None:
+            return dataclasses.replace(j, stiffness=float(rng.uniform(0.5, 3.0)))
+        return j
+
+    return dataclasses.replace(chain, elements=[(link, joint(j)) for link, j in chain.elements], name=name)
+
+
 @pytest.mark.parametrize("m", [0, 1, 7])
 @pytest.mark.parametrize("task_dim", [2, 3, 6])
 def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
-    # two chains of one structure (other axes, base, links and tool) and one
-    # of another, m rows each: the fused stacks, split per chain, give each
+    # two chains of one structure (other axes, base, links and tool), a twin
+    # of the first with other spring constants, and a chain of another
+    # structure, m rows each: the fused stacks, split per chain, give each
     # chain the bytes of its own stack, for the forward pass, the rigid IK,
     # the equilibrium and both block-system responses
     from kinetostat import SolverOptions
@@ -813,12 +832,14 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
     def random_chain():
         return random_spatial_chain(rng, n_joints=8) if task_dim == 6 else random_planar_chain(rng, task_dim, n_joints=5)
 
-    rng, tally = np.random.default_rng(290 + task_dim), {"converged": 0, "responses": 0}
+    rng, tally, preloads = np.random.default_rng(290 + task_dim), {"converged": 0, "responses": 0}, 0
     for _ in range(4):
         first = random_chain()
         first = dataclasses.replace(first, ik_seed=rng.uniform(-0.3, 0.3, first.rigid_elements.size), name="first")
         chains = [first, dataclasses.replace(random_chain(), name="other"), _structure_twin(rng, first, "twin")]
-        assert chains[0]._structure == chains[2]._structure != chains[1]._structure
+        chains.append(_spring_twin(rng, first, "springs"))
+        assert chains[0]._structure == chains[2]._structure == chains[3]._structure != chains[1]._structure
+        preloads += chains[3].n_preloaded
         x = [np.array([c.element_coordinates(random_state(rng, c)) for _ in range(m)]).reshape(m, len(c.elements)) for c in chains]
         targets = [np.array([fk_array(c, c.state_of(v)) for v in xs]).reshape(m, task_dim) for c, xs in zip(chains, x)]
         targets = [t + rng.uniform(-0.05, 0.05, t.shape) for t in targets]
@@ -851,12 +872,15 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
                     assert response.tobytes() == _chain_responses(c, xs, f, sensitivity).tobytes()
                     tally["responses"] += int(np.isfinite(response).all(axis=(1, 2)).sum())
     assert min(tally.values()) > (5 if m == 7 else -1)  # not a vacuous check
+    assert (preloads > 0) == (task_dim != 6)  # the spatial chains have no preloaded joint
 
 
-def test_chains_differing_in_a_spring_law_a_seed_or_an_identity_link_stack_apart():
-    # the y-leg differs from the x-leg only in its axes and tool, so they share
-    # a stack; a chain whose spring law, ik_seed or a link's identity differs
-    # from the x-leg's, if only in the sign of a zero, runs a stack of its own
+def test_chains_differing_in_a_spring_branch_a_seed_or_an_identity_link_stack_apart():
+    # the y-leg differs from the x-leg only in its axes and tool, and a chain
+    # whose spring differs only in k or offset only in its constants, so they
+    # share a stack; a chain whose spring branch, ik_seed or a link's identity
+    # differs from the x-leg's, the seed if only in the sign of a zero, runs a
+    # stack of its own
     from kinetostat.chain import _fused
 
     x_leg, y_leg = build_planar_orthoglide(OrthoglideSpec(spring=SpringLaw(0.1, 0.0))).chains
@@ -865,11 +889,15 @@ def test_chains_differing_in_a_spring_law_a_seed_or_an_identity_link_stack_apart
     def variant(name, **changes):
         return dataclasses.replace(x_leg, name=name, **changes)
 
+    def spring(law):
+        return x_leg.elements[:2] + [(link, dataclasses.replace(joint, spring=law))]
+
     chains = [
         x_leg,
-        variant("spring", elements=x_leg.elements[:2] + [(link, dataclasses.replace(joint, spring=SpringLaw(0.2, 0.0)))]),
+        variant("spring", elements=spring(SpringLaw(0.2, 0.0))),
         y_leg,
-        variant("offset", elements=x_leg.elements[:2] + [(link, dataclasses.replace(joint, spring=SpringLaw(0.1, -0.0)))]),
+        variant("offset", elements=spring(SpringLaw(0.1, -0.0))),
+        variant("branch", elements=spring(SpringLaw(0.1, 0.0, "positive_part"))),
         variant("seed", ik_seed=np.array([1.0, -0.0])),
         variant("link", elements=x_leg.elements[:2] + [(Transform(translation=(0.0, 0.1, 0.0)), joint)]),
     ]
@@ -881,10 +909,53 @@ def test_chains_differing_in_a_spring_law_a_seed_or_an_identity_link_stack_apart
 
     # each chain's rows, and its share of a dict keyed by the stack's rows, come back to it
     shares = _fused(chains, recorded, [[np.arange(3) + 10 * i for i in range(len(chains))]])
-    assert stacks == [("x-leg", [0, 1, 2, 20, 21, 22]), ("spring", [10, 11, 12]), ("offset", [30, 31, 32]),
-                      ("seed", [40, 41, 42]), ("link", [50, 51, 52])]
-    assert [rows.tolist() for rows, _ in shares] == [[10 * i + 0.5, 10 * i + 1.5, 10 * i + 2.5] for i in range(6)]
-    assert [by_row for _, by_row in shares] == [{}] + [{2: "last"}] * 5
+    assert stacks == [("x-leg", [0, 1, 2, 10, 11, 12, 20, 21, 22, 30, 31, 32]), ("branch", [40, 41, 42]),
+                      ("seed", [50, 51, 52]), ("link", [60, 61, 62])]
+    assert [rows.tolist() for rows, _ in shares] == [[10 * i + 0.5, 10 * i + 1.5, 10 * i + 2.5] for i in range(7)]
+    assert [by_row for _, by_row in shares] == [{}] * 3 + [{2: "last"}] * 4
+
+
+@pytest.mark.parametrize("branch", ["linear", "positive_part"])
+def test_rows_of_several_models_take_each_models_compensation_and_sweep_bit_for_bit(branch):
+    # four shipped-geometry models whose springs differ in k (0 included), offset
+    # (-0.0 included) and drive stiffness: their compensations as one stack of
+    # (model, point) rows, and their sweeps as one sweep, give each model the
+    # bytes of its own; the rigid IK of the first serves them all
+    from kinetostat.chain import _fused, _ik_stack, _row_constants
+    from kinetostat.control import _compensate_stack
+    from kinetostat.equilibrium import _sweep
+
+    laws = [(0.0, 0.0), (0.1, -0.0), (0.5, math.pi / 12.0), (0.05, 0.2)]
+    models = [
+        build_planar_orthoglide(OrthoglideSpec(K_theta=1.0 + 0.25 * i, spring=SpringLaw(k, offset, branch)))
+        for i, (k, offset) in enumerate(laws)
+    ]
+    targets = np.array([[0.0, 0.0], [-0.45, -0.45], [0.45, 0.45], [0.3, -0.2]])
+    p, count = len(targets), len(models)
+    seeds = [coords for coords, _, _ in _fused(models[0].chains, _ik_stack, [[targets] * 2])]
+    constants = [_row_constants(legs, [p] * count) for legs in zip(*(model.chains for model in models))]
+    with np.errstate(all="ignore"):  # as its callers run it
+        fused = _compensate_stack(models[0].chains, np.tile(targets, (count, 1)), [np.tile(x, (count, 1)) for x in seeds],
+                                  constants, 1e-8, None)
+    starts, finished = [], 0
+    for i, model in enumerate(models):
+        own_seeds = [coords for coords, _, _ in _fused(model.chains, _ik_stack, [[targets] * 2])]
+        assert [x.tobytes() for x in own_seeds] == [x.tobytes() for x in seeds]
+        with np.errstate(all="ignore"):
+            own = _compensate_stack(model.chains, targets, own_seeds, [_row_constants([c], [p]) for c in model.chains], 1e-8, None)
+        rows = slice(i * p, (i + 1) * p)
+        assert [a[rows].tobytes() for a in fused[0] + fused[1]] == [a.tobytes() for a in own[0] + own[1]]
+        assert [a[rows].tobytes() for a in fused[2:]] == [a.tobytes() for a in own[2:]]
+        finished += int(own[2].sum())
+        starts.append([x[i * p + 2] for x in fused[0]])
+    assert finished > p * count // 2  # not a vacuous check
+    curves = _sweep(models, targets[2], [-1.0, -1.0], 0.3, 0.01, None, [None] * count, starts)
+    for model, start, curve in zip(models, starts, curves):
+        [own] = _sweep([model], targets[2], [-1.0, -1.0], 0.3, 0.01, None, [None], [start])
+        arrays = ("deltas", "force_magnitude", "force_along", "direction")
+        assert [getattr(curve, a).tobytes() for a in arrays] == [getattr(own, a).tobytes() for a in arrays]
+        assert (type(curve.error), str(curve.error)) == (type(own.error), str(own.error))
+        assert len(curve.deltas) > 1
 
 
 def _groups_by_sorting(chain, masks):
@@ -934,6 +1005,34 @@ def test_by_mask_groups_as_sorting_the_masks(preloaded, rows, groups):
     for (rows_got, layout), (rows_expected, layout_expected) in zip(got, expected):
         assert rows_got.dtype == rows_expected.dtype and np.array_equal(rows_got, rows_expected)
         assert layout is layout_expected
+
+
+def _preloaded_chain(width):
+    """A planar chain of one drive, one virtual spring and ``width`` preloaded revolutes."""
+    slide = (Transform.identity(), JointModel("actuated", "translational", (1.0, 0.0, 0.0)))
+    spring = (Transform.identity(), JointModel("virtual_elastic", "translational", (1.0, 0.0, 0.0), stiffness=1.0))
+    law = SpringLaw(1.0, 0.0, "positive_part")
+    turn = (Transform(translation=(0.1, 0.0, 0.0)), JointModel("preloaded_passive", "rotational", (0.0, 0.0, 1.0), spring=law))
+    return ChainModel(task_dim=2, base_pose=Transform.identity(), elements=[slide, spring] + [turn] * width,
+                      tool_transform=Transform.identity())
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 62, 63, 64, 65, 130])
+def test_by_mask_groups_random_masks_as_sorting_them(width):
+    # random masks of any width group as sorting them does, two masks that
+    # differ only in their last column (the 65th and the 131st included) too
+    chain, rng = _preloaded_chain(width), np.random.default_rng(width)
+    for rows in (2, 9, 40):
+        distinct = rng.random((5, width)) < 0.5
+        distinct[1] = distinct[0]
+        distinct[1, -1] = ~distinct[0, -1]
+        masks = distinct[rng.integers(0, 5, rows)]
+        masks[:2] = distinct[:2]
+        got, expected = chain._by_mask(masks), _groups_by_sorting(chain, masks)
+        assert len(got) == len(expected) > 1
+        for (rows_got, layout), (rows_expected, layout_expected) in zip(got, expected):
+            assert rows_got.dtype == rows_expected.dtype and np.array_equal(rows_got, rows_expected)
+            assert layout is layout_expected
 
 
 # -- the chain-failure rule ----------------------------------------------------

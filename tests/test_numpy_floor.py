@@ -18,10 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kinetostat"
 # checked against numpy 1.24
 NUMPY_1_24 = frozenset(
     """
-    abs all arange array array_equal asarray ascontiguousarray atleast_1d broadcast_to concatenate cos
-    count_nonzero cumsum diag divmod empty errstate eye flatnonzero float64 full hstack inf
-    intp isfinite isin ix_ linspace maximum mean nan ndarray outer repeat sin
-    split sqrt stack sum take transpose unique vdot where zeros
+    abs all arange array array_equal asarray ascontiguousarray atleast_1d concatenate cos
+    count_nonzero cumsum divmod empty errstate eye flatnonzero float64 full hstack inf
+    intp isfinite isin ix_ lexsort linspace maximum mean nan ndarray outer packbits repeat sin
+    split sqrt stack sum take transpose vdot where zeros
     linalg.LinAlgError linalg.cond linalg.det linalg.eigvalsh linalg.inv linalg.lstsq
     linalg.norm linalg.solve linalg.svd
     random.default_rng

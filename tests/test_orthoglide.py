@@ -230,18 +230,18 @@ def test_critical_point_raises_the_error_its_curve_keeps(monkeypatch, ortho_spec
         monkeypatch.setattr(module, "chain_ik_best_effort", ik)
     monkeypatch.setattr(kinetostat.equilibrium, "solve_chain_equilibrium", solve)
 
-    def recorded(*args, **kwargs):
-        sweeps.append((args, kwargs, force_deflection(*args, **kwargs)))
+    def recorded(*args):
+        sweeps.append((args, kinetostat.equilibrium._sweep(*args)))
         return sweeps[-1][-1]
 
-    monkeypatch.setattr(orthoglide, "force_deflection", recorded)
+    monkeypatch.setattr(orthoglide, "_sweep", recorded)
     with pytest.raises(NonConvergenceError) as exc:
         _critical_point(model, q2, DIAG, 0.3, starved, [eq.regrouped.coords for eq in sol.equilibria])
-    [(args, kwargs, curve)] = sweeps
+    [(args, [curve])] = sweeps
     assert curve.truncated and curve.error is exc.value and len(curve.deltas) == 1
     searched = calls.copy()
     calls.clear()
-    alone = force_deflection(*args, **kwargs)
+    [alone] = kinetostat.equilibrium._sweep(*args)
     assert calls == searched and "solve_chain_equilibrium" in calls
     assert alone.truncated and isinstance(alone.error, NonConvergenceError) and alone.error.chain_index == 0
     assert alone.error.__traceback__ is None  # the curve holds none of the solver's frames
@@ -663,10 +663,11 @@ def test_table1_report_serializes(table1):
 
 
 def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, table1):
-    # the cells' rigid IK is one stack of Q0, Q1 and Q2 for both legs, which
-    # every kv shares, and the sweep at Q2 starts from the equilibria of Q2's
-    # compensation; a cold solve at delta = 0 gives the same equilibria, so
-    # the same report
+    # the cells' rigid IK is one stack of Q0, Q1 and Q2 for both legs, and the
+    # critical sweeps' one stack of the 31 samples for both legs: every kv
+    # shares both; the sweep at Q2 starts from the equilibria of Q2's
+    # compensation, and a cold solve at delta = 0 gives the same equilibria,
+    # so the same report
     import kinetostat.chain
     import kinetostat.equilibrium
     import kinetostat.orthoglide as orthoglide
@@ -684,20 +685,24 @@ def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, tabl
 
     for module in (kinetostat.chain, kinetostat.equilibrium):
         monkeypatch.setattr(module, "chain_ik_best_effort", counted)
-    monkeypatch.setattr(orthoglide, "_ik_stack", counted_stack)
+    for module in (orthoglide, kinetostat.equilibrium):
+        monkeypatch.setattr(module, "_ik_stack", counted_stack)
     report = reproduce_table1(OrthoglideSpec())
     points = np.array([pose.as_array() for pose in workspace_points(OrthoglideSpec())])
+    sweep = points[2] + (np.arange(31) * 0.01)[:, None] * (DIAG / np.linalg.norm(DIAG))
     assert calls == []
-    assert [targets.tobytes() for targets in stacks] == [np.concatenate([points, points]).tobytes()]
+    assert [targets.tobytes() for targets in stacks] == [np.concatenate([t, t]).tobytes() for t in (points, sweep)]
 
-    real_search = orthoglide._critical_point
+    real_search = orthoglide._critical_points
 
-    def cold_start(model, start, u, max_delta, opts, starts):
-        rho = [x[chain.actuated_elements] for chain, x in zip(model.chains, starts)]
-        _, cold = total_wrench(model, start, rho, opts)
-        return real_search(model, start, u, max_delta, opts, [eq.regrouped.coords for eq in cold])
+    def cold_start(models, start, u, max_delta, opts, starts):
+        cold = []
+        for model, xs in zip(models, starts):
+            rho = [x[chain.actuated_elements] for chain, x in zip(model.chains, xs)]
+            cold.append([eq.regrouped.coords for eq in total_wrench(model, start, rho, opts)[1]])
+        return real_search(models, start, u, max_delta, opts, cold)
 
-    monkeypatch.setattr(orthoglide, "_critical_point", cold_start)
+    monkeypatch.setattr(orthoglide, "_critical_points", cold_start)
     cold_report = reproduce_table1(OrthoglideSpec())
     # the cold start's rigid IK per chain and kv
     assert len(calls) == 2 * len(KV_FACTORS)
@@ -798,3 +803,30 @@ def test_table1_raises_the_error_of_the_first_failed_point(monkeypatch):
     with pytest.raises(NonConvergenceError, match=r"^no compensation at \[-0\.45, -0\.45\]$"):
         reproduce_table1(OrthoglideSpec())
     assert seen == [q0, q1, q2] * 2
+
+
+def test_table1_raises_a_lost_branch_before_a_later_kvs_failed_point(monkeypatch):
+    # one iteration loses kv 0's critical sweep, and every point of the later
+    # kv is made to fail on the single-pose path: a loop over kv meets the lost
+    # branch first, and the report raises that error, not the point's
+    import kinetostat.orthoglide as orthoglide
+
+    starved = SolverOptions(max_iterations=1)
+    with pytest.raises(NonConvergenceError) as per_cell:
+        _per_cell_table1(OrthoglideSpec(), starved)
+    real, failed = orthoglide._compensate, []
+
+    def failing(manipulator, target, *args):
+        if manipulator.chains[0].preload_springs[0].k > 0.0:
+            failed.append(target.tolist())
+            raise NonConvergenceError(f"no compensation at {target.tolist()}", residual=1.0)
+        return real(manipulator, target, *args)
+
+    _stacks_finish_nothing(monkeypatch)
+    monkeypatch.setattr(orthoglide, "_compensate", failing)
+    with pytest.raises(NonConvergenceError, match=r"\(critical-point search lost the branch at delta = 0\.01\)$") as stacked:
+        reproduce_table1(OrthoglideSpec(), starved)
+    assert str(stacked.value) == str(per_cell.value)
+    assert stacked.value.chain_index == per_cell.value.chain_index == 0
+    # the second kv's points failed, and no later kv was tried
+    assert failed == [pose.as_array().tolist() for pose in workspace_points(OrthoglideSpec())]

@@ -176,15 +176,19 @@ def test_partition_idempotent_and_consistent():
 
 
 def test_engaged_rows_is_engaged_on_every_branch():
-    # the stacked masks apply SpringLaw.engaged column by column, edge values included
+    # the stacked masks apply SpringLaw.engaged column by column, each row
+    # with its own spring constants, edge values included
     from kinetostat.springs import BRANCHES, _engaged_rows
 
-    springs = [SpringLaw(k, offset, branch) for branch in BRANCHES for k in (0.0, 0.5) for offset in (0.0, 0.3, -0.2)]
+    springs = [SpringLaw(k, offset, branch) for branch in BRANCHES for k in (0.0, -0.0, 0.5) for offset in (0.0, -0.0, 0.3, -0.2)]
     edges = [0.0, -0.0, 0.3, -0.2, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.3 + 1e-16, 0.3 - 1e-16]
     rng = np.random.default_rng(0)
     values = np.array([edges + list(rng.uniform(-1.0, 1.0, 5)) for _ in springs]).T
-    mask = _engaged_rows(springs, values)
+    # row i of column j takes the constants of spring j shifted by i within its branch
+    per_row = [[springs[(j // 12) * 12 + (j + i) % 12] for j in range(len(springs))] for i in range(len(values))]
+    k, offset = (np.array([[getattr(s, name) for s in row] for row in per_row]) for name in ("k", "preload_offset"))
+    mask = _engaged_rows([s.branch for s in springs], k, offset, values)
     assert mask.dtype == bool and mask.shape == values.shape
-    expected = [[spring.engaged(v) for spring, v in zip(springs, row)] for row in values.tolist()]
+    expected = [[spring.engaged(v) for spring, v in zip(row_springs, row)] for row_springs, row in zip(per_row, values.tolist())]
     assert mask.tolist() == expected
-    assert _engaged_rows([], np.zeros((3, 0))).shape == (3, 0)
+    assert _engaged_rows([], np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0))).shape == (3, 0)
