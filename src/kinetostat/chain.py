@@ -45,19 +45,17 @@ class Transform:
 
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     rpy: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    is_identity: bool = field(init=False, repr=False, compare=False)  # translation and rpy all zero: the pass skips it
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (*self.translation, *self.rpy)):
+        values = (*self.translation, *self.rpy)
+        if not all(math.isfinite(v) for v in values):
             raise ModelError(f"transform {self.translation}/{self.rpy} is not finite")
+        object.__setattr__(self, "is_identity", not any(values))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         return geo.homogeneous(geo.rpy_matrix(self.rpy), self.translation)
-
-    @cached_property
-    def is_identity(self) -> bool:
-        """True when translation and rpy are all zero; the forward pass skips it."""
-        return not any(self.translation) and not any(self.rpy)
 
     @staticmethod
     def identity() -> "Transform":
@@ -174,14 +172,13 @@ class ChainModel:
     name: str = ""
     # derived from the elements: index arrays per joint kind, of the equilibrium
     # unknowns and of the rigid IK's coordinates (both in JOINT_KINDS order),
-    # joint motion constants and revolute flags, preload springs in preloaded order, layout per mask
+    # revolute flags, preload springs in preloaded order, layout per mask
     actuated_elements: np.ndarray = field(init=False, repr=False, compare=False)
     perfect_elements: np.ndarray = field(init=False, repr=False, compare=False)
     preloaded_elements: np.ndarray = field(init=False, repr=False, compare=False)
     virtual_elements: np.ndarray = field(init=False, repr=False, compare=False)
     unknown_elements: np.ndarray = field(init=False, repr=False, compare=False)
     rigid_elements: np.ndarray = field(init=False, repr=False, compare=False)
-    _motions: tuple = field(init=False, repr=False, compare=False)
     _revolute: np.ndarray = field(init=False, repr=False, compare=False)
     preload_springs: tuple = field(init=False, repr=False, compare=False)
     _regroupings: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -199,8 +196,7 @@ class ChainModel:
         self.actuated_elements, self.perfect_elements, self.preloaded_elements, self.virtual_elements = kinds
         self.unknown_elements = np.concatenate(kinds[1:])
         self.rigid_elements = np.concatenate(kinds[:3])
-        self._motions = tuple(_motion_constants(joint) for _, joint in self.elements)
-        self._revolute = np.array([rotation is not None for _, rotation in self._motions])
+        self._revolute = np.array([joint.motion == ROTATIONAL for _, joint in self.elements])
         self.preload_springs = tuple(self.joint_at(e).spring for e in by_kind[PRELOADED_PASSIVE])
         if self.ik_seed is not None:
             self.ik_seed = np.asarray(self.ik_seed, dtype=float).ravel()
@@ -267,21 +263,31 @@ class ChainModel:
         return [(order[lo:hi], self.regrouping(ordered[lo])) for lo, hi in zip(ends, ends[1:])]
 
     @cached_property
+    def _motions(self) -> tuple:
+        """Per joint, for the scalar pass, its axis and rotation terms: None for a prismatic joint, skew(axis)
+        and axis axis^T for a revolute one."""
+        axes = [np.asarray(joint.axis, dtype=float) for _, joint in self.elements]
+        return tuple((a, (geo.skew(a), np.outer(a, a)) if rotates else None) for a, rotates in zip(axes, self._revolute))
+
+    @cached_property
     def _constants(self) -> np.ndarray:
-        """The chain's row of ``_row_constants``: the base, link and tool matrices, joint axes and revolute terms
-        (``_motions``) in the order the forward pass reads them, less the identities it skips, then the springs
-        (``_spring_constants``)."""
+        """The chain's row of ``_row_constants``, from floats: the base, link and tool matrices and the revolute
+        terms (``_motions``') in the order the forward pass reads them, less the identities it skips, then the
+        joint axes (``_axis_constants``) and the springs (``_spring_constants``)."""
 
         def matrix(transform: Transform) -> list:
-            return [] if transform.is_identity else [transform.matrix]
+            return [] if transform.is_identity else transform.matrix.ravel().tolist()
 
-        parts = matrix(self.base_pose)
-        for (link, _), (axis, rotation) in zip(self.elements, self._motions):
-            parts += [*matrix(link), axis, *(rotation or ())]
-        parts += matrix(self.tool_transform)
-        springs = [(0.0, joint.stiffness or 0.0) if joint.spring is None else (joint.spring.preload_offset, joint.spring.k)
-                   for _, joint in self.elements]
-        return np.concatenate([part.ravel() for part in parts] + [np.array(springs).T.ravel()])
+        flat, axes, rest, k = matrix(self.base_pose), [], [], []
+        for (link, joint), rotates in zip(self.elements, self._revolute):
+            x, y, z = axis = tuple(map(float, joint.axis))
+            flat += matrix(link)
+            if rotates:
+                flat += (0.0, -z, y, z, 0.0, -x, -y, x, 0.0, x * x, x * y, x * z, y * x, y * y, y * z, z * x, z * y, z * z)
+            axes += axis
+            rest.append(0.0 if joint.spring is None else joint.spring.preload_offset)
+            k.append(joint.stiffness or 0.0 if joint.spring is None else joint.spring.k)
+        return np.array(flat + matrix(self.tool_transform) + axes + rest + k)
 
     def element_coordinates(self, state: ChainState) -> np.ndarray:
         """Joint values in chain element order."""
@@ -336,15 +342,6 @@ class ManipulatorModel:
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
-
-
-def _motion_constants(joint: JointModel):
-    """(axis, rotation terms) of a joint; the terms are None for a prismatic
-    joint and (skew(axis), axis axis^T) for a revolute one."""
-    axis = np.asarray(joint.axis, dtype=float)
-    if joint.motion == TRANSLATIONAL:
-        return axis, None
-    return axis, (geo.skew(axis), np.outer(axis, axis))
 
 
 def _end_transform(chain: ChainModel, coords: np.ndarray):
@@ -636,19 +633,24 @@ def _spring_constants(chain: ChainModel, constants: np.ndarray) -> np.ndarray:
     return constants[..., -2 * n :].reshape(*constants.shape[:-1], 2, n)
 
 
-def _masks(chain: ChainModel, coords: np.ndarray, springs: np.ndarray) -> np.ndarray:
-    """Active sets (M, n_preloaded) of stacked joint vectors, each under its row's ``_spring_constants``."""
+def _axis_constants(chain: ChainModel, constants: np.ndarray) -> np.ndarray:
+    """The joint axes in their link frames: a view (M, n_elements, 3) of ``constants`` (M, width) before the springs."""
+    n, width = len(chain.elements), constants.shape[1]
+    return constants[:, width - 5 * n : width - 2 * n].reshape(len(constants), n, 3)
+
+
+def _masks(chain: ChainModel, coords: np.ndarray, preloads: np.ndarray) -> np.ndarray:
+    """Active sets (M, n_preloaded) of stacked joint vectors, each under its row's springs ``preloads``, the
+    preloaded elements' ``_spring_constants`` (M, 2, n_preloaded)."""
     at = chain.preloaded_elements
-    springs = springs[..., at]
-    return _engaged_rows([s.branch for s in chain.preload_springs], springs[:, 1], springs[:, 0], coords[:, at])
+    return _engaged_rows([s.branch for s in chain.preload_springs], preloads[:, 1], preloads[:, 0], coords[:, at])
 
 
-def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True, constants=None):
-    """Poses (M, d), Jacobian columns (M, d, n), end transforms (M, 4, 4) and world twists (six
-    (M, n) arrays, omega then v) of stacked element-order joint vectors, in the arithmetic of ``_end_transform``,
-    ``_task_pose``, ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped. ``constants`` are the
-    rows' ``_row_constants``, by default ``chain``'s, so the rows may belong to any chains of its structure.
-    With ``twists`` False a dim-2 pass returns None for them and skips the terms its columns do not read."""
+def _stack_pass(chain: ChainModel, coords: np.ndarray, constants=None):
+    """Poses (M, d), end transforms (M, 4, 4) and joint frames (M, n, 4, 4), each after its link, of stacked
+    element-order joint vectors, in the arithmetic of ``_end_transform`` and ``_task_pose``; ``_stack_columns``
+    builds the Jacobian columns of the rows that need them. ``constants`` are the rows' ``_row_constants``, by
+    default ``chain``'s, so the rows may belong to any chains of its structure."""
     m, dim, at = len(coords), chain.task_dim, 0
     if constants is None:
         constants = _row_constants([chain], [m])
@@ -662,30 +664,36 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True, cons
         return constants[:, at - size : at].reshape(m, *shape)
 
     T = None if chain.base_pose.is_identity else read(4, 4)
-    axes, origins = np.empty((2, m, 3, len(chain.elements)))
+    frames, axes = np.empty((m, len(chain.elements), 4, 4)), _axis_constants(chain, constants)
     for j, ((link, _), rotates, value) in enumerate(zip(chain.elements, chain._revolute, coords.T)):
         if not link.is_identity:
             T = read(4, 4) if T is None else T @ read(4, 4)
-        frame, axis = _I4 if T is None else T, read(3)
-        axes[..., j], origins[..., j] = (frame[..., :3, :3] @ axis[:, :, None])[..., 0], frame[..., :3, 3]
+        frames[:, j] = _I4 if T is None else T
         motion = np.empty((m, 4, 4))
         motion[:] = _I4
         if rotates:
             c, s = np.cos(value)[:, None, None], np.sin(value)[:, None, None]
             motion[:, :3, :3] = c * _I3 + s * read(3, 3) + (1.0 - c) * read(3, 3)
         else:
-            motion[:, :3, 3] = axis * value[:, None]
+            motion[:, :3, 3] = axes[:, j] * value[:, None]
         T = motion if T is None else T @ motion
     if not chain.tool_transform.is_identity:
         T = T @ read(4, 4)
     # numpy's arctan2 and arcsin miss math's last bit on some inputs: angles go row by row
     pose = T[:, :2, 3].copy() if dim == 2 else np.array([_task_pose(t, dim) for t in T]).reshape(m, dim)
-    revolute = chain._revolute
-    a0, a1, a2 = axes.swapaxes(0, 1)
-    b0, b1, b2 = (T[:, :3, 3, None] - origins).swapaxes(0, 1)
+    return pose, T, frames
+
+
+def _stack_columns(chain: ChainModel, T: np.ndarray, frames: np.ndarray, constants: np.ndarray, twists: bool = False):
+    """Jacobian columns (K, d, n) of K rows of a ``_stack_pass`` (their T, frames and constants) in the arithmetic
+    of ``_twists`` and ``_columns``; dim 6 rows 3-5 hold omega, unmapped. With ``twists``, also the world twists
+    (six (K, n) arrays, omega then v); without, a dim-2 pass skips the terms its columns do not read."""
+    dim, revolute = chain.task_dim, chain._revolute
+    a0, a1, a2 = (frames[..., :3, :3] @ _axis_constants(chain, constants)[..., None])[..., 0].transpose(2, 0, 1)
+    b0, b1, b2 = (T[:, None, :3, 3] - frames[..., :3, 3]).transpose(2, 0, 1)
     v = [np.where(revolute, c, a) for c, a in ((a1 * b2 - a2 * b1, a0), (a2 * b0 - a0 * b2, a1))]
     if dim == 2 and not twists:
-        return pose, np.stack(v, axis=1), T, None
+        return np.stack(v, axis=1)
     o0, o1, o2 = (np.where(revolute, a, 0.0) for a in (a0, a1, a2))
     v.append(np.where(revolute, a0 * b1 - a1 * b0, a2))
     rows = v[:2]
@@ -695,7 +703,7 @@ def _stack_pass(chain: ChainModel, coords: np.ndarray, twists: bool = True, cons
         rows.append((c0 * d1 - c1 * d0) / (c0 * c0 + c1 * c1))
     elif dim == 6:
         rows += [v[2], o0, o1, o2]
-    return pose, np.stack(rows, axis=1), T, (o0, o1, o2, *v)
+    return (np.stack(rows, axis=1), (o0, o1, o2, *v)) if twists else np.stack(rows, axis=1)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -739,13 +747,13 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
     n, free, eye = len(targets), chain.rigid_elements, np.eye(chain.rigid_elements.size)
     coords = np.zeros((n, len(chain.elements)))
     coords[:, free] = 0.0 if chain.ik_seed is None else chain.ik_seed
-    out, distances, errors = np.empty(coords.shape), np.empty(n), {}
+    out, distances, errors, cols = np.empty(coords.shape), np.empty(n), {}, np.empty((n, chain.task_dim, coords.shape[1]))
     rows, lam, (steps, trials), first = np.arange(n), np.zeros(n), np.zeros((2, n), dtype=int), True
     constants = _row_constants([chain], [n]) if constants is None else constants
     # inf - inf in an overflowed pass is met silently by the scalar solve's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        pose, cols = _stack_pass(chain, coords, False, constants)[:2]
-        r = targets - pose
+        pose, T, frames = _stack_pass(chain, coords, constants)
+        r, better = targets - pose, np.full(n, True)  # better: rows whose last pass is their iterate's
         dist = _norms(r)
         while True:
             # the scalar stop tests
@@ -757,6 +765,12 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
                 for i, err in bad.items():
                     errors[rows[at[i]]], live[at[i]] = err, False
                 E_inv = E_inv[live[at]]
+            # columns only for the rows that go on and moved: a rejected trial leaves a row's J as it was
+            new = better & live
+            if new.all():
+                cols = _stack_columns(chain, T, frames, constants)
+            elif new.any():
+                cols[new] = _stack_columns(chain, T[new], frames[new], constants[new])
             if not live.all():
                 out[rows[~live]], distances[rows[~live]] = coords[~live], dist[~live]
                 state = (rows, coords, r, dist, pose, cols, targets, constants, lam, steps, trials)
@@ -766,19 +780,22 @@ def _ik_stack(chain: ChainModel, targets: np.ndarray, constants=None):
             J = cols[:, :, free]
             if chain.task_dim == 6:
                 J = _map_rates(J, E_inv)
-            if first:  # every row has its first J, which the stop tests found finite
-                sigma = np.linalg.norm(J, 2, axis=(1, 2))
+            if first:  # every row has its first J, which the stop tests found finite; rows that start at one
+                # seed share it, so one SVD a run of rows with the same bytes
+                bits = J.reshape(len(J), -1).view(np.int64)
+                run = np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])
+                sigma = np.linalg.svd(J[run], compute_uv=False)[np.cumsum(run) - 1, 0]
                 lam, first = 1e-3 * np.maximum(sigma * sigma, 1.0), False
             trial = coords.copy()
             damped = J.swapaxes(1, 2) @ J + lam[:, None, None] * eye
             trial[:, free] += np.linalg.solve(damped, J.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-            pose_try, cols_try = _stack_pass(chain, trial, False, constants)[:2]
+            pose_try, T, frames = _stack_pass(chain, trial, constants)
             r_try = targets - pose_try
             try_dist = _norms(r_try)
             better = try_dist < dist
             kept = better[:, None]
             coords, r, pose = np.where(kept, trial, coords), np.where(kept, r_try, r), np.where(kept, pose_try, pose)
-            dist, cols = np.where(better, try_dist, dist), np.where(kept[..., None], cols_try, cols)
+            dist = np.where(better, try_dist, dist)
             lam = np.where(better, np.maximum(lam * 0.3, 1e-14), lam * 10.0)
             trials = np.where(better, 0, trials + 1)
             steps = steps + better

@@ -187,9 +187,8 @@ def _cmd_sweep(args) -> int:
         model, start, direction, args.max_delta, args.step, opts, rho_all=rho, starts=starts
     )
     crit = critical_force(curve)
-    lines = ["delta,F_mag,F_dir"]
-    for d, fm, fd in zip(curve.deltas, curve.force_magnitude, curve.force_along):
-        lines.append(f"{_fmt(d)},{_fmt(fm)},{_fmt(fd)}")
+    values = zip(curve.deltas.tolist(), curve.force_magnitude.tolist(), curve.force_along.tolist())
+    lines = ["delta,F_mag,F_dir"] + ["%.17g,%.17g,%.17g" % row for row in values]  # _fmt's digits
     if crit is None:
         # a curve cut short before any interior peak may still have one further on
         lines.append("# critical=unknown" if curve.truncated else "# critical=none")
@@ -209,12 +208,9 @@ def _cmd_map(args) -> int:
     opts = _options(args)
     grid = compliance_grid(model, args.grid, opts, eps_f=args.eps_f)
     lines = ["x,y,c_max,c_min,flag"]
-    for ix, x in enumerate(grid.xs):
-        for iy, y in enumerate(grid.ys):
-            flag = "ok" if grid.ok[ix, iy] else "failed"
-            lines.append(
-                f"{_fmt(x)},{_fmt(y)},{_fmt(grid.c_max[ix, iy])},{_fmt(grid.c_min[ix, iy])},{flag}"
-            )
+    for x, *cells in zip(grid.xs.tolist(), grid.c_max.tolist(), grid.c_min.tolist(), grid.ok.tolist()):
+        for y, hi, lo, ok in zip(grid.ys.tolist(), *cells):  # _fmt's digits
+            lines.append("%.17g,%.17g,%.17g,%.17g,%s" % (x, y, hi, lo, "ok" if ok else "failed"))
     _finish(args, None, lines)
     for (ix, iy), reason in grid.reasons.items():
         print(f"map: cell x={_fmt(grid.xs[ix])} y={_fmt(grid.ys[iy])} failed: {reason}", file=sys.stderr)

@@ -46,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
-from .chain import _fused, _ik_stack, _masks, _row_constants, _spring_constants, _stack_pass, _stack_state, _task_vector
-from .chain import chain_ik_best_effort, regrouped_geometry
+from .chain import _fused, _ik_stack, _masks, _row_constants, _spring_constants, _stack_columns, _stack_pass, _stack_state
+from .chain import _task_vector, chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, regroup
 
@@ -291,20 +291,25 @@ def _equilibrium_stack(
     free, wrenches, done, budget = chain.unknown_elements, np.zeros((m, d)), np.zeros(m, dtype=bool), opts.max_iterations
     constants = _row_constants([chain], [m]) if constants is None else constants
     springs = _spring_constants(chain, constants)
-    rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _masks(chain, x, springs)
+    preloads, groups = springs[..., chain.preloaded_elements], None  # both gathered again after each compaction
+    rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _masks(chain, x, preloads)
     prev_mask, oscillating = mask, np.zeros(m, dtype=int)
-    pose, cols = _stack_pass(chain, x, False, constants)[:2]
+    pose, T, frames = _stack_pass(chain, x, constants)
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
     while rows.size:
         budget -= 1
-        oscillating = np.where((mask != prev_mask).any(axis=1), oscillating + 1, 0)
-        prev_mask = mask
-        J = _map_rates(cols, _euler_stack(pose)[0]) if d == 6 else cols
+        flipped = (mask != prev_mask).any(axis=1)
+        oscillating, prev_mask = np.where(flipped, oscillating + 1, 0), mask
+        if groups is None or flipped.any():  # per mask group its rows, layout and the rows' theta~_0 and k~
+            groups = []
+            for sub, (q_el, th_el, _, _) in chain._by_mask(mask):
+                sub = slice(None) if sub.size == rows.size else sub  # one mask: views of whole arrays, not row copies
+                groups.append((sub, q_el, th_el, *springs[sub][..., th_el].swapaxes(0, 1)))
+        J = _stack_columns(chain, T, frames, constants)  # only for the rows that go on
+        J = _map_rates(J, _euler_stack(pose)[0]) if d == 6 else J
         F_new, x_new = np.empty((rows.size, d)), xs.copy()
-        for sub, (q_el, th_el, _, _) in chain._by_mask(mask):
-            sub = slice(None) if sub.size == rows.size else sub  # one mask: views of whole arrays, not row copies
+        for sub, q_el, th_el, th0, k_tilde in groups:
             J_th, J_q, xsub = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
-            th0, k_tilde = springs[sub][..., th_el].swapaxes(0, 1)
             eps = targets[sub] - pose[sub] + (J_q @ np.take(xsub, q_el, axis=1)[..., None])[..., 0]
             eps += (J_th @ (np.take(xsub, th_el, axis=1) - th0)[..., None])[..., 0]
             rhs = np.concatenate([eps, np.zeros((len(eps), q_el.size))], axis=1)[..., None]
@@ -314,8 +319,8 @@ def _equilibrium_stack(
             x_new[sub] = xsub  # numpy skips the write of a view onto itself
         step = np.concatenate([F_new - F, x_new[:, free] - xs[:, free]], axis=1)
         left = (oscillating > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
-        F, xs, mask = F_new, x_new, _masks(chain, x_new, springs)
-        pose, cols = _stack_pass(chain, x_new, False, constants)[:2]
+        F, xs, mask = F_new, x_new, _masks(chain, x_new, preloads)
+        pose, T, frames = _stack_pass(chain, x_new, constants)
         # the scalar stop tests, _contraction_bound's arithmetic included
         tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
         size, prev = _norms(step[:, d:]), _norms(dx_prev)
@@ -327,9 +332,10 @@ def _equilibrium_stack(
         if not live.all():
             stopped = rows[~live]
             wrenches[stopped], x[stopped], done[stopped] = F[~live], xs[~live], converged[~live]
-            state = (rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants)
-            rows, F, xs, mask, prev_mask, oscillating, pose, cols, dx_prev, targets, constants = (a[live] for a in state)
+            state = (rows, F, xs, mask, prev_mask, oscillating, pose, T, frames, dx_prev, targets, constants)
+            rows, F, xs, mask, prev_mask, oscillating, pose, T, frames, dx_prev, targets, constants = (a[live] for a in state)
             springs = _spring_constants(chain, constants)
+            preloads, groups = springs[..., chain.preloaded_elements], None
     return wrenches, x, done
 
 

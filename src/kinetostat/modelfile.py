@@ -67,6 +67,8 @@ def _vector(value, length, path, errs):
     if not isinstance(value, list) or len(value) != length:
         errs.add(path, f"expected a list of {length} numbers")
         return (0.0,) * length
+    if {*map(type, value)} <= {float} and math.isfinite(sum(value)):  # every leaf at once; a problem leaf by leaf
+        return tuple(value)
     return tuple(_number(v, path, errs, i) for i, v in enumerate(value))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainModel, ManipulatorModel, _each_chain, _euler_stack, _gather, _load_hessian, _loaded_derivatives
-from .chain import _map_rates, _masks, _row_constants, _spring_constants, _stack_pass
+from .chain import _map_rates, _masks, _row_constants, _spring_constants, _stack_columns, _stack_pass
 from .equilibrium import EquilibriumResult, SolverOptions, _solve, _solve_stack, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
@@ -117,14 +117,15 @@ def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensi
     with the rows of one active mask as one stack, bit for bit, each under its row's springs; NaN in
     a row a guarded solve does not clear. ``constants`` as in ``_stack_pass``."""
     constants = _row_constants([chain], [len(coords)]) if constants is None else constants
-    pose, cols, T, twists = _stack_pass(chain, coords, True, constants)
+    pose, T, frames = _stack_pass(chain, coords, constants)
+    cols, twists = _stack_columns(chain, T, frames, constants, True)
     if chain.task_dim == 6:
         cols = _map_rates(cols, _euler_stack(pose)[0])
     twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
     H = _load_hessian(chain, T, pose, twists, cols, F)
     out = np.empty((len(coords), chain.task_dim, chain.n_actuated if sensitivity else chain.task_dim))
     springs = _spring_constants(chain, constants)
-    for rows, (q_el, th_el, _, _) in chain._by_mask(_masks(chain, coords, springs)):
+    for rows, (q_el, th_el, _, _) in chain._by_mask(_masks(chain, coords, springs[..., chain.preloaded_elements])):
         layout = (q_el, th_el, None, springs[rows, 1][:, th_el])  # with each row's stiffnesses
         out[rows] = _block_system(chain, cols[rows], H[rows], layout, _solve_stack, sensitivity)
     return out

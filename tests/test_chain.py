@@ -737,43 +737,114 @@ def test_ik_stack_rows_that_stop_in_different_rounds(monkeypatch, ortho_spec, bu
     assert sizes[:2] == [6, 4] and len(set(sizes)) > (2 if budget > 1 else 1)
 
 
+def test_fused_ik_takes_one_first_damping_a_run_of_equal_j(monkeypatch, ortho_spec):
+    # one fused IK stack of the x-leg, a spring twin of it (its J are the
+    # x-leg's) and a y-leg with a longer tool (other J, other damping); the
+    # x-leg's first target is its seed's pose, so
+    # that row stops before the first round: the run of equal first J starts
+    # at the x-leg's second row and runs on through the twin's rows. One SVD
+    # a run, and every row is its own chain's scalar IK bit for bit
+    from kinetostat.chain import _fused
+
+    x_leg, y_leg = build_planar_orthoglide(ortho_spec).chains
+    twin = _spring_twin(np.random.default_rng(7), x_leg, "twin")
+    y_leg = dataclasses.replace(y_leg, tool_transform=Transform(translation=(0.0, -1.3, 0.0)))
+    assert x_leg._structure == twin._structure == y_leg._structure
+    seed = np.zeros(len(x_leg.elements))
+    seed[x_leg.rigid_elements] = x_leg.ik_seed
+    chains = [x_leg, twin, y_leg]
+    targets = [np.array([fk_array(x_leg, x_leg.state_of(seed)), [0.1, 0.2], [-0.3, 0.25]]),
+               np.array([[0.45, -0.45], [0.2, 0.1]]), np.array([[0.1, 0.2], [0.3, -0.1], [-0.2, -0.2]])]
+    real, svd_rows = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        svd_rows.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    stacks = _fused(chains, _ik_stack, [targets])
+    monkeypatch.undo()
+    assert svd_rows == [2]  # the x-leg's two live rows and the twin's are one run, the y-leg's another
+    for chain, t, (coords, distances, errors) in zip(chains, targets, stacks):
+        assert not errors
+        for row, target in enumerate(t):
+            state, r_norm = chain_ik_best_effort(chain, target)
+            assert coords[row].tobytes() == chain.element_coordinates(state).tobytes()
+            assert distances[row].tobytes() == np.float64(r_norm).tobytes()
+    assert stacks[0][1][0] == 0.0  # the x-leg's first row stopped at its seed
+
+
 # -- stacked forward pass and mask groups ----------------------------------------
+
+
+def _negative_zero(axis):
+    """``axis`` with its smallest component turned into -0.0, renormalized."""
+    a = list(axis)
+    a[int(np.argmin(np.abs(a)))] = -0.0
+    norm = math.sqrt(sum(v * v for v in a))
+    return tuple(v / norm for v in a)
 
 
 @pytest.mark.parametrize("m", [0, 1, 7])
 @pytest.mark.parametrize("task_dim", [2, 3, 6])
 def test_stack_pass_bitwise_equal_to_the_scalar_pass(task_dim, m):
-    # row by row the bytes of _end_transform, _task_pose, _twists and _columns
-    # (dim 6 after the rate map its callers apply), on random chains whose
-    # base, links and tool are none of them the identity
-    from kinetostat.chain import _columns, _end_transform, _euler_stack, _map_rates, _stack_pass, _task_pose, _twists
+    # row by row the bytes of _end_transform (T and every joint frame),
+    # _task_pose, _twists and _columns (dim 6 after the rate map its callers
+    # apply), on random chains whose base, links and tool are none of them the
+    # identity; on the same chains with the base and first two links the
+    # identity, as the shipped legs have them, so the first frames are the
+    # pass's shared I; with an axis component of -0.0; and with a prismatic
+    # coordinate of the last row at inf, which overflows that row
+    from kinetostat.chain import _columns, _end_transform, _euler_stack, _map_rates, _row_constants, _stack_columns
+    from kinetostat.chain import _stack_pass, _task_pose, _twists
 
-    rng = np.random.default_rng(230 + task_dim)
+    rng, overflowed = np.random.default_rng(230 + task_dim), 0
     for _ in range(5):
         chain = random_spatial_chain(rng) if task_dim == 6 else random_planar_chain(rng, task_dim, n_joints=5)
         transforms = [chain.base_pose, chain.tool_transform] + [link for link, _ in chain.elements]
         assert not any(transform.is_identity for transform in transforms)
         coords = np.array([chain.element_coordinates(random_state(rng, chain)) for _ in range(m)])
-        pose, cols, T, twists = _stack_pass(chain, coords.reshape(m, len(chain.elements)))
-        if task_dim == 6:
-            cols = _map_rates(cols, _euler_stack(pose)[0])
-        assert pose.shape == (m, task_dim) and cols.shape == (m, task_dim, len(chain.elements))
-        assert T.shape == (m, 4, 4) and np.shape(twists) == (6, m, len(chain.elements))
-        for row, x in enumerate(coords):
-            T_ref, frames = _end_transform(chain, x)
-            pose_ref = _task_pose(T_ref, task_dim)
-            twists_ref = _twists(chain, T_ref, frames)
-            assert T[row].tobytes() == T_ref.tobytes()
-            assert pose[row].tobytes() == pose_ref.tobytes()
-            assert cols[row].tobytes() == _columns(chain, T_ref, pose_ref, twists_ref).tobytes()
-            assert np.array(twists)[:, row].T.tobytes() == np.array(twists_ref).tobytes()
-        # the pass of the IK and equilibrium stacks, which drop the twists: a
-        # dim-2 pass skips the terms its columns do not read, with the same bytes
-        lean_pose, lean_cols, lean_T, lean_twists = _stack_pass(chain, coords.reshape(m, len(chain.elements)), False)
-        if task_dim == 6:
-            lean_cols = _map_rates(lean_cols, _euler_stack(lean_pose)[0])
-        assert [a.tobytes() for a in (lean_pose, lean_cols, lean_T)] == [a.tobytes() for a in (pose, cols, T)]
-        assert (lean_twists is None) == (task_dim == 2)
+        coords = coords.reshape(m, len(chain.elements))
+        identity = [(Transform.identity(), joint) for _, joint in chain.elements[:2]] + chain.elements[2:]
+        signed = [(link, dataclasses.replace(joint, axis=_negative_zero(joint.axis))) for link, joint in chain.elements]
+        prismatic = [j for j, (_, joint) in enumerate(chain.elements) if joint.motion == "translational"]
+        overflow = coords.copy()
+        if m and prismatic:
+            overflow[-1, prismatic[0]] = math.inf
+            overflowed += 1
+        cases = [
+            (chain, coords),
+            (dataclasses.replace(chain, base_pose=Transform.identity(), elements=identity), coords),
+            (dataclasses.replace(chain, elements=signed), coords),
+            (chain, overflow),
+        ]
+        for case, x in cases:
+            with np.errstate(all="ignore"):
+                pose, T, frames = _stack_pass(case, x)
+                cols, twists = _stack_columns(case, T, frames, _row_constants([case], [m]), True)
+                if task_dim == 6:
+                    cols = _map_rates(cols, _euler_stack(pose)[0])
+                # the pass of the IK and equilibrium stacks, which drop the twists: a
+                # dim-2 pass skips the terms its columns do not read, with the same bytes
+                lean = _stack_columns(case, T, frames, _row_constants([case], [m]))
+                if task_dim == 6:
+                    lean = _map_rates(lean, _euler_stack(pose)[0])
+            assert lean.tobytes() == cols.tobytes()
+            assert pose.shape == (m, task_dim) and cols.shape == (m, task_dim, len(case.elements))
+            assert T.shape == (m, 4, 4) and frames.shape == (m, len(case.elements), 4, 4)
+            assert np.shape(twists) == (6, m, len(case.elements))
+            for row, xs in enumerate(x):
+                with np.errstate(all="ignore"):
+                    T_ref, frames_ref = _end_transform(case, xs)
+                    pose_ref = _task_pose(T_ref, task_dim)
+                    twists_ref = _twists(case, T_ref, frames_ref)
+                    cols_ref = _columns(case, T_ref, pose_ref, twists_ref)
+                assert T[row].tobytes() == T_ref.tobytes()
+                assert frames[row].tobytes() == np.array(frames_ref).tobytes()
+                assert pose[row].tobytes() == pose_ref.tobytes()
+                assert cols[row].tobytes() == cols_ref.tobytes()
+                assert np.array(twists)[:, row].T.tobytes() == np.array(twists_ref).tobytes()
+    assert overflowed > (2 if m else -1)  # not a vacuous check
 
 
 # -- fused stacks: the rows of every chain of one structure as one stack --------
@@ -825,7 +896,7 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
     # chain the bytes of its own stack, for the forward pass, the rigid IK,
     # the equilibrium and both block-system responses
     from kinetostat import SolverOptions
-    from kinetostat.chain import _fused, _row_constants, _stack_pass
+    from kinetostat.chain import _fused, _row_constants, _stack_columns, _stack_pass
     from kinetostat.equilibrium import _equilibrium_stack
     from kinetostat.stiffness import _chain_responses
 
@@ -848,11 +919,15 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
         F = [rng.uniform(-0.5, 0.5, (m, task_dim)) for _ in chains]
 
         group = [chains[0], chains[2]]
-        fused = _stack_pass(chains[0], np.concatenate([x[0], x[2]]), True, _row_constants(group, [m, m]))
+        constants = _row_constants(group, [m, m])
+        fused = _stack_pass(chains[0], np.concatenate([x[0], x[2]]), constants)
+        fused_cols, fused_twists = _stack_columns(chains[0], *fused[1:], constants, True)
         for i, c in enumerate(group):
             own = _stack_pass(c, [x[0], x[2]][i])
-            assert [a[i * m : (i + 1) * m].tobytes() for a in fused[:3]] == [a.tobytes() for a in own[:3]]
-            assert [a[i * m : (i + 1) * m].tobytes() for a in fused[3]] == [a.tobytes() for a in own[3]]
+            own_cols, own_twists = _stack_columns(c, *own[1:], _row_constants([c], [m]), True)
+            rows = slice(i * m, (i + 1) * m)
+            assert [a[rows].tobytes() for a in (*fused, fused_cols)] == [a.tobytes() for a in (*own, own_cols)]
+            assert [a[rows].tobytes() for a in fused_twists] == [a.tobytes() for a in own_twists]
 
         with np.errstate(all="ignore"):
             iks = _fused(chains, _ik_stack, [targets])

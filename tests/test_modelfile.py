@@ -245,3 +245,44 @@ def test_placeholder_fault_reported_once(key, value, path, words):
     problems = str(exc.value).splitlines()[1:]
     assert len(problems) == 1
     assert problems[0].startswith(f"$.chains[0].elements[1].joint.{path}: ") and words in problems[0]
+
+
+def _float_leaves(node, path="$"):
+    """(path, keys) of every float leaf of a document tree, its path in the parser's wording."""
+    if isinstance(node, float):
+        return [(path, ())]
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else []
+    leaves = []
+    for key, child in items:
+        child_path = f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]"
+        leaves += [(p, (key, *keys)) for p, keys in _float_leaves(child, child_path)]
+    return leaves
+
+
+@pytest.mark.parametrize(
+    "literal, problem",
+    [
+        ("true", "expected a number, got bool"),
+        ('"1.0"', "expected a number, got str"),
+        ("null", "expected a number, got NoneType"),
+        ("1e999", "expected a finite number"),
+        ("1" + "0" * 400, "expected a finite number"),
+    ],
+)
+def test_every_numeric_leaf_of_the_shipped_document_is_checked_with_its_path(literal, problem):
+    # one bad leaf at a time at every number of the shipped document (workspace,
+    # base, tool, ik_seed, link translation and rpy, axis, stiffness, spring k
+    # and offset): the document is refused, and one line names that leaf's path
+    leaves = _float_leaves(json.loads(fixture_text()))
+    assert {p.rsplit(".", 1)[-1].split("[")[0] for p, _ in leaves} == {
+        "min", "max", "translation", "rpy", "ik_seed", "axis", "stiffness", "k", "offset"
+    }
+    for path, keys in leaves:
+        tree = json.loads(fixture_text())
+        node = tree
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@bad@"
+        with pytest.raises(ModelError) as exc:
+            parse_model(json.dumps(tree).replace('"@bad@"', literal))
+        assert f"{path}: {problem}" in str(exc.value).splitlines(), path
