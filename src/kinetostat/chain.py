@@ -841,15 +841,19 @@ def _fused(chains, stack, per_chain, *shared, constants=None) -> list:
         result = stack(members[0], *rows, *shared, own)
         ends, single = np.cumsum(sizes).tolist(), isinstance(result, np.ndarray)
         for i, lo, hi in zip(group, [0] + ends[:-1], ends):
-            out[i] = _share(result, lo, hi) if single else tuple(_share(a, lo, hi) for a in result)
+            names = members[0].name, chains[i].name
+            out[i] = _share(result, lo, hi, names) if single else tuple(_share(a, lo, hi, names) for a in result)
     return out
 
 
-def _share(a, lo: int, hi: int):
-    """Rows lo:hi of a stack's output: of an array, or of a dict keyed by row, renumbered from 0."""
-    if isinstance(a, dict):
-        return {r - lo: v for r, v in a.items() if lo <= r < hi}
-    return a[lo:hi]
+def _share(a, lo: int, hi: int, names: tuple):
+    """Rows lo:hi of a stack's output: of an array, or of a dict keyed by row, renumbered from 0, whose errors
+    name the stack's chain ``names[0]``: bound here to the rows' own chain ``names[1]``."""
+    if not isinstance(a, dict):
+        return a[lo:hi]
+    for err in (v for r, v in a.items() if lo <= r < hi and isinstance(v, KinetostatError)):
+        err.args = (str(err).replace(f"chain {names[0]!r}", f"chain {names[1]!r}", 1),)
+    return {r - lo: v for r, v in a.items() if lo <= r < hi}
 
 
 def _each_chain(manipulator: ManipulatorModel, solve, *per_chain) -> list:
@@ -862,6 +866,16 @@ def _each_chain(manipulator: ManipulatorModel, solve, *per_chain) -> list:
     except KinetostatError as err:
         err.chain_index = len(out)  # every chain before the failing one returned
         raise
+    return out
+
+
+def _first_errors(found: list) -> dict:
+    """By row the error of its first failing chain, ``found`` per chain a stack's errors by row, each with its
+    chain's index set as ``_each_chain`` sets it."""
+    out = {}
+    for index, by_row in reversed(list(enumerate(found))):
+        for row, err in by_row.items():
+            err.chain_index, out[row] = index, err
     return out
 
 

@@ -29,9 +29,8 @@ The pose t never changes, so the rigid IK of step 1 is solved once and its
 chain states start every equilibrium solve of the loop, in place of the cold
 start that would re-solve the same IK each time.
 
-A compliance grid and table 1 run steps 2-5 in rounds over stacks of their poses
-still above eps_f, with each pose's accepted steps and |F| counted as the loop
-counts them; a pose that needs a branch the stacks leave out is solved by the loop.
+A compliance grid and table 1 run steps 2-5 as rounds over stacks of their poses,
+each pose with the loop's steps, halvings, counts and error, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainState, ManipulatorModel, _each_chain, _fused, _norms, _task_vector, inverse_kinematics_unloaded
+from .chain import ChainState, ManipulatorModel, _each_chain, _first_errors, _fused, _norms, _task_vector
+from .chain import inverse_kinematics_unloaded
 from .equilibrium import EquilibriumResult, SolverOptions, _equilibrium_stack, _solve, _solve_stack, split_rho, total_wrench
 from .errors import ControlSingularityError, ModelError, NonConvergenceError
 from .stiffness import _chain_block, _chain_responses
@@ -109,12 +109,6 @@ def solve_inverse_kinetostatic(
     d = manipulator.task_dim
     F_target = np.zeros(d) if f_ext is None else _task_vector(f_ext, d, "prescribed wrench")
     seeds = inverse_kinematics_unloaded(manipulator, target)
-    return _compensate(manipulator, target, seeds, F_target, eps_f, opts)
-
-
-def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> KinetostaticSolution:
-    """Steps 2-5 of the loop at a checked target, from the rigid IK states
-    ``seeds`` of step 1; a caller that solved the IK itself starts here."""
     rho = np.concatenate([s.rho for s in seeds])
     F, equilibria = total_wrench(manipulator, target, rho, opts, starts=seeds)
     err = F - F_target
@@ -164,44 +158,59 @@ def _compensate(manipulator, target, seeds, F_target, eps_f, opts) -> Kinetostat
 
 
 def _compensate_stack(chains, targets, seeds, constants, eps_f, opts):
-    """``_compensate`` of targets (N, d) at zero wrench from rigid IK joint vectors ``seeds``
-    (N, n_elements) per chain, in rounds, each row with its ``constants`` per chain (of any
-    model of these structures). The equilibria and the sensitivity of all chains that share a
-    structure run as one stack (``chain._fused``). Returns per chain the equilibria's joint
-    vectors and wrenches, the rows finished here (the others need the loop), and per row its
-    accepted Newton steps and |F|, a finished row's ``outer_iterations`` and ``residual_wrench``."""
-    opts = opts or SolverOptions()
-    ends = np.cumsum([chain.n_actuated for chain in chains])[:-1]
+    """``solve_inverse_kinetostatic`` of targets (N, d) at zero wrench from rigid IK joint vectors ``seeds``
+    (N, n_elements) per chain, in rounds, each row with its ``constants`` per chain (of any model of these
+    structures), bit for bit. The equilibria and the sensitivity of all chains that share a structure run as one
+    stack (``chain._fused``), each halving of the line search as one more round. Returns per chain the equilibria's
+    joint vectors and wrenches, and per row its accepted Newton steps, |F| and the error the loop raises."""
+    opts, n = opts or SolverOptions(), len(targets)
+    ends, errors, live = np.cumsum([chain.n_actuated for chain in chains])[:-1], {}, np.full(n, True)
+
+    def failed(rows, found):
+        """Records ``found``, errors by position in ``rows``, and drops their rows; the mask of the others."""
+        for i, err in found.items():
+            errors[rows[i]], live[rows[i]] = err, False
+        return live[rows]
 
     def wrench(rows, rho):
-        """Per chain the equilibria at rho, the rows all chains solved, and F_sigma (= err, as F_target = 0)."""
+        """Per chain the equilibria at rho, F_sigma (= err, as F_target = 0), and the rows every chain solved."""
         per_chain = [[targets[rows]] * len(chains), [seed[rows] for seed in seeds], np.split(rho, ends, axis=1)]
-        fused = _fused(chains, _equilibrium_stack, per_chain, opts, constants=[c[rows] for c in constants])
-        F, coords, solved = (list(a) for a in zip(*fused))
-        return coords, F, np.all(solved, axis=0), np.sum(F, axis=0)
+        F, coords, found = zip(*_fused(chains, _equilibrium_stack, per_chain, opts, constants=[c[rows] for c in constants]))
+        return list(coords), list(F), np.sum(F, axis=0), failed(rows, _first_errors(found))
 
     rho = np.concatenate([seed[:, chain.actuated_elements] for chain, seed in zip(chains, seeds)], axis=1)
-    coords, F, live, err = wrench(np.arange(len(targets)), rho)
-    err_norm, outer = _norms(err), np.zeros(len(targets), dtype=int)
-    live &= np.isfinite(err_norm)
+    coords, F, err = wrench(np.arange(n), rho)[:3]
+    err_norm, outer = _norms(err), np.zeros(n, dtype=int)
     for _ in range(_MAX_OUTER):
         rows = np.flatnonzero(live & ~(err_norm < eps_f))
         if not rows.size:
             break
         equilibria = [[x[rows] for x in coords], [f[rows] for f in F]]
-        S = np.concatenate(_fused(chains, _chain_responses, equilibria, True, constants=[c[rows] for c in constants]), 2)
-        if S.shape[1] != S.shape[2]:  # the least-squares step
-            live[rows] = False
-            break
-        step = _solve_stack(S, err[rows, :, None])[..., 0]
-        live[rows] = np.isfinite(step).all(axis=1)
-        rows, rho_try = rows[live[rows]], (rho[rows] - step)[live[rows]]
-        coords_try, F_try, solved, err_try = wrench(rows, rho_try)
-        try_norm = _norms(err_try)
-        accepted = solved & (try_norm < err_norm[rows])
-        live[rows], rows = accepted, rows[accepted]
-        outer[rows] += 1
-        rho[rows], err[rows], err_norm[rows] = rho_try[accepted], err_try[accepted], try_norm[accepted]
-        for a, a_try in zip(coords + F, coords_try + F_try):
-            a[rows] = a_try[accepted]
-    return coords, F, live & (err_norm < eps_f), outer, err_norm
+        S, found = zip(*_fused(chains, _chain_responses, equilibria, True, constants=[c[rows] for c in constants]))
+        kept = failed(rows, _first_errors(found))
+        rows, S, found = rows[kept], np.concatenate(S, 2)[kept], {}
+        if S.shape[1] == S.shape[2]:
+            step = _solve_stack(S, err[rows, :, None], ControlSingularityError, "force/actuator sensitivity is singular", found)
+            kept = failed(rows, found)
+            rows, step = rows[kept], step[kept, :, 0]
+        else:  # the least-squares step
+            step = np.array([np.linalg.lstsq(s, e, rcond=None)[0] for s, e in zip(S, err[rows])]).reshape(len(S), S.shape[2])
+        search, lam = np.arange(rows.size), 1.0
+        for _ in range(_MAX_HALVINGS):  # halving the step while the residual grows
+            if not search.size:
+                break
+            at = rows[search]
+            rho_try = rho[at] - lam * step[search]
+            coords_try, F_try, err_try, solved = wrench(at, rho_try)
+            try_norm = _norms(err_try)
+            accepted = solved & (try_norm < err_norm[at])
+            search, lam, at = search[solved & ~accepted], lam * 0.5, at[accepted]
+            outer[at] += 1
+            rho[at], err[at], err_norm[at] = rho_try[accepted], err_try[accepted], try_norm[accepted]
+            for a, a_try in zip(coords + F, coords_try + F_try):
+                a[at] = a_try[accepted]
+        live[rows[search]] = False  # no halving lowered the residual: the loop stalls
+    for r in np.flatnonzero(~(err_norm < eps_f)).tolist():  # stalled, or out of outer iterations
+        message = f"kinetostatic compensation stalled at |F| = {err_norm[r]:.3e} (eps_f = {eps_f:.3e})"
+        errors.setdefault(r, NonConvergenceError(message, residual=float(err_norm[r]), iterations=int(outer[r])))
+    return coords, F, errors, outer, err_norm

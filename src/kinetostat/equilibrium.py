@@ -26,8 +26,7 @@ forward pass reads; the start is validated once, a step writes q~ and
 theta~ into a copy of x, and a ChainState is built only for the result,
 on first read. Each iteration runs one forward pass on the regrouped new x:
 its pose is the step's residual, its frames give the next iteration's
-Jacobian columns. A sweep solves its samples as stacks of such vectors;
-the scalar solve, which a stack reproduces, takes the samples it leaves.
+Jacobian columns. A stack of such vectors runs every branch of this solve.
 
 The block matrix must stay well conditioned (condition number at most
 1e12). A cheap upper bound is checked first: ||A||_F ||A^-1||_F is never
@@ -47,7 +46,7 @@ import numpy as np
 
 from .chain import ChainModel, ChainState, ManipulatorModel, _each_chain, _euler_stack, _gather, _map_rates, _norms
 from .chain import _fused, _ik_stack, _masks, _row_constants, _spring_constants, _stack_columns, _stack_pass, _stack_state
-from .chain import _task_vector, chain_ik_best_effort, regrouped_geometry
+from .chain import _first_errors, _task_vector, chain_ik_best_effort, regrouped_geometry
 from .errors import ModelError, NonConvergenceError, SingularityError
 from .springs import RegroupedState, regroup
 
@@ -107,33 +106,28 @@ def _block_matrix(J_theta, J_q, k_tilde):
     return A
 
 
-def _inverse(A: np.ndarray) -> np.ndarray:
-    """A^-1, NaN where A is singular; a stack is inverted row by row only when a row is."""
+def _solve_stack(A: np.ndarray, b: np.ndarray, error: type, what: str, errors: dict) -> np.ndarray:
+    """``_solve`` of a stack (M, n, n), bit for bit: A^-1 b where the Frobenius bound clears a row, and ``_solve`` of
+    every other row (of all when the stack's inverse raises); a row that raises is NaN, its error in ``errors`` by
+    row unless the row holds one already. ``b`` is stacked (M, n, k) or shared by every row (n, k)."""
     try:
-        return np.linalg.inv(A)
+        A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return np.array([_inverse(a) for a in A]) if A.ndim > 2 else np.full(A.shape, np.nan)
-
-
-def _solve_stack(A: np.ndarray, b: np.ndarray, *_) -> np.ndarray:
-    """``_solve`` of a stack (M, n, n): A^-1 b where the Frobenius bound clears a row, else NaN;
-    ``_solve``'s error type and message, if passed, go unused."""
-    A_inv = _inverse(A)
+        A_inv = np.full(A.shape, np.nan)
     flat, flat_inv = A.reshape(len(A), 1, -1), A_inv.reshape(len(A), 1, -1)
-    bound_sq = (flat @ flat.swapaxes(1, 2)) * (flat_inv @ flat_inv.swapaxes(1, 2))
-    return np.where(bound_sq < _COND_BOUND_CLEAR**2, A_inv @ b, np.nan)
+    bound_sq, x = (flat @ flat.swapaxes(1, 2)) * (flat_inv @ flat_inv.swapaxes(1, 2)), A_inv @ b
+    for r in np.flatnonzero(~(bound_sq[:, 0, 0] < _COND_BOUND_CLEAR**2)):
+        try:
+            x[r] = _solve(A[r], b[r] if b.ndim == A.ndim else b, error, what)
+        except error as err:
+            x[r] = np.nan
+            errors.setdefault(r, err)
+    return x
 
 
 def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
-    """A^-1 b, raising ``error`` when cond(A) exceeds COND_LIMIT or is not finite.
-
-    ||A||_F ||A^-1||_F is an upper bound of cond(A): when it is finite and
-    well below the limit, A passes without the SVD of np.linalg.cond and
-    the inverse computed for the bound solves the system. Otherwise the
-    condition number is computed by SVD, and within the limit the system
-    is solved by LU. The message is ``what`` followed by the condition
-    number, which the error also carries.
-    """
+    """A^-1 b, raising ``error`` when cond(A) exceeds COND_LIMIT or is not finite, through the Frobenius bound
+    or the SVD (module docstring). The message is ``what`` followed by the condition, which the error carries."""
     try:
         A_inv = np.linalg.inv(A)
         bound_sq = float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv))
@@ -141,18 +135,20 @@ def _solve(A: np.ndarray, b: np.ndarray, error: type, what: str) -> np.ndarray:
         bound_sq = math.inf
     if bound_sq < _COND_BOUND_CLEAR**2:  # False for NaN
         return A_inv @ b
-    cond = float(np.linalg.cond(A))
+    cond = float(np.linalg.cond(A)) if np.isfinite(A).all() else math.inf  # the SVD of NaN raises
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{what} (condition {cond:.3e})", condition=cond)
     return np.linalg.solve(A, b)
 
 
-def _contraction_bound(dF: np.ndarray, dx: np.ndarray, dx_prev: np.ndarray) -> float:
-    """_CONTRACTION_SAFETY (c + L)|dx|/(1 - c), c = |dx|/|dx_prev|, L = |dF|/|dx_prev|; inf if c >= 1/2."""
-    size, prev = math.sqrt(dx @ dx), math.sqrt(dx_prev @ dx_prev)
-    if not size < 0.5 * prev:
-        return math.inf
-    return _CONTRACTION_SAFETY * (size + math.sqrt(dF @ dF)) * size / (prev - size)
+@np.errstate(divide="ignore", invalid="ignore")  # the bound is read only where c < 1/2, where it is finite
+def _settled(step: np.ndarray, dx_prev: np.ndarray, iterate: np.ndarray, held: np.ndarray, d: int) -> np.ndarray:
+    """The step test of each row (M, d + n) of (F, x) steps: |step| at most STEP_TOL of the iterate's size, or,
+    where ``held``, c = |dx|/|dx_prev| < 1/2 and _CONTRACTION_SAFETY (c + L)|dx|/(1 - c) as small, L = |dF|/|dx_prev|."""
+    tol = STEP_TOL * np.maximum(1.0, _norms(iterate))
+    size, prev = _norms(step[:, d:]), _norms(dx_prev)  # a NaN dx_prev: no contraction bound before a second step
+    bound = _CONTRACTION_SAFETY * (size + _norms(step[:, :d])) * size / (prev - size)
+    return (_norms(step) <= tol) | (held & (size < 0.5 * prev) & (bound <= tol))
 
 
 def _actuators(chain: ChainModel, rho) -> np.ndarray:
@@ -206,11 +202,8 @@ def solve_chain_equilibrium(
     # the unknowns in perfect, preloaded, virtual order, for norms and restarts
     free = chain.unknown_elements
 
-    d = chain.task_dim
-    singular = f"chain {chain.name!r} is singular at the prescribed pose"
-    best_residual = np.inf
-    iterations = 0
-
+    d, singular = chain.task_dim, f"chain {chain.name!r} is singular at the prescribed pose"
+    best_residual, iterations = np.inf, 0
     for restarts in range(opts.max_restarts + 1):
         if restarts:  # slight random disturbance of the configuration, actuators stay put
             if restarts == 1:  # the generator is built on the first restart, the only place that draws
@@ -219,84 +212,63 @@ def solve_chain_equilibrium(
             x[free] = v + rng.uniform(-1.0, 1.0, v.shape) * _PERTURBATION * np.maximum(1.0, np.abs(v))
         reg = regroup(chain, x)
         g, columns = regrouped_geometry(chain, reg)
-        F = np.zeros(d)
-        prev_mask = None
-        dx_prev = None
-        oscillating = 0
+        F, prev_mask, dx_prev, oscillating = np.zeros(d), reg.active_mask, np.full(free.size, np.nan), 0
         for _ in range(opts.max_iterations):
-            if prev_mask is not None and (reg.active_mask != prev_mask).any():
-                oscillating += 1
-            else:
-                oscillating = 0
-            prev_mask = reg.active_mask
-
+            flipped = (reg.active_mask != prev_mask).any()
+            oscillating, prev_mask = oscillating + 1 if flipped else 0, reg.active_mask
             J_theta, J_q = columns()
             A = _block_matrix(J_theta, J_q, reg.k_tilde)
             eps = target - g + J_q @ reg.q_tilde + J_theta @ (reg.theta_tilde - reg.theta_tilde_0)
-            rhs = np.zeros(len(A))
-            rhs[:d] = eps
-            sol = _solve(A, rhs, SingularityError, singular)
-            F_new = sol[:d]
-            q_new = sol[d:]
+            sol = _solve(A, np.concatenate([eps, np.zeros(len(A) - d)]), SingularityError, singular)
+            F_new, q_new = sol[:d], sol[d:]
             th_new = (J_theta.T @ F_new) / reg.k_tilde + reg.theta_tilde_0
             if oscillating > _OSCILLATION_LIMIT:
                 q_new = reg.q_tilde + _DAMPING * (q_new - reg.q_tilde)
                 th_new = reg.theta_tilde + _DAMPING * (th_new - reg.theta_tilde)
 
-            x_new = x.copy()
-            x_new[reg.q_elements] = q_new
-            x_new[reg.theta_elements] = th_new
-            iterations += 1
+            x_new, iterations = x.copy(), iterations + 1
+            x_new[reg.q_elements], x_new[reg.theta_elements] = q_new, th_new
             step = np.concatenate([F_new - F, x_new[free] - x[free]])
-            x = x_new
-            F = F_new
+            x, F, held = x_new, F_new, oscillating == 0
             reg = regroup(chain, x)
             g, columns = regrouped_geometry(chain, reg)
             r = target - g
             residual = math.sqrt(r @ r)  # np.linalg.norm of a contiguous vector, to the bit
             best_residual = min(best_residual, residual)
-            if residual <= opts.pose_tol:
-                iterate = np.concatenate([F, x[free]])
-                tol = STEP_TOL * max(1.0, math.sqrt(iterate @ iterate))
-                if math.sqrt(step @ step) <= tol or (
-                    dx_prev is not None and oscillating == 0 and np.array_equal(reg.active_mask, prev_mask)
-                    and _contraction_bound(step[:d], step[d:], dx_prev) <= tol
-                ):
-                    return EquilibriumResult(
-                        F=F, residual=residual, iterations=iterations, restarts=restarts, regrouped=reg, chain=chain
-                    )
+            held &= np.array_equal(reg.active_mask, prev_mask)  # no flip over the last two steps
+            if residual <= opts.pose_tol and _settled(step[None], dx_prev[None], np.concatenate([F, x[free]])[None], held, d):
+                return EquilibriumResult(F, residual, iterations, restarts, reg, chain)
             dx_prev = step[d:]
-    reason = f"best residual {best_residual:.3e}"
+    raise _unconverged(chain, best_residual, opts)
+
+
+def _unconverged(chain: ChainModel, best_residual: float, opts: SolverOptions) -> NonConvergenceError:
+    """The error of a solve whose every restart ran out of iterations, ``best_residual`` the least residual seen."""
+    n, reason = opts.max_iterations, f"best residual {best_residual:.3e}"
     if best_residual <= opts.pose_tol:  # the pose test passed, the step test never did
-        n = opts.max_iterations
         reason += f" met pose_tol, but the step did not settle in {n} iteration{'s' * (n != 1)}"
-    raise NonConvergenceError(
-        f"equilibrium of chain {chain.name!r} did not converge ({reason})",
-        residual=best_residual,
-        iterations=iterations,
-        restarts=opts.max_restarts,
-    )
+    return NonConvergenceError(f"equilibrium of chain {chain.name!r} did not converge ({reason})",
+                               residual=best_residual, iterations=n * (opts.max_restarts + 1), restarts=opts.max_restarts)
 
 
-def _equilibrium_stack(
-    chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions, constants=None
-):
+def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions,
+                       constants=None):
     """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements) updated in
-    place, actuators rho, by row or for all), each with its own springs, mask, oscillation count and stop tests,
-    so bit for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped from every
-    working array. Returns the wrenches, x and the rows converged here; the others, at the F and x they stopped
-    at, need a branch of the scalar solve (damping, ``_solve``'s SVD, a singular dim-6 E, a non-finite step)."""
+    place, actuators rho, by row or for all), each with its own springs, mask, oscillation count, damping and stop
+    tests, so bit for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped
+    from every working array; the rows out of iterations restart together, each perturbed from where it stopped
+    by the scalar solve's draws. Returns the wrenches, x and by row the scalar solve's error, naming ``chain``."""
     m, d = targets.shape
     x[:, chain.actuated_elements] = rho
-    free, wrenches, done, budget = chain.unknown_elements, np.zeros((m, d)), np.zeros(m, dtype=bool), opts.max_iterations
+    free, wrenches, errors, best = chain.unknown_elements, np.zeros((m, d)), {}, np.full(m, np.inf)
     constants = _row_constants([chain], [m]) if constants is None else constants
-    springs = _spring_constants(chain, constants)
+    springs, singular = _spring_constants(chain, constants), f"chain {chain.name!r} is singular at the prescribed pose"
     preloads, groups = springs[..., chain.preloaded_elements], None  # both gathered again after each compaction
     rows, xs, F, mask = np.arange(m), x, np.zeros((m, d)), _masks(chain, x, preloads)
-    prev_mask, oscillating = mask, np.zeros(m, dtype=int)
+    prev_mask, oscillating, budget, restart = mask, np.zeros(m, dtype=int), opts.max_iterations, 0
     pose, T, frames = _stack_pass(chain, x, constants)
     dx_prev = np.full((m, free.size), np.nan)  # no contraction bound before a second step
-    while rows.size:
+    while rows.size:  # the rows that go on started together, so they share their budget and restart count
         budget -= 1
         flipped = (mask != prev_mask).any(axis=1)
         oscillating, prev_mask = np.where(flipped, oscillating + 1, 0), mask
@@ -305,38 +277,50 @@ def _equilibrium_stack(
             for sub, (q_el, th_el, _, _) in chain._by_mask(mask):
                 sub = slice(None) if sub.size == rows.size else sub  # one mask: views of whole arrays, not row copies
                 groups.append((sub, q_el, th_el, *springs[sub][..., th_el].swapaxes(0, 1)))
-        J = _stack_columns(chain, T, frames, constants)  # only for the rows that go on
-        J = _map_rates(J, _euler_stack(pose)[0]) if d == 6 else J
+        J, failed = _stack_columns(chain, T, frames, constants), {}  # only for the rows that go on
+        if d == 6:  # a row whose E is singular fails with the scalar columns' error
+            E_inv, failed = _euler_stack(pose)
+            J = _map_rates(J, E_inv)
         F_new, x_new = np.empty((rows.size, d)), xs.copy()
         for sub, q_el, th_el, th0, k_tilde in groups:
-            J_th, J_q, xsub = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub]
-            eps = targets[sub] - pose[sub] + (J_q @ np.take(xsub, q_el, axis=1)[..., None])[..., 0]
-            eps += (J_th @ (np.take(xsub, th_el, axis=1) - th0)[..., None])[..., 0]
+            J_th, J_q, xsub, found = _gather(J[sub], th_el), _gather(J[sub], q_el), x_new[sub], {}
+            q, th = np.take(xsub, q_el, axis=1), np.take(xsub, th_el, axis=1)
+            eps = targets[sub] - pose[sub] + (J_q @ q[..., None])[..., 0]
+            eps += (J_th @ (th - th0)[..., None])[..., 0]
             rhs = np.concatenate([eps, np.zeros((len(eps), q_el.size))], axis=1)[..., None]
-            sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde[:, None]), rhs)
-            F_new[sub], xsub[:, q_el] = sol[:, :d, 0], sol[:, d:, 0]
-            xsub[:, th_el] = (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
+            sol = _solve_stack(_block_matrix(J_th, J_q, k_tilde[:, None]), rhs, SingularityError, singular, found)
+            q_new, th_new = sol[:, d:, 0], (J_th.swapaxes(1, 2) @ sol[:, :d])[..., 0] / k_tilde + th0
+            if (damped := (oscillating[sub] > _OSCILLATION_LIMIT)[:, None]).any():  # these rows step halfway
+                q_new = np.where(damped, q + _DAMPING * (q_new - q), q_new)
+                th_new = np.where(damped, th + _DAMPING * (th_new - th), th_new)
+            F_new[sub], xsub[:, q_el], xsub[:, th_el] = sol[:, :d, 0], q_new, th_new
             x_new[sub] = xsub  # numpy skips the write of a view onto itself
+            failed = {**{int(np.arange(rows.size)[sub][i]): e for i, e in found.items()}, **failed} if found else failed
         step = np.concatenate([F_new - F, x_new[:, free] - xs[:, free]], axis=1)
-        left = (oscillating > _OSCILLATION_LIMIT) | ~np.isfinite(step).all(axis=1)
         F, xs, mask = F_new, x_new, _masks(chain, x_new, preloads)
         pose, T, frames = _stack_pass(chain, x_new, constants)
-        # the scalar stop tests, _contraction_bound's arithmetic included
-        tol = STEP_TOL * np.maximum(1.0, _norms(np.concatenate([F_new, x_new[:, free]], axis=1)))
-        size, prev = _norms(step[:, d:]), _norms(dx_prev)
-        bound = _CONTRACTION_SAFETY * (size + _norms(step[:, :d])) * size / (prev - size)
-        held = (oscillating == 0) & (mask == prev_mask).all(axis=1)
-        stationary = (_norms(step) <= tol) | (held & (size < 0.5 * prev) & (bound <= tol))
-        converged = ~left & (_norms(targets - pose) <= opts.pose_tol) & stationary
-        dx_prev, live = step[:, d:], ~(left | converged) & (budget > 0)
-        if not live.all():
-            stopped = rows[~live]
-            wrenches[stopped], x[stopped], done[stopped] = F[~live], xs[~live], converged[~live]
-            state = (rows, F, xs, mask, prev_mask, oscillating, pose, T, frames, dx_prev, targets, constants)
-            rows, F, xs, mask, prev_mask, oscillating, pose, T, frames, dx_prev, targets, constants = (a[live] for a in state)
+        residual, held = _norms(targets - pose), (oscillating == 0) & (mask == prev_mask).all(axis=1)
+        stopped = (residual <= opts.pose_tol) & _settled(step, dx_prev, np.concatenate([F, xs[:, free]], axis=1), held, d)
+        stopped[list(failed)] = True
+        best, dx_prev = np.fmin(best, residual), step[:, d:]  # min() of the scalar floats: a NaN residual is skipped
+        # out of iterations, the rows going on restart from where they stopped, perturbed by the scalar solve's draws
+        if not budget and restart < opts.max_restarts:
+            budget, restart, again = opts.max_iterations, restart + 1, ~stopped
+            draws = np.random.default_rng(opts.rng_seed).uniform(-1.0, 1.0, (opts.max_restarts, free.size))[restart - 1]
+            v = xs[np.ix_(again, free)]
+            xs[np.ix_(again, free)] = v + draws * _PERTURBATION * np.maximum(1.0, np.abs(v))
+            F[again], dx_prev[again], groups = 0.0, np.nan, None
+            mask[again] = prev_mask[again] = _masks(chain, xs[again], preloads[again])
+            pose[again], T[again], frames[again] = _stack_pass(chain, xs[again], constants[again])
+        if not (live := ~stopped & (budget > 0)).all():  # a row out of budget not stopped here spent every restart
+            errors.update({int(rows[i]): err for i, err in failed.items()})
+            errors.update({int(rows[i]): _unconverged(chain, float(best[i]), opts) for i in np.flatnonzero(~stopped & ~live)})
+            wrenches[rows[~live]], x[rows[~live]] = F[~live], xs[~live]
+            state = (rows, F, xs, mask, prev_mask, oscillating, best, pose, T, frames, dx_prev, targets, constants)
+            rows, F, xs, mask, prev_mask, oscillating, best, pose, T, frames, dx_prev, targets, constants = (a[live] for a in state)
             springs = _spring_constants(chain, constants)
             preloads, groups = springs[..., chain.preloaded_elements], None
-    return wrenches, x, done
+    return wrenches, x, errors
 
 
 def split_rho(manipulator: ManipulatorModel, rho_all) -> list[np.ndarray]:
@@ -432,7 +416,8 @@ def _sweep(manipulators, start, direction, max_delta, step, opts, rhos, starts) 
     """``force_deflection`` of each of ``manipulators`` with its entry of ``rhos`` and ``starts``. Their chains differ
     from the first's at most in spring constants, so one ``_ik_stack`` of the first's chains seeds every row, and
     the rows of one structure, up to _SWEEP_CHUNK a manipulator, are one ``_equilibrium_stack`` (``chain._fused``),
-    each under its manipulator's constants. A row it leaves, or whose IK failed, gets the scalar solve in order."""
+    each under its manipulator's constants. A curve ends at its first sample with an error, or raises one that is
+    neither NonConvergenceError nor SingularityError, as the loop over its samples would."""
     if not (0.0 < step < math.inf and 0.0 <= max_delta < math.inf):
         raise ModelError("sweep needs finite step > 0 and max_delta >= 0")
     lead = manipulators[0]
@@ -473,21 +458,20 @@ def _sweep(manipulators, start, direction, max_delta, step, opts, rhos, starts) 
         rho_rows = [np.array([rhos[k][i] for k in live]).repeat(m, 0) for i in range(len(chains))]
         per_chain = [[np.concatenate([targets] * len(live))] * len(chains), x, rho_rows]
         own = [a[live].repeat(m, 0) for a in constants]  # each row its manipulator's constants
-        with np.errstate(all="ignore"):  # a row gone non-finite is left to the scalar solve, which warns as it does
+        with np.errstate(all="ignore"):  # a row gone non-finite fails as the scalar solve fails it, unwarned
             solves = _fused(chains, _equilibrium_stack, per_chain, opts, constants=own)
+        # per chain the errors of its rows: a rigid IK's error comes first, except where given starts seed row 0
+        ik_errors = [{j * m + i: e for j, k in enumerate(live) for i, e in ik.items() if first + i or starts[k] is None}
+                     for _, _, ik in iks]
+        failed = _first_errors([{**by_row, **ik} for (_, _, by_row), ik in zip(solves, ik_errors)])
         F_live = np.sum([wrenches for wrenches, _, _ in solves], axis=0).reshape(len(live), m, -1)
-        finished = np.all([solved for _, _, solved in solves], axis=0).reshape(len(live), m)
-        finished[:, [row for _, _, errs in iks for row in errs]] = False
-        for k, F, done in zip(live, F_live, finished):
+        for j, (k, F) in enumerate(zip(live, F_live)):
             forces[k, first : first + m] = F
-            for i in np.flatnonzero(~done):  # the cold solve that a finished row reproduces
-                rigid = [None if i in errs else coords[i] for coords, _, errs in iks]
-                row_starts = rigid if first + i or starts[k] is None else starts[k]
-                try:
-                    forces[k, first + i] = total_wrench(manipulators[k], targets[i], rhos[k], opts, starts=row_starts)[0]
-                except (NonConvergenceError, SingularityError) as err:
-                    ends[k], errors[k] = first + i, err.with_traceback(None)
-                    break
+            row = min((r for r in failed if j * m <= r < j * m + m), default=None)  # the curve's first failed sample
+            if row is not None:
+                if not isinstance(failed[row], (NonConvergenceError, SingularityError)):
+                    raise failed[row]
+                ends[k], errors[k] = first + row - j * m, failed[row].with_traceback(None)
 
     samples = [(F[:end], *_scaled_norms(F[:end]), error) for F, end, error in zip(forces, ends, errors)]
     return [ForceDeflectionCurve(np.arange(len(F)) * step, s * norms, (F[:, None] @ u[:, None])[:, 0, 0], u, error)

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainModel, JointModel, ManipulatorModel, PoseVector, Transform
-from .chain import _each_chain, _fused, _ik_stack, _reaches, _row_constants, _stack_state
-from .control import _compensate, _compensate_stack
+from .chain import _each_chain, _first_errors, _fused, _ik_stack, _reaches, _row_constants, _stack_state
+from .control import _compensate_stack
 from .equilibrium import ForceDeflectionCurve, SolverOptions, _sweep
 from .errors import KinetostatError, ModelError
 from .springs import SpringLaw
-from .stiffness import _aggregate_stiffness, _chain_responses, directional_stiffness
+from .stiffness import _chain_responses, directional_stiffness
 
 # Published reference values for this mechanism, in units of K_theta and L.
 # Keyed by preload factor kv, where the joint spring stiffness is
@@ -173,11 +173,6 @@ def _critical_points(models, start, u, max_delta, opts, starts) -> list:
     return found
 
 
-def _critical_point(model, start, u, max_delta, opts, starts):
-    """``_critical_points`` of one model."""
-    return _critical_points([model], start, u, max_delta, opts, [starts])[0]
-
-
 @dataclass
 class ComplianceMap:
     """Workspace lattice of aggregated stiffness and compliance extremes.
@@ -201,42 +196,36 @@ _STACK_ROWS = 4096
 
 def _compensate_rows(models, targets, stacks, eps_f, opts):
     """The compensation at zero wrench, and K_sigma, of targets (P, d) for ``models`` whose chains differ at most in
-    spring constants, as rows in (model, target) order, from ``stacks``, per chain the targets' ``_ik_stack``:
-    ``_compensate_stack`` and ``_chain_responses`` of the rows that every chain's rigid IK reached, then, in row
-    order up to the first model with a failed row, ``control._compensate`` of every row they leave. Returns per
-    chain the equilibria's joint vectors, per row K_sigma, its eigenvalues, outer iterations, |F| and error."""
+    spring constants, as rows in (model, target) order, from ``stacks``, per chain the targets' ``_ik_stack``: a row
+    that some chain's rigid IK did not reach takes its error, ``_compensate_stack`` and ``_chain_responses`` solve
+    the others. Returns per chain the equilibria's joint vectors, and per row K_sigma, its eigenvalues, outer
+    iterations, |F| and error, each as ``solve_inverse_kinetostatic`` and ``_aggregate_stiffness`` give it."""
     chains, p, d = models[0].chains, len(targets), models[0].task_dim
     n, point = p * len(models), np.arange(p * len(models)) % p
-    # the rows whose every chain met its target; the others raise their IK's error below
-    rows = np.flatnonzero(np.all([_reaches(dist) & ~np.isin(np.arange(p), list(e)) for _, dist, e in stacks], 0)[point])
+    reached = np.all([_reaches(dist) & ~np.isin(np.arange(p), list(e)) for _, dist, e in stacks], 0)[point]
+    rows, errors = np.flatnonzero(reached), {}
+    for row in np.flatnonzero(~reached).tolist():  # raises the error of its first chain that did not reach
+        try:
+            _each_chain(models[row // p], _stack_state, stacks, [point[row]] * len(chains))
+        except KinetostatError as err:
+            errors[row] = err
     constants = [_row_constants(legs, [p] * len(models))[rows] for legs in zip(*(m.chains for m in models))]
     coords, K = [np.full((n, c.shape[1]), np.nan) for c, _, _ in stacks], np.full((n, d, d), np.nan)
-    eigenvalues, outer, residual, errors = np.full((n, d), np.nan), np.zeros(n, dtype=int), np.full(n, np.nan), {}
-    with np.errstate(all="ignore"):  # a row gone non-finite leaves for the scalar solve, which warns as it does
-        x, F, done, outer[rows], residual[rows] = _compensate_stack(
+    eigenvalues, outer, residual = np.full((n, d), np.nan), np.zeros(n, dtype=int), np.full(n, np.nan)
+    with np.errstate(all="ignore"):  # a row gone non-finite fails as the single-pose solve fails it, unwarned
+        x, F, failed, outer[rows], residual[rows] = _compensate_stack(
             chains, targets[point[rows]], [c[point[rows]] for c, _, _ in stacks], constants, eps_f, opts
         )
+        done = np.flatnonzero(~np.isin(np.arange(rows.size), list(failed)))
         finished = [[a[done] for a in x], [f[done] for f in F]]
-        K[rows[done]] = np.sum(_fused(chains, _chain_responses, finished, False, constants=[c[done] for c in constants]), 0)
+        responses = _fused(chains, _chain_responses, finished, False, constants=[c[done] for c in constants])
+    K[rows[done]] = np.sum([k for k, _ in responses], 0)
+    errors.update({int(rows[i]): err for i, err in failed.items()})
+    errors.update({int(rows[done[i]]): err for i, err in _first_errors([found for _, found in responses]).items()})
     for full, a in zip(coords, x):
         full[rows] = a
     clear = np.isfinite(K).all(axis=(1, 2))
     eigenvalues[clear] = np.linalg.eigvalsh(K[clear])
-    for row in np.flatnonzero(~clear).tolist():
-        model = models[row // p]
-        if errors and row // p > min(errors) // p:
-            break
-        try:
-            seeds = _each_chain(model, _stack_state, stacks, [point[row]] * len(chains))
-            sol = _compensate(model, targets[point[row]], seeds, np.zeros(d), eps_f, opts)
-            res = _aggregate_stiffness(model, sol.equilibria)
-        except KinetostatError as err:
-            errors[row] = err
-            continue
-        K[row], eigenvalues[row] = res.K_sigma, res.eigenvalues
-        outer[row], residual[row] = sol.outer_iterations, sol.residual_wrench
-        for full, eq in zip(coords, sol.equilibria):
-            full[row] = eq.regrouped.coords
     return coords, K, eigenvalues, outer, residual, errors
 
 
@@ -253,7 +242,7 @@ def compliance_grid(
     aggregate stiffness is computed at the equilibria that solve ends on.
     The rigid IK, compensation and stiffness run as stacks over the cells, one
     per structure group of chains (``chain._fused``), bit for bit the per-cell
-    solves, and ``control._compensate`` finishes a cell the stacks leave.
+    solves and their errors, every branch included: no cell is solved alone.
     Cells whose solve fails or whose stiffness is not positive definite are
     flagged failed, never dropped, and the map names the reason.
     """
@@ -396,11 +385,11 @@ def reproduce_table1(spec_base: OrthoglideSpec, opts: SolverOptions | None = Non
     """Run the full benchmark grid: points Q0/Q1/Q2 x preload factors.
 
     The factors' models differ only in spring constants, so three stacks serve
-    them all, bit for bit the single-pose solves: the rigid IK of the points,
-    ``_compensate_rows`` of every (factor, point), and the critical sweeps,
-    outward from Q2's compensated equilibria along the workspace diagonal that
-    Q2's directional stiffness is taken along. A failure raises as a loop over
-    the factors, each sweeping after its points, would raise it.
+    them all, bit for bit the single-pose solves and their errors: the rigid IK
+    of the points, ``_compensate_rows`` of every (factor, point), and the
+    critical sweeps, outward from Q2's compensated equilibria along the diagonal
+    that Q2's directional stiffness is taken along. A failure raises as a loop
+    over the factors, each sweeping after its points, would raise it.
     """
     opts = opts or spec_base.options()
     eps_f = 1e-8 * spec_base.K_theta * spec_base.L

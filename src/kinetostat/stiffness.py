@@ -17,7 +17,7 @@ right-hand side gives dF/drho, the chain's columns of the sensitivity that
 the kinetostatic compensation inverts. One assembly (``_block_system``)
 builds A, kf and both right-hand sides for a single equilibrium, whose
 singular systems raise, and for a stack of them over a leading axis, whose
-singular rows come out NaN.
+singular rows come out NaN, each with the error it raises alone.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
     load Hessian of every chain element, ``layout`` the active set's
     ``ChainModel.regrouping``, for a stack with k_tilde (..., m) by row, and
     ``solve`` the guarded solve: ``_solve``
-    raises on a singular system, ``_solve_stack`` gives NaN in its row.
+    raises on a singular system, ``_solve_stack`` gives NaN in its row
+    and keeps the row's error.
     Returns the task rows of A^-1 rhs: the chain stiffness, symmetrised, or
     with ``sensitivity`` dF/drho, one column per actuator; A itself when
     ``sensitivity`` is None.
@@ -114,21 +115,24 @@ def _chain_block(chain: ChainModel, eq: EquilibriumResult, sensitivity: bool | N
 
 def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool, constants=None):
     """``_chain_block`` of stacked equilibria, joint vectors (M, n_elements) and wrenches (M, d),
-    with the rows of one active mask as one stack, bit for bit, each under its row's springs; NaN in
-    a row a guarded solve does not clear. ``constants`` as in ``_stack_pass``."""
+    with the rows of one active mask as one stack, bit for bit, each under its row's springs, and by
+    row the error it raises, naming ``chain``, with NaN in that row. ``constants`` as in ``_stack_pass``."""
     constants = _row_constants([chain], [len(coords)]) if constants is None else constants
     pose, T, frames = _stack_pass(chain, coords, constants)
-    cols, twists = _stack_columns(chain, T, frames, constants, True)
-    if chain.task_dim == 6:
-        cols = _map_rates(cols, _euler_stack(pose)[0])
+    cols, twists, errors = *_stack_columns(chain, T, frames, constants, True), {}
+    if chain.task_dim == 6:  # a row whose E is singular raises the scalar columns' error
+        E_inv, errors = _euler_stack(pose)
+        cols = _map_rates(cols, E_inv)
     twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
     H = _load_hessian(chain, T, pose, twists, cols, F)
     out = np.empty((len(coords), chain.task_dim, chain.n_actuated if sensitivity else chain.task_dim))
     springs = _spring_constants(chain, constants)
     for rows, (q_el, th_el, _, _) in chain._by_mask(_masks(chain, coords, springs[..., chain.preloaded_elements])):
-        layout = (q_el, th_el, None, springs[rows, 1][:, th_el])  # with each row's stiffnesses
-        out[rows] = _block_system(chain, cols[rows], H[rows], layout, _solve_stack, sensitivity)
-    return out
+        layout, found = (q_el, th_el, None, springs[rows, 1][:, th_el]), {}  # with each row's stiffnesses
+        solve = functools.partial(_solve_stack, errors=found)  # a row keeps its first error, kf's before A's
+        out[rows] = _block_system(chain, cols[rows], H[rows], layout, solve, sensitivity)
+        errors = {**{int(rows[i]): err for i, err in found.items()}, **errors}
+    return out, errors
 
 
 def manipulator_stiffness(

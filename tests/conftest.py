@@ -55,15 +55,52 @@ def count_iterations(monkeypatch):
     return iterations
 
 
-def force_scalar_rows(monkeypatch):
-    """Make the sweep's equilibrium stacks finish no row, so that every sample
-    of a sweep gets the cold scalar solve that a finished row reproduces."""
+def sweep_by_samples(manipulator, start, direction, max_delta, step, opts=None, rho_all=None, starts=None):
+    """``force_deflection`` as one cold ``total_wrench`` per sample, the first started from ``starts``
+    when given: the definition of a sample that the stacked sweep reproduces, kept as its oracle."""
+    from kinetostat import NonConvergenceError, SingularityError, inverse_kinematics_unloaded, total_wrench
+    from kinetostat.equilibrium import ForceDeflectionCurve, _scaled_norms
+
+    target, u = manipulator.pose_array(start), np.asarray(direction, dtype=float)
+    s, norm = _scaled_norms(u[None])
+    u = u / s / norm
+    if rho_all is None:
+        warm = starts if starts is not None else inverse_kinematics_unloaded(manipulator, target)
+        rho_all = [x[c.actuated_elements] if isinstance(x, np.ndarray) else x.rho for c, x in zip(manipulator.chains, warm)]
+    forces, error = [], None
+    for i in range(int(round(max_delta / step)) + 1):
+        try:
+            F, _ = total_wrench(manipulator, target + (i * step) * u, rho_all, opts, starts=None if i else starts)
+        except (NonConvergenceError, SingularityError) as err:
+            error = err
+            break
+        forces.append(F)
+    F = np.array(forces).reshape(len(forces), manipulator.task_dim)
+    s, norms = _scaled_norms(F)
+    return ForceDeflectionCurve(np.arange(len(F)) * step, s * norms, (F[:, None] @ u[:, None])[:, 0, 0], u, error)
+
+
+def forbid_scalar_solves(monkeypatch):
+    """Make every scalar solver raise: the chain equilibrium, the rigid IK, the
+    compensation and the chain stiffness block. Code that runs wholly in the stacks
+    does not notice."""
+    import kinetostat.chain
+    import kinetostat.control
     import kinetostat.equilibrium
+    import kinetostat.stiffness
 
-    def unfinished(chain, targets, x, rho, opts, constants=None):
-        return np.zeros(targets.shape), x, np.zeros(len(targets), dtype=bool)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scalar solve ran")
 
-    monkeypatch.setattr(kinetostat.equilibrium, "_equilibrium_stack", unfinished)
+    for module, name in [
+        (kinetostat.equilibrium, "solve_chain_equilibrium"),
+        (kinetostat.equilibrium, "chain_ik_best_effort"),
+        (kinetostat.chain, "chain_ik_best_effort"),
+        (kinetostat.control, "solve_inverse_kinetostatic"),
+        (kinetostat.control, "_chain_block"),
+        (kinetostat.stiffness, "_chain_block"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
 
 
 def linear_preload_model(kv):

@@ -26,7 +26,6 @@ from kinetostat import (
 )
 from kinetostat.cli import main
 
-from conftest import force_scalar_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,22 +67,16 @@ def test_traced_run_reports_every_declared_per_layer_key():
     assert t.snapshot()["equilibrium.solve_chain_equilibrium.calls"] == 2
 
 
-def test_traced_sweep_solves_every_left_sample_cold_through_the_traced_solve(monkeypatch):
-    # the sweep's samples run as stacks, which the tracer does not wrap, so it
-    # counts no solve; a sample a stack leaves gets the cold scalar solve, one
-    # solve_chain_equilibrium per chain started from the row's rigid IK that
-    # the IK stack holds: forced here for every sample, by stacks that finish
-    # no row. The tracer keys cold on a missing start, so it counts these
-    # cold solves as warm
+def test_traced_sweep_solves_every_left_sample_cold_through_the_traced_solve():
+    # the sweep's samples run as stacks, which the tracer does not wrap, and a
+    # stack leaves no sample to a scalar solve, so the tracer counts the sweep
+    # and no chain solve, cold or warm
     model_path = str(resources.files("kinetostat").joinpath("models/orthoglide-planar.json"))
     argv = ["sweep", "--model", model_path, "--from=0.1,-0.2", "--dir=0.6,0.8", "--max-delta", "0.016", "--step", "0.004"]
-    for solves in (0, 10):
-        if solves:
-            force_scalar_rows(monkeypatch)
-        with tracer.Tracer() as t:
-            assert main(argv) == 0
-        t.fold(None, 1.0)
-        snapshot = t.snapshot()
-        assert snapshot["equilibrium.force_deflection.calls"] == 1
-        assert snapshot["equilibrium.solve_chain_equilibrium.calls"] == solves
-        assert snapshot["equilibrium.cold_solves"] == 0 and snapshot["equilibrium.warm_solves"] == solves
+    with tracer.Tracer() as t:
+        assert main(argv) == 0
+    t.fold(None, 1.0)
+    snapshot = t.snapshot()
+    assert snapshot["equilibrium.force_deflection.calls"] == 1
+    assert snapshot["equilibrium.solve_chain_equilibrium.calls"] == 0
+    assert snapshot["equilibrium.cold_solves"] == snapshot["equilibrium.warm_solves"] == 0

@@ -939,15 +939,43 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
             solves = _fused(chains, _equilibrium_stack, [targets, [xs.copy() for xs in x], rho], SolverOptions())
             for c, t, xs, r, solve in zip(chains, targets, x, rho, solves):
                 own = _equilibrium_stack(c, t, xs.copy(), r, SolverOptions())
-                assert [a.tobytes() for a in solve] == [a.tobytes() for a in own]
-                tally["converged"] += int(own[2].sum())
+                assert [a.tobytes() for a in solve[:2]] == [a.tobytes() for a in own[:2]]
+                assert _errors_said(solve[2]) == _errors_said(own[2])  # each naming its own chain
+                tally["converged"] += m - len(own[2])
             for sensitivity in (True, False):
                 responses = _fused(chains, _chain_responses, [x, F], sensitivity)
-                for c, xs, f, response in zip(chains, x, F, responses):
-                    assert response.tobytes() == _chain_responses(c, xs, f, sensitivity).tobytes()
+                for c, xs, f, (response, errors) in zip(chains, x, F, responses):
+                    own = _chain_responses(c, xs, f, sensitivity)
+                    assert response.tobytes() == own[0].tobytes() and _errors_said(errors) == _errors_said(own[1])
                     tally["responses"] += int(np.isfinite(response).all(axis=(1, 2)).sum())
     assert min(tally.values()) > (5 if m == 7 else -1)  # not a vacuous check
     assert (preloads > 0) == (task_dim != 6)  # the spatial chains have no preloaded joint
+
+
+def _errors_said(errors):
+    """Errors by row as what they say: type and message."""
+    return {row: (type(err), str(err)) for row, err in errors.items()}
+
+
+def test_fused_stack_binds_a_rows_error_to_its_own_chain(monkeypatch):
+    # the shipped legs run as one stack under the x-leg; at one iteration a
+    # sweep from (-0.45, 0) solves the x-leg's sample 0 and not the y-leg's:
+    # the curve's error names the y-leg and carries chain index 1, as the
+    # scalar total_wrench of that sample raises it, with no scalar solve
+    from conftest import forbid_scalar_solves, shipped_model, sweep_by_samples
+    from kinetostat import SolverOptions, force_deflection
+
+    model, opts = shipped_model(), SolverOptions(max_iterations=1)
+    with monkeypatch.context() as m:
+        forbid_scalar_solves(m)
+        curve = force_deflection(model, [-0.45, 0.0], [1.0, 0.0], 0.02, 0.01, opts)
+    oracle = sweep_by_samples(model, [-0.45, 0.0], [1.0, 0.0], 0.02, 0.01, opts)
+    assert len(curve.deltas) == len(oracle.deltas) == 0 and curve.force_magnitude.tobytes() == oracle.force_magnitude.tobytes()
+    assert "chain 'y-leg'" in str(curve.error) and curve.error.chain_index == oracle.error.chain_index == 1
+    attributes = ("residual", "iterations", "restarts")
+    assert [type(curve.error), str(curve.error), *(getattr(curve.error, a) for a in attributes)] == [
+        type(oracle.error), str(oracle.error), *(getattr(oracle.error, a) for a in attributes)]
+    assert curve.error.describe() == oracle.error.describe()
 
 
 def test_chains_differing_in_a_spring_branch_a_seed_or_an_identity_link_stack_apart():
@@ -1019,9 +1047,10 @@ def test_rows_of_several_models_take_each_models_compensation_and_sweep_bit_for_
         with np.errstate(all="ignore"):
             own = _compensate_stack(model.chains, targets, own_seeds, [_row_constants([c], [p]) for c in model.chains], 1e-8, None)
         rows = slice(i * p, (i + 1) * p)
-        assert [a[rows].tobytes() for a in fused[0] + fused[1]] == [a.tobytes() for a in own[0] + own[1]]
-        assert [a[rows].tobytes() for a in fused[2:]] == [a.tobytes() for a in own[2:]]
-        finished += int(own[2].sum())
+        arrays, own_arrays = fused[0] + fused[1] + list(fused[3:]), own[0] + own[1] + list(own[3:])
+        assert [a[rows].tobytes() for a in arrays] == [a.tobytes() for a in own_arrays]
+        assert _errors_said({r - i * p: e for r, e in fused[2].items() if r // p == i}) == _errors_said(own[2])
+        finished += p - len(own[2])
         starts.append([x[i * p + 2] for x in fused[0]])
     assert finished > p * count // 2  # not a vacuous check
     curves = _sweep(models, targets[2], [-1.0, -1.0], 0.3, 0.01, None, [None] * count, starts)
@@ -1143,7 +1172,7 @@ def _failure_in_chain_1(site):
     from kinetostat import SingularityError, total_wrench
     from kinetostat.control import _sensitivity
     from kinetostat.equilibrium import EquilibriumResult
-    from kinetostat.orthoglide import _critical_point
+    from kinetostat.orthoglide import _critical_points
     from kinetostat.springs import regroup
     from kinetostat.stiffness import _aggregate_stiffness
 
@@ -1162,11 +1191,11 @@ def _failure_in_chain_1(site):
         ),
         "control._sensitivity": (SingularityError, lambda: _sensitivity(model, [eqs[0], flat])),
         "stiffness._aggregate_stiffness": (SingularityError, lambda: _aggregate_stiffness(model, [eqs[0], flat])),
-        "orthoglide._critical_point": (
+        "orthoglide._critical_point": (  # the critical-point search, _critical_points of one model
             SingularityError,
-            lambda: _critical_point(
-                model, [0.1, 0.1], np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3, None,
-                [eqs[0].regrouped.coords, flat.regrouped.coords],
+            lambda: _critical_points(
+                [model], [0.1, 0.1], np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3, None,
+                [[eqs[0].regrouped.coords, flat.regrouped.coords]],
             ),
         ),
     }

@@ -5,9 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import kinetostat.cli
 from kinetostat.cli import main
 
-from conftest import force_scalar_rows
+from conftest import sweep_by_samples
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +113,15 @@ def test_sweep_force_magnitude_of_any_finite_size(model_path, capsys):
 
 def test_sweep_peak_of_any_finite_step(model_path, capsys, monkeypatch):
     # deltas of 1e-226 leave the float range when squared; every sample here
-    # holds the same wrench, whether the stacks or the scalar solve take it,
-    # so the curve has no peak, and neither path warns (the quadratic fit at
-    # this scale is test_critical_force_of_any_finite_step's)
+    # holds the same wrench, in the stacks and in one cold total_wrench per
+    # sample, so the curve has no peak, and neither path warns (the quadratic
+    # fit at this scale is test_critical_force_of_any_finite_step's)
     argv = ["sweep", "--model", model_path, "--from=0.1789059572328009,1e-300",
             "--dir=-5.960464477539063e-08,-0.6", "--max-delta", "1.02e-225", "--step", "5.1e-228"]
     outputs = []
     for scalar in (False, True):
         if scalar:
-            force_scalar_rows(monkeypatch)
+            monkeypatch.setattr(kinetostat.cli, "force_deflection", sweep_by_samples)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 0
@@ -132,16 +133,15 @@ def test_sweep_peak_of_any_finite_step(model_path, capsys, monkeypatch):
 
 
 def test_sweep_under_a_small_iteration_budget_is_one_curve(model_path, capsys, monkeypatch):
-    # a sample is its cold solve whichever path takes it: from its rigid IK
-    # each sample here converges in two iterations, in the stacks and in the
-    # scalar solve that takes every sample when the stacks finish no row
+    # a sample is its cold solve: from its rigid IK each sample here converges
+    # in two iterations, in the stacks and in one cold total_wrench per sample
     argv = ["sweep", "--model", model_path, "--from", "0,0", "--dir", "1,1",
             "--max-delta", "0.1", "--step", "0.01", "--max-iter", "2"]
     assert main(argv) == 0
     stacked = capsys.readouterr()
     lines = stacked.out.splitlines()
     assert len(lines) == 13 and lines[-1] == "# critical=none" and stacked.err == ""
-    force_scalar_rows(monkeypatch)
+    monkeypatch.setattr(kinetostat.cli, "force_deflection", sweep_by_samples)
     assert main(argv) == 0
     assert capsys.readouterr() == stacked
 

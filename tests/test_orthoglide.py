@@ -26,11 +26,11 @@ from kinetostat import (
     total_wrench,
     workspace_points,
 )
-from kinetostat.orthoglide import KV_FACTORS, REFERENCE_TABLE, SWEEP_MAX_FACTOR, _critical_point
+from kinetostat.orthoglide import KV_FACTORS, REFERENCE_TABLE, SWEEP_MAX_FACTOR, _critical_points
 from kinetostat.orthoglide import Table1Cell, Table1Report
 from kinetostat.stiffness import _aggregate_stiffness
 
-from conftest import DIAG, linear_preload_model, shipped_model, stop_limit_model
+from conftest import DIAG, forbid_scalar_solves, linear_preload_model, shipped_model, stop_limit_model
 
 
 def test_spec_validation():
@@ -154,7 +154,7 @@ def test_critical_point_matches_sampled_sweep(ortho_spec, kv):
     sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
     curve = force_deflection(model, q2, DIAG, 0.3, 0.001, opts, rho_all=sol.rho)
     expected = critical_force(curve)
-    found = _critical_point(model, q2, DIAG, 0.3, opts, [eq.regrouped.coords for eq in sol.equilibria])
+    found = _critical_points([model], q2, DIAG, 0.3, opts, [[eq.regrouped.coords for eq in sol.equilibria]])[0]
     assert (found is None) == (expected is None)
     assert (expected is None) == (kv > 0.0)
     if expected is not None:
@@ -179,7 +179,7 @@ def test_critical_point_is_the_compensated_sweep_peak(p_factor, spring):
     opts = spec.options()
     sol = solve_inverse_kinetostatic(model, q2, 1e-8, opts)
     starts = [eq.regrouped.coords for eq in sol.equilibria]
-    found = _critical_point(model, q2, DIAG, 0.3, opts, starts)
+    found = _critical_points([model], q2, DIAG, 0.3, opts, [starts])[0]
     assert found == critical_force(force_deflection(model, q2, DIAG, 0.3, 0.01, opts, rho_all=sol.rho, starts=starts))
     assert (found is None) == (spring.branch != "linear" or spring.k >= 0.05)
     if found is not None:
@@ -201,13 +201,13 @@ def test_critical_point_lost_branch_raises(ortho_spec):
     starved = SolverOptions(max_iterations=1, max_restarts=0)
     with pytest.raises(NonConvergenceError, match=r"did not converge .*\(critical-point search lost the branch "
                                                   r"at delta = 0\.01\)$") as exc:
-        _critical_point(model, q2, DIAG, 0.3, starved, [eq.regrouped.coords for eq in sol.equilibria])
+        _critical_points([model], q2, DIAG, 0.3, starved, [[eq.regrouped.coords for eq in sol.equilibria]])
     assert exc.value.chain_index == 0
 
 
 def test_critical_point_raises_the_error_its_curve_keeps(monkeypatch, ortho_spec):
     # the lost branch above: the truncated curve carries chain 0's error, and
-    # the search raises that error, with no solve or rigid IK beyond its sweep's
+    # the search raises that error, with no scalar solve or rigid IK
     import kinetostat.chain
     import kinetostat.equilibrium
     import kinetostat.orthoglide as orthoglide
@@ -236,13 +236,13 @@ def test_critical_point_raises_the_error_its_curve_keeps(monkeypatch, ortho_spec
 
     monkeypatch.setattr(orthoglide, "_sweep", recorded)
     with pytest.raises(NonConvergenceError) as exc:
-        _critical_point(model, q2, DIAG, 0.3, starved, [eq.regrouped.coords for eq in sol.equilibria])
+        _critical_points([model], q2, DIAG, 0.3, starved, [[eq.regrouped.coords for eq in sol.equilibria]])
     [(args, [curve])] = sweeps
     assert curve.truncated and curve.error is exc.value and len(curve.deltas) == 1
     searched = calls.copy()
     calls.clear()
     [alone] = kinetostat.equilibrium._sweep(*args)
-    assert calls == searched and "solve_chain_equilibrium" in calls
+    assert calls == searched == []  # the failed sample too runs in the stacks
     assert alone.truncated and isinstance(alone.error, NonConvergenceError) and alone.error.chain_index == 0
     assert alone.error.__traceback__ is None  # the curve holds none of the solver's frames
 
@@ -289,10 +289,10 @@ def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
     calls = []
 
     def first_cell_indefinite(chain, coords, F, sensitivity, constants):
-        K = real(chain, coords, F, sensitivity, constants)
+        K, errors = real(chain, coords, F, sensitivity, constants)
         calls.append((chain.name, len(K)))
         K[0] = K[len(K) // 2] = np.diag([0.5, -0.5])  # each chain's half of diag(1, -1)
-        return K
+        return K, errors
 
     monkeypatch.setattr(orthoglide, "_chain_responses", first_cell_indefinite)
     grid = compliance_grid(ortho_nopreload, 2)
@@ -300,43 +300,6 @@ def test_indefinite_cell_flagged_failed(monkeypatch, ortho_nopreload):
     assert not grid.ok[0, 0]
     assert grid.reasons == {(0, 0): "indefinite stiffness: smallest eigenvalue -1.000e+00"}
     assert np.isnan(grid.c_min[0, 0]) and np.isnan(grid.c_max[0, 0])
-    assert grid.ok.sum() == 3
-    assert np.all(grid.c_min[grid.ok] > 0.0)
-
-
-def _stacks_finish_nothing(monkeypatch):
-    """Make the grid's compensation stack leave every cell to the scalar loop."""
-    import kinetostat.orthoglide as orthoglide
-
-    real = orthoglide._compensate_stack
-
-    def leave_all(*args):
-        coords, F, done, *counts = real(*args)
-        return coords, F, np.zeros_like(done), *counts
-
-    monkeypatch.setattr(orthoglide, "_compensate_stack", leave_all)
-
-
-def test_indefinite_cell_left_to_the_scalar_loop_flagged_failed(monkeypatch, ortho_nopreload):
-    # the same flag on the per-cell path a cell takes once the stacks leave it
-    import kinetostat.orthoglide as orthoglide
-
-    real = orthoglide._aggregate_stiffness
-    calls = []
-
-    def first_cell_indefinite(model, equilibria):
-        res = real(model, equilibria)
-        calls.append(res)
-        if len(calls) == 1:
-            res = replace(res, eigenvalues=np.array([-1.0, 1.0]), indefinite=True)
-        return res
-
-    _stacks_finish_nothing(monkeypatch)
-    monkeypatch.setattr(orthoglide, "_aggregate_stiffness", first_cell_indefinite)
-    grid = compliance_grid(ortho_nopreload, 2)
-    assert len(calls) == 4
-    assert not grid.ok[0, 0]
-    assert grid.reasons == {(0, 0): "indefinite stiffness: smallest eigenvalue -1.000e+00"}
     assert grid.ok.sum() == 3
     assert np.all(grid.c_min[grid.ok] > 0.0)
 
@@ -357,22 +320,20 @@ def test_compliance_grid_checks_its_tolerance_before_any_cell(monkeypatch, ortho
 
 
 def test_grid_of_redundant_actuators_takes_the_least_squares_loop(monkeypatch):
-    # a second x-leg makes the sensitivity 2 x 3: the stacks solve square steps
-    # only, so they leave every cell a step must settle to the per-cell loop
-    import kinetostat.orthoglide as orthoglide
+    # a second x-leg makes the sensitivity 2 x 3: the stacks take each cell's
+    # least-squares step, with no scalar solve, bit for bit the per-cell loop
     from kinetostat import ManipulatorModel
 
     x_leg, y_leg = shipped_model().chains
     model = ManipulatorModel(task_dim=2, chains=[x_leg, y_leg, x_leg], workspace=shipped_model().workspace)
-    scalar_cells, real = [], orthoglide._compensate
-    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
-    grid = compliance_grid(model, 3)
+    with monkeypatch.context() as m:
+        forbid_scalar_solves(m)
+        grid = compliance_grid(model, 3)
     c_max, c_min, ok, reasons = _per_cell_grid(model, 3)
     assert grid.c_max.tobytes() == c_max.tobytes()
     assert grid.c_min.tobytes() == c_min.tobytes()
     assert grid.ok.tobytes() == ok.tobytes() and ok.all()
     assert grid.reasons == reasons == {}
-    assert len(scalar_cells) > 0
 
 
 def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
@@ -442,39 +403,55 @@ def _random_arm(seed, dim):
 
 
 @pytest.mark.parametrize(
-    "build, grid_n, opts, patch, left",
+    "build, grid_n, opts, patch, halves",
     [
-        (shipped_model, 7, None, None, "none"),
-        (stop_limit_model, 7, None, None, "none"),
-        (lambda: _scaled_box(shipped_model(), 1.6), 10, None, None, "none"),
-        # random chains, each with cells that stay in the stacks and with cells they leave
-        (lambda: _random_arm(0, 3), 4, None, None, "none"),
-        (lambda: _random_arm(1, 3), 4, None, None, "some"),
-        (lambda: _random_arm(3, 6), 4, None, None, "none"),
-        (lambda: _random_arm(7, 6), 4, None, None, "some"),
-        # rows forced out of the stacks: the iteration budget, damping, the SVD branch
-        (shipped_model, 5, SolverOptions(max_iterations=1), None, "some"),
-        (stop_limit_model, 5, SolverOptions(max_iterations=1), None, "some"),
-        (shipped_model, 5, None, ("_OSCILLATION_LIMIT", -1), "all"),
-        (shipped_model, 5, None, ("_COND_BOUND_CLEAR", 0.0), "all"),
-        (shipped_model, 7, None, ("_COND_BOUND_CLEAR", 12.0), "some"),
+        (shipped_model, 7, None, None, False),
+        (stop_limit_model, 7, None, None, False),
+        (lambda: _scaled_box(shipped_model(), 1.6), 10, None, None, False),
+        # random chains, each with cells that halve a Newton step or with none that do
+        (lambda: _random_arm(0, 3), 4, None, None, False),
+        (lambda: _random_arm(1, 3), 4, None, None, True),
+        (lambda: _random_arm(3, 6), 4, None, None, False),
+        (lambda: _random_arm(7, 6), 4, None, None, True),
+        # the iteration budget, damping, the SVD branch
+        (shipped_model, 5, SolverOptions(max_iterations=1), None, False),
+        (stop_limit_model, 5, SolverOptions(max_iterations=1), None, False),
+        (shipped_model, 5, None, ("_OSCILLATION_LIMIT", -1), False),
+        (shipped_model, 5, None, ("_COND_BOUND_CLEAR", 0.0), False),
+        (shipped_model, 7, None, ("_COND_BOUND_CLEAR", 12.0), False),
     ],
     ids=[
         "shipped", "stop-limit", "box-1.6", "dim3-0", "dim3-1", "dim6-3", "dim6-7",
         "budget-shipped", "budget-stop-limit", "damping", "svd-branch", "svd-branch-some",
     ],
 )
-def test_grid_bitwise_equal_to_per_cell_compensations(monkeypatch, build, grid_n, opts, patch, left):
+def test_grid_bitwise_equal_to_per_cell_compensations(monkeypatch, build, grid_n, opts, patch, halves):
+    # every cell runs in the stacks, with no scalar solve, and is its per-cell
+    # compensation's to the bit; a grid of one stack whose line search halves
+    # some step runs more wrench rounds than one per Newton round and one more
+    import kinetostat.control as control
     import kinetostat.equilibrium
-    import kinetostat.orthoglide as orthoglide
 
     model = build()
     if patch is not None:
         monkeypatch.setattr(kinetostat.equilibrium, *patch)
-    scalar_cells = []
-    real = orthoglide._compensate
-    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
-    grid = compliance_grid(model, grid_n, opts)
+    rounds = {"_equilibrium_stack": 0, "_chain_responses": 0}
+
+    def counted(name):
+        real = getattr(control, name)
+
+        def call(*args, **kwargs):
+            rounds[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as m:
+        forbid_scalar_solves(m)
+        for name in rounds:
+            m.setattr(control, name, counted(name))
+        grid = compliance_grid(model, grid_n, opts)
+    assert (rounds["_equilibrium_stack"] > rounds["_chain_responses"] + 1) == halves
     c_max, c_min, ok, reasons = _per_cell_grid(model, grid_n, opts=opts)
     assert grid.c_max.tobytes() == c_max.tobytes()
     assert grid.c_min.tobytes() == c_min.tobytes()
@@ -482,16 +459,30 @@ def test_grid_bitwise_equal_to_per_cell_compensations(monkeypatch, build, grid_n
     # every failed cell names its reason, and only failed cells do, in cell order
     assert set(grid.reasons) == {tuple(cell) for cell in np.argwhere(~ok).tolist()}
     assert list(grid.reasons.items()) == list(reasons.items())
-    n_left = len(scalar_cells)
-    if left is not None:
-        expected = {"none": n_left == 0, "some": 0 < n_left < grid_n**2, "all": n_left == grid_n**2}
-        assert expected[left], n_left
+
+
+def test_batch_solves_run_without_a_scalar_solve(monkeypatch):
+    # with every scalar solver made to raise, the compliance maps, table 1 and
+    # the force-deflection sweeps of the bitwise tests still run to their end,
+    # also where a row restarts, halves a step or fails for want of iterations
+    starved = SolverOptions(max_iterations=1)
+    forbid_scalar_solves(monkeypatch)
+    for build, grid_n, opts in ((shipped_model, 7, None), (stop_limit_model, 5, starved), (lambda: _random_arm(7, 6), 4, None)):
+        grid = compliance_grid(build(), grid_n, opts)
+        assert grid.ok.any() and set(grid.reasons) == {tuple(cell) for cell in np.argwhere(~grid.ok).tolist()}
+    assert len(reproduce_table1(OrthoglideSpec(p_factor=0.3)).cells) == 3 * len(KV_FACTORS)
+    with pytest.raises(NonConvergenceError, match=r"critical-point search lost the branch"):
+        reproduce_table1(OrthoglideSpec(), starved)
+    for model in (shipped_model(), stop_limit_model()):
+        for opts in (None, starved):
+            curve = force_deflection(model, [0.1, -0.2], [0.6, 0.8], 0.096, 0.004, opts)
+            assert (len(curve.deltas) < 25) == curve.truncated == (opts is starved)
 
 
 def test_grid_tail_matches_the_per_cell_path(monkeypatch):
     # a box where the border cells lie out of reach: the first reached cell is
-    # left to the scalar loop, the next one is made indefinite in the stacked
-    # stiffness, and the other reached cells finish in the stacks
+    # made indefinite in the stacked stiffness, and the other reached cells
+    # keep their per-cell bytes
     import kinetostat.orthoglide as orthoglide
 
     model, grid_n = _scaled_box(shipped_model(), 2.4), 5
@@ -500,28 +491,18 @@ def test_grid_tail_matches_the_per_cell_path(monkeypatch):
     assert reasons and len(reached) > 2
     assert all(reason.startswith("model error: pose unreachable for chain ") for reason in reasons.values())
     indefinite = "indefinite stiffness: smallest eigenvalue -1.000e+00"
-    c_max[reached[1]] = c_min[reached[1]] = np.nan
-    ok[reached[1]] = False
-    reasons = {cell: reasons.get(cell, indefinite) for cell in np.ndindex(grid_n, grid_n) if cell in reasons or cell == reached[1]}
-
-    real_stack, real_responses, scalar_cells = orthoglide._compensate_stack, orthoglide._chain_responses, []
-
-    def leave_first(*args):
-        coords, F, done, *counts = real_stack(*args)
-        assert done[0]
-        return coords, F, np.concatenate([[False], done[1:]]), *counts
+    c_max[reached[0]] = c_min[reached[0]] = np.nan
+    ok[reached[0]] = False
+    reasons = {cell: reasons.get(cell, indefinite) for cell in np.ndindex(grid_n, grid_n) if cell in reasons or cell == reached[0]}
+    real_responses = orthoglide._chain_responses
 
     def first_finished_indefinite(chain, coords, F, sensitivity, constants):
-        K = real_responses(chain, coords, F, sensitivity, constants)
+        K, errors = real_responses(chain, coords, F, sensitivity, constants)
         K[0] = K[len(K) // 2] = np.diag([0.5, -0.5])  # each leg's half of diag(1, -1), the legs in one stack
-        return K
+        return K, errors
 
-    real_compensate = orthoglide._compensate
-    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(args[1]) or real_compensate(*args))
-    monkeypatch.setattr(orthoglide, "_compensate_stack", leave_first)
     monkeypatch.setattr(orthoglide, "_chain_responses", first_finished_indefinite)
     grid = compliance_grid(model, grid_n)
-    assert [t.tolist() for t in scalar_cells] == [[grid.xs[reached[0][0]], grid.ys[reached[0][1]]]]
     assert grid.c_max.tobytes() == c_max.tobytes()
     assert grid.c_min.tobytes() == c_min.tobytes()
     assert grid.ok.tobytes() == ok.tobytes()
@@ -736,12 +717,11 @@ def _per_cell_table1(spec, opts=None):
                 residual_wrench=sol.residual_wrench,
             )
         starts = [eq.regrouped.coords for eq in sol.equilibria]  # Q2's, the last point
-        critical[kv] = _critical_point(model, points["Q2"], DIAG, SWEEP_MAX_FACTOR * spec.L, opts, starts)
+        critical[kv] = _critical_points([model], points["Q2"], DIAG, SWEEP_MAX_FACTOR * spec.L, opts, [starts])[0]
     critical_ref = {kv: REFERENCE_TABLE["Q2"]["critical_force"][kv] for kv in KV_FACTORS}
     return Table1Report(spec.p_factor, KV_FACTORS, cells, critical, critical_ref)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["stacks", "stacks-finish-nothing"])
 @pytest.mark.parametrize(
     "spec, opts",
     [
@@ -750,33 +730,27 @@ def _per_cell_table1(spec, opts=None):
         (OrthoglideSpec(p_factor=0.3), None),
         (OrthoglideSpec(), SolverOptions(pose_tol=1e-7, rng_seed=3)),
     ],
-    ids=["defaults", "max-iter-2", "p-factor-0.3", "seed-3-tol-1e-7"],
+    ids=["defaults-stacks", "max-iter-2-stacks", "p-factor-0.3-stacks", "seed-3-tol-1e-7-stacks"],
 )
-def test_table1_bitwise_equal_to_per_cell_compensations(monkeypatch, spec, opts, forced):
-    import kinetostat.orthoglide as orthoglide
-
+def test_table1_bitwise_equal_to_per_cell_compensations(monkeypatch, spec, opts):
+    # the report runs in stacks, with no scalar solve
     expected = _per_cell_table1(spec, opts)
-    scalar_cells, real = [], orthoglide._compensate
-    if forced:
-        _stacks_finish_nothing(monkeypatch)
-    monkeypatch.setattr(orthoglide, "_compensate", lambda *args: scalar_cells.append(1) or real(*args))
-    report = reproduce_table1(spec, opts)
+    with monkeypatch.context() as m:
+        forbid_scalar_solves(m)
+        report = reproduce_table1(spec, opts)
     assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
     assert report.to_text() == expected.to_text()
-    assert len(scalar_cells) == (3 * len(KV_FACTORS) if forced else 0)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["stacks", "stacks-finish-nothing"])
-def test_table1_raises_the_first_error_of_the_per_cell_path(monkeypatch, capsys, forced):
+def test_table1_raises_the_first_error_of_the_per_cell_path(monkeypatch, capsys):
     # one iteration loses kv 0's critical sweep at its first step past Q2
     from kinetostat.cli import main
 
     starved = SolverOptions(max_iterations=1)
     with pytest.raises(NonConvergenceError) as per_cell:
         _per_cell_table1(OrthoglideSpec(), starved)
-    if forced:
-        _stacks_finish_nothing(monkeypatch)
-    with pytest.raises(NonConvergenceError) as stacked:
+    with monkeypatch.context() as m, pytest.raises(NonConvergenceError) as stacked:
+        forbid_scalar_solves(m)
         reproduce_table1(OrthoglideSpec(), starved)
     assert str(stacked.value) == str(per_cell.value)
     assert stacked.value.chain_index == per_cell.value.chain_index == 0
@@ -784,49 +758,41 @@ def test_table1_raises_the_first_error_of_the_per_cell_path(monkeypatch, capsys,
     assert capsys.readouterr().err == per_cell.value.describe() + "\n"
 
 
-def test_table1_raises_the_error_of_the_first_failed_point(monkeypatch):
-    # every point left to the single-pose compensation, and Q1 and Q2 of the
-    # second kv failing: the report raises Q1's error, the first in (kv, point) order
+def _failing_points(monkeypatch, rows):
+    """Make ``_compensate_stack`` fail the given rows of table 1's (kv, point) stack; returns the rows it failed."""
     import kinetostat.orthoglide as orthoglide
 
-    real, seen = orthoglide._compensate, []
-    q0, q1, q2 = (pose.as_array().tolist() for pose in workspace_points(OrthoglideSpec()))
+    real, failed = orthoglide._compensate_stack, []
 
-    def failing(manipulator, target, *args):
-        seen.append(target.tolist())
-        if len(seen) > 3 and target.tolist() != q0:
-            raise NonConvergenceError(f"no compensation at {target.tolist()}", residual=1.0)
-        return real(manipulator, target, *args)
+    def failing(chains, targets, *args):
+        coords, F, errors, *counts = real(chains, targets, *args)
+        for row in rows:
+            errors[row] = NonConvergenceError(f"no compensation at {targets[row].tolist()}", residual=1.0)
+            failed.append(targets[row].tolist())
+        return coords, F, errors, *counts
 
-    _stacks_finish_nothing(monkeypatch)
-    monkeypatch.setattr(orthoglide, "_compensate", failing)
+    monkeypatch.setattr(orthoglide, "_compensate_stack", failing)
+    return failed
+
+
+def test_table1_raises_the_error_of_the_first_failed_point(monkeypatch):
+    # Q1 and Q2 of the second kv failing: the report raises Q1's error, the
+    # first in (kv, point) order
+    _failing_points(monkeypatch, [5, 4])
     with pytest.raises(NonConvergenceError, match=r"^no compensation at \[-0\.45, -0\.45\]$"):
         reproduce_table1(OrthoglideSpec())
-    assert seen == [q0, q1, q2] * 2
 
 
 def test_table1_raises_a_lost_branch_before_a_later_kvs_failed_point(monkeypatch):
     # one iteration loses kv 0's critical sweep, and every point of the later
-    # kv is made to fail on the single-pose path: a loop over kv meets the lost
-    # branch first, and the report raises that error, not the point's
-    import kinetostat.orthoglide as orthoglide
-
+    # kvs is made to fail: a loop over kv meets the lost branch first, and the
+    # report raises that error, not the point's
     starved = SolverOptions(max_iterations=1)
     with pytest.raises(NonConvergenceError) as per_cell:
         _per_cell_table1(OrthoglideSpec(), starved)
-    real, failed = orthoglide._compensate, []
-
-    def failing(manipulator, target, *args):
-        if manipulator.chains[0].preload_springs[0].k > 0.0:
-            failed.append(target.tolist())
-            raise NonConvergenceError(f"no compensation at {target.tolist()}", residual=1.0)
-        return real(manipulator, target, *args)
-
-    _stacks_finish_nothing(monkeypatch)
-    monkeypatch.setattr(orthoglide, "_compensate", failing)
+    failed = _failing_points(monkeypatch, range(3, 3 * len(KV_FACTORS)))
     with pytest.raises(NonConvergenceError, match=r"\(critical-point search lost the branch at delta = 0\.01\)$") as stacked:
         reproduce_table1(OrthoglideSpec(), starved)
     assert str(stacked.value) == str(per_cell.value)
     assert stacked.value.chain_index == per_cell.value.chain_index == 0
-    # the second kv's points failed, and no later kv was tried
-    assert failed == [pose.as_array().tolist() for pose in workspace_points(OrthoglideSpec())]
+    assert len(failed) == 3 * (len(KV_FACTORS) - 1)

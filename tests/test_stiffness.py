@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -161,11 +162,13 @@ def test_spring_softening_error():
     )
     with pytest.raises(SpringSofteningError, match="loaded spring block of chain 'softening-toy' lost invertibility"):
         _chain_block(chain, eq, False)
-    # the same block assembly over a stack of one leaves the softened row NaN
+    # the same block assembly over a stack of one leaves the softened row NaN, with the scalar error
     for sensitivity, columns in ((True, 1), (False, 2)):
         with np.errstate(all="ignore"):
-            row = _chain_responses(chain, reg.coords[None], eq.F[None], sensitivity)
+            row, errors = _chain_responses(chain, reg.coords[None], eq.F[None], sensitivity)
         assert row.shape == (1, 2, columns) and np.isnan(row).all()
+        assert list(errors) == [0] and type(errors[0]) is SpringSofteningError
+        assert str(errors[0]).startswith("loaded spring block of chain 'softening-toy' lost invertibility (condition ")
 
 
 def test_buckled_stiffness_flagged_not_error(ortho_spec, ortho_nopreload):
@@ -282,10 +285,12 @@ def test_fd_check_names_a_bad_step(ortho_nopreload, h):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6])
-def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(dim):
+def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(monkeypatch, dim):
     # dF/drho and the chain stiffness of stacked equilibria, grouped by active
-    # mask, equal the scalar block systems' to the bit; a row the stack leaves
-    # NaN is one whose system a guarded solve does not clear
+    # mask, equal the scalar block systems' to the bit, or raise their error,
+    # also when a Frobenius bound that clears nothing sends every system
+    # through the SVD branch
+    import kinetostat.equilibrium
     from conftest import random_planar_chain, random_spatial_chain, random_state
     from kinetostat import KinetostatError, solve_chain_equilibrium
     from kinetostat.chain import fk_array
@@ -306,16 +311,18 @@ def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(dim):
             continue
         coords = np.array([eq.regrouped.coords for eq in equilibria])
         F = np.array([eq.F for eq in equilibria])
-        for sensitivity in (True, False):
-            with np.errstate(all="ignore"):
-                stacked = _chain_responses(chain, coords, F, sensitivity)
-            for eq, row in zip(equilibria, stacked):
-                try:
-                    expected = _chain_block(chain, eq, sensitivity)
-                except KinetostatError:
-                    assert np.isnan(row).all()
-                    continue
-                if not np.isnan(row).all():
-                    assert row.tobytes() == expected.tobytes()
+        for sensitivity, clear in itertools.product((True, False), (None, 0.0)):
+            with monkeypatch.context() as m:
+                if clear is not None:
+                    m.setattr(kinetostat.equilibrium, "_COND_BOUND_CLEAR", clear)
+                with np.errstate(all="ignore"):
+                    stacked, errors = _chain_responses(chain, coords, F, sensitivity)
+                for i, (eq, row) in enumerate(zip(equilibria, stacked)):
+                    try:
+                        expected = _chain_block(chain, eq, sensitivity)
+                    except KinetostatError as err:
+                        assert np.isnan(row).all() and (type(errors[i]), str(errors[i])) == (type(err), str(err))
+                        continue
+                    assert i not in errors and row.tobytes() == expected.tobytes()
                     compared += 1
-    assert compared > 20  # not a vacuous check
+    assert compared > 40  # not a vacuous check
