@@ -531,30 +531,32 @@ def _count_restarts(monkeypatch):
 @pytest.mark.parametrize(
     "patch, opts",
     [
-        (("_OSCILLATION_LIMIT", -1), SolverOptions()),
-        (None, SolverOptions(max_iterations=1, max_restarts=10, rng_seed=7)),
-        (("_COND_BOUND_CLEAR", 0.0), SolverOptions()),
+        ([("_OSCILLATION_LIMIT", -1)], SolverOptions()),
+        ([], SolverOptions(max_iterations=1, max_restarts=10, rng_seed=7)),
+        ([("_COND_BOUND_CLEAR", 0.0)], SolverOptions()),
+        ([("_COND_BOUND_CLEAR", 0.0), ("_SWEEP_CHUNK", 8)], SolverOptions()),
     ],
-    ids=["damping", "restart", "svd-branch"],
+    ids=["damping", "restart", "svd-branch", "svd-branch-in-stacks-of-8"],
 )
 def test_sweep_stack_takes_the_scalar_branch(monkeypatch, patch, opts):
     # damping on every iteration, every restart of a budget of one iteration,
-    # or a Frobenius bound that clears nothing: the stacks take the scalar
-    # solve's branch, with no scalar solve, and the curve has the bytes and
-    # error of one cold total_wrench per sample; the second sample needs two
-    # iterations, so the restarts end the curve there
+    # or a Frobenius bound that clears nothing, also with the curve split into
+    # stacks of 8 rows: the stacks take the scalar solve's branch, with no
+    # scalar solve, and the curve has the bytes and error of one cold
+    # total_wrench per sample; the second sample needs two iterations, so the
+    # restarts end the curve there
     import kinetostat.equilibrium
 
     model, start, direction = stop_limit_model(), [0.1, -0.2], [0.6, 0.8]
-    if patch is not None:
-        monkeypatch.setattr(kinetostat.equilibrium, *patch)
+    for name, value in patch:
+        monkeypatch.setattr(kinetostat.equilibrium, name, value)
     with monkeypatch.context() as m:
         forbid_scalar_solves(m)
         curve = force_deflection(model, start, direction, 0.096, 0.004, opts)
     restarts = _count_restarts(monkeypatch)
     _assert_same_curve(curve, sweep_by_samples(model, start, direction, 0.096, 0.004, opts))
-    assert len(curve.deltas) == (1 if patch is None else 25) and curve.truncated == (patch is None)
-    assert (max(restarts) == 10) == (patch is None)
+    assert len(curve.deltas) == (25 if patch else 1) and curve.truncated == (not patch)
+    assert (max(restarts) == 10) == (not patch)
 
 
 def test_sweep_chunks_give_the_bytes_of_one_stack(monkeypatch):
