@@ -451,8 +451,8 @@ def _columns(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists) -> np.n
     return cols
 
 
-def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, cols, F) -> np.ndarray:
-    """d(J^T F)/dx over every pair of chain elements, in closed form.
+def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, cols, F, E_inv) -> np.ndarray:
+    """d(J^T F)/dx over every pair of chain elements, in closed form, for M stacked rows.
 
     Take a pair with a the earlier (or the same) element and b the later.
     Moving a turns b's column with a's twist, and moving b moves the end
@@ -462,32 +462,28 @@ def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, co
     is symmetric by construction. The yaw row (dim 3) and the E^-1(phi)
     omega rows (dim 6) add their derivatives, written in the same
     symmetric form.
-    Stacked arguments (twists of (M,) arrays, F (M, d)) give (M, n, n) Hessians, NaN where E is singular.
+    ``twists`` are per element six (M,) arrays, F (M, d) and E_inv the dim-6 rate maps (M, 3, 3); the
+    Hessians (M, n, n) are NaN where E is singular.
     """
     dim = chain.task_dim
     n = len(twists)
-    stacked = F.ndim == 2
-    # entries as Python floats, or as arrays over the stack's rows
-    leaves = np.transpose if stacked else (lambda a: a.T.tolist())
-    f = leaves(F)
+    f = F.T
     f0, f1 = f[0], f[1]
     f2 = f[2] if dim == 6 else 0.0
     if dim == 3:
         # yaw = atan2(c1, c0) of the end x-axis c, which moves as dc = omega x c
-        c0, c1, c2 = leaves(T[..., :3, 0])
+        c0, c1, c2 = T[:, :3, 0].T
         # numpy division: a vertical x-axis gives inf here as in _columns
-        inv_s = leaves(np.float64(1.0) / (c0 * c0 + c1 * c1))
+        inv_s = 1.0 / (c0 * c0 + c1 * c1)
         dc = [(o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0) for o0, o1, o2, *_ in twists]
-        yaw = leaves(cols[..., 2, :])
+        yaw = cols[:, 2, :].T
         mu = [(c0 * d0 + c1 * d1) * inv_s for d0, d1, _ in dc]
     elif dim == 6:
         # phi rates u = E^-1 omega; d(F_phi . E^-1 omega) brings in -G . dE[u_b] u_a
-        E_inv = _euler_stack(pose)[0] if stacked else _euler_rate_inverse(pose)
-        G = leaves((E_inv.swapaxes(-1, -2) @ F[..., 3:, None])[..., 0])
-        cos, sin = (np.cos, np.sin) if stacked else (math.cos, math.sin)
-        cy, sy = cos(pose[..., 4]), sin(pose[..., 4])
-        cz, sz = cos(pose[..., 5]), sin(pose[..., 5])
-        rates = leaves(cols[..., 3:, :])
+        G = (E_inv.swapaxes(-1, -2) @ F[:, 3:, None])[..., 0].T
+        cy, sy = np.cos(pose[:, 4]), np.sin(pose[:, 4])
+        cz, sz = np.cos(pose[:, 5]), np.sin(pose[:, 5])
+        rates = cols[:, 3:, :].T
     H = [[0.0] * n for _ in range(n)]
     for b in range(n):
         v0, v1, v2 = twists[b][3:]
@@ -507,7 +503,7 @@ def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, co
                 r2 = -cy * u1 * w0
                 h -= G[0] * r0 + G[1] * r1 + G[2] * r2
             H[a][b] = H[b][a] = h
-    return np.transpose(H) if stacked else np.array(H)
+    return np.transpose(H)
 
 
 def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
@@ -532,14 +528,18 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
     return regrouped_geometry(chain, regrouped)[1]()
 
 
-def _loaded_derivatives(chain: ChainModel, regrouped: RegroupedState, F: np.ndarray):
-    """Task Jacobian columns and load Hessian d(J^T F)/dx of every chain
-    element at a regrouped configuration, from one forward pass."""
-    T, frames = _end_transform(chain, regrouped.coords)
-    pose = _task_pose(T, chain.task_dim)
-    twists = _twists(chain, T, frames)
-    cols = _columns(chain, T, pose, twists)
-    return cols, _load_hessian(chain, T, pose, twists, cols, F)
+def _loaded_derivatives(chain: ChainModel, coords: np.ndarray, F: np.ndarray, constants=None):
+    """Task Jacobian columns (M, d, n) and load Hessians d(J^T F)/dx (M, n, n) of every chain element at
+    stacked joint vectors (M, n_elements) under wrenches (M, d), from one ``_stack_pass``, and by row the
+    error of a row whose dim-6 rate map E is singular, NaN there. ``constants`` as in ``_stack_pass``."""
+    constants = _row_constants([chain], [len(coords)]) if constants is None else constants
+    pose, T, frames = _stack_pass(chain, coords, constants)
+    cols, twists = _stack_columns(chain, T, frames, constants, True)
+    E_inv, errors = _euler_stack(pose) if chain.task_dim == 6 else (None, {})
+    if E_inv is not None:  # a row whose E is singular raises the scalar columns' error
+        cols = _map_rates(cols, E_inv)
+    twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
+    return cols, _load_hessian(chain, T, pose, twists, cols, F, E_inv), errors
 
 
 def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
@@ -549,11 +549,11 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
     spring-columns. They are blocks of the closed-form load Hessian of
     ``_load_hessian``, exactly symmetric, and exact zeros for a zero wrench.
     """
-    F = _task_vector(F, chain.task_dim, "wrench")
-    elements = np.concatenate([regrouped.q_elements, regrouped.theta_elements])
-    H = _loaded_derivatives(chain, regrouped, F)[1][np.ix_(elements, elements)]
-    k = len(regrouped.q_tilde)
-    return H[:k, :k], H[k:, k:], H[:k, k:]
+    _, H, errors = _loaded_derivatives(chain, regrouped.coords[None], _task_vector(F, chain.task_dim, "wrench")[None])
+    if errors:
+        raise errors[0]
+    q, theta = regrouped.q_elements, regrouped.theta_elements
+    return H[0][np.ix_(q, q)], H[0][np.ix_(theta, theta)], H[0][np.ix_(q, theta)]
 
 
 # -- rigid inverse kinematics ------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain import inverse_kinematics_unloaded
 from .control import solve_inverse_kinetostatic
-from .equilibrium import SolverOptions, force_deflection, split_rho, total_wrench
+from .equilibrium import SolverOptions, _equilibria, force_deflection, split_rho, total_wrench
 from .errors import KinetostatError, ModelError
 from .modelfile import parse_model
 from .orthoglide import OrthoglideSpec, compliance_grid, critical_force, reproduce_table1
@@ -153,8 +153,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_stiffness(args) -> int:
     model, target, opts = _pose_command(args)
     rho, starts = _resolve_rho(model, args, target)
-    _, equilibria = total_wrench(model, target, rho, opts, starts=starts)
-    res = _aggregate_stiffness(model, equilibria)
+    res = _aggregate_stiffness(model, _equilibria(model, target, rho, opts, starts))
     lines = ["K_sigma:"] + ["  " + " ".join(_fmt(v) for v in row) for row in np.asarray(res.K_sigma)]
     lines.append("eigenvalues: " + " ".join(_fmt(v) for v in res.eigenvalues))
     lines.append("chain ranks: " + " ".join(str(r) for r in res.rank_c))

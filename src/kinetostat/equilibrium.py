@@ -251,16 +251,18 @@ def _unconverged(chain: ChainModel, best_residual: float, opts: SolverOptions) -
                                residual=best_residual, iterations=n * (opts.max_restarts + 1), restarts=opts.max_restarts)
 
 
+@np.errstate(all="ignore")  # a row gone non-finite fails as the scalar solve fails it, unwarned
 def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rho: np.ndarray, opts: SolverOptions,
                        constants=None):
     """``solve_chain_equilibrium`` of M rows in lockstep (targets (M, d), starts x (M, n_elements) updated in
     place, actuators rho, by row or for all), each with its own springs, mask, oscillation count, damping and stop
     tests, so bit for bit; ``constants`` as in ``_stack_pass``. A row that stops is written out once and dropped
     from every working array; the rows out of iterations restart together, each perturbed from where it stopped
-    by the scalar solve's draws. Returns the wrenches, x and by row the scalar solve's error, naming ``chain``."""
+    by the scalar solve's draws. Returns the wrenches, x, per row the iterations, restarts and residual of its
+    solve (M, 3), and by row the scalar solve's error, naming ``chain``."""
     m, d = targets.shape
     x[:, chain.actuated_elements] = rho
-    free, wrenches, errors, best = chain.unknown_elements, np.zeros((m, d)), {}, np.full(m, np.inf)
+    free, wrenches, stats, errors, best = chain.unknown_elements, np.zeros((m, d)), np.zeros((m, 3)), {}, np.full(m, np.inf)
     constants = _row_constants([chain], [m]) if constants is None else constants
     springs, singular = _spring_constants(chain, constants), f"chain {chain.name!r} is singular at the prescribed pose"
     preloads, groups = springs[..., chain.preloaded_elements], None  # both gathered again after each compaction
@@ -303,6 +305,7 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
         stopped = (residual <= opts.pose_tol) & _settled(step, dx_prev, np.concatenate([F, xs[:, free]], axis=1), held, d)
         stopped[list(failed)] = True
         best, dx_prev = np.fmin(best, residual), step[:, d:]  # min() of the scalar floats: a NaN residual is skipped
+        spent = restart * opts.max_iterations + opts.max_iterations - budget, restart  # before a restart resets them
         # out of iterations, the rows going on restart from where they stopped, perturbed by the scalar solve's draws
         if not budget and restart < opts.max_restarts:
             budget, restart, again = opts.max_iterations, restart + 1, ~stopped
@@ -315,12 +318,13 @@ def _equilibrium_stack(chain: ChainModel, targets: np.ndarray, x: np.ndarray, rh
         if not (live := ~stopped & (budget > 0)).all():  # a row out of budget not stopped here spent every restart
             errors.update({int(rows[i]): err for i, err in failed.items()})
             errors.update({int(rows[i]): _unconverged(chain, float(best[i]), opts) for i in np.flatnonzero(~stopped & ~live)})
-            wrenches[rows[~live]], x[rows[~live]] = F[~live], xs[~live]
+            done = rows[~live]
+            wrenches[done], x[done], stats[done, :2], stats[done, 2] = F[~live], xs[~live], spent, residual[~live]
             state = (rows, F, xs, mask, prev_mask, oscillating, best, pose, T, frames, dx_prev, targets, constants)
             rows, F, xs, mask, prev_mask, oscillating, best, pose, T, frames, dx_prev, targets, constants = (a[live] for a in state)
             springs = _spring_constants(chain, constants)
             preloads, groups = springs[..., chain.preloaded_elements], None
-    return wrenches, x, errors
+    return wrenches, x, stats, errors
 
 
 def split_rho(manipulator: ManipulatorModel, rho_all) -> list[np.ndarray]:
@@ -343,17 +347,43 @@ def total_wrench(
     starts: list | None = None,
 ):
     """Sum of the per-chain holding wrenches at a shared platform pose."""
-    target = manipulator.pose_array(t)
-    rhos = split_rho(manipulator, rho_all)
-    if starts is None:
-        starts = [None] * len(manipulator.chains)
-    elif len(starts) != len(manipulator.chains):
-        raise ModelError(f"{len(starts)} start states for {len(manipulator.chains)} chains")
+    target, rhos, starts = _pose_inputs(manipulator, t, rho_all, starts)
     results = _each_chain(
         manipulator, lambda chain, rho, start: solve_chain_equilibrium(chain, target, rho, opts, start=start), rhos, starts
     )
     F_sigma = np.sum([r.F for r in results], axis=0)
     return F_sigma, results
+
+
+def _pose_inputs(manipulator: ManipulatorModel, t, rho_all, starts):
+    """``total_wrench``'s pose, per-chain actuators and starts (None for a cold start), or a ModelError."""
+    target, rhos, chains = manipulator.pose_array(t), split_rho(manipulator, rho_all), manipulator.chains
+    if starts is not None and len(starts) != len(chains):
+        raise ModelError(f"{len(starts)} start states for {len(chains)} chains")
+    return target, rhos, [None] * len(chains) if starts is None else starts
+
+
+def _equilibria(manipulator: ManipulatorModel, t, rho_all, opts: SolverOptions | None = None, starts=None):
+    """``total_wrench``'s equilibria, one ``_equilibrium_stack`` row per chain, the chains of a structure as one
+    stack (``chain._fused``), each bit for bit its scalar solve; the first chain that fails raises its error."""
+    target, rhos, starts = _pose_inputs(manipulator, t, rho_all, starts)
+
+    def start(chain: ChainModel, rho, given) -> tuple:
+        """The chain's start row and actuators, checked in the order ``solve_chain_equilibrium`` checks them."""
+        rho = _actuators(chain, rho)
+        return _start_vector(chain, chain_ik_best_effort(chain, target)[0] if given is None else given)[None], rho[None]
+
+    chains, (x, rho) = manipulator.chains, zip(*_each_chain(manipulator, start, rhos, starts))
+    solves = _fused(chains, _equilibrium_stack, [[target[None]] * len(chains), x, rho], opts or SolverOptions())
+    if errors := _first_errors([found for *_, found in solves]):
+        raise errors[0]
+    return _results(chains, *zip(*solves))
+
+
+def _results(chains: list[ChainModel], F, coords, stats, *_) -> list[EquilibriumResult]:
+    """The ``EquilibriumResult`` per chain of row 0 of its stacked wrenches, joint vectors and solve stats."""
+    return [EquilibriumResult(f[0], float(s[0, 2]), int(s[0, 0]), int(s[0, 1]), regroup(chain, x[0]), chain)
+            for chain, f, x, s in zip(chains, F, coords, stats)]
 
 
 def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,7 +472,8 @@ def _sweep(manipulators, start, direction, max_delta, step, opts, rhos, starts) 
         if not live:
             break
         targets = start_vec + (np.arange(first, min(first + _SWEEP_CHUNK, n)) * step)[:, None] * u
-        m, iks = len(targets), _fused(chains, _ik_stack, [[targets] * len(chains)])
+        m = len(targets)  # each IK row under the lead's constants
+        iks = _fused(chains, _ik_stack, [[targets] * len(chains)], constants=[a[:1].repeat(m, 0) for a in constants])
         x = [np.concatenate([coords] * len(live)) for coords, _, _ in iks]  # the starts of the live curves' rows
         for k, model in enumerate([] if first else manipulators):
             given = starts[k]
@@ -458,13 +489,12 @@ def _sweep(manipulators, start, direction, max_delta, step, opts, rhos, starts) 
         rho_rows = [np.array([rhos[k][i] for k in live]).repeat(m, 0) for i in range(len(chains))]
         per_chain = [[np.concatenate([targets] * len(live))] * len(chains), x, rho_rows]
         own = [a[live].repeat(m, 0) for a in constants]  # each row its manipulator's constants
-        with np.errstate(all="ignore"):  # a row gone non-finite fails as the scalar solve fails it, unwarned
-            solves = _fused(chains, _equilibrium_stack, per_chain, opts, constants=own)
+        solves = _fused(chains, _equilibrium_stack, per_chain, opts, constants=own)
         # per chain the errors of its rows: a rigid IK's error comes first, except where given starts seed row 0
         ik_errors = [{j * m + i: e for j, k in enumerate(live) for i, e in ik.items() if first + i or starts[k] is None}
                      for _, _, ik in iks]
-        failed = _first_errors([{**by_row, **ik} for (_, _, by_row), ik in zip(solves, ik_errors)])
-        F_live = np.sum([wrenches for wrenches, _, _ in solves], axis=0).reshape(len(live), m, -1)
+        failed = _first_errors([{**by_row, **ik} for (*_, by_row), ik in zip(solves, ik_errors)])
+        F_live = np.sum([wrenches for wrenches, *_ in solves], axis=0).reshape(len(live), m, -1)
         for j, (k, F) in enumerate(zip(live, F_live)):
             forces[k, first : first + m] = F
             row = min((r for r in failed if j * m <= r < j * m + m), default=None)  # the curve's first failed sample

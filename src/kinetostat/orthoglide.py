@@ -212,13 +212,12 @@ def _compensate_rows(models, targets, stacks, eps_f, opts):
     constants = [_row_constants(legs, [p] * len(models))[rows] for legs in zip(*(m.chains for m in models))]
     coords, K = [np.full((n, c.shape[1]), np.nan) for c, _, _ in stacks], np.full((n, d, d), np.nan)
     eigenvalues, outer, residual = np.full((n, d), np.nan), np.zeros(n, dtype=int), np.full(n, np.nan)
-    with np.errstate(all="ignore"):  # a row gone non-finite fails as the single-pose solve fails it, unwarned
-        x, F, failed, outer[rows], residual[rows] = _compensate_stack(
-            chains, targets[point[rows]], [c[point[rows]] for c, _, _ in stacks], constants, eps_f, opts
-        )
-        done = np.flatnonzero(~np.isin(np.arange(rows.size), list(failed)))
-        finished = [[a[done] for a in x], [f[done] for f in F]]
-        responses = _fused(chains, _chain_responses, finished, False, constants=[c[done] for c in constants])
+    x, F, _, failed, outer[rows], residual[rows] = _compensate_stack(
+        chains, targets[point[rows]], [c[point[rows]] for c, _, _ in stacks], constants, eps_f, opts
+    )[:6]
+    done = np.flatnonzero(~np.isin(np.arange(rows.size), list(failed)))
+    finished = [[a[done] for a in x], [f[done] for f in F]]
+    responses = _fused(chains, _chain_responses, finished, False, constants=[c[done] for c in constants])
     K[rows[done]] = np.sum([k for k, _ in responses], 0)
     errors.update({int(rows[i]): err for i, err in failed.items()})
     errors.update({int(rows[done[i]]): err for i, err in _first_errors([found for _, found in responses]).items()})

@@ -11,13 +11,14 @@ obtained by solving task-dim right-hand sides rather than inverting the
 whole block. Each system, kf's included, is solved once by a guarded solve:
 the inverse that clears a matrix's condition bound also solves it. The
 Jacobians and the load Hessians H = d(J^T F)/dx come in closed form from one
-forward pass per chain (``chain._loaded_derivatives``). Chain matrices sum
+stacked forward pass (``chain._loaded_derivatives``). Chain matrices sum
 to the manipulator stiffness. The same block system with an actuator
 right-hand side gives dF/drho, the chain's columns of the sensitivity that
 the kinetostatic compensation inverts. One assembly (``_block_system``)
-builds A, kf and both right-hand sides for a single equilibrium, whose
-singular systems raise, and for a stack of them over a leading axis, whose
-singular rows come out NaN, each with the error it raises alone.
+builds A, kf and both right-hand sides for a stack of equilibria over a
+leading axis, whose singular rows come out NaN, each with the error it
+raises alone. A single pose is a stack of one row per chain, the chains of
+a structure as one stack, and raises the error of its first failing chain.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, ManipulatorModel, _each_chain, _euler_stack, _gather, _load_hessian, _loaded_derivatives
-from .chain import _map_rates, _masks, _row_constants, _spring_constants, _stack_columns, _stack_pass
-from .equilibrium import EquilibriumResult, SolverOptions, _solve, _solve_stack, total_wrench
+from .chain import ChainModel, ManipulatorModel, _first_errors, _fused, _gather, _loaded_derivatives, _masks
+from .chain import _row_constants, _spring_constants
+from .equilibrium import EquilibriumResult, SolverOptions, _equilibria, _solve_stack, total_wrench
 from .errors import ModelError, SingularityError, SpringSofteningError
 
 _RANK_TOL = 1e-9
@@ -56,22 +57,23 @@ class StiffnessResult:
     @functools.cached_property
     def condition(self) -> list[float]:
         """Exact 2-norm condition of each chain's block matrix, one SVD each on first read."""
-        pairs = zip(self.chains, self.equilibria)
-        return [float(np.linalg.cond(_chain_block(chain, eq, None))) for chain, eq in pairs]
+        return [float(c) for c in _responses(self.chains, self.equilibria, None)]
 
 
-def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tuple, solve, sensitivity: bool | None):
-    """Responses of the stiffness block system of one chain equilibrium, or of a stack of them.
+def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, q_elements, theta_elements, k_tilde, errors: dict,
+                  sensitivity: bool | None):
+    """Responses of the stiffness block systems of a stack of chain equilibria.
 
-    ``cols`` (..., d, n) are the Jacobian columns and ``H`` (..., n, n) the
-    load Hessian of every chain element, ``layout`` the active set's
-    ``ChainModel.regrouping``, for a stack with k_tilde (..., m) by row, and
-    ``solve`` the guarded solve: ``_solve``
-    raises on a singular system, ``_solve_stack`` gives NaN in its row
-    and keeps the row's error.
+    ``cols`` (M, d, n) are the Jacobian columns and ``H`` (M, n, n) the
+    load Hessian of every chain element, ``q_elements`` and
+    ``theta_elements`` the elements of the active set's passive and spring
+    coordinates (``ChainModel.regrouping``) and ``k_tilde`` (M, m) the
+    springs' stiffnesses by row. Each system is solved by ``_solve_stack``,
+    which gives NaN in a singular row and keeps the row's first error, kf's
+    before A's, in ``errors``.
     Returns the task rows of A^-1 rhs: the chain stiffness, symmetrised, or
-    with ``sensitivity`` dF/drho, one column per actuator; A itself when
-    ``sensitivity`` is None.
+    with ``sensitivity`` dF/drho, one column per actuator; the 2-norm
+    condition of A when ``sensitivity`` is None.
 
     Differentiating the equilibrium conditions g = t, J_q^T F = 0 and
     J_th^T F = K (theta - theta_0) in rho at fixed t gives the block system
@@ -81,7 +83,6 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
 
     where H_.rho = d(J_.^T F)/drho is the mixed load Hessian.
     """
-    q_elements, theta_elements, _, k_tilde = layout
     d, k, m = chain.task_dim, q_elements.size, theta_elements.size
     # columns, and Hessian rows and columns, in passive, spring, actuator order; H is symmetric
     # to the bit, so the view of its transpose lays it out by columns, as _gather does
@@ -89,6 +90,7 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
     cols, H = _gather(cols, order), np.take(np.take(H, order, -1), order, -2).swapaxes(-1, -2)
     J_q, J_theta = cols[..., :k], cols[..., k : k + m]
     H_qq, H_thth, H_qth = H[..., :k, :k], H[..., k : k + m, k : k + m], H[..., :k, k : k + m]
+    solve = functools.partial(_solve_stack, errors=errors)
     what = f"loaded spring block of chain {chain.name!r} lost invertibility"
     kf = solve(k_tilde[..., None] * np.eye(m) - H_thth, np.eye(m), SpringSofteningError, what)  # k > 0: diag(k), to the bit
     H_thq, J_theta_T = H_qth.swapaxes(-1, -2), J_theta.swapaxes(-1, -2)
@@ -98,7 +100,7 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
     A[..., d:, :d] = J_q.swapaxes(-1, -2) + H_qth @ kf @ J_theta_T
     A[..., d:, d:] = H_qq + H_qth @ kf @ H_thq
     if sensitivity is None:
-        return A
+        return np.linalg.cond(A)
     rhs = np.eye(d + k, d)
     if sensitivity:
         spring = kf @ H[..., k : k + m, k + m :]
@@ -107,32 +109,30 @@ def _block_system(chain: ChainModel, cols: np.ndarray, H: np.ndarray, layout: tu
     return K if sensitivity else 0.5 * (K + K.swapaxes(-1, -2))
 
 
-def _chain_block(chain: ChainModel, eq: EquilibriumResult, sensitivity: bool | None):
-    """``_block_system`` of one chain at its equilibrium, from one forward pass; a singular system raises."""
-    cols, H = _loaded_derivatives(chain, eq.regrouped, eq.F)
-    return _block_system(chain, cols, H, chain.regrouping(eq.regrouped.active_mask), _solve, sensitivity)
-
-
-def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool, constants=None):
-    """``_chain_block`` of stacked equilibria, joint vectors (M, n_elements) and wrenches (M, d),
-    with the rows of one active mask as one stack, bit for bit, each under its row's springs, and by
-    row the error it raises, naming ``chain``, with NaN in that row. ``constants`` as in ``_stack_pass``."""
+@np.errstate(all="ignore")  # a singular row is NaN, with its error
+def _chain_responses(chain: ChainModel, coords: np.ndarray, F: np.ndarray, sensitivity: bool | None, constants=None):
+    """``_block_system`` of stacked equilibria, joint vectors (M, n_elements) and wrenches (M, d), with the rows of
+    one active mask as one stack, each under its row's springs, and by row the error it raises, naming ``chain``,
+    with NaN in that row. ``constants`` as in ``_stack_pass``."""
     constants = _row_constants([chain], [len(coords)]) if constants is None else constants
-    pose, T, frames = _stack_pass(chain, coords, constants)
-    cols, twists, errors = *_stack_columns(chain, T, frames, constants, True), {}
-    if chain.task_dim == 6:  # a row whose E is singular raises the scalar columns' error
-        E_inv, errors = _euler_stack(pose)
-        cols = _map_rates(cols, E_inv)
-    twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
-    H = _load_hessian(chain, T, pose, twists, cols, F)
-    out = np.empty((len(coords), chain.task_dim, chain.n_actuated if sensitivity else chain.task_dim))
-    springs = _spring_constants(chain, constants)
+    cols, H, errors = _loaded_derivatives(chain, coords, F, constants)
+    d, springs = chain.task_dim, _spring_constants(chain, constants)
+    out = np.empty((len(coords), d, chain.n_actuated if sensitivity else d)[: 1 if sensitivity is None else 3])
     for rows, (q_el, th_el, _, _) in chain._by_mask(_masks(chain, coords, springs[..., chain.preloaded_elements])):
-        layout, found = (q_el, th_el, None, springs[rows, 1][:, th_el]), {}  # with each row's stiffnesses
-        solve = functools.partial(_solve_stack, errors=found)  # a row keeps its first error, kf's before A's
-        out[rows] = _block_system(chain, cols[rows], H[rows], layout, solve, sensitivity)
+        found, k_tilde = {}, springs[rows, 1][:, th_el]  # each row under its own stiffnesses
+        out[rows] = _block_system(chain, cols[rows], H[rows], q_el, th_el, k_tilde, found, sensitivity)
         errors = {**{int(rows[i]): err for i, err in found.items()}, **errors}
     return out, errors
+
+
+def _responses(chains: list[ChainModel], equilibria: list[EquilibriumResult], sensitivity: bool | None) -> list:
+    """``_chain_responses`` of one equilibrium per chain, the chains of a structure as one stack
+    (``chain._fused``): per chain its response, or the error of the first chain that fails, with its index."""
+    rows = [[eq.regrouped.coords[None] for eq in equilibria], [eq.F[None] for eq in equilibria]]
+    out = _fused(chains, _chain_responses, rows, sensitivity)
+    if errors := _first_errors([found for _, found in out]):
+        raise errors[0]
+    return [response[0] for response, _ in out]
 
 
 def manipulator_stiffness(
@@ -142,15 +142,14 @@ def manipulator_stiffness(
     opts: SolverOptions | None = None,
 ) -> StiffnessResult:
     """Solve every chain at (t, rho) and aggregate the chain stiffnesses."""
-    _, equilibria = total_wrench(manipulator, t, rho_all, opts)
-    return _aggregate_stiffness(manipulator, equilibria)
+    return _aggregate_stiffness(manipulator, _equilibria(manipulator, t, rho_all, opts))
 
 
 def _aggregate_stiffness(
     manipulator: ManipulatorModel, equilibria: list[EquilibriumResult]
 ) -> StiffnessResult:
     """Chain stiffnesses at already solved chain equilibria, and their sum."""
-    K_c = _each_chain(manipulator, _chain_block, equilibria, [False] * len(equilibria))
+    K_c = _responses(manipulator.chains, equilibria, False)
     K_sigma = np.sum(K_c, axis=0)
     eigvals = np.linalg.eigvalsh(K_sigma)
     return StiffnessResult(

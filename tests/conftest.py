@@ -80,27 +80,70 @@ def sweep_by_samples(manipulator, start, direction, max_delta, step, opts=None, 
     return ForceDeflectionCurve(np.arange(len(F)) * step, s * norms, (F[:, None] @ u[:, None])[:, 0, 0], u, error)
 
 
-def forbid_scalar_solves(monkeypatch):
-    """Make every scalar solver raise: the chain equilibrium, the rigid IK, the
-    compensation and the chain stiffness block. Code that runs wholly in the stacks
+def forbid_scalar_solves(monkeypatch, rigid_ik=True):
+    """Make every scalar solver raise: the chain equilibrium (and so ``total_wrench``), the
+    compensation, and the rigid IK unless ``rigid_ik`` is False, which lets a single-pose
+    command solve its rigid IK and nothing else alone. Code that runs wholly in the stacks
     does not notice."""
     import kinetostat.chain
     import kinetostat.control
     import kinetostat.equilibrium
-    import kinetostat.stiffness
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a scalar solve ran")
 
-    for module, name in [
-        (kinetostat.equilibrium, "solve_chain_equilibrium"),
-        (kinetostat.equilibrium, "chain_ik_best_effort"),
-        (kinetostat.chain, "chain_ik_best_effort"),
-        (kinetostat.control, "solve_inverse_kinetostatic"),
-        (kinetostat.control, "_chain_block"),
-        (kinetostat.stiffness, "_chain_block"),
-    ]:
+    names = [(kinetostat.equilibrium, "solve_chain_equilibrium"), (kinetostat.control, "solve_inverse_kinetostatic")]
+    if rigid_ik:
+        names += [(kinetostat.equilibrium, "chain_ik_best_effort"), (kinetostat.chain, "chain_ik_best_effort")]
+    for module, name in names:
         monkeypatch.setattr(module, name, forbidden)
+
+
+def compensate_by_steps(manipulator, t, eps_f, opts=None, f_ext=None):
+    """``solve_inverse_kinetostatic`` as its Newton loop over ``total_wrench`` and ``sensitivity_matrix``: the
+    definition of the compensation that the stacked loop reproduces, kept as its oracle."""
+    from kinetostat import ControlSingularityError, KinetostaticSolution, NonConvergenceError
+    from kinetostat import inverse_kinematics_unloaded, sensitivity_matrix, total_wrench
+    from kinetostat.control import _MAX_HALVINGS, _MAX_OUTER
+    from kinetostat.equilibrium import _solve, split_rho
+
+    target = manipulator.pose_array(t)
+    F_target = np.zeros(manipulator.task_dim) if f_ext is None else np.asarray(f_ext, dtype=float)
+    seeds = inverse_kinematics_unloaded(manipulator, target)
+    rho = np.concatenate([s.rho for s in seeds])
+    F, equilibria = total_wrench(manipulator, target, rho, opts, starts=seeds)
+    err = F - F_target
+    err_norm = float(np.linalg.norm(err))
+    history, full_rank = [err_norm], True
+    for _ in range(_MAX_OUTER):
+        if err_norm < eps_f:
+            break
+        S = sensitivity_matrix(manipulator, target, rho, opts, starts=seeds)
+        if S.shape[0] == S.shape[1]:
+            step = _solve(S, err, ControlSingularityError, "force/actuator sensitivity is singular")
+        else:
+            step, _, rank, _ = np.linalg.lstsq(S, err, rcond=None)
+            full_rank = rank == min(S.shape)
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            rho_try = rho - lam * step
+            F_try, eqs_try = total_wrench(manipulator, target, rho_try, opts, starts=seeds)
+            err_try = F_try - F_target
+            try_norm = float(np.linalg.norm(err_try))
+            if try_norm < err_norm:
+                rho, err, err_norm, equilibria = rho_try, err_try, try_norm, eqs_try
+                break
+            lam *= 0.5
+        else:  # no halving lowered the residual
+            break
+        history.append(err_norm)
+    if err_norm < eps_f:
+        return KinetostaticSolution(split_rho(manipulator, rho), err_norm, len(history) - 1, full_rank, history, equilibria)
+    raise NonConvergenceError(
+        f"kinetostatic compensation stalled at |F| = {err_norm:.3e} (eps_f = {eps_f:.3e})",
+        residual=err_norm,
+        iterations=len(history) - 1,
+    )
 
 
 def linear_preload_model(kv):
@@ -246,14 +289,20 @@ def two_prismatic_toy(k1=1.3, k2=0.7):
     return ManipulatorModel(task_dim=2, chains=[chain], name="toy")
 
 
+def scalar_columns(chain, coords):
+    """Task Jacobian columns of every chain element at a joint vector from the scalar forward pass, the
+    one the scalar equilibrium solve and rigid IK read."""
+    from kinetostat.chain import _columns, _end_transform, _task_pose, _twists
+
+    T, frames = _end_transform(chain, coords)
+    return _columns(chain, T, _task_pose(T, chain.task_dim), _twists(chain, T, frames))
+
+
 def gradient_differences(chain, coords, F):
     """d(J^T F)/dx over every chain element by central differences of the
     analytic J^T F, step 1e-6 * max(1, |x|): the load Hessian's form before
     the closed one, kept as its oracle. Column j differentiates along
     element j."""
-    from kinetostat.chain import _loaded_derivatives
-    from kinetostat.springs import regroup
-
     F = np.asarray(F, dtype=float)
     H = np.zeros((coords.size, coords.size))
     for j in range(coords.size):
@@ -262,7 +311,7 @@ def gradient_differences(chain, coords, F):
         cm = coords.copy()
         cp[j] += h
         cm[j] -= h
-        gp = _loaded_derivatives(chain, regroup(chain, cp), F)[0].T @ F
-        gm = _loaded_derivatives(chain, regroup(chain, cm), F)[0].T @ F
+        gp = scalar_columns(chain, cp).T @ F
+        gm = scalar_columns(chain, cm).T @ F
         H[:, j] = (gp - gm) / (2.0 * h)
     return H

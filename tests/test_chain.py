@@ -160,7 +160,8 @@ def _reference_geometry(chain, coords):
 @pytest.mark.parametrize("task_dim", [2, 3, 6])
 def test_geometry_bitwise_equal_to_reference(task_dim):
     from kinetostat.chain import _end_transform, _loaded_derivatives
-    from kinetostat.springs import regroup
+
+    from conftest import scalar_columns
 
     rng = np.random.default_rng(70 + task_dim)
     for _ in range(40):
@@ -171,8 +172,9 @@ def test_geometry_bitwise_equal_to_reference(task_dim):
         coords = chain.element_coordinates(random_state(rng, chain))
         T_ref, cols_ref = _reference_geometry(chain, coords)
         assert np.array_equal(_end_transform(chain, coords)[0], T_ref)
-        cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
-        assert np.array_equal(cols, cols_ref)
+        assert np.array_equal(scalar_columns(chain, coords), cols_ref)
+        cols, _, errors = _loaded_derivatives(chain, coords[None], np.zeros((1, task_dim)))
+        assert not errors and np.array_equal(cols[0], cols_ref)
 
 
 def _with_identities(rng, chain):
@@ -193,7 +195,8 @@ def test_identity_elision_bitwise_equal_to_reference(task_dim):
     # skipping identity base, links and tool leaves the pass and the
     # Jacobian columns equal to the fully multiplied reference
     from kinetostat.chain import _end_transform, _loaded_derivatives
-    from kinetostat.springs import regroup
+
+    from conftest import scalar_columns
 
     rng = np.random.default_rng(90 + task_dim)
     skipped = 0
@@ -207,8 +210,9 @@ def test_identity_elision_bitwise_equal_to_reference(task_dim):
         coords = chain.element_coordinates(random_state(rng, chain))
         T_ref, cols_ref = _reference_geometry(chain, coords)
         assert np.array_equal(_end_transform(chain, coords)[0], T_ref)
-        cols = _loaded_derivatives(chain, regroup(chain, coords), np.zeros(task_dim))[0]
-        assert np.array_equal(cols, cols_ref)
+        assert np.array_equal(scalar_columns(chain, coords), cols_ref)
+        cols, _, errors = _loaded_derivatives(chain, coords[None], np.zeros((1, task_dim)))
+        assert not errors and np.array_equal(cols[0], cols_ref)
     assert skipped > 0
 
 
@@ -366,19 +370,20 @@ ORACLE_CHAINS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
 def test_load_hessian_matches_gradient_differences(name):
-    from kinetostat.chain import _end_transform, _columns, _loaded_derivatives, _task_pose, _twists
+    from kinetostat.chain import _loaded_derivatives
+
+    from conftest import scalar_columns
 
     rng = np.random.default_rng(sorted(ORACLE_CHAINS).index(name))
     for _ in range(25):
         chain = ORACLE_CHAINS[name](rng)
         state = random_state(rng, chain, scale=0.3)
-        reg = partition(chain, state)
         F = rng.normal(size=chain.task_dim)
         coords = chain.element_coordinates(state)
-        cols, H = _loaded_derivatives(chain, reg, F)
-        T, frames = _end_transform(chain, coords)
-        pose = _task_pose(T, chain.task_dim)
-        np.testing.assert_array_equal(cols, _columns(chain, T, pose, _twists(chain, T, frames)))
+        cols, H, errors = _loaded_derivatives(chain, coords[None], F[None])
+        cols, H = cols[0], H[0]
+        assert not errors
+        np.testing.assert_array_equal(cols, scalar_columns(chain, coords))
         np.testing.assert_array_equal(H, H.T)
         R = gradient_differences(chain, coords, F)
         # central differences at step 1e-6 carry roundoff near 1e-10 |H|
@@ -510,8 +515,7 @@ def test_ik_out_of_workspace(ortho_nopreload):
 def _two_pass_ik(chain, t):
     """Reference rigid IK: the same Levenberg-Marquardt iteration with a
     separate forward pass for the Jacobian of every iteration."""
-    from kinetostat.chain import _loaded_derivatives
-    from kinetostat.springs import regroup
+    from conftest import scalar_columns
 
     target = np.asarray(t, dtype=float).ravel()
     n_rho, n_q = chain.n_actuated, chain.n_perfect
@@ -528,7 +532,7 @@ def _two_pass_ik(chain, t):
     for _ in range(200):
         if r_norm <= 1e-12 or not free:
             break
-        cols = _loaded_derivatives(chain, regroup(chain, chain.element_coordinates(state(u))), r)[0]
+        cols = scalar_columns(chain, chain.element_coordinates(state(u)))
         J = cols[:, free]
         if lam is None:
             lam = 1e-3 * max(float(np.linalg.norm(J, 2)) ** 2, 1.0)
@@ -939,9 +943,9 @@ def test_fused_stack_is_each_chains_stack_bit_for_bit(task_dim, m):
             solves = _fused(chains, _equilibrium_stack, [targets, [xs.copy() for xs in x], rho], SolverOptions())
             for c, t, xs, r, solve in zip(chains, targets, x, rho, solves):
                 own = _equilibrium_stack(c, t, xs.copy(), r, SolverOptions())
-                assert [a.tobytes() for a in solve[:2]] == [a.tobytes() for a in own[:2]]
-                assert _errors_said(solve[2]) == _errors_said(own[2])  # each naming its own chain
-                tally["converged"] += m - len(own[2])
+                assert [a.tobytes() for a in solve[:3]] == [a.tobytes() for a in own[:3]]
+                assert _errors_said(solve[3]) == _errors_said(own[3])  # each naming its own chain
+                tally["converged"] += m - len(own[3])
             for sensitivity in (True, False):
                 responses = _fused(chains, _chain_responses, [x, F], sensitivity)
                 for c, xs, f, (response, errors) in zip(chains, x, F, responses):
@@ -1047,10 +1051,10 @@ def test_rows_of_several_models_take_each_models_compensation_and_sweep_bit_for_
         with np.errstate(all="ignore"):
             own = _compensate_stack(model.chains, targets, own_seeds, [_row_constants([c], [p]) for c in model.chains], 1e-8, None)
         rows = slice(i * p, (i + 1) * p)
-        arrays, own_arrays = fused[0] + fused[1] + list(fused[3:]), own[0] + own[1] + list(own[3:])
+        arrays, own_arrays = fused[0] + fused[1] + fused[2] + list(fused[4:]), own[0] + own[1] + own[2] + list(own[4:])
         assert [a[rows].tobytes() for a in arrays] == [a.tobytes() for a in own_arrays]
-        assert _errors_said({r - i * p: e for r, e in fused[2].items() if r // p == i}) == _errors_said(own[2])
-        finished += p - len(own[2])
+        assert _errors_said({r - i * p: e for r, e in fused[3].items() if r // p == i}) == _errors_said(own[3])
+        finished += p - len(own[3])
         starts.append([x[i * p + 2] for x in fused[0]])
     assert finished > p * count // 2  # not a vacuous check
     curves = _sweep(models, targets[2], [-1.0, -1.0], 0.3, 0.01, None, [None] * count, starts)
@@ -1169,12 +1173,11 @@ def _upright_document():
 
 def _failure_in_chain_1(site):
     """The error that ``site``, one of the per-chain loops, raises when chain 1 fails."""
-    from kinetostat import SingularityError, total_wrench
-    from kinetostat.control import _sensitivity
+    from kinetostat import SingularityError, sensitivity_matrix, total_wrench
     from kinetostat.equilibrium import EquilibriumResult
     from kinetostat.orthoglide import _critical_points
     from kinetostat.springs import regroup
-    from kinetostat.stiffness import _aggregate_stiffness
+    from kinetostat.stiffness import _aggregate_stiffness, _responses
 
     from conftest import shipped_model
 
@@ -1189,7 +1192,11 @@ def _failure_in_chain_1(site):
             ModelError,
             lambda: total_wrench(model, [0.1, 0.1], [1.0, 1.0], starts=[eqs[0].regrouped.coords, np.zeros(2)]),
         ),
-        "control._sensitivity": (SingularityError, lambda: _sensitivity(model, [eqs[0], flat])),
+        "stiffness._responses": (SingularityError, lambda: _responses(model.chains, [eqs[0], flat], True)),
+        "sensitivity_matrix": (  # the y-leg's stacked equilibrium, started flat
+            SingularityError,
+            lambda: sensitivity_matrix(model, [0.1, 0.1], [1.0, 1.0], starts=[eqs[0].regrouped.coords, flat.regrouped.coords]),
+        ),
         "stiffness._aggregate_stiffness": (SingularityError, lambda: _aggregate_stiffness(model, [eqs[0], flat])),
         "orthoglide._critical_point": (  # the critical-point search, _critical_points of one model
             SingularityError,
@@ -1210,7 +1217,8 @@ def _failure_in_chain_1(site):
     [
         "inverse_kinematics_unloaded",
         "total_wrench",
-        "control._sensitivity",
+        "stiffness._responses",
+        "sensitivity_matrix",
         "stiffness._aggregate_stiffness",
         "orthoglide._critical_point",
         "orthoglide.compliance_grid",

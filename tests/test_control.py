@@ -7,9 +7,11 @@ from kinetostat import (
     ChainModel,
     ControlSingularityError,
     JointModel,
+    KinetostatError,
     ManipulatorModel,
     ModelError,
     NonConvergenceError,
+    OutOfWorkspaceError,
     OrthoglideSpec,
     SolverOptions,
     SpringLaw,
@@ -97,12 +99,11 @@ def test_sensitivity_needs_the_mixed_hessian(monkeypatch):
 
     real = kinetostat.stiffness._loaded_derivatives
 
-    def without_mixed_block(chain, regrouped, F):
-        cols, H = real(chain, regrouped, F)
-        H = H.copy()
-        H[:, chain.actuated_elements] = 0.0
-        H[chain.actuated_elements, :] = 0.0
-        return cols, H
+    def without_mixed_block(chain, *args):
+        cols, H, errors = real(chain, *args)
+        H[..., :, chain.actuated_elements] = 0.0
+        H[..., chain.actuated_elements, :] = 0.0
+        return cols, H, errors
 
     monkeypatch.setattr(kinetostat.stiffness, "_loaded_derivatives", without_mixed_block)
     assert _deviation_from_fd(off_base_actuator_model(), [0.45, 0.45]) > 1e-3
@@ -112,7 +113,7 @@ def _mixed_blocks(chain, eq):
     """(H_qrho, H_thrho) of the closed-form load Hessian at an equilibrium."""
     from kinetostat.chain import _loaded_derivatives
 
-    H = _loaded_derivatives(chain, eq.regrouped, eq.F)[1]
+    H = _loaded_derivatives(chain, eq.regrouped.coords[None], eq.F[None])[1][0]
     act = chain.actuated_elements
     return H[np.ix_(eq.regrouped.q_elements, act)], H[np.ix_(eq.regrouped.theta_elements, act)]
 
@@ -221,8 +222,9 @@ def test_prescribed_external_wrench(ortho_spec):
     np.testing.assert_allclose(F, target_wrench, atol=1e-9)
 
 
-def test_coincident_legs_raise_control_singularity():
-    # two identical x legs: actuator forces are collinear at every pose
+def _coincident_legs_model():
+    """Two identical x legs: their actuator forces are collinear at every pose."""
+
     def leg():
         return ChainModel(
             task_dim=2,
@@ -244,9 +246,98 @@ def test_coincident_legs_raise_control_singularity():
             ik_seed=np.array([1.0, 0.0]),
         )
 
-    twin = ManipulatorModel(task_dim=2, chains=[leg(), leg()], name="coincident")
+    return ManipulatorModel(task_dim=2, chains=[leg(), leg()], name="coincident")
+
+
+def test_coincident_legs_raise_control_singularity():
     with pytest.raises(ControlSingularityError):
-        solve_inverse_kinetostatic(twin, [0.1, 0.2], 1e-10)
+        solve_inverse_kinetostatic(_coincident_legs_model(), [0.1, 0.2], 1e-10)
+
+
+def _x_legs(*legs):
+    """A model of the shipped legs picked by index, 0 the x-leg and 1 the y-leg."""
+    chains = shipped_model().chains
+    return ManipulatorModel(task_dim=2, chains=[chains[i] for i in legs])
+
+
+# model, pose, eps_f, keyword arguments, and the outcome: a solution (with its full_rank) or an error type
+COMPENSATIONS = {
+    "shipped": (shipped_model, [0.2, 0.3], 1e-8, {}, True),
+    "shipped-corner": (shipped_model, [0.45, 0.45], 1e-12, {}, True),
+    "stop-limit": (stop_limit_model, [-0.3, 0.4], 1e-10, {}, True),
+    "off-base": (off_base_actuator_model, [0.45, 0.45], 1e-12, {}, True),
+    "y-leg-unconverged": (  # the y-leg's equilibrium uses every restart
+        lambda: off_base_actuator_model(base_spring=SpringLaw(1.0, 0.05, "positive_part")), [0.3, 0.3], 1e-12, {}, NonConvergenceError
+    ),
+    "f-ext": (lambda: linear_preload_model(0.05), [0.1, 0.2], 1e-10, {"f_ext": [0.02, -0.01]}, True),
+    "redundant": (lambda: _x_legs(0, 1, 0), [0.2, 0.3], 1e-8, {}, True),
+    "rank-deficient": (lambda: _x_legs(0, 0, 0), [0.1, 0.0], 1e-8, {"f_ext": [0.05, 0.0]}, False),
+    "stall": (lambda: _x_legs(0), [0.2, 0.3], 1e-8, {}, NonConvergenceError),
+    "control-singularity": (_coincident_legs_model, [0.1, 0.2], 1e-10, {}, ControlSingularityError),
+    "one-iteration": (shipped_model, [0.2, 0.3], 1e-8, {"opts": SolverOptions(max_iterations=1)}, NonConvergenceError),
+    "unreachable": (shipped_model, [1.5, 0.0], 1e-8, {}, OutOfWorkspaceError),
+}
+
+
+def _compensation_said(outcome):
+    """A compensation's solution, to the bit and with its equilibria's solve records, or its error."""
+    if isinstance(outcome, KinetostatError):
+        records = [getattr(outcome, a, None) for a in ("chain_index", "iterations", "restarts", "residual")]
+        return type(outcome), str(outcome), records
+    equilibria = [(eq.F.tobytes(), eq.regrouped.coords.tobytes(), eq.iterations, eq.restarts, eq.residual) for eq in outcome.equilibria]
+    rho = [r.tobytes() for r in outcome.rho]
+    return rho, outcome.residual_wrench, outcome.outer_iterations, outcome.history, outcome.full_rank, equilibria
+
+
+@pytest.mark.parametrize("case", sorted(COMPENSATIONS))
+def test_compensation_is_its_newton_loop_bit_for_bit(case):
+    # the stacked loop of one row gives the scalar Newton loop's solution to
+    # the bit, with its history, rank flag and equilibria, or its error
+    from conftest import compensate_by_steps
+
+    build, pose, eps_f, kwargs, expected = COMPENSATIONS[case]
+    model, outcomes = build(), []
+    for solve in (solve_inverse_kinetostatic, compensate_by_steps):
+        try:
+            outcomes.append(solve(model, pose, eps_f, **kwargs))
+        except KinetostatError as err:
+            outcomes.append(err)
+    assert _compensation_said(outcomes[0]) == _compensation_said(outcomes[1])
+    if isinstance(expected, bool):
+        assert outcomes[0].full_rank == expected and outcomes[0].outer_iterations > 0
+        assert outcomes[0].equilibria[0].iterations > 0
+    else:
+        assert type(outcomes[0]) is expected
+
+
+def test_single_pose_commands_solve_nothing_alone_after_the_rigid_ik(monkeypatch, tmp_path, capsys):
+    # invkin, stiffness and the sensitivity run their equilibria, Newton steps
+    # and block systems as stacks: with every scalar solve but the rigid IK
+    # forbidden they print what they print without the guard
+    from importlib import resources
+
+    from conftest import forbid_scalar_solves
+    from kinetostat.cli import main
+
+    path = tmp_path / "orthoglide-planar.json"
+    path.write_text(resources.files("kinetostat").joinpath("models/orthoglide-planar.json").read_text())
+    commands = [
+        ["invkin", "--model", str(path), "--pose", "0.45,0.45", "--eps-f", "1e-12", "--json"],
+        ["stiffness", "--model", str(path), "--pose", "0.2,0.3", "--json"],
+        ["stiffness", "--model", str(path), "--pose", "0.2,0.3", "--rho", "1.1,0.9", "--json"],
+    ]
+    model, pose = shipped_model(), [0.3, 0.4]
+    seeds = inverse_kinematics_unloaded(model, pose)
+    rho = [s.rho + 0.01 for s in seeds]
+    outputs = []
+    for guarded in (False, True):
+        with monkeypatch.context() as m:
+            if guarded:
+                forbid_scalar_solves(m, rigid_ik=False)
+            codes = [main(argv) for argv in commands]
+            S = [sensitivity_matrix(model, pose, rho, starts=starts).tobytes() for starts in (None, seeds)]
+        outputs.append((codes, capsys.readouterr(), S))
+    assert outputs[0] == outputs[1] and outputs[1][0] == [0, 0, 0] and outputs[1][2][0] == outputs[1][2][1]
 
 
 @pytest.mark.parametrize("pose", [[0.2, 0.3], [0.45, 0.45]])
@@ -297,17 +388,19 @@ def test_multi_step_compensation_solves_rigid_ik_once_per_chain(monkeypatch):
 
 
 def _count_wrench_calls(monkeypatch):
+    """|F_sigma| of every wrench evaluation of a single-pose compensation from now on: the chains of
+    the models here share one structure, so an evaluation is one equilibrium stack of a row a chain."""
     import kinetostat.control
 
-    real = kinetostat.control.total_wrench
+    real = kinetostat.control._equilibrium_stack
     norms = []
 
     def counted(*args, **kwargs):
-        F, eqs = real(*args, **kwargs)
-        norms.append(float(np.linalg.norm(F)))
-        return F, eqs
+        F, *rest = real(*args, **kwargs)
+        norms.append(float(np.linalg.norm(np.sum(F, axis=0))))
+        return F, *rest
 
-    monkeypatch.setattr(kinetostat.control, "total_wrench", counted)
+    monkeypatch.setattr(kinetostat.control, "_equilibrium_stack", counted)
     return norms
 
 
@@ -408,14 +501,7 @@ def test_compensation_stalls_when_no_halving_lowers_the_residual(monkeypatch):
     # taken, then every halving of the second leaves |F| where it was
     import kinetostat.control as control
 
-    real, norms = control.total_wrench, []
-
-    def counted(*args, **kwargs):
-        F, eqs = real(*args, **kwargs)
-        norms.append(float(np.linalg.norm(F)))
-        return F, eqs
-
-    monkeypatch.setattr(control, "total_wrench", counted)
+    norms = _count_wrench_calls(monkeypatch)
     model = ManipulatorModel(task_dim=2, chains=[shipped_model().chains[0]])
     with pytest.raises(NonConvergenceError, match=r"stalled at \|F\| = 3\.047e-02") as exc:
         solve_inverse_kinetostatic(model, [0.2, 0.3], 1e-8)

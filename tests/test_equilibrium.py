@@ -793,9 +793,10 @@ def _random_rows(rng, chain, m):
 
 
 def _assert_rows_are_scalar_solves(chain, targets, x, rho, opts, stack):
-    """Each row of ``stack`` (F, x, errors) is the scalar solve from the row's start: its F and
-    joint vector to the bit, or its error. Returns the scalar results and errors by row."""
-    F, coords, errors = stack
+    """Each row of ``stack`` (F, x, stats, errors) is the scalar solve from the row's start: its F and
+    joint vector to the bit with its iterations, restarts and residual, or its error. Returns the
+    scalar results and errors by row."""
+    F, coords, stats, errors = stack
     outcomes = []
     for i in range(len(targets)):
         try:
@@ -806,6 +807,7 @@ def _assert_rows_are_scalar_solves(chain, targets, x, rho, opts, stack):
             continue
         assert i not in errors
         assert eq.F.tobytes() == F[i].tobytes() and eq.regrouped.coords.tobytes() == coords[i].tobytes()
+        assert stats[i].tolist() == [eq.iterations, eq.restarts, eq.residual]
         outcomes.append(eq)
     return outcomes
 
@@ -882,15 +884,15 @@ def test_equilibrium_stack_takes_the_scalar_branch(monkeypatch, branch):
 
 
 def _assert_each_row_alone(chain, targets, x, rho, opts, stack):
-    """Each row of ``stack`` (F, x, errors) has the bytes and error of that row run as a stack of one,
-    which retires no row while others still iterate: finished or not, a row's F and x are its own."""
+    """Each row of ``stack`` (F, x, stats, errors) has the bytes and error of that row run as a stack of
+    one, which retires no row while others still iterate: finished or not, a row's F and x are its own."""
     from kinetostat.equilibrium import _equilibrium_stack
 
     for i in range(len(targets)):
         with np.errstate(all="ignore"):
-            F, coords, errors = _equilibrium_stack(chain, targets[i : i + 1], x[i : i + 1].copy(), rho[i : i + 1], opts)
-        assert [F.tobytes(), coords.tobytes()] == [a[i : i + 1].tobytes() for a in stack[:2]]
-        assert _error_record(errors.get(0)) == _error_record(stack[2].get(i))
+            *arrays, errors = _equilibrium_stack(chain, targets[i : i + 1], x[i : i + 1].copy(), rho[i : i + 1], opts)
+        assert [a.tobytes() for a in arrays] == [a[i : i + 1].tobytes() for a in stack[:3]]
+        assert _error_record(errors.get(0)) == _error_record(stack[3].get(i))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6])
@@ -908,7 +910,7 @@ def test_equilibrium_stack_rows_it_does_not_finish_keep_their_bytes(dim):
         rho = x[:, chain.actuated_elements]
         with np.errstate(all="ignore"):
             stack = _equilibrium_stack(chain, targets, x.copy(), rho, SolverOptions())
-        unfinished += len(stack[2])
+        unfinished += len(stack[3])
         _assert_each_row_alone(chain, targets, x, rho, SolverOptions(), stack)
     assert unfinished > 20  # not a vacuous check
 
@@ -928,7 +930,7 @@ def test_equilibrium_stack_of_two_iterations_ends_where_two_of_one_do(dim):
         targets, x0 = _random_rows(rng, chain, 20)
         rho = x0[:, chain.actuated_elements]
         with np.errstate(all="ignore"):
-            F1, x1, errors1 = _equilibrium_stack(chain, targets, x0.copy(), rho, one)
+            F1, x1, _, errors1 = _equilibrium_stack(chain, targets, x0.copy(), rho, one)
             F2, x2 = _equilibrium_stack(chain, targets, x1.copy(), rho, one)[:2]
             F, x = _equilibrium_stack(chain, targets, x0.copy(), rho, two)[:2]
         unconverged = [i for i, err in errors1.items() if isinstance(err, NonConvergenceError)]
@@ -963,7 +965,7 @@ def test_equilibrium_stack_rows_that_stop_in_different_rounds(monkeypatch, model
     monkeypatch.setattr(equilibrium, "_stack_pass", counted)
     with np.errstate(all="ignore"):
         stacks = [equilibrium._equilibrium_stack(chain, targets[:m], x[:m].copy(), rho[:m], opts) for m in (12, 0)]
-    assert 0 < 12 - len(stacks[0][2]) < 12 and len(set(sizes)) > (1 if max_iterations > 2 else 0)
+    assert 0 < 12 - len(stacks[0][3]) < 12 and len(set(sizes)) > (1 if max_iterations > 2 else 0)
     _assert_rows_are_scalar_solves(chain, targets, x, rho, opts, stacks[0])
     _assert_each_row_alone(chain, targets, x, rho, opts, stacks[0])
-    assert [a.shape for a in stacks[1][:2]] == [(0, chain.task_dim), (0, len(chain.elements))] and stacks[1][2] == {}
+    assert [a.shape for a in stacks[1][:3]] == [(0, chain.task_dim), (0, len(chain.elements)), (0, 3)] and stacks[1][3] == {}

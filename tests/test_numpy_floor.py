@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kinetostat"
 NUMPY_1_24 = frozenset(
     """
     abs all arange array array_equal asarray ascontiguousarray atleast_1d concatenate cos
-    count_nonzero cumsum divmod empty errstate eye flatnonzero float64 fmin full hstack inf
+    count_nonzero cumsum divmod empty errstate eye flatnonzero fmin full inf
     int64 intp isfinite isin ix_ lexsort linspace maximum mean nan ndarray outer packbits repeat sin
     split sqrt stack sum take transpose vdot where zeros
     linalg.LinAlgError linalg.cond linalg.det linalg.eigvalsh linalg.inv linalg.lstsq

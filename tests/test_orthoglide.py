@@ -30,7 +30,7 @@ from kinetostat.orthoglide import KV_FACTORS, REFERENCE_TABLE, SWEEP_MAX_FACTOR,
 from kinetostat.orthoglide import Table1Cell, Table1Report
 from kinetostat.stiffness import _aggregate_stiffness
 
-from conftest import DIAG, forbid_scalar_solves, linear_preload_model, shipped_model, stop_limit_model
+from conftest import DIAG, compensate_by_steps, forbid_scalar_solves, linear_preload_model, shipped_model, stop_limit_model
 
 
 def test_spec_validation():
@@ -338,7 +338,8 @@ def test_grid_of_redundant_actuators_takes_the_least_squares_loop(monkeypatch):
 
 def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
     """The compliance grid as one compensation per cell, each solving its own
-    rigid IK: the grid's form before the stacks, kept as its oracle."""
+    rigid IK, by the scalar Newton loop (``conftest.compensate_by_steps``):
+    the grid's form before the stacks, kept as its oracle."""
     lo, hi = manipulator.workspace
     xs, ys = np.linspace(lo[0], hi[0], grid_n), np.linspace(lo[1], hi[1], grid_n)
     c_max, c_min = np.full((grid_n, grid_n), np.nan), np.full((grid_n, grid_n), np.nan)
@@ -349,7 +350,7 @@ def _per_cell_grid(manipulator, grid_n, eps_f=1e-8, opts=None):
             t = np.zeros(manipulator.task_dim)
             t[0], t[1] = xs[ix], ys[iy]
             try:
-                sol = solve_inverse_kinetostatic(manipulator, t, eps_f, opts)
+                sol = compensate_by_steps(manipulator, t, eps_f, opts)
                 res = _aggregate_stiffness(manipulator, sol.equilibria)
             except KinetostatError as err:
                 reasons[ix, iy] = err.describe()
@@ -692,9 +693,10 @@ def test_table1_critical_search_reuses_compensation_equilibria(monkeypatch, tabl
 
 
 def _per_cell_table1(spec, opts=None):
-    """Table 1 as one compensation per cell, each solving its own rigid IK,
-    and the critical sweep from Q2's equilibria: the report's form before
-    the stacks, kept as its oracle."""
+    """Table 1 as one compensation per cell, each solving its own rigid IK by
+    the scalar Newton loop (``conftest.compensate_by_steps``), and the
+    critical sweep from Q2's equilibria: the report's form before the
+    stacks, kept as its oracle."""
     opts = opts or spec.options()
     points = dict(zip(("Q0", "Q1", "Q2"), workspace_points(spec)))
     directions = {"Q0": DIAG, "Q1": -DIAG, "Q2": DIAG}
@@ -702,7 +704,7 @@ def _per_cell_table1(spec, opts=None):
     for kv in KV_FACTORS:
         model = build_planar_orthoglide(replace(spec, spring=SpringLaw(kv * spec.K_theta * spec.L**2, 0.0, "linear")))
         for point, pose in points.items():
-            sol = solve_inverse_kinetostatic(model, pose, 1e-8 * spec.K_theta * spec.L, opts)
+            sol = compensate_by_steps(model, pose, 1e-8 * spec.K_theta * spec.L, opts)
             K = _aggregate_stiffness(model, sol.equilibria).K_sigma
             rho, refs = tuple(float(r[0]) for r in sol.rho), REFERENCE_TABLE[point]
             cells[point, kv] = Table1Cell(
@@ -765,11 +767,11 @@ def _failing_points(monkeypatch, rows):
     real, failed = orthoglide._compensate_stack, []
 
     def failing(chains, targets, *args):
-        coords, F, errors, *counts = real(chains, targets, *args)
+        coords, F, stats, errors, *counts = real(chains, targets, *args)
         for row in rows:
             errors[row] = NonConvergenceError(f"no compensation at {targets[row].tolist()}", residual=1.0)
             failed.append(targets[row].tolist())
-        return coords, F, errors, *counts
+        return coords, F, stats, errors, *counts
 
     monkeypatch.setattr(orthoglide, "_compensate_stack", failing)
     return failed

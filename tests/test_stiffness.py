@@ -24,7 +24,7 @@ from kinetostat import (
     workspace_points,
 )
 
-from kinetostat.stiffness import _aggregate_stiffness, _chain_block, _chain_responses
+from kinetostat.stiffness import _aggregate_stiffness, _chain_responses, _responses
 
 from conftest import DIAG, linear_preload_model, stop_limit_model, two_prismatic_toy
 
@@ -35,7 +35,7 @@ def test_single_chain_rank_one_outer_product(ortho_nopreload):
     target = np.array([0.25, 0.4])
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
-    K = _chain_block(chain, eq, False)
+    [K] = _responses([chain], [eq], False)
     leg = target - np.array([state.rho[0], 0.0])
     leg /= np.linalg.norm(leg)
     cos_alpha = abs(leg[0])
@@ -59,7 +59,7 @@ def test_zero_wrench_reduces_to_classic_model(ortho_nopreload):
     state = inverse_kinematics_unloaded(ortho_nopreload, target)[0]
     eq = solve_chain_equilibrium(chain, target, state.rho)
     assert np.linalg.norm(eq.F) < 1e-12
-    K = _chain_block(chain, eq, False)
+    [K] = _responses([chain], [eq], False)
 
     J_theta, J_q = jacobians(chain, partition(chain, eq.state))
     d = chain.task_dim
@@ -161,8 +161,8 @@ def test_spring_softening_error():
         chain=chain,
     )
     with pytest.raises(SpringSofteningError, match="loaded spring block of chain 'softening-toy' lost invertibility"):
-        _chain_block(chain, eq, False)
-    # the same block assembly over a stack of one leaves the softened row NaN, with the scalar error
+        _responses([chain], [eq], False)
+    # the stack of one that raised it leaves the softened row NaN, with that error
     for sensitivity, columns in ((True, 1), (False, 2)):
         with np.errstate(all="ignore"):
             row, errors = _chain_responses(chain, reg.coords[None], eq.F[None], sensitivity)
@@ -200,19 +200,26 @@ def test_stiffness_at_compensation_equilibria_is_identical(ortho_spec, model_nam
 @pytest.mark.parametrize("build", [lambda: linear_preload_model(0.1), stop_limit_model])
 def test_reported_condition_and_rank_come_from_full_svds(build):
     # the reported condition is the exact 2-norm condition of each chain's
-    # block matrix, and rank_c counts K_c's singular values above 1e-9 smax
+    # block matrix, built here from the Jacobians and load Hessians, and
+    # rank_c counts K_c's singular values above 1e-9 smax
+    from kinetostat import loaded_hessians
+
     model = build()
     res = manipulator_stiffness(model, [0.3, 0.4], [[1.2], [1.1]])
     for chain, eq, K, cond, rank in zip(model.chains, res.equilibria, res.K_c, res.condition, res.rank_c):
-        A = _chain_block(chain, eq, None)
-        assert cond == float(np.linalg.cond(A))
+        (J_theta, J_q), (H_qq, H_tt, H_qt) = jacobians(chain, eq.regrouped), loaded_hessians(chain, eq.regrouped, eq.F)
+        kf = np.linalg.inv(np.diag(eq.regrouped.k_tilde) - H_tt)
+        A = np.block([[J_theta @ kf @ J_theta.T, J_q + J_theta @ kf @ H_qt.T], [J_q.T + H_qt @ kf @ J_theta.T, H_qq + H_qt @ kf @ H_qt.T]])
+        s = np.linalg.svd(A, compute_uv=False)
+        assert cond == pytest.approx(s[0] / s[-1], rel=1e-9)
         smax = float(np.linalg.norm(K, 2))
         assert rank == int(np.linalg.matrix_rank(K, tol=1e-9 * smax))
 
 
 def test_condition_computed_only_when_read(monkeypatch):
-    # the reported condition takes one SVD per chain; only `stiffness --json`
-    # prints it, so the table, the map and the critical search never pay for it
+    # the reported condition takes one SVD per chain, both legs' in one call;
+    # only `stiffness --json` prints it, so the table, the map and the critical
+    # search never pay for it
     from kinetostat import OrthoglideSpec, compliance_grid, reproduce_table1
 
     from conftest import shipped_model
@@ -220,9 +227,9 @@ def test_condition_computed_only_when_read(monkeypatch):
     real = np.linalg.cond
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(A, *args, **kwargs):
+        calls.append(len(A))  # matrices in the stack
+        return real(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cond", counted)
     reproduce_table1(OrthoglideSpec())
@@ -230,27 +237,33 @@ def test_condition_computed_only_when_read(monkeypatch):
     res = manipulator_stiffness(linear_preload_model(0.1), [0.3, 0.4], [[1.2], [1.1]])
     assert calls == []
     condition = res.condition
-    assert len(calls) == 2 and res.condition is condition and len(calls) == 2
+    assert calls == [2] and res.condition is condition and calls == [2]
 
 
 def _count_forward_passes(monkeypatch):
+    """The rows of every forward pass from now on, None for a scalar pass."""
     import kinetostat.chain
 
-    real = kinetostat.chain._end_transform
-    calls = []
+    scalar, stacked, calls = kinetostat.chain._end_transform, kinetostat.chain._stack_pass, []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted_scalar(*args):
+        calls.append(None)
+        return scalar(*args)
 
-    monkeypatch.setattr(kinetostat.chain, "_end_transform", counted)
+    def counted_stacked(chain, coords, *args):
+        calls.append(len(coords))
+        return stacked(chain, coords, *args)
+
+    monkeypatch.setattr(kinetostat.chain, "_end_transform", counted_scalar)
+    monkeypatch.setattr(kinetostat.chain, "_stack_pass", counted_stacked)
     return calls
 
 
 @pytest.mark.parametrize("sensitivity", [False, True])
 def test_one_forward_pass_per_block(monkeypatch, sensitivity):
-    # the Jacobians and the whole load Hessian come from one pass; central
-    # differences of J^T F made 5 (stiffness) and 8 (sensitivity) here
+    # the Jacobians and the whole load Hessian of both legs come from one
+    # stacked pass of a row each; central differences of J^T F made 5
+    # (stiffness) and 8 (sensitivity) passes a leg here
     from importlib import resources
 
     from kinetostat.modelfile import parse_model
@@ -259,12 +272,10 @@ def test_one_forward_pass_per_block(monkeypatch, sensitivity):
     model = parse_model(text)
     rho = [s.rho + 0.01 for s in inverse_kinematics_unloaded(model, [0.3, 0.2])]
     _, equilibria = total_wrench(model, [0.3, 0.2], rho)
+    assert all(np.any(eq.F) for eq in equilibria)
     passes = _count_forward_passes(monkeypatch)
-    for chain, eq in zip(model.chains, equilibria):
-        assert np.any(eq.F)
-        passes.clear()
-        _chain_block(chain, eq, sensitivity)
-        assert len(passes) == 1
+    _responses(model.chains, equilibria, sensitivity)
+    assert passes == [2]
 
 
 @pytest.mark.parametrize(
@@ -287,24 +298,46 @@ def test_fd_check_names_a_bad_step(ortho_nopreload, h):
 @pytest.mark.parametrize("dim", [2, 3, 6])
 def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(monkeypatch, dim):
     # dF/drho and the chain stiffness of stacked equilibria, grouped by active
-    # mask, equal the scalar block systems' to the bit, or raise their error,
-    # also when a Frobenius bound that clears nothing sends every system
-    # through the SVD branch
+    # mask, equal the single-pose block systems' (a stack of one row) to the
+    # bit, or carry their error, also when a Frobenius bound that clears
+    # nothing sends every system through the SVD branch; every row that
+    # solves among the first three of a chain matches central differences of
+    # the scalar equilibrium's wrench in rho (dF/drho) or in the pose (K)
     import kinetostat.equilibrium
     from conftest import random_planar_chain, random_spatial_chain, random_state
     from kinetostat import KinetostatError, solve_chain_equilibrium
     from kinetostat.chain import fk_array
 
+    def fd_response(eq, target, rho, sensitivity, h=1e-4):
+        """Central differences of F in rho or in the pose, warm-started from ``eq``; None where a solve
+        fails or the active set moves."""
+        columns = []
+        for j in range(rho.size if sensitivity else dim):
+            ends = []
+            for sign in (1.0, -1.0):
+                r, t = rho.copy(), target.copy()
+                (r if sensitivity else t)[j] += sign * h
+                try:
+                    moved = solve_chain_equilibrium(chain, t, r, start=eq.regrouped.coords)
+                except KinetostatError:
+                    return None
+                if not np.array_equal(moved.regrouped.active_mask, eq.regrouped.active_mask):
+                    return None
+                ends.append(moved.F)
+            columns.append((ends[0] - ends[1]) / (2.0 * h))
+        return np.array(columns).reshape(-1, dim).T
+
     rng = np.random.default_rng(10 + dim)
-    compared = 0
+    compared = differenced = 0
     for _ in range(8):
         chain = random_spatial_chain(rng, n_joints=8) if dim == 6 else random_planar_chain(rng, task_dim=dim, n_joints=5)
-        equilibria = []
+        equilibria, targets = [], []
         for _ in range(12):
             x = chain.element_coordinates(random_state(rng, chain))
             target = fk_array(chain, chain.state_of(x)) + rng.uniform(-0.05, 0.05, dim)
             try:
                 equilibria.append(solve_chain_equilibrium(chain, target, x[chain.actuated_elements], start=x))
+                targets.append(target)
             except KinetostatError:
                 pass
         if not equilibria:
@@ -317,12 +350,18 @@ def test_stacked_block_systems_are_the_scalar_ones_bit_for_bit(monkeypatch, dim)
                     m.setattr(kinetostat.equilibrium, "_COND_BOUND_CLEAR", clear)
                 with np.errstate(all="ignore"):
                     stacked, errors = _chain_responses(chain, coords, F, sensitivity)
-                for i, (eq, row) in enumerate(zip(equilibria, stacked)):
-                    try:
-                        expected = _chain_block(chain, eq, sensitivity)
-                    except KinetostatError as err:
-                        assert np.isnan(row).all() and (type(errors[i]), str(errors[i])) == (type(err), str(err))
-                        continue
-                    assert i not in errors and row.tobytes() == expected.tobytes()
-                    compared += 1
-    assert compared > 40  # not a vacuous check
+                    alone = [_chain_responses(chain, coords[i : i + 1], F[i : i + 1], sensitivity) for i in range(len(F))]
+            for i, (row, (expected, found)) in enumerate(zip(stacked, alone)):
+                assert row.tobytes() == expected[0].tobytes()
+                assert [(type(e), str(e)) for e in (errors.get(i), found.get(0))] == [(type(found.get(0)), str(found.get(0)))] * 2
+                if i in errors:
+                    assert np.isnan(row).all()
+                    continue
+                compared += 1
+                fd = None
+                if clear is None and i < 3:
+                    fd = fd_response(equilibria[i], targets[i], coords[i, chain.actuated_elements], sensitivity)
+                if fd is not None:
+                    np.testing.assert_allclose(row, fd, rtol=0.0, atol=1e-4 * np.abs(fd).max(initial=1.0))
+                    differenced += 1
+    assert compared > 40 and differenced > 12  # not a vacuous check
