@@ -287,7 +287,9 @@ class ChainModel:
             axes += axis
             rest.append(0.0 if joint.spring is None else joint.spring.preload_offset)
             k.append(joint.stiffness or 0.0 if joint.spring is None else joint.spring.k)
-        return np.array(flat + matrix(self.tool_transform) + axes + rest + k)
+        constants = np.array(flat + matrix(self.tool_transform) + axes + rest + k)
+        constants.flags.writeable = False  # every stack of the chain reads it, as does every command on a reused model
+        return constants
 
     def element_coordinates(self, state: ChainState) -> np.ndarray:
         """Joint values in chain element order."""

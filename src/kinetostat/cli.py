@@ -31,6 +31,8 @@ EXIT_USAGE = 2
 # comma-list flags whose value may start with a minus sign
 _LIST_FLAGS = ("--pose", "--from", "--dir", "--rho")
 _NEGATIVE_LEAD = re.compile(r"-\.?\d")
+# model document texts a process keeps parsed (_parsed): a few kB each, with their models
+_PARSED_DOCUMENTS = 4
 
 
 class _UsageError(Exception):
@@ -66,10 +68,17 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=_PARSED_DOCUMENTS)
+def _parsed(text: str):
+    """The model of a document text. Commands only read a model, so a process parses each text once; a
+    document that fails to parse raises every time, as nothing is cached for it."""
+    return parse_model(text)
+
+
 def _load_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_model(fh.read())
+            return _parsed(fh.read())  # keyed by the text, so an edited file is parsed again
     except (OSError, UnicodeDecodeError) as err:
         raise ModelError(f"cannot read model file {path}: {err}") from err
 
@@ -275,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="sweep direction (normalized internally)")
     p.add_argument("--max-delta", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--rho", default=None, help="fixed actuators (default: rigid IK at start)")
-    p.add_argument("--compensate", action="store_true", help="use kinetostatically compensated actuators")
+    actuators = p.add_mutually_exclusive_group()
+    actuators.add_argument("--rho", default=None, help="fixed actuators (default: rigid IK at start)")
+    actuators.add_argument("--compensate", action="store_true", help="use kinetostatically compensated actuators")
     p.add_argument("--eps-f", type=float, default=1e-8, help="wrench tolerance for --compensate")
     p.set_defaults(func=_cmd_sweep)
 

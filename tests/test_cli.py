@@ -302,6 +302,23 @@ def test_usage_errors_exit_2(model_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ["--rho=1,1", "--compensate"],
+        ["--compensate", "--rho=1,1"],
+        ["--rho", "1,1", "--compensate"],
+        ["--compensate", "--rho", "1,1"],
+    ],
+)
+def test_sweep_takes_rho_or_compensate_not_both(model_path, capsys, pair):
+    argv = ["sweep", "--model", model_path, "--from=0.1,0.1", "--dir=1,0", "--max-delta", "0.01", "--step", "0.005"]
+    assert main(argv + pair) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 @pytest.mark.parametrize("option", ["--max-iter", "--tol", "--seed", "--pose", "--rho"])
 def test_an_option_given_a_double_dash_is_a_usage_error(model_path, capsys, option):
     # argparse drops "--" from "--max-iter=--" and leaves the option an empty list
@@ -614,3 +631,99 @@ def test_a_failure_inside_a_chain_names_the_chain(tmp_path, capsys):
     path.write_text(json.dumps(_upright_document()))
     assert main(["equilibrium", "--model", str(path), "--pose", "0.1,0,0,0,0,0"]) == 3
     assert capsys.readouterr().err == "model error on chain 1: orientation parametrization singular (cos ry ~ 0)\n"
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def _count_parses(monkeypatch):
+    real = kinetostat.cli.parse_model
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return real(text)
+
+    monkeypatch.setattr(kinetostat.cli, "parse_model", counted)
+    return texts
+
+
+def test_a_second_command_on_an_unchanged_document_parses_nothing(model_path, monkeypatch, capsys):
+    kinetostat.cli._parsed.cache_clear()
+    texts = _count_parses(monkeypatch)
+    argv = ["sweep", "--model", model_path, "--from=0.1,0.1", "--dir=1,0", "--max-delta", "0.01", "--step", "0.005"]
+    assert main(argv) == 0
+    assert len(texts) == 1
+    assert main(argv) == 0
+    assert main(["stiffness", "--model", model_path, "--pose=0.1,0.1"]) == 0
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--pose=0.3,-0.2"],
+        ["stiffness", "--pose=0.3,-0.2", "--json"],
+        ["invkin", "--pose=0.3,0.3", "--eps-f", "1e-8"],
+        ["invkin", "--pose=0.3,0.3", "--eps-f", "1e-8", "--json"],
+        ["sweep", "--from=0.1,0.2", "--dir=1,1", "--max-delta", "0.02", "--step", "0.005"],
+        ["sweep", "--from=0.3,0.2", "--dir=1,1", "--max-delta", "0.02", "--step", "0.005", "--compensate"],
+        ["map", "--grid", "3"],
+    ],
+    ids=["equilibrium", "stiffness", "invkin", "invkin-json", "sweep", "sweep-compensate", "map"],
+)
+def test_a_reused_model_prints_a_fresh_parse_s_bytes(model_path, capsys, argv):
+    # the second command reads the model and the per-model layouts the first one built
+    argv = argv + ["--model", model_path]
+    kinetostat.cli._parsed.cache_clear()
+    fresh = _outcome(capsys, argv)
+    assert fresh[0] == 0
+    assert _outcome(capsys, argv) == fresh
+
+
+def test_a_rewritten_document_is_parsed_again(model_path, tmp_path, capsys):
+    # the same path with other text is another model: the cache keys on the text, not on the path
+    from kinetostat.modelfile import serialize_model
+
+    from conftest import stop_limit_model
+
+    path = tmp_path / "model.json"
+    argv = ["sweep", "--model", str(path), "--from=0.1,0.1", "--dir=1,0", "--max-delta", "0.02", "--step", "0.01"]
+    path.write_text(open(model_path).read())
+    linear = _outcome(capsys, argv)
+    path.write_text(serialize_model(stop_limit_model()))
+    stop_limit = _outcome(capsys, argv)
+    kinetostat.cli._parsed.cache_clear()
+    assert _outcome(capsys, argv) == stop_limit
+    assert stop_limit != linear
+
+
+def test_an_invalid_document_fails_the_same_way_every_time(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": "kinetostat/1", "task_dim": 4, "chains": []}))
+    texts = _count_parses(monkeypatch)
+    argv = ["equilibrium", "--model", str(path), "--pose=0,0"]
+    first = _outcome(capsys, argv)
+    assert first[0] == 3
+    assert "task_dim" in first[2]
+    assert _outcome(capsys, argv) == first
+    assert len(texts) == 2
+
+
+def test_failed_commands_leave_a_reused_model_as_parsed(model_path, capsys):
+    # a non-convergence (exit 4) and a singularity (exit 5) on the document, then successful commands
+    kinetostat.cli._parsed.cache_clear()
+    model = ["--model", model_path]
+    assert main(["invkin", "--pose=0.3,0.3", "--eps-f", "1e-8", "--max-iter", "1", *model]) == 4
+    assert main(["equilibrium", "--pose=1e200,0", "--rho=1,1", *model]) == 5
+    capsys.readouterr()
+    argvs = [
+        ["invkin", "--pose=0.3,0.3", "--eps-f", "1e-8", "--json", *model],
+        ["sweep", "--from=0.3,0.3", "--dir=1,0", "--max-delta", "0.02", "--step", "0.01", *model],
+    ]
+    reused = [_outcome(capsys, argv) for argv in argvs]
+    kinetostat.cli._parsed.cache_clear()
+    assert [_outcome(capsys, argv) for argv in argvs] == reused
+    assert [code for code, _, _ in reused] == [0, 0]
