@@ -114,7 +114,7 @@ def _solve_stack(A: np.ndarray, b: np.ndarray, error: type, what: str, errors: d
         A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         A_inv = np.full(A.shape, np.nan)
-    flat, flat_inv = A.reshape(len(A), 1, -1), A_inv.reshape(len(A), 1, -1)
+    flat, flat_inv = (a.reshape(len(a), 1, a.shape[1] * a.shape[2]) for a in (A, A_inv))  # no -1: a stack may have 0 rows
     bound_sq, x = (flat @ flat.swapaxes(1, 2)) * (flat_inv @ flat_inv.swapaxes(1, 2)), A_inv @ b
     for r in np.flatnonzero(~(bound_sq[:, 0, 0] < _COND_BOUND_CLEAR**2)):
         try:

@@ -99,6 +99,35 @@ def forbid_scalar_solves(monkeypatch, rigid_ik=True):
         monkeypatch.setattr(module, name, forbidden)
 
 
+def inject_errors(monkeypatch, name, where, error):
+    """Wrap the stack kernel ``name`` (``_ik_stack``, ``_equilibrium_stack`` or ``_chain_responses``) in every
+    ``kinetostat`` module that binds it: each call also fails its first row, its last row or every row
+    (``where``), with NaN in that row of its first output and ``error(message)`` as that row's error. Returns
+    the list of rows failed so far, one entry a row."""
+    import kinetostat.chain
+    import kinetostat.control
+    import kinetostat.equilibrium
+    import kinetostat.orthoglide
+    import kinetostat.stiffness
+
+    modules = (kinetostat.chain, kinetostat.equilibrium, kinetostat.stiffness, kinetostat.control, kinetostat.orthoglide)
+    home = {"_ik_stack": kinetostat.chain, "_equilibrium_stack": kinetostat.equilibrium}.get(name, kinetostat.stiffness)
+    real, failed = getattr(home, name), []
+
+    def failing(chain, rows, *args):
+        out, m = real(chain, rows, *args), len(rows)
+        for row in {"first": [0], "last": [m - 1], "every": range(m)}[where] if m else []:
+            out[0][row] = np.nan
+            out[-1][row] = error(f"injected into row {row} of chain {chain.name!r}")
+            failed.append(row)
+        return out
+
+    for module in modules:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, failing)
+    return failed
+
+
 def compensate_by_steps(manipulator, t, eps_f, opts=None, f_ext=None):
     """``solve_inverse_kinetostatic`` as its Newton loop over ``total_wrench`` and ``sensitivity_matrix``: the
     definition of the compensation that the stacked loop reproduces, kept as its oracle."""

@@ -254,6 +254,26 @@ def test_coincident_legs_raise_control_singularity():
         solve_inverse_kinetostatic(_coincident_legs_model(), [0.1, 0.2], 1e-10)
 
 
+@pytest.mark.parametrize("build", [shipped_model, off_base_actuator_model])
+def test_a_round_in_which_every_row_fails_raises_the_recorded_error(monkeypatch, tmp_path, capsys, build):
+    # every row's response failing leaves the sensitivity solve a stack of 0
+    # rows, which raised numpy's ValueError (exit 1 on the CLI) in place of
+    # the error the round recorded
+    from kinetostat import SpringSofteningError, serialize_model
+    from kinetostat.cli import main
+
+    from conftest import inject_errors
+
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(build()))
+    inject_errors(monkeypatch, "_chain_responses", "every", SpringSofteningError)
+    with pytest.raises(SpringSofteningError, match="^injected into row 0 of chain ") as raised:
+        solve_inverse_kinetostatic(build(), [0.3, 0.3], 1e-8)
+    assert raised.value.chain_index == 0
+    assert main(["invkin", "--model", str(path), "--pose", "0.3,0.3", "--eps-f", "1e-8"]) == 5
+    assert capsys.readouterr().err.startswith("singularity: injected into row 0 of chain ")
+
+
 def _x_legs(*legs):
     """A model of the shipped legs picked by index, 0 the x-leg and 1 the y-leg."""
     chains = shipped_model().chains

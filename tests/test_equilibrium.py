@@ -783,6 +783,18 @@ def test_condition_guard_raises_the_given_class_or_solves():
         assert raised.value.condition == float(np.linalg.cond(bad))
 
 
+@pytest.mark.parametrize("b_shape", [(0, 2, 1), (2, 3)])
+def test_solve_stack_of_no_rows_is_empty(b_shape):
+    # a round in which every row failed hands the stack 0 rows; a reshape
+    # through -1 cannot size them and raised numpy's ValueError
+    from kinetostat import ControlSingularityError
+    from kinetostat.equilibrium import _solve_stack
+
+    errors = {}
+    x = _solve_stack(np.zeros((0, 2, 2)), np.zeros(b_shape), ControlSingularityError, "x", errors)
+    assert x.shape == (0, 2, b_shape[-1]) and errors == {}
+
+
 def _random_rows(rng, chain, m):
     """Start joint vectors of m random configurations and targets near their ends."""
     from conftest import random_state
