@@ -292,13 +292,15 @@ class ChainModel:
         return constants
 
     def element_coordinates(self, state: ChainState) -> np.ndarray:
-        """Joint values in chain element order."""
+        """Joint values in chain element order, or a ModelError if they do not fit the chain or are not finite."""
         state.validate_against(self)
         out = np.empty(len(self.elements))
         out[self.actuated_elements] = state.rho
         out[self.perfect_elements] = state.q
         out[self.preloaded_elements] = state.vartheta
         out[self.virtual_elements] = state.theta
+        if not np.isfinite(out).all():
+            raise ModelError(f"joint values {out.tolist()} are not finite")
         return out
 
     def state_of(self, coords: np.ndarray) -> ChainState:
@@ -365,8 +367,11 @@ def _end_transform(chain: ChainModel, coords: np.ndarray):
         if rotation is None:
             motion[:3, 3] = axis * value
         else:
-            # geo.rotation_about with the axis terms cached
-            c, s = math.cos(value), math.sin(value)
+            # geo.rotation_about with the axis terms cached; an infinite angle gives NaN, as np.cos does
+            try:
+                c, s = math.cos(value), math.sin(value)
+            except ValueError:
+                c = s = math.nan
             motion[:3, :3] = c * _I3 + s * rotation[0] + (1.0 - c) * rotation[1]
         T = motion if T is None else T @ motion
     if not chain.tool_transform.is_identity:
@@ -453,61 +458,6 @@ def _columns(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists) -> np.n
     return cols
 
 
-def _load_hessian(chain: ChainModel, T: np.ndarray, pose: np.ndarray, twists, cols, F, E_inv) -> np.ndarray:
-    """d(J^T F)/dx over every pair of chain elements, in closed form, for M stacked rows.
-
-    Take a pair with a the earlier (or the same) element and b the later.
-    Moving a turns b's column with a's twist, and moving b moves the end
-    point, which turns a's column through its angular part. Both give
-    omega_a x v_b on the position rows, the Lie bracket of the two joint
-    screws (Murray, Li & Sastry, ch. 3), so H[a, b] = F_p . (omega_a x v_b)
-    is symmetric by construction. The yaw row (dim 3) and the E^-1(phi)
-    omega rows (dim 6) add their derivatives, written in the same
-    symmetric form.
-    ``twists`` are per element six (M,) arrays, F (M, d) and E_inv the dim-6 rate maps (M, 3, 3); the
-    Hessians (M, n, n) are NaN where E is singular.
-    """
-    dim = chain.task_dim
-    n = len(twists)
-    f = F.T
-    f0, f1 = f[0], f[1]
-    f2 = f[2] if dim == 6 else 0.0
-    if dim == 3:
-        # yaw = atan2(c1, c0) of the end x-axis c, which moves as dc = omega x c
-        c0, c1, c2 = T[:, :3, 0].T
-        # numpy division: a vertical x-axis gives inf here as in _columns
-        inv_s = 1.0 / (c0 * c0 + c1 * c1)
-        dc = [(o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0) for o0, o1, o2, *_ in twists]
-        yaw = cols[:, 2, :].T
-        mu = [(c0 * d0 + c1 * d1) * inv_s for d0, d1, _ in dc]
-    elif dim == 6:
-        # phi rates u = E^-1 omega; d(F_phi . E^-1 omega) brings in -G . dE[u_b] u_a
-        G = (E_inv.swapaxes(-1, -2) @ F[:, 3:, None])[..., 0].T
-        cy, sy = np.cos(pose[:, 4]), np.sin(pose[:, 4])
-        cz, sz = np.cos(pose[:, 5]), np.sin(pose[:, 5])
-        rates = cols[:, 3:, :].T
-    H = [[0.0] * n for _ in range(n)]
-    for b in range(n):
-        v0, v1, v2 = twists[b][3:]
-        for a in range(b + 1):
-            o0, o1, o2 = twists[a][:3]
-            h = f0 * (o1 * v2 - o2 * v1) + f1 * (o2 * v0 - o0 * v2) + f2 * (o0 * v1 - o1 * v0)
-            if dim == 3:
-                # d(dc_b)/dx_a = omega_a x dc_b
-                e0, e1, e2 = dc[b]
-                w0, w1 = o1 * e2 - o2 * e1, o2 * e0 - o0 * e2
-                h += f[2] * ((c0 * w1 - c1 * w0) * inv_s - yaw[b] * mu[a] - yaw[a] * mu[b])
-            elif dim == 6:
-                _, u1, u2 = rates[b]
-                w0, w1, _ = rates[a]
-                r0 = (-sy * cz * u1 - cy * sz * u2) * w0 - cz * u2 * w1
-                r1 = (-sy * sz * u1 + cy * cz * u2) * w0 - sz * u2 * w1
-                r2 = -cy * u1 * w0
-                h -= G[0] * r0 + G[1] * r1 + G[2] * r2
-            H[a][b] = H[b][a] = h
-    return np.transpose(H)
-
-
 def regrouped_geometry(chain: ChainModel, regrouped: RegroupedState):
     """End pose at a regrouped configuration and its Jacobians on demand.
 
@@ -533,15 +483,51 @@ def jacobians(chain: ChainModel, regrouped: RegroupedState):
 def _loaded_derivatives(chain: ChainModel, coords: np.ndarray, F: np.ndarray, constants=None):
     """Task Jacobian columns (M, d, n) and load Hessians d(J^T F)/dx (M, n, n) of every chain element at
     stacked joint vectors (M, n_elements) under wrenches (M, d), from one ``_stack_pass``, and by row the
-    error of a row whose dim-6 rate map E is singular, NaN there. ``constants`` as in ``_stack_pass``."""
+    error of a row whose dim-6 rate map E is singular, NaN there. ``constants`` as in ``_stack_pass``.
+
+    The Hessian is in closed form. Take a pair with a the earlier (or the
+    same) element and b the later. Moving a turns b's column with a's
+    twist, and moving b moves the end point, which turns a's column through
+    its angular part. Both give omega_a x v_b on the position rows, the Lie
+    bracket of the two joint screws (Murray, Li & Sastry, ch. 3), so
+    H[a, b] = F_p . (omega_a x v_b) is symmetric by construction. The yaw
+    row (dim 3) and the E^-1(phi) omega rows (dim 6) add their derivatives,
+    written in the same symmetric form. Every pair is one broadcast, a on
+    the rows and b on the columns, and the triangle a <= b is mirrored.
+    """
     constants = _row_constants([chain], [len(coords)]) if constants is None else constants
+    dim, n = chain.task_dim, len(chain.elements)
     pose, T, frames = _stack_pass(chain, coords, constants)
     cols, twists = _stack_columns(chain, T, frames, constants, True)
-    E_inv, errors = _euler_stack(pose) if chain.task_dim == 6 else (None, {})
+    E_inv, errors = _euler_stack(pose) if dim == 6 else (None, {})
     if E_inv is not None:  # a row whose E is singular raises the scalar columns' error
         cols = _map_rates(cols, E_inv)
-    twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
-    return cols, _load_hessian(chain, T, pose, twists, cols, F, E_inv), errors
+    o0, o1, o2, v0, v1, v2 = (t[:, None] for t in twists)  # each element's twist on the columns, (M, 1, n)
+    a0, a1, a2 = (o.swapaxes(1, 2) for o in (o0, o1, o2))  # and omega on the rows, as element a
+    f0, f1 = F[:, 0, None, None], F[:, 1, None, None]
+    f2 = F[:, 2, None, None] if dim == 6 else 0.0
+    H = f0 * (a1 * v2 - a2 * v1) + f1 * (a2 * v0 - a0 * v2) + f2 * (a0 * v1 - a1 * v0)
+    if dim == 3:
+        # yaw = atan2(c1, c0) of the end x-axis c, which moves as dc = omega x c
+        c0, c1, c2 = (T[:, i, 0, None, None] for i in range(3))
+        # numpy division: a vertical x-axis gives inf here as in _stack_columns
+        inv_s = 1.0 / (c0 * c0 + c1 * c1)
+        e0, e1, e2 = o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0
+        yaw, mu = cols[:, 2, None], (c0 * e0 + c1 * e1) * inv_s
+        # d(dc_b)/dx_a = omega_a x dc_b
+        w0, w1 = a1 * e2 - a2 * e1, a2 * e0 - a0 * e2
+        H += F[:, 2, None, None] * ((c0 * w1 - c1 * w0) * inv_s - yaw * mu.swapaxes(1, 2) - yaw.swapaxes(1, 2) * mu)
+    elif dim == 6:
+        # phi rates u = E^-1 omega; d(F_phi . E^-1 omega) brings in -G . dE[u_b] u_a
+        g0, g1, g2 = (E_inv.swapaxes(-1, -2) @ F[:, 3:, None])[:, :, None].transpose(1, 0, 2, 3)
+        cy, sy = np.cos(pose[:, 4])[:, None, None], np.sin(pose[:, 4])[:, None, None]
+        cz, sz = np.cos(pose[:, 5])[:, None, None], np.sin(pose[:, 5])[:, None, None]
+        u1, u2, w0, w1 = cols[:, 4, None], cols[:, 5, None], cols[:, 3, :, None], cols[:, 4, :, None]
+        r0 = (-sy * cz * u1 - cy * sz * u2) * w0 - cz * u2 * w1
+        r1 = (-sy * sz * u1 + cy * cz * u2) * w0 - sz * u2 * w1
+        r2 = -cy * u1 * w0
+        H -= g0 * r0 + g1 * r1 + g2 * r2
+    return cols, np.where(np.arange(n)[:, None] <= np.arange(n), H, H.swapaxes(1, 2)), errors
 
 
 def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
@@ -549,7 +535,7 @@ def loaded_hessians(chain: ChainModel, regrouped: RegroupedState, F):
 
     Returns (H_qq, H_thth, H_qth), H_qth laid out passive-rows by
     spring-columns. They are blocks of the closed-form load Hessian of
-    ``_load_hessian``, exactly symmetric, and exact zeros for a zero wrench.
+    ``_loaded_derivatives``, exactly symmetric, and exact zeros for a zero wrench.
     """
     _, H, errors = _loaded_derivatives(chain, regrouped.coords[None], _task_vector(F, chain.task_dim, "wrench")[None])
     if errors:

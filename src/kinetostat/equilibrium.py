@@ -169,9 +169,9 @@ def _start_vector(chain: ChainModel, start) -> np.ndarray:
     return x
 
 
-# a pose or rho near the float range overflows the residual and step norms
-# (past ~1e154); the solve then ends as singular or unconverged, unwarned
-@np.errstate(over="ignore")
+# a pose, rho or start near the float range overflows the residual and step norms
+# (past ~1e154) or turns an angle infinite; the solve then ends as singular or unconverged, unwarned
+@np.errstate(over="ignore", invalid="ignore")
 def solve_chain_equilibrium(
     chain: ChainModel,
     t,

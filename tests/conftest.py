@@ -1,3 +1,4 @@
+import inspect
 import math
 from importlib import resources
 
@@ -100,10 +101,11 @@ def forbid_scalar_solves(monkeypatch, rigid_ik=True):
 
 
 def inject_errors(monkeypatch, name, where, error):
-    """Wrap the stack kernel ``name`` (``_ik_stack``, ``_equilibrium_stack`` or ``_chain_responses``) in every
-    ``kinetostat`` module that binds it: each call also fails its first row, its last row or every row
-    (``where``), with NaN in that row of its first output and ``error(message)`` as that row's error. Returns
-    the list of rows failed so far, one entry a row."""
+    """Wrap the stack kernel ``name`` (``_ik_stack``, ``_equilibrium_stack``, ``_loaded_derivatives``,
+    ``_chain_responses`` or ``_solve_stack``) in every ``kinetostat`` module that binds it: each call also fails
+    its first row, its last row or every row (``where``), with NaN in that row of its first output and
+    ``error(message)`` as that row's error (``_solve_stack`` returns only the solution and writes its errors
+    into the dict it is given). Returns the list of rows failed so far, one entry a row."""
     import kinetostat.chain
     import kinetostat.control
     import kinetostat.equilibrium
@@ -111,14 +113,19 @@ def inject_errors(monkeypatch, name, where, error):
     import kinetostat.stiffness
 
     modules = (kinetostat.chain, kinetostat.equilibrium, kinetostat.stiffness, kinetostat.control, kinetostat.orthoglide)
-    home = {"_ik_stack": kinetostat.chain, "_equilibrium_stack": kinetostat.equilibrium}.get(name, kinetostat.stiffness)
-    real, failed = getattr(home, name), []
+    home = {"_ik_stack": kinetostat.chain, "_loaded_derivatives": kinetostat.chain, "_chain_responses": kinetostat.stiffness}
+    real, failed = getattr(home.get(name, kinetostat.equilibrium), name), []
 
-    def failing(chain, rows, *args):
-        out, m = real(chain, rows, *args), len(rows)
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if name == "_solve_stack":  # (A, b, error, what, errors), the last one maybe by keyword
+            given = inspect.signature(real).bind(*args, **kwargs).arguments
+            m, first, errors, label = len(given["A"]), out, given["errors"], given["what"]
+        else:  # (chain, rows, ...), returning (first, ..., errors by row)
+            m, first, errors, label = len(args[1]), out[0], out[-1], f"chain {args[0].name!r}"
         for row in {"first": [0], "last": [m - 1], "every": range(m)}[where] if m else []:
-            out[0][row] = np.nan
-            out[-1][row] = error(f"injected into row {row} of chain {chain.name!r}")
+            first[row] = np.nan
+            errors[row] = error(f"injected into row {row} of {label}")
             failed.append(row)
         return out
 
@@ -344,3 +351,53 @@ def gradient_differences(chain, coords, F):
         gm = scalar_columns(chain, cm).T @ F
         H[:, j] = (gp - gm) / (2.0 * h)
     return H
+
+
+def load_hessian_by_pairs(chain, coords, F):
+    """The load Hessians (M, n, n) of ``chain._loaded_derivatives`` at stacked joint vectors (M, n_elements)
+    under wrenches (M, d), built as a Python loop over the element pairs a <= b: the kernel's form before the
+    broadcast, kept as its oracle."""
+    from kinetostat.chain import _euler_stack, _map_rates, _row_constants, _stack_columns, _stack_pass
+
+    constants = _row_constants([chain], [len(coords)])
+    pose, T, frames = _stack_pass(chain, coords, constants)
+    cols, twists = _stack_columns(chain, T, frames, constants, True)
+    dim, E_inv = chain.task_dim, None
+    if dim == 6:
+        E_inv = _euler_stack(pose)[0]
+        cols = _map_rates(cols, E_inv)
+    twists = list(zip(*(t.T for t in twists)))  # per element six (M,) arrays
+    n = len(twists)
+    f = F.T
+    f0, f1 = f[0], f[1]
+    f2 = f[2] if dim == 6 else 0.0
+    if dim == 3:
+        c0, c1, c2 = T[:, :3, 0].T
+        inv_s = 1.0 / (c0 * c0 + c1 * c1)
+        dc = [(o1 * c2 - o2 * c1, o2 * c0 - o0 * c2, o0 * c1 - o1 * c0) for o0, o1, o2, *_ in twists]
+        yaw = cols[:, 2, :].T
+        mu = [(c0 * d0 + c1 * d1) * inv_s for d0, d1, _ in dc]
+    elif dim == 6:
+        G = (E_inv.swapaxes(-1, -2) @ F[:, 3:, None])[..., 0].T
+        cy, sy = np.cos(pose[:, 4]), np.sin(pose[:, 4])
+        cz, sz = np.cos(pose[:, 5]), np.sin(pose[:, 5])
+        rates = cols[:, 3:, :].T
+    H = [[0.0] * n for _ in range(n)]
+    for b in range(n):
+        v0, v1, v2 = twists[b][3:]
+        for a in range(b + 1):
+            o0, o1, o2 = twists[a][:3]
+            h = f0 * (o1 * v2 - o2 * v1) + f1 * (o2 * v0 - o0 * v2) + f2 * (o0 * v1 - o1 * v0)
+            if dim == 3:
+                e0, e1, e2 = dc[b]
+                w0, w1 = o1 * e2 - o2 * e1, o2 * e0 - o0 * e2
+                h += f[2] * ((c0 * w1 - c1 * w0) * inv_s - yaw[b] * mu[a] - yaw[a] * mu[b])
+            elif dim == 6:
+                _, u1, u2 = rates[b]
+                w0, w1, _ = rates[a]
+                r0 = (-sy * cz * u1 - cy * sz * u2) * w0 - cz * u2 * w1
+                r1 = (-sy * sz * u1 + cy * cz * u2) * w0 - sz * u2 * w1
+                r2 = -cy * u1 * w0
+                h -= G[0] * r0 + G[1] * r1 + G[2] * r2
+            H[a][b] = H[b][a] = h
+    return np.transpose(H)

@@ -360,10 +360,10 @@ def test_hessians_match_psi_differences():
 # random chains of every task dimension; the spatial-axis ones also reach the
 # yaw Hessian of dim 3 (zero on planar chains) and the out-of-plane terms of dim 2
 ORACLE_CHAINS = {
-    "planar-2": lambda rng: random_planar_chain(rng, task_dim=2),
-    "planar-3": lambda rng: random_planar_chain(rng, task_dim=3),
-    "spatial-2": lambda rng: dataclasses.replace(random_spatial_chain(rng), task_dim=2),
-    "spatial-3": lambda rng: dataclasses.replace(random_spatial_chain(rng), task_dim=3),
+    "planar-2": lambda rng, n=4: random_planar_chain(rng, task_dim=2, n_joints=n),
+    "planar-3": lambda rng, n=4: random_planar_chain(rng, task_dim=3, n_joints=n),
+    "spatial-2": lambda rng, n=5: dataclasses.replace(random_spatial_chain(rng, n), task_dim=2),
+    "spatial-3": lambda rng, n=5: dataclasses.replace(random_spatial_chain(rng, n), task_dim=3),
     "spatial-6": random_spatial_chain,
 }
 
@@ -388,6 +388,38 @@ def test_load_hessian_matches_gradient_differences(name):
         R = gradient_differences(chain, coords, F)
         # central differences at step 1e-6 carry roundoff near 1e-10 |H|
         np.testing.assert_allclose(H, R, rtol=0.0, atol=1e-7 * max(1.0, np.abs(R).max()))
+
+
+def _upright_chain():
+    """A spatial chain that turns about y and then slides: at a turn of pi/2 its end pitches up and E is singular."""
+    elements = [
+        (Transform.identity(), JointModel(kind="actuated", motion="rotational", axis=(0.0, 1.0, 0.0))),
+        (Transform.identity(), JointModel(kind="virtual_elastic", motion="translational", axis=(1.0, 0.0, 0.0), stiffness=1.0)),
+    ]
+    return ChainModel(6, Transform(), elements, Transform((0.1, 0.0, 0.0)), name="upright")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 17])
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+def test_load_hessian_is_the_pair_loop_bit_for_bit(name, rows):
+    from kinetostat.chain import _loaded_derivatives
+
+    from conftest import load_hessian_by_pairs
+
+    rng = np.random.default_rng([sorted(ORACLE_CHAINS).index(name), rows])
+    cases = [ORACLE_CHAINS[name](rng, n) for n in range(2, 8)]
+    if name == "spatial-6":
+        cases.append(_upright_chain())
+    for chain in cases:
+        n = len(chain.elements)
+        coords = rng.uniform(-1.5, 1.5, (rows, n))
+        F = rng.normal(size=(rows, chain.task_dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        singular = [rows // 2] if rows and chain.name == "upright" else []
+        coords[singular, 0] = math.pi / 2.0
+        _, H, errors = _loaded_derivatives(chain, coords, F)
+        assert H.shape == (rows, n, n) and sorted(errors) == singular
+        assert np.isnan(H[singular]).all() and np.isfinite(np.delete(H, singular, axis=0)).all()
+        assert H.tobytes() == load_hessian_by_pairs(chain, coords, F).tobytes()
 
 
 def test_hessians_zero_for_zero_wrench(ortho_nopreload):

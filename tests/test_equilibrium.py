@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,42 @@ def test_start_states_must_match_the_chains(ortho_nopreload):
     with pytest.raises(ModelError, match=rf"start of shape \(2,\) does not match {n} chain elements") as err:
         force_deflection(ortho_nopreload, [0.1, 0.2], [1.0, 0.0], 0.01, 0.005, rho_all=rho, starts=[coords[0], coords[1][:2]])
     assert err.value.chain_index == 1
+
+
+@pytest.mark.parametrize("far", [1e308, -1e308])
+def test_a_start_at_the_float_range_is_singular_on_every_path(far):
+    # the first step turns the preloaded revolute infinite: the scalar pass's motion goes NaN, as the stack's does
+    from kinetostat import sensitivity_matrix
+
+    model, start = shipped_model(), ChainState(rho=[1.0], q=[], vartheta=[far], theta=[0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and each path is unwarned
+        with pytest.raises(SingularityError) as scalar:
+            solve_chain_equilibrium(model.chains[0], [0.1, 0.2], [1.0], start=start)
+        with pytest.raises(SingularityError) as stacked:
+            sensitivity_matrix(model, [0.1, 0.2], [1.0, 1.0], starts=[start, start])
+        curve = force_deflection(model, [0.1, 0.2], DIAG, 0.01, 0.005, starts=[start, start])
+    singular = "chain 'x-leg' is singular at the prescribed pose (condition inf)"
+    assert str(scalar.value) == str(stacked.value) == str(curve.error) == singular
+    assert type(curve.error) is type(stacked.value) is type(scalar.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_state_that_is_not_finite_is_a_model_error(value):
+    from kinetostat import sensitivity_matrix
+
+    model, state = shipped_model(), ChainState(rho=[1.0], q=[], vartheta=[value], theta=[0.0])
+    chain = model.chains[0]
+    calls = [
+        lambda: fk_array(chain, state),
+        lambda: partition(chain, state),
+        lambda: solve_chain_equilibrium(chain, [0.1, 0.2], [1.0], start=state),
+        lambda: sensitivity_matrix(model, [0.1, 0.2], [1.0, 1.0], starts=[state, state]),
+        lambda: force_deflection(model, [0.1, 0.2], DIAG, 0.01, 0.005, starts=[state, state]),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match=r"joint values \[1\.0, 0\.0, -?(inf|nan)\] are not finite"):
+            call()
 
 
 def test_force_deflection_rejects_non_finite_direction(ortho_nopreload):

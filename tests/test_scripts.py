@@ -46,3 +46,14 @@ def test_script_exit_code_is_the_cli_exit_code(tmp_path, capsys):
     argv = ["--kv", "0.01", "--max-delta", "inf", "--step", "0.001", "--out-dir", str(out)]
     assert _script("sweep_preload_cases").main(argv) == 3
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_digests_repeat_in_one_process(capsys):
+    script, runs = _script("cli_digests"), []
+    for _ in range(2):
+        assert script.main([]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 2 + 2 * (3 + 3 * len(script.POSES)) + 1
+    assert runs[0][-1].endswith("  total")
+    assert "  map --model stop-limit.json --grid 10" in "\n".join(runs[0])
